@@ -6,6 +6,10 @@ surface: AdaBoost and AsymBoost select stumps by minimum weighted error,
 GSLDA selects by maximum class separation on a once-built stump table, and
 BGSLDA re-trains the table under boosting weights each round, prunes weak
 candidates, selects by class separation and reweights.
+
+evaluate_windows is the package's one cascade evaluator: early rejection
+over the integral table, vectorized over window positions.  Bootstrapping,
+the pyramid scan and the operating curves all go through it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boosting, scatter, stumps
-from .features import FeatureExtractor, HaarFeature, IntegralImage, PoolParams, build_integral, eval_haar
+from .features import FeatureExtractor, HaarFeature, PoolParams, build_integral, haar_values
 
 METHODS = ("adaboost", "asymboost", "gslda", "bgslda1", "bgslda2")
 
@@ -373,70 +377,67 @@ class CascadeModel:
     metadata: dict = field(default_factory=dict)
     stage_log: list = field(default_factory=list)
 
-    def decide_window(self, ii: IntegralImage, offset_x: int = 0, offset_y: int = 0,
-                      scale: float = 1.0, early_exit: bool = True):
-        """Run the cascade on one window.
 
-        Returns (accepted, stages_passed, score, feature_evals); score is the
-        margin of the last node evaluated.
-        """
-        accepted = True
-        stages = 0
-        score = 0.0
-        evals = 0
-        for node in self.nodes:
-            if not accepted and early_exit:
-                break
-            responses = np.array([
-                s.response(eval_haar(self.feature_pool[s.feature_id], ii, offset_x, offset_y, scale))
-                for s in node.stumps
-            ], dtype=np.float64)
-            evals += len(node.stumps)
-            score = node_margin(node, responses)
-            if score >= 0 and accepted:
-                stages += 1
-            else:
-                accepted = False
-        return accepted, stages, score, evals
+def evaluate_windows(model: CascadeModel, table: np.ndarray, px, py, scale: float = 1.0):
+    """Run the cascade with early rejection on every window whose top-left
+    corner is (px[i], py[i]) of the integral table, at the given scale.
 
-    def decide_patch(self, patch) -> bool:
-        ii = build_integral(patch)
-        accepted, _, _, _ = self.decide_window(ii)
-        return accepted
+    Returns (stages, margins, evals): stages[i] counts the nodes window i
+    passed before its first rejection, so it is accepted iff stages[i] equals
+    the node count; margins[k, i] is node k's margin, computed only for the
+    windows that reached node k and NaN for the rest; evals counts Haar
+    evaluations.  Each margin is accumulated in node_margin's stump order.
+    """
+    px = np.asarray(px)
+    py = np.asarray(py)
+    stages = np.zeros(len(px), dtype=int)
+    margins = np.full((len(model.nodes), len(px)), np.nan)
+    alive = np.arange(len(px))
+    evals = 0
+    for k, node in enumerate(model.nodes):
+        if alive.size == 0:
+            break
+        # No copy while every window is alive: the first node sees them all.
+        gx, gy = (px, py) if alive.size == len(px) else (px[alive], py[alive])
+        acc = np.zeros(alive.size)
+        for t, stump in enumerate(node.stumps):
+            values = haar_values(model.feature_pool[stump.feature_id], table, gx, gy, scale)
+            acc = acc + node.coefficients[t] * (np.where(values >= stump.threshold, 1.0, -1.0) * stump.polarity)
+        acc = acc + node.node_threshold
+        evals += alive.size * len(node.stumps)
+        margins[k, alive] = acc
+        alive = alive[acc >= 0]
+        stages[alive] += 1
+    return stages, margins, evals
 
 
 def bootstrap_negatives(model: CascadeModel, reservoir, count: int, seed: int = 0,
                         stride: int = 4, min_required: int | None = None) -> np.ndarray:
     """Collect windows from the reservoir that the current cascade accepts.
 
-    Candidate windows (base-window size, scanned at `stride`) are visited in a
-    seeded random order; raises BootstrapExhaustedError when fewer than the
-    configured minimum are found (default: 5% of the request, at least one).
+    Candidate windows (base-window size, on a `stride` grid) are evaluated
+    once per image and taken in a seeded random order of the slots; raises
+    BootstrapExhaustedError when fewer than the configured minimum are found
+    (default: 5% of the request, at least one).
     """
     if len(reservoir) == 0:
         raise ValueError("empty negative reservoir")
     if min_required is None:
         min_required = max(1, count // 20)
     bw = model.base_window
-    slots = []
+    slots, accepted = [], []  # (image index, x, y) of every grid window, scan order
     for idx, image in enumerate(reservoir):
-        h, w = np.asarray(image).shape
-        for y in range(0, h - bw + 1, stride):
-            for x in range(0, w - bw + 1, stride):
-                slots.append((idx, x, y))
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(slots))
-    tables = {}
-    found = []
-    for slot in order:
-        idx, x, y = slots[slot]
-        if idx not in tables:
-            tables[idx] = build_integral(reservoir[idx])
-        accepted, _, _, _ = model.decide_window(tables[idx], x, y)
-        if accepted:
-            found.append(np.asarray(reservoir[idx])[y : y + bw, x : x + bw])
-            if len(found) >= count:
-                break
+        image = np.asarray(image)
+        h, w = image.shape
+        grid = [(x, y) for y in range(0, h - bw + 1, stride) for x in range(0, w - bw + 1, stride)]
+        if grid:
+            px, py = np.array(grid).T
+            stages, _, _ = evaluate_windows(model, build_integral(image).table, px, py)
+            slots += [(idx, x, y) for x, y in grid]
+            accepted += (stages == len(model.nodes)).tolist()
+    order = np.random.default_rng(seed).permutation(len(slots))
+    hits = order[np.array(accepted, dtype=bool)[order]][:count]
+    found = [np.asarray(reservoir[i])[y : y + bw, x : x + bw] for i, x, y in (slots[s] for s in hits)]
     if len(found) < min(min_required, count):
         raise BootstrapExhaustedError("bootstrap exhausted")
     return np.stack(found)
@@ -459,7 +460,9 @@ def train_cascade(
 
     After each stage the correctly rejected negatives leave the pool and the
     reservoir is scanned for fresh false positives; training also stops when a
-    node misses its goal or the reservoir runs dry.
+    node misses its goal or the reservoir runs dry.  The last stage_log record
+    is {"stop_reason": ...}: f_target_met, goal_missed, bootstrap_exhausted,
+    negatives_empty or max_stages.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -487,8 +490,10 @@ def train_cascade(
     )
     d_cum, f_cum = 1.0, 1.0
     stage = 0
+    stop_reason = None
     while f_target < f_cum and stage < max_stages:
         if neg_values.shape[1] == 0:
+            stop_reason = "negatives_empty"
             break
         stage += 1
         started = time.perf_counter()
@@ -518,6 +523,7 @@ def train_cascade(
             "wall_time_s": time.perf_counter() - started,
         })
         if not node.goal_met:
+            stop_reason = "goal_missed"
             break
         if f_cum <= f_target:
             break
@@ -535,7 +541,11 @@ def train_cascade(
                     seed=int(rng.integers(2**31)), stride=bootstrap_stride,
                 )
             except (BootstrapExhaustedError, ValueError):
+                stop_reason = "bootstrap_exhausted"
                 break
             negatives = np.concatenate([negatives, fresh]) if len(negatives) else fresh
             neg_values = np.hstack([neg_values, extractor.extract(fresh)])
+    if stop_reason is None:
+        stop_reason = "f_target_met" if f_cum <= f_target else "max_stages"
+    model.stage_log.append({"stop_reason": stop_reason})
     return model

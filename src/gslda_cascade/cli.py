@@ -2,6 +2,12 @@
 
 Commands: train, detect, eval, toy, synth.  Exit codes: 0 success, 1 usage,
 2 data error, 3 training finished with a stage goal not met.
+
+train ends its stage log with a {"stop_reason": ...} record.  When the
+cascade's false-positive rate F stays above --f-target (the reservoir ran out
+of false positives, a node missed its goal, the negatives ran out or the
+stage cap was hit), train prints "warning: training stopped (<reason>) at
+F=..., above f_target ..." on stderr; the exit code is unchanged.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from .boosting import BoostingConfig
 from .cascade import METHODS, NodeGoal, TrainingPool, train_cascade
-from .detect import ScanProfile, avg_features_per_window, match_detections, merge_detections, roc_curve, scan_image
+from .detect import ScanProfile, avg_features_per_window, merge_detections, roc_curve, scan_image
 from .features import PoolParams, build_pool
 from .model_io import (
     ModelFormatError,
@@ -210,7 +216,11 @@ def cmd_train(args) -> int:
     for entry in model.stage_log:
         print(json.dumps(entry, sort_keys=True))
     print(f"model written to {args.out} ({len(model.nodes)} stages)")
-    if not model.nodes:
+    f_cum = model.cumulative[-1][1] if model.cumulative else 1.0
+    if f_cum > cfg["f_target"]:
+        print(f"warning: training stopped ({model.stage_log[-1]['stop_reason']}) at "
+              f"F={f_cum:.6g}, above f_target {cfg['f_target']:.6g}", file=sys.stderr)
+    elif not model.nodes:
         print("warning: no stages trained (f_target already satisfied)", file=sys.stderr)
     if any(not n.goal_met for n in model.nodes):
         raise GoalNotMet("a stage missed its rate goal; model saved with achieved rates")
@@ -286,17 +296,11 @@ def cmd_eval(args) -> int:
     except (OSError, ValueError) as exc:
         raise DataError(str(exc))
     image_ids = list(dict.fromkeys(t.image_id for t in truths))
-    images = [(image_id, read_pgm(manifest.path(image_id))) for image_id in image_ids]
-    points = roc_curve(model, images, truths, mode=args.mode,
-                       scale_factor=cfg["scale_factor"], step=cfg["step"],
-                       min_neighbors=cfg["min_neighbors"])
+    images = list(zip(image_ids, _load_patches(manifest, image_ids, "image")))
+    points, summary = roc_curve(model, images, truths, mode=args.mode,
+                                scale_factor=cfg["scale_factor"], step=cfg["step"],
+                                min_neighbors=cfg["min_neighbors"])
     write_roc_csv(points, args.out)
-    detections = []
-    for image_id, image in images:
-        wins = merge_detections(scan_image(model, image, cfg["scale_factor"], cfg["step"]),
-                                cfg["min_neighbors"])
-        detections.extend((image_id, w) for w in wins)
-    summary = match_detections(detections, truths)
     print(f"roc written to {args.out} ({len(points)} points, mode={args.mode})")
     print(f"full-depth: TP={summary.true_positives} FP={summary.false_positives} "
           f"missed={summary.missed} truths={len(truths)}")

@@ -1,19 +1,20 @@
 """Sliding-window detection and evaluation.
 
 Scanning enumerates square windows over a geometric scale pyramid, runs the
-cascade with early rejection (vectorized over window positions, bit-identical
-to per-window evaluation), merges overlapping acceptances, and scores the
-result against ground-truth boxes.
+cascade evaluator (cascade.evaluate_windows) once per scale, merges
+overlapping acceptances, and scores the result against ground-truth boxes.
+The operating curves reuse one early-exit scan per image: the prefix of
+depth d accepts exactly the windows that passed at least d nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeModel, node_margin
-from .features import build_integral, eval_haar, scaled_rects
+from .cascade import CascadeModel, evaluate_windows
+from .features import build_integral
 
 
 @dataclass
@@ -68,60 +69,26 @@ def _round_half_up(v) -> int:
 
 
 def scan_image(model: CascadeModel, image, scale_factor: float = 1.2, step: float = 1.0,
-               profile: ScanProfile | None = None, early_exit: bool = True) -> list[DetectionWindow]:
+               profile: ScanProfile | None = None) -> list[DetectionWindow]:
     """All windows the cascade accepts, over a scale pyramid.
 
     Window sides are base * scale_factor**s while they fit; the shift grows
     with the scale so scan density is scale-uniform.  Haar evaluation counts
     accumulate into `profile` when given.
     """
-    return [w for w, _ in _scan_with_scales(model, image, scale_factor, step, profile, early_exit)]
+    depth = len(model.nodes)
+    return [w for scan in _scan_pyramid(model, image, scale_factor, step, depth, profile)
+            for w in _detections(scan, depth)]
 
 
-def _scan_scale(model, table, px, py, side, scale, profile, early_exit):
-    n = len(px)
-    if profile is not None:
-        profile.windows_scanned += n
-    alive = np.ones(n, dtype=bool)
-    scores = np.zeros(n)
-    stages = np.zeros(n, dtype=int)
-    rect_cache = {}
-    evals = 0
-    for node in model.nodes:
-        idx = np.flatnonzero(alive) if early_exit else np.arange(n)
-        if idx.size == 0:
-            break
-        gx = px[idx]
-        gy = py[idx]
-        margins = np.zeros(idx.size)
-        for t, stump in enumerate(node.stumps):
-            fid = stump.feature_id
-            if fid not in rect_cache:
-                rect_cache[fid] = scaled_rects(model.feature_pool[fid], scale)[:2]
-            rects, area = rect_cache[fid]
-            acc = np.zeros(idx.size, dtype=np.int64)
-            for wgt, x0, y0, x1, y1 in rects:
-                acc += wgt * (
-                    table[gy + y1, gx + x1]
-                    - table[gy + y0, gx + x1]
-                    - table[gy + y1, gx + x0]
-                    + table[gy + y0, gx + x0]
-                )
-            values = acc / area
-            resp = np.where(values >= stump.threshold, 1.0, -1.0) * stump.polarity
-            margins = margins + node.coefficients[t] * resp
-        margins = margins + node.node_threshold
-        evals += idx.size * len(node.stumps)
-        ok = margins >= 0
-        scores[idx] = margins
-        stages[idx[ok & alive[idx]]] += 1
-        alive[idx[~ok]] = False
-    if profile is not None:
-        profile.feature_evals += evals
-    return [
-        DetectionWindow(int(px[i]), int(py[i]), side, float(scores[i]), int(stages[i]))
-        for i in np.flatnonzero(alive)
-    ]
+def _detections(scan, depth: int) -> list[DetectionWindow]:
+    """The windows of one scanned scale that the first `depth` nodes accept,
+    scored by the margin of the last of them (0 for depth 0)."""
+    px, py, side, stages, margins = scan
+    idx = np.flatnonzero(stages >= depth)
+    scores = margins[depth - 1, idx] if depth else np.zeros(idx.size)
+    return [DetectionWindow(x, y, side, score, depth)
+            for x, y, score in zip(px[idx].tolist(), py[idx].tolist(), scores.tolist())]
 
 
 def overlap_ratio(ax, ay, aw, ah, bx, by, bw, bh) -> float:
@@ -211,85 +178,74 @@ def match_detections(detections, truths: list[GroundTruthBox]) -> MatchResult:
     return MatchResult(tp, fp, len(truths) - tp)
 
 
-def _prefix(model: CascadeModel, depth: int) -> CascadeModel:
-    return replace(model, nodes=model.nodes[:depth])
-
-
-def _detect_all(model, images, scale_factor, step, min_neighbors, profile=None):
-    detections = []
-    for image_id, image in images:
-        wins = scan_image(model, image, scale_factor, step, profile=profile)
-        for win in merge_detections(wins, min_neighbors):
-            detections.append((image_id, win))
-    return detections
-
-
 def roc_curve(model: CascadeModel, images, truths: list[GroundTruthBox], mode: str = "depth",
               scale_factor: float = 1.2, step: float = 1.0, min_neighbors: int = 2,
-              n_thresholds: int = 10) -> list[ROCPoint]:
-    """Operating-curve points, sorted by false positives ascending.
+              n_thresholds: int = 10) -> tuple[list[ROCPoint], MatchResult]:
+    """Operating-curve points, sorted by false positives ascending, and the
+    match result of the full cascade.
 
-    `images` is a list of (image_id, pixel array); detection counts are
-    post-merge.  Depth mode adds one cascade level at a time; threshold mode
-    sweeps the final node's margin over its quantiles.
+    `images` is a list of (image_id, pixel array), each scanned once with
+    early exit; detection counts are post-merge.  Depth mode adds one cascade
+    level at a time; threshold mode sweeps the final node's margin over its
+    quantiles.
     """
     images = list(images)
     if not images or not truths:
         raise ValueError("empty test set")
     if not model.nodes:
         raise ValueError("model has no nodes")
+    if mode not in ("depth", "threshold"):
+        raise ValueError("mode must be 'depth' or 'threshold'")
+    full_depth = len(model.nodes)
+    # Depth mode needs the windows past the first node, threshold mode those
+    # that reached the last one.
+    reached = 1 if mode == "depth" else full_depth - 1
+    scans = [(image_id, list(_scan_pyramid(model, image, scale_factor, step, reached)))
+             for image_id, image in images]
+
+    def merged(depth):
+        out = []
+        for image_id, image_scans in scans:
+            wins = [w for scan in image_scans for w in _detections(scan, depth)]
+            out.extend((image_id, w) for w in merge_detections(wins, min_neighbors))
+        return out
+
     points = []
     if mode == "depth":
-        for depth in range(1, len(model.nodes) + 1):
-            sub = _prefix(model, depth)
-            res = match_detections(
-                _detect_all(sub, images, scale_factor, step, min_neighbors), truths
-            )
+        for depth in range(1, full_depth + 1):
+            res = match_detections(merged(depth), truths)
             points.append(
                 ROCPoint(f"depth={depth}", res.false_positives, res.true_positives / len(truths))
             )
-    elif mode == "threshold":
-        last = model.nodes[-1]
-        prefix = _prefix(model, len(model.nodes) - 1)
-        candidates = []  # (image_id, window, last-node margin)
-        for image_id, image in images:
-            ii = build_integral(image)
-            for win, scale in _scan_with_scales(prefix, image, scale_factor, step):
-                responses = np.array(
-                    [
-                        s.response(eval_haar(model.feature_pool[s.feature_id], ii, win.x, win.y, scale))
-                        for s in last.stumps
-                    ],
-                    dtype=np.float64,
-                )
-                candidates.append((image_id, win, node_margin(last, responses)))
-        margins = np.array([c[2] for c in candidates]) if candidates else np.zeros(0)
+        full = res  # the deepest prefix is the whole cascade
+    else:
+        candidates = [  # per image, the windows that reached the last node, scored by its margin
+            (image_id, [DetectionWindow(x, y, side, m, full_depth)
+                        for px, py, side, _, margins in image_scans
+                        for x, y, m in zip(px.tolist(), py.tolist(), margins[-1].tolist())])
+            for image_id, image_scans in scans
+        ]
+        margins = np.array([w.score for _, wins in candidates for w in wins])
         taus = []
         if margins.size:
             taus = sorted(set(np.quantile(margins, np.linspace(0.0, 1.0, n_thresholds)).tolist()))
         taus.append(np.inf)
         for tau in taus:
-            kept = [
-                (cid, replace(win, score=m, stages_passed=win.stages_passed + 1))
-                for cid, win, m in candidates
-                if m >= tau
-            ]
-            merged = []
-            for image_id, _ in images:
-                wins = [w for cid, w in kept if cid == image_id]
-                merged.extend((image_id, w) for w in merge_detections(wins, min_neighbors))
-            res = match_detections(merged, truths)
+            kept = [(image_id, w) for image_id, wins in candidates
+                    for w in merge_detections([v for v in wins if v.score >= tau], min_neighbors)]
+            res = match_detections(kept, truths)
             points.append(
                 ROCPoint(f"threshold={tau:.6g}", res.false_positives, res.true_positives / len(truths))
             )
-    else:
-        raise ValueError("mode must be 'depth' or 'threshold'")
+        full = match_detections(merged(full_depth), truths)
     points.sort(key=lambda p: (p.false_positives, -p.detection_rate))
-    return points
+    return points, full
 
 
-def _scan_with_scales(model, image, scale_factor, step, profile=None, early_exit=True):
-    """Scan pyramid yielding (accepted window, exact pyramid scale) pairs."""
+def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
+    """Scan the pyramid with the cascade evaluator, yielding per scale
+    (px, py, side, stages, margins) of the windows that passed at least
+    `reached` nodes, in scan order."""
     if scale_factor <= 1.0:
         raise ValueError("scale_factor must exceed 1")
     image = np.asarray(image)
@@ -309,6 +265,12 @@ def _scan_with_scales(model, image, scale_factor, step, profile=None, early_exit
         ys = np.arange(0, h - side + 1, shift)
         px = np.repeat(xs[None, :], len(ys), axis=0).ravel()
         py = np.repeat(ys[:, None], len(xs), axis=1).ravel()
-        for win in _scan_scale(model, table, px, py, side, scale, profile, early_exit):
-            yield win, scale
+        stages, margins, evals = evaluate_windows(model, table, px, py, scale)
+        if profile is not None:
+            profile.windows_scanned += px.size
+            profile.feature_evals += evals
+        keep = np.flatnonzero(stages >= reached)
+        # Rebind before yielding so the full-scale arrays are freed now.
+        stages, margins = stages[keep], margins[:, keep]
+        yield px[keep], py[keep], side, stages, margins
         s += 1

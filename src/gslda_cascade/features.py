@@ -74,6 +74,8 @@ class HaarFeature:
         if self.kind not in KINDS:
             raise ValueError(f"unknown feature kind {self.kind!r}")
         uw, uh = _UNITS[self.kind]
+        if self.w < 1 or self.h < 1:
+            raise ValueError("footprint needs positive extent")
         if self.w % uw or self.h % uh:
             raise ValueError("footprint does not subdivide for this kind")
         if self.x < 0 or self.y < 0 or self.x + self.w > self.base_window or self.y + self.h > self.base_window:
@@ -160,15 +162,18 @@ def scaled_rects(feature: HaarFeature, scale: float):
     return rects, area, (fx0, fy0, fx1, fy1)
 
 
-def eval_haar(feature: HaarFeature, ii: IntegralImage, offset_x: int = 0, offset_y: int = 0,
-              scale: float = 1.0) -> float:
-    """Area-normalized weighted rectangle difference at the given placement."""
-    rects, area, (fx0, fy0, fx1, fy1) = scaled_rects(feature, scale)
-    if offset_x + fx0 < 0 or offset_y + fy0 < 0 or offset_x + fx1 > ii.width or offset_y + fy1 > ii.height:
-        raise ValueError("footprint out of bounds")
-    acc = 0
+def haar_values(feature: HaarFeature, table: np.ndarray, px, py, scale: float = 1.0) -> np.ndarray:
+    """Area-normalized weighted rectangle differences of one feature, placed at
+    scale in every window whose top-left corner is (px[i], py[i]) of the
+    integral table; exact integer sums, one float division each.
+
+    The caller keeps every scaled footprint inside the table.
+    """
+    rects, area, _ = scaled_rects(feature, scale)
+    acc = np.zeros(len(px), dtype=np.int64)
     for wgt, x0, y0, x1, y1 in rects:
-        acc += wgt * ii.rect_sum(offset_x + x0, offset_y + y0, offset_x + x1, offset_y + y1)
+        acc += wgt * (table[py + y1, px + x1] - table[py + y0, px + x1]
+                      - table[py + y1, px + x0] + table[py + y0, px + x0])
     return acc / area
 
 

@@ -80,7 +80,21 @@ def _field(payload: dict, name: str, kind, where: str):
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _rate_pairs(payload: dict, name: str, n_nodes: int) -> list[tuple[float, float]]:
+    rows = _field(payload, name, list, "model file")
+    _expect(len(rows) == n_nodes, f"model file: {name} needs one [d, f] pair per node")
+    for i, row in enumerate(rows):
+        _expect(isinstance(row, list) and len(row) == 2 and all(_is_number(v) for v in row),
+                f"{name}[{i}]: expected [d, f]")
+    return [tuple(row) for row in rows]
+
+
 def model_from_dict(payload: dict) -> CascadeModel:
+    """Schema-checked model; every violation raises ModelFormatError."""
     _expect(isinstance(payload, dict), "model file: top level must be an object")
     version = _field(payload, "format_version", int, "model file")
     _expect(version == FORMAT_VERSION, f"model file: unknown format_version {version}")
@@ -97,7 +111,11 @@ def model_from_dict(payload: dict) -> CascadeModel:
             min_size=_field(pool_payload, "min_size", int, "feature_pool"),
             subsample=_field(pool_payload, "subsample", int, "feature_pool"),
         )
-        feature_pool = build_pool(pool_params)
+        _expect(pool_params.base_window == base_window, "feature_pool: base_window differs from the model's")
+        try:
+            feature_pool = build_pool(pool_params)
+        except ValueError as exc:
+            raise ModelFormatError(f"feature_pool: {exc}") from exc
     elif pool_type == "explicit":
         entries = _field(pool_payload, "features", list, "feature_pool")
         feature_pool = []
@@ -108,7 +126,12 @@ def model_from_dict(payload: dict) -> CascadeModel:
             )
             kind = entry[0]
             _expect(kind in KINDS, f"feature_pool.features[{i}]: unknown kind {kind!r}")
-            feature_pool.append(HaarFeature(kind, *entry[1:], base_window=base_window))
+            _expect(all(isinstance(v, int) for v in entry[1:]),
+                    f"feature_pool.features[{i}]: x, y, w, h must be integers")
+            try:
+                feature_pool.append(HaarFeature(kind, *entry[1:], base_window=base_window))
+            except ValueError as exc:
+                raise ModelFormatError(f"feature_pool.features[{i}]: {exc}") from exc
     elif pool_type == "none":
         feature_pool = None
     else:
@@ -128,12 +151,15 @@ def model_from_dict(payload: dict) -> CascadeModel:
             )
             fid, thr, pol = row
             _expect(isinstance(fid, int), f"{where}.stumps[{j}]: feature_id must be an integer")
+            _expect(_is_number(thr), f"{where}.stumps[{j}]: threshold must be a number")
             _expect(pol in (-1, 1), f"{where}.stumps[{j}]: polarity must be -1 or +1")
             if feature_pool is not None:
                 _expect(0 <= fid < len(feature_pool), f"{where}.stumps[{j}]: feature_id out of range")
             stumps.append(DecisionStump(fid, float(thr), int(pol)))
+        _expect(stumps, f"{where}: needs at least one stump")
         coefficients = _field(np_, "coefficients", list, where)
         _expect(len(coefficients) == len(stumps), f"{where}: coefficients length mismatch")
+        _expect(all(_is_number(c) for c in coefficients), f"{where}: coefficients must be numbers")
         nodes.append(
             NodeClassifier(
                 stumps=stumps,
@@ -145,8 +171,8 @@ def model_from_dict(payload: dict) -> CascadeModel:
                 false_positive_rate=float(_field(np_, "false_positive_rate", (int, float), where)),
             )
         )
-    stage_rates = [tuple(r) for r in _field(payload, "stage_rates", list, "model file")]
-    cumulative = [tuple(r) for r in _field(payload, "cumulative", list, "model file")]
+    stage_rates = _rate_pairs(payload, "stage_rates", len(nodes))
+    cumulative = _rate_pairs(payload, "cumulative", len(nodes))
     metadata = _field(payload, "metadata", dict, "model file")
     return CascadeModel(
         nodes=nodes,
@@ -164,7 +190,7 @@ def load_model(path: str) -> CascadeModel:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or not UTF-8
             raise ModelFormatError(f"model file {path}: invalid JSON ({exc})") from exc
     return model_from_dict(payload)
 
@@ -205,20 +231,6 @@ def write_detections_csv(rows: list[tuple[str, DetectionWindow]], path) -> None:
     finally:
         if close:
             fh.close()
-
-
-def read_detections_csv(path) -> list[tuple[str, DetectionWindow]]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(
-                (
-                    row["image_id"],
-                    DetectionWindow(int(row["x"]), int(row["y"]), int(row["side"]), float(row["score"]), 0),
-                )
-            )
-    return out
 
 
 def write_roc_csv(points: list[ROCPoint], path: str) -> None:

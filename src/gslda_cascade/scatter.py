@@ -182,11 +182,6 @@ class ScatterAccumulator:
         out[np.arange(len(rows)), rows] += self.cfg.ridge
         return out
 
-    def restricted(self, rows) -> np.ndarray:
-        """The |rows| x |rows| within-class scatter block (ridge included)."""
-        rows = np.asarray(rows, dtype=np.intp)
-        return self.cross(rows)[:, rows]
-
 
 def between_class_vector(rm: ResponseMatrix, w=None, cfg: ScatterConfig | None = None) -> np.ndarray:
     """Length-M rank-one factor of the between-class scatter, S_b = b b'.

@@ -7,20 +7,12 @@ threshold keeping at least 99% detection.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .cascade import NodeGoal, node_margin, train_node
 from .synth import ToyDatasetSpec, axis_stump_pool, generate_toy
-
-
-@dataclass
-class ToyMethodResult:
-    method: str
-    false_positives: int
-    detection_rate: float
-    stumps: list[dict]
 
 
 def describe_stumps(node, descriptors) -> list[dict]:
@@ -35,17 +27,6 @@ def describe_stumps(node, descriptors) -> list[dict]:
             out.append({"order": order, "axis": int(axis), "threshold": thr,
                         "polarity": int(stump.polarity)})
     return out
-
-
-def train_toy_node(values, labels, method: str, rounds: int, d_min: float = 0.99) -> ToyMethodResult:
-    goal = NodeGoal(d_min=d_min, f_max=0.5)
-    node = train_node(values, labels, goal, method, fixed_rounds=rounds)
-    responses = np.vstack([s.responses(values[s.feature_id]) for s in node.stumps])
-    margins = node_margin(node, responses)
-    accepted = margins >= 0
-    fp = int(np.sum(accepted & (labels < 0)))
-    dr = float(np.mean(accepted[labels > 0]))
-    return ToyMethodResult(method, fp, dr, stumps=[])
 
 
 def run_toy_experiment(

@@ -6,9 +6,13 @@ incremental paths.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
+from gslda_cascade.cascade import BootstrapExhaustedError, node_margin
+from gslda_cascade.detect import DetectionWindow, ROCPoint, match_detections, merge_detections
+from gslda_cascade.features import build_integral, scaled_rects
 from gslda_cascade.scatter import ResponseMatrix, ScatterConfig
 
 
@@ -138,3 +142,153 @@ def random_rm(rng, n, m, skew=0.5) -> ResponseMatrix:
     labels[0], labels[1] = 1, -1
     responses = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, m))
     return ResponseMatrix(responses, labels)
+
+
+def eval_haar(feature, ii, offset_x=0, offset_y=0, scale=1.0) -> float:
+    """Area-normalized weighted rectangle difference at one placement, with
+    four integral-table lookups per rectangle."""
+    rects, area, (fx0, fy0, fx1, fy1) = scaled_rects(feature, scale)
+    if offset_x + fx0 < 0 or offset_y + fy0 < 0 or offset_x + fx1 > ii.width or offset_y + fy1 > ii.height:
+        raise ValueError("footprint out of bounds")
+    acc = 0
+    for wgt, x0, y0, x1, y1 in rects:
+        acc += wgt * ii.rect_sum(offset_x + x0, offset_y + y0, offset_x + x1, offset_y + y1)
+    return acc / area
+
+
+def decide_window(model, ii, offset_x=0, offset_y=0, scale=1.0, early_exit=True):
+    """Run the cascade on one window, one stump at a time.
+
+    Returns (accepted, stages_passed, score, feature_evals); score is the
+    margin of the last node evaluated.
+    """
+    accepted = True
+    stages = 0
+    score = 0.0
+    evals = 0
+    for node in model.nodes:
+        if not accepted and early_exit:
+            break
+        responses = np.array([
+            s.response(eval_haar(model.feature_pool[s.feature_id], ii, offset_x, offset_y, scale))
+            for s in node.stumps
+        ], dtype=np.float64)
+        evals += len(node.stumps)
+        score = node_margin(node, responses)
+        if score >= 0 and accepted:
+            stages += 1
+        else:
+            accepted = False
+    return accepted, stages, score, evals
+
+
+def pyramid_windows(h, w, base, factor, step):
+    """Direct enumeration of the scan grid: (x, y, side, scale)."""
+    out = []
+    s = 0
+    while True:
+        scale = factor**s
+        side = int(np.floor(base * scale + 0.5))
+        if side > min(h, w):
+            break
+        shift = max(1, int(np.floor(step * scale + 0.5)))
+        for y in range(0, h - side + 1, shift):
+            for x in range(0, w - side + 1, shift):
+                out.append((x, y, side, scale))
+        s += 1
+    return out
+
+
+def scan_windows(model, image, scale_factor=1.2, step=1.0):
+    """(accepted window, scale) pairs in scan order, by decide_window."""
+    image = np.asarray(image)
+    if min(image.shape) < model.base_window:
+        return []
+    ii = build_integral(image)
+    out = []
+    for x, y, side, scale in pyramid_windows(*image.shape, model.base_window, scale_factor, step):
+        accepted, stages, score, _ = decide_window(model, ii, x, y, scale)
+        if accepted:
+            out.append((DetectionWindow(x, y, side, float(score), stages), scale))
+    return out
+
+
+def bootstrap_negatives(model, reservoir, count, seed=0, stride=4, min_required=None):
+    """Windows the cascade accepts, visited one by one in a seeded random
+    order of the reservoir's stride grid."""
+    if len(reservoir) == 0:
+        raise ValueError("empty negative reservoir")
+    if min_required is None:
+        min_required = max(1, count // 20)
+    bw = model.base_window
+    slots = []
+    for idx, image in enumerate(reservoir):
+        h, w = np.asarray(image).shape
+        for y in range(0, h - bw + 1, stride):
+            for x in range(0, w - bw + 1, stride):
+                slots.append((idx, x, y))
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(slots))
+    tables = {}
+    found = []
+    for slot in order:
+        idx, x, y = slots[slot]
+        if idx not in tables:
+            tables[idx] = build_integral(reservoir[idx])
+        accepted, _, _, _ = decide_window(model, tables[idx], x, y)
+        if accepted:
+            found.append(np.asarray(reservoir[idx])[y : y + bw, x : x + bw])
+            if len(found) >= count:
+                break
+    if len(found) < min(min_required, count):
+        raise BootstrapExhaustedError("bootstrap exhausted")
+    return np.stack(found)
+
+
+def roc_curve(model, images, truths, mode="depth", scale_factor=1.2, step=1.0,
+              min_neighbors=2, n_thresholds=10):
+    """Operating-curve points by rescanning: one scan of every image per
+    cascade prefix, plus the last node's margin evaluated window by window.
+    Also returns the full cascade's match result from a further scan."""
+    def prefix(depth):
+        return replace(model, nodes=model.nodes[:depth])
+
+    def detect_all(sub):
+        detections = []
+        for image_id, image in images:
+            wins = [win for win, _ in scan_windows(sub, image, scale_factor, step)]
+            detections.extend((image_id, w) for w in merge_detections(wins, min_neighbors))
+        return detections
+
+    points = []
+    if mode == "depth":
+        for depth in range(1, len(model.nodes) + 1):
+            res = match_detections(detect_all(prefix(depth)), truths)
+            points.append(ROCPoint(f"depth={depth}", res.false_positives, res.true_positives / len(truths)))
+    else:
+        last = model.nodes[-1]
+        candidates = []  # (image_id, window, last-node margin)
+        for image_id, image in images:
+            ii = build_integral(image)
+            for win, scale in scan_windows(prefix(len(model.nodes) - 1), image, scale_factor, step):
+                responses = np.array([
+                    s.response(eval_haar(model.feature_pool[s.feature_id], ii, win.x, win.y, scale))
+                    for s in last.stumps
+                ], dtype=np.float64)
+                candidates.append((image_id, win, node_margin(last, responses)))
+        margins = np.array([c[2] for c in candidates]) if candidates else np.zeros(0)
+        taus = []
+        if margins.size:
+            taus = sorted(set(np.quantile(margins, np.linspace(0.0, 1.0, n_thresholds)).tolist()))
+        taus.append(np.inf)
+        for tau in taus:
+            kept = [(cid, replace(win, score=m, stages_passed=win.stages_passed + 1))
+                    for cid, win, m in candidates if m >= tau]
+            merged = []
+            for image_id, _ in images:
+                wins = [w for cid, w in kept if cid == image_id]
+                merged.extend((image_id, w) for w in merge_detections(wins, min_neighbors))
+            res = match_detections(merged, truths)
+            points.append(ROCPoint(f"threshold={tau:.6g}", res.false_positives, res.true_positives / len(truths)))
+    points.sort(key=lambda p: (p.false_positives, -p.detection_rate))
+    return points, match_detections(detect_all(model), truths)

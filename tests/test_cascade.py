@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gslda_cascade.boosting import BoostingConfig, init_weights
 from gslda_cascade.cascade import (
@@ -10,6 +12,7 @@ from gslda_cascade.cascade import (
     NodeGoal,
     TrainingPool,
     bootstrap_negatives,
+    evaluate_windows,
     node_decide,
     node_margin,
     train_cascade,
@@ -19,6 +22,8 @@ from gslda_cascade.cascade import (
 from gslda_cascade.features import build_integral, enumerate_haar
 from gslda_cascade.scatter import ResponseMatrix, ScatterConfig, forward_select
 from gslda_cascade.stumps import DecisionStump, build_table
+from oracles import bootstrap_negatives as scalar_bootstrap_negatives
+from oracles import decide_window, pyramid_windows
 
 
 def separable_values(rng, n_pos=30, n_neg=50, extra=4):
@@ -214,7 +219,10 @@ class TestCascade:
             model = train_cascade(pool, goal, f_target=0.5, method=method,
                                   feature_pool=feats, seed=1)
             if model.nodes:
-                assert isinstance(model.decide_patch(patch), bool)
+                accepted, _, _, _ = decide_window(model, build_integral(patch))
+                assert isinstance(accepted, bool)
+                stages, _, _ = evaluate_windows(model, build_integral(patch).table, [0], [0])
+                assert accepted == (stages[0] == len(model.nodes))
 
 
 class TestBootstrap:
@@ -254,5 +262,73 @@ class TestBootstrap:
         except BootstrapExhaustedError:
             pytest.skip("model rejected nearly everything on this seed")
         for patch in out:
-            accepted, _, _, _ = model.decide_window(build_integral(patch))
+            accepted, _, _, _ = decide_window(model, build_integral(patch))
             assert accepted
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("count", [1, 7, 40, 500])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_equals_scalar_visit_order(self, seed, count, stride):
+        rng = np.random.default_rng(16 + seed)
+        reservoir = [rng.integers(0, 256, size=shape) for shape in ((20, 24), (7, 30), (16, 16))]
+        feats = enumerate_haar(8, stride=2, min_size=2)
+        nodes = [
+            NodeClassifier([DecisionStump(3, 0.0, 1), DecisionStump(11, -4.0, -1)], [0.7, 0.4], 0.2, "gslda"),
+            NodeClassifier([DecisionStump(5, 2.0, 1)], [1.0], 0.5, "adaboost"),
+        ]
+        for depth in range(len(nodes) + 1):
+            model = self.make_model(feats, nodes[:depth])
+            try:
+                expected = scalar_bootstrap_negatives(model, reservoir, count, seed=seed, stride=stride)
+            except BootstrapExhaustedError:
+                with pytest.raises(BootstrapExhaustedError):
+                    bootstrap_negatives(model, reservoir, count, seed=seed, stride=stride)
+                continue
+            got = bootstrap_negatives(model, reservoir, count, seed=seed, stride=stride)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+
+def _hand_node(draw, n_features):
+    t = draw(st.integers(1, 3))
+    stumps_ = [
+        DecisionStump(draw(st.integers(0, n_features - 1)), draw(st.integers(-40, 40)) / 4,
+                      draw(st.sampled_from([-1, 1])))
+        for _ in range(t)
+    ]
+    coefficients = [draw(st.floats(-1, 1, allow_nan=False)) for _ in range(t)]
+    return NodeClassifier(stumps_, coefficients, draw(st.floats(-1, 1, allow_nan=False)), "gslda")
+
+
+class TestEvaluateWindows:
+    FEATURES = enumerate_haar(8, stride=2, min_size=2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_decide_window(self, data):
+        draw = data.draw
+        nodes = [_hand_node(draw, len(self.FEATURES)) for _ in range(draw(st.integers(0, 3)))]
+        model = CascadeModel(nodes=nodes, stage_rates=[], cumulative=[],
+                             feature_pool=self.FEATURES, f_target=0.1, base_window=8)
+        h, w = draw(st.integers(8, 20)), draw(st.integers(8, 20))
+        image = np.random.default_rng(draw(st.integers(0, 2**16))).integers(0, 256, size=(h, w))
+        ii = build_integral(image)
+        factor = draw(st.sampled_from([1.1, 1.2, 1.25, 1.5]))
+        step = draw(st.sampled_from([1.0, 2.0]))
+        by_scale = {}
+        for x, y, _, scale in pyramid_windows(h, w, 8, factor, step):
+            by_scale.setdefault(scale, []).append((x, y))
+        for scale, windows in by_scale.items():
+            px, py = np.array(windows).T
+            stages, margins, evals = evaluate_windows(model, ii.table, px, py, scale)
+            expected_evals = 0
+            for i, (x, y) in enumerate(windows):
+                accepted, n_passed, score, n_evals = decide_window(model, ii, x, y, scale)
+                expected_evals += n_evals
+                assert stages[i] == n_passed
+                assert accepted == (stages[i] == len(nodes))
+                if nodes:
+                    last = margins[min(stages[i], len(nodes) - 1), i]
+                    assert np.float64(last).tobytes() == np.float64(score).tobytes()
+                    assert np.all(np.isnan(margins[stages[i] + 1:, i]))
+            assert evals == expected_evals

@@ -1,0 +1,91 @@
+"""End-to-end runs of the command-line front end on a tiny synthetic corpus."""
+
+import csv
+import json
+
+import pytest
+
+from gslda_cascade import cli, detect
+
+TRAIN = ["--subsample", "4", "--max-stumps", "8"]
+EVAL = ["--step", "3"]  # a coarse grid keeps the quadratic merge fast
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    assert cli.main(["synth", "--out", str(root / "corpus"), "--n-pos", "40", "--n-neg", "80", "--size", "8",
+                     "--reservoir", "2", "--scenes", "2", "--seed", "0"]) == 0
+    return root
+
+
+def stage_log(path):
+    return [json.loads(line) for line in open(path)]
+
+
+def test_train_reports_stop_reason(corpus, capsys):
+    manifest = str(corpus / "corpus" / "manifest.json")
+    met = str(corpus / "met.json")
+    assert cli.main(["train", "--data", manifest, "--out", met, "--f-target", "0.01", *TRAIN]) == 0
+    assert stage_log(met + ".log.jsonl")[-1] == {"stop_reason": "f_target_met"}
+    assert "warning" not in capsys.readouterr().err
+
+    short = str(corpus / "short.json")
+    assert cli.main(["train", "--data", manifest, "--out", short, "--f-target", "0.0001", *TRAIN]) == 0
+    log = stage_log(short + ".log.jsonl")
+    assert log[-1] == {"stop_reason": "bootstrap_exhausted"}
+    assert log[-2]["F"] > 0.0001
+    assert "warning: training stopped (bootstrap_exhausted)" in capsys.readouterr().err
+    assert "stop_reason" not in open(short).read()  # the model file is unchanged
+
+
+@pytest.fixture(scope="module")
+def model(corpus):
+    path = str(corpus / "model.json")
+    assert cli.main(["train", "--data", str(corpus / "corpus" / "manifest.json"), "--out", path,
+                     "--f-target", "0.01", *TRAIN]) == 0
+    return path
+
+
+def test_detect(corpus, model, tmp_path):
+    out = tmp_path / "detections.csv"
+    assert cli.main(["detect", model, str(corpus / "corpus" / "scenes"), "--out", str(out), "--profile"]) == 0
+    assert next(csv.reader(open(out))) == ["image_id", "x", "y", "side", "score"]
+
+
+@pytest.mark.parametrize("mode", ["depth", "threshold"])
+def test_eval_scans_each_image_once(corpus, model, tmp_path, monkeypatch, capsys, mode):
+    tables = []
+    build_integral = detect.build_integral
+    monkeypatch.setattr(detect, "build_integral", lambda image: tables.append(1) or build_integral(image))
+    out = tmp_path / "roc.csv"
+    assert cli.main(["eval", model, str(corpus / "corpus" / "manifest.json"), "--mode", mode,
+                     "--out", str(out), *EVAL]) == 0
+    assert len(tables) == 2  # one integral table per scene image
+    assert len(list(csv.reader(open(out)))) > 1
+    assert "full-depth: TP=" in capsys.readouterr().out
+
+
+def test_eval_missing_image_is_data_error(corpus, model, tmp_path, capsys):
+    manifest = json.load(open(corpus / "corpus" / "manifest.json"))
+    truth = tmp_path / "truth.csv"
+    truth.write_text("image_id,x,y,w,h\nnowhere.pgm,0,0,8,8\n")
+    manifest["ground_truth"] = str(truth)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert cli.main(["eval", model, str(path), "--out", str(tmp_path / "roc.csv")]) == 2
+    assert "nowhere.pgm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["nodes"][0].update(stumps=[], coefficients=[]),
+    lambda m: m.update(stage_rates=[5]),
+    lambda m: m.update(feature_pool={"type": "explicit", "features": [["two-rect-horizontal", 6, 0, 4, 2]]}),
+], ids=["node-without-stumps", "stage-rates-not-pairs", "feature-outside-window"])
+def test_detect_malformed_model_is_data_error(corpus, model, tmp_path, capsys, edit):
+    payload = json.load(open(model))
+    edit(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert cli.main(["detect", str(bad), str(corpus / "corpus" / "scenes"), "--out", str(tmp_path / "d.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -16,23 +16,8 @@ from gslda_cascade.detect import (
 )
 from gslda_cascade.features import build_integral, enumerate_haar
 from gslda_cascade.stumps import DecisionStump
-
-
-def oracle_windows(h, w, base, factor, step):
-    """Direct enumeration of the scan grid."""
-    out = []
-    s = 0
-    while True:
-        scale = factor**s
-        side = int(np.floor(base * scale + 0.5))
-        if side > min(h, w):
-            break
-        shift = max(1, int(np.floor(step * scale + 0.5)))
-        for y in range(0, h - side + 1, shift):
-            for x in range(0, w - side + 1, shift):
-                out.append((x, y, side, scale))
-        s += 1
-    return out
+from oracles import decide_window, pyramid_windows
+from oracles import roc_curve as rescan_roc_curve
 
 
 def empty_model(base=8, feats=None):
@@ -66,7 +51,7 @@ class TestScanImage:
         image = rng.integers(0, 256, size=(100, 100))
         profile = ScanProfile()
         wins = scan_image(model, image, scale_factor=1.2, step=1.0, profile=profile)
-        oracle = oracle_windows(100, 100, 24, 1.2, 1.0)
+        oracle = pyramid_windows(100, 100, 24, 1.2, 1.0)
         assert len(wins) == len(oracle)
         assert profile.windows_scanned == len(oracle)
         got = {(w.x, w.y, w.side) for w in wins}
@@ -80,7 +65,7 @@ class TestScanImage:
         model = empty_model(base=8, feats=[])
         rng = np.random.default_rng(2)
         wins = scan_image(model, rng.integers(0, 256, size=(20, 20)))
-        assert len(wins) == len(oracle_windows(20, 20, 8, 1.2, 1.0))
+        assert len(wins) == len(pyramid_windows(20, 20, 8, 1.2, 1.0))
         assert all(w.stages_passed == 0 for w in wins)
 
     def test_vectorized_matches_scalar_evaluation(self):
@@ -89,18 +74,23 @@ class TestScanImage:
         model = hand_model(base=8, thresholds=(2.0, -3.0), node_thresholds=[0.5, 0.5])
         accepted = {(w.x, w.y, w.side) for w in scan_image(model, image)}
         ii = build_integral(image)
-        for x, y, side, scale in oracle_windows(30, 30, 8, 1.2, 1.0):
-            ok, _, _, _ = model.decide_window(ii, x, y, scale)
+        for x, y, side, scale in pyramid_windows(30, 30, 8, 1.2, 1.0):
+            ok, _, _, _ = decide_window(model, ii, x, y, scale)
             assert ok == ((x, y, side) in accepted)
 
     def test_early_exit_matches_full_evaluation(self):
         rng = np.random.default_rng(4)
         image = rng.integers(0, 256, size=(40, 40))
         model = hand_model(base=8, thresholds=(1.0, -1.0, 4.0), node_thresholds=[0.5] * 3)
-        fast = scan_image(model, image, early_exit=True)
-        slow = scan_image(model, image, early_exit=False)
-        assert [(w.x, w.y, w.side) for w in fast] == [(w.x, w.y, w.side) for w in slow]
-        assert [w.stages_passed for w in fast] == [w.stages_passed for w in slow]
+        fast = scan_image(model, image)
+        ii = build_integral(image)
+        slow = []  # (x, y, side, stages) of the windows accepted without early exit
+        for x, y, side, scale in pyramid_windows(40, 40, 8, 1.2, 1.0):
+            ok, stages, _, _ = decide_window(model, ii, x, y, scale, early_exit=False)
+            if ok:
+                slow.append((x, y, side, stages))
+        assert [(w.x, w.y, w.side) for w in fast] == [s[:3] for s in slow]
+        assert [w.stages_passed for w in fast] == [s[3] for s in slow]
 
     def test_profile_counts_stump_evaluations(self):
         rng = np.random.default_rng(5)
@@ -234,7 +224,7 @@ class TestRocCurve:
         images = self._scene(rng)
         truths = [GroundTruthBox("scene0", 0, 0, 8, 8)]
         model = hand_model(base=8, thresholds=(0.0, 1.0, 2.0), node_thresholds=[0.2, 0.2, 0.2])
-        points = roc_curve(model, images, truths, mode="depth", min_neighbors=1)
+        points, _ = roc_curve(model, images, truths, mode="depth", min_neighbors=1)
         assert len(points) == 3
         by_depth = sorted(points, key=lambda p: p.operating_point)
         fps = [p.false_positives for p in sorted(points, key=lambda p: int(p.operating_point.split("=")[1]))]
@@ -246,7 +236,7 @@ class TestRocCurve:
         images = self._scene(rng)
         truths = [GroundTruthBox("scene0", 0, 0, 8, 8)]
         model = hand_model(base=8, thresholds=(0.0,), node_thresholds=[0.5])
-        points = roc_curve(model, images, truths, mode="threshold", min_neighbors=1)
+        points, _ = roc_curve(model, images, truths, mode="threshold", min_neighbors=1)
         inf_points = [p for p in points if p.operating_point == "threshold=inf"]
         assert len(inf_points) == 1
         assert inf_points[0].false_positives == 0
@@ -257,7 +247,7 @@ class TestRocCurve:
         images = self._scene(rng)
         truths = [GroundTruthBox("scene0", 5, 5, 8, 8)]
         model = hand_model(base=8, thresholds=(0.0, 0.5), node_thresholds=[0.3, 0.3])
-        points = roc_curve(model, images, truths, mode="depth", min_neighbors=1)
+        points, _ = roc_curve(model, images, truths, mode="depth", min_neighbors=1)
         fps = [p.false_positives for p in points]
         assert fps == sorted(fps)
 
@@ -267,3 +257,16 @@ class TestRocCurve:
             roc_curve(model, [], [GroundTruthBox("x", 0, 0, 4, 4)])
         with pytest.raises(ValueError, match="empty test set"):
             roc_curve(model, [("a", np.zeros((10, 10)))], [])
+
+    @pytest.mark.parametrize("mode", ["depth", "threshold"])
+    @pytest.mark.parametrize("thresholds,node_thresholds", [
+        ((0.0,), [0.5]),
+        ((-2.0, 1.0, 3.0), [0.5, 0.2, 0.5]),
+    ])
+    def test_one_scan_equals_rescans(self, mode, thresholds, node_thresholds):
+        rng = np.random.default_rng(11)
+        images = [(f"scene{i}", rng.integers(0, 256, size=(22, 26))) for i in range(2)]
+        truths = [GroundTruthBox("scene0", 4, 4, 8, 8), GroundTruthBox("scene1", 14, 10, 10, 10)]
+        model = hand_model(base=8, thresholds=thresholds, node_thresholds=node_thresholds)
+        got = roc_curve(model, images, truths, mode=mode, min_neighbors=1)
+        assert got == rescan_roc_curve(model, images, truths, mode=mode, min_neighbors=1)

@@ -9,9 +9,10 @@ from gslda_cascade.features import (
     build_integral,
     build_pool,
     enumerate_haar,
-    eval_haar,
+    haar_values,
     project_multidim,
 )
+from oracles import eval_haar
 
 
 def direct_rect_sum(image, x0, y0, x1, y1):
@@ -24,6 +25,12 @@ def direct_eval(feature, image):
     for wgt, x0, y0, x1, y1 in feature.rects():
         acc += wgt * direct_rect_sum(image, x0, y0, x1, y1)
     return acc / (feature.w * feature.h)
+
+
+def haar_at(feature, image, offset_x=0, offset_y=0, scale=1.0):
+    """The package's vectorized evaluation at a single placement."""
+    table = build_integral(image).table
+    return float(haar_values(feature, table, np.array([offset_x]), np.array([offset_y]), scale)[0])
 
 
 class TestIntegralImage:
@@ -106,34 +113,33 @@ class TestEnumerateHaar:
 
 class TestEvalHaar:
     def test_constant_image_two_rect_is_zero(self):
-        ii = build_integral(np.full((8, 8), 37, dtype=int))
+        image = np.full((8, 8), 37, dtype=int)
         f = HaarFeature("two-rect-horizontal", 1, 1, 4, 5, base_window=8)
-        assert eval_haar(f, ii) == 0.0
+        assert haar_at(f, image) == 0.0
 
     def test_three_and_four_rect_zero_on_constant(self):
-        ii = build_integral(np.full((9, 9), 11, dtype=int))
+        image = np.full((9, 9), 11, dtype=int)
         for kind, w, h in (
             ("three-rect-horizontal", 6, 4),
             ("three-rect-vertical", 4, 6),
             ("four-rect-diagonal", 4, 4),
         ):
-            assert eval_haar(HaarFeature(kind, 0, 0, w, h, base_window=9), ii) == 0.0
+            assert haar_at(HaarFeature(kind, 0, 0, w, h, base_window=9), image) == 0.0
 
     def test_half_split_antisymmetry(self):
         image = np.zeros((6, 6), dtype=int)
         image[:, :3] = 255  # white left, black right
         f = HaarFeature("two-rect-horizontal", 0, 0, 6, 6, base_window=6)
-        v = eval_haar(f, build_integral(image))
+        v = haar_at(f, image)
         assert v == pytest.approx(255.0 / 2)  # half the area at full contrast
         mirrored = image[:, ::-1]
-        assert eval_haar(f, build_integral(mirrored)) == -v
+        assert haar_at(f, mirrored) == -v
 
     def test_matches_direct_pixel_loop(self):
         rng = np.random.default_rng(2)
         image = rng.integers(0, 256, size=(12, 12))
-        ii = build_integral(image)
         for f in enumerate_haar(12, stride=3, min_size=3)[::17]:
-            assert eval_haar(f, ii) == direct_eval(f, image)
+            assert haar_at(f, image) == direct_eval(f, image)
 
     def test_integer_scale_matches_pixel_doubled_image(self):
         # Doubling every pixel doubles each rounded corner exactly, so the
@@ -142,11 +148,11 @@ class TestEvalHaar:
         image = rng.integers(0, 256, size=(8, 8))
         doubled = np.kron(image, np.ones((2, 2), dtype=int))
         f = HaarFeature("four-rect-diagonal", 1, 2, 4, 4, base_window=8)
-        assert eval_haar(f, build_integral(doubled), scale=2.0) == eval_haar(
-            f, build_integral(image)
-        )
+        assert haar_at(f, doubled, scale=2.0) == haar_at(f, image)
 
     def test_out_of_bounds_rejected(self):
+        # Only the scalar reference checks bounds; the scan keeps every
+        # window inside the image.
         ii = build_integral(np.zeros((10, 10), dtype=int))
         f = HaarFeature("two-rect-vertical", 4, 4, 2, 4, base_window=24)
         with pytest.raises(ValueError, match="footprint out of bounds"):
@@ -155,9 +161,8 @@ class TestEvalHaar:
     def test_offset_shifts_window(self):
         rng = np.random.default_rng(4)
         image = rng.integers(0, 256, size=(20, 20))
-        ii = build_integral(image)
         f = HaarFeature("two-rect-vertical", 1, 1, 3, 4, base_window=8)
-        assert eval_haar(f, ii, offset_x=5, offset_y=7) == direct_eval(
+        assert haar_at(f, image, offset_x=5, offset_y=7) == direct_eval(
             f, image[7:15, 5:13]
         )
 

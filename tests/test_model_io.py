@@ -1,0 +1,116 @@
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gslda_cascade.cascade import CascadeModel, NodeClassifier
+from gslda_cascade.features import HaarFeature, PoolParams, build_pool
+from gslda_cascade.model_io import ModelFormatError, load_model, model_from_dict, model_to_dict
+from gslda_cascade.stumps import DecisionStump
+
+
+def payload(pool="explicit"):
+    """A valid two-node model on an 8-pixel base window, as written to disk."""
+    params = PoolParams(base_window=8, stride=2, min_size=2) if pool == "enumerated" else None
+    features = build_pool(params) if params else [
+        HaarFeature("two-rect-horizontal", 0, 0, 4, 2, 8),
+        HaarFeature("three-rect-vertical", 2, 1, 3, 6, 8),
+        HaarFeature("four-rect-diagonal", 4, 4, 4, 4, 8),
+    ]
+    nodes = [
+        NodeClassifier([DecisionStump(0, 1.5, 1), DecisionStump(2, -3.0, -1)], [0.5, 0.25], -0.1, "gslda",
+                       detection_rate=0.99, false_positive_rate=0.4),
+        NodeClassifier([DecisionStump(1, 0.0, 1)], [1.0], 0.0, "adaboost", goal_met=False),
+    ]
+    model = CascadeModel(nodes, [(0.99, 0.4), (1.0, 0.5)], [(0.99, 0.4), (0.99, 0.2)], features, 0.01,
+                         pool_params=params, base_window=8, metadata={"method": "gslda"})
+    return json.loads(json.dumps(model_to_dict(model)))
+
+
+def set_path(p, path, value):
+    for key in path[:-1]:
+        p = p[key]
+    p[path[-1]] = value
+
+
+@pytest.mark.parametrize("pool", ["explicit", "enumerated"])
+def test_round_trip(pool, tmp_path):
+    p = payload(pool)
+    assert model_to_dict(model_from_dict(copy.deepcopy(p))) == p
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(p))
+    assert model_to_dict(load_model(str(path))) == p
+
+
+MALFORMED = {
+    "node without stumps": [(("nodes", 0, "stumps"), []), (("nodes", 0, "coefficients"), [])],
+    "stage rate not a pair": [(("stage_rates",), [5])],
+    "stage rates short": [(("stage_rates",), [[0.99, 0.4]])],
+    "cumulative long": [(("cumulative",), [[1, 1], [1, 1], [1, 1]])],
+    "cumulative pair of strings": [(("cumulative", 1), ["a", "b"])],
+    "feature outside base window": [(("feature_pool", "features", 0), ["two-rect-horizontal", 6, 0, 4, 2])],
+    "feature without extent": [(("feature_pool", "features", 0), ["two-rect-horizontal", 0, 0, 0, 2])],
+    "feature not subdividing": [(("feature_pool", "features", 0), ["two-rect-horizontal", 0, 0, 3, 2])],
+    "feature coordinate not integer": [(("feature_pool", "features", 1), ["three-rect-vertical", "2", 1, 3, 6])],
+    "stump threshold not a number": [(("nodes", 1, "stumps", 0), [1, "0.5", 1])],
+    "coefficient not a number": [(("nodes", 0, "coefficients", 1), None)],
+    "enumerated pool subsample zero": [(("feature_pool",), {"type": "enumerated", "base_window": 8, "stride": 2,
+                                                             "min_size": 2, "subsample": 0})],
+    "enumerated pool on another window": [(("feature_pool",), {"type": "enumerated", "base_window": 6, "stride": 2,
+                                                                "min_size": 2, "subsample": 1})],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_model_raises_format_error(case):
+    p = payload()
+    for path, value in MALFORMED[case]:
+        set_path(p, path, value)
+    with pytest.raises(ModelFormatError):
+        model_from_dict(p)
+
+
+def test_non_utf8_file_raises_format_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ModelFormatError):
+        load_model(str(path))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def paths(node, prefix=()):
+    """Every key path into a JSON tree, the root's () first."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from paths(child, prefix + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.sampled_from(["explicit", "enumerated"]), data=st.data())
+def test_fuzzed_model_raises_only_format_error(pool, data):
+    p = payload(pool)
+    for _ in range(data.draw(st.integers(1, 3))):
+        candidates = list(paths(p))[1:]
+        if not candidates:  # every key was deleted
+            break
+        path = data.draw(st.sampled_from(candidates))
+        parent = p
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        model_from_dict(p)
+    except ModelFormatError:
+        pass
