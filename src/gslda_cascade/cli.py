@@ -92,7 +92,8 @@ def build_parser() -> _Parser:
     d.add_argument("--scale-factor", type=float, default=None, help="pyramid growth (default 1.2)")
     d.add_argument("--step", type=float, default=None, help="base shift in pixels (default 1)")
     d.add_argument("--min-neighbors", type=int, default=None, help="merge group minimum (default 2)")
-    d.add_argument("--profile", action="store_true", help="report average feature evaluations per window")
+    d.add_argument("--profile", action="store_true",
+                   help="report scan counters, raw windows and detections")
     d.add_argument("--no-merge", action="store_true", help="emit raw windows without merging")
     _add_shared(d)
     d.set_defaults(func=cmd_detect)
@@ -277,7 +278,8 @@ def cmd_detect(args) -> int:
     if args.profile:
         avg = avg_features_per_window(total) if total.windows_scanned else float("nan")
         print(f"profile: windows_scanned={total.windows_scanned} "
-              f"feature_evals={total.feature_evals} avg_features_per_window={avg:.6g}")
+              f"feature_evals={total.feature_evals} avg_features_per_window={avg:.6g} "
+              f"raw_windows={total.raw_windows} detections={len(rows)}")
     return 0
 
 
@@ -297,9 +299,12 @@ def cmd_eval(args) -> int:
         raise DataError(str(exc))
     image_ids = list(dict.fromkeys(t.image_id for t in truths))
     images = list(zip(image_ids, _load_patches(manifest, image_ids, "image")))
-    points, summary = roc_curve(model, images, truths, mode=args.mode,
-                                scale_factor=cfg["scale_factor"], step=cfg["step"],
-                                min_neighbors=cfg["min_neighbors"])
+    try:  # a model without nodes, no ground-truth boxes or a bad scan setting
+        points, summary = roc_curve(model, images, truths, mode=args.mode,
+                                    scale_factor=cfg["scale_factor"], step=cfg["step"],
+                                    min_neighbors=cfg["min_neighbors"])
+    except ValueError as exc:
+        raise DataError(f"cannot evaluate {args.model}: {exc}")
     write_roc_csv(points, args.out)
     print(f"roc written to {args.out} ({len(points)} points, mode={args.mode})")
     print(f"full-depth: TP={summary.true_positives} FP={summary.false_positives} "

@@ -3,6 +3,11 @@
 Scanning enumerates square windows over a geometric scale pyramid, runs the
 cascade evaluator (cascade.evaluate_windows) once per scale, merges
 overlapping acceptances, and scores the result against ground-truth boxes.
+Merging links windows whose overlap ratio is at least 0.5, transitively, and
+emits one window per group of min_neighbors or more: rounded mean corners and
+side, maximum score and stages, groups in order of their first member.  It
+tests only pairs whose x offset is within a third of the left window's side,
+a bound no linked pair exceeds, in fixed-size blocks of pairs.
 The operating curves reuse one early-exit scan per image: the prefix of
 depth d accepts exactly the windows that passed at least d nodes.
 """
@@ -48,14 +53,17 @@ class ROCPoint:
 
 @dataclass
 class ScanProfile:
-    """Aggregable counters: total windows scanned and Haar evaluations."""
+    """Aggregable counters: total windows scanned, Haar evaluations and
+    windows accepted (raw, before merging)."""
 
     windows_scanned: int = 0
     feature_evals: int = 0
+    raw_windows: int = 0
 
     def merge(self, other: "ScanProfile") -> None:
         self.windows_scanned += other.windows_scanned
         self.feature_evals += other.feature_evals
+        self.raw_windows += other.raw_windows
 
 
 def avg_features_per_window(profile: ScanProfile) -> float:
@@ -73,12 +81,15 @@ def scan_image(model: CascadeModel, image, scale_factor: float = 1.2, step: floa
     """All windows the cascade accepts, over a scale pyramid.
 
     Window sides are base * scale_factor**s while they fit; the shift grows
-    with the scale so scan density is scale-uniform.  Haar evaluation counts
-    accumulate into `profile` when given.
+    with the scale so scan density is scale-uniform.  Window, Haar evaluation
+    and accepted-window counts accumulate into `profile` when given.
     """
     depth = len(model.nodes)
-    return [w for scan in _scan_pyramid(model, image, scale_factor, step, depth, profile)
-            for w in _detections(scan, depth)]
+    windows = [w for scan in _scan_pyramid(model, image, scale_factor, step, depth, profile)
+               for w in _detections(scan, depth)]
+    if profile is not None:
+        profile.raw_windows += len(windows)
+    return windows
 
 
 def _detections(scan, depth: int) -> list[DetectionWindow]:
@@ -100,47 +111,107 @@ def overlap_ratio(ax, ay, aw, ah, bx, by, bw, bh) -> float:
     return inter / union if union > 0 else 0.0
 
 
+# Upper bound on the candidate pairs merge_detections tests at once; it bounds
+# the temporary arrays whatever the window density.
+_PAIR_BLOCK = 1 << 12
+
+
 def merge_detections(windows: list[DetectionWindow], min_neighbors: int = 2) -> list[DetectionWindow]:
     """Group windows by transitive >= 0.5 overlap; each group of at least
-    min_neighbors members emits one corner-averaged window (max score)."""
+    min_neighbors members emits one corner-averaged window (max score).
+
+    Groups come out in the order of their first member.  A group's x, y and
+    side are the half-up rounded means of its members' (exact integer sum
+    divided by the count); score and stages_passed are the members' maxima.
+
+    Not every pair is compared.  Two squares reach the ratio only when their
+    x offset is at most a third of the left one's side, so with the windows
+    sorted by x each is tested only against the later ones within that
+    offset, at most _PAIR_BLOCK pairs at a time, and the linked pairs are
+    joined into components.  The ratio is tested in exact integers,
+    2 * inter >= union, which equals inter / union >= 0.5 while the union
+    stays below 2**53.
+    """
     n = len(windows)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        wi = windows[i]
-        for j in range(i + 1, n):
-            wj = windows[j]
-            if overlap_ratio(wi.x, wi.y, wi.side, wi.side, wj.x, wj.y, wj.side, wj.side) >= 0.5:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[DetectionWindow]] = {}
-    order: list[int] = []
-    for i in range(n):
-        root = find(i)
-        if root not in groups:
-            groups[root] = []
-            order.append(root)
-        groups[root].append(windows[i])
+    if n == 0:
+        return []
+    x = np.fromiter((w.x for w in windows), np.int64, n)
+    y = np.fromiter((w.y for w in windows), np.int64, n)
+    side = np.fromiter((w.side for w in windows), np.int64, n)
+    root = _components(n, *_overlapping_pairs(x, y, side))
+    order = np.argsort(root, kind="stable")  # by group root (its first member), members ascending
+    cuts = [0, *(np.flatnonzero(np.diff(root[order])) + 1).tolist(), n]
+    order = order.tolist()
     out = []
-    for root in order:
-        members = groups[root]
-        if len(members) < min_neighbors:
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        count = stop - start
+        if count < min_neighbors:
             continue
+        members = [windows[i] for i in order[start:stop]]
         out.append(
             DetectionWindow(
-                x=_round_half_up(np.mean([m.x for m in members])),
-                y=_round_half_up(np.mean([m.y for m in members])),
-                side=_round_half_up(np.mean([m.side for m in members])),
+                x=_round_half_up(sum(m.x for m in members) / count),
+                y=_round_half_up(sum(m.y for m in members) / count),
+                side=_round_half_up(sum(m.side for m in members) / count),
                 score=max(m.score for m in members),
                 stages_passed=max(m.stages_passed for m in members),
             )
         )
     return out
+
+
+def _overlapping_pairs(x, y, side):
+    """Index pairs (a, b) of the square windows whose overlap ratio is at
+    least 0.5, each unordered pair once."""
+    by_x = np.argsort(x, kind="stable")
+    xs, ys, ss = x[by_x], y[by_x], side[by_x]
+    # Sorted position i is tested against positions i+1 .. stop[i]-1, the
+    # later windows with dx = x_j - x_i <= side_i / 3.  A pair further apart
+    # cannot reach the ratio: 2 * inter >= union needs 3 * inter >= side_i**2
+    # + side_j**2 >= 2 * side_i * side_j, while inter <= (side_i - dx) * side_j.
+    stop = np.searchsorted(xs, xs + ss // 3, side="right")
+    counts = np.maximum(stop - np.arange(1, xs.size + 1), 0)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    found_a, found_b = [], []
+    row = 0
+    while row < xs.size:
+        # Whole rows up to _PAIR_BLOCK pairs; a single row may exceed it.
+        last = max(int(np.searchsorted(ends, starts[row] + _PAIR_BLOCK, side="right")), row + 1)
+        c = counts[row:last]
+        a = np.repeat(np.arange(row, last), c)
+        b = a + 1 + np.arange(starts[row], ends[last - 1]) - np.repeat(starts[row:last], c)
+        ix = np.minimum(xs[a] + ss[a], xs[b] + ss[b]) - xs[b]
+        iy = np.minimum(ys[a] + ss[a], ys[b] + ss[b]) - np.maximum(ys[a], ys[b])
+        inter = np.maximum(ix, 0) * np.maximum(iy, 0)
+        union = ss[a] * ss[a] + ss[b] * ss[b] - inter
+        keep = (2 * inter >= union) & (union > 0)
+        found_a.append(by_x[a[keep]])
+        found_b.append(by_x[b[keep]])
+        row = last
+    return np.concatenate(found_a), np.concatenate(found_b)
+
+
+def _components(n, a, b):
+    """For each of n nodes, the smallest node index of its connected
+    component under the edges (a[k], b[k])."""
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        differ = ra != rb
+        if not differ.any():
+            return root
+        ra, rb = ra[differ], rb[differ]
+        # Hook each root to the smallest root it shares an edge with: links
+        # only ever point to smaller indices, so no cycle forms.
+        low = np.minimum(ra, rb)
+        np.minimum.at(root, ra, low)
+        np.minimum.at(root, rb, low)
+        while True:  # pointer jumping until every node points at its root
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
 
 
 @dataclass

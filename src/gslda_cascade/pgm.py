@@ -38,7 +38,11 @@ def read_pgm(path) -> np.ndarray:
         tokens.append(data[start:pos])
     pos += 1  # single whitespace after maxval
     w, h, maxval = (int(t) for t in tokens)
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: bad image size {w}x{h}")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
+    if len(data) - pos < w * h:
+        raise ValueError(f"{path}: pixel data shorter than {w}x{h}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
     return pixels.reshape(h, w).copy()

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from gslda_cascade.cascade import BootstrapExhaustedError, node_margin
-from gslda_cascade.detect import DetectionWindow, ROCPoint, match_detections, merge_detections
+from gslda_cascade.detect import DetectionWindow, ROCPoint, match_detections, overlap_ratio
 from gslda_cascade.features import build_integral, scaled_rects
 from gslda_cascade.scatter import ResponseMatrix, ScatterConfig
 
@@ -243,6 +243,53 @@ def bootstrap_negatives(model, reservoir, count, seed=0, stride=4, min_required=
     if len(found) < min(min_required, count):
         raise BootstrapExhaustedError("bootstrap exhausted")
     return np.stack(found)
+
+
+def merge_detections(windows, min_neighbors=2):
+    """Group windows by transitive >= 0.5 overlap, testing every pair; each
+    group of at least min_neighbors members emits one corner-averaged window
+    (max score), groups in order of their first member."""
+    n = len(windows)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        wi = windows[i]
+        for j in range(i + 1, n):
+            wj = windows[j]
+            if overlap_ratio(wi.x, wi.y, wi.side, wi.side, wj.x, wj.y, wj.side, wj.side) >= 0.5:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[DetectionWindow]] = {}
+    order: list[int] = []
+    for i in range(n):
+        root = find(i)
+        if root not in groups:
+            groups[root] = []
+            order.append(root)
+        groups[root].append(windows[i])
+    def mean_half_up(values):
+        return int(np.floor(np.mean(values) + 0.5))
+
+    out = []
+    for root in order:
+        members = groups[root]
+        if len(members) < min_neighbors:
+            continue
+        out.append(
+            DetectionWindow(
+                x=mean_half_up([m.x for m in members]),
+                y=mean_half_up([m.y for m in members]),
+                side=mean_half_up([m.side for m in members]),
+                score=max(m.score for m in members),
+                stages_passed=max(m.stages_passed for m in members),
+            )
+        )
+    return out
 
 
 def roc_curve(model, images, truths, mode="depth", scale_factor=1.2, step=1.0,

@@ -8,7 +8,6 @@ import pytest
 from gslda_cascade import cli, detect
 
 TRAIN = ["--subsample", "4", "--max-stumps", "8"]
-EVAL = ["--step", "3"]  # a coarse grid keeps the quadratic merge fast
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +46,27 @@ def model(corpus):
     return path
 
 
-def test_detect(corpus, model, tmp_path):
-    out = tmp_path / "detections.csv"
-    assert cli.main(["detect", model, str(corpus / "corpus" / "scenes"), "--out", str(out), "--profile"]) == 0
-    assert next(csv.reader(open(out))) == ["image_id", "x", "y", "side", "score"]
+def profile_line(out):
+    line = next(line for line in out.splitlines() if line.startswith("profile:"))
+    return dict(kv.split("=") for kv in line.split()[1:])
+
+
+def test_detect(corpus, model, tmp_path, capsys):
+    counts = {}
+    for merge in ([], ["--no-merge"]):
+        out = tmp_path / "detections.csv"
+        assert cli.main(["detect", model, str(corpus / "corpus" / "scenes"), "--out", str(out), "--profile",
+                         *merge]) == 0
+        rows = list(csv.reader(open(out)))
+        assert rows[0] == ["image_id", "x", "y", "side", "score"]
+        profile = profile_line(capsys.readouterr().out)
+        assert list(profile) == ["windows_scanned", "feature_evals", "avg_features_per_window",
+                                 "raw_windows", "detections"]
+        assert int(profile["detections"]) == len(rows) - 1
+        counts[bool(merge)] = int(profile["raw_windows"]), int(profile["detections"])
+    raw, merged = counts[False]
+    assert counts[True] == (raw, raw)  # --no-merge writes every raw window
+    assert raw > merged
 
 
 @pytest.mark.parametrize("mode", ["depth", "threshold"])
@@ -60,20 +76,40 @@ def test_eval_scans_each_image_once(corpus, model, tmp_path, monkeypatch, capsys
     monkeypatch.setattr(detect, "build_integral", lambda image: tables.append(1) or build_integral(image))
     out = tmp_path / "roc.csv"
     assert cli.main(["eval", model, str(corpus / "corpus" / "manifest.json"), "--mode", mode,
-                     "--out", str(out), *EVAL]) == 0
+                     "--out", str(out)]) == 0
     assert len(tables) == 2  # one integral table per scene image
     assert len(list(csv.reader(open(out)))) > 1
     assert "full-depth: TP=" in capsys.readouterr().out
 
 
-def test_eval_missing_image_is_data_error(corpus, model, tmp_path, capsys):
+def test_eval_model_without_nodes_is_data_error(corpus, tmp_path, capsys):
+    manifest = str(corpus / "corpus" / "manifest.json")
+    empty = str(tmp_path / "empty.json")
+    assert cli.main(["train", "--data", manifest, "--out", empty, "--f-target", "1", *TRAIN]) == 0
+    assert json.load(open(empty))["nodes"] == []
+    capsys.readouterr()
+    assert cli.main(["eval", empty, manifest, "--out", str(tmp_path / "roc.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def eval_with_truth(corpus, model, tmp_path, truth_csv):
+    """Exit code of eval on the corpus with its ground truth replaced."""
     manifest = json.load(open(corpus / "corpus" / "manifest.json"))
     truth = tmp_path / "truth.csv"
-    truth.write_text("image_id,x,y,w,h\nnowhere.pgm,0,0,8,8\n")
+    truth.write_text(truth_csv)
     manifest["ground_truth"] = str(truth)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
-    assert cli.main(["eval", model, str(path), "--out", str(tmp_path / "roc.csv")]) == 2
+    return cli.main(["eval", model, str(path), "--out", str(tmp_path / "roc.csv")])
+
+
+def test_eval_without_truths_is_data_error(corpus, model, tmp_path, capsys):
+    assert eval_with_truth(corpus, model, tmp_path, "image_id,x,y,w,h\n") == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_eval_missing_image_is_data_error(corpus, model, tmp_path, capsys):
+    assert eval_with_truth(corpus, model, tmp_path, "image_id,x,y,w,h\nnowhere.pgm,0,0,8,8\n") == 2
     assert "nowhere.pgm" in capsys.readouterr().err
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gslda_cascade.cascade import CascadeModel, NodeClassifier
 from gslda_cascade.detect import (
@@ -17,6 +19,7 @@ from gslda_cascade.detect import (
 from gslda_cascade.features import build_integral, enumerate_haar
 from gslda_cascade.stumps import DecisionStump
 from oracles import decide_window, pyramid_windows
+from oracles import merge_detections as pairwise_merge_detections
 from oracles import roc_curve as rescan_roc_curve
 
 
@@ -168,6 +171,37 @@ class TestMergeDetections:
         assert overlap_ratio(0, 0, 12, 12, 6, 0, 12, 12) < 0.5
         merged = merge_detections([a, b, c], min_neighbors=3)
         assert len(merged) == 1
+
+    @pytest.mark.parametrize("dx,dy", [(4, 0), (0, 4), (-4, 0), (0, -4)])
+    def test_overlap_of_exactly_half_links(self, dx, dy):
+        # Side 12 shifted by 4: intersection 96, union 192.
+        a = DetectionWindow(10, 10, 12, 1.0, 1)
+        b = DetectionWindow(10 + dx, 10 + dy, 12, 2.0, 2)
+        assert overlap_ratio(a.x, a.y, 12, 12, b.x, b.y, 12, 12) == 0.5
+        merged = merge_detections([a, b], min_neighbors=2)
+        assert merged == [DetectionWindow(10 + dx // 2, 10 + dy // 2, 12, 2.0, 2)]
+        assert merged == pairwise_merge_detections([a, b], min_neighbors=2)
+        c = DetectionWindow(10 + dx * 5 // 4, 10 + dy * 5 // 4, 12, 3.0, 1)  # shifted by 5: below half
+        assert merge_detections([a, c], min_neighbors=2) == []
+
+    @given(st.lists(st.tuples(st.integers(-5, 40), st.integers(-5, 40), st.integers(1, 24),
+                              st.floats(-4, 4, allow_nan=False), st.integers(0, 5)), max_size=40),
+           st.lists(st.integers(0, 39), max_size=10), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_oracle(self, rows, repeats, min_neighbors):
+        wins = [DetectionWindow(*row) for row in rows]
+        wins += [wins[i % len(wins)] for i in repeats if wins]  # duplicates
+        assert merge_detections(wins, min_neighbors) == pairwise_merge_detections(wins, min_neighbors)
+
+    def test_pyramid_scan_matches_pairwise_oracle(self):
+        rng = np.random.default_rng(12)
+        image = rng.integers(0, 256, size=(40, 40))
+        model = hand_model(base=8, thresholds=(2.0,), node_thresholds=[0.5])
+        wins = scan_image(model, image)
+        assert len(wins) >= 1000
+        for min_neighbors in (1, 2):
+            got = merge_detections(wins, min_neighbors)
+            assert got == pairwise_merge_detections(wins, min_neighbors)
 
 
 class TestMatchDetections:
