@@ -299,12 +299,7 @@ def _grow_bgslda(fit, trainer, weights, scfg, boost_cfg, cap, fixed_rounds, meth
         chosen_ids = {s.feature_id for s in fit.chosen}
         allowed = [int(j) for j in survivors if int(j) not in chosen_ids]
         if not allowed:
-            widened = boosting.BoostingConfig(
-                scheme=boost_cfg.scheme,
-                asym_k=boost_cfg.asym_k,
-                prune_epsilon=2.0 * boost_cfg.prune_epsilon,
-                error_floor=boost_cfg.error_floor,
-            )
+            widened = dataclasses.replace(boost_cfg, prune_epsilon=2.0 * boost_cfg.prune_epsilon)
             survivors, _ = boosting.prune_stumps(table, weights, widened)
             allowed = [int(j) for j in survivors if int(j) not in chosen_ids]
         if not allowed:
@@ -317,16 +312,8 @@ def _grow_bgslda(fit, trainer, weights, scfg, boost_cfg, cap, fixed_rounds, meth
         k = len(fit.chosen)
         stacked = np.vstack(fit.train_rows + [table.responses]) if k else table.responses
         rm = scatter.ResponseMatrix(stacked.T, fit.train_labels, strict=False)
-        round_cfg = scatter.ScatterConfig(
-            max_features=k + 1, gamma=scfg.gamma, ridge=scfg.ridge,
-            dual_pass=False, elim_fraction=scfg.elim_fraction,
-        )
-        sel = scatter.GreedySelector(rm, round_cfg, weights=weights)
-        if k:
-            sel.selected = list(range(k))
-            sel._rows = sel.acc.cross(sel.selected)
-            sel._refresh()
-            sel._recompute_eig()
+        round_cfg = dataclasses.replace(scfg, max_features=k + 1, dual_pass=False)
+        sel = scatter.GreedySelector.from_subset(rm, round_cfg, range(k), weights=weights)
         picked = sel.step(allowed=[k + j for j in allowed])
         if picked is None:
             # every surviving candidate is redundant with the chosen stumps

@@ -54,9 +54,12 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_shared(p):
-    p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
+def _add_shared(p, seed=False, threads=None):
+    """Add --config, plus --seed and --threads (with the given help) if asked."""
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
+    if threads:
+        p.add_argument("--threads", type=int, default=None, help=threads)
     p.add_argument("--config", default=None, help="JSON file with flag defaults")
 
 
@@ -82,7 +85,7 @@ def build_parser() -> _Parser:
     t.add_argument("--stride", type=int, default=None, help="feature placement stride")
     t.add_argument("--min-size", type=int, default=None, help="minimum feature extent")
     t.add_argument("--subsample", type=int, default=None, help="keep every n-th feature")
-    _add_shared(t)
+    _add_shared(t, seed=True, threads="accepted for compatibility; has no effect")
     t.set_defaults(func=cmd_train)
 
     d = sub.add_parser("detect", help="scan images with a trained model")
@@ -95,7 +98,7 @@ def build_parser() -> _Parser:
     d.add_argument("--profile", action="store_true",
                    help="report scan counters, raw windows and detections")
     d.add_argument("--no-merge", action="store_true", help="emit raw windows without merging")
-    _add_shared(d)
+    _add_shared(d, threads="worker threads (default 1)")
     d.set_defaults(func=cmd_detect)
 
     e = sub.add_parser("eval", help="score a model against ground truth")
@@ -117,7 +120,7 @@ def build_parser() -> _Parser:
     y.add_argument("--dmin", type=float, default=None, help="detection goal (default 0.99)")
     y.add_argument("--out", default="toy_report.json")
     y.add_argument("--points", default=None, help="CSV of the base-seed points")
-    _add_shared(y)
+    _add_shared(y, seed=True)
     y.set_defaults(func=cmd_toy)
 
     s = sub.add_parser("synth", help="generate a synthetic face-like corpus")
@@ -127,7 +130,7 @@ def build_parser() -> _Parser:
     s.add_argument("--size", type=int, default=None, help="patch edge length (default 16)")
     s.add_argument("--reservoir", type=int, default=None, help="background image count")
     s.add_argument("--scenes", type=int, default=None, help="ground-truth scene count")
-    _add_shared(s)
+    _add_shared(s, seed=True)
     s.set_defaults(func=cmd_synth)
     return parser
 
@@ -169,7 +172,7 @@ def cmd_train(args) -> int:
         "method": "gslda", "dmin": 0.995, "fmax": 0.5, "f_target": 0.01,
         "gamma": 1.0, "ridge": 1e-6, "asym_k": 2.0, "prune_eps": 0.1,
         "max_stumps": 200, "validation_split": 0.2,
-        "stride": 1, "min_size": 1, "subsample": 1, "seed": 0, "threads": 1,
+        "stride": 1, "min_size": 1, "subsample": 1, "seed": 0,
     })
     try:
         manifest = load_manifest(args.data)
@@ -236,8 +239,7 @@ def _image_list(path) -> list[str]:
 
 
 def cmd_detect(args) -> int:
-    cfg = _merge_config(args, {"scale_factor": 1.2, "step": 1.0, "min_neighbors": 2,
-                               "seed": 0, "threads": 1})
+    cfg = _merge_config(args, {"scale_factor": 1.2, "step": 1.0, "min_neighbors": 2, "threads": 1})
     try:
         model = load_model(args.model)
     except (OSError, ModelFormatError) as exc:
@@ -284,8 +286,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _merge_config(args, {"scale_factor": 1.2, "step": 1.0, "min_neighbors": 2,
-                               "seed": 0, "threads": 1})
+    cfg = _merge_config(args, {"scale_factor": 1.2, "step": 1.0, "min_neighbors": 2})
     try:
         model = load_model(args.model)
         manifest = load_manifest(args.data)
@@ -314,7 +315,7 @@ def cmd_eval(args) -> int:
 
 def cmd_toy(args) -> int:
     cfg = _merge_config(args, {"n_pos": 100, "n_neg": 2000, "rounds": 4, "trials": 1,
-                               "dmin": 0.99, "seed": 0, "threads": 1})
+                               "dmin": 0.99, "seed": 0})
     spec = ToyDatasetSpec(n_pos=cfg["n_pos"], n_neg=cfg["n_neg"], seed=cfg["seed"])
     report = run_toy_experiment(spec, rounds=cfg["rounds"], trials=cfg["trials"], d_min=cfg["dmin"])
     with open(args.out, "w") as fh:
@@ -340,7 +341,7 @@ def cmd_toy(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _merge_config(args, {"n_pos": 1000, "n_neg": 1000, "size": 16,
-                               "reservoir": 10, "scenes": 6, "seed": 0, "threads": 1})
+                               "reservoir": 10, "scenes": 6, "seed": 0})
     try:
         manifest = generate_synthetic_faces(
             args.out, seed=cfg["seed"], n_pos=cfg["n_pos"], n_neg=cfg["n_neg"],

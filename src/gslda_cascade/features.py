@@ -1,4 +1,4 @@
-"""Integral images, Haar-like rectangle features, and LDA feature projection.
+"""Integral images and Haar-like rectangle features.
 
 Features are defined on a square base window and evaluated at arbitrary
 offset/scale through an integral image, so a single trained model scans all
@@ -218,38 +218,3 @@ def build_pool(params: PoolParams) -> list[HaarFeature]:
         raise ValueError("subsample must be at least 1")
     return enumerate_haar(params.base_window, params.stride, params.min_size)[:: params.subsample]
 
-
-@dataclass
-class ProjectionVector:
-    """Unit-norm direction projecting a d-dimensional feature to one scalar."""
-
-    dim: int
-    weights: np.ndarray
-    bias: float = 0.0
-
-
-def project_multidim(features, labels, ridge: float = 1e-6):
-    """Two-class LDA direction for a multi-dimensional feature.
-
-    Returns the unit-norm ProjectionVector and the N projected scalars; stump
-    training downstream consumes the scalars.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("features must be (N, d)")
-    y = np.asarray(labels)
-    pos = y > 0
-    neg = y < 0
-    if not pos.any() or not neg.any():
-        raise ValueError("degenerate class distribution")
-    mu_p = x[pos].mean(axis=0)
-    mu_n = x[neg].mean(axis=0)
-    zp = x[pos] - mu_p
-    zn = x[neg] - mu_n
-    sw = zp.T @ zp + zn.T @ zn + ridge * np.eye(x.shape[1])
-    w = np.linalg.solve(sw, mu_p - mu_n)
-    nrm = float(np.linalg.norm(w))
-    if nrm == 0.0:
-        raise ValueError("zero between-class direction")
-    w = w / nrm
-    return ProjectionVector(x.shape[1], w), x @ w

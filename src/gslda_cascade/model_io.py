@@ -2,7 +2,9 @@
 
 Model files are schema-checked on load and written deterministically (sorted
 keys, fixed separators); floats round-trip exactly through Python's
-shortest-repr decimal serialization.
+shortest-repr decimal serialization.  The files are standard JSON: the +/-inf
+sentinel thresholds of stumps are written as the strings "inf" and "-inf"
+(older files with the bare tokens Infinity / -Infinity still load).
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from .features import HaarFeature, KINDS, PoolParams, build_pool
 from .stumps import DecisionStump
 
 FORMAT_VERSION = 1
+
+# Infinite stump thresholds as written to disk, and back.
+_INF_NAMES = {float("inf"): "inf", float("-inf"): "-inf"}
+_INF_VALUES = {name: value for value, name in _INF_NAMES.items()}
 
 
 class ModelFormatError(ValueError):
@@ -46,7 +52,8 @@ def model_to_dict(model: CascadeModel) -> dict:
         "feature_pool": pool,
         "nodes": [
             {
-                "stumps": [[s.feature_id, s.threshold, s.polarity] for s in n.stumps],
+                "stumps": [[s.feature_id, _INF_NAMES.get(s.threshold, s.threshold), s.polarity]
+                           for s in n.stumps],
                 "coefficients": [float(c) for c in n.coefficients],
                 "node_threshold": n.node_threshold,
                 "trained_by": n.trained_by,
@@ -64,7 +71,7 @@ def model_to_dict(model: CascadeModel) -> dict:
 
 def save_model(model: CascadeModel, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, indent=1)
+        json.dump(model_to_dict(model), fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -151,6 +158,9 @@ def model_from_dict(payload: dict) -> CascadeModel:
             )
             fid, thr, pol = row
             _expect(isinstance(fid, int), f"{where}.stumps[{j}]: feature_id must be an integer")
+            if isinstance(thr, str):
+                _expect(thr in _INF_VALUES, f"{where}.stumps[{j}]: threshold string must be 'inf' or '-inf'")
+                thr = _INF_VALUES[thr]
             _expect(_is_number(thr), f"{where}.stumps[{j}]: threshold must be a number")
             _expect(pol in (-1, 1), f"{where}.stumps[{j}]: polarity must be -1 or +1")
             if feature_pool is not None:

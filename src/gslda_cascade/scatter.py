@@ -5,7 +5,9 @@ to a small feature subset.  For two classes S_b = b b' is rank one, so the best
 eigenvalue of a subset l is the closed form b_l' (S_w^l)^{-1} b_l and forward
 selection only needs a rank-one block update of the restricted inverse per
 added feature.  Columns of the within-class scatter are produced on demand;
-the full M x M matrix is never materialized.
+the full M x M matrix is never materialized.  GreedySelector holds the one
+implementation of that update, of candidate scoring and of the backward
+elimination pass.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ REJECTED = float("-inf")
 
 # Denominators at or below this are treated as singular augmentations.
 _SINGULAR_TOL = 1e-12
+
+# The restricted inverse is recomputed by a direct solve whenever the subset
+# size reaches a multiple of this, to keep long runs well conditioned.
+_REFRESH_EVERY = 32
 
 
 class DegenerateClassError(ValueError):
@@ -183,29 +189,6 @@ class ScatterAccumulator:
         return out
 
 
-def between_class_vector(rm: ResponseMatrix, w=None, cfg: ScatterConfig | None = None) -> np.ndarray:
-    """Length-M rank-one factor of the between-class scatter, S_b = b b'.
-
-    With sample weights, class means are weight-scaled; the sqrt(Np*Nn/N)
-    factor always uses raw counts.
-    """
-    acc = ScatterAccumulator(rm, cfg or ScatterConfig(max_features=rm.n_features), w)
-    return acc.between_class()
-
-
-def within_class_entry(rm: ResponseMatrix, cfg: ScatterConfig, i: int, j: int, w=None) -> float:
-    """Entry (i, j) of the within-class scatter.
-
-    Positive-class scatter plus gamma times negative-class scatter, ridge added
-    on the diagonal; with weights, each sample contribution is weight-scaled.
-    """
-    m = rm.n_features
-    if not (0 <= i < m and 0 <= j < m):
-        raise IndexError("feature index out of range")
-    acc = ScatterAccumulator(rm, cfg, w)
-    return float(acc.cross([i])[0, j])
-
-
 def _augmented_inverse(inv, u, a):
     """Block inverse for subset l + {i} from (S_w^l)^{-1}, u and a = 1/denominator."""
     k = inv.shape[0]
@@ -215,56 +198,6 @@ def _augmented_inverse(inv, u, a):
     out[k, :k] = -a * u
     out[k, k] = a
     return 0.5 * (out + out.T)
-
-
-def rank_one_augment(
-    state: ScatterState, i: int, rm: ResponseMatrix, cfg: ScatterConfig, w=None
-) -> ScatterState:
-    """Extend the state with feature i, recycling the previous inverse.
-
-    Raises SingularAugmentationError when the Schur complement of the new
-    diagonal entry is not safely positive.
-    """
-    if i in state.selected:
-        raise ValueError(f"feature {i} already selected")
-    acc = ScatterAccumulator(rm, cfg, w)
-    return _augment_with(state, i, acc)
-
-
-def _augment_with(state: ScatterState, i: int, acc: ScatterAccumulator) -> ScatterState:
-    sel = state.selected
-    row_i = acc.cross([i])[0]
-    d_i = row_i[i]
-    b = acc.between_class()
-    if sel:
-        s_li = acc.cross(sel)[:, i]
-        u = state.inv_sw @ s_li
-        denom = d_i - float(s_li @ u)
-    else:
-        u = np.zeros(0)
-        denom = d_i
-    if denom <= _SINGULAR_TOL:
-        raise SingularAugmentationError("singular augmentation")
-    inv = _augmented_inverse(state.inv_sw, u, 1.0 / denom)
-    selected = sel + [i]
-    b_r = b[selected]
-    eig = float(b_r @ inv @ b_r)
-    return ScatterState(selected, inv, b_r, eig)
-
-
-def candidate_eigenvalue(
-    state: ScatterState, i: int, rm: ResponseMatrix, cfg: ScatterConfig, w=None
-) -> float:
-    """Best eigenvalue of the subset selected + {i}, without mutating state.
-
-    Returns REJECTED (-inf) when the augmentation is singular.
-    """
-    if i in state.selected:
-        raise ValueError(f"feature {i} already selected")
-    try:
-        return rank_one_augment(state, i, rm, cfg, w).eigenvalue
-    except SingularAugmentationError:
-        return REJECTED
 
 
 def lda_weights(state: ScatterState) -> np.ndarray:
@@ -283,22 +216,37 @@ def lda_weights(state: ScatterState) -> np.ndarray:
 class GreedySelector:
     """Stepwise forward selection with candidate scores recycled per step.
 
-    Shared by forward_select and the cascade node trainers so both produce the
-    identical selection sequence.  The inverse is refreshed from a direct
-    solve every `refresh_every` steps to keep long runs well conditioned;
-    single steps still use the rank-one block update.
+    Every GSLDA path (forward_select and the cascade node trainers) goes
+    through this class.  Single steps use the rank-one block update of the
+    restricted inverse; the inverse is refreshed from a direct solve every
+    _REFRESH_EVERY features.
     """
 
-    def __init__(self, rm: ResponseMatrix, cfg: ScatterConfig, weights=None, refresh_every: int = 32):
+    def __init__(self, rm: ResponseMatrix, cfg: ScatterConfig, weights=None):
         self.cfg = cfg
         self.acc = ScatterAccumulator(rm, cfg, weights)
         self.b = self.acc.between_class()
         self.diag = self.acc.diag()
-        self.refresh_every = refresh_every
         self.selected: list[int] = []
         self.inv = np.zeros((0, 0))
         self.eig = 0.0
         self._rows = np.zeros((0, self.acc.n_features))  # S_w[selected, :]
+
+    @classmethod
+    def from_subset(cls, rm: ResponseMatrix, cfg: ScatterConfig, selected, weights=None):
+        """Selector that starts from the subset `selected`.
+
+        The restricted inverse comes from a direct solve rather than a chain
+        of rank-one updates; an empty subset gives a fresh selector.
+        """
+        sel = cls(rm, cfg, weights)
+        selected = list(selected)
+        if selected:
+            sel.selected = selected
+            sel._rows = sel.acc.cross(selected)
+            sel._refresh()
+            sel._recompute_eig()
+        return sel
 
     def candidate_scores(self, allowed=None) -> np.ndarray:
         """Eigenvalue of selected + {i} for every candidate i.
@@ -340,6 +288,11 @@ class GreedySelector:
         return best
 
     def augment(self, i: int) -> None:
+        """Add feature i by the rank-one block update of the restricted inverse.
+
+        Raises SingularAugmentationError when the Schur complement of the new
+        diagonal entry is not safely positive.
+        """
         if i in self.selected:
             raise ValueError(f"feature {i} already selected")
         row_i = self.acc.cross([i])[0]
@@ -355,7 +308,7 @@ class GreedySelector:
         self.inv = _augmented_inverse(self.inv, u, 1.0 / denom)
         self.selected.append(i)
         self._rows = np.vstack([self._rows, row_i[None, :]])
-        if len(self.selected) % self.refresh_every == 0:
+        if len(self.selected) % _REFRESH_EVERY == 0:
             self._refresh()
         self._recompute_eig()
 
@@ -412,19 +365,4 @@ def forward_select(rm: ResponseMatrix, cfg: ScatterConfig, w=None) -> ScatterSta
         raise ValueError("no separating feature")
     if cfg.dual_pass:
         sel.eliminate()
-    return sel.state()
-
-
-def backward_eliminate(
-    state: ScatterState, rm: ResponseMatrix, cfg: ScatterConfig, w=None
-) -> ScatterState:
-    """Remove near-redundant selected features; may return the state unchanged."""
-    if len(state.selected) < 2:
-        return state.copy()
-    sel = GreedySelector(rm, cfg, w)
-    sel.selected = list(state.selected)
-    sel._rows = sel.acc.cross(sel.selected)
-    sel.inv = state.inv_sw.copy()
-    sel.eig = state.eigenvalue
-    sel.eliminate()
     return sel.state()

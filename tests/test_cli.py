@@ -125,3 +125,65 @@ def test_detect_malformed_model_is_data_error(corpus, model, tmp_path, capsys, e
     bad.write_text(json.dumps(payload))
     assert cli.main(["detect", str(bad), str(corpus / "corpus" / "scenes"), "--out", str(tmp_path / "d.csv")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_toy_writes_report_and_points(tmp_path, capsys):
+    report, points = tmp_path / "toy.json", tmp_path / "points.csv"
+    assert cli.main(["toy", "--n-pos", "20", "--n-neg", "200", "--rounds", "2", "--trials", "2",
+                     "--out", str(report), "--points", str(points)]) == 0
+    payload = json.load(open(report))
+    assert len(payload["per_trial"]) == 2
+    assert 0.0 <= payload["gslda_win_fraction"] <= 1.0
+    rows = list(csv.reader(open(points)))
+    assert rows[0] == ["x", "y", "label"]
+    assert len(rows) == 1 + 20 + 200
+    assert "gslda_win_fraction=" in capsys.readouterr().out
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_synth_is_deterministic(tmp_path):
+    trees = []
+    for name in ("a", "b"):
+        assert cli.main(["synth", "--out", str(tmp_path / name), "--n-pos", "10", "--n-neg", "10", "--size", "8",
+                         "--reservoir", "1", "--scenes", "1", "--seed", "3"]) == 0
+        trees.append(tree_bytes(tmp_path / name))
+    assert trees[0] == trees[1]
+    assert any(path.name == "manifest.json" for path in trees[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--no-such-flag"],
+    ["train", "--out", "model.json"],
+], ids=["unknown-flag", "train-without-data"])
+def test_usage_error_exits_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_ignored_flags_are_not_parsed(corpus, model, tmp_path, capsys, command):
+    target = str(corpus / "corpus" / ("scenes" if command == "detect" else "manifest.json"))
+    flag = ["--seed", "1"] if command == "detect" else ["--threads", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, model, target, "--out", str(tmp_path / "out.csv"), *flag])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_train_accepts_threads(corpus, tmp_path):
+    out = str(tmp_path / "model.json")
+    assert cli.main(["train", "--data", str(corpus / "corpus" / "manifest.json"), "--out", out,
+                     "--f-target", "0.01", "--threads", "1", *TRAIN]) == 0
+
+
+def test_goal_not_met_exits_3_and_keeps_model(corpus, tmp_path, capsys):
+    out = tmp_path / "model.json"
+    assert cli.main(["train", "--data", str(corpus / "corpus" / "manifest.json"), "--out", str(out),
+                     "--subsample", "4", "--max-stumps", "1", "--fmax", "0.05"]) == 3
+    assert "goal not met" in capsys.readouterr().err
+    assert any(not node["goal_met"] for node in json.load(open(out))["nodes"])

@@ -10,7 +10,6 @@ from gslda_cascade.features import (
     build_pool,
     enumerate_haar,
     haar_values,
-    project_multidim,
 )
 from oracles import eval_haar
 
@@ -183,55 +182,3 @@ class TestFeatureExtractor:
         pool = enumerate_haar(6)[:10]
         assert FeatureExtractor(pool).extract(patches).shape == (10, 3)
 
-
-class TestProjectMultidim:
-    def test_one_dimensional_passthrough(self):
-        x = np.array([[1.0], [2.0], [-1.0], [-2.0]])
-        labels = np.array([1, 1, -1, -1])
-        proj, values = project_multidim(x, labels)
-        assert proj.weights == pytest.approx([1.0])
-        assert values == pytest.approx(x[:, 0])
-        assert proj.bias == 0.0
-
-    def test_one_dimensional_flipped(self):
-        x = np.array([[-3.0], [-2.0], [2.0], [3.0]])
-        labels = np.array([1, 1, -1, -1])
-        proj, values = project_multidim(x, labels)
-        assert proj.weights == pytest.approx([-1.0])
-        assert values == pytest.approx(-x[:, 0])
-
-    def test_axis_separated_gaussians_recover_axis(self):
-        rng = np.random.default_rng(6)
-        n = 500
-        pos = rng.normal(size=(n, 3)) * 0.5
-        pos[:, 1] += 4.0
-        neg = rng.normal(size=(n, 3)) * 0.5
-        x = np.vstack([pos, neg])
-        labels = np.array([1] * n + [-1] * n)
-        proj, _ = project_multidim(x, labels)
-        assert abs(proj.weights[1]) > 0.99
-        assert np.linalg.norm(proj.weights) == pytest.approx(1.0, abs=1e-12)
-
-    def test_projection_beats_every_axis_fisher_ratio(self):
-        rng = np.random.default_rng(7)
-        n = 200
-        cov = np.array([[2.0, 1.2], [1.2, 1.5]])
-        chol = np.linalg.cholesky(cov)
-        pos = rng.normal(size=(n, 2)) @ chol.T + np.array([1.0, 0.5])
-        neg = rng.normal(size=(n, 2)) @ chol.T
-        x = np.vstack([pos, neg])
-        labels = np.array([1] * n + [-1] * n)
-        proj, values = project_multidim(x, labels)
-
-        def fisher(v):
-            p, q = v[labels > 0], v[labels < 0]
-            return (p.mean() - q.mean()) ** 2 / (
-                np.sum((p - p.mean()) ** 2) + np.sum((q - q.mean()) ** 2)
-            )
-
-        for axis in range(2):
-            assert fisher(values) >= fisher(x[:, axis]) - 1e-9
-
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
-            project_multidim(np.ones((3, 2)), np.array([1, 1, 1]))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gslda_cascade.cascade import CascadeModel, NodeClassifier
 from gslda_cascade.features import HaarFeature, PoolParams, build_pool
-from gslda_cascade.model_io import ModelFormatError, load_model, model_from_dict, model_to_dict
+from gslda_cascade.model_io import ModelFormatError, load_model, model_from_dict, model_to_dict, save_model
 from gslda_cascade.stumps import DecisionStump
 
 
@@ -44,6 +44,40 @@ def test_round_trip(pool, tmp_path):
     assert model_to_dict(load_model(str(path))) == p
 
 
+def infinite_threshold_model():
+    model = model_from_dict(payload())
+    model.nodes[0].stumps = [DecisionStump(0, float("inf"), 1), DecisionStump(2, float("-inf"), -1)]
+    return model
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_infinite_thresholds_are_standard_json(tmp_path):
+    model = infinite_threshold_model()
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    stumps = strict_json(path.read_text())["nodes"][0]["stumps"]
+    assert [row[1] for row in stumps] == ["inf", "-inf"]
+    loaded = load_model(str(path))
+    assert [s.threshold for s in loaded.nodes[0].stumps] == [float("inf"), float("-inf")]
+    assert model_to_dict(loaded) == model_to_dict(model)
+
+
+def test_legacy_infinity_tokens_load(tmp_path):
+    p = model_to_dict(infinite_threshold_model())
+    for row in p["nodes"][0]["stumps"]:
+        row[1] = float(row[1])
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(p))
+    assert "Infinity" in path.read_text() and "-Infinity" in path.read_text()
+    loaded = load_model(str(path))
+    assert [s.threshold for s in loaded.nodes[0].stumps] == [float("inf"), float("-inf")]
+
+
 MALFORMED = {
     "node without stumps": [(("nodes", 0, "stumps"), []), (("nodes", 0, "coefficients"), [])],
     "stage rate not a pair": [(("stage_rates",), [5])],
@@ -55,6 +89,7 @@ MALFORMED = {
     "feature not subdividing": [(("feature_pool", "features", 0), ["two-rect-horizontal", 0, 0, 3, 2])],
     "feature coordinate not integer": [(("feature_pool", "features", 1), ["three-rect-vertical", "2", 1, 3, 6])],
     "stump threshold not a number": [(("nodes", 1, "stumps", 0), [1, "0.5", 1])],
+    "stump threshold other string": [(("nodes", 1, "stumps", 0), [1, "Infinity", 1])],
     "coefficient not a number": [(("nodes", 0, "coefficients", 1), None)],
     "enumerated pool subsample zero": [(("feature_pool",), {"type": "enumerated", "base_window": 8, "stride": 2,
                                                              "min_size": 2, "subsample": 0})],

@@ -7,17 +7,14 @@ from hypothesis import strategies as st
 from gslda_cascade.scatter import (
     REJECTED,
     DegenerateClassError,
+    GreedySelector,
     ResponseMatrix,
+    ScatterAccumulator,
     ScatterConfig,
     ScatterState,
     SingularAugmentationError,
-    backward_eliminate,
-    between_class_vector,
-    candidate_eigenvalue,
     forward_select,
     lda_weights,
-    rank_one_augment,
-    within_class_entry,
 )
 
 from oracles import (
@@ -35,11 +32,34 @@ def cfg_for(rm, k=None, **kw):
     return ScatterConfig(max_features=k or rm.n_features, **kw)
 
 
+def between(rm, w=None):
+    return ScatterAccumulator(rm, cfg_for(rm), w).between_class()
+
+
+def within(rm, cfg, i, j, w=None):
+    return float(ScatterAccumulator(rm, cfg, w).cross([i])[0, j])
+
+
+def augmented(rm, cfg, order, w=None):
+    """Selector grown by rank-one augmentation with the features in order."""
+    sel = GreedySelector(rm, cfg, w)
+    for i in order:
+        sel.augment(int(i))
+    return sel
+
+
+def eliminated(state, rm, cfg, w=None):
+    """State after the backward pass, started from state's subset."""
+    sel = GreedySelector.from_subset(rm, cfg, state.selected, w)
+    sel.eliminate()
+    return sel.state()
+
+
 class TestBetweenClassVector:
     def test_identical_class_means_give_zero(self):
         responses = np.array([[1, -1], [-1, 1], [1, -1], [-1, 1]])
         rm = ResponseMatrix(responses, np.array([1, 1, -1, -1]))
-        assert np.allclose(between_class_vector(rm), 0.0)
+        assert np.allclose(between(rm), 0.0)
 
     def test_single_feature_balanced_hand_value(self):
         # +1 for every positive, -1 for every negative, N_p = N_n = N/2:
@@ -49,13 +69,13 @@ class TestBetweenClassVector:
             np.concatenate([np.ones((4, 1)), -np.ones((4, 1))]).astype(int),
             np.array([1] * 4 + [-1] * 4),
         )
-        assert between_class_vector(rm) == pytest.approx([np.sqrt(n)], abs=1e-12)
+        assert between(rm) == pytest.approx([np.sqrt(n)], abs=1e-12)
 
     def test_rank_one_factorization_matches_direct_sb(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             rm = random_rm(rng, 30, 6, skew=0.3)
-            b = between_class_vector(rm)
+            b = between(rm)
             assert np.max(np.abs(np.outer(b, b) - direct_sb(rm))) < 1e-10
 
     def test_weighted_means(self):
@@ -63,7 +83,7 @@ class TestBetweenClassVector:
         rm = random_rm(rng, 25, 4)
         w = rng.random(25)
         w /= w.sum()
-        assert np.allclose(between_class_vector(rm, w), direct_between_vector(rm, w), atol=1e-12)
+        assert np.allclose(between(rm, w), direct_between_vector(rm, w), atol=1e-12)
 
     def test_degenerate_class_rejected(self):
         with pytest.raises(DegenerateClassError, match="degenerate class distribution"):
@@ -73,14 +93,14 @@ class TestBetweenClassVector:
         rm = ResponseMatrix(np.ones((4, 2), dtype=int), np.array([1, 1, -1, -1]))
         w = np.array([0.5, 0.5, 0.0, 0.0])
         with pytest.raises(DegenerateClassError):
-            between_class_vector(rm, w)
+            between(rm, w)
 
 
 class TestWithinClassEntry:
     def test_constant_column_diagonal_is_ridge(self):
         rm = ResponseMatrix(np.ones((6, 1), dtype=int), np.array([1, 1, 1, -1, -1, -1]))
         cfg = cfg_for(rm, gamma=1.0, ridge=1e-6)
-        assert within_class_entry(rm, cfg, 0, 0) == pytest.approx(1e-6, abs=1e-18)
+        assert within(rm, cfg, 0, 0) == pytest.approx(1e-6, abs=1e-18)
 
     def test_hand_expansion_gamma_2(self):
         # pos rows (1,1), (-1,-1): class means (0,0); neg rows (1,-1), (-1,-1):
@@ -91,9 +111,9 @@ class TestWithinClassEntry:
             np.array([[1, 1], [-1, -1], [1, -1], [-1, -1]]), np.array([1, 1, -1, -1])
         )
         cfg = cfg_for(rm, gamma=2.0, ridge=0.0)
-        assert within_class_entry(rm, cfg, 0, 0) == pytest.approx(6.0, abs=1e-12)
-        assert within_class_entry(rm, cfg, 1, 1) == pytest.approx(2.0, abs=1e-12)
-        assert within_class_entry(rm, cfg, 0, 1) == pytest.approx(2.0, abs=1e-12)
+        assert within(rm, cfg, 0, 0) == pytest.approx(6.0, abs=1e-12)
+        assert within(rm, cfg, 1, 1) == pytest.approx(2.0, abs=1e-12)
+        assert within(rm, cfg, 0, 1) == pytest.approx(2.0, abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.booleans())
@@ -107,7 +127,7 @@ class TestWithinClassEntry:
             w /= w.sum()
         for i in range(5):
             for j in range(5):
-                assert within_class_entry(rm, cfg, i, j) == within_class_entry(rm, cfg, j, i)
+                assert within(rm, cfg, i, j) == within(rm, cfg, j, i)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(3)
@@ -117,7 +137,7 @@ class TestWithinClassEntry:
         cfg = cfg_for(rm, gamma=2.5, ridge=1e-3)
         direct = direct_within(rm, cfg, w)
         got = np.array(
-            [[within_class_entry(rm, cfg, i, j, w) for j in range(5)] for i in range(5)]
+            [[within(rm, cfg, i, j, w) for j in range(5)] for i in range(5)]
         )
         assert np.max(np.abs(got - direct)) < 1e-10
 
@@ -128,8 +148,8 @@ class TestWithinClassEntry:
         uniform = np.full(18, 1.0 / 18)
         for i in range(4):
             for j in range(4):
-                plain = within_class_entry(rm, cfg, i, j)
-                weighted = within_class_entry(rm, cfg, i, j, uniform)
+                plain = within(rm, cfg, i, j)
+                weighted = within(rm, cfg, i, j, uniform)
                 assert weighted == pytest.approx(plain, abs=1e-12)
 
 
@@ -138,8 +158,8 @@ class TestRankOneAugment:
         rng = np.random.default_rng(5)
         rm = random_rm(rng, 16, 3)
         cfg = cfg_for(rm)
-        state = rank_one_augment(ScatterState(), 1, rm, cfg)
-        s11 = within_class_entry(rm, cfg, 1, 1)
+        state = augmented(rm, cfg, [1]).state()
+        s11 = within(rm, cfg, 1, 1)
         assert state.selected == [1]
         assert state.inv_sw == pytest.approx(np.array([[1.0 / s11]]), rel=1e-12)
 
@@ -149,9 +169,7 @@ class TestRankOneAugment:
             rm = random_rm(rng, 40, 12)
             cfg = cfg_for(rm, ridge=1e-6)
             order = rng.permutation(12)[:6]
-            state = ScatterState()
-            for i in order:
-                state = rank_one_augment(state, int(i), rm, cfg)
+            state = augmented(rm, cfg, order).state()
             direct = np.linalg.inv(direct_within(rm, cfg)[np.ix_(state.selected, state.selected)])
             assert np.max(np.abs(state.inv_sw - direct)) < 1e-8
 
@@ -160,24 +178,25 @@ class TestRankOneAugment:
         base = rng.choice(np.array([-1, 1], dtype=np.int8), size=(20, 1))
         rm = ResponseMatrix(np.hstack([base, base]), np.where(rng.random(20) < 0.5, 1, -1))
         cfg = cfg_for(rm, ridge=0.0)
-        state = rank_one_augment(ScatterState(), 0, rm, cfg)
+        sel = augmented(rm, cfg, [0])
         with pytest.raises(SingularAugmentationError, match="singular augmentation"):
-            rank_one_augment(state, 1, rm, cfg)
+            sel.augment(1)
 
     def test_already_selected_rejected(self):
         rng = np.random.default_rng(8)
         rm = random_rm(rng, 10, 3)
-        state = rank_one_augment(ScatterState(), 0, rm, cfg_for(rm))
+        sel = augmented(rm, cfg_for(rm), [0])
         with pytest.raises(ValueError):
-            rank_one_augment(state, 0, rm, cfg_for(rm))
+            sel.augment(0)
 
     def test_eigenvalue_identity_maintained(self):
         rng = np.random.default_rng(9)
         rm = random_rm(rng, 30, 8)
         cfg = cfg_for(rm)
-        state = ScatterState()
+        sel = GreedySelector(rm, cfg)
         for i in (4, 1, 6):
-            state = rank_one_augment(state, i, rm, cfg)
+            sel.augment(i)
+            state = sel.state()
             quad = float(state.b_restricted @ state.inv_sw @ state.b_restricted)
             assert state.eigenvalue == pytest.approx(quad, rel=1e-10)
 
@@ -190,9 +209,8 @@ class TestCandidateEigenvalue:
         responses = np.vstack([np.tile(pos_row, (5, 1)), np.tile(neg_row, (5, 1))])
         rm = ResponseMatrix(responses, np.array([1] * 5 + [-1] * 5))
         cfg = cfg_for(rm, ridge=1.0)
-        b = between_class_vector(rm)
-        state = rank_one_augment(ScatterState(), 0, rm, cfg)
-        lam = candidate_eigenvalue(state, 3, rm, cfg)
+        b = between(rm)
+        lam = augmented(rm, cfg, [0]).candidate_scores()[3]
         assert lam == pytest.approx(b[0] ** 2 + b[3] ** 2, rel=1e-10)
 
     @settings(max_examples=20, deadline=None)
@@ -201,11 +219,13 @@ class TestCandidateEigenvalue:
         rng = np.random.default_rng(seed)
         rm = random_rm(rng, 24, 7)
         cfg = cfg_for(rm)
-        state = rank_one_augment(ScatterState(), int(rng.integers(7)), rm, cfg)
+        sel = augmented(rm, cfg, [rng.integers(7)])
+        state = sel.state()
+        scores = sel.candidate_scores()
         for i in range(7):
             if i in state.selected:
                 continue
-            lam = candidate_eigenvalue(state, i, rm, cfg)
+            lam = scores[i]
             if lam != REJECTED:
                 assert lam >= state.eigenvalue - 1e-9
                 assert lam == pytest.approx(subset_eigenvalue(rm, cfg, state.selected + [i]), rel=1e-8)
@@ -215,10 +235,7 @@ class TestCandidateEigenvalue:
         for _ in range(10):
             rm = random_rm(rng, 40, 6)
             cfg = cfg_for(rm, ridge=1e-6)
-            state = ScatterState()
-            for i in (2, 5):
-                state = rank_one_augment(state, i, rm, cfg)
-            lam = candidate_eigenvalue(state, 0, rm, cfg)
+            lam = augmented(rm, cfg, (2, 5)).candidate_scores()[0]
             subset = [2, 5, 0]
             sw = direct_within(rm, cfg)[np.ix_(subset, subset)]
             b = direct_between_vector(rm)[subset]
@@ -230,8 +247,7 @@ class TestCandidateEigenvalue:
         base = rng.choice(np.array([-1, 1], dtype=np.int8), size=(20, 1))
         rm = ResponseMatrix(np.hstack([base, base]), np.where(rng.random(20) < 0.5, 1, -1))
         cfg = cfg_for(rm, ridge=0.0)
-        state = rank_one_augment(ScatterState(), 0, rm, cfg)
-        assert candidate_eigenvalue(state, 1, rm, cfg) == REJECTED
+        assert augmented(rm, cfg, [0]).candidate_scores()[1] == REJECTED
 
 
 class TestForwardSelect:
@@ -287,13 +303,12 @@ class TestForwardSelect:
         rng = np.random.default_rng(17)
         rm = random_rm(rng, 50, 12)
         cfg = cfg_for(rm, k=12)
-        from gslda_cascade.scatter import GreedySelector
-
         sel = GreedySelector(rm, cfg)
         prev = 0.0
         while sel.step() is not None:
-            assert sel.eig >= prev - 1e-9
-            prev = sel.eig
+            lam = sel.state().eigenvalue
+            assert lam >= prev - 1e-9
+            prev = lam
 
     def test_cardinality_capped(self):
         rng = np.random.default_rng(18)
@@ -316,6 +331,47 @@ class TestForwardSelect:
         assert np.max(np.abs(state.inv_sw @ sw - np.eye(len(state.selected)))) < 1e-8
 
 
+class TestFromSubset:
+    def test_empty_subset_is_fresh_selector(self):
+        rng = np.random.default_rng(28)
+        rm = random_rm(rng, 20, 5)
+        cfg = cfg_for(rm)
+        sel = GreedySelector.from_subset(rm, cfg, [])
+        assert sel.state().selected == []
+        assert sel.state().eigenvalue == 0.0
+        assert np.array_equal(sel.candidate_scores(), GreedySelector(rm, cfg).candidate_scores())
+
+    def test_matches_direct_inversion(self):
+        rng = np.random.default_rng(29)
+        for weighted in (False, True):
+            rm = random_rm(rng, 40, 10)
+            w = None
+            if weighted:
+                w = rng.random(40)
+                w /= w.sum()
+            cfg = cfg_for(rm, ridge=1e-6)
+            subset = [7, 2, 4]
+            state = GreedySelector.from_subset(rm, cfg, subset, w).state()
+            sw = direct_within(rm, cfg, w)[np.ix_(subset, subset)]
+            assert state.selected == subset
+            assert np.max(np.abs(state.inv_sw @ sw - np.eye(3))) < 1e-8
+            assert state.eigenvalue == pytest.approx(subset_eigenvalue(rm, cfg, subset, w), rel=1e-8)
+
+    def test_continues_like_augmented_selector(self):
+        rng = np.random.default_rng(30)
+        for _ in range(10):
+            rm = random_rm(rng, 40, 10)
+            w = rng.random(40)
+            w /= w.sum()
+            cfg = cfg_for(rm, k=5)
+            grown = GreedySelector(rm, cfg, w)
+            for _ in range(3):
+                grown.step()
+            restarted = GreedySelector.from_subset(rm, cfg, grown.state().selected, w)
+            assert np.allclose(restarted.candidate_scores(), grown.candidate_scores(), rtol=1e-8)
+            assert restarted.step() == grown.step()
+
+
 class TestBackwardEliminate:
     def test_all_essential_unchanged(self):
         # Three orthogonal-ish informative features: removing any one loses a
@@ -331,7 +387,7 @@ class TestBackwardEliminate:
             drops.append(lam_full - subset_eigenvalue(rm, cfg, rest))
         if min(drops) < cfg.elim_fraction * lam_full:
             pytest.skip("instance not in the all-essential regime")
-        out = backward_eliminate(state, rm, cfg)
+        out = eliminated(state, rm, cfg)
         assert out.selected == state.selected
 
     def test_duplicate_selected_feature_removed(self):
@@ -342,10 +398,10 @@ class TestBackwardEliminate:
         b = np.where(labels > 0, 1, -1).astype(np.int8)
         rm = ResponseMatrix(np.column_stack([a, b, b]), labels)
         cfg = cfg_for(rm, ridge=1e-6)
-        state = ScatterState()
-        for i in (1, 2, 0):
-            state = rank_one_augment(state, i, rm, cfg)
-        out = backward_eliminate(state, rm, cfg)
+        sel = augmented(rm, cfg, (1, 2, 0))
+        state = sel.state()
+        sel.eliminate()
+        out = sel.state()
         assert len(out.selected) < len(state.selected)
         assert out.eigenvalue == pytest.approx(state.eigenvalue, abs=1e-8 * (1 + state.eigenvalue))
         sw = direct_within(rm, cfg)[np.ix_(out.selected, out.selected)]
@@ -360,7 +416,7 @@ class TestBackwardEliminate:
             rm = random_rm(rng, 50, 10)
             cfg = cfg_for(rm, k=4, elim_fraction=0.25)
             state = forward_select(rm, cfg)
-            out = backward_eliminate(state, rm, cfg)
+            out = eliminated(state, rm, cfg)
             # replay the rule with the oracle
             sel = list(state.selected)
             lam = subset_eigenvalue(rm, cfg, sel)
@@ -376,8 +432,9 @@ class TestBackwardEliminate:
     def test_single_feature_state_unchanged(self):
         rng = np.random.default_rng(24)
         rm = random_rm(rng, 20, 3)
-        state = rank_one_augment(ScatterState(), 0, rm, cfg_for(rm))
-        assert backward_eliminate(state, rm, cfg_for(rm)).selected == [0]
+        sel = augmented(rm, cfg_for(rm), [0])
+        assert sel.eliminate() == []
+        assert sel.state().selected == [0]
 
 
 class TestLdaWeights:
