@@ -12,25 +12,20 @@ import numpy as np
 
 from .stumps import StumpTable
 
-SCHEMES = ("adaboost", "asymboost")
+#: alpha clamps weighted errors to [ERROR_FLOOR, 1 - ERROR_FLOOR].
+ERROR_FLOOR = 1e-8
 
 
 @dataclass
 class BoostingConfig:
-    scheme: str = "adaboost"
     asym_k: float = 2.0
     prune_epsilon: float = 0.1
-    error_floor: float = 1e-8
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.asym_k <= 0:
             raise ValueError("asym_k must be positive")
         if self.prune_epsilon < 0:
             raise ValueError("prune_epsilon must be nonnegative")
-        if not 0 < self.error_floor < 0.5:
-            raise ValueError("error_floor must be in (0, 0.5)")
 
 
 @dataclass
@@ -55,9 +50,9 @@ def init_weights(labels) -> np.ndarray:
     return u
 
 
-def alpha(e_t: float, error_floor: float = 1e-8) -> float:
+def alpha(e_t: float) -> float:
     """Vote coefficient log((1 - e) / e), with e clamped away from 0 and 1."""
-    e = min(max(e_t, error_floor), 1.0 - error_floor)
+    e = min(max(e_t, ERROR_FLOOR), 1.0 - ERROR_FLOOR)
     return float(np.log((1.0 - e) / e))
 
 

@@ -28,6 +28,8 @@ METHODS = ("adaboost", "asymboost", "gslda", "bgslda1", "bgslda2")
 #: Amortization span for the asymmetric multiplier when a node has no
 #: predefined round count.
 DEFAULT_ASYM_ROUNDS = 32
+#: train_cascade stops after this many stages (stop reason "max_stages").
+MAX_STAGES = 64
 
 
 class BootstrapExhaustedError(RuntimeError):
@@ -87,11 +89,6 @@ def node_margin(node: NodeClassifier, responses) -> np.ndarray | float:
     return float(acc) if acc.ndim == 0 else acc
 
 
-def node_decide(node: NodeClassifier, feature_responses) -> int:
-    """+1 iff the margin is >= 0 (boundary counts as accept)."""
-    return 1 if node_margin(node, feature_responses) >= 0 else -1
-
-
 def _threshold_for_scores(scores: np.ndarray, d_min: float) -> float:
     """Smallest additive threshold keeping at least d_min of the scores
     nonnegative: minus the d_min quantile of the score distribution."""
@@ -104,40 +101,21 @@ def _threshold_for_scores(scores: np.ndarray, d_min: float) -> float:
     return -float(ordered[m - 1])
 
 
-def tune_node_threshold(node: NodeClassifier, validation_positives, d_min: float) -> float:
-    """Threshold passing at least a d_min fraction of validation positives.
-
-    validation_positives holds the per-stump +/-1 responses of the positives,
-    shaped (T, P) aligned with node.stumps.
-    """
-    responses = np.asarray(validation_positives, dtype=np.float64)
-    scores = np.zeros(responses.shape[1])
-    for t in range(responses.shape[0]):
-        scores = scores + node.coefficients[t] * responses[t]
-    return _threshold_for_scores(scores, d_min)
-
-
 class _NodeFit:
     """Shared bookkeeping while a node grows stump by stump."""
 
     def __init__(self, values, labels, validation_mask, goal, method):
         self.values = values
-        self.labels = labels
         self.goal = goal
         self.method = method
-        if validation_mask is None:
-            # Tiny-pool fallback: train on everything, validate thresholds on
-            # the training positives.
-            self.train_idx = np.arange(values.shape[1])
+        mask = np.zeros(labels.shape, bool) if validation_mask is None else np.asarray(validation_mask, bool)
+        if np.any(mask & (labels < 0)):
+            raise ValueError("validation mask may only select positives")
+        self.train_idx = np.flatnonzero(~mask)
+        self.val_idx = np.flatnonzero(mask)
+        if self.val_idx.size == 0:
+            # Nothing held out: the training positives double as validation.
             self.val_idx = np.flatnonzero(labels > 0)
-        else:
-            validation_mask = np.asarray(validation_mask, dtype=bool)
-            if np.any(validation_mask & (labels < 0)):
-                raise ValueError("validation mask may only select positives")
-            self.train_idx = np.flatnonzero(~validation_mask)
-            self.val_idx = np.flatnonzero(validation_mask)
-            if self.val_idx.size == 0:
-                self.val_idx = np.flatnonzero(labels > 0)
         self.train_labels = labels[self.train_idx]
         if not (self.train_labels > 0).any() or not (self.train_labels < 0).any():
             raise ValueError("training split needs both classes")
@@ -167,15 +145,6 @@ class _NodeFit:
         self.d = float(np.mean(val_scores + self.threshold >= 0))
         self.f = float(np.mean(neg_scores + self.threshold >= 0))
 
-    def snapshot(self):
-        return (list(self.chosen), list(self.train_rows), list(self.val_rows),
-                self.coefficients.copy(), self.threshold, self.d, self.f)
-
-    def restore(self, snap):
-        self.chosen, self.train_rows, self.val_rows, self.coefficients, self.threshold, self.d, self.f = (
-            list(snap[0]), list(snap[1]), list(snap[2]), snap[3].copy(), snap[4], snap[5], snap[6]
-        )
-
     def build(self, goal_met: bool) -> NodeClassifier:
         return NodeClassifier(
             stumps=list(self.chosen),
@@ -197,15 +166,14 @@ def train_node(
     boost_cfg: boosting.BoostingConfig | None = None,
     validation_mask=None,
     fixed_rounds: int | None = None,
-    asym_rounds: int | None = None,
 ) -> NodeClassifier:
     """Grow one node until its false-positive goal is met.
 
     values is the (M, N) feature-value matrix of the node's pool, labels the
     +/-1 sample classes.  validation_mask marks held-out positives used only
-    for threshold tuning; when None the training positives double as
-    validation.  fixed_rounds trains exactly that many stumps regardless of
-    the rate goals (predefined-size mode).
+    for threshold tuning; when it is None or marks none, the training
+    positives double as validation.  fixed_rounds trains exactly that many
+    stumps regardless of the rate goals (predefined-size mode).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -214,24 +182,24 @@ def train_node(
     fit = _NodeFit(values, labels, validation_mask, goal, method)
     boost_cfg = boost_cfg or boosting.BoostingConfig()
     cap = fixed_rounds or goal.max_stumps or values.shape[0]
-    if scatter_cfg is None:
-        scfg = scatter.ScatterConfig(max_features=cap)
-    else:
-        scfg = dataclasses.replace(scatter_cfg, max_features=cap)
+    scfg = dataclasses.replace(scatter_cfg or scatter.ScatterConfig(max_features=cap), max_features=cap)
 
     trainer = stumps.StumpTrainer(values[:, fit.train_idx], fit.train_labels)
     weights = boosting.init_weights(fit.train_labels)
-    amort = asym_rounds or fixed_rounds or goal.max_stumps or DEFAULT_ASYM_ROUNDS
+    amort = fixed_rounds or goal.max_stumps or DEFAULT_ASYM_ROUNDS
 
     if method == "gslda":
-        node = _grow_gslda(fit, trainer, weights, scfg, cap, fixed_rounds)
-    elif method in ("bgslda1", "bgslda2"):
-        node = _grow_bgslda(fit, trainer, weights, scfg, boost_cfg, cap, fixed_rounds,
-                            method, amort)
-    else:
-        node = _grow_boosted(fit, trainer, weights, boost_cfg, cap, fixed_rounds,
-                             method, amort)
-    return node
+        return _grow_gslda(fit, trainer, weights, scfg, cap, fixed_rounds)
+    if method in ("bgslda1", "bgslda2"):
+        return _grow_bgslda(fit, trainer, weights, scfg, boost_cfg, cap, fixed_rounds, method, amort)
+    return _grow_boosted(fit, trainer, weights, boost_cfg, cap, fixed_rounds, method, amort)
+
+
+def _reweight(method, weights, responses, labels, a, boost_cfg, amort):
+    """AsymBoost's sample reweighting for asymboost and bgslda2, AdaBoost's otherwise."""
+    if method in ("asymboost", "bgslda2"):
+        return boosting.reweight_asymboost(weights, responses, labels, a, boost_cfg.asym_k, rounds=amort)
+    return boosting.reweight_adaboost(weights, responses, labels, a)
 
 
 def _goal_reached(fit, fixed_rounds):
@@ -244,17 +212,11 @@ def _grow_boosted(fit, trainer, weights, boost_cfg, cap, fixed_rounds, method, a
     coeffs: list[float] = []
     while True:
         table = trainer.train_all(weights)
-        order = np.argsort(table.errors, kind="stable")
-        j = int(order[0])
-        a = boosting.alpha(float(table.errors[j]), boost_cfg.error_floor)
+        j = int(np.argmin(table.errors))  # the first of equal minima
+        a = boosting.alpha(float(table.errors[j]))
         fit.add(table.stumps[j], table.responses[j])
         coeffs.append(a)
-        if method == "asymboost":
-            weights = boosting.reweight_asymboost(
-                weights, table.responses[j], fit.train_labels, a, boost_cfg.asym_k, rounds=amort
-            )
-        else:
-            weights = boosting.reweight_adaboost(weights, table.responses[j], fit.train_labels, a)
+        weights = _reweight(method, weights, table.responses[j], fit.train_labels, a, boost_cfg, amort)
         fit.retune(np.array(coeffs))
         if _goal_reached(fit, fixed_rounds):
             return fit.build(goal_met=True)
@@ -268,7 +230,6 @@ def _grow_gslda(fit, trainer, weights, scfg, cap, fixed_rounds):
     table = trainer.train_all(weights)
     rm = scatter.ResponseMatrix(table.responses.T, fit.train_labels, strict=False)
     sel = scatter.GreedySelector(rm, scfg)
-    pre_elimination = None
     while True:
         picked = sel.step()
         if picked is None:
@@ -276,8 +237,8 @@ def _grow_gslda(fit, trainer, weights, scfg, cap, fixed_rounds):
         fit.add(table.stumps[picked], table.responses[picked])
         fit.retune(scatter.lda_weights(sel.state()))
         if _goal_reached(fit, fixed_rounds):
+            met = fit.build(goal_met=True)
             if scfg.dual_pass and len(sel.selected) >= 2:
-                snap = fit.snapshot()
                 removed = set(sel.eliminate())
                 if removed:
                     keep = [t for t, s in enumerate(fit.chosen) if s.feature_id not in removed]
@@ -285,9 +246,9 @@ def _grow_gslda(fit, trainer, weights, scfg, cap, fixed_rounds):
                     fit.train_rows = [fit.train_rows[t] for t in keep]
                     fit.val_rows = [fit.val_rows[t] for t in keep]
                     fit.retune(scatter.lda_weights(sel.state()))
-                    if fixed_rounds is None and fit.f > fit.goal.f_max:
-                        fit.restore(snap)  # elimination broke the goal; keep the met node
-            return fit.build(goal_met=True)
+                    if fixed_rounds is not None or fit.f <= fit.goal.f_max:
+                        return fit.build(goal_met=True)
+            return met  # no elimination, or it broke the goal: keep the met node
         if len(fit.chosen) >= cap:
             return fit.build(goal_met=fit.f <= fit.goal.f_max)
 
@@ -319,15 +280,10 @@ def _grow_bgslda(fit, trainer, weights, scfg, boost_cfg, cap, fixed_rounds, meth
             # every surviving candidate is redundant with the chosen stumps
             return fit.build(goal_met=fit.f <= fit.goal.f_max)
         j = picked - k
-        a = boosting.alpha(float(table.errors[j]), boost_cfg.error_floor)
+        a = boosting.alpha(float(table.errors[j]))
         fit.add(table.stumps[j], table.responses[j])
         fit.retune(scatter.lda_weights(sel.state()))
-        if method == "bgslda2":
-            weights = boosting.reweight_asymboost(
-                weights, table.responses[j], fit.train_labels, a, boost_cfg.asym_k, rounds=amort
-            )
-        else:
-            weights = boosting.reweight_adaboost(weights, table.responses[j], fit.train_labels, a)
+        weights = _reweight(method, weights, table.responses[j], fit.train_labels, a, boost_cfg, amort)
         if _goal_reached(fit, fixed_rounds):
             return fit.build(goal_met=True)
         if len(fit.chosen) >= cap:
@@ -399,18 +355,16 @@ def evaluate_windows(model: CascadeModel, table: np.ndarray, px, py, scale: floa
 
 
 def bootstrap_negatives(model: CascadeModel, reservoir, count: int, seed: int = 0,
-                        stride: int = 4, min_required: int | None = None) -> np.ndarray:
+                        stride: int = 4) -> np.ndarray:
     """Collect windows from the reservoir that the current cascade accepts.
 
     Candidate windows (base-window size, on a `stride` grid) are evaluated
     once per image and taken in a seeded random order of the slots; raises
-    BootstrapExhaustedError when fewer than the configured minimum are found
-    (default: 5% of the request, at least one).
+    BootstrapExhaustedError when fewer than 5% of the request (at least one)
+    are found.
     """
     if len(reservoir) == 0:
         raise ValueError("empty negative reservoir")
-    if min_required is None:
-        min_required = max(1, count // 20)
     bw = model.base_window
     slots, accepted = [], []  # (image index, x, y) of every grid window, scan order
     for idx, image in enumerate(reservoir):
@@ -425,7 +379,7 @@ def bootstrap_negatives(model: CascadeModel, reservoir, count: int, seed: int = 
     order = np.random.default_rng(seed).permutation(len(slots))
     hits = order[np.array(accepted, dtype=bool)[order]][:count]
     found = [np.asarray(reservoir[i])[y : y + bw, x : x + bw] for i, x, y in (slots[s] for s in hits)]
-    if len(found) < min(min_required, count):
+    if len(found) < min(max(1, count // 20), count):
         raise BootstrapExhaustedError("bootstrap exhausted")
     return np.stack(found)
 
@@ -439,9 +393,7 @@ def train_cascade(
     scatter_cfg: scatter.ScatterConfig | None = None,
     boost_cfg: boosting.BoostingConfig | None = None,
     seed: int = 0,
-    bootstrap_stride: int = 4,
     pool_params: PoolParams | None = None,
-    max_stages: int = 64,
 ) -> CascadeModel:
     """Stack nodes until the cumulative false-positive rate reaches f_target.
 
@@ -462,8 +414,7 @@ def train_cascade(
     # Fixed validation split of the positives for threshold tuning.
     n_pos = len(pool.positives)
     n_val = int(pool.validation_split * n_pos)
-    perm = rng.permutation(n_pos)
-    val_set = set(perm[:n_val].tolist()) if n_val >= 1 else set()
+    val_idx = rng.permutation(n_pos)[:n_val]
 
     pos_values = extractor.extract(pool.positives)
     negatives = np.asarray(pool.negatives)
@@ -478,7 +429,7 @@ def train_cascade(
     d_cum, f_cum = 1.0, 1.0
     stage = 0
     stop_reason = None
-    while f_target < f_cum and stage < max_stages:
+    while f_target < f_cum and stage < MAX_STAGES:
         if neg_values.shape[1] == 0:
             stop_reason = "negatives_empty"
             break
@@ -487,13 +438,9 @@ def train_cascade(
         values = np.hstack([pos_values, neg_values])
         labels = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(neg_values.shape[1], dtype=int)])
         validation_mask = np.zeros(values.shape[1], dtype=bool)
-        for i in val_set:
-            validation_mask[i] = True
-        node = train_node(
-            values, labels, goal, method,
-            scatter_cfg=scatter_cfg, boost_cfg=boost_cfg,
-            validation_mask=validation_mask if val_set else None,
-        )
+        validation_mask[val_idx] = True
+        node = train_node(values, labels, goal, method, scatter_cfg=scatter_cfg,
+                          boost_cfg=boost_cfg, validation_mask=validation_mask)
         model.nodes.append(node)
         d_cum *= node.detection_rate
         f_cum *= node.false_positive_rate
@@ -523,10 +470,8 @@ def train_cascade(
         needed = target_negatives - len(negatives)
         if needed > 0:
             try:
-                fresh = bootstrap_negatives(
-                    model, pool.negative_reservoir, needed,
-                    seed=int(rng.integers(2**31)), stride=bootstrap_stride,
-                )
+                fresh = bootstrap_negatives(model, pool.negative_reservoir, needed,
+                                            seed=int(rng.integers(2**31)))
             except (BootstrapExhaustedError, ValueError):
                 stop_reason = "bootstrap_exhausted"
                 break

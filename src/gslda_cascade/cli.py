@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Commands: train, detect, eval, toy, synth.  Exit codes: 0 success, 1 usage,
-2 data error, 3 training finished with a stage goal not met.
+Commands: train, detect, eval, toy, synth.  Exit codes: 0 success, 1 usage
+(an unknown flag, or a setting out of range from a flag or --config, such as
+train --dmin 2 or toy --trials 0: checked before any input file is read, and
+reported on one "error: ..." line), 2 data error, 3 training finished with a
+stage goal not met.
 
 train ends its stage log with a {"stop_reason": ...} record.  When the
 cascade's false-positive rate F stays above --f-target (the reservoir ran out
@@ -17,6 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -36,7 +40,11 @@ from .model_io import (
 from .pgm import read_pgm
 from .scatter import ScatterConfig
 from .synth import ToyDatasetSpec, generate_synthetic_faces, generate_toy, load_manifest
-from .toy import run_toy_experiment
+from .toy import METHODS as TOY_METHODS, run_toy_experiment
+
+
+class UsageError(Exception):
+    """A setting is out of range (exit code 1)."""
 
 
 class DataError(Exception):
@@ -135,6 +143,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _settings():
+    """A TypeError or ValueError raised while checking settings is a UsageError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _check_scan(cfg) -> None:
+    with _settings():
+        if not cfg["scale_factor"] > 1:
+            raise ValueError("scale_factor must exceed 1")
+
+
 def _merge_config(args, defaults: dict) -> dict:
     """Fill unset flags from --config JSON, then builtin defaults."""
     values = dict(defaults)
@@ -174,6 +197,17 @@ def cmd_train(args) -> int:
         "max_stumps": 200, "validation_split": 0.2,
         "stride": 1, "min_size": 1, "subsample": 1, "seed": 0,
     })
+    with _settings():
+        if cfg["method"] not in METHODS:  # --config bypasses the flag's choices
+            raise ValueError(f"method must be one of {METHODS}")
+        goal = NodeGoal(d_min=cfg["dmin"], f_max=cfg["fmax"], max_stumps=cfg["max_stumps"])
+        scatter_cfg = ScatterConfig(max_features=cfg["max_stumps"], gamma=cfg["gamma"],
+                                    ridge=cfg["ridge"], dual_pass=args.dual_pass)
+        boost_cfg = BoostingConfig(asym_k=cfg["asym_k"], prune_epsilon=cfg["prune_eps"])
+        if not (0 <= cfg["f_target"] <= 1 and 0 <= cfg["validation_split"] < 1):
+            raise ValueError("f_target must be in [0, 1] and validation_split in [0, 1)")
+        if min(cfg["stride"], cfg["min_size"], cfg["subsample"]) < 1:
+            raise ValueError("stride, min_size and subsample must be at least 1")
     try:
         manifest = load_manifest(args.data)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -186,22 +220,15 @@ def cmd_train(args) -> int:
     shape = positives[0].shape
     if shape[0] != shape[1]:
         raise DataError(f"positive patches must be square, got {shape}")
-    for rel, patch in zip(manifest.positives, positives):
+    for rel, patch in zip(manifest.positives + manifest.negatives, positives + negatives):
         if patch.shape != shape:
-            raise DataError(f"positive patch {rel}: size {patch.shape} != {shape}")
-    for rel, patch in zip(manifest.negatives, negatives):
-        if patch.shape != shape:
-            raise DataError(f"negative patch {rel}: size {patch.shape} != {shape}")
+            raise DataError(f"patch {rel}: size {patch.shape} != {shape}")
     base_window = shape[0]
 
     pool_params = PoolParams(base_window=base_window, stride=cfg["stride"],
                              min_size=cfg["min_size"], subsample=cfg["subsample"])
-    feature_pool = build_pool(pool_params)
-    goal = NodeGoal(d_min=cfg["dmin"], f_max=cfg["fmax"], max_stumps=cfg["max_stumps"])
-    scatter_cfg = ScatterConfig(max_features=cfg["max_stumps"], gamma=cfg["gamma"],
-                                ridge=cfg["ridge"], dual_pass=args.dual_pass)
-    scheme = "asymboost" if cfg["method"] in ("asymboost", "bgslda2") else "adaboost"
-    boost_cfg = BoostingConfig(scheme=scheme, asym_k=cfg["asym_k"], prune_epsilon=cfg["prune_eps"])
+    with _settings():  # --min-size larger than the corpus's patches
+        feature_pool = build_pool(pool_params)
     pool = TrainingPool(np.stack(positives), np.stack(negatives) if negatives else np.zeros((0, *shape), dtype=np.uint8),
                         reservoir, validation_split=cfg["validation_split"])
     model = train_cascade(
@@ -240,6 +267,7 @@ def _image_list(path) -> list[str]:
 
 def cmd_detect(args) -> int:
     cfg = _merge_config(args, {"scale_factor": 1.2, "step": 1.0, "min_neighbors": 2, "threads": 1})
+    _check_scan(cfg)
     try:
         model = load_model(args.model)
     except (OSError, ModelFormatError) as exc:
@@ -287,6 +315,7 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _merge_config(args, {"scale_factor": 1.2, "step": 1.0, "min_neighbors": 2})
+    _check_scan(cfg)
     try:
         model = load_model(args.model)
         manifest = load_manifest(args.data)
@@ -300,7 +329,7 @@ def cmd_eval(args) -> int:
         raise DataError(str(exc))
     image_ids = list(dict.fromkeys(t.image_id for t in truths))
     images = list(zip(image_ids, _load_patches(manifest, image_ids, "image")))
-    try:  # a model without nodes, no ground-truth boxes or a bad scan setting
+    try:  # a model without nodes or no ground-truth boxes
         points, summary = roc_curve(model, images, truths, mode=args.mode,
                                     scale_factor=cfg["scale_factor"], step=cfg["step"],
                                     min_neighbors=cfg["min_neighbors"])
@@ -316,8 +345,9 @@ def cmd_eval(args) -> int:
 def cmd_toy(args) -> int:
     cfg = _merge_config(args, {"n_pos": 100, "n_neg": 2000, "rounds": 4, "trials": 1,
                                "dmin": 0.99, "seed": 0})
-    spec = ToyDatasetSpec(n_pos=cfg["n_pos"], n_neg=cfg["n_neg"], seed=cfg["seed"])
-    report = run_toy_experiment(spec, rounds=cfg["rounds"], trials=cfg["trials"], d_min=cfg["dmin"])
+    with _settings():  # the toy reads no input, so any ValueError is a bad setting
+        spec = ToyDatasetSpec(n_pos=cfg["n_pos"], n_neg=cfg["n_neg"], seed=cfg["seed"])
+        report = run_toy_experiment(spec, rounds=cfg["rounds"], trials=cfg["trials"], d_min=cfg["dmin"])
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -329,12 +359,11 @@ def cmd_toy(args) -> int:
                 fh.write(f"{float(x)!r},{float(y)!r},{label}\n")
     for row in report["per_trial"]:
         parts = [f"seed={row['seed']}"]
-        for method in ("adaboost", "gslda"):
+        for method in TOY_METHODS:
             r = row[method]
             parts.append(f"{method}: fp={r['false_positives']} d={r['detection_rate']:.3f}")
         print("  ".join(parts))
-    if "gslda_win_fraction" in report:
-        print(f"gslda_win_fraction={report['gslda_win_fraction']:.2f} over {cfg['trials']} trials")
+    print(f"gslda_win_fraction={report['gslda_win_fraction']:.2f} over {cfg['trials']} trials")
     print(f"report written to {args.out}")
     return 0
 
@@ -360,9 +389,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (UsageError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
     except GoalNotMet as exc:
         print(f"goal not met: {exc}", file=sys.stderr)
         return 3

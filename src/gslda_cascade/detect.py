@@ -114,6 +114,8 @@ def overlap_ratio(ax, ay, aw, ah, bx, by, bw, bh) -> float:
 # Upper bound on the candidate pairs merge_detections tests at once; it bounds
 # the temporary arrays whatever the window density.
 _PAIR_BLOCK = 1 << 12
+# Margin quantiles at which threshold-mode roc_curve places its operating points.
+_ROC_THRESHOLDS = 10
 
 
 def merge_detections(windows: list[DetectionWindow], min_neighbors: int = 2) -> list[DetectionWindow]:
@@ -250,15 +252,15 @@ def match_detections(detections, truths: list[GroundTruthBox]) -> MatchResult:
 
 
 def roc_curve(model: CascadeModel, images, truths: list[GroundTruthBox], mode: str = "depth",
-              scale_factor: float = 1.2, step: float = 1.0, min_neighbors: int = 2,
-              n_thresholds: int = 10) -> tuple[list[ROCPoint], MatchResult]:
+              scale_factor: float = 1.2, step: float = 1.0,
+              min_neighbors: int = 2) -> tuple[list[ROCPoint], MatchResult]:
     """Operating-curve points, sorted by false positives ascending, and the
     match result of the full cascade.
 
     `images` is a list of (image_id, pixel array), each scanned once with
     early exit; detection counts are post-merge.  Depth mode adds one cascade
-    level at a time; threshold mode sweeps the final node's margin over its
-    quantiles.
+    level at a time; threshold mode sweeps the final node's margin over
+    _ROC_THRESHOLDS evenly spaced quantiles.
     """
     images = list(images)
     if not images or not truths:
@@ -299,7 +301,7 @@ def roc_curve(model: CascadeModel, images, truths: list[GroundTruthBox], mode: s
         margins = np.array([w.score for _, wins in candidates for w in wins])
         taus = []
         if margins.size:
-            taus = sorted(set(np.quantile(margins, np.linspace(0.0, 1.0, n_thresholds)).tolist()))
+            taus = sorted(set(np.quantile(margins, np.linspace(0.0, 1.0, _ROC_THRESHOLDS)).tolist()))
         taus.append(np.inf)
         for tau in taus:
             kept = [(image_id, w) for image_id, wins in candidates

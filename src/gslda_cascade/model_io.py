@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 
 from .cascade import CascadeModel, NodeClassifier
 from .detect import DetectionWindow, GroundTruthBox, ROCPoint
@@ -88,7 +87,14 @@ def _field(payload: dict, name: str, kind, where: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float, but not a bool and not NaN (the one value unequal to itself)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
+
+
+def _number(payload: dict, name: str, where: str) -> float:
+    _expect(name in payload, f"{where}: missing field {name!r}")
+    _expect(_is_number(payload[name]), f"{where}: field {name!r} must be a number")
+    return float(payload[name])
 
 
 def _rate_pairs(payload: dict, name: str, n_nodes: int) -> list[tuple[float, float]]:
@@ -106,7 +112,7 @@ def model_from_dict(payload: dict) -> CascadeModel:
     version = _field(payload, "format_version", int, "model file")
     _expect(version == FORMAT_VERSION, f"model file: unknown format_version {version}")
     base_window = _field(payload, "base_window", int, "model file")
-    f_target = _field(payload, "f_target", (int, float), "model file")
+    f_target = _number(payload, "f_target", "model file")
 
     pool_payload = _field(payload, "feature_pool", dict, "model file")
     pool_type = _field(pool_payload, "type", str, "feature_pool")
@@ -174,11 +180,11 @@ def model_from_dict(payload: dict) -> CascadeModel:
             NodeClassifier(
                 stumps=stumps,
                 coefficients=[float(c) for c in coefficients],
-                node_threshold=float(_field(np_, "node_threshold", (int, float), where)),
+                node_threshold=_number(np_, "node_threshold", where),
                 trained_by=_field(np_, "trained_by", str, where),
                 goal_met=_field(np_, "goal_met", bool, where),
-                detection_rate=float(_field(np_, "detection_rate", (int, float), where)),
-                false_positive_rate=float(_field(np_, "false_positive_rate", (int, float), where)),
+                detection_rate=_number(np_, "detection_rate", where),
+                false_positive_rate=_number(np_, "false_positive_rate", where),
             )
         )
     stage_rates = _rate_pairs(payload, "stage_rates", len(nodes))
@@ -189,7 +195,7 @@ def model_from_dict(payload: dict) -> CascadeModel:
         stage_rates=stage_rates,
         cumulative=cumulative,
         feature_pool=feature_pool,
-        f_target=float(f_target),
+        f_target=f_target,
         pool_params=pool_params,
         base_window=base_window,
         metadata=metadata,
@@ -226,21 +232,12 @@ def read_ground_truth(path: str) -> list[GroundTruthBox]:
     return boxes
 
 
-def write_detections_csv(rows: list[tuple[str, DetectionWindow]], path) -> None:
-    close = False
-    if isinstance(path, (str, os.PathLike)):
-        fh = open(path, "w", newline="")
-        close = True
-    else:
-        fh = path
-    try:
+def write_detections_csv(rows: list[tuple[str, DetectionWindow]], path: str) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["image_id", "x", "y", "side", "score"])
         for image_id, win in rows:
             writer.writerow([image_id, win.x, win.y, win.side, repr(win.score)])
-    finally:
-        if close:
-            fh.close()
 
 
 def write_roc_csv(points: list[ROCPoint], path: str) -> None:

@@ -118,11 +118,6 @@ class ScatterState:
     b_restricted: np.ndarray = field(default_factory=lambda: np.zeros(0))
     eigenvalue: float = 0.0
 
-    def copy(self) -> "ScatterState":
-        return ScatterState(
-            list(self.selected), self.inv_sw.copy(), self.b_restricted.copy(), self.eigenvalue
-        )
-
 
 class ScatterAccumulator:
     """Weighted class moments of a response matrix, queried by row subset.

@@ -77,10 +77,6 @@ class StumpTrainer:
         # Interior threshold slot t is usable only between distinct values.
         self._interior_ok = self.sorted_values[:, 1:] != self.sorted_values[:, :-1]
 
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[0]
-
     def train_all(self, weights: np.ndarray) -> StumpTable:
         m, n = self.values.shape
         su = np.asarray(weights, dtype=np.float64)[self.order]
@@ -127,19 +123,6 @@ class StumpTrainer:
             DecisionStump(j, float(thresholds[j]), int(polarity[j])) for j in range(m)
         ]
         return StumpTable(stumps, responses, errors, self.labels)
-
-
-def train_stump(values, labels, weights, feature_id: int = 0):
-    """Best (threshold, polarity) for one feature; returns (stump, weighted error)."""
-    table = StumpTrainer(np.asarray(values)[None, :], labels).train_all(weights)
-    stump = table.stumps[0]
-    stump.feature_id = feature_id
-    return stump, float(table.errors[0])
-
-
-def build_table(feature_values, labels, weights) -> StumpTable:
-    """Train every candidate feature independently under the given weights."""
-    return StumpTrainer(feature_values, labels).train_all(weights)
 
 
 def weighted_error(responses, labels, weights) -> float:

@@ -210,7 +210,11 @@ def generate_toy(spec: ToyDatasetSpec):
     return points, labels
 
 
-def axis_stump_pool(points: np.ndarray, thresholds_per_axis: int = 128):
+#: axis_stump_pool keeps at most this many evenly spaced thresholds per axis.
+THRESHOLDS_PER_AXIS = 128
+
+
+def axis_stump_pool(points: np.ndarray):
     """Candidate decision-stump pool on the two coordinates.
 
     Returns (pool responses as a (M, N) float matrix of +/-1 values sign(x_axis
@@ -224,8 +228,8 @@ def axis_stump_pool(points: np.ndarray, thresholds_per_axis: int = 128):
     for axis in (0, 1):
         values = np.sort(np.unique(points[:, axis]))
         mids = 0.5 * (values[:-1] + values[1:])
-        if len(mids) > thresholds_per_axis:
-            idx = np.linspace(0, len(mids) - 1, thresholds_per_axis).astype(int)
+        if len(mids) > THRESHOLDS_PER_AXIS:
+            idx = np.linspace(0, len(mids) - 1, THRESHOLDS_PER_AXIS).astype(int)
             mids = mids[idx]
         for thr in mids:
             rows.append(np.where(points[:, axis] >= thr, 1.0, -1.0))

@@ -14,6 +14,9 @@ import numpy as np
 from .cascade import NodeGoal, node_margin, train_node
 from .synth import ToyDatasetSpec, axis_stump_pool, generate_toy
 
+#: The two compared selection methods, in report order.
+METHODS = ("adaboost", "gslda")
+
 
 def describe_stumps(node, descriptors) -> list[dict]:
     out = []
@@ -33,9 +36,7 @@ def run_toy_experiment(
     spec: ToyDatasetSpec,
     rounds: int = 4,
     trials: int = 1,
-    methods: tuple[str, ...] = ("adaboost", "gslda"),
     d_min: float = 0.99,
-    thresholds_per_axis: int = 128,
 ) -> dict:
     """Repeat the toy comparison over consecutive seeds.
 
@@ -43,15 +44,17 @@ def run_toy_experiment(
     geometry of the base trial for plotting, and the fraction of trials in
     which GSLDA produced no more false positives than AdaBoost.
     """
+    if rounds < 1 or trials < 1:
+        raise ValueError("rounds and trials must be at least 1")
+    goal = NodeGoal(d_min=d_min, f_max=0.5)
     per_trial = []
     base_descriptions = {}
     for t in range(trials):
         tspec = replace(spec, seed=spec.seed + t)
         points, labels = generate_toy(tspec)
-        values, descriptors = axis_stump_pool(points, thresholds_per_axis)
+        values, descriptors = axis_stump_pool(points)
         row = {"seed": tspec.seed}
-        for method in methods:
-            goal = NodeGoal(d_min=d_min, f_max=0.5)
+        for method in METHODS:
             node = train_node(values, labels, goal, method, fixed_rounds=rounds)
             responses = np.vstack([s.responses(values[s.feature_id]) for s in node.stumps])
             margins = node_margin(node, responses)
@@ -64,18 +67,14 @@ def run_toy_experiment(
             if t == 0:
                 base_descriptions[method] = describe_stumps(node, descriptors)
         per_trial.append(row)
-    report = {
+    wins = sum(1 for row in per_trial
+               if row["gslda"]["false_positives"] <= row["adaboost"]["false_positives"])
+    return {
         "spec": asdict(spec),
         "rounds": rounds,
         "trials": trials,
         "d_min": d_min,
         "per_trial": per_trial,
         "stumps": base_descriptions,
+        "gslda_win_fraction": wins / trials,
     }
-    if "gslda" in methods and "adaboost" in methods:
-        wins = sum(
-            1 for row in per_trial
-            if row["gslda"]["false_positives"] <= row["adaboost"]["false_positives"]
-        )
-        report["gslda_win_fraction"] = wins / trials
-    return report

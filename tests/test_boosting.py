@@ -10,7 +10,7 @@ from gslda_cascade.boosting import (
     reweight_adaboost,
     reweight_asymboost,
 )
-from gslda_cascade.stumps import DecisionStump, StumpTable, build_table, train_stump, weighted_error
+from gslda_cascade.stumps import DecisionStump, StumpTable, StumpTrainer, weighted_error
 
 
 def make_table(error_fractions, n=100):
@@ -93,7 +93,8 @@ class TestReweightAdaboost:
             labels = np.where(rng.random(n) < 0.3, 1, -1)
             w = rng.random(n)
             w /= w.sum()
-            stump, err = train_stump(values, labels, w)
+            table = StumpTrainer(values[None, :], labels).train_all(w)
+            stump, err = table.stumps[0], float(table.errors[0])
             if err < 1e-6:
                 continue
             a = alpha(err)
@@ -183,7 +184,7 @@ class TestPruneStumps:
         n = 16
         labels = np.where(rng.random(n) < 0.5, 1, -1)
         values = rng.normal(size=(6, n))
-        table = build_table(values, labels, np.full(n, 1.0 / 16))
+        table = StumpTrainer(values, labels).train_all(np.full(n, 1.0 / 16))
         w = np.full(n, 1.0 / 16)
         edges = table.responses.astype(float) @ (w * labels)
         for j in range(6):
@@ -193,11 +194,9 @@ class TestPruneStumps:
 class TestBoostingConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            BoostingConfig(scheme="gentleboost")
-        with pytest.raises(ValueError):
             BoostingConfig(asym_k=0.0)
         with pytest.raises(ValueError):
-            BoostingConfig(error_floor=0.5)
+            BoostingConfig(prune_epsilon=-0.1)
 
 
 def test_adaboost_converges_on_separable_toy():
@@ -213,7 +212,7 @@ def test_adaboost_converges_on_separable_toy():
     w = init_weights(labels)
     margins = np.zeros(n)
     for _ in range(20):
-        table = build_table(x, labels, w)
+        table = StumpTrainer(x, labels).train_all(w)
         j = int(np.argmin(table.errors))
         a = alpha(table.errors[j])
         margins += a * table.responses[j]

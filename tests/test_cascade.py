@@ -11,17 +11,16 @@ from gslda_cascade.cascade import (
     NodeClassifier,
     NodeGoal,
     TrainingPool,
+    _threshold_for_scores,
     bootstrap_negatives,
     evaluate_windows,
-    node_decide,
     node_margin,
     train_cascade,
     train_node,
-    tune_node_threshold,
 )
 from gslda_cascade.features import build_integral, enumerate_haar
-from gslda_cascade.scatter import ResponseMatrix, ScatterConfig, forward_select
-from gslda_cascade.stumps import DecisionStump, build_table
+from gslda_cascade.scatter import GreedySelector, ResponseMatrix, ScatterConfig, forward_select
+from gslda_cascade.stumps import DecisionStump, StumpTrainer
 from oracles import bootstrap_negatives as scalar_bootstrap_negatives
 from oracles import decide_window, pyramid_windows
 
@@ -45,12 +44,12 @@ def mini_corpus(rng, n_pos=50, n_neg=120, size=8):
 class TestNodeDecide:
     def test_boundary_convention_accepts(self):
         node = NodeClassifier([DecisionStump(0, 0.0, 1)], [0.0], 0.0, "adaboost")
-        assert node_decide(node, np.array([1])) == 1
+        assert node_margin(node, np.array([1])) >= 0
 
     def test_single_stump_passthrough(self):
         node = NodeClassifier([DecisionStump(0, 0.0, 1)], [1.0], 0.0, "adaboost")
-        assert node_decide(node, np.array([1])) == 1
-        assert node_decide(node, np.array([-1])) == -1
+        assert node_margin(node, np.array([1])) >= 0
+        assert node_margin(node, np.array([-1])) < 0
 
     def test_hand_margin(self):
         node = NodeClassifier(
@@ -60,25 +59,25 @@ class TestNodeDecide:
             "adaboost",
         )
         assert node_margin(node, np.array([1, -1])) == pytest.approx(-0.7)
-        assert node_decide(node, np.array([1, -1])) == -1
+        assert node_margin(node, np.array([1, -1])) < 0
 
     def test_length_mismatch_rejected(self):
         node = NodeClassifier([DecisionStump(0, 0.0, 1)], [1.0], 0.0, "adaboost")
         with pytest.raises(ValueError):
-            node_decide(node, np.array([1, -1]))
+            node_margin(node, np.array([1, -1]))
 
 
 class TestTuneNodeThreshold:
-    def _node(self, t):
-        return NodeClassifier(
-            [DecisionStump(i, 0.0, 1) for i in range(t)], np.ones(t), 0.0, "adaboost"
-        )
+    """The d_min rule node retuning applies to the validation positives' scores."""
+
+    def _threshold(self, t, responses, d_min):
+        node = NodeClassifier([DecisionStump(i, 0.0, 1) for i in range(t)], np.ones(t), 0.0, "adaboost")
+        return _threshold_for_scores(node_margin(node, responses), d_min)
 
     def test_dmin_one_accepts_every_positive(self):
         rng = np.random.default_rng(0)
         responses = np.where(rng.random((3, 40)) < 0.5, 1, -1)
-        node = self._node(3)
-        theta = tune_node_threshold(node, responses, 1.0)
+        theta = self._threshold(3, responses, 1.0)
         scores = responses.sum(axis=0)
         assert theta == pytest.approx(-float(scores.min()))
         assert np.all(scores + theta >= 0)
@@ -86,16 +85,14 @@ class TestTuneNodeThreshold:
     def test_quantile_count(self):
         rng = np.random.default_rng(1)
         responses = np.where(rng.random((9, 200)) < 0.5, 1, -1)
-        node = self._node(9)
-        theta = tune_node_threshold(node, responses, 0.995)
+        theta = self._threshold(9, responses, 0.995)
         passed = np.sum(responses.sum(axis=0) + theta >= 0)
         assert passed >= 199
 
     def test_monotone_in_dmin(self):
         rng = np.random.default_rng(2)
         responses = np.where(rng.random((5, 60)) < 0.5, 1, -1)
-        node = self._node(5)
-        thetas = [tune_node_threshold(node, responses, d) for d in (0.5, 0.8, 0.95, 1.0)]
+        thetas = [self._threshold(5, responses, d) for d in (0.5, 0.8, 0.95, 1.0)]
         assert thetas == sorted(thetas)
 
 
@@ -121,7 +118,7 @@ class TestTrainNode:
         node = train_node(
             values, labels, NodeGoal(d_min=0.99, f_max=0.5), "gslda", fixed_rounds=rounds
         )
-        table = build_table(values, labels, init_weights(labels))
+        table = StumpTrainer(values, labels).train_all(init_weights(labels))
         rm = ResponseMatrix(table.responses.T, labels, strict=False)
         ref = forward_select(rm, ScatterConfig(max_features=rounds))
         assert [s.feature_id for s in node.stumps] == ref.selected
@@ -161,6 +158,30 @@ class TestTrainNode:
         node = train_node(values, labels, NodeGoal(d_min=0.9, f_max=0.4), "gslda",
                           validation_mask=mask)
         assert node.detection_rate >= 0.9
+
+    def test_dual_pass_keeps_the_met_node_when_elimination_breaks_the_goal(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        n = 80
+        labels = np.where(rng.random(n) < 0.4, 1, -1)
+        values = rng.normal(size=(20, n)) + 0.3 * labels * rng.normal(size=(20, 1))
+        goal = NodeGoal(d_min=0.99, f_max=0.3)
+        original, removed = GreedySelector.eliminate, []
+
+        def eliminate(sel):
+            removed.append(original(sel))
+            return removed[-1]
+
+        monkeypatch.setattr(GreedySelector, "eliminate", eliminate)
+        forward, dual = [
+            train_node(values, labels, goal, "gslda",
+                       scatter_cfg=ScatterConfig(max_features=10, dual_pass=dual_pass, elim_fraction=0.5))
+            for dual_pass in (False, True)
+        ]
+        assert removed == [removed[0]] and removed[0]  # one backward pass dropped stumps; the goal check undid it
+        assert forward.goal_met and dual.goal_met
+        assert [s.feature_id for s in dual.stumps] == [s.feature_id for s in forward.stumps]
+        assert np.array_equal(dual.coefficients, forward.coefficients)
+        assert (dual.node_threshold, dual.false_positive_rate) == (forward.node_threshold, forward.false_positive_rate)
 
     def test_unknown_method_rejected(self):
         rng = np.random.default_rng(9)

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,7 +121,8 @@ def test_eval_missing_image_is_data_error(corpus, model, tmp_path, capsys):
     lambda m: m["nodes"][0].update(stumps=[], coefficients=[]),
     lambda m: m.update(stage_rates=[5]),
     lambda m: m.update(feature_pool={"type": "explicit", "features": [["two-rect-horizontal", 6, 0, 4, 2]]}),
-], ids=["node-without-stumps", "stage-rates-not-pairs", "feature-outside-window"])
+    lambda m: m["nodes"][0]["stumps"][0].__setitem__(1, float("nan")),
+], ids=["node-without-stumps", "stage-rates-not-pairs", "feature-outside-window", "nan-threshold"])
 def test_detect_malformed_model_is_data_error(corpus, model, tmp_path, capsys, edit):
     payload = json.load(open(model))
     edit(payload)
@@ -163,6 +168,46 @@ def test_usage_error_exits_1(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Out-of-range settings; every input path names a missing file, so exit 1
+# (not the data error 2) shows the settings are checked before any input is read.
+BAD_SETTINGS = {
+    "train-dmin": ["train", "--data", "{tmp}/none.json", "--dmin", "2"],
+    "train-max-stumps": ["train", "--data", "{tmp}/none.json", "--max-stumps", "0"],
+    "train-validation-split": ["train", "--data", "{tmp}/none.json", "--validation-split", "1.5"],
+    "train-gamma": ["train", "--data", "{tmp}/none.json", "--gamma", "-1"],
+    "train-subsample": ["train", "--data", "{tmp}/none.json", "--subsample", "0"],
+    "train-config": ["train", "--data", "{tmp}/none.json", "--config", "{tmp}/config.json"],
+    "train-config-method": ["train", "--data", "{tmp}/none.json", "--config", "{tmp}/method.json"],
+    "toy-trials": ["toy", "--trials", "0", "--out", "{tmp}/toy.json"],
+    "toy-n-neg-below-n-pos": ["toy", "--n-pos", "20", "--n-neg", "10", "--out", "{tmp}/toy.json"],
+    "toy-rounds": ["toy", "--rounds", "0", "--out", "{tmp}/toy.json"],
+    "detect-scale-factor": ["detect", "{tmp}/none.json", "{tmp}", "--scale-factor", "1", "--out", "{tmp}/d.csv"],
+    "eval-scale-factor": ["eval", "{tmp}/none.json", "{tmp}/none.json", "--scale-factor", "1",
+                          "--out", "{tmp}/roc.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+def test_bad_setting_exits_1(case, tmp_path, capsys):
+    configs = {"config.json": {"dmin": 2}, "method.json": {"method": "floatboost"}}
+    for name, config in configs.items():
+        (tmp_path / name).write_text(json.dumps(config))
+    assert cli.main([arg.format(tmp=tmp_path) for arg in BAD_SETTINGS[case]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(configs)  # nothing written
+
+
+def test_bad_setting_process_exit_code(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gslda_cascade.cli", "toy", "--trials", "0"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["detect", "eval"])

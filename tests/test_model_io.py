@@ -107,6 +107,30 @@ def test_malformed_model_raises_format_error(case):
         model_from_dict(p)
 
 
+# Every number model_from_dict reads, as a path into the payload.
+NUMBERS = {
+    "stump threshold": ("nodes", 0, "stumps", 0, 1),
+    "coefficient": ("nodes", 0, "coefficients", 1),
+    "node_threshold": ("nodes", 1, "node_threshold"),
+    "detection_rate": ("nodes", 0, "detection_rate"),
+    "false_positive_rate": ("nodes", 0, "false_positive_rate"),
+    "stage_rates": ("stage_rates", 1, 0),
+    "cumulative": ("cumulative", 0, 1),
+    "f_target": ("f_target",),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NUMBERS))
+def test_nan_raises_format_error(field, tmp_path):
+    p = payload()
+    set_path(p, NUMBERS[field], float("nan"))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(p))
+    assert "NaN" in path.read_text()
+    with pytest.raises(ModelFormatError):
+        load_model(str(path))
+
+
 def test_non_utf8_file_raises_format_error(tmp_path):
     path = tmp_path / "model.json"
     path.write_bytes(b"\xff\xfe{")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -468,8 +470,7 @@ class TestLdaWeights:
         rng = np.random.default_rng(27)
         rm = random_rm(rng, 30, 5)
         state = forward_select(rm, cfg_for(rm, k=3))
-        scaled = state.copy()
-        scaled.b_restricted = 3.7 * scaled.b_restricted
+        scaled = dataclasses.replace(state, b_restricted=3.7 * state.b_restricted)
         assert np.allclose(lda_weights(state), lda_weights(scaled), atol=1e-12)
 
     def test_zero_between_direction_rejected(self):

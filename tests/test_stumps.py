@@ -3,19 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gslda_cascade.stumps import (
-    DecisionStump,
-    StumpTrainer,
-    build_table,
-    train_stump,
-    weighted_error,
-)
+from gslda_cascade.stumps import DecisionStump, StumpTrainer, weighted_error
 
 from oracles import exhaustive_stump
 
 
 def uniform(n):
     return np.full(n, 1.0 / n)
+
+
+def train_one(values, labels, weights):
+    """The trainer on a single feature: (its stump, weighted error)."""
+    table = StumpTrainer(np.asarray(values)[None, :], labels).train_all(weights)
+    return table.stumps[0], float(table.errors[0])
 
 
 class TestDecisionStump:
@@ -37,7 +37,7 @@ class TestDecisionStump:
 
 class TestTrainStump:
     def test_separable_hand_case(self):
-        stump, err = train_stump(
+        stump, err = train_one(
             np.array([1.0, 2.0, 3.0, 4.0]), np.array([-1, -1, 1, 1]), uniform(4)
         )
         assert err == 0.0
@@ -45,7 +45,7 @@ class TestTrainStump:
         assert stump.polarity == 1
 
     def test_all_positive_labels_constant_stump(self):
-        stump, err = train_stump(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]), uniform(3))
+        stump, err = train_one(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]), uniform(3))
         assert err == 0.0
         assert stump.threshold == -np.inf
         assert stump.polarity == 1
@@ -53,7 +53,7 @@ class TestTrainStump:
     def test_identical_values_pick_better_constant(self):
         values = np.full(5, 7.0)
         labels = np.array([1, 1, 1, -1, -1])
-        stump, err = train_stump(values, labels, uniform(5))
+        stump, err = train_one(values, labels, uniform(5))
         assert np.isinf(stump.threshold)
         assert err == pytest.approx(0.4, abs=1e-15)
         # constant +1 misclassifies the two negatives
@@ -67,7 +67,7 @@ class TestTrainStump:
             labels = np.where(rng.random(n) < 0.5, 1, -1)
             weights = rng.random(n)
             weights /= weights.sum()
-            _, err = train_stump(values, labels, weights)
+            _, err = train_one(values, labels, weights)
             best_err, _, _ = exhaustive_stump(values, labels, weights)
             assert err == pytest.approx(best_err, abs=1e-12)
 
@@ -75,13 +75,13 @@ class TestTrainStump:
         # err 0.25 at theta=1.5 (pol -1) and theta=3.5 (pol -1); smaller wins.
         values = np.array([1.0, 2.0, 3.0, 4.0])
         labels = np.array([1, -1, 1, -1])
-        stump, err = train_stump(values, labels, uniform(4))
+        stump, err = train_one(values, labels, uniform(4))
         assert err == pytest.approx(0.25)
         assert stump.threshold == 1.5
         assert stump.polarity == -1
 
     def test_polarity_tiebreak_prefers_plus(self):
-        stump, err = train_stump(np.array([5.0, 5.0]), np.array([1, -1]), uniform(2))
+        stump, err = train_one(np.array([5.0, 5.0]), np.array([1, -1]), uniform(2))
         assert err == pytest.approx(0.5)
         assert stump.polarity == 1
         assert stump.threshold == -np.inf
@@ -91,8 +91,8 @@ class TestTrainStump:
         values = rng.normal(size=50)
         labels = np.where(rng.random(50) < 0.5, 1, -1)
         weights = rng.random(50)
-        s1, _ = train_stump(values, labels, weights / weights.sum())
-        s2, _ = train_stump(values, labels, 7.0 * weights / weights.sum())
+        s1, _ = train_one(values, labels, weights / weights.sum())
+        s2, _ = train_one(values, labels, 7.0 * weights / weights.sum())
         assert (s1.threshold, s1.polarity) == (s2.threshold, s2.polarity)
 
     @settings(max_examples=40, deadline=None)
@@ -104,7 +104,7 @@ class TestTrainStump:
         labels = np.where(rng.random(n) < 0.5, 1, -1)
         weights = rng.random(n)
         weights /= weights.sum()
-        stump, err = train_stump(values, labels, weights)
+        stump, err = train_one(values, labels, weights)
         best_err, _, _ = exhaustive_stump(values, labels, weights)
         assert err <= best_err + 1e-12
         assert err <= 0.5 + 1e-12
@@ -117,8 +117,8 @@ class TestBuildTable:
         values = rng.normal(size=30)
         labels = np.where(rng.random(30) < 0.5, 1, -1)
         w = uniform(30)
-        table = build_table(values[None, :], labels, w)
-        stump, err = train_stump(values, labels, w)
+        table = StumpTrainer(np.vstack([values, rng.normal(size=30)]), labels).train_all(w)
+        stump, err = train_one(values, labels, w)
         assert table.stumps[0].threshold == stump.threshold
         assert table.stumps[0].polarity == stump.polarity
         assert table.errors[0] == pytest.approx(err, abs=1e-15)
@@ -129,8 +129,8 @@ class TestBuildTable:
         labels = np.where(rng.random(40) < 0.5, 1, -1)
         w = uniform(40)
         perm = rng.permutation(6)
-        t1 = build_table(values, labels, w)
-        t2 = build_table(values[perm], labels, w)
+        t1 = StumpTrainer(values, labels).train_all(w)
+        t2 = StumpTrainer(values[perm], labels).train_all(w)
         for out_row, in_row in enumerate(perm):
             assert t2.stumps[out_row].threshold == t1.stumps[in_row].threshold
             assert t2.errors[out_row] == t1.errors[in_row]
@@ -142,16 +142,16 @@ class TestBuildTable:
         labels = np.where(rng.random(25) < 0.4, 1, -1)
         w = rng.random(25)
         w /= w.sum()
-        table = build_table(values, labels, w)
+        table = StumpTrainer(values, labels).train_all(w)
         for j in range(8):
-            _, err = train_stump(values[j], labels, w)
+            _, err = train_one(values[j], labels, w)
             assert table.errors[j] == pytest.approx(err, abs=1e-15)
 
     def test_responses_consistent_with_stumps(self):
         rng = np.random.default_rng(5)
         values = rng.normal(size=(5, 20))
         labels = np.where(rng.random(20) < 0.5, 1, -1)
-        table = build_table(values, labels, uniform(20))
+        table = StumpTrainer(values, labels).train_all(uniform(20))
         for j, stump in enumerate(table.stumps):
             assert np.array_equal(table.responses[j], stump.responses(values[j]))
 
@@ -163,7 +163,7 @@ class TestBuildTable:
         w2 = rng.random(30)
         w2 /= w2.sum()
         again = trainer.train_all(w2)
-        fresh = build_table(values, labels, w2)
+        fresh = StumpTrainer(values, labels).train_all(w2)
         assert np.array_equal(again.responses, fresh.responses)
         assert np.allclose(again.errors, fresh.errors)
 
