@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boosting, scatter, stumps
-from .features import FeatureExtractor, HaarFeature, PoolParams, build_integral, haar_values
+from .features import FeatureExtractor, FeaturePool, build_integral, haar_values
 
 METHODS = ("adaboost", "asymboost", "gslda", "bgslda1", "bgslda2")
 
@@ -313,9 +313,8 @@ class CascadeModel:
     nodes: list[NodeClassifier]
     stage_rates: list[tuple[float, float]]
     cumulative: list[tuple[float, float]]
-    feature_pool: list[HaarFeature] | None
+    feature_pool: FeaturePool
     f_target: float
-    pool_params: PoolParams | None = None
     base_window: int = 24
     metadata: dict = field(default_factory=dict)
     stage_log: list = field(default_factory=list)
@@ -344,7 +343,7 @@ def evaluate_windows(model: CascadeModel, table: np.ndarray, px, py, scale: floa
         gx, gy = (px, py) if alive.size == len(px) else (px[alive], py[alive])
         acc = np.zeros(alive.size)
         for t, stump in enumerate(node.stumps):
-            values = haar_values(model.feature_pool[stump.feature_id], table, gx, gy, scale)
+            values = haar_values(model.feature_pool, stump.feature_id, table, gx, gy, scale)
             acc = acc + node.coefficients[t] * (np.where(values >= stump.threshold, 1.0, -1.0) * stump.polarity)
         acc = acc + node.node_threshold
         evals += alive.size * len(node.stumps)
@@ -373,7 +372,7 @@ def bootstrap_negatives(model: CascadeModel, reservoir, count: int, seed: int = 
         grid = [(x, y) for y in range(0, h - bw + 1, stride) for x in range(0, w - bw + 1, stride)]
         if grid:
             px, py = np.array(grid).T
-            stages, _, _ = evaluate_windows(model, build_integral(image).table, px, py)
+            stages, _, _ = evaluate_windows(model, build_integral(image), px, py)
             slots += [(idx, x, y) for x, y in grid]
             accepted += (stages == len(model.nodes)).tolist()
     order = np.random.default_rng(seed).permutation(len(slots))
@@ -389,11 +388,10 @@ def train_cascade(
     goal: NodeGoal,
     f_target: float,
     method: str,
-    feature_pool: list[HaarFeature],
+    feature_pool: FeaturePool,
     scatter_cfg: scatter.ScatterConfig | None = None,
     boost_cfg: boosting.BoostingConfig | None = None,
     seed: int = 0,
-    pool_params: PoolParams | None = None,
 ) -> CascadeModel:
     """Stack nodes until the cumulative false-positive rate reaches f_target.
 
@@ -423,7 +421,7 @@ def train_cascade(
 
     model = CascadeModel(
         nodes=[], stage_rates=[], cumulative=[], feature_pool=feature_pool,
-        f_target=f_target, pool_params=pool_params, base_window=base_window,
+        f_target=f_target, base_window=base_window,
         metadata={"method": method, "seed": seed, "d_min": goal.d_min, "f_max": goal.f_max},
     )
     d_cum, f_cum = 1.0, 1.0

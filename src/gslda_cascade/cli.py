@@ -158,8 +158,19 @@ def _check_scan(cfg) -> None:
             raise ValueError("scale_factor must exceed 1")
 
 
+def _fits_default(value, default) -> bool:
+    """A string for a string default, an int for an int default, an int or
+    float for a float default; a bool is never a number."""
+    if isinstance(default, str):
+        return isinstance(value, str)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(default, float) and isinstance(value, float))
+
+
 def _merge_config(args, defaults: dict) -> dict:
-    """Fill unset flags from --config JSON, then builtin defaults."""
+    """Fill unset flags from --config JSON, then builtin defaults; a config
+    value of another type than its default is a UsageError."""
     values = dict(defaults)
     if getattr(args, "config", None):
         try:
@@ -171,6 +182,9 @@ def _merge_config(args, defaults: dict) -> dict:
             raise DataError(f"config {args.config}: must be a JSON object")
         for key, value in loaded.items():
             if key in values:
+                if not _fits_default(value, values[key]):
+                    raise UsageError(f"config {args.config}: {key} must have the type of "
+                                     f"its default {values[key]!r}, got {value!r}")
                 values[key] = value
     for key in values:
         arg = getattr(args, key, None)
@@ -225,16 +239,14 @@ def cmd_train(args) -> int:
             raise DataError(f"patch {rel}: size {patch.shape} != {shape}")
     base_window = shape[0]
 
-    pool_params = PoolParams(base_window=base_window, stride=cfg["stride"],
-                             min_size=cfg["min_size"], subsample=cfg["subsample"])
     with _settings():  # --min-size larger than the corpus's patches
-        feature_pool = build_pool(pool_params)
+        feature_pool = build_pool(PoolParams(base_window=base_window, stride=cfg["stride"],
+                                             min_size=cfg["min_size"], subsample=cfg["subsample"]))
     pool = TrainingPool(np.stack(positives), np.stack(negatives) if negatives else np.zeros((0, *shape), dtype=np.uint8),
                         reservoir, validation_split=cfg["validation_split"])
     model = train_cascade(
         pool, goal, cfg["f_target"], cfg["method"], feature_pool,
         scatter_cfg=scatter_cfg, boost_cfg=boost_cfg, seed=cfg["seed"],
-        pool_params=pool_params,
     )
     model.metadata.update({
         "f_target": cfg["f_target"], "gamma": cfg["gamma"], "asym_k": cfg["asym_k"],
@@ -272,8 +284,6 @@ def cmd_detect(args) -> int:
         model = load_model(args.model)
     except (OSError, ModelFormatError) as exc:
         raise DataError(str(exc))
-    if model.feature_pool is None:
-        raise DataError("model carries no feature pool; cannot scan images")
     paths = _image_list(args.images)
     if not paths:
         raise DataError(f"no PGM images under {args.images}")

@@ -326,7 +326,7 @@ def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
     base = model.base_window
     if h < base or w < base:
         return
-    table = build_integral(image).table
+    table = build_integral(image)
     s = 0
     while True:
         scale = scale_factor**s

@@ -1,7 +1,9 @@
-"""Integral images and Haar-like rectangle features.
+"""Integral images and the Haar-like rectangle feature pool.
 
+The pool is a set of integer arrays, one row per feature: its kind, its
+footprint box and its weighted sub-rectangles, enumerated once by numpy.
 Features are defined on a square base window and evaluated at arbitrary
-offset/scale through an integral image, so a single trained model scans all
+offset/scale through an integral table, so a single trained model scans all
 window sizes.  Rectangle weights balance to zero per feature, and values are
 divided by the (scaled) footprint area to keep responses comparable across
 scales.
@@ -21,157 +23,110 @@ KINDS = (
     "four-rect-diagonal",
 )
 
-# (width unit, height unit): the base rect must subdivide exactly per kind.
-_UNITS = {
-    "two-rect-horizontal": (2, 1),
-    "two-rect-vertical": (1, 2),
-    "three-rect-horizontal": (3, 1),
-    "three-rect-vertical": (1, 3),
-    "four-rect-diagonal": (2, 2),
-}
+# Per kind: the (width, height) unit its footprint must be a multiple of, and
+# its sub-rectangles (weight, x0, y0, x1, y1) in cells of that unit, padded
+# with zero rows to four.
+_UNITS = np.array([(2, 1), (1, 2), (3, 1), (1, 3), (2, 2)])
+_PAD = (0, 0, 0, 0, 0)
+_CELLS = np.array([
+    [(1, 0, 0, 1, 1), (-1, 1, 0, 2, 1), _PAD, _PAD],
+    [(1, 0, 0, 1, 1), (-1, 0, 1, 1, 2), _PAD, _PAD],
+    [(1, 0, 0, 1, 1), (-2, 1, 0, 2, 1), (1, 2, 0, 3, 1), _PAD],
+    [(1, 0, 0, 1, 1), (-2, 0, 1, 1, 2), (1, 0, 2, 1, 3), _PAD],
+    [(1, 0, 0, 1, 1), (-1, 1, 0, 2, 1), (-1, 0, 1, 1, 2), (1, 1, 1, 2, 2)],
+])
+_N_RECTS = (_CELLS[:, :, 0] != 0).sum(axis=1)  # the rows after these are padding
 
 
-@dataclass
-class IntegralImage:
-    """Exact cumulative-sum table; table[y][x] = sum over pixels [0,y) x [0,x)."""
-
-    width: int
-    height: int
-    table: np.ndarray  # (height+1, width+1) int64
-
-    def rect_sum(self, x0: int, y0: int, x1: int, y1: int) -> int:
-        """Pixel sum over [x0,x1) x [y0,y1) with 4 lookups."""
-        t = self.table
-        return int(t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0])
-
-
-def build_integral(image) -> IntegralImage:
+def build_integral(image) -> np.ndarray:
+    """Exact cumulative-sum table, (height+1, width+1) int64:
+    table[y, x] = sum over pixels [0,y) x [0,x)."""
     image = np.asarray(image)
     if image.ndim != 2 or image.size == 0:
         raise ValueError("image must be a nonempty 2-d pixel grid")
     h, w = image.shape
     table = np.zeros((h + 1, w + 1), dtype=np.int64)
     np.cumsum(np.cumsum(image, axis=0, dtype=np.int64), axis=1, out=table[1:, 1:])
-    return IntegralImage(w, h, table)
+    return table
 
 
-@dataclass
-class HaarFeature:
-    """A Haar-like rectangle feature placed inside a square base window.
+@dataclass(frozen=True)
+class PoolParams:
+    """Enumeration parameters of a feature pool; subsample keeps every n-th."""
 
-    (x, y, w, h) is the full footprint; the kind fixes how it subdivides into
-    positively and negatively weighted sub-rectangles.
+    base_window: int = 24
+    stride: int = 1
+    min_size: int = 1
+    subsample: int = 1
+
+
+@dataclass(frozen=True, eq=False)
+class FeaturePool:
+    """Haar features as integer arrays, feature j in row j.
+
+    kind[j] indexes KINDS, box[j] is the footprint (x0, y0, x1, y1) and
+    rects[j, r] the r-th sub-rectangle (weight, x0, y0, x1, y1), all in base
+    window coordinates; a kind with fewer than four pads with zero rows.
     """
 
-    kind: str
-    x: int
-    y: int
-    w: int
-    h: int
-    base_window: int = 24
+    params: PoolParams
+    kind: np.ndarray  # (M,)
+    box: np.ndarray  # (M, 4)
+    rects: np.ndarray  # (M, 4, 5)
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown feature kind {self.kind!r}")
-        uw, uh = _UNITS[self.kind]
-        if self.w < 1 or self.h < 1:
-            raise ValueError("footprint needs positive extent")
-        if self.w % uw or self.h % uh:
-            raise ValueError("footprint does not subdivide for this kind")
-        if self.x < 0 or self.y < 0 or self.x + self.w > self.base_window or self.y + self.h > self.base_window:
-            raise ValueError("feature footprint outside the base window")
-
-    def rects(self):
-        """Weighted sub-rectangles as (weight, x0, y0, x1, y1), base coordinates.
-
-        Weights sum to zero, so constant image regions respond zero.
-        """
-        x, y, w, h = self.x, self.y, self.w, self.h
-        k = self.kind
-        if k == "two-rect-horizontal":
-            m = x + w // 2
-            return [(1, x, y, m, y + h), (-1, m, y, x + w, y + h)]
-        if k == "two-rect-vertical":
-            m = y + h // 2
-            return [(1, x, y, x + w, m), (-1, x, m, x + w, y + h)]
-        if k == "three-rect-horizontal":
-            t = w // 3
-            return [
-                (1, x, y, x + t, y + h),
-                (-2, x + t, y, x + 2 * t, y + h),
-                (1, x + 2 * t, y, x + w, y + h),
-            ]
-        if k == "three-rect-vertical":
-            t = h // 3
-            return [
-                (1, x, y, x + w, y + t),
-                (-2, x, y + t, x + w, y + 2 * t),
-                (1, x, y + 2 * t, x + w, y + h),
-            ]
-        # four-rect-diagonal
-        mx, my = x + w // 2, y + h // 2
-        return [
-            (1, x, y, mx, my),
-            (-1, mx, y, x + w, my),
-            (-1, x, my, mx, y + h),
-            (1, mx, my, x + w, y + h),
-        ]
+    def __len__(self) -> int:
+        return len(self.kind)
 
 
-def enumerate_haar(base_window: int, stride: int = 1, min_size: int = 1) -> list[HaarFeature]:
-    """All admissible features ordered by (kind, y, x, h, w); deterministic."""
-    if not base_window >= min_size >= 1:
+def build_pool(params: PoolParams) -> FeaturePool:
+    """Every admissible feature ordered by (kind, y, x, h, w), then every
+    subsample-th of them; deterministic."""
+    bw, stride, min_size = params.base_window, params.stride, params.min_size
+    if not bw >= min_size >= 1:
         raise ValueError("need base_window >= min_size >= 1")
     if stride < 1:
         raise ValueError("stride must be at least 1")
-    out = []
-    for kind in KINDS:
-        uw, uh = _UNITS[kind]
-        w_start = max(min_size, uw)
-        w_start += (-w_start) % uw
-        h_start = max(min_size, uh)
-        h_start += (-h_start) % uh
-        for y in range(0, base_window, stride):
-            for x in range(0, base_window, stride):
-                for h in range(h_start, base_window - y + 1, uh):
-                    for w in range(w_start, base_window - x + 1, uw):
-                        out.append(HaarFeature(kind, x, y, w, h, base_window))
-    return out
+    if params.subsample < 1:
+        raise ValueError("subsample must be at least 1")
+    starts = np.arange(0, bw, min(stride, bw))  # a longer stride also places at 0 only
+    parts = []
+    for k, (uw, uh) in enumerate(_UNITS.tolist()):
+        # Extents run from the smallest multiple of the unit that is at least min_size.
+        hs = np.arange(-(-min_size // uh) * uh, bw + 1, uh)
+        ws = np.arange(-(-min_size // uw) * uw, bw + 1, uw)
+        y, x, h, w = (a.ravel() for a in np.meshgrid(starts, starts, hs, ws, indexing="ij"))
+        fits = (y + h <= bw) & (x + w <= bw)
+        parts.append(np.stack([np.full(fits.sum(), k), x[fits], y[fits], w[fits], h[fits]], axis=1))
+    kind, x, y, w, h = np.concatenate(parts)[:: params.subsample].T
+    cw, ch = w // _UNITS[kind, 0], h // _UNITS[kind, 1]
+    cells = _CELLS[kind]
+    origin = np.stack([np.zeros_like(x), x, y, x, y], axis=1)[:, None]
+    cell_size = np.stack([np.ones_like(x), cw, ch, cw, ch], axis=1)[:, None]
+    rects = (origin + cells * cell_size) * (cells[:, :, :1] != 0)
+    return FeaturePool(params, kind, np.stack([x, y, x + w, y + h], axis=1), rects)
 
 
 def _round_px(v):
-    # Half-up rounding, identical for scalars and arrays.
-    return np.floor(np.asarray(v) + 0.5).astype(np.int64)
+    # Half-up rounding of scaled coordinates to whole pixels.
+    return np.floor(v + 0.5).astype(np.int64)
 
 
-def scaled_rects(feature: HaarFeature, scale: float):
-    """Sub-rectangles with corners scaled and rounded independently, plus
-    the scaled footprint area used for normalization."""
-    rects = [
-        (wgt, int(_round_px(scale * x0)), int(_round_px(scale * y0)),
-         int(_round_px(scale * x1)), int(_round_px(scale * y1)))
-        for wgt, x0, y0, x1, y1 in feature.rects()
-    ]
-    fx0 = int(_round_px(scale * feature.x))
-    fy0 = int(_round_px(scale * feature.y))
-    fx1 = int(_round_px(scale * (feature.x + feature.w)))
-    fy1 = int(_round_px(scale * (feature.y + feature.h)))
+def haar_values(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: float = 1.0) -> np.ndarray:
+    """Area-normalized weighted rectangle differences of pool feature j,
+    placed at scale in every window whose top-left corner is (px[i], py[i])
+    of the integral table; exact integer sums, one float division each.
+
+    Every corner of the sub-rectangles and of the footprint is scaled and
+    rounded half up on its own; the scaled footprint's area normalizes.  The
+    caller keeps every scaled footprint inside the table.
+    """
+    fx0, fy0, fx1, fy1 = _round_px(scale * pool.box[j]).tolist()
     area = (fx1 - fx0) * (fy1 - fy0)
     if area <= 0:
         raise ValueError("degenerate scaled footprint")
-    return rects, area, (fx0, fy0, fx1, fy1)
-
-
-def haar_values(feature: HaarFeature, table: np.ndarray, px, py, scale: float = 1.0) -> np.ndarray:
-    """Area-normalized weighted rectangle differences of one feature, placed at
-    scale in every window whose top-left corner is (px[i], py[i]) of the
-    integral table; exact integer sums, one float division each.
-
-    The caller keeps every scaled footprint inside the table.
-    """
-    rects, area, _ = scaled_rects(feature, scale)
+    rects = pool.rects[j, : _N_RECTS[pool.kind[j]]]
     acc = np.zeros(len(px), dtype=np.int64)
-    for wgt, x0, y0, x1, y1 in rects:
+    for wgt, (x0, y0, x1, y1) in zip(rects[:, 0].tolist(), _round_px(scale * rects[:, 1:]).tolist()):
         acc += wgt * (table[py + y1, px + x1] - table[py + y0, px + x1]
                       - table[py + y1, px + x0] + table[py + y0, px + x0])
     return acc / area
@@ -180,7 +135,7 @@ def haar_values(feature: HaarFeature, table: np.ndarray, px, py, scale: float = 
 class FeatureExtractor:
     """Batch evaluation of a feature pool on same-size patches at scale 1."""
 
-    def __init__(self, pool: list[HaarFeature]):
+    def __init__(self, pool: FeaturePool):
         self.pool = pool
 
     def extract(self, patches) -> np.ndarray:
@@ -191,30 +146,14 @@ class FeatureExtractor:
         n, h, w = patches.shape
         tables = np.zeros((n, h + 1, w + 1), dtype=np.int64)
         np.cumsum(np.cumsum(patches, axis=1, dtype=np.int64), axis=2, out=tables[:, 1:, 1:])
-        out = np.empty((len(self.pool), n), dtype=np.float64)
-        for j, f in enumerate(self.pool):
+        pool = self.pool
+        out = np.empty((len(pool), n), dtype=np.float64)
+        features = zip(pool.box.tolist(), _N_RECTS[pool.kind].tolist(), pool.rects.tolist())
+        for j, ((fx0, fy0, fx1, fy1), count, rects) in enumerate(features):
             acc = np.zeros(n, dtype=np.int64)
-            area = f.w * f.h
-            for wgt, x0, y0, x1, y1 in f.rects():
+            for wgt, x0, y0, x1, y1 in rects[:count]:
                 acc += wgt * (
                     tables[:, y1, x1] - tables[:, y0, x1] - tables[:, y1, x0] + tables[:, y0, x0]
                 )
-            out[j] = acc / area
+            out[j] = acc / ((fx1 - fx0) * (fy1 - fy0))
         return out
-
-
-@dataclass
-class PoolParams:
-    """Enumeration parameters of a feature pool; subsample keeps every n-th."""
-
-    base_window: int = 24
-    stride: int = 1
-    min_size: int = 1
-    subsample: int = 1
-
-
-def build_pool(params: PoolParams) -> list[HaarFeature]:
-    if params.subsample < 1:
-        raise ValueError("subsample must be at least 1")
-    return enumerate_haar(params.base_window, params.stride, params.min_size)[:: params.subsample]
-

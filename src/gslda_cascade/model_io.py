@@ -4,17 +4,21 @@ Model files are schema-checked on load and written deterministically (sorted
 keys, fixed separators); floats round-trip exactly through Python's
 shortest-repr decimal serialization.  The files are standard JSON: the +/-inf
 sentinel thresholds of stumps are written as the strings "inf" and "-inf"
-(older files with the bare tokens Infinity / -Infinity still load).
+(older files with the bare tokens Infinity / -Infinity still load).  The
+feature pool is stored by its enumeration parameters, as
+{"type": "enumerated", "base_window", "stride", "min_size", "subsample"}, the
+only pool type, and rebuilt by features.build_pool on load.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 from .cascade import CascadeModel, NodeClassifier
 from .detect import DetectionWindow, GroundTruthBox, ROCPoint
-from .features import HaarFeature, KINDS, PoolParams, build_pool
+from .features import PoolParams, build_pool
 from .stumps import DecisionStump
 
 FORMAT_VERSION = 1
@@ -29,26 +33,11 @@ class ModelFormatError(ValueError):
 
 
 def model_to_dict(model: CascadeModel) -> dict:
-    if model.pool_params is not None:
-        pool = {
-            "type": "enumerated",
-            "base_window": model.pool_params.base_window,
-            "stride": model.pool_params.stride,
-            "min_size": model.pool_params.min_size,
-            "subsample": model.pool_params.subsample,
-        }
-    elif model.feature_pool is not None:
-        pool = {
-            "type": "explicit",
-            "features": [[f.kind, f.x, f.y, f.w, f.h] for f in model.feature_pool],
-        }
-    else:
-        pool = {"type": "none"}
     return {
         "format_version": FORMAT_VERSION,
         "base_window": model.base_window,
         "f_target": model.f_target,
-        "feature_pool": pool,
+        "feature_pool": {"type": "enumerated", **dataclasses.asdict(model.feature_pool.params)},
         "nodes": [
             {
                 "stumps": [[s.feature_id, _INF_NAMES.get(s.threshold, s.threshold), s.polarity]
@@ -87,8 +76,15 @@ def _field(payload: dict, name: str, kind, where: str):
 
 
 def _is_number(value) -> bool:
-    """An int or float, but not a bool and not NaN (the one value unequal to itself)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
+    """An int or float, but not a bool, not NaN (the one value unequal to
+    itself) and not an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        value = float(value)
+    except OverflowError:
+        return False
+    return value == value
 
 
 def _number(payload: dict, name: str, where: str) -> float:
@@ -116,39 +112,14 @@ def model_from_dict(payload: dict) -> CascadeModel:
 
     pool_payload = _field(payload, "feature_pool", dict, "model file")
     pool_type = _field(pool_payload, "type", str, "feature_pool")
-    pool_params = None
-    if pool_type == "enumerated":
-        pool_params = PoolParams(
-            base_window=_field(pool_payload, "base_window", int, "feature_pool"),
-            stride=_field(pool_payload, "stride", int, "feature_pool"),
-            min_size=_field(pool_payload, "min_size", int, "feature_pool"),
-            subsample=_field(pool_payload, "subsample", int, "feature_pool"),
-        )
-        _expect(pool_params.base_window == base_window, "feature_pool: base_window differs from the model's")
-        try:
-            feature_pool = build_pool(pool_params)
-        except ValueError as exc:
-            raise ModelFormatError(f"feature_pool: {exc}") from exc
-    elif pool_type == "explicit":
-        entries = _field(pool_payload, "features", list, "feature_pool")
-        feature_pool = []
-        for i, entry in enumerate(entries):
-            _expect(
-                isinstance(entry, list) and len(entry) == 5,
-                f"feature_pool.features[{i}]: expected [kind, x, y, w, h]",
-            )
-            kind = entry[0]
-            _expect(kind in KINDS, f"feature_pool.features[{i}]: unknown kind {kind!r}")
-            _expect(all(isinstance(v, int) for v in entry[1:]),
-                    f"feature_pool.features[{i}]: x, y, w, h must be integers")
-            try:
-                feature_pool.append(HaarFeature(kind, *entry[1:], base_window=base_window))
-            except ValueError as exc:
-                raise ModelFormatError(f"feature_pool.features[{i}]: {exc}") from exc
-    elif pool_type == "none":
-        feature_pool = None
-    else:
-        raise ModelFormatError(f"feature_pool: unknown type {pool_type!r}")
+    _expect(pool_type == "enumerated", f"feature_pool: unknown type {pool_type!r}")
+    pool_params = PoolParams(**{f.name: _field(pool_payload, f.name, int, "feature_pool")
+                                for f in dataclasses.fields(PoolParams)})
+    _expect(pool_params.base_window == base_window, "feature_pool: base_window differs from the model's")
+    try:
+        feature_pool = build_pool(pool_params)
+    except ValueError as exc:
+        raise ModelFormatError(f"feature_pool: {exc}") from exc
 
     nodes_payload = _field(payload, "nodes", list, "model file")
     nodes = []
@@ -169,8 +140,7 @@ def model_from_dict(payload: dict) -> CascadeModel:
                 thr = _INF_VALUES[thr]
             _expect(_is_number(thr), f"{where}.stumps[{j}]: threshold must be a number")
             _expect(pol in (-1, 1), f"{where}.stumps[{j}]: polarity must be -1 or +1")
-            if feature_pool is not None:
-                _expect(0 <= fid < len(feature_pool), f"{where}.stumps[{j}]: feature_id out of range")
+            _expect(0 <= fid < len(feature_pool), f"{where}.stumps[{j}]: feature_id out of range")
             stumps.append(DecisionStump(fid, float(thr), int(pol)))
         _expect(stumps, f"{where}: needs at least one stump")
         coefficients = _field(np_, "coefficients", list, where)
@@ -196,7 +166,6 @@ def model_from_dict(payload: dict) -> CascadeModel:
         cumulative=cumulative,
         feature_pool=feature_pool,
         f_target=f_target,
-        pool_params=pool_params,
         base_window=base_window,
         metadata=metadata,
     )

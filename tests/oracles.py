@@ -5,14 +5,16 @@ loops, dense inversions, exhaustive scans) rather than reusing the package's
 incremental paths.
 """
 
+import functools
 import itertools
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from gslda_cascade.cascade import BootstrapExhaustedError, node_margin
 from gslda_cascade.detect import DetectionWindow, ROCPoint, match_detections, overlap_ratio
-from gslda_cascade.features import build_integral, scaled_rects
+from gslda_cascade.features import KINDS, build_integral
 from gslda_cascade.scatter import ResponseMatrix, ScatterConfig
 
 
@@ -144,6 +146,151 @@ def random_rm(rng, n, m, skew=0.5) -> ResponseMatrix:
     return ResponseMatrix(responses, labels)
 
 
+@dataclass
+class IntegralImage:
+    """An integral table with its image size, read one rectangle at a time."""
+
+    width: int
+    height: int
+    table: np.ndarray  # (height+1, width+1); table[y][x] = sum over pixels [0,y) x [0,x)
+
+    def rect_sum(self, x0: int, y0: int, x1: int, y1: int) -> int:
+        """Pixel sum over [x0,x1) x [y0,y1) with 4 lookups."""
+        t = self.table
+        return int(t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0])
+
+
+def integral_image(image) -> IntegralImage:
+    """The package's integral table of image, for scalar lookups."""
+    h, w = np.asarray(image).shape
+    return IntegralImage(w, h, build_integral(image))
+
+
+# (width unit, height unit): the footprint must subdivide exactly per kind.
+_UNITS = {
+    "two-rect-horizontal": (2, 1),
+    "two-rect-vertical": (1, 2),
+    "three-rect-horizontal": (3, 1),
+    "three-rect-vertical": (1, 3),
+    "four-rect-diagonal": (2, 2),
+}
+
+
+@dataclass
+class HaarFeature:
+    """A Haar-like rectangle feature placed inside a square base window.
+
+    (x, y, w, h) is the full footprint; the kind fixes how it subdivides into
+    positively and negatively weighted sub-rectangles.
+    """
+
+    kind: str
+    x: int
+    y: int
+    w: int
+    h: int
+    base_window: int = 24
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown feature kind {self.kind!r}")
+        uw, uh = _UNITS[self.kind]
+        if self.w < 1 or self.h < 1:
+            raise ValueError("footprint needs positive extent")
+        if self.w % uw or self.h % uh:
+            raise ValueError("footprint does not subdivide for this kind")
+        if self.x < 0 or self.y < 0 or self.x + self.w > self.base_window or self.y + self.h > self.base_window:
+            raise ValueError("feature footprint outside the base window")
+
+    def rects(self):
+        """Weighted sub-rectangles as (weight, x0, y0, x1, y1), base coordinates.
+
+        Weights sum to zero, so constant image regions respond zero.
+        """
+        x, y, w, h = self.x, self.y, self.w, self.h
+        k = self.kind
+        if k == "two-rect-horizontal":
+            m = x + w // 2
+            return [(1, x, y, m, y + h), (-1, m, y, x + w, y + h)]
+        if k == "two-rect-vertical":
+            m = y + h // 2
+            return [(1, x, y, x + w, m), (-1, x, m, x + w, y + h)]
+        if k == "three-rect-horizontal":
+            t = w // 3
+            return [
+                (1, x, y, x + t, y + h),
+                (-2, x + t, y, x + 2 * t, y + h),
+                (1, x + 2 * t, y, x + w, y + h),
+            ]
+        if k == "three-rect-vertical":
+            t = h // 3
+            return [
+                (1, x, y, x + w, y + t),
+                (-2, x, y + t, x + w, y + 2 * t),
+                (1, x, y + 2 * t, x + w, y + h),
+            ]
+        # four-rect-diagonal
+        mx, my = x + w // 2, y + h // 2
+        return [
+            (1, x, y, mx, my),
+            (-1, mx, y, x + w, my),
+            (-1, x, my, mx, y + h),
+            (1, mx, my, x + w, y + h),
+        ]
+
+
+def enumerate_haar(base_window: int, stride: int = 1, min_size: int = 1) -> list[HaarFeature]:
+    """All admissible features ordered by (kind, y, x, h, w), one object each."""
+    if not base_window >= min_size >= 1:
+        raise ValueError("need base_window >= min_size >= 1")
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
+    out = []
+    for kind in KINDS:
+        uw, uh = _UNITS[kind]
+        w_start = max(min_size, uw)
+        w_start += (-w_start) % uw
+        h_start = max(min_size, uh)
+        h_start += (-h_start) % uh
+        for y in range(0, base_window, stride):
+            for x in range(0, base_window, stride):
+                for h in range(h_start, base_window - y + 1, uh):
+                    for w in range(w_start, base_window - x + 1, uw):
+                        out.append(HaarFeature(kind, x, y, w, h, base_window))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated(params):
+    return enumerate_haar(params.base_window, params.stride, params.min_size)[:: params.subsample]
+
+
+def pool_features(pool) -> list[HaarFeature]:
+    """A package FeaturePool as oracle objects, re-enumerated from its params."""
+    return _enumerated(pool.params)
+
+
+def _round_px(v: float) -> int:
+    return math.floor(v + 0.5)  # half up
+
+
+def scaled_rects(feature: HaarFeature, scale: float):
+    """Sub-rectangles with corners scaled and rounded independently, plus
+    the scaled footprint area used for normalization."""
+    rects = [
+        (wgt, _round_px(scale * x0), _round_px(scale * y0), _round_px(scale * x1), _round_px(scale * y1))
+        for wgt, x0, y0, x1, y1 in feature.rects()
+    ]
+    fx0 = _round_px(scale * feature.x)
+    fy0 = _round_px(scale * feature.y)
+    fx1 = _round_px(scale * (feature.x + feature.w))
+    fy1 = _round_px(scale * (feature.y + feature.h))
+    area = (fx1 - fx0) * (fy1 - fy0)
+    if area <= 0:
+        raise ValueError("degenerate scaled footprint")
+    return rects, area, (fx0, fy0, fx1, fy1)
+
+
 def eval_haar(feature, ii, offset_x=0, offset_y=0, scale=1.0) -> float:
     """Area-normalized weighted rectangle difference at one placement, with
     four integral-table lookups per rectangle."""
@@ -166,11 +313,12 @@ def decide_window(model, ii, offset_x=0, offset_y=0, scale=1.0, early_exit=True)
     stages = 0
     score = 0.0
     evals = 0
+    features = pool_features(model.feature_pool)
     for node in model.nodes:
         if not accepted and early_exit:
             break
         responses = np.array([
-            s.response(eval_haar(model.feature_pool[s.feature_id], ii, offset_x, offset_y, scale))
+            s.response(eval_haar(features[s.feature_id], ii, offset_x, offset_y, scale))
             for s in node.stumps
         ], dtype=np.float64)
         evals += len(node.stumps)
@@ -204,7 +352,7 @@ def scan_windows(model, image, scale_factor=1.2, step=1.0):
     image = np.asarray(image)
     if min(image.shape) < model.base_window:
         return []
-    ii = build_integral(image)
+    ii = integral_image(image)
     out = []
     for x, y, side, scale in pyramid_windows(*image.shape, model.base_window, scale_factor, step):
         accepted, stages, score, _ = decide_window(model, ii, x, y, scale)
@@ -234,7 +382,7 @@ def bootstrap_negatives(model, reservoir, count, seed=0, stride=4, min_required=
     for slot in order:
         idx, x, y = slots[slot]
         if idx not in tables:
-            tables[idx] = build_integral(reservoir[idx])
+            tables[idx] = integral_image(reservoir[idx])
         accepted, _, _, _ = decide_window(model, tables[idx], x, y)
         if accepted:
             found.append(np.asarray(reservoir[idx])[y : y + bw, x : x + bw])
@@ -314,12 +462,13 @@ def roc_curve(model, images, truths, mode="depth", scale_factor=1.2, step=1.0,
             points.append(ROCPoint(f"depth={depth}", res.false_positives, res.true_positives / len(truths)))
     else:
         last = model.nodes[-1]
+        features = pool_features(model.feature_pool)
         candidates = []  # (image_id, window, last-node margin)
         for image_id, image in images:
-            ii = build_integral(image)
+            ii = integral_image(image)
             for win, scale in scan_windows(prefix(len(model.nodes) - 1), image, scale_factor, step):
                 responses = np.array([
-                    s.response(eval_haar(model.feature_pool[s.feature_id], ii, win.x, win.y, scale))
+                    s.response(eval_haar(features[s.feature_id], ii, win.x, win.y, scale))
                     for s in last.stumps
                 ], dtype=np.float64)
                 candidates.append((image_id, win, node_margin(last, responses)))

@@ -18,11 +18,11 @@ from gslda_cascade.cascade import (
     train_cascade,
     train_node,
 )
-from gslda_cascade.features import build_integral, enumerate_haar
+from gslda_cascade.features import PoolParams, build_integral, build_pool
 from gslda_cascade.scatter import GreedySelector, ResponseMatrix, ScatterConfig, forward_select
 from gslda_cascade.stumps import DecisionStump, StumpTrainer
 from oracles import bootstrap_negatives as scalar_bootstrap_negatives
-from oracles import decide_window, pyramid_windows
+from oracles import decide_window, integral_image, pyramid_windows
 
 
 def separable_values(rng, n_pos=30, n_neg=50, extra=4):
@@ -198,7 +198,7 @@ class TestCascade:
     def test_bookkeeping_products_and_goals(self):
         rng = np.random.default_rng(10)
         pool = self.make_pool(rng)
-        feats = enumerate_haar(8, stride=2, min_size=2)
+        feats = build_pool(PoolParams(8, stride=2, min_size=2))
         goal = NodeGoal(d_min=0.95, f_max=0.6, max_stumps=25)
         model = train_cascade(pool, goal, f_target=0.2, method="gslda",
                               feature_pool=feats, seed=7)
@@ -216,7 +216,7 @@ class TestCascade:
     def test_f_target_one_trains_nothing(self):
         rng = np.random.default_rng(11)
         pool = self.make_pool(rng)
-        feats = enumerate_haar(8, stride=2, min_size=2)
+        feats = build_pool(PoolParams(8, stride=2, min_size=2))
         model = train_cascade(pool, NodeGoal(), f_target=1.0, method="adaboost",
                               feature_pool=feats, seed=0)
         assert model.nodes == []
@@ -232,7 +232,7 @@ class TestCascade:
     def test_methods_interchangeable_at_detection_time(self):
         rng = np.random.default_rng(12)
         pos, neg, _ = mini_corpus(rng, n_pos=30, n_neg=60)
-        feats = enumerate_haar(8, stride=2, min_size=2)
+        feats = build_pool(PoolParams(8, stride=2, min_size=2))
         goal = NodeGoal(d_min=0.9, f_max=0.7, max_stumps=8)
         patch = pos[0]
         for method in METHODS:
@@ -240,9 +240,9 @@ class TestCascade:
             model = train_cascade(pool, goal, f_target=0.5, method=method,
                                   feature_pool=feats, seed=1)
             if model.nodes:
-                accepted, _, _, _ = decide_window(model, build_integral(patch))
+                accepted, _, _, _ = decide_window(model, integral_image(patch))
                 assert isinstance(accepted, bool)
-                stages, _, _ = evaluate_windows(model, build_integral(patch).table, [0], [0])
+                stages, _, _ = evaluate_windows(model, build_integral(patch), [0], [0])
                 assert accepted == (stages[0] == len(model.nodes))
 
 
@@ -254,7 +254,7 @@ class TestBootstrap:
     def test_empty_model_returns_first_windows(self):
         rng = np.random.default_rng(13)
         reservoir = [rng.integers(0, 256, size=(20, 20)) for _ in range(3)]
-        feats = enumerate_haar(8, stride=2, min_size=2)
+        feats = build_pool(PoolParams(8, stride=2, min_size=2))
         model = self.make_model(feats)
         out = bootstrap_negatives(model, reservoir, count=10, seed=42)
         assert out.shape == (10, 8, 8)
@@ -264,7 +264,7 @@ class TestBootstrap:
     def test_rejecting_model_exhausts(self):
         rng = np.random.default_rng(14)
         reservoir = [rng.integers(0, 256, size=(20, 20))]
-        feats = enumerate_haar(8, stride=2, min_size=2)
+        feats = build_pool(PoolParams(8, stride=2, min_size=2))
         reject_all = NodeClassifier([DecisionStump(0, 0.0, 1)], [1.0], -1e18, "adaboost")
         model = self.make_model(feats, [reject_all])
         with pytest.raises(BootstrapExhaustedError, match="bootstrap exhausted"):
@@ -273,7 +273,7 @@ class TestBootstrap:
     def test_returned_windows_pass_the_cascade(self):
         rng = np.random.default_rng(15)
         reservoir = [rng.integers(0, 256, size=(24, 24)) for _ in range(4)]
-        feats = enumerate_haar(8, stride=2, min_size=2)
+        feats = build_pool(PoolParams(8, stride=2, min_size=2))
         # a permissive single-node model accepting roughly half the windows
         stump = DecisionStump(3, 0.0, 1)
         node = NodeClassifier([stump], [1.0], 0.0, "adaboost")
@@ -283,7 +283,7 @@ class TestBootstrap:
         except BootstrapExhaustedError:
             pytest.skip("model rejected nearly everything on this seed")
         for patch in out:
-            accepted, _, _, _ = decide_window(model, build_integral(patch))
+            accepted, _, _, _ = decide_window(model, integral_image(patch))
             assert accepted
 
     @pytest.mark.parametrize("seed", [0, 1, 5])
@@ -292,7 +292,7 @@ class TestBootstrap:
     def test_equals_scalar_visit_order(self, seed, count, stride):
         rng = np.random.default_rng(16 + seed)
         reservoir = [rng.integers(0, 256, size=shape) for shape in ((20, 24), (7, 30), (16, 16))]
-        feats = enumerate_haar(8, stride=2, min_size=2)
+        feats = build_pool(PoolParams(8, stride=2, min_size=2))
         nodes = [
             NodeClassifier([DecisionStump(3, 0.0, 1), DecisionStump(11, -4.0, -1)], [0.7, 0.4], 0.2, "gslda"),
             NodeClassifier([DecisionStump(5, 2.0, 1)], [1.0], 0.5, "adaboost"),
@@ -322,7 +322,7 @@ def _hand_node(draw, n_features):
 
 
 class TestEvaluateWindows:
-    FEATURES = enumerate_haar(8, stride=2, min_size=2)
+    FEATURES = build_pool(PoolParams(8, stride=2, min_size=2))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -333,7 +333,7 @@ class TestEvaluateWindows:
                              feature_pool=self.FEATURES, f_target=0.1, base_window=8)
         h, w = draw(st.integers(8, 20)), draw(st.integers(8, 20))
         image = np.random.default_rng(draw(st.integers(0, 2**16))).integers(0, 256, size=(h, w))
-        ii = build_integral(image)
+        ii = integral_image(image)
         factor = draw(st.sampled_from([1.1, 1.2, 1.25, 1.5]))
         step = draw(st.sampled_from([1.0, 2.0]))
         by_scale = {}

@@ -120,16 +120,19 @@ def test_eval_missing_image_is_data_error(corpus, model, tmp_path, capsys):
 @pytest.mark.parametrize("edit", [
     lambda m: m["nodes"][0].update(stumps=[], coefficients=[]),
     lambda m: m.update(stage_rates=[5]),
-    lambda m: m.update(feature_pool={"type": "explicit", "features": [["two-rect-horizontal", 6, 0, 4, 2]]}),
+    lambda m: m["feature_pool"].update(min_size=m["base_window"] + 1),  # no feature fits the window
     lambda m: m["nodes"][0]["stumps"][0].__setitem__(1, float("nan")),
-], ids=["node-without-stumps", "stage-rates-not-pairs", "feature-outside-window", "nan-threshold"])
+    lambda m: m["nodes"][0]["coefficients"].__setitem__(0, 10**400),
+], ids=["node-without-stumps", "stage-rates-not-pairs", "feature-outside-window", "nan-threshold",
+        "integer-beyond-float-range"])
 def test_detect_malformed_model_is_data_error(corpus, model, tmp_path, capsys, edit):
     payload = json.load(open(model))
     edit(payload)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     assert cli.main(["detect", str(bad), str(corpus / "corpus" / "scenes"), "--out", str(tmp_path / "d.csv")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_toy_writes_report_and_points(tmp_path, capsys):
@@ -199,6 +202,42 @@ def test_bad_setting_exits_1(case, tmp_path, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(configs)  # nothing written
+
+
+# --config values whose type differs from their setting's builtin default.
+BAD_CONFIG_TYPES = {
+    "train-string-for-number": ("train", {"dmin": "0.9"}),
+    "train-number-for-string": ("train", {"method": 3}),
+    "train-bool-for-number": ("train", {"max_stumps": True}),
+    "train-float-for-integer": ("train", {"stride": 1.5}),
+    "detect-string-for-number": ("detect", {"step": "x"}),
+    "detect-list-for-number": ("detect", {"min_neighbors": [2]}),
+    "eval-null-for-number": ("eval", {"scale_factor": None}),
+    "eval-string-for-integer": ("eval", {"min_neighbors": "2"}),
+}
+COMMAND_ARGV = {
+    "train": ["train", "--data", "{tmp}/none.json"],
+    "detect": ["detect", "{tmp}/none.json", "{tmp}", "--out", "{tmp}/d.csv"],
+    "eval": ["eval", "{tmp}/none.json", "{tmp}/none.json", "--out", "{tmp}/roc.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_TYPES))
+def test_config_of_wrong_type_exits_1(case, tmp_path, capsys):
+    command, config = BAD_CONFIG_TYPES[case]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = [arg.format(tmp=tmp_path) for arg in COMMAND_ARGV[command]]
+    assert cli.main([*argv, "--config", str(tmp_path / "config.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert next(iter(config)) in err
+
+
+def test_config_integer_for_float_setting_is_accepted(corpus, model, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"step": 2, "scale_factor": 2}))
+    assert cli.main(["detect", model, str(corpus / "corpus" / "scenes"), "--out", str(tmp_path / "d.csv"),
+                     "--config", str(config)]) == 0
 
 
 def test_bad_setting_process_exit_code(tmp_path):

@@ -16,22 +16,22 @@ from gslda_cascade.detect import (
     roc_curve,
     scan_image,
 )
-from gslda_cascade.features import build_integral, enumerate_haar
+from gslda_cascade.features import PoolParams, build_pool
 from gslda_cascade.stumps import DecisionStump
-from oracles import decide_window, pyramid_windows
+from oracles import decide_window, integral_image, pyramid_windows
 from oracles import merge_detections as pairwise_merge_detections
 from oracles import roc_curve as rescan_roc_curve
 
 
-def empty_model(base=8, feats=None):
-    feats = feats if feats is not None else enumerate_haar(base, stride=2, min_size=2)
+def empty_model(base=8):
+    feats = build_pool(PoolParams(base, stride=2, min_size=2))
     return CascadeModel(nodes=[], stage_rates=[], cumulative=[], feature_pool=feats,
                         f_target=0.5, base_window=base)
 
 
-def hand_model(base=8, thresholds=(0.0,), node_thresholds=None, feats=None):
+def hand_model(base=8, thresholds=(0.0,), node_thresholds=None):
     """Single-feature nodes with controllable node thresholds."""
-    feats = feats if feats is not None else enumerate_haar(base, stride=2, min_size=2)
+    feats = build_pool(PoolParams(base, stride=2, min_size=2))
     nodes = []
     node_thresholds = node_thresholds or [0.5] * len(thresholds)
     for t, nt in zip(thresholds, node_thresholds):
@@ -49,7 +49,7 @@ class TestScanImage:
         assert (wins[0].x, wins[0].y, wins[0].side) == (0, 0, 8)
 
     def test_window_count_matches_enumeration_oracle(self):
-        model = empty_model(base=24, feats=[])
+        model = empty_model(base=24)
         rng = np.random.default_rng(1)
         image = rng.integers(0, 256, size=(100, 100))
         profile = ScanProfile()
@@ -61,11 +61,11 @@ class TestScanImage:
         assert got == {(x, y, side) for x, y, side, _ in oracle}
 
     def test_small_image_empty_result(self):
-        model = empty_model(base=24, feats=[])
+        model = empty_model(base=24)
         assert scan_image(model, np.zeros((10, 10), dtype=int)) == []
 
     def test_empty_model_accepts_everything(self):
-        model = empty_model(base=8, feats=[])
+        model = empty_model(base=8)
         rng = np.random.default_rng(2)
         wins = scan_image(model, rng.integers(0, 256, size=(20, 20)))
         assert len(wins) == len(pyramid_windows(20, 20, 8, 1.2, 1.0))
@@ -76,7 +76,7 @@ class TestScanImage:
         image = rng.integers(0, 256, size=(30, 30))
         model = hand_model(base=8, thresholds=(2.0, -3.0), node_thresholds=[0.5, 0.5])
         accepted = {(w.x, w.y, w.side) for w in scan_image(model, image)}
-        ii = build_integral(image)
+        ii = integral_image(image)
         for x, y, side, scale in pyramid_windows(30, 30, 8, 1.2, 1.0):
             ok, _, _, _ = decide_window(model, ii, x, y, scale)
             assert ok == ((x, y, side) in accepted)
@@ -86,7 +86,7 @@ class TestScanImage:
         image = rng.integers(0, 256, size=(40, 40))
         model = hand_model(base=8, thresholds=(1.0, -1.0, 4.0), node_thresholds=[0.5] * 3)
         fast = scan_image(model, image)
-        ii = build_integral(image)
+        ii = integral_image(image)
         slow = []  # (x, y, side, stages) of the windows accepted without early exit
         for x, y, side, scale in pyramid_windows(40, 40, 8, 1.2, 1.0):
             ok, stages, _, _ = decide_window(model, ii, x, y, scale, early_exit=False)
@@ -98,7 +98,7 @@ class TestScanImage:
     def test_profile_counts_stump_evaluations(self):
         rng = np.random.default_rng(5)
         image = rng.integers(0, 256, size=(8, 8))
-        feats = enumerate_haar(8, stride=2, min_size=2)
+        feats = build_pool(PoolParams(8, stride=2, min_size=2))
         stumps_ = [DecisionStump(i, 0.0, 1) for i in (1, 4, 9)]
         reject = NodeClassifier(stumps_, [1.0, 1.0, 1.0], -1e18, "adaboost")
         model = CascadeModel(nodes=[reject], stage_rates=[], cumulative=[],

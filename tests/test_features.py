@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gslda_cascade.features import (
     KINDS,
     FeatureExtractor,
-    HaarFeature,
     PoolParams,
     build_integral,
     build_pool,
-    enumerate_haar,
     haar_values,
 )
-from oracles import eval_haar
+from oracles import HaarFeature, enumerate_haar, eval_haar, integral_image
 
 
 def direct_rect_sum(image, x0, y0, x1, y1):
@@ -26,31 +26,45 @@ def direct_eval(feature, image):
     return acc / (feature.w * feature.h)
 
 
-def haar_at(feature, image, offset_x=0, offset_y=0, scale=1.0):
+def feature_index(pool, kind, x, y, w, h):
+    """Row of the pool feature with this kind and footprint."""
+    rows = (pool.kind == KINDS.index(kind)) & (pool.box == [x, y, x + w, y + h]).all(axis=1)
+    (j,) = np.flatnonzero(rows)
+    return int(j)
+
+
+def haar_at(pool, j, image, offset_x=0, offset_y=0, scale=1.0):
     """The package's vectorized evaluation at a single placement."""
-    table = build_integral(image).table
-    return float(haar_values(feature, table, np.array([offset_x]), np.array([offset_y]), scale)[0])
+    table = build_integral(image)
+    return float(haar_values(pool, j, table, np.array([offset_x]), np.array([offset_y]), scale)[0])
+
+
+def feature_at(feature, image, offset_x=0, offset_y=0, scale=1.0):
+    """haar_at for the pool feature matching an oracle feature."""
+    pool = build_pool(PoolParams(base_window=feature.base_window))
+    j = feature_index(pool, feature.kind, feature.x, feature.y, feature.w, feature.h)
+    return haar_at(pool, j, image, offset_x, offset_y, scale)
 
 
 class TestIntegralImage:
     def test_two_by_two_ones(self):
-        ii = build_integral(np.ones((2, 2), dtype=int))
-        assert ii.table[2, 2] == 4
+        table = build_integral(np.ones((2, 2), dtype=int))
+        assert table[2, 2] == 4
 
     def test_all_zero(self):
-        ii = build_integral(np.zeros((3, 5), dtype=int))
-        assert np.all(ii.table == 0)
+        table = build_integral(np.zeros((3, 5), dtype=int))
+        assert np.all(table == 0)
 
     def test_zero_borders(self):
         rng = np.random.default_rng(0)
-        ii = build_integral(rng.integers(0, 256, size=(4, 7)))
-        assert np.all(ii.table[0, :] == 0)
-        assert np.all(ii.table[:, 0] == 0)
+        table = build_integral(rng.integers(0, 256, size=(4, 7)))
+        assert np.all(table[0, :] == 0)
+        assert np.all(table[:, 0] == 0)
 
     def test_every_rectangle_matches_direct_summation(self):
         rng = np.random.default_rng(1)
         image = rng.integers(0, 256, size=(8, 8))
-        ii = build_integral(image)
+        ii = integral_image(image)
         for y0 in range(9):
             for y1 in range(y0, 9):
                 for x0 in range(9):
@@ -66,7 +80,7 @@ class TestIntegralImage:
 
 class TestEnumerateHaar:
     def test_two_rect_horizontal_count_matches_brute_force(self):
-        feats = [f for f in enumerate_haar(4) if f.kind == "two-rect-horizontal"]
+        pool = build_pool(PoolParams(base_window=4))
         count = 0
         for y in range(4):
             for x in range(4):
@@ -74,47 +88,86 @@ class TestEnumerateHaar:
                     for w in range(1, 4 - x + 1):
                         if w % 2 == 0:
                             count += 1
-        assert len(feats) == count
+        assert np.sum(pool.kind == KINDS.index("two-rect-horizontal")) == count
 
     def test_minimal_window_single_feature_per_fitting_kind(self):
-        feats = enumerate_haar(2, min_size=2)
-        by_kind = {}
-        for f in feats:
-            by_kind.setdefault(f.kind, []).append(f)
-        assert set(by_kind) == {
+        pool = build_pool(PoolParams(base_window=2, min_size=2))
+        kinds, counts = np.unique(pool.kind, return_counts=True)
+        assert {KINDS[k] for k in kinds} == {
             "two-rect-horizontal",
             "two-rect-vertical",
             "four-rect-diagonal",
         }
-        assert all(len(v) == 1 for v in by_kind.values())
+        assert all(counts == 1)
 
     def test_deterministic_and_injective(self):
-        a = enumerate_haar(8, stride=2, min_size=2)
-        b = enumerate_haar(8, stride=2, min_size=2)
-        assert a == b
-        keys = [(f.kind, f.x, f.y, f.w, f.h) for f in a]
+        a = build_pool(PoolParams(base_window=8, stride=2, min_size=2))
+        b = build_pool(PoolParams(base_window=8, stride=2, min_size=2))
+        for name in ("kind", "box", "rects"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        keys = [(k, *box) for k, box in zip(a.kind.tolist(), a.box.tolist())]
         assert len(set(keys)) == len(keys)
 
     def test_ordering_kind_y_x_h_w(self):
-        feats = enumerate_haar(6)
-        keys = [(KINDS.index(f.kind), f.y, f.x, f.h, f.w) for f in feats]
+        pool = build_pool(PoolParams(base_window=6))
+        x0, y0, x1, y1 = pool.box.T
+        keys = list(zip(pool.kind.tolist(), y0.tolist(), x0.tolist(), (y1 - y0).tolist(), (x1 - x0).tolist()))
         assert keys == sorted(keys)
 
     def test_footprints_inside_window(self):
-        for f in enumerate_haar(6, stride=2):
-            assert f.x + f.w <= 6 and f.y + f.h <= 6
+        pool = build_pool(PoolParams(base_window=6, stride=2))
+        assert np.all(pool.box[:, 2] <= 6) and np.all(pool.box[:, 3] <= 6)
 
     def test_pool_subsampling(self):
-        full = enumerate_haar(6)
+        full = build_pool(PoolParams(base_window=6))
         thinned = build_pool(PoolParams(base_window=6, subsample=7))
-        assert thinned == full[::7]
+        for name in ("kind", "box", "rects"):
+            assert np.array_equal(getattr(thinned, name), getattr(full, name)[::7])
+
+    @pytest.mark.parametrize("params", [
+        PoolParams(base_window=4, min_size=5),
+        PoolParams(base_window=4, min_size=0),
+        PoolParams(base_window=4, stride=0),
+    ], ids=["min-size-above-window", "min-size-zero", "stride-zero"])
+    def test_invalid_parameters_rejected_like_the_oracle(self, params):
+        with pytest.raises(ValueError):
+            enumerate_haar(params.base_window, params.stride, params.min_size)
+        with pytest.raises(ValueError):
+            build_pool(params)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_enumeration(self, data):
+        base_window = data.draw(st.integers(1, 12))
+        stride = data.draw(st.integers(1, 4))
+        min_size = data.draw(st.integers(1, base_window))
+        subsample = data.draw(st.integers(1, 9))
+        pool = build_pool(PoolParams(base_window, stride, min_size, subsample))
+        features = enumerate_haar(base_window, stride, min_size)[::subsample]
+        assert len(pool) == len(features)
+        for j, f in enumerate(features):
+            assert KINDS[pool.kind[j]] == f.kind
+            assert pool.box[j].tolist() == [f.x, f.y, f.x + f.w, f.y + f.h]
+            rects = f.rects()
+            assert pool.rects[j, : len(rects)].tolist() == [list(r) for r in rects]
+            assert not pool.rects[j, len(rects):].any()  # zero padding
+
+    @pytest.mark.parametrize("feature", [
+        ("triangle", 0, 0, 2, 2),
+        ("two-rect-horizontal", 0, 0, 0, 2),
+        ("two-rect-horizontal", 0, 0, 3, 2),
+        ("two-rect-horizontal", 6, 0, 4, 2),
+    ], ids=["unknown-kind", "without-extent", "not-subdividing", "outside-window"])
+    def test_oracle_rejects_invalid_feature(self, feature):
+        with pytest.raises(ValueError):
+            HaarFeature(*feature, base_window=8)
 
 
 class TestEvalHaar:
     def test_constant_image_two_rect_is_zero(self):
         image = np.full((8, 8), 37, dtype=int)
         f = HaarFeature("two-rect-horizontal", 1, 1, 4, 5, base_window=8)
-        assert haar_at(f, image) == 0.0
+        assert feature_at(f, image) == 0.0
 
     def test_three_and_four_rect_zero_on_constant(self):
         image = np.full((9, 9), 11, dtype=int)
@@ -123,22 +176,23 @@ class TestEvalHaar:
             ("three-rect-vertical", 4, 6),
             ("four-rect-diagonal", 4, 4),
         ):
-            assert haar_at(HaarFeature(kind, 0, 0, w, h, base_window=9), image) == 0.0
+            assert feature_at(HaarFeature(kind, 0, 0, w, h, base_window=9), image) == 0.0
 
     def test_half_split_antisymmetry(self):
         image = np.zeros((6, 6), dtype=int)
         image[:, :3] = 255  # white left, black right
         f = HaarFeature("two-rect-horizontal", 0, 0, 6, 6, base_window=6)
-        v = haar_at(f, image)
+        v = feature_at(f, image)
         assert v == pytest.approx(255.0 / 2)  # half the area at full contrast
         mirrored = image[:, ::-1]
-        assert haar_at(f, mirrored) == -v
+        assert feature_at(f, mirrored) == -v
 
     def test_matches_direct_pixel_loop(self):
         rng = np.random.default_rng(2)
         image = rng.integers(0, 256, size=(12, 12))
-        for f in enumerate_haar(12, stride=3, min_size=3)[::17]:
-            assert haar_at(f, image) == direct_eval(f, image)
+        pool = build_pool(PoolParams(base_window=12, stride=3, min_size=3, subsample=17))
+        for j, f in enumerate(enumerate_haar(12, stride=3, min_size=3)[::17]):
+            assert haar_at(pool, j, image) == direct_eval(f, image)
 
     def test_integer_scale_matches_pixel_doubled_image(self):
         # Doubling every pixel doubles each rounded corner exactly, so the
@@ -147,12 +201,12 @@ class TestEvalHaar:
         image = rng.integers(0, 256, size=(8, 8))
         doubled = np.kron(image, np.ones((2, 2), dtype=int))
         f = HaarFeature("four-rect-diagonal", 1, 2, 4, 4, base_window=8)
-        assert haar_at(f, doubled, scale=2.0) == haar_at(f, image)
+        assert feature_at(f, doubled, scale=2.0) == feature_at(f, image)
 
     def test_out_of_bounds_rejected(self):
         # Only the scalar reference checks bounds; the scan keeps every
         # window inside the image.
-        ii = build_integral(np.zeros((10, 10), dtype=int))
+        ii = integral_image(np.zeros((10, 10), dtype=int))
         f = HaarFeature("two-rect-vertical", 4, 4, 2, 4, base_window=24)
         with pytest.raises(ValueError, match="footprint out of bounds"):
             eval_haar(f, ii, offset_x=8, offset_y=8)
@@ -161,24 +215,47 @@ class TestEvalHaar:
         rng = np.random.default_rng(4)
         image = rng.integers(0, 256, size=(20, 20))
         f = HaarFeature("two-rect-vertical", 1, 1, 3, 4, base_window=8)
-        assert haar_at(f, image, offset_x=5, offset_y=7) == direct_eval(
+        assert feature_at(f, image, offset_x=5, offset_y=7) == direct_eval(
             f, image[7:15, 5:13]
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_oracle_at_pyramid_scales(self, data):
+        base_window = data.draw(st.integers(2, 12))
+        stride = data.draw(st.integers(1, 3))
+        min_size = data.draw(st.integers(1, base_window))
+        subsample = data.draw(st.integers(1, 9))
+        pool = build_pool(PoolParams(base_window, stride, min_size, subsample))
+        features = enumerate_haar(base_window, stride, min_size)[::subsample]
+        assume(features)  # some windows admit no feature at this min_size
+        scale = 1.2 ** data.draw(st.integers(0, 8))
+        side = int(np.floor(base_window * scale + 0.5))  # the scan's window side
+        image = np.random.default_rng(data.draw(st.integers(0, 2**16))).integers(
+            0, 256, size=(side + data.draw(st.integers(0, 5)), side + data.draw(st.integers(0, 5))))
+        ii = integral_image(image)
+        px, py = (a.ravel() for a in np.meshgrid(np.arange(image.shape[1] - side + 1),
+                                                 np.arange(image.shape[0] - side + 1)))
+        for j in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5)):
+            values = haar_values(pool, j, ii.table, px, py, scale)
+            for x, y, value in zip(px.tolist(), py.tolist(), values.tolist()):
+                expected = eval_haar(features[j], ii, x, y, scale)
+                assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
 
 class TestFeatureExtractor:
     def test_matches_scalar_evaluation_bitwise(self):
         rng = np.random.default_rng(5)
         patches = rng.integers(0, 256, size=(9, 8, 8))
-        pool = enumerate_haar(8, stride=2, min_size=2)[::5]
+        pool = build_pool(PoolParams(base_window=8, stride=2, min_size=2, subsample=5))
         values = FeatureExtractor(pool).extract(patches)
-        for j, f in enumerate(pool):
+        for j, f in enumerate(enumerate_haar(8, stride=2, min_size=2)[::5]):
             for i in range(9):
-                ii = build_integral(patches[i])
+                ii = integral_image(patches[i])
                 assert values[j, i] == eval_haar(f, ii)
 
     def test_shape(self):
         patches = np.zeros((3, 6, 6), dtype=int)
-        pool = enumerate_haar(6)[:10]
+        pool = build_pool(PoolParams(base_window=6, subsample=67))
+        assert len(pool) == 10
         assert FeatureExtractor(pool).extract(patches).shape == (10, 3)
-
