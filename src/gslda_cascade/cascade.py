@@ -25,9 +25,6 @@ from .features import FeatureExtractor, FeaturePool, build_integral, haar_values
 
 METHODS = ("adaboost", "asymboost", "gslda", "bgslda1", "bgslda2")
 
-#: Amortization span for the asymmetric multiplier when a node has no
-#: predefined round count.
-DEFAULT_ASYM_ROUNDS = 32
 #: train_cascade stops after this many stages (stop reason "max_stages").
 MAX_STAGES = 64
 
@@ -39,18 +36,18 @@ class BootstrapExhaustedError(RuntimeError):
 @dataclass
 class NodeGoal:
     """Per-stage rate goals: detection at least d_min, false positives at
-    most f_max, with an optional stump cap."""
+    most f_max, with at most max_stumps stumps."""
 
     d_min: float = 0.995
     f_max: float = 0.5
-    max_stumps: int | None = None
+    max_stumps: int = 200
 
     def __post_init__(self):
         if not 0 < self.d_min <= 1:
             raise ValueError("d_min must be in (0, 1]")
         if not 0 < self.f_max < 1:
             raise ValueError("f_max must be in (0, 1)")
-        if self.max_stumps is not None and self.max_stumps < 1:
+        if self.max_stumps < 1:
             raise ValueError("max_stumps must be at least 1")
 
 
@@ -173,7 +170,9 @@ def train_node(
     +/-1 sample classes.  validation_mask marks held-out positives used only
     for threshold tuning; when it is None or marks none, the training
     positives double as validation.  fixed_rounds trains exactly that many
-    stumps regardless of the rate goals (predefined-size mode).
+    stumps regardless of the rate goals (predefined-size mode); otherwise
+    the node stops at goal.max_stumps.  The stump cap also sets the span over
+    which AsymBoost amortizes its asymmetric multiplier.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -181,24 +180,23 @@ def train_node(
     labels = np.asarray(labels)
     fit = _NodeFit(values, labels, validation_mask, goal, method)
     boost_cfg = boost_cfg or boosting.BoostingConfig()
-    cap = fixed_rounds or goal.max_stumps or values.shape[0]
-    scfg = dataclasses.replace(scatter_cfg or scatter.ScatterConfig(max_features=cap), max_features=cap)
+    scfg = scatter_cfg or scatter.ScatterConfig()
+    cap = fixed_rounds or goal.max_stumps
 
     trainer = stumps.StumpTrainer(values[:, fit.train_idx], fit.train_labels)
     weights = boosting.init_weights(fit.train_labels)
-    amort = fixed_rounds or goal.max_stumps or DEFAULT_ASYM_ROUNDS
 
     if method == "gslda":
         return _grow_gslda(fit, trainer, weights, scfg, cap, fixed_rounds)
     if method in ("bgslda1", "bgslda2"):
-        return _grow_bgslda(fit, trainer, weights, scfg, boost_cfg, cap, fixed_rounds, method, amort)
-    return _grow_boosted(fit, trainer, weights, boost_cfg, cap, fixed_rounds, method, amort)
+        return _grow_bgslda(fit, trainer, weights, scfg, boost_cfg, cap, fixed_rounds, method)
+    return _grow_boosted(fit, trainer, weights, boost_cfg, cap, fixed_rounds, method)
 
 
-def _reweight(method, weights, responses, labels, a, boost_cfg, amort):
+def _reweight(method, weights, responses, labels, a, boost_cfg, cap):
     """AsymBoost's sample reweighting for asymboost and bgslda2, AdaBoost's otherwise."""
     if method in ("asymboost", "bgslda2"):
-        return boosting.reweight_asymboost(weights, responses, labels, a, boost_cfg.asym_k, rounds=amort)
+        return boosting.reweight_asymboost(weights, responses, labels, a, boost_cfg.asym_k, rounds=cap)
     return boosting.reweight_adaboost(weights, responses, labels, a)
 
 
@@ -208,7 +206,7 @@ def _goal_reached(fit, fixed_rounds):
     return fit.f <= fit.goal.f_max
 
 
-def _grow_boosted(fit, trainer, weights, boost_cfg, cap, fixed_rounds, method, amort):
+def _grow_boosted(fit, trainer, weights, boost_cfg, cap, fixed_rounds, method):
     coeffs: list[float] = []
     while True:
         table = trainer.train_all(weights)
@@ -216,7 +214,7 @@ def _grow_boosted(fit, trainer, weights, boost_cfg, cap, fixed_rounds, method, a
         a = boosting.alpha(float(table.errors[j]))
         fit.add(table.stumps[j], table.responses[j])
         coeffs.append(a)
-        weights = _reweight(method, weights, table.responses[j], fit.train_labels, a, boost_cfg, amort)
+        weights = _reweight(method, weights, table.responses[j], fit.train_labels, a, boost_cfg, cap)
         fit.retune(np.array(coeffs))
         if _goal_reached(fit, fixed_rounds):
             return fit.build(goal_met=True)
@@ -228,14 +226,13 @@ def _grow_gslda(fit, trainer, weights, scfg, cap, fixed_rounds):
     # Stumps are trained once (class-balanced weights); selection then walks
     # the fixed response table by maximum class separation.
     table = trainer.train_all(weights)
-    rm = scatter.ResponseMatrix(table.responses.T, fit.train_labels, strict=False)
-    sel = scatter.GreedySelector(rm, scfg)
+    sel = scatter.GreedySelector(table.responses, fit.train_labels, scfg)
     while True:
         picked = sel.step()
         if picked is None:
             return fit.build(goal_met=fit.f <= fit.goal.f_max)
         fit.add(table.stumps[picked], table.responses[picked])
-        fit.retune(scatter.lda_weights(sel.state()))
+        fit.retune(sel.direction())
         if _goal_reached(fit, fixed_rounds):
             met = fit.build(goal_met=True)
             if scfg.dual_pass and len(sel.selected) >= 2:
@@ -245,7 +242,7 @@ def _grow_gslda(fit, trainer, weights, scfg, cap, fixed_rounds):
                     fit.chosen = [fit.chosen[t] for t in keep]
                     fit.train_rows = [fit.train_rows[t] for t in keep]
                     fit.val_rows = [fit.val_rows[t] for t in keep]
-                    fit.retune(scatter.lda_weights(sel.state()))
+                    fit.retune(sel.direction())
                     if fixed_rounds is not None or fit.f <= fit.goal.f_max:
                         return fit.build(goal_met=True)
             return met  # no elimination, or it broke the goal: keep the met node
@@ -253,7 +250,7 @@ def _grow_gslda(fit, trainer, weights, scfg, cap, fixed_rounds):
             return fit.build(goal_met=fit.f <= fit.goal.f_max)
 
 
-def _grow_bgslda(fit, trainer, weights, scfg, boost_cfg, cap, fixed_rounds, method, amort):
+def _grow_bgslda(fit, trainer, weights, scfg, boost_cfg, cap, fixed_rounds, method):
     while True:
         table = trainer.train_all(weights)
         survivors, _ = boosting.prune_stumps(table, weights, boost_cfg)
@@ -272,9 +269,7 @@ def _grow_bgslda(fit, trainer, weights, scfg, boost_cfg, cap, fixed_rounds, meth
 
         k = len(fit.chosen)
         stacked = np.vstack(fit.train_rows + [table.responses]) if k else table.responses
-        rm = scatter.ResponseMatrix(stacked.T, fit.train_labels, strict=False)
-        round_cfg = dataclasses.replace(scfg, max_features=k + 1, dual_pass=False)
-        sel = scatter.GreedySelector.from_subset(rm, round_cfg, range(k), weights=weights)
+        sel = scatter.GreedySelector(stacked, fit.train_labels, scfg, weights, selected=range(k))
         picked = sel.step(allowed=[k + j for j in allowed])
         if picked is None:
             # every surviving candidate is redundant with the chosen stumps
@@ -282,8 +277,8 @@ def _grow_bgslda(fit, trainer, weights, scfg, boost_cfg, cap, fixed_rounds, meth
         j = picked - k
         a = boosting.alpha(float(table.errors[j]))
         fit.add(table.stumps[j], table.responses[j])
-        fit.retune(scatter.lda_weights(sel.state()))
-        weights = _reweight(method, weights, table.responses[j], fit.train_labels, a, boost_cfg, amort)
+        fit.retune(sel.direction())
+        weights = _reweight(method, weights, table.responses[j], fit.train_labels, a, boost_cfg, cap)
         if _goal_reached(fit, fixed_rounds):
             return fit.build(goal_met=True)
         if len(fit.chosen) >= cap:
@@ -295,7 +290,7 @@ class TrainingPool:
     """Patch-level training material for one cascade run."""
 
     positives: np.ndarray  # (P, H, W) base-window patches
-    negatives: np.ndarray  # (Q, H, W) current negative patches
+    negatives: np.ndarray  # (Q, H, W) initial negative patches
     negative_reservoir: list[np.ndarray] = field(default_factory=list)
     validation_split: float = 0.2
 
@@ -415,9 +410,8 @@ def train_cascade(
     val_idx = rng.permutation(n_pos)[:n_val]
 
     pos_values = extractor.extract(pool.positives)
-    negatives = np.asarray(pool.negatives)
-    neg_values = extractor.extract(negatives) if len(negatives) else np.zeros((len(feature_pool), 0))
-    target_negatives = len(negatives)
+    neg_values = extractor.extract(pool.negatives) if len(pool.negatives) else np.zeros((len(feature_pool), 0))
+    target_negatives = neg_values.shape[1]
 
     model = CascadeModel(
         nodes=[], stage_rates=[], cumulative=[], feature_pool=feature_pool,
@@ -463,9 +457,8 @@ def train_cascade(
         neg_resp = np.vstack([s.responses(neg_values[s.feature_id]) for s in node.stumps])
         margins = node_margin(node, neg_resp)
         keep = margins >= 0
-        negatives = negatives[keep]
         neg_values = neg_values[:, keep]
-        needed = target_negatives - len(negatives)
+        needed = target_negatives - neg_values.shape[1]
         if needed > 0:
             try:
                 fresh = bootstrap_negatives(model, pool.negative_reservoir, needed,
@@ -473,7 +466,6 @@ def train_cascade(
             except (BootstrapExhaustedError, ValueError):
                 stop_reason = "bootstrap_exhausted"
                 break
-            negatives = np.concatenate([negatives, fresh]) if len(negatives) else fresh
             neg_values = np.hstack([neg_values, extractor.extract(fresh)])
     if stop_reason is None:
         stop_reason = "f_target_met" if f_cum <= f_target else "max_stages"

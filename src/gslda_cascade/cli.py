@@ -215,8 +215,7 @@ def cmd_train(args) -> int:
         if cfg["method"] not in METHODS:  # --config bypasses the flag's choices
             raise ValueError(f"method must be one of {METHODS}")
         goal = NodeGoal(d_min=cfg["dmin"], f_max=cfg["fmax"], max_stumps=cfg["max_stumps"])
-        scatter_cfg = ScatterConfig(max_features=cfg["max_stumps"], gamma=cfg["gamma"],
-                                    ridge=cfg["ridge"], dual_pass=args.dual_pass)
+        scatter_cfg = ScatterConfig(gamma=cfg["gamma"], ridge=cfg["ridge"], dual_pass=args.dual_pass)
         boost_cfg = BoostingConfig(asym_k=cfg["asym_k"], prune_epsilon=cfg["prune_eps"])
         if not (0 <= cfg["f_target"] <= 1 and 0 <= cfg["validation_split"] < 1):
             raise ValueError("f_target must be in [0, 1] and validation_split in [0, 1)")

@@ -330,9 +330,11 @@ def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
     s = 0
     while True:
         scale = scale_factor**s
-        side = _round_half_up(base * scale)
-        if side > min(h, w):
+        # side > min(h, w) for the rounded side, tested before rounding so an
+        # overflowing scale (inf) stops the pyramid instead of int(inf).
+        if base * scale + 0.5 >= min(h, w) + 1:
             break
+        side = _round_half_up(base * scale)
         shift = max(1, _round_half_up(step * scale))
         xs = np.arange(0, w - side + 1, shift)
         ys = np.arange(0, h - side + 1, shift)

@@ -27,9 +27,6 @@ class DecisionStump:
         if self.polarity not in (-1, 1):
             raise ValueError("polarity must be -1 or +1")
 
-    def response(self, value: float) -> int:
-        return self.polarity if value >= self.threshold else -self.polarity
-
     def responses(self, values: np.ndarray) -> np.ndarray:
         out = np.where(np.asarray(values) >= self.threshold, 1, -1).astype(np.int8)
         return out * np.int8(self.polarity)
@@ -124,9 +121,3 @@ class StumpTrainer:
         ]
         return StumpTable(stumps, responses, errors, self.labels)
 
-
-def weighted_error(responses, labels, weights) -> float:
-    """Weight mass of misclassified samples."""
-    responses = np.asarray(responses)
-    labels = np.asarray(labels)
-    return float(np.asarray(weights)[responses != labels].sum())

@@ -9,27 +9,37 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from gslda_cascade.cascade import BootstrapExhaustedError, node_margin
 from gslda_cascade.detect import DetectionWindow, ROCPoint, match_detections, overlap_ratio
 from gslda_cascade.features import KINDS, build_integral
-from gslda_cascade.scatter import ResponseMatrix, ScatterConfig
+from gslda_cascade.scatter import GreedySelector, ScatterConfig
 
 
-def effective_weights(rm: ResponseMatrix, w):
+class ResponseTable(NamedTuple):
+    """A +/-1 stump table in the package layout: responses[j, i] is stump j's
+    output on sample i, labels[i] the +/-1 class of sample i.  Unpacks into
+    the first two arguments of GreedySelector."""
+
+    responses: np.ndarray  # (M, N)
+    labels: np.ndarray  # (N,)
+
+
+def effective_weights(rm: ResponseTable, w):
     # Package convention: distribution weights are rescaled by N so uniform
     # weights reproduce the unweighted scatter.
     if w is None:
-        return np.ones(rm.n_samples)
-    return np.asarray(w, dtype=float) * rm.n_samples
+        return np.ones(len(rm.labels))
+    return np.asarray(w, dtype=float) * len(rm.labels)
 
 
-def direct_within(rm: ResponseMatrix, cfg: ScatterConfig, w=None) -> np.ndarray:
+def direct_within(rm: ResponseTable, cfg: ScatterConfig, w=None) -> np.ndarray:
     """Full within-class scatter by per-sample outer products."""
-    x = rm.responses.astype(float)
-    m = rm.n_features
+    x = rm.responses.T.astype(float)  # one row per sample
+    m = x.shape[1]
     ww = effective_weights(rm, w)
     s = np.zeros((m, m))
     for cls, g in ((1, 1.0), (-1, cfg.gamma)):
@@ -42,20 +52,21 @@ def direct_within(rm: ResponseMatrix, cfg: ScatterConfig, w=None) -> np.ndarray:
     return s + cfg.ridge * np.eye(m)
 
 
-def direct_between_vector(rm: ResponseMatrix, w=None) -> np.ndarray:
-    x = rm.responses.astype(float)
+def direct_between_vector(rm: ResponseTable, w=None) -> np.ndarray:
+    x = rm.responses.T.astype(float)
     ww = effective_weights(rm, w)
     pos = rm.labels > 0
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     mu_p = (x[pos] * ww[pos, None]).sum(axis=0) / ww[pos].sum()
     mu_n = (x[~pos] * ww[~pos, None]).sum(axis=0) / ww[~pos].sum()
-    return np.sqrt(rm.n_pos * rm.n_neg / rm.n_samples) * (mu_p - mu_n)
+    return np.sqrt(n_pos * n_neg / len(rm.labels)) * (mu_p - mu_n)
 
 
-def direct_sb(rm: ResponseMatrix) -> np.ndarray:
+def direct_sb(rm: ResponseTable) -> np.ndarray:
     """Between-class scatter sum_c N_c (mu_c - xbar)(mu_c - xbar)'."""
-    x = rm.responses.astype(float)
+    x = rm.responses.T.astype(float)
     xbar = x.mean(axis=0)
-    s = np.zeros((rm.n_features, rm.n_features))
+    s = np.zeros((x.shape[1], x.shape[1]))
     for cls in (1, -1):
         xc = x[rm.labels == cls]
         d = xc.mean(axis=0) - xbar
@@ -81,7 +92,7 @@ def from_scratch_greedy(rm, cfg, k, w=None) -> list[int]:
     selected: list[int] = []
     for _ in range(k):
         best, best_val = None, -np.inf
-        for i in range(rm.n_features):
+        for i in range(rm.responses.shape[0]):
             if i in selected:
                 continue
             idx = selected + [i]
@@ -102,7 +113,7 @@ def from_scratch_greedy(rm, cfg, k, w=None) -> list[int]:
 
 def exhaustive_best_subset(rm, cfg, k) -> float:
     best = -np.inf
-    for subset in itertools.combinations(range(rm.n_features), k):
+    for subset in itertools.combinations(range(rm.responses.shape[0]), k):
         try:
             val = subset_eigenvalue(rm, cfg, subset)
         except np.linalg.LinAlgError:
@@ -138,12 +149,40 @@ def exhaustive_stump(values, labels, weights):
     return best[0], best[1], (1 if best[2] == 0 else -1)
 
 
-def random_rm(rng, n, m, skew=0.5) -> ResponseMatrix:
-    """Random +/-1 response matrix with both classes present."""
+def random_rm(rng, n, m, skew=0.5) -> ResponseTable:
+    """Random +/-1 table of m stumps on n samples with both classes present."""
     labels = np.where(rng.random(n) < skew, 1, -1)
     labels[0], labels[1] = 1, -1
     responses = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, m))
-    return ResponseMatrix(responses, labels)
+    return ResponseTable(responses.T, labels)
+
+
+def forward_select(rm: ResponseTable, cfg: ScatterConfig, k: int, w=None) -> GreedySelector:
+    """Drive the package selector: up to k greedy steps, then the backward
+    pass when cfg.dual_pass is set.  Raises when not even a single feature is
+    admissible."""
+    if k > rm.responses.shape[0]:
+        raise ValueError("k exceeds the number of candidate features")
+    sel = GreedySelector(*rm, cfg, w)
+    while len(sel.selected) < k and sel.step() is not None:
+        pass
+    if not sel.selected:
+        raise ValueError("no separating feature")
+    if cfg.dual_pass:
+        sel.eliminate()
+    return sel
+
+
+def stump_response(stump, value) -> int:
+    """One stump's output on one value: polarity when value >= threshold."""
+    return stump.polarity if value >= stump.threshold else -stump.polarity
+
+
+def weighted_error(responses, labels, weights) -> float:
+    """Weight mass of misclassified samples."""
+    responses = np.asarray(responses)
+    labels = np.asarray(labels)
+    return float(np.asarray(weights)[responses != labels].sum())
 
 
 @dataclass
@@ -318,7 +357,7 @@ def decide_window(model, ii, offset_x=0, offset_y=0, scale=1.0, early_exit=True)
         if not accepted and early_exit:
             break
         responses = np.array([
-            s.response(eval_haar(features[s.feature_id], ii, offset_x, offset_y, scale))
+            stump_response(s, eval_haar(features[s.feature_id], ii, offset_x, offset_y, scale))
             for s in node.stumps
         ], dtype=np.float64)
         evals += len(node.stumps)
@@ -468,7 +507,7 @@ def roc_curve(model, images, truths, mode="depth", scale_factor=1.2, step=1.0,
             ii = integral_image(image)
             for win, scale in scan_windows(prefix(len(model.nodes) - 1), image, scale_factor, step):
                 responses = np.array([
-                    s.response(eval_haar(features[s.feature_id], ii, win.x, win.y, scale))
+                    stump_response(s, eval_haar(features[s.feature_id], ii, win.x, win.y, scale))
                     for s in last.stumps
                 ], dtype=np.float64)
                 candidates.append((image_id, win, node_margin(last, responses)))

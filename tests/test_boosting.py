@@ -10,7 +10,9 @@ from gslda_cascade.boosting import (
     reweight_adaboost,
     reweight_asymboost,
 )
-from gslda_cascade.stumps import DecisionStump, StumpTable, StumpTrainer, weighted_error
+from gslda_cascade.stumps import DecisionStump, StumpTable, StumpTrainer
+
+from oracles import weighted_error
 
 
 def make_table(error_fractions, n=100):

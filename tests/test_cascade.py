@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gslda_cascade import scatter
 from gslda_cascade.boosting import BoostingConfig, init_weights
 from gslda_cascade.cascade import (
     METHODS,
@@ -19,10 +20,10 @@ from gslda_cascade.cascade import (
     train_node,
 )
 from gslda_cascade.features import PoolParams, build_integral, build_pool
-from gslda_cascade.scatter import GreedySelector, ResponseMatrix, ScatterConfig, forward_select
+from gslda_cascade.scatter import GreedySelector, ScatterConfig
 from gslda_cascade.stumps import DecisionStump, StumpTrainer
 from oracles import bootstrap_negatives as scalar_bootstrap_negatives
-from oracles import decide_window, integral_image, pyramid_windows
+from oracles import ResponseTable, decide_window, forward_select, integral_image, pyramid_windows
 
 
 def separable_values(rng, n_pos=30, n_neg=50, extra=4):
@@ -119,8 +120,7 @@ class TestTrainNode:
             values, labels, NodeGoal(d_min=0.99, f_max=0.5), "gslda", fixed_rounds=rounds
         )
         table = StumpTrainer(values, labels).train_all(init_weights(labels))
-        rm = ResponseMatrix(table.responses.T, labels, strict=False)
-        ref = forward_select(rm, ScatterConfig(max_features=rounds))
+        ref = forward_select(ResponseTable(table.responses, labels), ScatterConfig(), rounds)
         assert [s.feature_id for s in node.stumps] == ref.selected
 
     def test_fixed_rounds_contract(self):
@@ -172,9 +172,9 @@ class TestTrainNode:
             return removed[-1]
 
         monkeypatch.setattr(GreedySelector, "eliminate", eliminate)
+        monkeypatch.setattr(scatter, "_ELIM_FRACTION", 0.5)
         forward, dual = [
-            train_node(values, labels, goal, "gslda",
-                       scatter_cfg=ScatterConfig(max_features=10, dual_pass=dual_pass, elim_fraction=0.5))
+            train_node(values, labels, goal, "gslda", scatter_cfg=ScatterConfig(dual_pass=dual_pass))
             for dual_pass in (False, True)
         ]
         assert removed == [removed[0]] and removed[0]  # one backward pass dropped stumps; the goal check undid it

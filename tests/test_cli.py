@@ -117,6 +117,25 @@ def test_eval_missing_image_is_data_error(corpus, model, tmp_path, capsys):
     assert "nowhere.pgm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,scale_factor", [("detect", "1e308"), ("detect", "inf"), ("eval", "1e308")])
+def test_oversized_scale_factor_scans_only_the_base_scale(corpus, model, tmp_path, monkeypatch, capsys,
+                                                         command, scale_factor):
+    scales = []
+    evaluate_windows = detect.evaluate_windows
+    monkeypatch.setattr(detect, "evaluate_windows",
+                        lambda *a: scales.append(a[-1]) or evaluate_windows(*a))
+    out = tmp_path / "out.csv"
+    inputs = {"detect": [str(corpus / "corpus" / "scenes"), "--no-merge"],
+              "eval": [str(corpus / "corpus" / "manifest.json")]}[command]
+    assert cli.main([command, model, *inputs, "--scale-factor", scale_factor, "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert scales and set(scales) == {1.0}
+    if command == "detect":
+        base = json.load(open(model))["base_window"]
+        rows = list(csv.DictReader(open(out)))
+        assert rows and all(int(row["side"]) == base for row in rows)
+
+
 @pytest.mark.parametrize("edit", [
     lambda m: m["nodes"][0].update(stumps=[], coefficients=[]),
     lambda m: m.update(stage_rates=[5]),

@@ -1,75 +1,71 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gslda_cascade import scatter
 from gslda_cascade.scatter import (
     REJECTED,
     DegenerateClassError,
     GreedySelector,
-    ResponseMatrix,
-    ScatterAccumulator,
     ScatterConfig,
-    ScatterState,
     SingularAugmentationError,
-    forward_select,
-    lda_weights,
 )
 
 from oracles import (
+    ResponseTable,
     direct_between_vector,
     direct_sb,
     direct_within,
     exhaustive_best_subset,
+    forward_select,
     from_scratch_greedy,
     random_rm,
     subset_eigenvalue,
 )
 
 
-def cfg_for(rm, k=None, **kw):
-    return ScatterConfig(max_features=k or rm.n_features, **kw)
+def samples(rows, labels):
+    """ResponseTable from one row of stump outputs per sample."""
+    return ResponseTable(np.asarray(rows).T, np.asarray(labels))
 
 
 def between(rm, w=None):
-    return ScatterAccumulator(rm, cfg_for(rm), w).between_class()
+    return GreedySelector(*rm, ScatterConfig(), w).b
 
 
 def within(rm, cfg, i, j, w=None):
-    return float(ScatterAccumulator(rm, cfg, w).cross([i])[0, j])
+    return float(GreedySelector(*rm, cfg, w).cross([i])[0, j])
 
 
 def augmented(rm, cfg, order, w=None):
     """Selector grown by rank-one augmentation with the features in order."""
-    sel = GreedySelector(rm, cfg, w)
+    sel = GreedySelector(*rm, cfg, w)
     for i in order:
         sel.augment(int(i))
     return sel
 
 
-def eliminated(state, rm, cfg, w=None):
-    """State after the backward pass, started from state's subset."""
-    sel = GreedySelector.from_subset(rm, cfg, state.selected, w)
-    sel.eliminate()
-    return sel.state()
+def eliminated(sel, rm, cfg, w=None):
+    """Selector after the backward pass, started from sel's subset."""
+    out = GreedySelector(*rm, cfg, w, selected=sel.selected)
+    out.eliminate()
+    return out
 
 
 class TestBetweenClassVector:
     def test_identical_class_means_give_zero(self):
-        responses = np.array([[1, -1], [-1, 1], [1, -1], [-1, 1]])
-        rm = ResponseMatrix(responses, np.array([1, 1, -1, -1]))
+        rm = samples([[1, -1], [-1, 1], [1, -1], [-1, 1]], [1, 1, -1, -1])
         assert np.allclose(between(rm), 0.0)
 
     def test_single_feature_balanced_hand_value(self):
         # +1 for every positive, -1 for every negative, N_p = N_n = N/2:
         # b = sqrt((N/2)(N/2)/N) * 2 = sqrt(N).
         n = 8
-        rm = ResponseMatrix(
+        rm = samples(
             np.concatenate([np.ones((4, 1)), -np.ones((4, 1))]).astype(int),
-            np.array([1] * 4 + [-1] * 4),
+            [1] * 4 + [-1] * 4,
         )
         assert between(rm) == pytest.approx([np.sqrt(n)], abs=1e-12)
 
@@ -89,10 +85,10 @@ class TestBetweenClassVector:
 
     def test_degenerate_class_rejected(self):
         with pytest.raises(DegenerateClassError, match="degenerate class distribution"):
-            ResponseMatrix(np.ones((3, 2), dtype=int), np.array([1, 1, 1]))
+            GreedySelector(*samples(np.ones((3, 2), dtype=int), [1, 1, 1]), ScatterConfig())
 
     def test_all_weight_on_one_class_rejected(self):
-        rm = ResponseMatrix(np.ones((4, 2), dtype=int), np.array([1, 1, -1, -1]))
+        rm = samples(np.ones((4, 2), dtype=int), [1, 1, -1, -1])
         w = np.array([0.5, 0.5, 0.0, 0.0])
         with pytest.raises(DegenerateClassError):
             between(rm, w)
@@ -100,8 +96,8 @@ class TestBetweenClassVector:
 
 class TestWithinClassEntry:
     def test_constant_column_diagonal_is_ridge(self):
-        rm = ResponseMatrix(np.ones((6, 1), dtype=int), np.array([1, 1, 1, -1, -1, -1]))
-        cfg = cfg_for(rm, gamma=1.0, ridge=1e-6)
+        rm = samples(np.ones((6, 1), dtype=int), [1, 1, 1, -1, -1, -1])
+        cfg = ScatterConfig(gamma=1.0, ridge=1e-6)
         assert within(rm, cfg, 0, 0) == pytest.approx(1e-6, abs=1e-18)
 
     def test_hand_expansion_gamma_2(self):
@@ -109,10 +105,8 @@ class TestWithinClassEntry:
         # class means (0,-1).  gamma=2, ridge=0:
         #   S00 = (1+1) + 2*(1+1) = 6,  S11 = (1+1) + 2*0 = 2,
         #   S01 = (1*1 + 1*1) + 2*0 = 2.
-        rm = ResponseMatrix(
-            np.array([[1, 1], [-1, -1], [1, -1], [-1, -1]]), np.array([1, 1, -1, -1])
-        )
-        cfg = cfg_for(rm, gamma=2.0, ridge=0.0)
+        rm = samples([[1, 1], [-1, -1], [1, -1], [-1, -1]], [1, 1, -1, -1])
+        cfg = ScatterConfig(gamma=2.0, ridge=0.0)
         assert within(rm, cfg, 0, 0) == pytest.approx(6.0, abs=1e-12)
         assert within(rm, cfg, 1, 1) == pytest.approx(2.0, abs=1e-12)
         assert within(rm, cfg, 0, 1) == pytest.approx(2.0, abs=1e-12)
@@ -122,7 +116,7 @@ class TestWithinClassEntry:
     def test_symmetry_exact(self, seed, weighted):
         rng = np.random.default_rng(seed)
         rm = random_rm(rng, 12, 5)
-        cfg = cfg_for(rm, gamma=1.7, ridge=1e-6)
+        cfg = ScatterConfig(gamma=1.7, ridge=1e-6)
         w = None
         if weighted:
             w = rng.random(12)
@@ -136,7 +130,7 @@ class TestWithinClassEntry:
         rm = random_rm(rng, 20, 5)
         w = rng.random(20)
         w /= w.sum()
-        cfg = cfg_for(rm, gamma=2.5, ridge=1e-3)
+        cfg = ScatterConfig(gamma=2.5, ridge=1e-3)
         direct = direct_within(rm, cfg, w)
         got = np.array(
             [[within(rm, cfg, i, j, w) for j in range(5)] for i in range(5)]
@@ -146,7 +140,7 @@ class TestWithinClassEntry:
     def test_uniform_weights_reduce_to_pooled_scatter(self):
         rng = np.random.default_rng(4)
         rm = random_rm(rng, 18, 4)
-        cfg = cfg_for(rm, gamma=1.0, ridge=0.0)
+        cfg = ScatterConfig(gamma=1.0, ridge=0.0)
         uniform = np.full(18, 1.0 / 18)
         for i in range(4):
             for j in range(4):
@@ -159,27 +153,27 @@ class TestRankOneAugment:
     def test_base_case_scalar_inverse(self):
         rng = np.random.default_rng(5)
         rm = random_rm(rng, 16, 3)
-        cfg = cfg_for(rm)
-        state = augmented(rm, cfg, [1]).state()
+        cfg = ScatterConfig()
+        sel = augmented(rm, cfg, [1])
         s11 = within(rm, cfg, 1, 1)
-        assert state.selected == [1]
-        assert state.inv_sw == pytest.approx(np.array([[1.0 / s11]]), rel=1e-12)
+        assert sel.selected == [1]
+        assert sel.inv == pytest.approx(np.array([[1.0 / s11]]), rel=1e-12)
 
     def test_sequence_matches_direct_inversion(self):
         rng = np.random.default_rng(6)
         for trial in range(20):
             rm = random_rm(rng, 40, 12)
-            cfg = cfg_for(rm, ridge=1e-6)
+            cfg = ScatterConfig(ridge=1e-6)
             order = rng.permutation(12)[:6]
-            state = augmented(rm, cfg, order).state()
-            direct = np.linalg.inv(direct_within(rm, cfg)[np.ix_(state.selected, state.selected)])
-            assert np.max(np.abs(state.inv_sw - direct)) < 1e-8
+            sel = augmented(rm, cfg, order)
+            direct = np.linalg.inv(direct_within(rm, cfg)[np.ix_(sel.selected, sel.selected)])
+            assert np.max(np.abs(sel.inv - direct)) < 1e-8
 
     def test_duplicate_column_is_singular(self):
         rng = np.random.default_rng(7)
         base = rng.choice(np.array([-1, 1], dtype=np.int8), size=(20, 1))
-        rm = ResponseMatrix(np.hstack([base, base]), np.where(rng.random(20) < 0.5, 1, -1))
-        cfg = cfg_for(rm, ridge=0.0)
+        rm = samples(np.hstack([base, base]), np.where(rng.random(20) < 0.5, 1, -1))
+        cfg = ScatterConfig(ridge=0.0)
         sel = augmented(rm, cfg, [0])
         with pytest.raises(SingularAugmentationError, match="singular augmentation"):
             sel.augment(1)
@@ -187,20 +181,19 @@ class TestRankOneAugment:
     def test_already_selected_rejected(self):
         rng = np.random.default_rng(8)
         rm = random_rm(rng, 10, 3)
-        sel = augmented(rm, cfg_for(rm), [0])
+        sel = augmented(rm, ScatterConfig(), [0])
         with pytest.raises(ValueError):
             sel.augment(0)
 
     def test_eigenvalue_identity_maintained(self):
         rng = np.random.default_rng(9)
         rm = random_rm(rng, 30, 8)
-        cfg = cfg_for(rm)
-        sel = GreedySelector(rm, cfg)
+        sel = GreedySelector(*rm, ScatterConfig())
         for i in (4, 1, 6):
             sel.augment(i)
-            state = sel.state()
-            quad = float(state.b_restricted @ state.inv_sw @ state.b_restricted)
-            assert state.eigenvalue == pytest.approx(quad, rel=1e-10)
+            b_r = sel.b[sel.selected]
+            quad = float(b_r @ sel.inv @ b_r)
+            assert sel.eig == pytest.approx(quad, rel=1e-10)
 
 
 class TestCandidateEigenvalue:
@@ -209,8 +202,8 @@ class TestCandidateEigenvalue:
         pos_row = np.array([1, 1, -1, 1], dtype=np.int8)
         neg_row = np.array([-1, 1, 1, -1], dtype=np.int8)
         responses = np.vstack([np.tile(pos_row, (5, 1)), np.tile(neg_row, (5, 1))])
-        rm = ResponseMatrix(responses, np.array([1] * 5 + [-1] * 5))
-        cfg = cfg_for(rm, ridge=1.0)
+        rm = samples(responses, [1] * 5 + [-1] * 5)
+        cfg = ScatterConfig(ridge=1.0)
         b = between(rm)
         lam = augmented(rm, cfg, [0]).candidate_scores()[3]
         assert lam == pytest.approx(b[0] ** 2 + b[3] ** 2, rel=1e-10)
@@ -220,23 +213,22 @@ class TestCandidateEigenvalue:
     def test_monotone_in_subset_growth(self, seed):
         rng = np.random.default_rng(seed)
         rm = random_rm(rng, 24, 7)
-        cfg = cfg_for(rm)
+        cfg = ScatterConfig()
         sel = augmented(rm, cfg, [rng.integers(7)])
-        state = sel.state()
         scores = sel.candidate_scores()
         for i in range(7):
-            if i in state.selected:
+            if i in sel.selected:
                 continue
             lam = scores[i]
             if lam != REJECTED:
-                assert lam >= state.eigenvalue - 1e-9
-                assert lam == pytest.approx(subset_eigenvalue(rm, cfg, state.selected + [i]), rel=1e-8)
+                assert lam >= sel.eig - 1e-9
+                assert lam == pytest.approx(subset_eigenvalue(rm, cfg, sel.selected + [i]), rel=1e-8)
 
     def test_matches_dense_generalized_eigenvalue(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             rm = random_rm(rng, 40, 6)
-            cfg = cfg_for(rm, ridge=1e-6)
+            cfg = ScatterConfig(ridge=1e-6)
             lam = augmented(rm, cfg, (2, 5)).candidate_scores()[0]
             subset = [2, 5, 0]
             sw = direct_within(rm, cfg)[np.ix_(subset, subset)]
@@ -247,8 +239,8 @@ class TestCandidateEigenvalue:
     def test_singular_candidate_returns_sentinel(self):
         rng = np.random.default_rng(12)
         base = rng.choice(np.array([-1, 1], dtype=np.int8), size=(20, 1))
-        rm = ResponseMatrix(np.hstack([base, base]), np.where(rng.random(20) < 0.5, 1, -1))
-        cfg = cfg_for(rm, ridge=0.0)
+        rm = samples(np.hstack([base, base]), np.where(rng.random(20) < 0.5, 1, -1))
+        cfg = ScatterConfig(ridge=0.0)
         assert augmented(rm, cfg, [0]).candidate_scores()[1] == REJECTED
 
 
@@ -262,11 +254,11 @@ class TestForwardSelect:
             rm = random_rm(rng, 30, 9)
             w = rng.random(30)
             w /= w.sum()
-            cfg = cfg_for(rm, k=1)
+            cfg = ScatterConfig()
             sw_diag = np.diag(direct_within(rm, cfg, w))
             b = direct_between_vector(rm, w)
             expect = int(np.argmax(b**2 / sw_diag))
-            assert forward_select(rm, cfg, w).selected == [expect]
+            assert forward_select(rm, cfg, 1, w).selected == [expect]
 
     def test_trajectory_matches_from_scratch_greedy(self):
         rng = np.random.default_rng(14)
@@ -274,74 +266,70 @@ class TestForwardSelect:
             rm = random_rm(rng, 40, 10)
             w = rng.random(40)
             w /= w.sum()
-            cfg = cfg_for(rm, k=3)
-            assert forward_select(rm, cfg, w).selected == from_scratch_greedy(rm, cfg, 3, w)
+            cfg = ScatterConfig()
+            assert forward_select(rm, cfg, 3, w).selected == from_scratch_greedy(rm, cfg, 3, w)
 
     def test_weighted_trajectory_matches_from_scratch_greedy(self):
         rng = np.random.default_rng(15)
         rm = random_rm(rng, 40, 8)
         w = rng.random(40)
         w /= w.sum()
-        cfg = cfg_for(rm, k=3)
-        assert forward_select(rm, cfg, w).selected == from_scratch_greedy(rm, cfg, 3, w)
+        cfg = ScatterConfig()
+        assert forward_select(rm, cfg, 3, w).selected == from_scratch_greedy(rm, cfg, 3, w)
 
     def test_duplicate_best_columns_take_lower_index(self):
         rng = np.random.default_rng(16)
         labels = np.array([1] * 10 + [-1] * 10)
         good = np.where(labels > 0, 1, -1).astype(np.int8)
         noise = rng.choice(np.array([-1, 1], dtype=np.int8), size=20)
-        rm = ResponseMatrix(np.column_stack([noise, good, good]), labels)
-        state = forward_select(rm, cfg_for(rm, k=1))
-        assert state.selected == [1]
+        rm = ResponseTable(np.vstack([noise, good, good]), labels)
+        assert forward_select(rm, ScatterConfig(), 1).selected == [1]
 
     def test_no_separating_feature(self):
-        rm = ResponseMatrix(
-            np.ones((6, 2), dtype=np.int8), np.array([1, 1, 1, -1, -1, -1])
-        )
+        rm = samples(np.ones((6, 2), dtype=np.int8), [1, 1, 1, -1, -1, -1])
         with pytest.raises(ValueError, match="no separating feature"):
-            forward_select(rm, cfg_for(rm, k=1, ridge=0.0))
+            forward_select(rm, ScatterConfig(ridge=0.0), 1)
 
     def test_eigenvalue_monotone_along_selection(self):
         rng = np.random.default_rng(17)
         rm = random_rm(rng, 50, 12)
-        cfg = cfg_for(rm, k=12)
-        sel = GreedySelector(rm, cfg)
+        sel = GreedySelector(*rm, ScatterConfig())
         prev = 0.0
         while sel.step() is not None:
-            lam = sel.state().eigenvalue
+            lam = sel.eig
             assert lam >= prev - 1e-9
             prev = lam
 
     def test_cardinality_capped(self):
         rng = np.random.default_rng(18)
         rm = random_rm(rng, 30, 10)
-        assert len(forward_select(rm, cfg_for(rm, k=4)).selected) == 4
+        assert len(forward_select(rm, ScatterConfig(), 4).selected) == 4
 
     def test_greedy_bounded_by_exhaustive(self):
         rng = np.random.default_rng(19)
         for _ in range(5):
             rm = random_rm(rng, 30, 8)
-            cfg = cfg_for(rm, k=3)
-            lam = forward_select(rm, cfg).eigenvalue
+            cfg = ScatterConfig()
+            lam = forward_select(rm, cfg, 3).eig
             assert lam <= exhaustive_best_subset(rm, cfg, 3) + 1e-9
 
     def test_inverse_consistency_after_long_run(self):
         rng = np.random.default_rng(20)
         rm = random_rm(rng, 80, 40)
-        state = forward_select(rm, cfg_for(rm, k=40))
-        sw = direct_within(rm, cfg_for(rm))[np.ix_(state.selected, state.selected)]
-        assert np.max(np.abs(state.inv_sw @ sw - np.eye(len(state.selected)))) < 1e-8
+        sel = forward_select(rm, ScatterConfig(), 40)
+        sw = direct_within(rm, ScatterConfig())[np.ix_(sel.selected, sel.selected)]
+        assert np.max(np.abs(sel.inv @ sw - np.eye(len(sel.selected)))) < 1e-8
 
 
 class TestFromSubset:
     def test_empty_subset_is_fresh_selector(self):
         rng = np.random.default_rng(28)
         rm = random_rm(rng, 20, 5)
-        cfg = cfg_for(rm)
-        sel = GreedySelector.from_subset(rm, cfg, [])
-        assert sel.state().selected == []
-        assert sel.state().eigenvalue == 0.0
-        assert np.array_equal(sel.candidate_scores(), GreedySelector(rm, cfg).candidate_scores())
+        cfg = ScatterConfig()
+        sel = GreedySelector(*rm, cfg, selected=[])
+        assert sel.selected == []
+        assert sel.eig == 0.0
+        assert np.array_equal(sel.candidate_scores(), GreedySelector(*rm, cfg).candidate_scores())
 
     def test_matches_direct_inversion(self):
         rng = np.random.default_rng(29)
@@ -351,13 +339,13 @@ class TestFromSubset:
             if weighted:
                 w = rng.random(40)
                 w /= w.sum()
-            cfg = cfg_for(rm, ridge=1e-6)
+            cfg = ScatterConfig(ridge=1e-6)
             subset = [7, 2, 4]
-            state = GreedySelector.from_subset(rm, cfg, subset, w).state()
+            sel = GreedySelector(*rm, cfg, w, selected=subset)
             sw = direct_within(rm, cfg, w)[np.ix_(subset, subset)]
-            assert state.selected == subset
-            assert np.max(np.abs(state.inv_sw @ sw - np.eye(3))) < 1e-8
-            assert state.eigenvalue == pytest.approx(subset_eigenvalue(rm, cfg, subset, w), rel=1e-8)
+            assert sel.selected == subset
+            assert np.max(np.abs(sel.inv @ sw - np.eye(3))) < 1e-8
+            assert sel.eig == pytest.approx(subset_eigenvalue(rm, cfg, subset, w), rel=1e-8)
 
     def test_continues_like_augmented_selector(self):
         rng = np.random.default_rng(30)
@@ -365,11 +353,11 @@ class TestFromSubset:
             rm = random_rm(rng, 40, 10)
             w = rng.random(40)
             w /= w.sum()
-            cfg = cfg_for(rm, k=5)
-            grown = GreedySelector(rm, cfg, w)
+            cfg = ScatterConfig()
+            grown = GreedySelector(*rm, cfg, w)
             for _ in range(3):
                 grown.step()
-            restarted = GreedySelector.from_subset(rm, cfg, grown.state().selected, w)
+            restarted = GreedySelector(*rm, cfg, w, selected=grown.selected)
             assert np.allclose(restarted.candidate_scores(), grown.candidate_scores(), rtol=1e-8)
             assert restarted.step() == grown.step()
 
@@ -380,17 +368,17 @@ class TestBackwardEliminate:
         # large eigenvalue share (verified by the oracle below).
         rng = np.random.default_rng(21)
         rm = random_rm(rng, 60, 6)
-        cfg = cfg_for(rm, k=3)
-        state = forward_select(rm, cfg)
-        lam_full = state.eigenvalue
+        cfg = ScatterConfig()
+        sel = forward_select(rm, cfg, 3)
+        lam_full = sel.eig
         drops = []
-        for j in range(len(state.selected)):
-            rest = [f for idx, f in enumerate(state.selected) if idx != j]
+        for j in range(len(sel.selected)):
+            rest = [f for idx, f in enumerate(sel.selected) if idx != j]
             drops.append(lam_full - subset_eigenvalue(rm, cfg, rest))
-        if min(drops) < cfg.elim_fraction * lam_full:
+        if min(drops) < scatter._ELIM_FRACTION * lam_full:
             pytest.skip("instance not in the all-essential regime")
-        out = eliminated(state, rm, cfg)
-        assert out.selected == state.selected
+        out = eliminated(sel, rm, cfg)
+        assert out.selected == sel.selected
 
     def test_duplicate_selected_feature_removed(self):
         rng = np.random.default_rng(22)
@@ -398,34 +386,34 @@ class TestBackwardEliminate:
         labels[:2] = [1, -1]
         a = rng.choice(np.array([-1, 1], dtype=np.int8), size=40)
         b = np.where(labels > 0, 1, -1).astype(np.int8)
-        rm = ResponseMatrix(np.column_stack([a, b, b]), labels)
-        cfg = cfg_for(rm, ridge=1e-6)
+        rm = ResponseTable(np.vstack([a, b, b]), labels)
+        cfg = ScatterConfig(ridge=1e-6)
         sel = augmented(rm, cfg, (1, 2, 0))
-        state = sel.state()
+        before, lam = list(sel.selected), sel.eig
         sel.eliminate()
-        out = sel.state()
-        assert len(out.selected) < len(state.selected)
-        assert out.eigenvalue == pytest.approx(state.eigenvalue, abs=1e-8 * (1 + state.eigenvalue))
-        sw = direct_within(rm, cfg)[np.ix_(out.selected, out.selected)]
-        assert np.max(np.abs(out.inv_sw @ sw - np.eye(len(out.selected)))) < 1e-8
+        assert len(sel.selected) < len(before)
+        assert sel.eig == pytest.approx(lam, abs=1e-8 * (1 + lam))
+        sw = direct_within(rm, cfg)[np.ix_(sel.selected, sel.selected)]
+        assert np.max(np.abs(sel.inv @ sw - np.eye(len(sel.selected)))) < 1e-8
 
-    def test_oracle_agreement_on_random_instances(self):
+    def test_oracle_agreement_on_random_instances(self, monkeypatch):
         # The removal rule is checked against direct recomputation: a feature
         # may go only while the smallest eigenvalue drop stays below the
         # configured fraction.
+        monkeypatch.setattr(scatter, "_ELIM_FRACTION", 0.25)
         rng = np.random.default_rng(23)
         for _ in range(10):
             rm = random_rm(rng, 50, 10)
-            cfg = cfg_for(rm, k=4, elim_fraction=0.25)
-            state = forward_select(rm, cfg)
-            out = eliminated(state, rm, cfg)
+            cfg = ScatterConfig()
+            picked = forward_select(rm, cfg, 4)
+            out = eliminated(picked, rm, cfg)
             # replay the rule with the oracle
-            sel = list(state.selected)
+            sel = list(picked.selected)
             lam = subset_eigenvalue(rm, cfg, sel)
             while len(sel) >= 2:
                 drops = [lam - subset_eigenvalue(rm, cfg, sel[:j] + sel[j + 1 :]) for j in range(len(sel))]
                 j = int(np.argmin(drops))
-                if drops[j] >= cfg.elim_fraction * lam:
+                if drops[j] >= 0.25 * lam:
                     break
                 del sel[j]
                 lam = subset_eigenvalue(rm, cfg, sel)
@@ -434,46 +422,48 @@ class TestBackwardEliminate:
     def test_single_feature_state_unchanged(self):
         rng = np.random.default_rng(24)
         rm = random_rm(rng, 20, 3)
-        sel = augmented(rm, cfg_for(rm), [0])
+        sel = augmented(rm, ScatterConfig(), [0])
         assert sel.eliminate() == []
-        assert sel.state().selected == [0]
+        assert sel.selected == [0]
 
 
 class TestLdaWeights:
     def test_single_feature_unit(self):
         rng = np.random.default_rng(25)
         rm = random_rm(rng, 20, 3)
-        state = forward_select(rm, cfg_for(rm, k=1))
-        w = lda_weights(state)
+        w = forward_select(rm, ScatterConfig(), 1).direction()
         assert w.shape == (1,)
         assert abs(abs(w[0]) - 1.0) < 1e-12
 
     def test_beats_random_directions(self):
         rng = np.random.default_rng(26)
         rm = random_rm(rng, 60, 8)
-        cfg = cfg_for(rm, k=4)
-        state = forward_select(rm, cfg)
-        w = lda_weights(state)
-        sw = direct_within(rm, cfg)[np.ix_(state.selected, state.selected)]
-        b = direct_between_vector(rm)[state.selected]
+        cfg = ScatterConfig()
+        sel = forward_select(rm, cfg, 4)
+        w = sel.direction()
+        sw = direct_within(rm, cfg)[np.ix_(sel.selected, sel.selected)]
+        b = direct_between_vector(rm)[sel.selected]
 
         def quotient(v):
             return float((v @ b) ** 2 / (v @ sw @ v))
 
         q_star = quotient(w)
         for _ in range(100):
-            v = rng.normal(size=len(state.selected))
+            v = rng.normal(size=len(sel.selected))
             v /= np.linalg.norm(v)
             assert q_star >= quotient(v) - 1e-9
 
     def test_scale_invariance_of_direction(self):
         rng = np.random.default_rng(27)
         rm = random_rm(rng, 30, 5)
-        state = forward_select(rm, cfg_for(rm, k=3))
-        scaled = dataclasses.replace(state, b_restricted=3.7 * state.b_restricted)
-        assert np.allclose(lda_weights(state), lda_weights(scaled), atol=1e-12)
+        sel = forward_select(rm, ScatterConfig(), 3)
+        w = sel.direction()
+        sel.b = 3.7 * sel.b
+        assert np.allclose(w, sel.direction(), atol=1e-12)
 
     def test_zero_between_direction_rejected(self):
-        state = ScatterState([0], np.eye(1), np.zeros(1), 0.0)
+        # Identical class means: b is zero on every feature.
+        rm = samples([[1, -1], [-1, 1], [1, -1], [-1, 1]], [1, 1, -1, -1])
+        sel = augmented(rm, ScatterConfig(), [0])
         with pytest.raises(ValueError, match="zero between-class direction"):
-            lda_weights(state)
+            sel.direction()

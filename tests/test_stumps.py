@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gslda_cascade.stumps import DecisionStump, StumpTrainer, weighted_error
+from gslda_cascade.stumps import DecisionStump, StumpTrainer
 
-from oracles import exhaustive_stump
+from oracles import exhaustive_stump, stump_response, weighted_error
 
 
 def uniform(n):
@@ -21,14 +21,16 @@ def train_one(values, labels, weights):
 class TestDecisionStump:
     def test_sign_zero_is_positive(self):
         stump = DecisionStump(0, 3.0, 1)
-        assert stump.response(3.0) == 1
-        assert stump.response(2.999) == -1
-        assert DecisionStump(0, 3.0, -1).response(3.0) == -1
+        assert stump_response(stump, 3.0) == 1
+        assert stump_response(stump, 2.999) == -1
+        assert stump_response(DecisionStump(0, 3.0, -1), 3.0) == -1
+        assert list(stump.responses(np.array([3.0, 2.999]))) == [1, -1]
+        assert list(DecisionStump(0, 3.0, -1).responses(np.array([3.0]))) == [-1]
 
     def test_vector_responses_match_scalar(self):
         stump = DecisionStump(0, 0.5, -1)
         values = np.array([-1.0, 0.5, 2.0])
-        assert list(stump.responses(values)) == [stump.response(v) for v in values]
+        assert list(stump.responses(values)) == [stump_response(stump, v) for v in values]
 
     def test_bad_polarity_rejected(self):
         with pytest.raises(ValueError):
@@ -57,7 +59,7 @@ class TestTrainStump:
         assert np.isinf(stump.threshold)
         assert err == pytest.approx(0.4, abs=1e-15)
         # constant +1 misclassifies the two negatives
-        assert all(stump.response(v) == 1 for v in values)
+        assert all(stump_response(stump, v) == 1 for v in values)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(0)
