@@ -1,7 +1,9 @@
 """Sample-weight machinery for boosting rounds.
 
 Weights form a normalized distribution over training samples.  They are plain
-numpy arrays; every operation here returns a fresh normalized array.
+numpy arrays; every operation here returns a fresh normalized array.  One
+update rule, reweight, serves every boosted method: AdaBoost is its k = 1
+case and AsymBoost adds the class-asymmetry factor of k > 1.
 """
 
 from __future__ import annotations
@@ -63,24 +65,15 @@ def _renormalize(u: np.ndarray) -> np.ndarray:
     return u / z
 
 
-def reweight_adaboost(w, responses, labels, a: float) -> np.ndarray:
-    """One AdaBoost round: u <- u * exp(-(a/2) y h) / Z.
+def reweight(w, responses, labels, a: float, k: float = 1.0, rounds: int = 1) -> np.ndarray:
+    """One boosting round: u <- u * exp(-(a/2) y h) * exp(y log sqrt(k) / rounds) / Z.
 
     `a` is the vote coefficient log((1-e)/e); the half exponent makes this the
     classic multiply-by-sqrt(e/(1-e)) update, after which the stump just
-    selected has weighted error exactly 1/2.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    yh = np.asarray(labels, dtype=np.float64) * np.asarray(responses, dtype=np.float64)
-    return _renormalize(w * np.exp(-0.5 * a * yh))
-
-
-def reweight_asymboost(w, responses, labels, a: float, k: float, rounds: int = 1) -> np.ndarray:
-    """AdaBoost update with an extra class-asymmetry factor exp(y log sqrt(k)).
-
-    rounds=1 applies the full multiplier at once (positive/negative ratio k);
-    rounds=n amortizes it as exp((1/n) y log sqrt(k)) per round, for use when
-    a node is trained over n boosting rounds.
+    selected has weighted error exactly 1/2.  k = 1 is AdaBoost: the
+    asymmetry factor is exactly 1.  k > 1 is AsymBoost: rounds=1 applies the
+    full multiplier at once (positive/negative ratio k), rounds=n amortizes it
+    over a node trained in n rounds.
     """
     if k <= 0:
         raise ValueError("k must be positive")

@@ -1,11 +1,15 @@
 """Node and cascade training.
 
 A node is a weighted sum of decision stumps plus a threshold; a window is a
-target only if every node accepts it.  Five training methods share the node
-surface: AdaBoost and AsymBoost select stumps by minimum weighted error,
-GSLDA selects by maximum class separation on a once-built stump table, and
-BGSLDA re-trains the table under boosting weights each round, prunes weak
-candidates, selects by class separation and reweights.
+target only if every node accepts it.  All five training methods run one
+round (train_node): pick a stump, add it, retune the threshold, stop on the
+goal or the stump cap, else reweight the samples and retrain the stumps.
+Only the pick differs.  AdaBoost and AsymBoost take the least weighted error
+and vote by their alphas.  GSLDA takes the greatest class separation on a
+table trained once, so it neither reweights nor retrains.  BGSLDA prunes weak
+candidates and takes the greatest class separation among the survivors.
+GSLDA and BGSLDA vote by the discriminant direction.  Reweighting is one
+rule (boosting.reweight), asymmetric for asymboost and bgslda2.
 
 evaluate_windows is the package's one cascade evaluator: early rejection
 over the integral table, vectorized over window positions.  Bootstrapping,
@@ -182,107 +186,72 @@ def train_node(
     boost_cfg = boost_cfg or boosting.BoostingConfig()
     scfg = scatter_cfg or scatter.ScatterConfig()
     cap = fixed_rounds or goal.max_stumps
+    k = boost_cfg.asym_k if method in ("asymboost", "bgslda2") else 1.0
 
     trainer = stumps.StumpTrainer(values[:, fit.train_idx], fit.train_labels)
     weights = boosting.init_weights(fit.train_labels)
-
-    if method == "gslda":
-        return _grow_gslda(fit, trainer, weights, scfg, cap, fixed_rounds)
-    if method in ("bgslda1", "bgslda2"):
-        return _grow_bgslda(fit, trainer, weights, scfg, boost_cfg, cap, fixed_rounds, method)
-    return _grow_boosted(fit, trainer, weights, boost_cfg, cap, fixed_rounds, method)
-
-
-def _reweight(method, weights, responses, labels, a, boost_cfg, cap):
-    """AsymBoost's sample reweighting for asymboost and bgslda2, AdaBoost's otherwise."""
-    if method in ("asymboost", "bgslda2"):
-        return boosting.reweight_asymboost(weights, responses, labels, a, boost_cfg.asym_k, rounds=cap)
-    return boosting.reweight_adaboost(weights, responses, labels, a)
-
-
-def _goal_reached(fit, fixed_rounds):
-    if fixed_rounds is not None:
-        return len(fit.chosen) >= fixed_rounds
-    return fit.f <= fit.goal.f_max
-
-
-def _grow_boosted(fit, trainer, weights, boost_cfg, cap, fixed_rounds, method):
-    coeffs: list[float] = []
-    while True:
-        table = trainer.train_all(weights)
-        j = int(np.argmin(table.errors))  # the first of equal minima
-        a = boosting.alpha(float(table.errors[j]))
-        fit.add(table.stumps[j], table.responses[j])
-        coeffs.append(a)
-        weights = _reweight(method, weights, table.responses[j], fit.train_labels, a, boost_cfg, cap)
-        fit.retune(np.array(coeffs))
-        if _goal_reached(fit, fixed_rounds):
-            return fit.build(goal_met=True)
-        if len(fit.chosen) >= cap:
-            return fit.build(goal_met=fit.f <= fit.goal.f_max)
-
-
-def _grow_gslda(fit, trainer, weights, scfg, cap, fixed_rounds):
-    # Stumps are trained once (class-balanced weights); selection then walks
-    # the fixed response table by maximum class separation.
     table = trainer.train_all(weights)
-    sel = scatter.GreedySelector(table.responses, fit.train_labels, scfg)
+    if method == "gslda":  # one selector walks the table trained once
+        sel = scatter.GreedySelector(table.responses, fit.train_labels, scfg)
+    alphas: list[float] = []
     while True:
-        picked = sel.step()
-        if picked is None:
-            return fit.build(goal_met=fit.f <= fit.goal.f_max)
-        fit.add(table.stumps[picked], table.responses[picked])
-        fit.retune(sel.direction())
-        if _goal_reached(fit, fixed_rounds):
-            met = fit.build(goal_met=True)
-            if scfg.dual_pass and len(sel.selected) >= 2:
-                removed = set(sel.eliminate())
-                if removed:
-                    keep = [t for t, s in enumerate(fit.chosen) if s.feature_id not in removed]
-                    fit.chosen = [fit.chosen[t] for t in keep]
-                    fit.train_rows = [fit.train_rows[t] for t in keep]
-                    fit.val_rows = [fit.val_rows[t] for t in keep]
-                    fit.retune(sel.direction())
-                    if fixed_rounds is not None or fit.f <= fit.goal.f_max:
-                        return fit.build(goal_met=True)
-            return met  # no elimination, or it broke the goal: keep the met node
-        if len(fit.chosen) >= cap:
-            return fit.build(goal_met=fit.f <= fit.goal.f_max)
-
-
-def _grow_bgslda(fit, trainer, weights, scfg, boost_cfg, cap, fixed_rounds, method):
-    while True:
-        table = trainer.train_all(weights)
-        survivors, _ = boosting.prune_stumps(table, weights, boost_cfg)
-        chosen_ids = {s.feature_id for s in fit.chosen}
-        allowed = [int(j) for j in survivors if int(j) not in chosen_ids]
-        if not allowed:
-            widened = dataclasses.replace(boost_cfg, prune_epsilon=2.0 * boost_cfg.prune_epsilon)
-            survivors, _ = boosting.prune_stumps(table, weights, widened)
-            allowed = [int(j) for j in survivors if int(j) not in chosen_ids]
-        if not allowed:
-            allowed = [
-                int(j) for j in np.argsort(table.errors, kind="stable") if int(j) not in chosen_ids
-            ][:1]
-        if not allowed:
-            return fit.build(goal_met=fit.f <= fit.goal.f_max)
-
-        k = len(fit.chosen)
-        stacked = np.vstack(fit.train_rows + [table.responses]) if k else table.responses
-        sel = scatter.GreedySelector(stacked, fit.train_labels, scfg, weights, selected=range(k))
-        picked = sel.step(allowed=[k + j for j in allowed])
-        if picked is None:
-            # every surviving candidate is redundant with the chosen stumps
-            return fit.build(goal_met=fit.f <= fit.goal.f_max)
-        j = picked - k
-        a = boosting.alpha(float(table.errors[j]))
+        if method == "gslda":
+            j = sel.step()
+        elif method in ("adaboost", "asymboost"):
+            j = int(np.argmin(table.errors))  # the first of equal minima
+        else:
+            j, sel = _bgslda_pick(fit, table, weights, scfg, boost_cfg)
+        if j is None:  # no candidate left that adds class separation
+            return fit.build(goal_met=fit.f <= goal.f_max)
         fit.add(table.stumps[j], table.responses[j])
-        fit.retune(sel.direction())
-        weights = _reweight(method, weights, table.responses[j], fit.train_labels, a, boost_cfg, cap)
-        if _goal_reached(fit, fixed_rounds):
+        alphas.append(boosting.alpha(float(table.errors[j])))
+        fit.retune(np.array(alphas) if method in ("adaboost", "asymboost") else sel.direction())
+        if (len(fit.chosen) >= fixed_rounds) if fixed_rounds is not None else (fit.f <= goal.f_max):
+            if method == "gslda" and scfg.dual_pass:
+                return _eliminate(fit, sel, fixed_rounds)
             return fit.build(goal_met=True)
         if len(fit.chosen) >= cap:
-            return fit.build(goal_met=fit.f <= fit.goal.f_max)
+            return fit.build(goal_met=fit.f <= goal.f_max)
+        if method != "gslda":
+            weights = boosting.reweight(weights, table.responses[j], fit.train_labels, alphas[-1], k, rounds=cap)
+            table = trainer.train_all(weights)
+
+
+def _bgslda_pick(fit, table, weights, scfg, boost_cfg):
+    """BGSLDA's pick: the most separating stump among the pruned candidates
+    not yet chosen, after doubling the slack once and then falling back to
+    the least-error unchosen stump.  Returns (table index or None, selector)."""
+    chosen_ids = {s.feature_id for s in fit.chosen}
+    widened = dataclasses.replace(boost_cfg, prune_epsilon=2.0 * boost_cfg.prune_epsilon)
+    for cfg in (boost_cfg, widened):
+        survivors, _ = boosting.prune_stumps(table, weights, cfg)
+        allowed = [int(j) for j in survivors if int(j) not in chosen_ids]
+        if allowed:
+            break
+    else:
+        allowed = [int(j) for j in np.argsort(table.errors, kind="stable") if int(j) not in chosen_ids][:1]
+    if not allowed:
+        return None, None
+    k = len(fit.chosen)
+    stacked = np.vstack(fit.train_rows + [table.responses]) if k else table.responses
+    sel = scatter.GreedySelector(stacked, fit.train_labels, scfg, weights, selected=range(k))
+    picked = sel.step(allowed=[k + j for j in allowed])
+    return (None if picked is None else picked - k), sel
+
+
+def _eliminate(fit, sel, fixed_rounds):
+    """GSLDA's dual pass on a node that met its goal: drop the stumps that
+    backward elimination removes, unless the smaller node misses the goal."""
+    met = fit.build(goal_met=True)
+    removed = set(sel.eliminate()) if len(sel.selected) >= 2 else set()
+    if not removed:
+        return met
+    keep = [t for t, s in enumerate(fit.chosen) if s.feature_id not in removed]
+    fit.chosen = [fit.chosen[t] for t in keep]
+    fit.train_rows = [fit.train_rows[t] for t in keep]
+    fit.val_rows = [fit.val_rows[t] for t in keep]
+    fit.retune(sel.direction())
+    return fit.build(goal_met=True) if fixed_rounds is not None or fit.f <= fit.goal.f_max else met
 
 
 @dataclass

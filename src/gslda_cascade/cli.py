@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -62,12 +61,12 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_shared(p, seed=False, threads=None):
-    """Add --config, plus --seed and --threads (with the given help) if asked."""
+def _add_shared(p, seed=False, threads=False):
+    """Add --config, plus --seed and --threads (which has no effect) if asked."""
     if seed:
         p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
     if threads:
-        p.add_argument("--threads", type=int, default=None, help=threads)
+        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
     p.add_argument("--config", default=None, help="JSON file with flag defaults")
 
 
@@ -93,7 +92,7 @@ def build_parser() -> _Parser:
     t.add_argument("--stride", type=int, default=None, help="feature placement stride")
     t.add_argument("--min-size", type=int, default=None, help="minimum feature extent")
     t.add_argument("--subsample", type=int, default=None, help="keep every n-th feature")
-    _add_shared(t, seed=True, threads="accepted for compatibility; has no effect")
+    _add_shared(t, seed=True, threads=True)
     t.set_defaults(func=cmd_train)
 
     d = sub.add_parser("detect", help="scan images with a trained model")
@@ -106,7 +105,7 @@ def build_parser() -> _Parser:
     d.add_argument("--profile", action="store_true",
                    help="report scan counters, raw windows and detections")
     d.add_argument("--no-merge", action="store_true", help="emit raw windows without merging")
-    _add_shared(d, threads="worker threads (default 1)")
+    _add_shared(d, threads=True)
     d.set_defaults(func=cmd_detect)
 
     e = sub.add_parser("eval", help="score a model against ground truth")
@@ -156,6 +155,8 @@ def _check_scan(cfg) -> None:
     with _settings():
         if not cfg["scale_factor"] > 1:
             raise ValueError("scale_factor must exceed 1")
+        if not 0 < cfg["step"] < np.inf:
+            raise ValueError("step must be a finite number above 0")
 
 
 def _fits_default(value, default) -> bool:
@@ -277,6 +278,7 @@ def _image_list(path) -> list[str]:
 
 
 def cmd_detect(args) -> int:
+    # "threads" has no effect; it stays a type-checked --config key.
     cfg = _merge_config(args, {"scale_factor": 1.2, "step": 1.0, "min_neighbors": 2, "threads": 1})
     _check_scan(cfg)
     try:
@@ -287,29 +289,20 @@ def cmd_detect(args) -> int:
     if not paths:
         raise DataError(f"no PGM images under {args.images}")
 
-    def scan_one(path):
-        image = read_pgm(path)
-        profile = ScanProfile()
-        wins = scan_image(model, image, cfg["scale_factor"], cfg["step"], profile=profile)
-        if not args.no_merge:
-            wins = merge_detections(wins, cfg["min_neighbors"])
-        return wins, profile
-
     rows = []
     total = ScanProfile()
     failures = 0
-    with ThreadPoolExecutor(max_workers=max(1, cfg["threads"])) as pool:
-        futures = [(path, pool.submit(scan_one, path)) for path in paths]
-        for path, future in futures:
-            try:
-                wins, profile = future.result()
-            except (OSError, ValueError) as exc:
-                print(f"warning: skipping {path}: {exc}", file=sys.stderr)
-                failures += 1
-                continue
-            total.merge(profile)
-            image_id = os.path.basename(path) if len(paths) > 1 else path
-            rows.extend((image_id, w) for w in wins)
+    for path in paths:
+        try:
+            wins = scan_image(model, read_pgm(path), cfg["scale_factor"], cfg["step"], profile=total)
+        except (OSError, ValueError) as exc:
+            print(f"warning: skipping {path}: {exc}", file=sys.stderr)
+            failures += 1
+            continue
+        if not args.no_merge:
+            wins = merge_detections(wins, cfg["min_neighbors"])
+        image_id = os.path.basename(path) if len(paths) > 1 else path
+        rows.extend((image_id, w) for w in wins)
     if failures == len(paths):
         raise DataError("no readable images")
     write_detections_csv(rows, args.out)

@@ -60,11 +60,6 @@ class ScanProfile:
     feature_evals: int = 0
     raw_windows: int = 0
 
-    def merge(self, other: "ScanProfile") -> None:
-        self.windows_scanned += other.windows_scanned
-        self.feature_evals += other.feature_evals
-        self.raw_windows += other.raw_windows
-
 
 def avg_features_per_window(profile: ScanProfile) -> float:
     if profile.windows_scanned == 0:
@@ -335,7 +330,9 @@ def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
         if base * scale + 0.5 >= min(h, w) + 1:
             break
         side = _round_half_up(base * scale)
-        shift = max(1, _round_half_up(step * scale))
+        # A shift of max(h, w) already leaves one window per axis; capping
+        # there keeps a huge step from rounding to a giant or infinite int.
+        shift = max(1, _round_half_up(min(step * scale, max(h, w))))
         xs = np.arange(0, w - side + 1, shift)
         ys = np.arange(0, h - side + 1, shift)
         px = np.repeat(xs[None, :], len(ys), axis=0).ravel()

@@ -44,18 +44,25 @@ def save_manifest(manifest: DatasetManifest, path: str) -> None:
 
 
 def load_manifest(path: str) -> DatasetManifest:
+    """Read a manifest; ValueError unless it is an object whose three path
+    lists hold only strings and whose ground_truth is a string or null."""
     with open(path) as fh:
         payload = json.load(fh)
     root = os.path.dirname(os.path.abspath(path))
-    for key in ("positives", "negatives"):
-        if key not in payload or not isinstance(payload[key], list):
+    if not isinstance(payload, dict):
+        raise ValueError(f"manifest {path}: must be a JSON object")
+    payload = {"negative_reservoir": [], "ground_truth": None, **payload}
+    for key in ("positives", "negatives", "negative_reservoir"):
+        if not isinstance(payload.get(key), list) or not all(isinstance(p, str) for p in payload[key]):
             raise ValueError(f"manifest {path}: missing or invalid field {key!r}")
+    if not isinstance(payload["ground_truth"], (str, type(None))):
+        raise ValueError(f"manifest {path}: invalid field 'ground_truth'")
     return DatasetManifest(
         root=root,
         positives=payload["positives"],
         negatives=payload["negatives"],
-        negative_reservoir=payload.get("negative_reservoir", []),
-        ground_truth=payload.get("ground_truth"),
+        negative_reservoir=payload["negative_reservoir"],
+        ground_truth=payload["ground_truth"],
     )
 
 

@@ -185,6 +185,12 @@ def weighted_error(responses, labels, weights) -> float:
     return float(np.asarray(weights)[responses != labels].sum())
 
 
+def reweight_adaboost(w, responses, labels, a) -> np.ndarray:
+    """The plain AdaBoost update w * exp(-a/2 * y h) / Z, with no asymmetry term."""
+    u = np.asarray(w, dtype=np.float64) * np.exp(-a / 2 * (np.asarray(labels) * np.asarray(responses)))
+    return u / u.sum()
+
+
 @dataclass
 class IntegralImage:
     """An integral table with its image size, read one rectangle at a time."""

@@ -7,12 +7,11 @@ from gslda_cascade.boosting import (
     alpha,
     init_weights,
     prune_stumps,
-    reweight_adaboost,
-    reweight_asymboost,
+    reweight,
 )
 from gslda_cascade.stumps import DecisionStump, StumpTable, StumpTrainer
 
-from oracles import weighted_error
+from oracles import reweight_adaboost, weighted_error
 
 
 def make_table(error_fractions, n=100):
@@ -75,7 +74,7 @@ class TestAlpha:
 class TestReweightAdaboost:
     def test_zero_coefficient_is_identity(self):
         w = np.array([0.1, 0.2, 0.3, 0.4])
-        out = reweight_adaboost(w, np.array([1, -1, 1, -1]), np.array([1, 1, -1, -1]), 0.0)
+        out = reweight(w, np.array([1, -1, 1, -1]), np.array([1, 1, -1, -1]), 0.0)
         assert np.allclose(out, w, atol=1e-15)
 
     def test_hand_case_misclassified_takes_half(self):
@@ -83,7 +82,7 @@ class TestReweightAdaboost:
         # weight becomes exactly 1/2 (and the stump's new error is 1/2).
         labels = np.array([1, 1, 1, 1])
         responses = np.array([-1, 1, 1, 1])
-        out = reweight_adaboost(np.full(4, 0.25), responses, labels, np.log(3.0))
+        out = reweight(np.full(4, 0.25), responses, labels, np.log(3.0))
         assert out[0] == pytest.approx(0.5, abs=1e-12)
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -100,7 +99,7 @@ class TestReweightAdaboost:
             if err < 1e-6:
                 continue
             a = alpha(err)
-            new_w = reweight_adaboost(w, stump.responses(values), labels, a)
+            new_w = reweight(w, stump.responses(values), labels, a)
             assert weighted_error(stump.responses(values), labels, new_w) == pytest.approx(
                 0.5, abs=1e-10
             )
@@ -117,7 +116,7 @@ class TestReweightAsymboost:
         responses = np.where(rng.random(50) < 0.5, 1, -1)
         a = 0.7
         ada = reweight_adaboost(w, responses, labels, a)
-        asym = reweight_asymboost(w, responses, labels, a, k=1.0)
+        asym = reweight(w, responses, labels, a, k=1.0)
         assert np.array_equal(ada, asym)
 
     def test_one_shot_multiplier_ratio_is_k(self):
@@ -130,17 +129,17 @@ class TestReweightAsymboost:
         # negatives by 1/sqrt(k), so positive mass becomes k/(k+1) = 0.8.
         labels = np.array([1, 1, -1, -1])
         w = np.full(4, 0.25)
-        out = reweight_asymboost(w, np.ones(4), labels, a=0.0, k=4.0)
+        out = reweight(w, np.ones(4), labels, a=0.0, k=4.0)
         assert out[:2].sum() == pytest.approx(0.8, abs=1e-12)
 
     def test_amortized_rounds_compose_to_one_shot(self):
         labels = np.array([1, 1, 1, -1, -1, -1])
         w = np.full(6, 1.0 / 6)
         k = 9.0
-        one_shot = reweight_asymboost(w, np.ones(6), labels, 0.0, k)
+        one_shot = reweight(w, np.ones(6), labels, 0.0, k)
         stepped = w
         for _ in range(3):
-            stepped = reweight_asymboost(stepped, np.ones(6), labels, 0.0, k, rounds=3)
+            stepped = reweight(stepped, np.ones(6), labels, 0.0, k, rounds=3)
         assert np.allclose(stepped, one_shot, atol=1e-12)
 
     def test_output_normalized(self):
@@ -149,7 +148,7 @@ class TestReweightAsymboost:
         w /= w.sum()
         labels = np.where(rng.random(30) < 0.5, 1, -1)
         responses = np.where(rng.random(30) < 0.5, 1, -1)
-        out = reweight_asymboost(w, responses, labels, 1.2, k=3.0, rounds=5)
+        out = reweight(w, responses, labels, 1.2, k=3.0, rounds=5)
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(out >= 0)
 
@@ -218,6 +217,6 @@ def test_adaboost_converges_on_separable_toy():
         j = int(np.argmin(table.errors))
         a = alpha(table.errors[j])
         margins += a * table.responses[j]
-        w = reweight_adaboost(w, table.responses[j], labels, a)
+        w = reweight(w, table.responses[j], labels, a)
     train_err = np.mean(np.where(margins >= 0, 1, -1) != labels)
     assert train_err == 0.0

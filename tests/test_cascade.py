@@ -22,8 +22,10 @@ from gslda_cascade.cascade import (
 from gslda_cascade.features import PoolParams, build_integral, build_pool
 from gslda_cascade.scatter import GreedySelector, ScatterConfig
 from gslda_cascade.stumps import DecisionStump, StumpTrainer
+from gslda_cascade.synth import ToyDatasetSpec, axis_stump_pool, generate_toy
 from oracles import bootstrap_negatives as scalar_bootstrap_negatives
 from oracles import ResponseTable, decide_window, forward_select, integral_image, pyramid_windows
+from pinned_nodes import PINNED
 
 
 def separable_values(rng, n_pos=30, n_neg=50, extra=4):
@@ -188,6 +190,34 @@ class TestTrainNode:
         values, labels = separable_values(rng)
         with pytest.raises(ValueError):
             train_node(values, labels, NodeGoal(), "floatboost")
+
+
+def _pin_case(case):
+    """(values, labels, goal, validation_mask, fixed_rounds) of a pinned case."""
+    if case == "toy-fixed4":
+        points, labels = generate_toy(ToyDatasetSpec(n_pos=40, n_neg=400, seed=0))
+        return axis_stump_pool(points)[0], labels, NodeGoal(d_min=0.99, f_max=0.5), None, 4
+    rng = np.random.default_rng(15)  # goal-driven; the dual pass drops three of ten stumps
+    n = 120
+    labels = np.where(rng.random(n) < 0.4, 1, -1)
+    values = rng.normal(size=(16, n)) + 0.4 * labels * rng.normal(size=(16, 1))
+    mask = (labels > 0) & (rng.random(n) < 0.25)
+    return values, labels, NodeGoal(d_min=0.95, f_max=0.2, max_stumps=12), mask, None
+
+
+@pytest.mark.parametrize("case,variant", list(PINNED))
+def test_node_layer_is_pinned(case, variant):
+    values, labels, goal, mask, rounds = _pin_case(case)
+    node = train_node(values, labels, goal, variant.split("-")[0],
+                      scatter_cfg=ScatterConfig(dual_pass=variant.endswith("-dual")),
+                      validation_mask=mask, fixed_rounds=rounds)
+    stumps_, coefficients, threshold, d, f, goal_met = PINNED[case, variant]
+    assert [(s.feature_id, s.threshold, s.polarity) for s in node.stumps] == stumps_
+    assert node.coefficients.tolist() == pytest.approx(coefficients, rel=1e-12)
+    assert node.node_threshold == pytest.approx(threshold, rel=1e-12)
+    assert node.detection_rate == pytest.approx(d, rel=1e-12)
+    assert node.false_positive_rate == pytest.approx(f, rel=1e-12)
+    assert node.goal_met == goal_met
 
 
 class TestCascade:

@@ -117,20 +117,29 @@ def test_eval_missing_image_is_data_error(corpus, model, tmp_path, capsys):
     assert "nowhere.pgm" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,scale_factor", [("detect", "1e308"), ("detect", "inf"), ("eval", "1e308")])
+@pytest.mark.parametrize("command,scale_factor,step", [
+    pytest.param("detect", "1e308", None, id="detect-1e308"),
+    pytest.param("detect", "inf", None, id="detect-inf"),
+    pytest.param("eval", "1e308", None, id="eval-1e308"),
+    pytest.param("detect", "1e308", "1e308", id="detect-1e308-step-1e308"),
+    pytest.param("eval", "1e308", "1e308", id="eval-1e308-step-1e308"),
+])
 def test_oversized_scale_factor_scans_only_the_base_scale(corpus, model, tmp_path, monkeypatch, capsys,
-                                                         command, scale_factor):
-    scales = []
+                                                         command, scale_factor, step):
+    scales, windows = [], []
     evaluate_windows = detect.evaluate_windows
     monkeypatch.setattr(detect, "evaluate_windows",
-                        lambda *a: scales.append(a[-1]) or evaluate_windows(*a))
+                        lambda *a: scales.append(a[-1]) or windows.append(len(a[2])) or evaluate_windows(*a))
     out = tmp_path / "out.csv"
     inputs = {"detect": [str(corpus / "corpus" / "scenes"), "--no-merge"],
               "eval": [str(corpus / "corpus" / "manifest.json")]}[command]
-    assert cli.main([command, model, *inputs, "--scale-factor", scale_factor, "--out", str(out)]) == 0
+    flags = ["--scale-factor", scale_factor] + (["--step", step] if step else [])
+    assert cli.main([command, model, *inputs, *flags, "--out", str(out)]) == 0
     assert "Traceback" not in capsys.readouterr().err
     assert scales and set(scales) == {1.0}
-    if command == "detect":
+    if step:  # a shift beyond the image leaves one window per axis
+        assert set(windows) == {1}
+    elif command == "detect":
         base = json.load(open(model))["base_window"]
         rows = list(csv.DictReader(open(out)))
         assert rows and all(int(row["side"]) == base for row in rows)
@@ -152,6 +161,24 @@ def test_detect_malformed_model_is_data_error(corpus, model, tmp_path, capsys, e
     assert cli.main(["detect", str(bad), str(corpus / "corpus" / "scenes"), "--out", str(tmp_path / "d.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("edit", [
+    lambda m: 5,
+    lambda m: {**m, "positives": [5]},
+    lambda m: {**m, "ground_truth": 7},
+    lambda m: {**m, "negative_reservoir": None},
+], ids=["top-level-number", "number-in-positives", "number-for-ground-truth", "null-reservoir"])
+def test_malformed_manifest_is_data_error(corpus, model, tmp_path, capsys, command, edit):
+    bad = corpus / "corpus" / "edited.json"  # beside the corpus, so every listed file resolves
+    bad.write_text(json.dumps(edit(json.load(open(corpus / "corpus" / "manifest.json")))))
+    argv = {"train": ["train", "--data", str(bad), "--out", str(tmp_path / "m.json"), *TRAIN],
+            "eval": ["eval", model, str(bad), "--out", str(tmp_path / "roc.csv")]}[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_toy_writes_report_and_points(tmp_path, capsys):
@@ -208,6 +235,11 @@ BAD_SETTINGS = {
     "detect-scale-factor": ["detect", "{tmp}/none.json", "{tmp}", "--scale-factor", "1", "--out", "{tmp}/d.csv"],
     "eval-scale-factor": ["eval", "{tmp}/none.json", "{tmp}/none.json", "--scale-factor", "1",
                           "--out", "{tmp}/roc.csv"],
+    "detect-step-inf": ["detect", "{tmp}/none.json", "{tmp}", "--step", "inf", "--out", "{tmp}/d.csv"],
+    "detect-step-nan": ["detect", "{tmp}/none.json", "{tmp}", "--step", "nan", "--out", "{tmp}/d.csv"],
+    "detect-step-negative": ["detect", "{tmp}/none.json", "{tmp}", "--step", "-3", "--out", "{tmp}/d.csv"],
+    "detect-step-zero": ["detect", "{tmp}/none.json", "{tmp}", "--step", "0", "--out", "{tmp}/d.csv"],
+    "eval-step-inf": ["eval", "{tmp}/none.json", "{tmp}/none.json", "--step", "inf", "--out", "{tmp}/roc.csv"],
 }
 
 

@@ -109,12 +109,6 @@ class TestScanImage:
         assert profile.windows_scanned == 1
         assert profile.feature_evals == 3
         assert avg_features_per_window(profile) == 3.0
-
-    def test_profile_merge_accounting(self):
-        a = ScanProfile(10, 25)
-        b = ScanProfile(5, 7)
-        a.merge(b)
-        assert (a.windows_scanned, a.feature_evals) == (15, 32)
         with pytest.raises(ValueError):
             avg_features_per_window(ScanProfile())
 
