@@ -157,6 +157,8 @@ def _check_scan(cfg) -> None:
             raise ValueError("scale_factor must exceed 1")
         if not 0 < cfg["step"] < np.inf:
             raise ValueError("step must be a finite number above 0")
+        if cfg["min_neighbors"] < 1:
+            raise ValueError("min_neighbors must be at least 1")
 
 
 def _fits_default(value, default) -> bool:
@@ -373,6 +375,11 @@ def cmd_toy(args) -> int:
 def cmd_synth(args) -> int:
     cfg = _merge_config(args, {"n_pos": 1000, "n_neg": 1000, "size": 16,
                                "reservoir": 10, "scenes": 6, "seed": 0})
+    with _settings():
+        if cfg["size"] < 8:
+            raise ValueError("size must be at least 8")
+        if min(cfg["n_pos"], cfg["n_neg"], cfg["reservoir"], cfg["scenes"]) < 0:
+            raise ValueError("n_pos, n_neg, reservoir and scenes must be at least 0")
     try:
         manifest = generate_synthetic_faces(
             args.out, seed=cfg["seed"], n_pos=cfg["n_pos"], n_neg=cfg["n_neg"],

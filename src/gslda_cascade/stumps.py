@@ -3,6 +3,10 @@
 A stump thresholds one feature and outputs +/-1; training minimizes weighted
 0/1 error with a single sorted sweep, so re-training the whole candidate pool
 under fresh boosting weights is one vectorized pass over a pre-sorted table.
+The (M, N) table is sorted and trained a block of rows at a time, each block
+about _BLOCK_BYTES of float64, so the memory beyond the values, their int32
+sort order and the interior-slot mask stays bounded however many features the
+pool holds.
 """
 
 from __future__ import annotations
@@ -10,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Byte budget of one row block of StumpTrainer: rows of N + 1 float64 each.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -57,6 +64,12 @@ class StumpTrainer:
     call.  Candidate thresholds sit at midpoints of consecutive distinct
     values plus -inf/+inf sentinels; ties break toward the smaller threshold,
     then polarity +1.
+
+    Both the sort and train_all walk the table in blocks of rows sized by
+    _BLOCK_BYTES, so their temporaries stay near that budget whatever M is.
+    Between calls the trainer holds the values, their per-row sort order as
+    int32 and a bool mask of the interior threshold slots: about 1.625 times
+    the bytes of the values.
     """
 
     def __init__(self, feature_values: np.ndarray, labels: np.ndarray):
@@ -68,56 +81,77 @@ class StumpTrainer:
             raise ValueError("need at least two samples")
         self.values = values
         self.labels = labels
-        self.order = np.argsort(values, axis=1, kind="stable")
-        self.sorted_values = np.take_along_axis(values, self.order, axis=1)
-        self.sorted_labels = labels[self.order]
+        m, n = values.shape
+        self.order = np.empty((m, n), dtype=np.int32)
         # Interior threshold slot t is usable only between distinct values.
-        self._interior_ok = self.sorted_values[:, 1:] != self.sorted_values[:, :-1]
+        self._interior_ok = np.empty((m, n - 1), dtype=bool)
+        for rows in self._blocks():
+            order = np.argsort(values[rows], axis=1, kind="stable")
+            sorted_values = np.take_along_axis(values[rows], order, axis=1)
+            self.order[rows] = order
+            np.not_equal(sorted_values[:, 1:], sorted_values[:, :-1], out=self._interior_ok[rows])
+
+    def _blocks(self) -> list[slice]:
+        """Row slices of at most _BLOCK_BYTES of (N + 1)-wide float64 rows."""
+        m, n = self.values.shape
+        step = max(1, _BLOCK_BYTES // (8 * (n + 1)))
+        return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
     def train_all(self, weights: np.ndarray) -> StumpTable:
         m, n = self.values.shape
-        su = np.asarray(weights, dtype=np.float64)[self.order]
-        pos_w = np.where(self.sorted_labels > 0, su, 0.0)
-        neg_w = np.where(self.sorted_labels < 0, su, 0.0)
-        cp = np.zeros((m, n + 1))
-        cn = np.zeros((m, n + 1))
-        np.cumsum(pos_w, axis=1, out=cp[:, 1:])
-        np.cumsum(neg_w, axis=1, out=cn[:, 1:])
-        total = cp[:, -1] + cn[:, -1]
-        # Slot t: sorted positions < t predict -polarity, >= t predict +polarity.
-        err_plus = cp + (cn[:, -1:] - cn)
-        err_minus = total[:, None] - err_plus
-        invalid = np.ones((m, n + 1), dtype=bool)
-        invalid[:, 0] = invalid[:, -1] = False
-        invalid[:, 1:n] = ~self._interior_ok
-        err_plus = np.where(invalid, np.inf, err_plus)
-        err_minus = np.where(invalid, np.inf, err_minus)
-
-        bp = np.argmin(err_plus, axis=1)
-        bm = np.argmin(err_minus, axis=1)
-        rows = np.arange(m)
-        ep = err_plus[rows, bp]
-        em = err_minus[rows, bm]
-        use_minus = (em < ep) | ((em == ep) & (bm < bp))
-        slot = np.where(use_minus, bm, bp)
-        polarity = np.where(use_minus, -1, 1)
-        errors = np.where(use_minus, em, ep)
-
+        weights = np.asarray(weights, dtype=np.float64)
         thresholds = np.empty(m)
-        lo = slot == 0
-        hi = slot == n
-        mid = ~(lo | hi)
-        thresholds[lo] = -np.inf
-        thresholds[hi] = np.inf
-        ms = slot[mid]
-        thresholds[mid] = 0.5 * (
-            self.sorted_values[mid, ms - 1] + self.sorted_values[mid, ms]
-        )
+        polarity = np.empty(m, dtype=np.int8)
+        errors = np.empty(m)
+        responses = np.empty((m, n), dtype=np.int8)
+        for rows in self._blocks():
+            order = self.order[rows]
+            b = order.shape[0]
+            su = weights[order]
+            sorted_labels = self.labels[order]
+            pos_w = np.where(sorted_labels > 0, su, 0.0)
+            neg_w = np.where(sorted_labels < 0, su, 0.0)
+            # Each temporary is freed once used: the block's peak bounds train_all.
+            del su, sorted_labels
+            cp = np.zeros((b, n + 1))
+            cn = np.zeros((b, n + 1))
+            np.cumsum(pos_w, axis=1, out=cp[:, 1:])
+            np.cumsum(neg_w, axis=1, out=cn[:, 1:])
+            del pos_w, neg_w
+            total = cp[:, -1] + cn[:, -1]
+            # Slot t: sorted positions < t predict -polarity, >= t predict +polarity.
+            err_plus = cp + (cn[:, -1:] - cn)
+            del cp, cn
+            err_minus = total[:, None] - err_plus
+            invalid = np.ones((b, n + 1), dtype=bool)
+            invalid[:, 0] = invalid[:, -1] = False
+            invalid[:, 1:n] = ~self._interior_ok[rows]
+            np.copyto(err_plus, np.inf, where=invalid)
+            np.copyto(err_minus, np.inf, where=invalid)
 
-        responses = np.where(self.values >= thresholds[:, None], 1, -1).astype(np.int8)
-        responses *= polarity[:, None].astype(np.int8)
+            bp = np.argmin(err_plus, axis=1)
+            bm = np.argmin(err_minus, axis=1)
+            r = np.arange(b)
+            ep = err_plus[r, bp]
+            em = err_minus[r, bm]
+            del err_plus, err_minus
+            use_minus = (em < ep) | ((em == ep) & (bm < bp))
+            slot = np.where(use_minus, bm, bp)
+            polarity[rows] = np.where(use_minus, -1, 1)
+            errors[rows] = np.where(use_minus, em, ep)
+
+            values = self.values[rows]
+            thr = thresholds[rows]
+            thr[slot == 0] = -np.inf
+            thr[slot == n] = np.inf
+            mid = (slot > 0) & (slot < n)
+            rm, ms = r[mid], slot[mid]
+            thr[mid] = 0.5 * (values[rm, order[rm, ms - 1]] + values[rm, order[rm, ms]])
+
+            pol = polarity[rows, None]
+            responses[rows] = np.where(values >= thr[:, None], pol, -pol)
+
         stumps = [
             DecisionStump(j, float(thresholds[j]), int(polarity[j])) for j in range(m)
         ]
         return StumpTable(stumps, responses, errors, self.labels)
-

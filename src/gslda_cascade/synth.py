@@ -135,6 +135,8 @@ def generate_synthetic_faces(
     plus a ground-truth CSV."""
     if size < 8:
         raise ValueError("size must be at least 8")
+    if min(n_pos, n_neg, n_reservoir, n_scenes) < 0:
+        raise ValueError("n_pos, n_neg, n_reservoir and n_scenes must be at least 0")
     rng = np.random.default_rng(seed)
     for sub in ("pos", "neg", "reservoir", "scenes"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)

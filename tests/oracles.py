@@ -149,6 +149,55 @@ def exhaustive_stump(values, labels, weights):
     return best[0], best[1], (1 if best[2] == 0 else -1)
 
 
+def stump_table(values, labels, weights):
+    """The whole-table stump trainer: one sort and one error sweep over all
+    M rows at once, each (M, N + 1) intermediate held in full.  Returns
+    (thresholds, polarities, errors, responses) in the package's layout."""
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    labels = np.asarray(labels)
+    m, n = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    sorted_values = np.take_along_axis(values, order, axis=1)
+    sorted_labels = labels[order]
+    su = np.asarray(weights, dtype=np.float64)[order]
+    pos_w = np.where(sorted_labels > 0, su, 0.0)
+    neg_w = np.where(sorted_labels < 0, su, 0.0)
+    cp = np.zeros((m, n + 1))
+    cn = np.zeros((m, n + 1))
+    np.cumsum(pos_w, axis=1, out=cp[:, 1:])
+    np.cumsum(neg_w, axis=1, out=cn[:, 1:])
+    total = cp[:, -1] + cn[:, -1]
+    err_plus = cp + (cn[:, -1:] - cn)
+    err_minus = total[:, None] - err_plus
+    invalid = np.ones((m, n + 1), dtype=bool)
+    invalid[:, 0] = invalid[:, -1] = False
+    invalid[:, 1:n] = sorted_values[:, 1:] == sorted_values[:, :-1]
+    err_plus = np.where(invalid, np.inf, err_plus)
+    err_minus = np.where(invalid, np.inf, err_minus)
+
+    bp = np.argmin(err_plus, axis=1)
+    bm = np.argmin(err_minus, axis=1)
+    rows = np.arange(m)
+    ep = err_plus[rows, bp]
+    em = err_minus[rows, bm]
+    use_minus = (em < ep) | ((em == ep) & (bm < bp))
+    slot = np.where(use_minus, bm, bp)
+    polarity = np.where(use_minus, -1, 1)
+    errors = np.where(use_minus, em, ep)
+
+    thresholds = np.empty(m)
+    lo = slot == 0
+    hi = slot == n
+    mid = ~(lo | hi)
+    thresholds[lo] = -np.inf
+    thresholds[hi] = np.inf
+    ms = slot[mid]
+    thresholds[mid] = 0.5 * (sorted_values[mid, ms - 1] + sorted_values[mid, ms])
+    responses = np.where(values >= thresholds[:, None], 1, -1).astype(np.int8)
+    responses *= polarity[:, None].astype(np.int8)
+    return thresholds, polarity, errors, responses
+
+
 def random_rm(rng, n, m, skew=0.5) -> ResponseTable:
     """Random +/-1 table of m stumps on n samples with both classes present."""
     labels = np.where(rng.random(n) < skew, 1, -1)

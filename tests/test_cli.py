@@ -240,12 +240,24 @@ BAD_SETTINGS = {
     "detect-step-negative": ["detect", "{tmp}/none.json", "{tmp}", "--step", "-3", "--out", "{tmp}/d.csv"],
     "detect-step-zero": ["detect", "{tmp}/none.json", "{tmp}", "--step", "0", "--out", "{tmp}/d.csv"],
     "eval-step-inf": ["eval", "{tmp}/none.json", "{tmp}/none.json", "--step", "inf", "--out", "{tmp}/roc.csv"],
+    "detect-min-neighbors-zero": ["detect", "{tmp}/none.json", "{tmp}", "--min-neighbors", "0",
+                                  "--out", "{tmp}/d.csv"],
+    "detect-min-neighbors-negative": ["detect", "{tmp}/none.json", "{tmp}", "--min-neighbors", "-4",
+                                      "--out", "{tmp}/d.csv"],
+    "eval-min-neighbors-negative": ["eval", "{tmp}/none.json", "{tmp}/none.json", "--min-neighbors", "-2",
+                                    "--out", "{tmp}/roc.csv"],
+    "detect-config-min-neighbors": ["detect", "{tmp}/none.json", "{tmp}", "--config", "{tmp}/neighbors.json",
+                                    "--out", "{tmp}/d.csv"],
+    "synth-size": ["synth", "--out", "{tmp}/corpus", "--size", "7"],
+    "synth-n-neg-negative": ["synth", "--out", "{tmp}/corpus", "--n-neg", "-1"],
+    "synth-scenes-negative": ["synth", "--out", "{tmp}/corpus", "--scenes", "-2"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
 def test_bad_setting_exits_1(case, tmp_path, capsys):
-    configs = {"config.json": {"dmin": 2}, "method.json": {"method": "floatboost"}}
+    configs = {"config.json": {"dmin": 2}, "method.json": {"method": "floatboost"},
+               "neighbors.json": {"min_neighbors": 0}}
     for name, config in configs.items():
         (tmp_path / name).write_text(json.dumps(config))
     assert cli.main([arg.format(tmp=tmp_path) for arg in BAD_SETTINGS[case]]) == 1

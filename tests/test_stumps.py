@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gslda_cascade import stumps
 from gslda_cascade.stumps import DecisionStump, StumpTrainer
 
-from oracles import exhaustive_stump, stump_response, weighted_error
+from oracles import exhaustive_stump, stump_table, stump_response, weighted_error
 
 
 def uniform(n):
@@ -168,6 +171,60 @@ class TestBuildTable:
         fresh = StumpTrainer(values, labels).train_all(w2)
         assert np.array_equal(again.responses, fresh.responses)
         assert np.allclose(again.errors, fresh.errors)
+
+
+class TestBlockedTable:
+    """StumpTrainer walks the table in row blocks; across block boundaries it
+    must give the whole-table oracle's outputs bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 7))
+    def test_matches_whole_table_oracle(self, seed, block_rows):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 61))
+        m = int(rng.integers(1, 41))
+        if m % block_rows == 0 and block_rows > 1:
+            m -= 1  # leave a short last block
+        values = np.round(rng.normal(size=(m, n)), 1)  # ties within rows
+        values[rng.random(m) < 0.1] = 0.5  # and some constant rows
+        labels = np.where(rng.random(n) < 0.4, 1, -1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stumps, "_BLOCK_BYTES", 8 * (n + 1) * block_rows)
+            trainer = StumpTrainer(values, labels)
+            for _ in range(2):  # the second weight vector reuses the trainer
+                w = rng.random(n)
+                w /= w.sum()
+                table = trainer.train_all(w)
+                thresholds, polarity, errors, responses = stump_table(values, labels, w)
+                assert [s.feature_id for s in table.stumps] == list(range(m))
+                assert [s.polarity for s in table.stumps] == polarity.tolist()
+                assert np.array([s.threshold for s in table.stumps]).tobytes() == thresholds.tobytes()
+                assert table.errors.tobytes() == errors.tobytes()
+                assert table.responses.dtype == responses.dtype
+                assert table.responses.tobytes() == responses.tobytes()
+
+
+class TestMemoryBound:
+    def test_blocked_training_memory(self):
+        rng = np.random.default_rng(7)
+        m, n = 1500, 700
+        values = np.round(rng.normal(size=(m, n)), 2)
+        labels = np.where(rng.random(n) < 0.3, 1, -1)
+        w = rng.random(n)
+        w /= w.sum()
+        trainer = StumpTrainer(values, labels)
+        held = sum(v.nbytes for v in vars(trainer).values() if isinstance(v, np.ndarray))
+        assert held <= 1.75 * values.nbytes
+
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            table = trainer.train_all(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        excess = peak - table.responses.nbytes - table.errors.nbytes
+        assert excess < 16 * stumps._BLOCK_BYTES
 
 
 class TestWeightedError:

@@ -60,6 +60,11 @@ def test_truth_boxes_lie_inside_their_scenes(tmp_path):
 def test_size_below_8_rejected(tmp_path):
     with pytest.raises(ValueError):
         generate_synthetic_faces(str(tmp_path), size=7, n_pos=1, n_neg=1, n_reservoir=0, n_scenes=0)
+    for count in ("n_pos", "n_neg", "n_reservoir", "n_scenes"):
+        with pytest.raises(ValueError, match="at least 0"):
+            generate_synthetic_faces(str(tmp_path), **{"n_pos": 1, "n_neg": 1, "n_reservoir": 0,
+                                                       "n_scenes": 0, count: -1})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_toy_class_counts():
