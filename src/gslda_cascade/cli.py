@@ -3,8 +3,8 @@
 Commands: train, detect, eval, toy, synth.  Exit codes: 0 success, 1 usage
 (an unknown flag, or a setting out of range from a flag or --config, such as
 train --dmin 2 or toy --trials 0: checked before any input file is read, and
-reported on one "error: ..." line), 2 data error, 3 training finished with a
-stage goal not met.
+reported on one "error: ..." line), 2 data error (also detect or eval with a
+model that has no nodes), 3 training finished with a stage goal not met.
 
 train ends its stage log with a {"stop_reason": ...} record.  When the
 cascade's false-positive rate F stays above --f-target (the reservoir ran out
@@ -287,6 +287,8 @@ def cmd_detect(args) -> int:
         model = load_model(args.model)
     except (OSError, ModelFormatError) as exc:
         raise DataError(str(exc))
+    if not model.nodes:
+        raise DataError(f"cannot detect with {args.model}: model has no nodes")
     paths = _image_list(args.images)
     if not paths:
         raise DataError(f"no PGM images under {args.images}")

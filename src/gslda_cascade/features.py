@@ -6,7 +6,11 @@ Features are defined on a square base window and evaluated at arbitrary
 offset/scale through an integral table, so a single trained model scans all
 window sizes.  Rectangle weights balance to zero per feature, and values are
 divided by the (scaled) footprint area to keep responses comparable across
-scales.
+scales.  A placed feature reads each distinct corner of its sub-rectangles
+once: adjacent rectangles share corners, so at scales of 1 and above the
+weights fold into 6, 8 or 9 integer weights on offsets of the flattened table
+for two-, three- and four-rectangle features.  A window whose footprint leaves
+the table raises IndexError.
 """
 
 from __future__ import annotations
@@ -118,17 +122,34 @@ def haar_values(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: flo
 
     Every corner of the sub-rectangles and of the footprint is scaled and
     rounded half up on its own; the scaled footprint's area normalizes.  The
-    caller keeps every scaled footprint inside the table.
+    sub-rectangles fold into one integer weight per distinct corner offset
+    y * (width+1) + x of the flattened table (corners whose weights cancel
+    are dropped), and each window sums weight * table.ravel()[base + offset]
+    from its base py * (width+1) + px.  Raises IndexError when a window's
+    scaled footprint leaves the table on any side.
     """
     fx0, fy0, fx1, fy1 = _round_px(scale * pool.box[j]).tolist()
     area = (fx1 - fx0) * (fy1 - fy0)
     if area <= 0:
         raise ValueError("degenerate scaled footprint")
+    px = np.asarray(px)
+    py = np.asarray(py)
+    rows, cols = table.shape
+    if px.size and (px.min() + fx0 < 0 or py.min() + fy0 < 0
+                    or px.max() + fx1 >= cols or py.max() + fy1 >= rows):
+        raise IndexError("scaled footprint leaves the integral table")
+    weights: dict[int, int] = {}
     rects = pool.rects[j, : _N_RECTS[pool.kind[j]]]
-    acc = np.zeros(len(px), dtype=np.int64)
     for wgt, (x0, y0, x1, y1) in zip(rects[:, 0].tolist(), _round_px(scale * rects[:, 1:]).tolist()):
-        acc += wgt * (table[py + y1, px + x1] - table[py + y0, px + x1]
-                      - table[py + y1, px + x0] + table[py + y0, px + x0])
+        for offset, sign in ((y1 * cols + x1, 1), (y0 * cols + x1, -1),
+                             (y1 * cols + x0, -1), (y0 * cols + x0, 1)):
+            weights[offset] = weights.get(offset, 0) + sign * wgt
+    flat = table.ravel()
+    base = py * cols + px
+    acc = np.zeros(base.size, dtype=np.int64)
+    for offset, wgt in weights.items():
+        if wgt:  # flat[offset:] is a view, so the gather needs no index sum
+            acc += wgt * flat[offset:][base]
     return acc / area
 
 

@@ -86,14 +86,30 @@ def test_eval_scans_each_image_once(corpus, model, tmp_path, monkeypatch, capsys
     assert "full-depth: TP=" in capsys.readouterr().out
 
 
-def test_eval_model_without_nodes_is_data_error(corpus, tmp_path, capsys):
+@pytest.fixture(scope="module")
+def empty_model(corpus):
+    """A model file without nodes: f_target 1 is met before the first stage."""
+    path = str(corpus / "empty.json")
+    assert cli.main(["train", "--data", str(corpus / "corpus" / "manifest.json"), "--out", path,
+                     "--f-target", "1", *TRAIN]) == 0
+    assert json.load(open(path))["nodes"] == []
+    return path
+
+
+def test_eval_model_without_nodes_is_data_error(corpus, empty_model, tmp_path, capsys):
     manifest = str(corpus / "corpus" / "manifest.json")
-    empty = str(tmp_path / "empty.json")
-    assert cli.main(["train", "--data", manifest, "--out", empty, "--f-target", "1", *TRAIN]) == 0
-    assert json.load(open(empty))["nodes"] == []
     capsys.readouterr()
-    assert cli.main(["eval", empty, manifest, "--out", str(tmp_path / "roc.csv")]) == 2
+    assert cli.main(["eval", empty_model, manifest, "--out", str(tmp_path / "roc.csv")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_detect_model_without_nodes_is_data_error(corpus, empty_model, tmp_path, capsys):
+    out = tmp_path / "detections.csv"
+    capsys.readouterr()
+    assert cli.main(["detect", empty_model, str(corpus / "corpus" / "scenes"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def eval_with_truth(corpus, model, tmp_path, truth_csv):

@@ -211,6 +211,20 @@ class TestEvalHaar:
         with pytest.raises(ValueError, match="footprint out of bounds"):
             eval_haar(f, ii, offset_x=8, offset_y=8)
 
+    @pytest.mark.parametrize("x, y, scale", [
+        (-1, 0, 1.0), (0, -1, 1.0), (9, 0, 1.0), (0, 10, 1.0), (7, 0, 2.0), (0, 9, 2.0),
+    ], ids=["left", "top", "right", "bottom", "right-scaled", "bottom-scaled"])
+    def test_footprint_outside_table_raises(self, x, y, scale):
+        # Feature 0 of this pool has the footprint (0, 0, 2, 1): (0, 0, 4, 2) at scale 2.
+        pool = build_pool(PoolParams(base_window=4))
+        assert pool.box[0].tolist() == [0, 0, 2, 1]
+        table = build_integral(np.ones((10, 10), dtype=int))
+        edge_x, edge_y = 10 - round(2 * scale), 10 - round(scale)  # the last fitting offsets
+        fitting = haar_values(pool, 0, table, np.array([0, edge_x]), np.array([edge_y, 0]), scale)
+        assert fitting.tolist() == [0.0, 0.0]
+        with pytest.raises(IndexError):
+            haar_values(pool, 0, table, np.array([0, x, edge_x]), np.array([edge_y, y, 0]), scale)
+
     def test_offset_shifts_window(self):
         rng = np.random.default_rng(4)
         image = rng.integers(0, 256, size=(20, 20))
@@ -231,11 +245,17 @@ class TestEvalHaar:
         assume(features)  # some windows admit no feature at this min_size
         scale = 1.2 ** data.draw(st.integers(0, 8))
         side = int(np.floor(base_window * scale + 0.5))  # the scan's window side
+        # Never square, so that mixing up the row length of the table shows.
+        extra = data.draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
         image = np.random.default_rng(data.draw(st.integers(0, 2**16))).integers(
-            0, 256, size=(side + data.draw(st.integers(0, 5)), side + data.draw(st.integers(0, 5))))
+            0, 256, size=(side + extra[0], side + extra[1]))
         ii = integral_image(image)
         px, py = (a.ravel() for a in np.meshgrid(np.arange(image.shape[1] - side + 1),
                                                  np.arange(image.shape[0] - side + 1)))
+        if data.draw(st.booleans()):
+            # An unordered subset with repeats, as later cascade nodes see.
+            subset = data.draw(st.lists(st.integers(0, px.size - 1), min_size=1, max_size=2 * px.size))
+            px, py = px[subset], py[subset]
         for j in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5)):
             values = haar_values(pool, j, ii.table, px, py, scale)
             for x, y, value in zip(px.tolist(), py.tolist(), values.tolist()):
