@@ -290,28 +290,29 @@ def evaluate_windows(model: CascadeModel, table: np.ndarray, px, py, scale: floa
 
     Returns (stages, margins, evals): stages[i] counts the nodes window i
     passed before its first rejection, so it is accepted iff stages[i] equals
-    the node count; margins[k, i] is node k's margin, computed only for the
-    windows that reached node k and NaN for the rest; evals counts Haar
-    evaluations.  Each margin is accumulated in node_margin's stump order.
+    the node count; margins[k] holds node k's margin of each window that
+    reached node k (those with stages >= k), in window order, for every node
+    some window reached; evals counts Haar evaluations.  Each margin is
+    accumulated in node_margin's stump order.
     """
     px = np.asarray(px)
     py = np.asarray(py)
     stages = np.zeros(len(px), dtype=int)
-    margins = np.full((len(model.nodes), len(px)), np.nan)
+    margins = []
     alive = np.arange(len(px))
     evals = 0
-    for k, node in enumerate(model.nodes):
+    for node in model.nodes:
         if alive.size == 0:
             break
         # No copy while every window is alive: the first node sees them all.
         gx, gy = (px, py) if alive.size == len(px) else (px[alive], py[alive])
         acc = np.zeros(alive.size)
-        for t, stump in enumerate(node.stumps):
+        for c, stump in zip(node.coefficients, node.stumps):
             values = haar_values(model.feature_pool, stump.feature_id, table, gx, gy, scale)
-            acc = acc + node.coefficients[t] * (np.where(values >= stump.threshold, 1.0, -1.0) * stump.polarity)
-        acc = acc + node.node_threshold
+            acc += np.where(values >= stump.threshold, c * stump.polarity, -c * stump.polarity)
+        acc += node.node_threshold
         evals += alive.size * len(node.stumps)
-        margins[k, alive] = acc
+        margins.append(acc)
         alive = alive[acc >= 0]
         stages[alive] += 1
     return stages, margins, evals

@@ -25,7 +25,7 @@ import numpy as np
 
 from .boosting import BoostingConfig
 from .cascade import METHODS, NodeGoal, TrainingPool, train_cascade
-from .detect import ScanProfile, avg_features_per_window, merge_detections, roc_curve, scan_image
+from .detect import DetectionTable, ScanProfile, avg_features_per_window, merge_detections, roc_curve, scan_image
 from .features import PoolParams, build_pool
 from .model_io import (
     ModelFormatError,
@@ -293,7 +293,7 @@ def cmd_detect(args) -> int:
     if not paths:
         raise DataError(f"no PGM images under {args.images}")
 
-    rows = []
+    rows = DetectionTable()
     total = ScanProfile()
     failures = 0
     for path in paths:
@@ -306,7 +306,7 @@ def cmd_detect(args) -> int:
         if not args.no_merge:
             wins = merge_detections(wins, cfg["min_neighbors"])
         image_id = os.path.basename(path) if len(paths) > 1 else path
-        rows.extend((image_id, w) for w in wins)
+        rows.images.append((image_id, wins))
     if failures == len(paths):
         raise DataError("no readable images")
     write_detections_csv(rows, args.out)

@@ -1,20 +1,18 @@
 """Sliding-window detection and evaluation.
 
-Scanning enumerates square windows over a geometric scale pyramid, runs the
-cascade evaluator (cascade.evaluate_windows) once per scale, merges
-overlapping acceptances, and scores the result against ground-truth boxes.
-Merging links windows whose overlap ratio is at least 0.5, transitively, and
-emits one window per group of min_neighbors or more: rounded mean corners and
-side, maximum score and stages, groups in order of their first member.  It
-tests only pairs whose x offset is within a third of the left window's side,
-a bound no linked pair exceeds, in fixed-size blocks of pairs.
-The operating curves reuse one early-exit scan per image: the prefix of
-depth d accepts exactly the windows that passed at least d nodes.
+Scanning runs the cascade evaluator (cascade.evaluate_windows) once per scale
+of a geometric pyramid.  An image's accepted windows travel as one
+Detections, parallel numpy arrays (x, y, side, score, stages), through
+merging to the detections CSV; a DetectionTable holds several images' own.
+Merging joins windows of overlap ratio at least 0.5, transitively, into one
+window per group of min_neighbors or more.  The operating curves reuse one
+early-exit scan per image: the prefix of depth d accepts exactly the windows
+that passed at least d nodes.  Matching takes (image_id, DetectionWindow) rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,11 +22,50 @@ from .features import build_integral
 
 @dataclass
 class DetectionWindow:
+    """One detection as a row: the type match_detections and readers of the
+    detections CSV use.  Scanning, merging and writing pass Detections."""
+
     x: int
     y: int
     side: int
     score: float
     stages_passed: int
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Windows of one image as parallel arrays: top-left corners x, y and
+    sides (int64), scores (float64) and stages passed (int64).  len() counts
+    the windows."""
+
+    x: np.ndarray
+    y: np.ndarray
+    side: np.ndarray
+    score: np.ndarray
+    stages: np.ndarray
+
+    def __len__(self) -> int:
+        return self.x.size
+
+    @classmethod
+    def of(cls, windows: list[DetectionWindow]) -> Detections:
+        ints = np.array([(w.x, w.y, w.side, w.stages_passed) for w in windows], dtype=np.int64).reshape(-1, 4)
+        return cls(*ints[:, :3].T, np.array([w.score for w in windows], dtype=np.float64), ints[:, 3])
+
+    def windows(self) -> list[DetectionWindow]:
+        return [DetectionWindow(*row) for row in zip(self.x.tolist(), self.y.tolist(), self.side.tolist(),
+                                                     self.score.tolist(), self.stages.tolist())]
+
+
+@dataclass
+class DetectionTable:
+    """The Detections of several images, image by image; len() counts the
+    windows of all of them."""
+
+    images: list[tuple[str, Detections]] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return sum(len(dets) for _, dets in self.images)
 
 
 @dataclass
@@ -72,29 +109,27 @@ def _round_half_up(v) -> int:
 
 
 def scan_image(model: CascadeModel, image, scale_factor: float = 1.2, step: float = 1.0,
-               profile: ScanProfile | None = None) -> list[DetectionWindow]:
-    """All windows the cascade accepts, over a scale pyramid.
+               profile: ScanProfile | None = None) -> Detections:
+    """All windows the cascade accepts, over a scale pyramid, in scan order
+    (scale by scale), scored by the last node's margin (0 without nodes).
 
     Window sides are base * scale_factor**s while they fit; the shift grows
     with the scale so scan density is scale-uniform.  Window, Haar evaluation
     and accepted-window counts accumulate into `profile` when given.
     """
     depth = len(model.nodes)
-    windows = [w for scan in _scan_pyramid(model, image, scale_factor, step, depth, profile)
-               for w in _detections(scan, depth)]
+    windows = _passing(_scan_pyramid(model, image, scale_factor, step, depth, profile), depth)
     if profile is not None:
         profile.raw_windows += len(windows)
     return windows
 
 
-def _detections(scan, depth: int) -> list[DetectionWindow]:
-    """The windows of one scanned scale that the first `depth` nodes accept,
-    scored by the margin of the last of them (0 for depth 0)."""
-    px, py, side, stages, margins = scan
-    idx = np.flatnonzero(stages >= depth)
-    scores = margins[depth - 1, idx] if depth else np.zeros(idx.size)
-    return [DetectionWindow(x, y, side, score, depth)
-            for x, y, score in zip(px[idx].tolist(), py[idx].tolist(), scores.tolist())]
+def _passing(scan, depth: int, tau: float = 0.0) -> Detections:
+    """The scanned windows whose depth-prefix score is at least tau, scored
+    by it; for tau 0 these are the windows the first `depth` nodes accept."""
+    px, py, side, scores = scan
+    idx = np.flatnonzero(scores[depth] >= tau)  # NaN, the node not reached, compares False
+    return Detections(px[idx], py[idx], side[idx], scores[depth, idx], np.full(idx.size, depth))
 
 
 def overlap_ratio(ax, ay, aw, ah, bx, by, bw, bh) -> float:
@@ -113,13 +148,14 @@ _PAIR_BLOCK = 1 << 12
 _ROC_THRESHOLDS = 10
 
 
-def merge_detections(windows: list[DetectionWindow], min_neighbors: int = 2) -> list[DetectionWindow]:
+def merge_detections(windows: Detections | list[DetectionWindow], min_neighbors: int = 2) -> Detections:
     """Group windows by transitive >= 0.5 overlap; each group of at least
     min_neighbors members emits one corner-averaged window (max score).
 
     Groups come out in the order of their first member.  A group's x, y and
     side are the half-up rounded means of its members' (exact integer sum
-    divided by the count); score and stages_passed are the members' maxima.
+    divided by the count); score and stages are the members' maxima (a tie of
+    0.0 and -0.0 may keep either).  A list of DetectionWindow is also taken.
 
     Not every pair is compared.  Two squares reach the ratio only when their
     x offset is at most a third of the left one's side, so with the windows
@@ -129,32 +165,26 @@ def merge_detections(windows: list[DetectionWindow], min_neighbors: int = 2) -> 
     2 * inter >= union, which equals inter / union >= 0.5 while the union
     stays below 2**53.
     """
+    if not isinstance(windows, Detections):
+        windows = Detections.of(windows)
     n = len(windows)
     if n == 0:
-        return []
-    x = np.fromiter((w.x for w in windows), np.int64, n)
-    y = np.fromiter((w.y for w in windows), np.int64, n)
-    side = np.fromiter((w.side for w in windows), np.int64, n)
-    root = _components(n, *_overlapping_pairs(x, y, side))
+        return windows
+    root = _components(n, *_overlapping_pairs(windows.x, windows.y, windows.side))
     order = np.argsort(root, kind="stable")  # by group root (its first member), members ascending
-    cuts = [0, *(np.flatnonzero(np.diff(root[order])) + 1).tolist(), n]
-    order = order.tolist()
-    out = []
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        count = stop - start
-        if count < min_neighbors:
-            continue
-        members = [windows[i] for i in order[start:stop]]
-        out.append(
-            DetectionWindow(
-                x=_round_half_up(sum(m.x for m in members) / count),
-                y=_round_half_up(sum(m.y for m in members) / count),
-                side=_round_half_up(sum(m.side for m in members) / count),
-                score=max(m.score for m in members),
-                stages_passed=max(m.stages_passed for m in members),
-            )
-        )
-    return out
+    starts = np.flatnonzero(np.diff(root[order], prepend=-1))
+    count = np.diff(starts, append=n)
+    big = count >= min_neighbors
+    count = count[big]
+
+    def mean(v):
+        return np.floor(np.add.reduceat(v[order], starts)[big] / count + 0.5).astype(np.int64)
+
+    def top(v):
+        return np.maximum.reduceat(v[order], starts)[big]
+
+    return Detections(mean(windows.x), mean(windows.y), mean(windows.side),
+                      top(windows.score), top(windows.stages))
 
 
 def _overlapping_pairs(x, y, side):
@@ -268,65 +298,49 @@ def roc_curve(model: CascadeModel, images, truths: list[GroundTruthBox], mode: s
     # Depth mode needs the windows past the first node, threshold mode those
     # that reached the last one.
     reached = 1 if mode == "depth" else full_depth - 1
-    scans = [(image_id, list(_scan_pyramid(model, image, scale_factor, step, reached)))
-             for image_id, image in images]
+    scans = [(image_id, _scan_pyramid(model, image, scale_factor, step, reached)) for image_id, image in images]
 
-    def merged(depth):
-        out = []
-        for image_id, image_scans in scans:
-            wins = [w for scan in image_scans for w in _detections(scan, depth)]
-            out.extend((image_id, w) for w in merge_detections(wins, min_neighbors))
-        return out
+    def match(depth, tau=0.0):
+        """Match the merged windows of every image whose depth-prefix score is at least tau."""
+        rows = [(image_id, w) for image_id, scan in scans
+                for w in merge_detections(_passing(scan, depth, tau), min_neighbors).windows()]
+        return match_detections(rows, truths)
 
-    points = []
     if mode == "depth":
-        for depth in range(1, full_depth + 1):
-            res = match_detections(merged(depth), truths)
-            points.append(
-                ROCPoint(f"depth={depth}", res.false_positives, res.true_positives / len(truths))
-            )
-        full = res  # the deepest prefix is the whole cascade
+        curve = [(f"depth={depth}", match(depth)) for depth in range(1, full_depth + 1)]
+        full = curve[-1][1]  # the deepest prefix is the whole cascade
     else:
-        candidates = [  # per image, the windows that reached the last node, scored by its margin
-            (image_id, [DetectionWindow(x, y, side, m, full_depth)
-                        for px, py, side, _, margins in image_scans
-                        for x, y, m in zip(px.tolist(), py.tolist(), margins[-1].tolist())])
-            for image_id, image_scans in scans
-        ]
-        margins = np.array([w.score for _, wins in candidates for w in wins])
+        # Every scanned window reached the last node; the cutoffs are quantiles of its margin there.
+        margins = np.concatenate([scores[-1] for _, (*_, scores) in scans])
         taus = []
         if margins.size:
             taus = sorted(set(np.quantile(margins, np.linspace(0.0, 1.0, _ROC_THRESHOLDS)).tolist()))
-        taus.append(np.inf)
-        for tau in taus:
-            kept = [(image_id, w) for image_id, wins in candidates
-                    for w in merge_detections([v for v in wins if v.score >= tau], min_neighbors)]
-            res = match_detections(kept, truths)
-            points.append(
-                ROCPoint(f"threshold={tau:.6g}", res.false_positives, res.true_positives / len(truths))
-            )
-        full = match_detections(merged(full_depth), truths)
+        curve = [(f"threshold={tau:.6g}", match(full_depth, tau)) for tau in taus + [np.inf]]
+        full = match(full_depth)
+    points = [ROCPoint(label, res.false_positives, res.true_positives / len(truths)) for label, res in curve]
     points.sort(key=lambda p: (p.false_positives, -p.detection_rate))
     return points, full
 
 
 def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
-    """Scan the pyramid with the cascade evaluator, yielding per scale
-    (px, py, side, stages, margins) of the windows that passed at least
-    `reached` nodes, in scan order."""
+    """Scan the pyramid with the cascade evaluator.  Returns (px, py, side,
+    scores) of the windows that passed at least `reached` nodes, scale by
+    scale in scan order.  scores[d] scores the prefix of depth d: 0 for
+    depth 0, else node d-1's margin, NaN for a window that did not reach it."""
     if scale_factor <= 1.0:
         raise ValueError("scale_factor must exceed 1")
     image = np.asarray(image)
     h, w = image.shape
     base = model.base_window
-    if h < base or w < base:
-        return
-    table = build_integral(image)
+    empty = np.zeros(0, dtype=np.int64)
+    parts = [(empty, empty, empty, np.zeros((len(model.nodes) + 1, 0)))]
+    table = build_integral(image) if min(h, w) >= base else None
     s = 0
     while True:
         scale = scale_factor**s
         # side > min(h, w) for the rounded side, tested before rounding so an
-        # overflowing scale (inf) stops the pyramid instead of int(inf).
+        # overflowing scale (inf) stops the pyramid instead of int(inf); an
+        # image below the base window stops at the first scale.
         if base * scale + 0.5 >= min(h, w) + 1:
             break
         side = _round_half_up(base * scale)
@@ -341,8 +355,11 @@ def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
         if profile is not None:
             profile.windows_scanned += px.size
             profile.feature_evals += evals
-        keep = np.flatnonzero(stages >= reached)
-        # Rebind before yielding so the full-scale arrays are freed now.
-        stages, margins = stages[keep], margins[:, keep]
-        yield px[keep], py[keep], side, stages, margins
+        keep = stages >= reached
+        scores = np.full((len(model.nodes) + 1, np.count_nonzero(keep)), np.nan)
+        scores[0] = 0.0
+        for k, acc in enumerate(margins):  # acc covers the windows with stages >= k
+            scores[k + 1, stages[keep] >= k] = acc[keep[stages >= k]]
+        parts.append((px[keep], py[keep], np.full(scores.shape[1], side), scores))
         s += 1
+    return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))

@@ -8,16 +8,23 @@ sentinel thresholds of stumps are written as the strings "inf" and "-inf"
 feature pool is stored by its enumeration parameters, as
 {"type": "enumerated", "base_window", "stride", "min_size", "subsample"}, the
 only pool type, and rebuilt by features.build_pool on load.
+
+The detections CSV is written from a detect.DetectionTable, image by image
+from each Detections' arrays: the header image_id,x,y,side,score, then one
+row per window, every row ending in \r\n.  Scores are written with repr, so
+they read back exactly; an image id is quoted as the csv module quotes it
+(a comma, quote or line break puts it in quotes, a quote doubles).
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 
 from .cascade import CascadeModel, NodeClassifier
-from .detect import DetectionWindow, GroundTruthBox, ROCPoint
+from .detect import DetectionTable, GroundTruthBox, ROCPoint
 from .features import PoolParams, build_pool
 from .stumps import DecisionStump
 
@@ -201,12 +208,15 @@ def read_ground_truth(path: str) -> list[GroundTruthBox]:
     return boxes
 
 
-def write_detections_csv(rows: list[tuple[str, DetectionWindow]], path: str) -> None:
+def write_detections_csv(rows: DetectionTable, path: str) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image_id", "x", "y", "side", "score"])
-        for image_id, win in rows:
-            writer.writerow([image_id, win.x, win.y, win.side, repr(win.score)])
+        fh.write("image_id,x,y,side,score\r\n")
+        for image_id, dets in rows.images:
+            head = io.StringIO()
+            csv.writer(head).writerow([image_id, ""])  # two fields: an empty id stays unquoted
+            head = head.getvalue()[:-2]  # the quoted id and its comma
+            fh.write("".join(f"{head}{x},{y},{side},{score!r}\r\n" for x, y, side, score in zip(
+                dets.x.tolist(), dets.y.tolist(), dets.side.tolist(), dets.score.tolist())))
 
 
 def write_roc_csv(points: list[ROCPoint], path: str) -> None:

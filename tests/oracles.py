@@ -5,6 +5,7 @@ loops, dense inversions, exhaustive scans) rather than reusing the package's
 incremental paths.
 """
 
+import csv
 import functools
 import itertools
 import math
@@ -582,3 +583,13 @@ def roc_curve(model, images, truths, mode="depth", scale_factor=1.2, step=1.0,
             points.append(ROCPoint(f"threshold={tau:.6g}", res.false_positives, res.true_positives / len(truths)))
     points.sort(key=lambda p: (p.false_positives, -p.detection_rate))
     return points, match_detections(detect_all(model), truths)
+
+
+def write_detections_csv(rows, path):
+    """The detections CSV written row by row through csv.writer, from
+    (image_id, DetectionWindow) pairs."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["image_id", "x", "y", "side", "score"])
+        for image_id, win in rows:
+            writer.writerow([image_id, win.x, win.y, win.side, repr(win.score)])

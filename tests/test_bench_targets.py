@@ -1,9 +1,20 @@
 """The traced benchmark wraps package callables by name from outside the
 package (bench/layers.py), so a rename there goes unnoticed by the bench: the
-target is only reported missing.  This test makes such a rename fail."""
+target is only reported missing.  These tests make such a rename fail, and
+check that the arguments its hooks count still mean what the hooks assume."""
 
 import importlib
 from pathlib import Path
+
+import numpy as np
+
+from gslda_cascade import cli
+from gslda_cascade.cascade import CascadeModel, NodeClassifier
+from gslda_cascade.detect import DetectionWindow
+from gslda_cascade.features import PoolParams, build_pool
+from gslda_cascade.model_io import save_model
+from gslda_cascade.pgm import write_pgm
+from gslda_cascade.stumps import DecisionStump
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -26,3 +37,39 @@ def test_every_traced_target_resolves(monkeypatch):
     layers = importlib.import_module("layers")
     missing = [f"{t.module}.{t.attr}" for t in layers.TARGETS if not callable(resolve(t.module, t.attr))]
     assert missing == KNOWN_MISSING
+
+
+def test_detect_hook_arguments(monkeypatch, tmp_path, capsys):
+    """layers.py counts detect.raw_windows as len() of merge_detections'
+    first argument and model_io.rows_written as len() of
+    write_detections_csv's, and calls merge_detections with a list of
+    DetectionWindow in its self-test."""
+    assert len(cli.merge_detections([DetectionWindow(0, 0, 16, 1.0, 1)] * 3, 2)) == 1
+    features = build_pool(PoolParams(8, stride=2, min_size=2))
+    model = CascadeModel([NodeClassifier([DecisionStump(5, 0.0, 1)], [1.0], 0.5, "adaboost")], [(1.0, 0.5)],
+                         [(1.0, 0.5)], features, 0.5, base_window=8)
+    save_model(model, str(tmp_path / "model.json"))
+    (tmp_path / "images").mkdir()
+    rng = np.random.default_rng(0)
+    for name in ("a.pgm", "b.pgm"):
+        write_pgm(str(tmp_path / "images" / name), rng.integers(0, 256, size=(20, 24)).astype(np.uint8))
+    for flags in ([], ["--no-merge"]):
+        seen = {"merge": [], "write": []}
+
+        def spy(name, fn):
+            return lambda *args, **kwargs: seen[name].append(len(args[0])) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "merge_detections", spy("merge", cli.merge_detections))
+        monkeypatch.setattr(cli, "write_detections_csv", spy("write", cli.write_detections_csv))
+        out = tmp_path / "detections.csv"
+        assert cli.main(["detect", str(tmp_path / "model.json"), str(tmp_path / "images"), "--out", str(out),
+                         "--profile", *flags]) == 0
+        monkeypatch.undo()
+        profile = dict(kv.split("=") for kv in capsys.readouterr().out.split("profile: ")[1].split())
+        rows = len(out.read_text().splitlines()) - 1
+        assert seen["write"] == [rows] and rows == int(profile["detections"])
+        raw = int(profile["raw_windows"])
+        if flags:
+            assert seen["merge"] == [] and raw == rows
+        else:  # one call per image
+            assert len(seen["merge"]) == 2 and sum(seen["merge"]) == raw > rows

@@ -372,6 +372,10 @@ class TestEvaluateWindows:
         for scale, windows in by_scale.items():
             px, py = np.array(windows).T
             stages, margins, evals = evaluate_windows(model, ii.table, px, py, scale)
+            # margins[k] holds exactly the windows with stages >= k, in window
+            # order: none past a window's rejecting node.
+            assert len(margins) == min(len(nodes), stages.max() + 1)
+            assert [len(m) for m in margins] == [np.count_nonzero(stages >= k) for k in range(len(margins))]
             expected_evals = 0
             for i, (x, y) in enumerate(windows):
                 accepted, n_passed, score, n_evals = decide_window(model, ii, x, y, scale)
@@ -379,7 +383,7 @@ class TestEvaluateWindows:
                 assert stages[i] == n_passed
                 assert accepted == (stages[i] == len(nodes))
                 if nodes:
-                    last = margins[min(stages[i], len(nodes) - 1), i]
+                    k = min(stages[i], len(nodes) - 1)
+                    last = margins[k][np.count_nonzero(stages[:i] >= k)]
                     assert np.float64(last).tobytes() == np.float64(score).tobytes()
-                    assert np.all(np.isnan(margins[stages[i] + 1:, i]))
             assert evals == expected_evals

@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 
 from gslda_cascade import cli, detect
+from gslda_cascade.model_io import load_model
+from gslda_cascade.pgm import read_pgm
+import oracles
 
 TRAIN = ["--subsample", "4", "--max-stumps", "8"]
 
@@ -71,6 +74,23 @@ def test_detect(corpus, model, tmp_path, capsys):
     raw, merged = counts[False]
     assert counts[True] == (raw, raw)  # --no-merge writes every raw window
     assert raw > merged
+
+
+def test_detect_rows_match_scalar_oracles(corpus, model, tmp_path):
+    """The rows detect writes for one scene are the scalar scan's accepted
+    windows (--no-merge) and the pairwise merge of those (merged)."""
+    scene = str(corpus / "corpus" / "scenes" / "s000.pgm")
+    raw = [win for win, _ in oracles.scan_windows(load_model(model), read_pgm(scene))]
+    rows = {}
+    for merge in ([], ["--no-merge"]):
+        out = tmp_path / "detections.csv"
+        assert cli.main(["detect", model, scene, "--out", str(out), *merge]) == 0
+        rows[bool(merge)] = [(r["image_id"], int(r["x"]), int(r["y"]), int(r["side"]), float(r["score"]))
+                             for r in csv.DictReader(open(out, newline=""))]
+    assert rows[True] == [(scene, w.x, w.y, w.side, w.score) for w in raw]
+    merged = oracles.merge_detections(raw, 2)
+    assert rows[False] == [(scene, w.x, w.y, w.side, w.score) for w in merged]
+    assert len(raw) > len(merged) > 0
 
 
 @pytest.mark.parametrize("mode", ["depth", "threshold"])

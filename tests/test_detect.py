@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gslda_cascade.cascade import CascadeModel, NodeClassifier
 from gslda_cascade.detect import (
     DetectionWindow,
+    Detections,
     GroundTruthBox,
     MatchResult,
     ScanProfile,
@@ -44,7 +45,7 @@ class TestScanImage:
     def test_exact_base_window_single_scan(self):
         model = empty_model(base=8)
         rng = np.random.default_rng(0)
-        wins = scan_image(model, rng.integers(0, 256, size=(8, 8)))
+        wins = scan_image(model, rng.integers(0, 256, size=(8, 8))).windows()
         assert len(wins) == 1
         assert (wins[0].x, wins[0].y, wins[0].side) == (0, 0, 8)
 
@@ -53,7 +54,7 @@ class TestScanImage:
         rng = np.random.default_rng(1)
         image = rng.integers(0, 256, size=(100, 100))
         profile = ScanProfile()
-        wins = scan_image(model, image, scale_factor=1.2, step=1.0, profile=profile)
+        wins = scan_image(model, image, scale_factor=1.2, step=1.0, profile=profile).windows()
         oracle = pyramid_windows(100, 100, 24, 1.2, 1.0)
         assert len(wins) == len(oracle)
         assert profile.windows_scanned == len(oracle)
@@ -62,12 +63,12 @@ class TestScanImage:
 
     def test_small_image_empty_result(self):
         model = empty_model(base=24)
-        assert scan_image(model, np.zeros((10, 10), dtype=int)) == []
+        assert len(scan_image(model, np.zeros((10, 10), dtype=int))) == 0
 
     def test_empty_model_accepts_everything(self):
         model = empty_model(base=8)
         rng = np.random.default_rng(2)
-        wins = scan_image(model, rng.integers(0, 256, size=(20, 20)))
+        wins = scan_image(model, rng.integers(0, 256, size=(20, 20))).windows()
         assert len(wins) == len(pyramid_windows(20, 20, 8, 1.2, 1.0))
         assert all(w.stages_passed == 0 for w in wins)
 
@@ -75,7 +76,7 @@ class TestScanImage:
         rng = np.random.default_rng(3)
         image = rng.integers(0, 256, size=(30, 30))
         model = hand_model(base=8, thresholds=(2.0, -3.0), node_thresholds=[0.5, 0.5])
-        accepted = {(w.x, w.y, w.side) for w in scan_image(model, image)}
+        accepted = {(w.x, w.y, w.side) for w in scan_image(model, image).windows()}
         ii = integral_image(image)
         for x, y, side, scale in pyramid_windows(30, 30, 8, 1.2, 1.0):
             ok, _, _, _ = decide_window(model, ii, x, y, scale)
@@ -85,7 +86,7 @@ class TestScanImage:
         rng = np.random.default_rng(4)
         image = rng.integers(0, 256, size=(40, 40))
         model = hand_model(base=8, thresholds=(1.0, -1.0, 4.0), node_thresholds=[0.5] * 3)
-        fast = scan_image(model, image)
+        fast = scan_image(model, image).windows()
         ii = integral_image(image)
         slow = []  # (x, y, side, stages) of the windows accepted without early exit
         for x, y, side, scale in pyramid_windows(40, 40, 8, 1.2, 1.0):
@@ -105,7 +106,7 @@ class TestScanImage:
                              feature_pool=feats, f_target=0.5, base_window=8)
         profile = ScanProfile()
         wins = scan_image(model, image, profile=profile)
-        assert wins == []
+        assert len(wins) == 0
         assert profile.windows_scanned == 1
         assert profile.feature_evals == 3
         assert avg_features_per_window(profile) == 3.0
@@ -134,16 +135,16 @@ class TestOverlapRatio:
 class TestMergeDetections:
     def test_single_window_kept_with_min_neighbors_one(self):
         win = DetectionWindow(3, 4, 10, 1.5, 2)
-        assert merge_detections([win], min_neighbors=1) == [win]
+        assert merge_detections(Detections.of([win]), min_neighbors=1).windows() == [win]
 
     def test_two_disjoint_windows(self):
         a = DetectionWindow(0, 0, 10, 1.0, 1)
         b = DetectionWindow(30, 30, 10, 2.0, 1)
-        assert len(merge_detections([a, b], min_neighbors=1)) == 2
+        assert len(merge_detections(Detections.of([a, b]), min_neighbors=1)) == 2
 
     def test_five_identical_collapse_to_same(self):
         wins = [DetectionWindow(5, 6, 12, float(i), 1) for i in range(5)]
-        merged = merge_detections(wins, min_neighbors=2)
+        merged = merge_detections(Detections.of(wins), min_neighbors=2).windows()
         assert len(merged) == 1
         out = merged[0]
         assert (out.x, out.y, out.side) == (5, 6, 12)
@@ -153,7 +154,7 @@ class TestMergeDetections:
         a = DetectionWindow(0, 0, 10, 1.0, 1)
         b = DetectionWindow(1, 1, 10, 2.0, 1)
         c = DetectionWindow(40, 40, 10, 3.0, 1)
-        merged = merge_detections([a, b, c], min_neighbors=2)
+        merged = merge_detections(Detections.of([a, b, c]), min_neighbors=2).windows()
         assert len(merged) == 1
         assert merged[0].x in (0, 1)  # averaged pair, singleton dropped
 
@@ -163,7 +164,7 @@ class TestMergeDetections:
         b = DetectionWindow(3, 0, 12, 1.0, 1)
         c = DetectionWindow(6, 0, 12, 1.0, 1)
         assert overlap_ratio(0, 0, 12, 12, 6, 0, 12, 12) < 0.5
-        merged = merge_detections([a, b, c], min_neighbors=3)
+        merged = merge_detections(Detections.of([a, b, c]), min_neighbors=3)
         assert len(merged) == 1
 
     @pytest.mark.parametrize("dx,dy", [(4, 0), (0, 4), (-4, 0), (0, -4)])
@@ -172,11 +173,11 @@ class TestMergeDetections:
         a = DetectionWindow(10, 10, 12, 1.0, 1)
         b = DetectionWindow(10 + dx, 10 + dy, 12, 2.0, 2)
         assert overlap_ratio(a.x, a.y, 12, 12, b.x, b.y, 12, 12) == 0.5
-        merged = merge_detections([a, b], min_neighbors=2)
+        merged = merge_detections(Detections.of([a, b]), min_neighbors=2).windows()
         assert merged == [DetectionWindow(10 + dx // 2, 10 + dy // 2, 12, 2.0, 2)]
         assert merged == pairwise_merge_detections([a, b], min_neighbors=2)
         c = DetectionWindow(10 + dx * 5 // 4, 10 + dy * 5 // 4, 12, 3.0, 1)  # shifted by 5: below half
-        assert merge_detections([a, c], min_neighbors=2) == []
+        assert len(merge_detections(Detections.of([a, c]), min_neighbors=2)) == 0
 
     @given(st.lists(st.tuples(st.integers(-5, 40), st.integers(-5, 40), st.integers(1, 24),
                               st.floats(-4, 4, allow_nan=False), st.integers(0, 5)), max_size=40),
@@ -185,7 +186,8 @@ class TestMergeDetections:
     def test_matches_pairwise_oracle(self, rows, repeats, min_neighbors):
         wins = [DetectionWindow(*row) for row in rows]
         wins += [wins[i % len(wins)] for i in repeats if wins]  # duplicates
-        assert merge_detections(wins, min_neighbors) == pairwise_merge_detections(wins, min_neighbors)
+        got = merge_detections(Detections.of(wins), min_neighbors).windows()
+        assert got == pairwise_merge_detections(wins, min_neighbors)
 
     def test_pyramid_scan_matches_pairwise_oracle(self):
         rng = np.random.default_rng(12)
@@ -194,8 +196,8 @@ class TestMergeDetections:
         wins = scan_image(model, image)
         assert len(wins) >= 1000
         for min_neighbors in (1, 2):
-            got = merge_detections(wins, min_neighbors)
-            assert got == pairwise_merge_detections(wins, min_neighbors)
+            got = merge_detections(wins, min_neighbors).windows()
+            assert got == pairwise_merge_detections(wins.windows(), min_neighbors)
 
 
 class TestMatchDetections:

@@ -1,14 +1,24 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gslda_cascade.cascade import CascadeModel, NodeClassifier
+from gslda_cascade.detect import DetectionTable, Detections
 from gslda_cascade.features import PoolParams, build_pool
-from gslda_cascade.model_io import ModelFormatError, load_model, model_from_dict, model_to_dict, save_model
+from gslda_cascade.model_io import (
+    ModelFormatError,
+    load_model,
+    model_from_dict,
+    model_to_dict,
+    save_model,
+    write_detections_csv,
+)
 from gslda_cascade.stumps import DecisionStump
+from oracles import write_detections_csv as write_rows_csv
 
 
 def payload():
@@ -180,3 +190,35 @@ def test_fuzzed_model_raises_only_format_error(data):
         model_from_dict(p)
     except ModelFormatError:
         pass
+
+
+# Image ids with the characters csv quotes or passes through, and scores
+# whose repr takes every form: negative, signed zero, subnormal, integral,
+# exponent.
+IMAGE_IDS = st.text(st.sampled_from(list('ab,"\' \r\n\té\u00fc\u4e2d\U0001f600')), max_size=6)
+SCORES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 2.0, -3.0, 1e16, 1.5e300, -1e-7]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def detection_tables(draw):
+    images = []
+    for image_id in draw(st.lists(IMAGE_IDS, max_size=4)):
+        n = draw(st.integers(0, 5))
+        ints = draw(st.lists(st.integers(-2**40, 2**40), min_size=4 * n, max_size=4 * n))
+        ints = np.array(ints, dtype=np.int64).reshape(n, 4)
+        scores = np.array(draw(st.lists(SCORES, min_size=n, max_size=n)), dtype=np.float64)
+        images.append((image_id, Detections(ints[:, 0], ints[:, 1], ints[:, 2], scores, ints[:, 3])))
+    return DetectionTable(images)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=detection_tables())
+def test_detections_csv_bytes_match_row_writer(table, tmp_path_factory):
+    out = tmp_path_factory.mktemp("csv")
+    write_detections_csv(table, str(out / "new.csv"))
+    write_rows_csv([(image_id, w) for image_id, dets in table.images for w in dets.windows()],
+                   str(out / "old.csv"))
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
