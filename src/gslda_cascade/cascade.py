@@ -203,7 +203,7 @@ def train_node(
             j, sel = _bgslda_pick(fit, table, weights, scfg, boost_cfg)
         if j is None:  # no candidate left that adds class separation
             return fit.build(goal_met=fit.f <= goal.f_max)
-        fit.add(table.stumps[j], table.responses[j])
+        fit.add(table.stump(j), table.responses[j])
         alphas.append(boosting.alpha(float(table.errors[j])))
         fit.retune(np.array(alphas) if method in ("adaboost", "asymboost") else sel.direction())
         if (len(fit.chosen) >= fixed_rounds) if fixed_rounds is not None else (fit.f <= goal.f_max):

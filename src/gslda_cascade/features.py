@@ -11,6 +11,16 @@ once: adjacent rectangles share corners, so at scales of 1 and above the
 weights fold into 6, 8 or 9 integer weights on offsets of the flattened table
 for two-, three- and four-rectangle features.  A window whose footprint leaves
 the table raises IndexError.
+
+Training extracts every feature of the pool from every patch at scale 1 with
+the same folded weights, as a matrix product: a block of features' corner
+weights, dense over the flattened (H+1)(W+1) integral table, times the
+float64 copy of the N patches' tables.  Weights and table entries are
+integers, and while the largest |table entry| times a feature's summed
+|weights| stays below 2**53 every product and partial sum is an exact
+float64 integer, so the product equals the exact integer sums in any
+summation order; one division by the footprint area follows.  Larger tables
+raise ValueError rather than round.
 """
 
 from __future__ import annotations
@@ -40,6 +50,11 @@ _CELLS = np.array([
     [(1, 0, 0, 1, 1), (-1, 1, 0, 2, 1), (-1, 0, 1, 1, 2), (1, 1, 1, 2, 2)],
 ])
 _N_RECTS = (_CELLS[:, :, 0] != 0).sum(axis=1)  # the rows after these are padding
+
+# Byte budget of the dense corner-weight block FeatureExtractor.extract
+# multiplies at a time.  BLAS packs a copy of the block into pages that stay
+# resident, so the budget also bounds what extraction adds to peak RSS.
+_BLOCK_BYTES = 1 << 18
 
 
 def build_integral(image) -> np.ndarray:
@@ -154,27 +169,74 @@ def haar_values(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: flo
 
 
 class FeatureExtractor:
-    """Batch evaluation of a feature pool on same-size patches at scale 1."""
+    """Batch evaluation of a feature pool on same-size patches at scale 1.
+
+    Each feature's sub-rectangles fold once, at construction, into integer
+    weights on the distinct corners (x, y) of its rectangles, as haar_values
+    folds them; corners whose weights cancel are dropped.
+    """
 
     def __init__(self, pool: FeaturePool):
         self.pool = pool
+        m = len(pool)
+        rects = pool.rects  # padding rows carry weight 0 and fold away
+        xs = rects[:, :, [3, 3, 1, 1]].reshape(m, 16)
+        ys = rects[:, :, [4, 2, 4, 2]].reshape(m, 16)
+        weights = (rects[:, :, :1] * np.array([1, -1, -1, 1])).reshape(m, 16)
+        side = pool.params.base_window + 1  # corner coordinates run 0..base_window
+        keys = (np.arange(m)[:, None] * side + ys) * side + xs
+        corners, slot = np.unique(keys, return_inverse=True)
+        folded = np.zeros(len(corners), dtype=np.int64)
+        np.add.at(folded, slot.ravel(), weights.ravel())
+        kept = folded != 0
+        # Sorted by feature first, so a row block owns a contiguous run.
+        rest, self._x = np.divmod(corners[kept], side)
+        self._feature, self._y = np.divmod(rest, side)
+        self._weight = folded[kept]
+        l1 = np.bincount(self._feature, weights=np.abs(self._weight), minlength=m)
+        self._max_l1 = int(l1.max()) if m else 0
+        x0, y0, x1, y1 = pool.box.T
+        self._area = ((x1 - x0) * (y1 - y0)).astype(np.float64)
 
     def extract(self, patches) -> np.ndarray:
-        """(M, N) float64 value matrix for N patches; exact integer sums inside."""
+        """(M, N) float64 value matrix for N patches.
+
+        One matrix product per block of features: a dense block of folded
+        corner weights on the flattened (H+1)(W+1) integral tables, times
+        the float64 copy of the N tables, divided by each footprint's area.
+        Every product and partial sum is an integer of magnitude at most
+        max|table| * sum|weights|; below 2**53 that is exact in float64
+        whatever order BLAS sums in, so the values equal the exact integer
+        sums divided once by the area.  Raises ValueError when that bound
+        could reach 2**53 (8-bit patches stay far below it) and IndexError
+        when a footprint leaves the patches.
+        """
         patches = np.asarray(patches)
         if patches.ndim != 3:
             raise ValueError("patches must be a (N, H, W) stack")
         n, h, w = patches.shape
         tables = np.zeros((n, h + 1, w + 1), dtype=np.int64)
         np.cumsum(np.cumsum(patches, axis=1, dtype=np.int64), axis=2, out=tables[:, 1:, 1:])
-        pool = self.pool
-        out = np.empty((len(pool), n), dtype=np.float64)
-        features = zip(pool.box.tolist(), _N_RECTS[pool.kind].tolist(), pool.rects.tolist())
-        for j, ((fx0, fy0, fx1, fy1), count, rects) in enumerate(features):
-            acc = np.zeros(n, dtype=np.int64)
-            for wgt, x0, y0, x1, y1 in rects[:count]:
-                acc += wgt * (
-                    tables[:, y1, x1] - tables[:, y0, x1] - tables[:, y1, x0] + tables[:, y0, x0]
-                )
-            out[j] = acc / ((fx1 - fx0) * (fy1 - fy0))
+        m = len(self.pool)
+        if m and (self.pool.box[:, 2].max() > w or self.pool.box[:, 3].max() > h):
+            raise IndexError("feature footprint leaves the patches")
+        out = np.empty((m, n), dtype=np.float64)
+        if m == 0 or n == 0:
+            return out
+        largest = max(-int(tables.min()), int(tables.max()))
+        if largest * self._max_l1 >= 2**53:
+            raise ValueError("integral sums could reach 2**53, past exact float64")
+        cols = w + 1
+        size = (h + 1) * cols
+        flat = tables.reshape(n, size).astype(np.float64)
+        del tables
+        offsets = self._y * cols + self._x
+        step = max(1, _BLOCK_BYTES // (8 * size))
+        bounds = np.searchsorted(self._feature, np.arange(0, m + step, step))
+        for lo, a, b in zip(range(0, m, step), bounds[:-1], bounds[1:]):
+            hi = min(lo + step, m)
+            block = np.bincount((self._feature[a:b] - lo) * size + offsets[a:b],
+                                weights=self._weight[a:b], minlength=(hi - lo) * size)
+            np.matmul(block.reshape(hi - lo, size), flat.T, out=out[lo:hi])
+        out /= self._area[:, None]
         return out

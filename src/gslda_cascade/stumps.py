@@ -7,6 +7,14 @@ The (M, N) table is sorted and trained a block of rows at a time, each block
 about _BLOCK_BYTES of float64, so the memory beyond the values, their int32
 sort order and the interior-slot mask stays bounded however many features the
 pool holds.
+
+The sort order is the stable one (equal values keep their sample order), but
+it is not computed by a stable sort: numpy's default SIMD argsort orders a
+block, the runs of equal values in it are numbered, and one integer sort of
+the keys run * N + index puts each run in index order.  Runs sit in the same
+positions in every sorted order, so the result is exactly
+argsort(kind="stable") for any finite values, +/-0.0 and +/-inf included.
+NaN has no place in a sorted order and is rejected.
 """
 
 from __future__ import annotations
@@ -41,20 +49,26 @@ class DecisionStump:
 
 @dataclass
 class StumpTable:
-    """One trained stump per candidate feature plus cached outputs.
+    """One trained stump per candidate feature, as arrays, plus cached outputs.
 
-    responses[j, i] is stump j's output on sample i; errors[j] its weighted
+    Stump j thresholds feature j at thresholds[j] with polarity[j];
+    responses[j, i] is its output on sample i and errors[j] its weighted
     error under the weights the table was built with.  labels are kept so the
     table is self-contained for edge/pruning computations.
     """
 
-    stumps: list[DecisionStump]
+    thresholds: np.ndarray  # (M,) float64
+    polarity: np.ndarray  # (M,) int8 in {-1, +1}
     responses: np.ndarray  # (M, N) int8 in {-1, +1}
     errors: np.ndarray  # (M,)
     labels: np.ndarray  # (N,) in {-1, +1}
 
     def __len__(self) -> int:
-        return len(self.stumps)
+        return len(self.errors)
+
+    def stump(self, j: int) -> DecisionStump:
+        """Stump j as the classifier a cascade node keeps."""
+        return DecisionStump(int(j), float(self.thresholds[j]), int(self.polarity[j]))
 
 
 class StumpTrainer:
@@ -63,13 +77,15 @@ class StumpTrainer:
     Sorting happens once; train_all under new sample weights is O(M N) per
     call.  Candidate thresholds sit at midpoints of consecutive distinct
     values plus -inf/+inf sentinels; ties break toward the smaller threshold,
-    then polarity +1.
+    then polarity +1.  The sort is stable through the tie-repair key sort of
+    the module docstring; values holding NaN raise ValueError.
 
     Both the sort and train_all walk the table in blocks of rows sized by
     _BLOCK_BYTES, so their temporaries stay near that budget whatever M is.
     Between calls the trainer holds the values, their per-row sort order as
     int32 and a bool mask of the interior threshold slots: about 1.625 times
-    the bytes of the values.
+    the bytes of the values.  train_all gathers each class's weights through
+    the order straight into its cumulative sums.
     """
 
     def __init__(self, feature_values: np.ndarray, labels: np.ndarray):
@@ -86,10 +102,23 @@ class StumpTrainer:
         # Interior threshold slot t is usable only between distinct values.
         self._interior_ok = np.empty((m, n - 1), dtype=bool)
         for rows in self._blocks():
-            order = np.argsort(values[rows], axis=1, kind="stable")
-            sorted_values = np.take_along_axis(values[rows], order, axis=1)
+            order = np.argsort(values[rows], axis=1)
+            sorted_values = np.sort(values[rows], axis=1)
+            if np.isnan(sorted_values[:, -1]).any():  # sorting puts NaN last
+                raise ValueError("feature_values must not hold NaN")
+            interior_ok = self._interior_ok[rows]
+            np.not_equal(sorted_values[:, 1:], sorted_values[:, :-1], out=interior_ok)
+            del sorted_values
+            # Runs of equal values sit in the same places in every sorted
+            # order; sorting (run, index) keys orders each run by index, which
+            # is the stable order.
+            run_base = np.zeros(order.shape, dtype=np.int64)
+            np.cumsum(interior_ok, axis=1, out=run_base[:, 1:])
+            run_base *= n
+            order += run_base
+            order.sort(axis=1)
+            order -= run_base
             self.order[rows] = order
-            np.not_equal(sorted_values[:, 1:], sorted_values[:, :-1], out=self._interior_ok[rows])
 
     def _blocks(self) -> list[slice]:
         """Row slices of at most _BLOCK_BYTES of (N + 1)-wide float64 rows."""
@@ -104,20 +133,20 @@ class StumpTrainer:
         polarity = np.empty(m, dtype=np.int8)
         errors = np.empty(m)
         responses = np.empty((m, n), dtype=np.int8)
+        pos_w = np.where(self.labels > 0, weights, 0.0)
+        neg_w = np.where(self.labels < 0, weights, 0.0)
         for rows in self._blocks():
             order = self.order[rows]
             b = order.shape[0]
-            su = weights[order]
-            sorted_labels = self.labels[order]
-            pos_w = np.where(sorted_labels > 0, su, 0.0)
-            neg_w = np.where(sorted_labels < 0, su, 0.0)
+            # Cumulative class weights in sorted order: slot t sums positions < t.
             # Each temporary is freed once used: the block's peak bounds train_all.
-            del su, sorted_labels
+            sorted_w = np.empty((b, n))
             cp = np.zeros((b, n + 1))
             cn = np.zeros((b, n + 1))
-            np.cumsum(pos_w, axis=1, out=cp[:, 1:])
-            np.cumsum(neg_w, axis=1, out=cn[:, 1:])
-            del pos_w, neg_w
+            for acc, class_w in ((cp, pos_w), (cn, neg_w)):
+                np.take(class_w, order, out=sorted_w, mode="clip")  # in range; clip takes no buffer
+                np.cumsum(sorted_w, axis=1, out=acc[:, 1:])
+            del sorted_w
             total = cp[:, -1] + cn[:, -1]
             # Slot t: sorted positions < t predict -polarity, >= t predict +polarity.
             err_plus = cp + (cn[:, -1:] - cn)
@@ -126,8 +155,8 @@ class StumpTrainer:
             invalid = np.ones((b, n + 1), dtype=bool)
             invalid[:, 0] = invalid[:, -1] = False
             invalid[:, 1:n] = ~self._interior_ok[rows]
-            np.copyto(err_plus, np.inf, where=invalid)
-            np.copyto(err_minus, np.inf, where=invalid)
+            np.putmask(err_plus, invalid, np.inf)
+            np.putmask(err_minus, invalid, np.inf)
 
             bp = np.argmin(err_plus, axis=1)
             bm = np.argmin(err_minus, axis=1)
@@ -148,10 +177,11 @@ class StumpTrainer:
             rm, ms = r[mid], slot[mid]
             thr[mid] = 0.5 * (values[rm, order[rm, ms - 1]] + values[rm, order[rm, ms]])
 
-            pol = polarity[rows, None]
-            responses[rows] = np.where(values >= thr[:, None], pol, -pol)
+            # 2 * (values >= thr) - 1 is +/-1; times the polarity in place.
+            out = responses[rows]
+            np.greater_equal(values, thr[:, None], out=out.view(bool))
+            out *= 2
+            out -= 1
+            out *= polarity[rows, None]
 
-        stumps = [
-            DecisionStump(j, float(thresholds[j]), int(polarity[j])) for j in range(m)
-        ]
-        return StumpTable(stumps, responses, errors, self.labels)
+        return StumpTable(thresholds, polarity, responses, errors, self.labels)

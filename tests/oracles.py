@@ -398,6 +398,25 @@ def eval_haar(feature, ii, offset_x=0, offset_y=0, scale=1.0) -> float:
     return acc / area
 
 
+def extract(pool, patches) -> np.ndarray:
+    """The (M, N) value matrix of a FeaturePool on N same-size patches at
+    scale 1, one feature at a time: exact int64 sums of four corner lookups
+    per sub-rectangle on the N integral tables, then one division by the
+    footprint area."""
+    patches = np.asarray(patches)
+    n, h, w = patches.shape
+    tables = np.zeros((n, h + 1, w + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(patches, axis=1, dtype=np.int64), axis=2, out=tables[:, 1:, 1:])
+    out = np.empty((len(pool), n), dtype=np.float64)
+    for j, ((fx0, fy0, fx1, fy1), rects) in enumerate(zip(pool.box.tolist(), pool.rects.tolist())):
+        acc = np.zeros(n, dtype=np.int64)
+        for wgt, x0, y0, x1, y1 in rects:
+            if wgt:  # zero rows pad kinds with fewer than four rectangles
+                acc += wgt * (tables[:, y1, x1] - tables[:, y0, x1] - tables[:, y1, x0] + tables[:, y0, x0])
+        out[j] = acc / ((fx1 - fx0) * (fy1 - fy0))
+    return out
+
+
 def decide_window(model, ii, offset_x=0, offset_y=0, scale=1.0, early_exit=True):
     """Run the cascade on one window, one stump at a time.
 

@@ -9,7 +9,7 @@ from gslda_cascade.boosting import (
     prune_stumps,
     reweight,
 )
-from gslda_cascade.stumps import DecisionStump, StumpTable, StumpTrainer
+from gslda_cascade.stumps import StumpTable, StumpTrainer
 
 from oracles import reweight_adaboost, weighted_error
 
@@ -28,8 +28,8 @@ def make_table(error_fractions, n=100):
     responses = np.vstack(rows)
     w = np.full(n, 1.0 / n)
     errors = np.array([weighted_error(r, labels, w) for r in responses])
-    stumps = [DecisionStump(j, 0.0, 1) for j in range(len(rows))]
-    return StumpTable(stumps, responses, errors, labels), w
+    m = len(rows)
+    return StumpTable(np.zeros(m), np.ones(m, dtype=np.int8), responses, errors, labels), w
 
 
 class TestInitWeights:
@@ -95,7 +95,7 @@ class TestReweightAdaboost:
             w = rng.random(n)
             w /= w.sum()
             table = StumpTrainer(values[None, :], labels).train_all(w)
-            stump, err = table.stumps[0], float(table.errors[0])
+            stump, err = table.stump(0), float(table.errors[0])
             if err < 1e-6:
                 continue
             a = alpha(err)
@@ -174,7 +174,8 @@ class TestPruneStumps:
         assert stats.e_k == pytest.approx((1 - stats.beta_k) / 2)
 
     def test_empty_table_rejected(self):
-        table = StumpTable([], np.zeros((0, 4), dtype=np.int8), np.zeros(0), np.ones(4, dtype=np.int8))
+        table = StumpTable(np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros((0, 4), dtype=np.int8), np.zeros(0),
+                           np.ones(4, dtype=np.int8))
         with pytest.raises(ValueError):
             prune_stumps(table, np.full(4, 0.25), BoostingConfig())
 

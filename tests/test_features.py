@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,12 +8,13 @@ from hypothesis import strategies as st
 from gslda_cascade.features import (
     KINDS,
     FeatureExtractor,
+    FeaturePool,
     PoolParams,
     build_integral,
     build_pool,
     haar_values,
 )
-from oracles import HaarFeature, enumerate_haar, eval_haar, integral_image
+from oracles import HaarFeature, enumerate_haar, eval_haar, extract, integral_image
 
 
 def direct_rect_sum(image, x0, y0, x1, y1):
@@ -279,3 +282,62 @@ class TestFeatureExtractor:
         pool = build_pool(PoolParams(base_window=6, subsample=67))
         assert len(pool) == 10
         assert FeatureExtractor(pool).extract(patches).shape == (10, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_feature_oracles_bitwise(self, data):
+        base_window = data.draw(st.integers(2, 8))
+        stride = data.draw(st.integers(1, 3))
+        min_size = data.draw(st.integers(1, base_window))
+        subsample = data.draw(st.integers(1, 9))
+        pool = build_pool(PoolParams(base_window, stride, min_size, subsample))
+        features = enumerate_haar(base_window, stride, min_size)[::subsample]
+        assume(features)  # some windows admit no feature at this min_size
+        n = data.draw(st.integers(1, 4))
+        # Patches may be larger than the base window, and need not be square.
+        h, w = (base_window + data.draw(st.integers(0, 3)) for _ in range(2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        content = data.draw(st.sampled_from(["random", "all-255", "0-or-255"]))
+        if content == "all-255":  # the largest table entries
+            patches = np.full((n, h, w), 255, dtype=np.uint8)
+        elif content == "0-or-255":  # the largest feature sums
+            patches = (255 * rng.integers(0, 2, size=(n, h, w))).astype(np.uint8)
+        else:
+            patches = rng.integers(0, 256, size=(n, h, w), dtype=np.uint8)
+        values = FeatureExtractor(pool).extract(patches)
+        assert values.shape == (len(pool), n)
+        assert values.tobytes() == extract(pool, patches).tobytes()
+        tables = [integral_image(p) for p in patches]
+        for j, feature in enumerate(features):
+            for i, ii in enumerate(tables):
+                assert np.float64(values[j, i]).tobytes() == np.float64(eval_haar(feature, ii)).tobytes()
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_exact_up_to_the_float64_guard(self, sign):
+        def folded_l1(feature):  # summed |weight| of a feature's distinct corners
+            weights = Counter()
+            for wgt, x0, y0, x1, y1 in feature.rects():
+                for corner, s in (((x1, y1), 1), ((x1, y0), -1), ((x0, y1), -1), ((x0, y0), 1)):
+                    weights[corner] += s * wgt
+            return sum(abs(v) for v in weights.values())
+
+        pool = build_pool(PoolParams(base_window=6))
+        h, w = 7, 8
+        reach = max(folded_l1(f) for f in enumerate_haar(6)) * h * w  # per unit of pixel value
+        limit = -(-(2**53) // reach)  # the least pixel value whose sums could reach 2**53
+        bits = np.random.default_rng(0).integers(0, 2, size=(4, h, w))
+        bits[0] = 1  # all ones: its table holds the largest entry, pixel value * h * w
+        below = sign * (limit - 1) * bits
+        assert FeatureExtractor(pool).extract(below).tobytes() == extract(pool, below).tobytes()
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            FeatureExtractor(pool).extract(sign * limit * bits)
+
+    def test_empty_pool(self):
+        pool = build_pool(PoolParams(base_window=2))
+        empty = FeaturePool(pool.params, pool.kind[:0], pool.box[:0], pool.rects[:0])
+        assert FeatureExtractor(empty).extract(np.zeros((3, 2, 2), dtype=np.uint8)).shape == (0, 3)
+
+    def test_patches_smaller_than_the_pool_rejected(self):
+        pool = build_pool(PoolParams(base_window=6))
+        with pytest.raises(IndexError):
+            FeatureExtractor(pool).extract(np.zeros((2, 6, 5), dtype=np.uint8))

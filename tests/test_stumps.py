@@ -18,7 +18,7 @@ def uniform(n):
 def train_one(values, labels, weights):
     """The trainer on a single feature: (its stump, weighted error)."""
     table = StumpTrainer(np.asarray(values)[None, :], labels).train_all(weights)
-    return table.stumps[0], float(table.errors[0])
+    return table.stump(0), float(table.errors[0])
 
 
 class TestDecisionStump:
@@ -124,8 +124,8 @@ class TestBuildTable:
         w = uniform(30)
         table = StumpTrainer(np.vstack([values, rng.normal(size=30)]), labels).train_all(w)
         stump, err = train_one(values, labels, w)
-        assert table.stumps[0].threshold == stump.threshold
-        assert table.stumps[0].polarity == stump.polarity
+        assert table.thresholds[0] == stump.threshold
+        assert table.polarity[0] == stump.polarity
         assert table.errors[0] == pytest.approx(err, abs=1e-15)
 
     def test_row_permutation_permutes_table(self):
@@ -137,7 +137,7 @@ class TestBuildTable:
         t1 = StumpTrainer(values, labels).train_all(w)
         t2 = StumpTrainer(values[perm], labels).train_all(w)
         for out_row, in_row in enumerate(perm):
-            assert t2.stumps[out_row].threshold == t1.stumps[in_row].threshold
+            assert t2.thresholds[out_row] == t1.thresholds[in_row]
             assert t2.errors[out_row] == t1.errors[in_row]
             assert np.array_equal(t2.responses[out_row], t1.responses[in_row])
 
@@ -157,8 +157,8 @@ class TestBuildTable:
         values = rng.normal(size=(5, 20))
         labels = np.where(rng.random(20) < 0.5, 1, -1)
         table = StumpTrainer(values, labels).train_all(uniform(20))
-        for j, stump in enumerate(table.stumps):
-            assert np.array_equal(table.responses[j], stump.responses(values[j]))
+        for j in range(len(table)):
+            assert np.array_equal(table.responses[j], table.stump(j).responses(values[j]))
 
     def test_trainer_reuse_under_new_weights(self):
         rng = np.random.default_rng(6)
@@ -196,12 +196,62 @@ class TestBlockedTable:
                 w /= w.sum()
                 table = trainer.train_all(w)
                 thresholds, polarity, errors, responses = stump_table(values, labels, w)
-                assert [s.feature_id for s in table.stumps] == list(range(m))
-                assert [s.polarity for s in table.stumps] == polarity.tolist()
-                assert np.array([s.threshold for s in table.stumps]).tobytes() == thresholds.tobytes()
+                assert [table.stump(j).feature_id for j in range(len(table))] == list(range(m))
+                assert table.polarity.tolist() == polarity.tolist()
+                assert table.thresholds.tobytes() == thresholds.tobytes()
                 assert table.errors.tobytes() == errors.tobytes()
                 assert table.responses.dtype == responses.dtype
                 assert table.responses.tobytes() == responses.tobytes()
+
+
+class TestStableOrder:
+    """The trainer sorts with numpy's unstable SIMD argsort and repairs ties
+    with a second key sort; its order must be the stable argsort exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 7))
+    def test_order_is_the_stable_argsort(self, seed, block_rows):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        m = int(rng.integers(1, 30))
+        # Few distinct values, so ties are heavy; 0.0 and -0.0 compare equal.
+        palette = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, np.inf])
+        values = rng.choice(palette[: int(rng.integers(1, len(palette) + 1))], size=(m, n))
+        noisy = rng.random(m) < 0.3
+        values[noisy] = np.where(rng.random((noisy.sum(), n)) < 0.5, values[noisy],
+                                 np.round(rng.normal(size=(noisy.sum(), n)), 1))
+        values[rng.random(m) < 0.15] = rng.choice(palette)  # constant rows
+        labels = np.where(rng.random(n) < 0.4, 1, -1)
+        w = rng.random(n)
+        w /= w.sum()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stumps, "_BLOCK_BYTES", 8 * (n + 1) * block_rows)
+            trainer = StumpTrainer(values, labels)
+            table = trainer.train_all(w)
+        assert trainer.order.dtype == np.int32
+        assert np.array_equal(trainer.order, np.argsort(values, axis=1, kind="stable"))
+        thresholds, polarity, errors, responses = stump_table(values, labels, w)
+        assert table.thresholds.tobytes() == thresholds.tobytes()
+        assert table.polarity.tolist() == polarity.tolist()
+        assert table.errors.tobytes() == errors.tobytes()
+        assert table.responses.tobytes() == responses.tobytes()
+
+
+class TestNaN:
+    def test_nan_row_rejected(self):
+        # Trained silently once: threshold nan, and an error of 1/6 that its
+        # all-+1 responses did not make.
+        values = np.array([[0.0, 1.0, np.nan, 2.0, 3.0, np.nan]])
+        with pytest.raises(ValueError, match="NaN"):
+            StumpTrainer(values, np.array([1, 1, -1, -1, 1, -1]))
+
+    def test_nan_in_a_later_block_rejected(self):
+        values = np.arange(40.0).reshape(8, 5)
+        values[6, 2] = np.nan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stumps, "_BLOCK_BYTES", 8 * 6 * 3)  # blocks of three rows
+            with pytest.raises(ValueError, match="NaN"):
+                StumpTrainer(values, np.array([1, -1, 1, -1, 1]))
 
 
 class TestMemoryBound:
