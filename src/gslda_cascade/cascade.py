@@ -12,12 +12,16 @@ GSLDA and BGSLDA vote by the discriminant direction.  Reweighting is one
 rule (boosting.reweight), asymmetric for asymboost and bgslda2.
 
 evaluate_windows is the package's one cascade evaluator: early rejection
-over the integral table, vectorized over window positions.  Bootstrapping,
-the pyramid scan and the operating curves all go through it.
+over the integral table, vectorized over a lattice of windows (two ranges of
+top-left corners).  The first node sees every window and reads the table in
+2-D slices; later nodes gather on its survivors only, and every array past
+the first node is survivor-sized.  Bootstrapping, the pyramid scan and the
+operating curves all go through it.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import time
 from dataclasses import dataclass, field
@@ -284,65 +288,98 @@ class CascadeModel:
     stage_log: list = field(default_factory=list)
 
 
-def evaluate_windows(model: CascadeModel, table: np.ndarray, px, py, scale: float = 1.0):
-    """Run the cascade with early rejection on every window whose top-left
-    corner is (px[i], py[i]) of the integral table, at the given scale.
+def lattice_corners(xs: range, ys: range, index) -> tuple[np.ndarray, np.ndarray]:
+    """Top-left corners (x, y) of the windows at flat indices `index` of the
+    lattice xs by ys, numbered in (y, x) order."""
+    row, col = np.divmod(index, len(xs))
+    return xs.start + col * xs.step, ys.start + row * ys.step
 
-    Returns (stages, margins, evals): stages[i] counts the nodes window i
-    passed before its first rejection, so it is accepted iff stages[i] equals
-    the node count; margins[k] holds node k's margin of each window that
-    reached node k (those with stages >= k), in window order, for every node
-    some window reached; evals counts Haar evaluations.  Each margin is
-    accumulated in node_margin's stump order.
+
+def _node_margins(model: CascadeModel, node: NodeClassifier, table, px, py, scale, n: int) -> np.ndarray:
+    """node_margin of the n windows haar_values places by px, py."""
+    acc = np.zeros(n)
+    for c, stump in zip(node.coefficients, node.stumps):
+        values = haar_values(model.feature_pool, stump.feature_id, table, px, py, scale)
+        acc += np.where(values >= stump.threshold, c * stump.polarity, -c * stump.polarity)
+    acc += node.node_threshold
+    return acc
+
+
+def evaluate_windows(model: CascadeModel, table: np.ndarray, xs: range, ys: range, scale: float = 1.0):
+    """Run the cascade with early rejection on the lattice of windows whose
+    top-left corners are (x, y) for y in ys and x in xs, at the given scale;
+    windows are numbered flat in that (y, x) order.
+
+    The first node sees every window and reads the integral table through
+    2-D slices over the lattice; later nodes gather on the windows still
+    alive, placed by lattice_corners.  Returns (passed, stages, margins,
+    evals):
+    - passed, the ascending flat indices of the windows the first node
+      accepted (every window when there are no nodes);
+    - stages[i], the number of nodes window passed[i] passed before its
+      first rejection, so it is accepted iff stages[i] equals the node count;
+    - margins[0], node 0's margin of every window; margins[k] for k >= 1,
+      node k's margin of the windows passed[stages >= k], in that order.
+      There is one entry per node some window reached;
+    - evals, the number of Haar evaluations.
+    Each margin is accumulated in node_margin's stump order.
     """
-    px = np.asarray(px)
-    py = np.asarray(py)
-    stages = np.zeros(len(px), dtype=int)
-    margins = []
-    alive = np.arange(len(px))
-    evals = 0
-    for node in model.nodes:
+    n = len(xs) * len(ys)
+    if not model.nodes or n == 0:
+        return np.arange(n), np.zeros(n, dtype=int), [], 0
+    first = _node_margins(model, model.nodes[0], table, xs, ys, scale, n)
+    passed = np.flatnonzero(first >= 0)
+    stages = np.ones(passed.size, dtype=int)
+    margins = [first]
+    evals = n * len(model.nodes[0].stumps)
+    px, py = lattice_corners(xs, ys, passed)
+    alive = np.arange(passed.size)
+    for node in model.nodes[1:]:
         if alive.size == 0:
             break
-        # No copy while every window is alive: the first node sees them all.
-        gx, gy = (px, py) if alive.size == len(px) else (px[alive], py[alive])
-        acc = np.zeros(alive.size)
-        for c, stump in zip(node.coefficients, node.stumps):
-            values = haar_values(model.feature_pool, stump.feature_id, table, gx, gy, scale)
-            acc += np.where(values >= stump.threshold, c * stump.polarity, -c * stump.polarity)
-        acc += node.node_threshold
+        # No copy while every survivor of the first node is alive.
+        gx, gy = (px, py) if alive.size == passed.size else (px[alive], py[alive])
+        acc = _node_margins(model, node, table, gx, gy, scale, alive.size)
         evals += alive.size * len(node.stumps)
         margins.append(acc)
         alive = alive[acc >= 0]
         stages[alive] += 1
-    return stages, margins, evals
+    return passed, stages, margins, evals
 
 
 def bootstrap_negatives(model: CascadeModel, reservoir, count: int, seed: int = 0,
                         stride: int = 4) -> np.ndarray:
     """Collect windows from the reservoir that the current cascade accepts.
 
-    Candidate windows (base-window size, on a `stride` grid) are evaluated
-    once per image and taken in a seeded random order of the slots; raises
-    BootstrapExhaustedError when fewer than 5% of the request (at least one)
-    are found.
+    Candidate windows (base-window size, on a `stride` lattice) are evaluated
+    once per image and taken in a seeded random order of the slots, numbered
+    in (image, y, x) order; raises BootstrapExhaustedError when fewer than 5%
+    of the request (at least one) are found.
     """
     if len(reservoir) == 0:
         raise ValueError("empty negative reservoir")
     bw = model.base_window
-    slots, accepted = [], []  # (image index, x, y) of every grid window, scan order
-    for idx, image in enumerate(reservoir):
-        image = np.asarray(image)
-        h, w = image.shape
-        grid = [(x, y) for y in range(0, h - bw + 1, stride) for x in range(0, w - bw + 1, stride)]
-        if grid:
-            px, py = np.array(grid).T
-            stages, _, _ = evaluate_windows(model, build_integral(image), px, py)
-            slots += [(idx, x, y) for x, y in grid]
-            accepted += (stages == len(model.nodes)).tolist()
-    order = np.random.default_rng(seed).permutation(len(slots))
-    hits = order[np.array(accepted, dtype=bool)[order]][:count]
-    found = [np.asarray(reservoir[i])[y : y + bw, x : x + bw] for i, x, y in (slots[s] for s in hits)]
+    lattices, starts, accepted = [], [], []  # per image: its lattice, first slot, accepted slots
+    total = 0
+    for image in reservoir:
+        h, w = np.asarray(image).shape
+        xs, ys = range(0, w - bw + 1, stride), range(0, h - bw + 1, stride)
+        if len(xs) and len(ys):
+            passed, stages, _, _ = evaluate_windows(model, build_integral(image), xs, ys)
+            accepted.append(total + passed[stages == len(model.nodes)])
+        lattices.append((xs, ys))
+        starts.append(total)
+        total += len(xs) * len(ys)
+    hit = np.zeros(total, dtype=bool)
+    if accepted:
+        hit[np.concatenate(accepted)] = True
+    order = np.random.default_rng(seed).permutation(total)
+    hits = order[hit[order]][:count]
+    found = []
+    for s in hits.tolist():
+        i = bisect.bisect_right(starts, s) - 1
+        x, y = lattice_corners(*lattices[i], s - starts[i])
+        found.append(np.asarray(reservoir[i])[y : y + bw, x : x + bw])
     if len(found) < min(max(1, count // 20), count):
         raise BootstrapExhaustedError("bootstrap exhausted")
     return np.stack(found)

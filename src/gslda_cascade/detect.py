@@ -1,9 +1,11 @@
 """Sliding-window detection and evaluation.
 
 Scanning runs the cascade evaluator (cascade.evaluate_windows) once per scale
-of a geometric pyramid.  An image's accepted windows travel as one
-Detections, parallel numpy arrays (x, y, side, score, stages), through
-merging to the detections CSV; a DetectionTable holds several images' own.
+of a geometric pyramid, on that scale's lattice of windows; window corners
+are computed only for the windows the scan keeps.  An image's accepted
+windows travel as one Detections, parallel numpy arrays (x, y, side, score,
+stages), through merging to the detections CSV; a DetectionTable holds
+several images' own.
 Merging joins windows of overlap ratio at least 0.5, transitively, into one
 window per group of min_neighbors or more.  The operating curves reuse one
 early-exit scan per image: the prefix of depth d accepts exactly the windows
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import CascadeModel, evaluate_windows
+from .cascade import CascadeModel, evaluate_windows, lattice_corners
 from .features import build_integral
 
 
@@ -323,10 +325,12 @@ def roc_curve(model: CascadeModel, images, truths: list[GroundTruthBox], mode: s
 
 
 def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
-    """Scan the pyramid with the cascade evaluator.  Returns (px, py, side,
-    scores) of the windows that passed at least `reached` nodes, scale by
-    scale in scan order.  scores[d] scores the prefix of depth d: 0 for
-    depth 0, else node d-1's margin, NaN for a window that did not reach it."""
+    """Scan the pyramid with the cascade evaluator, one lattice per scale.
+    Returns (px, py, side, scores) of the windows that passed at least
+    `reached` nodes, scale by scale in scan order.  scores[d] scores the
+    prefix of depth d: 0 for depth 0, else node d-1's margin, NaN for a
+    window that did not reach it.  Past the first node the bookkeeping
+    covers its survivors only, unless `reached` is 0 and every window stays."""
     if scale_factor <= 1.0:
         raise ValueError("scale_factor must exceed 1")
     image = np.asarray(image)
@@ -347,19 +351,23 @@ def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
         # A shift of max(h, w) already leaves one window per axis; capping
         # there keeps a huge step from rounding to a giant or infinite int.
         shift = max(1, _round_half_up(min(step * scale, max(h, w))))
-        xs = np.arange(0, w - side + 1, shift)
-        ys = np.arange(0, h - side + 1, shift)
-        px = np.repeat(xs[None, :], len(ys), axis=0).ravel()
-        py = np.repeat(ys[:, None], len(xs), axis=1).ravel()
-        stages, margins, evals = evaluate_windows(model, table, px, py, scale)
+        xs, ys = range(0, w - side + 1, shift), range(0, h - side + 1, shift)
+        passed, stages, margins, evals = evaluate_windows(model, table, xs, ys, scale)
+        n = len(xs) * len(ys)
         if profile is not None:
-            profile.windows_scanned += px.size
+            profile.windows_scanned += n
             profile.feature_evals += evals
-        keep = stages >= reached
-        scores = np.full((len(model.nodes) + 1, np.count_nonzero(keep)), np.nan)
+        keep = stages >= reached  # over the first node's survivors
+        if reached:
+            kept, depth = passed[keep], stages[keep]
+        else:  # every window, the ones the first node rejected at depth 0
+            kept, depth = np.arange(n), np.zeros(n, dtype=int)
+            depth[passed] = stages
+        scores = np.full((len(model.nodes) + 1, kept.size), np.nan)
         scores[0] = 0.0
-        for k, acc in enumerate(margins):  # acc covers the windows with stages >= k
-            scores[k + 1, stages[keep] >= k] = acc[keep[stages >= k]]
-        parts.append((px[keep], py[keep], np.full(scores.shape[1], side), scores))
+        for k, acc in enumerate(margins):  # acc covers the windows passed[stages >= k], all for k = 0
+            scores[k + 1, depth >= k] = acc[kept] if k == 0 else acc[keep[stages >= k]]
+        px, py = lattice_corners(xs, ys, kept)
+        parts.append((px, py, np.full(kept.size, side), scores))
         s += 1
     return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))

@@ -8,9 +8,11 @@ window sizes.  Rectangle weights balance to zero per feature, and values are
 divided by the (scaled) footprint area to keep responses comparable across
 scales.  A placed feature reads each distinct corner of its sub-rectangles
 once: adjacent rectangles share corners, so at scales of 1 and above the
-weights fold into 6, 8 or 9 integer weights on offsets of the flattened table
-for two-, three- and four-rectangle features.  A window whose footprint leaves
-the table raises IndexError.
+weights fold into 6, 8 or 9 integer weights on corners of the integral table
+for two-, three- and four-rectangle features.  Over a lattice of windows (two
+ranges of top-left corners) each corner is one 2-D strided slice of the
+table; for scattered windows it is one gather on the flattened table.  A
+window whose footprint leaves the table raises IndexError before any read.
 
 Training extracts every feature of the pool from every patch at scale 1 with
 the same folded weights, as a matrix product: a block of features' corner
@@ -132,39 +134,66 @@ def _round_px(v):
 
 def haar_values(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: float = 1.0) -> np.ndarray:
     """Area-normalized weighted rectangle differences of pool feature j,
-    placed at scale in every window whose top-left corner is (px[i], py[i])
-    of the integral table; exact integer sums, one float division each.
+    placed at scale in windows of the integral table; exact integer sums,
+    one float division each.
+
+    px and py are either two ranges, the lattice of every window (x, y) for
+    y in py and x in px, whose values come flat in that (y, x) order; or
+    equal-length arrays, window i having its top-left corner at (px[i], py[i]).
 
     Every corner of the sub-rectangles and of the footprint is scaled and
     rounded half up on its own; the scaled footprint's area normalizes.  The
-    sub-rectangles fold into one integer weight per distinct corner offset
-    y * (width+1) + x of the flattened table (corners whose weights cancel
-    are dropped), and each window sums weight * table.ravel()[base + offset]
-    from its base py * (width+1) + px.  Raises IndexError when a window's
-    scaled footprint leaves the table on any side.
+    sub-rectangles fold once into one integer weight per distinct corner
+    (x, y) (corners whose weights cancel are dropped), read in one of two
+    ways.  A lattice reads each corner as a 2-D basic slice of the table,
+    rows y + py[0] to y + py[-1] by py.step and columns alike: a strided view,
+    no index array.  Arrays gather each corner at offset y * (width+1) + x of
+    the flattened table from every window's base py * (width+1) + px.  A
+    window's top-left corner may lie outside the table while its scaled
+    footprint stays inside.  Raises IndexError, before any read, when a
+    window's scaled footprint leaves the table on any side, and ValueError
+    for a lattice range that descends.
     """
     fx0, fy0, fx1, fy1 = _round_px(scale * pool.box[j]).tolist()
     area = (fx1 - fx0) * (fy1 - fy0)
     if area <= 0:
         raise ValueError("degenerate scaled footprint")
-    px = np.asarray(px)
-    py = np.asarray(py)
+    lattice = isinstance(px, range)
+    if lattice:
+        if px.step < 0 or py.step < 0:
+            raise ValueError("lattice ranges must ascend")
+        n = len(px) * len(py)
+    else:
+        px = np.asarray(px)
+        py = np.asarray(py)
+        n = px.size
+    if n == 0:
+        return np.zeros(0)
+    x_lo, x_hi, y_lo, y_hi = (px[0], px[-1], py[0], py[-1]) if lattice else (px.min(), px.max(), py.min(), py.max())
     rows, cols = table.shape
-    if px.size and (px.min() + fx0 < 0 or py.min() + fy0 < 0
-                    or px.max() + fx1 >= cols or py.max() + fy1 >= rows):
+    if x_lo + fx0 < 0 or y_lo + fy0 < 0 or x_hi + fx1 >= cols or y_hi + fy1 >= rows:
         raise IndexError("scaled footprint leaves the integral table")
-    weights: dict[int, int] = {}
+    weights: dict[tuple[int, int], int] = {}
     rects = pool.rects[j, : _N_RECTS[pool.kind[j]]]
     for wgt, (x0, y0, x1, y1) in zip(rects[:, 0].tolist(), _round_px(scale * rects[:, 1:]).tolist()):
-        for offset, sign in ((y1 * cols + x1, 1), (y0 * cols + x1, -1),
-                             (y1 * cols + x0, -1), (y0 * cols + x0, 1)):
-            weights[offset] = weights.get(offset, 0) + sign * wgt
+        for corner, sign in (((x1, y1), 1), ((x1, y0), -1), ((x0, y1), -1), ((x0, y0), 1)):
+            weights[corner] = weights.get(corner, 0) + sign * wgt
+    weights = {corner: wgt for corner, wgt in weights.items() if wgt}
+    if lattice:
+        acc = np.zeros((len(py), len(px)), dtype=np.int64)
+        for (x, y), wgt in weights.items():
+            acc += wgt * table[y + y_lo : y + y_hi + 1 : py.step, x + x_lo : x + x_hi + 1 : px.step]
+        return (acc / area).ravel()
     flat = table.ravel()
-    base = py * cols + px
-    acc = np.zeros(base.size, dtype=np.int64)
-    for offset, wgt in weights.items():
-        if wgt:  # flat[offset:] is a view, so the gather needs no index sum
-            acc += wgt * flat[offset:][base]
+    offsets = {y * cols + x: wgt for (x, y), wgt in weights.items()}
+    # Based at the lowest corner, every index is in the table even for a
+    # window whose top-left corner lies outside it; flat[offset - low:] is a
+    # view, so the gather needs no index sum.
+    low = min(offsets, default=0)
+    base = py * cols + px + low
+    acc = np.zeros(n, dtype=np.int64)
+    for offset, wgt in offsets.items():
+        acc += wgt * flat[offset - low :][base]
     return acc / area
 
 

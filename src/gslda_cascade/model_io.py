@@ -12,8 +12,9 @@ only pool type, and rebuilt by features.build_pool on load.
 The detections CSV is written from a detect.DetectionTable, image by image
 from each Detections' arrays: the header image_id,x,y,side,score, then one
 row per window, every row ending in \r\n.  Scores are written with repr, so
-they read back exactly; an image id is quoted as the csv module quotes it
-(a comma, quote or line break puts it in quotes, a quote doubles).
+they read back exactly; each distinct score of an image is formatted once.
+An image id is quoted as the csv module quotes it (a comma, quote or line
+break puts it in quotes, a quote doubles).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import csv
 import dataclasses
 import io
 import json
+
+import numpy as np
 
 from .cascade import CascadeModel, NodeClassifier
 from .detect import DetectionTable, GroundTruthBox, ROCPoint
@@ -215,8 +218,11 @@ def write_detections_csv(rows: DetectionTable, path: str) -> None:
             head = io.StringIO()
             csv.writer(head).writerow([image_id, ""])  # two fields: an empty id stays unquoted
             head = head.getvalue()[:-2]  # the quoted id and its comma
-            fh.write("".join(f"{head}{x},{y},{side},{score!r}\r\n" for x, y, side, score in zip(
-                dets.x.tolist(), dets.y.tolist(), dets.side.tolist(), dets.score.tolist())))
+            # One repr per distinct score, keyed by its bits so that 0.0 and -0.0 stay apart.
+            bits, which = np.unique(dets.score.view(np.int64), return_inverse=True)
+            reprs = [repr(score) for score in bits.view(np.float64).tolist()]
+            fh.write("".join(f"{head}{x},{y},{side},{reprs[k]}\r\n" for x, y, side, k in zip(
+                dets.x.tolist(), dets.y.tolist(), dets.side.tolist(), which.tolist())))
 
 
 def write_roc_csv(points: list[ROCPoint], path: str) -> None:

@@ -44,6 +44,15 @@ def mini_corpus(rng, n_pos=50, n_neg=120, size=8):
     return pos, neg, reservoir
 
 
+def lattice_stages(passed, stages, n):
+    """Nodes passed by each of the n lattice windows, from evaluate_windows'
+    survivors of the first node and their stage counts."""
+    assert np.all(np.diff(passed) > 0)
+    full = np.zeros(n, dtype=int)
+    full[passed] = stages
+    return full
+
+
 class TestNodeDecide:
     def test_boundary_convention_accepts(self):
         node = NodeClassifier([DecisionStump(0, 0.0, 1)], [0.0], 0.0, "adaboost")
@@ -272,7 +281,8 @@ class TestCascade:
             if model.nodes:
                 accepted, _, _, _ = decide_window(model, integral_image(patch))
                 assert isinstance(accepted, bool)
-                stages, _, _ = evaluate_windows(model, build_integral(patch), [0], [0])
+                passed, stages, _, _ = evaluate_windows(model, build_integral(patch), range(1), range(1))
+                stages = lattice_stages(passed, stages, 1)
                 assert accepted == (stages[0] == len(model.nodes))
 
 
@@ -370,8 +380,13 @@ class TestEvaluateWindows:
         for x, y, _, scale in pyramid_windows(h, w, 8, factor, step):
             by_scale.setdefault(scale, []).append((x, y))
         for scale, windows in by_scale.items():
-            px, py = np.array(windows).T
-            stages, margins, evals = evaluate_windows(model, ii.table, px, py, scale)
+            # Each scale's windows are one lattice, x varying fastest.
+            side, shift = (max(1, int(np.floor(v * scale + 0.5))) for v in (8, step))
+            xs, ys = range(0, w - side + 1, shift), range(0, h - side + 1, shift)
+            assert windows == [(x, y) for y in ys for x in xs]
+            passed, stages, margins, evals = evaluate_windows(model, ii.table, xs, ys, scale)
+            stages = lattice_stages(passed, stages, len(windows))
+            assert passed.tolist() == np.flatnonzero(stages >= min(1, len(nodes))).tolist()
             # margins[k] holds exactly the windows with stages >= k, in window
             # order: none past a window's rejecting node.
             assert len(margins) == min(len(nodes), stages.max() + 1)

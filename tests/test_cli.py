@@ -164,8 +164,8 @@ def test_oversized_scale_factor_scans_only_the_base_scale(corpus, model, tmp_pat
                                                          command, scale_factor, step):
     scales, windows = [], []
     evaluate_windows = detect.evaluate_windows
-    monkeypatch.setattr(detect, "evaluate_windows",
-                        lambda *a: scales.append(a[-1]) or windows.append(len(a[2])) or evaluate_windows(*a))
+    monkeypatch.setattr(detect, "evaluate_windows", lambda *a: scales.append(a[-1])
+                        or windows.append(len(a[2]) * len(a[3])) or evaluate_windows(*a))
     out = tmp_path / "out.csv"
     inputs = {"detect": [str(corpus / "corpus" / "scenes"), "--no-merge"],
               "eval": [str(corpus / "corpus" / "manifest.json")]}[command]

@@ -228,6 +228,64 @@ class TestEvalHaar:
         with pytest.raises(IndexError):
             haar_values(pool, 0, table, np.array([0, x, edge_x]), np.array([edge_y, y, 0]), scale)
 
+    @pytest.mark.parametrize("x, y, scale", [
+        (-1, 0, 1.0), (0, -1, 1.0), (9, 0, 1.0), (0, 10, 1.0), (7, 0, 2.0), (0, 9, 2.0),
+    ], ids=["left", "top", "right", "bottom", "right-scaled", "bottom-scaled"])
+    def test_lattice_footprint_outside_table_raises(self, x, y, scale):
+        # As above, with the offending window at one end of a lattice whose
+        # other end is the opposite edge.
+        pool = build_pool(PoolParams(base_window=4))
+        table = build_integral(np.ones((10, 10), dtype=int))
+        edge_x, edge_y = 10 - round(2 * scale), 10 - round(scale)
+
+        def span(lo, hi):  # the two-point lattice lo, hi
+            return range(lo, hi + 1, hi - lo)
+
+        fitting = haar_values(pool, 0, table, span(0, edge_x), span(0, edge_y), scale)
+        assert fitting.tolist() == [0.0] * 4
+        with pytest.raises(IndexError):
+            haar_values(pool, 0, table, span(min(0, x), max(edge_x, x)), span(min(0, y), max(edge_y, y)), scale)
+
+    def test_descending_lattice_rejected(self):
+        pool = build_pool(PoolParams(base_window=4))
+        table = build_integral(np.ones((10, 10), dtype=int))
+        with pytest.raises(ValueError, match="ascend"):
+            haar_values(pool, 0, table, range(4, -1, -2), range(3), 1.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_lattice_read_equals_gather_and_oracle(self, data):
+        base_window = data.draw(st.integers(2, 10))
+        min_size = data.draw(st.integers(1, base_window))
+        subsample = data.draw(st.integers(1, 7))
+        pool = build_pool(PoolParams(base_window, 1, min_size, subsample))
+        features = enumerate_haar(base_window, 1, min_size)[::subsample]
+        assume(features)
+        scale = 1.2 ** data.draw(st.integers(0, 8))
+        side = int(np.floor(base_window * scale + 0.5))
+        h, w = (side + data.draw(st.integers(0, 7)) for _ in range(2))
+        image = np.random.default_rng(data.draw(st.integers(0, 2**16))).integers(0, 256, size=(h, w))
+        ii = integral_image(image)
+        j = data.draw(st.integers(0, len(pool) - 1))
+        fx0, fy0, fx1, fy1 = (int(np.floor(v * scale + 0.5)) for v in pool.box[j])
+
+        def axis(length, start, stop):
+            # Ends at the scan's last window or where the footprint touches
+            # the table's last column (row); shift 1 to 3, possibly one window.
+            last = data.draw(st.sampled_from([length - side, length - stop]))
+            shift = data.draw(st.integers(1, 3))
+            count = data.draw(st.integers(1, (last + start) // shift + 1))
+            return range(last - (count - 1) * shift, last + 1, shift)
+
+        xs, ys = axis(w, fx0, fx1), axis(h, fy0, fy1)
+        values = haar_values(pool, j, ii.table, xs, ys, scale)
+        px, py = (a.ravel() for a in np.meshgrid(np.array(xs), np.array(ys)))
+        assert values.shape == (len(xs) * len(ys),)
+        assert values.tobytes() == haar_values(pool, j, ii.table, px, py, scale).tobytes()
+        for x, y, value in zip(px.tolist(), py.tolist(), values.tolist()):
+            expected = eval_haar(features[j], ii, x, y, scale)
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
     def test_offset_shifts_window(self):
         rng = np.random.default_rng(4)
         image = rng.integers(0, 256, size=(20, 20))

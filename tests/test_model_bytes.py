@@ -1,16 +1,19 @@
-"""Pinned model bytes: synth a small corpus, train every method through the
-CLI and compare each model file's sha256 with the digest the current kernels
-produce.
+"""Pinned model and scan bytes: synth a small corpus, train every method
+through the CLI and compare each model file's sha256 with the digest the
+current kernels produce; then scan the corpus with the gslda model and pin
+the detections (merged and raw) and both ROC CSVs the same way.
 
 Extraction, the stump sort and train_all are rewritten for speed under the
 rule that the models stay byte-identical; this test keeps that rule standing.
 A change that moves a digest changes what training produces, and says so
 where it re-pins.  The GSLDA scatter sums floats in the order the BLAS build
 picks, so a different BLAS may move the last bits of a coefficient and with
-them a digest.
+them a digest.  The scan path (haar_values, evaluate_windows, the pyramid
+scan, merge and the writers) is rewritten for speed under the same rule.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,13 @@ DIGESTS = {
     "bgslda2": "e5f158a6c5dfd6a662c5a9300a974ce892e81366726b28eb9bdd1429272a0c94",
     "adaboost": "4e93fd31303ba56ec5d9243143c9fd9184d0e523234e443ca49f30f56825a381",
     "asymboost": "a0fc7f180535021a29f73ddf7c5b18f9e44324937882967437a43e75e07724ed",
+}
+
+SCAN_DIGESTS = {
+    "detect --no-merge": "92acec90da2a0eb9a427ee5a16c0a129630d38ba4d780c4885302cd189d617ba",
+    "detect": "cc6d83397fed6dbce5310587fad5449f21b463e2e7b99620d738633f7f96d199",
+    "eval --mode depth": "a50f799ba4a004370f38e01790a815cc171be7d7a8a019d41a729dcdd105c405",
+    "eval --mode threshold": "2fbdbb75f4fd613317fc0e9cd12648f5218c63b5b193090e485a247dba7cde0c",
 }
 
 
@@ -42,3 +52,21 @@ def test_model_bytes_are_pinned(manifest, variant, tmp_path):
     method, *flags = variant.split()
     assert cli.main(["train", "--data", manifest, "--out", str(out), "--method", method, *flags, *TRAIN]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[variant]
+
+
+@pytest.fixture(scope="module")
+def gslda_model(manifest, tmp_path_factory):
+    out = tmp_path_factory.mktemp("model") / "model.json"
+    assert cli.main(["train", "--data", manifest, "--out", str(out), "--method", "gslda", *TRAIN]) == 0
+    return str(out)
+
+
+@pytest.mark.parametrize("command", list(SCAN_DIGESTS))
+def test_scan_bytes_are_pinned(manifest, gslda_model, command, tmp_path, monkeypatch):
+    # detect writes each image id as its path is given, so scan from the corpus root.
+    monkeypatch.chdir(Path(manifest).parents[1])
+    name, *flags = command.split()
+    data = "corpus/scenes" if name == "detect" else "corpus/manifest.json"
+    out = tmp_path / "out.csv"
+    assert cli.main([name, gslda_model, data, *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_DIGESTS[command]

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gslda_cascade.cascade import CascadeModel, NodeClassifier
@@ -204,18 +204,27 @@ SCORES = st.one_of(
 
 @st.composite
 def detection_tables(draw):
+    # Scores are drawn freely, or from a small set holding both zeros, so
+    # that an image repeats scores and may hold 0.0 and -0.0 together.
+    few = [0.0, -0.0] + draw(st.lists(SCORES, min_size=1, max_size=2))
+    scores_from = draw(st.sampled_from([SCORES, st.sampled_from(few)]))
     images = []
     for image_id in draw(st.lists(IMAGE_IDS, max_size=4)):
-        n = draw(st.integers(0, 5))
+        n = draw(st.integers(0, 8))
         ints = draw(st.lists(st.integers(-2**40, 2**40), min_size=4 * n, max_size=4 * n))
         ints = np.array(ints, dtype=np.int64).reshape(n, 4)
-        scores = np.array(draw(st.lists(SCORES, min_size=n, max_size=n)), dtype=np.float64)
+        scores = np.array(draw(st.lists(scores_from, min_size=n, max_size=n)), dtype=np.float64)
         images.append((image_id, Detections(ints[:, 0], ints[:, 1], ints[:, 2], scores, ints[:, 3])))
     return DetectionTable(images)
 
 
+_REPEATS = np.array([0.0, -0.0, 2.5, 0.0, -0.0, 2.5, 1e-7])
+
+
 @settings(max_examples=200, deadline=None)
 @given(table=detection_tables())
+@example(table=DetectionTable([("a", Detections(*np.arange(21).reshape(3, 7), _REPEATS, np.ones(7, int))),
+                               ("b", Detections(*np.zeros((3, 2), int), _REPEATS[[1, 0]], np.ones(2, int)))]))
 def test_detections_csv_bytes_match_row_writer(table, tmp_path_factory):
     out = tmp_path_factory.mktemp("csv")
     write_detections_csv(table, str(out / "new.csv"))
