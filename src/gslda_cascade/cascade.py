@@ -109,8 +109,9 @@ def _threshold_for_scores(scores: np.ndarray, d_min: float) -> float:
 class _NodeFit:
     """Shared bookkeeping while a node grows stump by stump."""
 
-    def __init__(self, values, labels, validation_mask, goal, method):
+    def __init__(self, values, area, labels, validation_mask, goal, method):
         self.values = values
+        self.area = area
         self.goal = goal
         self.method = method
         mask = np.zeros(labels.shape, bool) if validation_mask is None else np.asarray(validation_mask, bool)
@@ -136,7 +137,8 @@ class _NodeFit:
     def add(self, stump: stumps.DecisionStump, train_row: np.ndarray) -> None:
         self.chosen.append(stump)
         self.train_rows.append(train_row)
-        self.val_rows.append(stump.responses(self.values[stump.feature_id, self.val_idx]))
+        j = stump.feature_id
+        self.val_rows.append(stump.responses(self.values[j, self.val_idx] / self.area[j]))
 
     def retune(self, coefficients) -> None:
         """Recompute threshold (validation d_min quantile) and the rates."""
@@ -171,11 +173,14 @@ def train_node(
     boost_cfg: boosting.BoostingConfig | None = None,
     validation_mask=None,
     fixed_rounds: int | None = None,
+    area=None,
 ) -> NodeClassifier:
     """Grow one node until its false-positive goal is met.
 
-    values is the (M, N) feature-value matrix of the node's pool, labels the
-    +/-1 sample classes.  validation_mask marks held-out positives used only
+    values is the (M, N) feature table of the node's pool, labels the +/-1
+    sample classes.  The table holds values, or integer sums whose row j
+    divided by area[j] gives feature j's values (area defaults to ones), as
+    for StumpTrainer.  validation_mask marks held-out positives used only
     for threshold tuning; when it is None or marks none, the training
     positives double as validation.  fixed_rounds trains exactly that many
     stumps regardless of the rate goals (predefined-size mode); otherwise
@@ -184,15 +189,17 @@ def train_node(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
+    area = np.ones(len(values)) if area is None else np.asarray(area)
     labels = np.asarray(labels)
-    fit = _NodeFit(values, labels, validation_mask, goal, method)
+    fit = _NodeFit(values, area, labels, validation_mask, goal, method)
     boost_cfg = boost_cfg or boosting.BoostingConfig()
     scfg = scatter_cfg or scatter.ScatterConfig()
     cap = fixed_rounds or goal.max_stumps
     k = boost_cfg.asym_k if method in ("asymboost", "bgslda2") else 1.0
 
-    trainer = stumps.StumpTrainer(values[:, fit.train_idx], fit.train_labels)
+    # take, unlike values[:, idx], returns rows contiguous for the row blocks.
+    trainer = stumps.StumpTrainer(np.take(values, fit.train_idx, axis=1), fit.train_labels, area)
     weights = boosting.init_weights(fit.train_labels)
     table = trainer.train_all(weights)
     if method == "gslda":  # one selector walks the table trained once
@@ -416,8 +423,11 @@ def train_cascade(
     n_val = int(pool.validation_split * n_pos)
     val_idx = rng.permutation(n_pos)[:n_val]
 
+    # Exact integer sums; a chosen row is divided by its area where needed.
+    area = extractor.area
     pos_values = extractor.extract(pool.positives)
-    neg_values = extractor.extract(pool.negatives) if len(pool.negatives) else np.zeros((len(feature_pool), 0))
+    neg_values = (extractor.extract(pool.negatives) if len(pool.negatives)
+                  else np.zeros((len(feature_pool), 0), dtype=pos_values.dtype))
     target_negatives = neg_values.shape[1]
 
     model = CascadeModel(
@@ -439,7 +449,7 @@ def train_cascade(
         validation_mask = np.zeros(values.shape[1], dtype=bool)
         validation_mask[val_idx] = True
         node = train_node(values, labels, goal, method, scatter_cfg=scatter_cfg,
-                          boost_cfg=boost_cfg, validation_mask=validation_mask)
+                          boost_cfg=boost_cfg, validation_mask=validation_mask, area=area)
         model.nodes.append(node)
         d_cum *= node.detection_rate
         f_cum *= node.false_positive_rate
@@ -461,7 +471,7 @@ def train_cascade(
         if f_cum <= f_target:
             break
         # Keep only the negatives the new node still accepts (false positives).
-        neg_resp = np.vstack([s.responses(neg_values[s.feature_id]) for s in node.stumps])
+        neg_resp = np.vstack([s.responses(neg_values[s.feature_id] / area[s.feature_id]) for s in node.stumps])
         margins = node_margin(node, neg_resp)
         keep = margins >= 0
         neg_values = neg_values[:, keep]

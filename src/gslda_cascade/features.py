@@ -21,8 +21,9 @@ float64 copy of the N patches' tables.  Weights and table entries are
 integers, and while the largest |table entry| times a feature's summed
 |weights| stays below 2**53 every product and partial sum is an exact
 float64 integer, so the product equals the exact integer sums in any
-summation order; one division by the footprint area follows.  Larger tables
-raise ValueError rather than round.
+summation order.  Extraction returns those sums as integers, undivided;
+a sum over the feature's footprint area is the value haar_values gives.
+Larger tables raise ValueError rather than round.
 """
 
 from __future__ import annotations
@@ -180,9 +181,24 @@ def haar_values(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: flo
             weights[corner] = weights.get(corner, 0) + sign * wgt
     weights = {corner: wgt for corner, wgt in weights.items() if wgt}
     if lattice:
-        acc = np.zeros((len(py), len(px)), dtype=np.int64)
+        # The first corner starts the accumulator; the rest add in place,
+        # through one scratch buffer for weights other than +/-1.
+        acc = scratch = None
         for (x, y), wgt in weights.items():
-            acc += wgt * table[y + y_lo : y + y_hi + 1 : py.step, x + x_lo : x + x_hi + 1 : px.step]
+            view = table[y + y_lo : y + y_hi + 1 : py.step, x + x_lo : x + x_hi + 1 : px.step]
+            if acc is None:
+                acc = np.multiply(view, wgt, dtype=np.int64)
+            elif wgt == 1:
+                acc += view
+            elif wgt == -1:
+                acc -= view
+            else:
+                if scratch is None:
+                    scratch = np.empty_like(acc)
+                acc += np.multiply(view, wgt, out=scratch)
+        if acc is None:  # every weight cancelled
+            acc = np.zeros((len(py), len(px)), dtype=np.int64)
+        del scratch  # not held through the division: it would raise the peak
         return (acc / area).ravel()
     flat = table.ravel()
     offsets = {y * cols + x: wgt for (x, y), wgt in weights.items()}
@@ -202,7 +218,9 @@ class FeatureExtractor:
 
     Each feature's sub-rectangles fold once, at construction, into integer
     weights on the distinct corners (x, y) of its rectangles, as haar_values
-    folds them; corners whose weights cancel are dropped.
+    folds them; corners whose weights cancel are dropped.  area[j] is
+    feature j's footprint area (int64), the divisor that turns its sums
+    into haar_values' values.
     """
 
     def __init__(self, pool: FeaturePool):
@@ -225,20 +243,22 @@ class FeatureExtractor:
         l1 = np.bincount(self._feature, weights=np.abs(self._weight), minlength=m)
         self._max_l1 = int(l1.max()) if m else 0
         x0, y0, x1, y1 = pool.box.T
-        self._area = ((x1 - x0) * (y1 - y0)).astype(np.float64)
+        self.area = ((x1 - x0) * (y1 - y0)).astype(np.int64)
 
     def extract(self, patches) -> np.ndarray:
-        """(M, N) float64 value matrix for N patches.
+        """(M, N) matrix of the exact integer sums of M features on N patches.
 
         One matrix product per block of features: a dense block of folded
         corner weights on the flattened (H+1)(W+1) integral tables, times
-        the float64 copy of the N tables, divided by each footprint's area.
-        Every product and partial sum is an integer of magnitude at most
-        max|table| * sum|weights|; below 2**53 that is exact in float64
-        whatever order BLAS sums in, so the values equal the exact integer
-        sums divided once by the area.  Raises ValueError when that bound
-        could reach 2**53 (8-bit patches stay far below it) and IndexError
-        when a footprint leaves the patches.
+        the float64 copy of the N tables.  Every product and partial sum is
+        an integer of magnitude at most max|table| * sum|weights|; below
+        2**53 that is exact in float64 whatever order BLAS sums in, so each
+        block holds the exact integer sums.  They are returned undivided:
+        sums[j] / area[j] is bit for bit haar_values' value of feature j.
+        The dtype is int32 while that bound stays below 2**31 (8-bit patches
+        stay far below it) and int64 past it.  Raises ValueError when the
+        bound could reach 2**53 and IndexError when a footprint leaves the
+        patches.
         """
         patches = np.asarray(patches)
         if patches.ndim != 3:
@@ -249,23 +269,24 @@ class FeatureExtractor:
         m = len(self.pool)
         if m and (self.pool.box[:, 2].max() > w or self.pool.box[:, 3].max() > h):
             raise IndexError("feature footprint leaves the patches")
-        out = np.empty((m, n), dtype=np.float64)
+        reach = max(-int(tables.min()), int(tables.max())) * self._max_l1 if m and n else 0
+        if reach >= 2**53:
+            raise ValueError("integral sums could reach 2**53, past exact float64")
+        out = np.empty((m, n), dtype=np.int32 if reach < 2**31 else np.int64)
         if m == 0 or n == 0:
             return out
-        largest = max(-int(tables.min()), int(tables.max()))
-        if largest * self._max_l1 >= 2**53:
-            raise ValueError("integral sums could reach 2**53, past exact float64")
         cols = w + 1
         size = (h + 1) * cols
         flat = tables.reshape(n, size).astype(np.float64)
         del tables
         offsets = self._y * cols + self._x
         step = max(1, _BLOCK_BYTES // (8 * size))
+        product = np.empty((min(step, m), n))
         bounds = np.searchsorted(self._feature, np.arange(0, m + step, step))
         for lo, a, b in zip(range(0, m, step), bounds[:-1], bounds[1:]):
             hi = min(lo + step, m)
             block = np.bincount((self._feature[a:b] - lo) * size + offsets[a:b],
                                 weights=self._weight[a:b], minlength=(hi - lo) * size)
-            np.matmul(block.reshape(hi - lo, size), flat.T, out=out[lo:hi])
-        out /= self._area[:, None]
+            np.matmul(block.reshape(hi - lo, size), flat.T, out=product[: hi - lo])
+            out[lo:hi] = product[: hi - lo]  # exact integers: the cast is exact
         return out

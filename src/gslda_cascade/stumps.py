@@ -4,17 +4,23 @@ A stump thresholds one feature and outputs +/-1; training minimizes weighted
 0/1 error with a single sorted sweep, so re-training the whole candidate pool
 under fresh boosting weights is one vectorized pass over a pre-sorted table.
 The (M, N) table is sorted and trained a block of rows at a time, each block
-about _BLOCK_BYTES of float64, so the memory beyond the values, their int32
+about _BLOCK_BYTES of float64, so the memory beyond the table, its int32
 sort order and the interior-slot mask stays bounded however many features the
 pool holds.
 
-The sort order is the stable one (equal values keep their sample order), but
-it is not computed by a stable sort: numpy's default SIMD argsort orders a
-block, the runs of equal values in it are numbered, and one integer sort of
-the keys run * N + index puts each run in index order.  Runs sit in the same
-positions in every sorted order, so the result is exactly
-argsort(kind="stable") for any finite values, +/-0.0 and +/-inf included.
-NaN has no place in a sorted order and is rejected.
+The sort order is the stable one (equal values keep their sample order),
+computed by one integer sort of each row block's keys rank << bits | index,
+bits = bits(N - 1): the index is the low bits, so equal ranks keep their
+sample order, and numpy's SIMD sort of integers needs no stable variant.
+The keys are int32 when they fit and int64 otherwise.  An integer table
+(the exact Haar sums of FeatureExtractor.extract) ranks a value by its
+difference from the row minimum.  A float table, or an integer one too wide
+for int64 keys, ranks it by its run number: numpy's SIMD argsort orders the
+row and the runs of equal values in it are numbered.  Runs sit in the same
+positions in every sorted order, so either way the result is exactly
+argsort(kind="stable") for any integers or finite floats, +/-0.0 and +/-inf
+included, and the interior slots are where the rank changes.  NaN has no
+place in a sorted order and is rejected.
 """
 
 from __future__ import annotations
@@ -25,6 +31,35 @@ import numpy as np
 
 # Byte budget of one row block of StumpTrainer: rows of N + 1 float64 each.
 _BLOCK_BYTES = 1 << 20
+
+
+def _sort_keys(block: np.ndarray, bits: int) -> np.ndarray:
+    """The block's keys rank << bits | index of the module docstring, whose
+    row-wise sort is the stable order; keys sit in sample order for an
+    integer rank and in argsort order for run numbers."""
+    b, n = block.shape
+    if block.dtype.kind == "i":
+        low = block.min(axis=1)
+        # Row spans in uint64 wrap to the exact span of any int64 row.
+        high = block.max(axis=1).astype(np.int64).view(np.uint64)
+        span = int((high - low.astype(np.int64).view(np.uint64)).max())
+        top = (span + 1) << bits
+        if top <= 2**63:
+            keys = block.astype(np.int32 if top <= 2**31 else np.int64)
+            keys -= low[:, None].astype(keys.dtype)  # wraps only where the true rank fits
+            keys <<= bits
+            keys |= np.arange(n, dtype=keys.dtype)
+            return keys
+    order = np.argsort(block, axis=1)
+    ordered = np.take_along_axis(block, order, axis=1)
+    if np.isnan(ordered[:, -1]).any():  # sorting puts NaN last
+        raise ValueError("feature_values must not hold NaN")
+    run = np.zeros((b, n), dtype=np.int32 if n << bits <= 2**31 else np.int64)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=run[:, 1:])
+    del ordered
+    run <<= bits
+    run |= order
+    return run
 
 
 @dataclass
@@ -72,53 +107,55 @@ class StumpTable:
 
 
 class StumpTrainer:
-    """Pre-sorted stump training over a fixed (M, N) feature-value table.
+    """Pre-sorted stump training over a fixed (M, N) feature table.
 
-    Sorting happens once; train_all under new sample weights is O(M N) per
-    call.  Candidate thresholds sit at midpoints of consecutive distinct
-    values plus -inf/+inf sentinels; ties break toward the smaller threshold,
-    then polarity +1.  The sort is stable through the tie-repair key sort of
-    the module docstring; values holding NaN raise ValueError.
+    The table holds either values or, as FeatureExtractor.extract returns
+    them, integer sums whose row j divided by area[j] gives feature j's
+    values; area defaults to ones.  Training works on those values: a row's
+    area is fixed and positive, so its sums sort like its values, and only
+    the thresholds divide.  An integer stump's responses compare sums with
+    the sum just above its threshold, equal to comparing the values while
+    |sums| < 2**50 keeps distinct sums' values and midpoints apart (8-bit
+    patches stay below 2**31).  Candidate thresholds sit at midpoints of
+    consecutive distinct values plus -inf/+inf sentinels; ties break toward
+    the smaller threshold, then polarity +1.  The sort is stable, through
+    the integer key sort of the module docstring; values holding NaN raise
+    ValueError.
 
     Both the sort and train_all walk the table in blocks of rows sized by
     _BLOCK_BYTES, so their temporaries stay near that budget whatever M is.
-    Between calls the trainer holds the values, their per-row sort order as
-    int32 and a bool mask of the interior threshold slots: about 1.625 times
-    the bytes of the values.  train_all gathers each class's weights through
-    the order straight into its cumulative sums.
+    Between calls the trainer holds the table, its per-row sort order as
+    int32 and a bool mask of the interior threshold slots: 9/8 of the bytes
+    of the table in float64 for an int32 table, 13/8 for a float64 one.
+    train_all gathers each class's weights through the order straight into
+    its cumulative sums.
     """
 
-    def __init__(self, feature_values: np.ndarray, labels: np.ndarray):
-        values = np.atleast_2d(np.asarray(feature_values, dtype=np.float64))
+    def __init__(self, feature_values: np.ndarray, labels: np.ndarray, area=None):
+        values = np.atleast_2d(np.asarray(feature_values))
+        if values.dtype.kind != "i":
+            values = values.astype(np.float64, copy=False)
         labels = np.asarray(labels)
         if values.shape[1] != labels.shape[0]:
             raise ValueError("feature_values columns must match labels length")
         if values.shape[1] < 2:
             raise ValueError("need at least two samples")
+        m, n = values.shape
         self.values = values
         self.labels = labels
-        m, n = values.shape
+        self.area = np.ones(m) if area is None else np.asarray(area)
         self.order = np.empty((m, n), dtype=np.int32)
         # Interior threshold slot t is usable only between distinct values.
         self._interior_ok = np.empty((m, n - 1), dtype=bool)
+        bits = (n - 1).bit_length()
         for rows in self._blocks():
-            order = np.argsort(values[rows], axis=1)
-            sorted_values = np.sort(values[rows], axis=1)
-            if np.isnan(sorted_values[:, -1]).any():  # sorting puts NaN last
-                raise ValueError("feature_values must not hold NaN")
-            interior_ok = self._interior_ok[rows]
-            np.not_equal(sorted_values[:, 1:], sorted_values[:, :-1], out=interior_ok)
-            del sorted_values
-            # Runs of equal values sit in the same places in every sorted
-            # order; sorting (run, index) keys orders each run by index, which
-            # is the stable order.
-            run_base = np.zeros(order.shape, dtype=np.int64)
-            np.cumsum(interior_ok, axis=1, out=run_base[:, 1:])
-            run_base *= n
-            order += run_base
-            order.sort(axis=1)
-            order -= run_base
-            self.order[rows] = order
+            keys = _sort_keys(values[rows], bits)
+            keys.sort(axis=1)
+            rank = keys >> bits
+            np.not_equal(rank[:, 1:], rank[:, :-1], out=self._interior_ok[rows])
+            del rank
+            keys &= (1 << bits) - 1
+            self.order[rows] = keys
 
     def _blocks(self) -> list[slice]:
         """Row slices of at most _BLOCK_BYTES of (N + 1)-wide float64 rows."""
@@ -174,12 +211,17 @@ class StumpTrainer:
             thr[slot == 0] = -np.inf
             thr[slot == n] = np.inf
             mid = (slot > 0) & (slot < n)
-            rm, ms = r[mid], slot[mid]
-            thr[mid] = 0.5 * (values[rm, order[rm, ms - 1]] + values[rm, order[rm, ms]])
+            rm, ms, area = r[mid], slot[mid], self.area[rows][mid]
+            thr[mid] = 0.5 * (values[rm, order[rm, ms - 1]] / area + values[rm, order[rm, ms]] / area)
 
             # 2 * (values >= thr) - 1 is +/-1; times the polarity in place.
+            # Sums compare with the sum at the slot instead: thr lies strictly
+            # between the values on either side (|sums| < 2**50 keeps it so).
+            bound = thr if values.dtype.kind == "f" else values[r, order[r, np.minimum(slot, n - 1)]]
             out = responses[rows]
-            np.greater_equal(values, thr[:, None], out=out.view(bool))
+            np.greater_equal(values, bound[:, None], out=out.view(bool))
+            if values.dtype.kind != "f":
+                out[slot == n] = 0  # thresholded at +inf
             out *= 2
             out -= 1
             out *= polarity[rows, None]

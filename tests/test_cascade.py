@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gslda_cascade import scatter
+from gslda_cascade import cli, scatter, stumps
 from gslda_cascade.boosting import BoostingConfig, init_weights
 from gslda_cascade.cascade import (
     METHODS,
@@ -19,7 +21,8 @@ from gslda_cascade.cascade import (
     train_cascade,
     train_node,
 )
-from gslda_cascade.features import PoolParams, build_integral, build_pool
+from gslda_cascade.features import FeatureExtractor, PoolParams, build_integral, build_pool
+from gslda_cascade.model_io import load_model
 from gslda_cascade.scatter import GreedySelector, ScatterConfig
 from gslda_cascade.stumps import DecisionStump, StumpTrainer
 from gslda_cascade.synth import ToyDatasetSpec, axis_stump_pool, generate_toy
@@ -284,6 +287,33 @@ class TestCascade:
                 passed, stages, _, _ = evaluate_windows(model, build_integral(patch), range(1), range(1))
                 stages = lattice_stages(passed, stages, 1)
                 assert accepted == (stages[0] == len(model.nodes))
+
+
+@pytest.mark.parametrize("method", ["gslda", "bgslda1"])
+def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, method):
+    # The stump sort's fast path needs integer sums in contiguous rows; a
+    # float upcast on the way (an hstack with a float64 empty table, say)
+    # would only make training slower, which no byte test sees.
+    seen = []
+
+    class Spy(StumpTrainer):
+        def __init__(self, values, labels, area=None):
+            seen.append((values.dtype.kind, values.flags.c_contiguous, area))
+            super().__init__(values, labels, area)
+
+    monkeypatch.setattr(stumps, "StumpTrainer", Spy)
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--out", str(corpus), "--n-pos", "100", "--n-neg", "200",
+                     "--reservoir", "2", "--scenes", "1", "--seed", "0"]) == 0
+    model = tmp_path / "model.json"
+    assert cli.main(["train", "--data", str(corpus / "manifest.json"), "--out", str(model), "--method", method,
+                     "--subsample", "16", "--max-stumps", "20", "--f-target", "0.001"]) == 0
+    stages = sum("stage" in json.loads(line) for line in open(f"{model}.log.jsonl"))
+    assert len(seen) == stages >= 2  # bootstrapped stages too
+    area = FeatureExtractor(load_model(str(model)).feature_pool).area
+    for kind, contiguous, stage_area in seen:
+        assert kind == "i" and contiguous
+        assert np.array_equal(stage_area, area)
 
 
 class TestBootstrap:

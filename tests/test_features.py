@@ -29,6 +29,11 @@ def direct_eval(feature, image):
     return acc / (feature.w * feature.h)
 
 
+def values_of(extractor, patches):
+    """The extractor's exact sums over the footprint areas: the values."""
+    return extractor.extract(patches) / extractor.area[:, None]
+
+
 def feature_index(pool, kind, x, y, w, h):
     """Row of the pool feature with this kind and footprint."""
     rows = (pool.kind == KINDS.index(kind)) & (pool.box == [x, y, x + w, y + h]).all(axis=1)
@@ -329,7 +334,7 @@ class TestFeatureExtractor:
         rng = np.random.default_rng(5)
         patches = rng.integers(0, 256, size=(9, 8, 8))
         pool = build_pool(PoolParams(base_window=8, stride=2, min_size=2, subsample=5))
-        values = FeatureExtractor(pool).extract(patches)
+        values = values_of(FeatureExtractor(pool), patches)
         for j, f in enumerate(enumerate_haar(8, stride=2, min_size=2)[::5]):
             for i in range(9):
                 ii = integral_image(patches[i])
@@ -362,7 +367,7 @@ class TestFeatureExtractor:
             patches = (255 * rng.integers(0, 2, size=(n, h, w))).astype(np.uint8)
         else:
             patches = rng.integers(0, 256, size=(n, h, w), dtype=np.uint8)
-        values = FeatureExtractor(pool).extract(patches)
+        values = values_of(FeatureExtractor(pool), patches)
         assert values.shape == (len(pool), n)
         assert values.tobytes() == extract(pool, patches).tobytes()
         tables = [integral_image(p) for p in patches]
@@ -370,8 +375,10 @@ class TestFeatureExtractor:
             for i, ii in enumerate(tables):
                 assert np.float64(values[j, i]).tobytes() == np.float64(eval_haar(feature, ii)).tobytes()
 
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_exact_up_to_the_float64_guard(self, sign):
+    @staticmethod
+    def reach_per_unit(h, w):
+        """The base-window-6 pool's bound max|table| * summed |weights| per
+        unit of pixel value, on h x w patches whose first is all ones."""
         def folded_l1(feature):  # summed |weight| of a feature's distinct corners
             weights = Counter()
             for wgt, x0, y0, x1, y1 in feature.rects():
@@ -379,16 +386,37 @@ class TestFeatureExtractor:
                     weights[corner] += s * wgt
             return sum(abs(v) for v in weights.values())
 
+        return max(folded_l1(f) for f in enumerate_haar(6)) * h * w
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_exact_up_to_the_float64_guard(self, sign):
         pool = build_pool(PoolParams(base_window=6))
         h, w = 7, 8
-        reach = max(folded_l1(f) for f in enumerate_haar(6)) * h * w  # per unit of pixel value
+        reach = self.reach_per_unit(h, w)
         limit = -(-(2**53) // reach)  # the least pixel value whose sums could reach 2**53
         bits = np.random.default_rng(0).integers(0, 2, size=(4, h, w))
         bits[0] = 1  # all ones: its table holds the largest entry, pixel value * h * w
         below = sign * (limit - 1) * bits
-        assert FeatureExtractor(pool).extract(below).tobytes() == extract(pool, below).tobytes()
+        extractor = FeatureExtractor(pool)
+        assert extractor.extract(below).dtype == np.int64
+        assert values_of(extractor, below).tobytes() == extract(pool, below).tobytes()
         with pytest.raises(ValueError, match="2\\*\\*53"):
             FeatureExtractor(pool).extract(sign * limit * bits)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sums_are_int32_below_2_to_the_31(self, sign):
+        pool = build_pool(PoolParams(base_window=6))
+        h, w = 7, 8
+        limit = -(-(2**31) // self.reach_per_unit(h, w))  # the least pixel value reaching 2**31
+        bits = np.random.default_rng(1).integers(0, 2, size=(4, h, w))
+        bits[0] = 1
+        extractor = FeatureExtractor(pool)
+        for pixel, dtype in ((limit - 1, np.int32), (limit, np.int64)):
+            patches = sign * pixel * bits
+            sums = extractor.extract(patches)
+            assert sums.dtype == dtype
+            assert (sums / extractor.area[:, None]).tobytes() == extract(pool, patches).tobytes()
+        assert extractor.extract(np.full((2, 24, 24), 255, dtype=np.uint8)[:, :h, :w]).dtype == np.int32
 
     def test_empty_pool(self):
         pool = build_pool(PoolParams(base_window=2))

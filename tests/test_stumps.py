@@ -205,8 +205,8 @@ class TestBlockedTable:
 
 
 class TestStableOrder:
-    """The trainer sorts with numpy's unstable SIMD argsort and repairs ties
-    with a second key sort; its order must be the stable argsort exactly."""
+    """A float table sorts with numpy's unstable SIMD argsort, then one key
+    sort of run numbers; its order must be the stable argsort exactly."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 7))
@@ -237,6 +237,81 @@ class TestStableOrder:
         assert table.responses.tobytes() == responses.tobytes()
 
 
+class TestIntegerKeys:
+    """An integer table sorts by one key sort of rank << bits | index; its
+    order and interior mask must be the stable argsort's at every key width,
+    and its training must equal the oracle's on the values sums / area."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 7), st.sampled_from([np.int32, np.int64]),
+           st.sampled_from([2**4, 2**20, 2**24, 2**31, 2**40, 2**60]))
+    def test_key_order_is_the_stable_argsort(self, seed, block_rows, dtype, reach):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        m = int(rng.integers(1, 30))
+        if m % block_rows == 0 and block_rows > 1:
+            m -= 1  # leave a short last block
+        info = np.iinfo(dtype)
+        low, high = max(-reach, info.min), min(reach, info.max)
+        # Few distinct sums, so ties are heavy, with the extremes of the span.
+        palette = np.concatenate([[low, high, 0], rng.integers(low, high, size=8, endpoint=True)])
+        table = rng.choice(palette[: int(rng.integers(1, len(palette) + 1))], size=(m, n)).astype(dtype)
+        noisy = rng.random(m) < 0.3
+        table[noisy] = rng.integers(low, high, size=(noisy.sum(), n), endpoint=True)
+        table[rng.random(m) < 0.15] = rng.choice(palette)  # constant rows
+        area = rng.integers(1, 600, size=m)
+        labels = np.where(rng.random(n) < 0.4, 1, -1)
+        w = rng.random(n)
+        w /= w.sum()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stumps, "_BLOCK_BYTES", 8 * (n + 1) * block_rows)
+            trainer = StumpTrainer(table, labels, area)
+            trained = trainer.train_all(w)
+        stable = np.argsort(table, axis=1, kind="stable")
+        assert trainer.order.dtype == np.int32
+        assert np.array_equal(trainer.order, stable)
+        ordered = np.take_along_axis(table, stable, axis=1)
+        assert np.array_equal(trainer._interior_ok, ordered[:, 1:] != ordered[:, :-1])
+        if reach < 2**50:  # where distinct sums keep distinct values and midpoints
+            thresholds, polarity, errors, responses = stump_table(table / area[:, None], labels, w)
+            assert trained.thresholds.tobytes() == thresholds.tobytes()
+            assert trained.polarity.tolist() == polarity.tolist()
+            assert trained.errors.tobytes() == errors.tobytes()
+            assert trained.responses.tobytes() == responses.tobytes()
+
+    @pytest.mark.parametrize("dtype, low, high, key_dtype, ranked", [
+        (np.int32, -5, 5, np.int32, True),
+        (np.int32, -(2**28), 2**28 - 1, np.int32, True),  # the largest key is 2**31 - 1
+        (np.int32, -(2**28), 2**28, np.int64, True),
+        (np.int32, -(2**31), 2**31 - 1, np.int64, True),
+        (np.int64, -(2**40), 2**40, np.int64, True),
+        (np.int64, -(2**62), 2**62, np.int32, False),
+        (np.float64, -5, 5, np.int32, False),
+    ], ids=["int32-keys", "widest-int32-keys", "narrowest-int64-keys", "int32-table-int64-keys", "int64-keys",
+            "too-wide-run-numbers", "float-run-numbers"])
+    def test_key_width_follows_the_span(self, dtype, low, high, key_dtype, ranked):
+        table = np.array([[high, low, high, 0], [1, 1, 1, 1]], dtype=dtype)
+        bits = (table.shape[1] - 1).bit_length()
+        keys = stumps._sort_keys(table, bits)
+        assert keys.dtype == key_dtype
+        keys.sort(axis=1)
+        # Ranks are the distances from the row minimum, or run numbers.
+        assert (keys[0] >> bits).tolist() == ([0, -low, high - low, high - low] if ranked else [0, 1, 2, 2])
+        assert (keys & ((1 << bits) - 1)).tolist() == [[1, 3, 0, 2], [0, 1, 2, 3]]
+    def test_stump_thresholded_at_inf(self):
+        # (P + N) - N rounds above P here, so the least error is "all -1" by
+        # polarity +1 at slot N, the threshold +inf: no sum reaches it.
+        sums, labels, area = np.array([[5, 5, 5]]), np.array([1, -1, -1]), np.array([3])
+        w = np.array([0.75 * 2**-52, 0.5, 0.5])
+        trained = StumpTrainer(sums, labels, area).train_all(w)
+        thresholds, polarity, errors, responses = stump_table(sums / area[:, None], labels, w)
+        assert trained.thresholds.tolist() == thresholds.tolist() == [np.inf]
+        assert trained.polarity.tolist() == polarity.tolist() == [1]
+        assert trained.errors.tobytes() == errors.tobytes()
+        assert trained.responses.tolist() == responses.tolist() == [[-1, -1, -1]]
+
+
+
 class TestNaN:
     def test_nan_row_rejected(self):
         # Trained silently once: threshold nan, and an error of 1/6 that its
@@ -265,6 +340,12 @@ class TestMemoryBound:
         trainer = StumpTrainer(values, labels)
         held = sum(v.nbytes for v in vars(trainer).values() if isinstance(v, np.ndarray))
         assert held <= 1.75 * values.nbytes
+        # Integer sums, as extraction gives them: 4 bytes of table, 4 of
+        # order and 1 of mask per entry, against 8 for the same table in float64.
+        sums = rng.integers(-(2**20), 2**20, size=(m, n), dtype=np.int32)
+        trainer = StumpTrainer(sums, labels, np.full(m, 24))
+        held = sum(v.nbytes for v in vars(trainer).values() if isinstance(v, np.ndarray))
+        assert held <= 1.2 * sums.astype(np.float64).nbytes
 
         tracemalloc.start()
         try:
