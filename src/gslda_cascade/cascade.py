@@ -107,25 +107,20 @@ def _threshold_for_scores(scores: np.ndarray, d_min: float) -> float:
 
 
 class _NodeFit:
-    """Shared bookkeeping while a node grows stump by stump."""
+    """Shared bookkeeping while a node grows stump by stump, on train_node's
+    training table, labels and validation table."""
 
-    def __init__(self, values, area, labels, validation_mask, goal, method):
-        self.values = values
+    def __init__(self, values, area, labels, validation, goal, method):
         self.area = area
         self.goal = goal
         self.method = method
-        mask = np.zeros(labels.shape, bool) if validation_mask is None else np.asarray(validation_mask, bool)
-        if np.any(mask & (labels < 0)):
-            raise ValueError("validation mask may only select positives")
-        self.train_idx = np.flatnonzero(~mask)
-        self.val_idx = np.flatnonzero(mask)
-        if self.val_idx.size == 0:
-            # Nothing held out: the training positives double as validation.
-            self.val_idx = np.flatnonzero(labels > 0)
-        self.train_labels = labels[self.train_idx]
-        if not (self.train_labels > 0).any() or not (self.train_labels < 0).any():
+        self.labels = labels
+        if not (labels > 0).any() or not (labels < 0).any():
             raise ValueError("training split needs both classes")
-        self.neg_cols = np.flatnonzero(self.train_labels < 0)
+        # Without held-out positives the training positives double as validation.
+        self.val_table = values if validation is None else np.asarray(validation)
+        self.val_cols = np.flatnonzero(labels > 0) if validation is None else np.arange(self.val_table.shape[1])
+        self.neg_cols = np.flatnonzero(labels < 0)
         self.chosen: list[stumps.DecisionStump] = []
         self.train_rows: list[np.ndarray] = []  # stump outputs on the train split
         self.val_rows: list[np.ndarray] = []  # stump outputs on validation positives
@@ -138,12 +133,12 @@ class _NodeFit:
         self.chosen.append(stump)
         self.train_rows.append(train_row)
         j = stump.feature_id
-        self.val_rows.append(stump.responses(self.values[j, self.val_idx] / self.area[j]))
+        self.val_rows.append(stump.responses(self.val_table[j, self.val_cols] / self.area[j]))
 
     def retune(self, coefficients) -> None:
         """Recompute threshold (validation d_min quantile) and the rates."""
         self.coefficients = np.asarray(coefficients, dtype=np.float64)
-        val_scores = np.zeros(len(self.val_idx))
+        val_scores = np.zeros(len(self.val_cols))
         neg_scores = np.zeros(len(self.neg_cols))
         for t, c in enumerate(self.coefficients):
             val_scores = val_scores + c * self.val_rows[t]
@@ -171,39 +166,39 @@ def train_node(
     method: str = "gslda",
     scatter_cfg: scatter.ScatterConfig | None = None,
     boost_cfg: boosting.BoostingConfig | None = None,
-    validation_mask=None,
+    validation=None,
     fixed_rounds: int | None = None,
     area=None,
 ) -> NodeClassifier:
     """Grow one node until its false-positive goal is met.
 
-    values is the (M, N) feature table of the node's pool, labels the +/-1
-    sample classes.  The table holds values, or integer sums whose row j
-    divided by area[j] gives feature j's values (area defaults to ones), as
-    for StumpTrainer.  validation_mask marks held-out positives used only
-    for threshold tuning; when it is None or marks none, the training
-    positives double as validation.  fixed_rounds trains exactly that many
-    stumps regardless of the rate goals (predefined-size mode); otherwise
-    the node stops at goal.max_stumps.  The stump cap also sets the span over
-    which AsymBoost amortizes its asymmetric multiplier.
+    values is the (M, N) training table of the node's pool, labels the +/-1
+    sample classes; it goes to StumpTrainer as it is.  The table holds
+    values, or integer sums whose row j divided by area[j] gives feature j's
+    values (area defaults to ones), as for StumpTrainer.  validation is the
+    (M, V) table of held-out positives, in the same form, used only for
+    threshold tuning; when it is None the training positives double as
+    validation.  fixed_rounds trains exactly that many stumps regardless of
+    the rate goals (predefined-size mode); otherwise the node stops at
+    goal.max_stumps.  The stump cap also sets the span over which AsymBoost
+    amortizes its asymmetric multiplier.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     values = np.asarray(values)
     area = np.ones(len(values)) if area is None else np.asarray(area)
     labels = np.asarray(labels)
-    fit = _NodeFit(values, area, labels, validation_mask, goal, method)
+    fit = _NodeFit(values, area, labels, validation, goal, method)
     boost_cfg = boost_cfg or boosting.BoostingConfig()
     scfg = scatter_cfg or scatter.ScatterConfig()
     cap = fixed_rounds or goal.max_stumps
     k = boost_cfg.asym_k if method in ("asymboost", "bgslda2") else 1.0
 
-    # take, unlike values[:, idx], returns rows contiguous for the row blocks.
-    trainer = stumps.StumpTrainer(np.take(values, fit.train_idx, axis=1), fit.train_labels, area)
-    weights = boosting.init_weights(fit.train_labels)
+    trainer = stumps.StumpTrainer(values, labels, area)
+    weights = boosting.init_weights(labels)
     table = trainer.train_all(weights)
     if method == "gslda":  # one selector walks the table trained once
-        sel = scatter.GreedySelector(table.responses, fit.train_labels, scfg)
+        sel = scatter.GreedySelector(table.responses, labels, scfg)
     alphas: list[float] = []
     while True:
         if method == "gslda":
@@ -224,7 +219,7 @@ def train_node(
         if len(fit.chosen) >= cap:
             return fit.build(goal_met=fit.f <= goal.f_max)
         if method != "gslda":
-            weights = boosting.reweight(weights, table.responses[j], fit.train_labels, alphas[-1], k, rounds=cap)
+            weights = boosting.reweight(weights, table.responses[j], labels, alphas[-1], k, rounds=cap)
             table = trainer.train_all(weights)
 
 
@@ -245,7 +240,7 @@ def _bgslda_pick(fit, table, weights, scfg, boost_cfg):
         return None, None
     k = len(fit.chosen)
     stacked = np.vstack(fit.train_rows + [table.responses]) if k else table.responses
-    sel = scatter.GreedySelector(stacked, fit.train_labels, scfg, weights, selected=range(k))
+    sel = scatter.GreedySelector(stacked, fit.labels, scfg, weights, selected=range(k))
     picked = sel.step(allowed=[k + j for j in allowed])
     return (None if picked is None else picked - k), sel
 
@@ -404,10 +399,14 @@ def train_cascade(
 ) -> CascadeModel:
     """Stack nodes until the cumulative false-positive rate reaches f_target.
 
-    After each stage the correctly rejected negatives leave the pool and the
-    reservoir is scanned for fresh false positives; training also stops when a
-    node misses its goal or the reservoir runs dry.  The last stage_log record
-    is {"stop_reason": ...}: f_target_met, goal_missed, bootstrap_exhausted,
+    A validation_split share of the positives is held out once, before the
+    first stage, to tune node thresholds.  Each stage's table is the other
+    positives then the current negatives, in sample order, built once and
+    handed to train_node and the stump trainer as it is.  After each stage
+    the correctly rejected negatives leave the pool and the reservoir is
+    scanned for fresh false positives; training also stops when a node misses
+    its goal or the reservoir runs dry.  The last stage_log record is
+    {"stop_reason": ...}: f_target_met, goal_missed, bootstrap_exhausted,
     negatives_empty or max_stages.
     """
     if method not in METHODS:
@@ -418,14 +417,13 @@ def train_cascade(
     extractor = FeatureExtractor(feature_pool)
     rng = np.random.default_rng(seed)
 
-    # Fixed validation split of the positives for threshold tuning.
-    n_pos = len(pool.positives)
-    n_val = int(pool.validation_split * n_pos)
-    val_idx = rng.permutation(n_pos)[:n_val]
-
     # Exact integer sums; a chosen row is divided by its area where needed.
     area = extractor.area
     pos_values = extractor.extract(pool.positives)
+    order = rng.permutation(len(pool.positives))
+    n_val = int(pool.validation_split * len(order))
+    validation = np.take(pos_values, np.sort(order[:n_val]), axis=1) if n_val else None
+    pos_values = np.take(pos_values, np.sort(order[n_val:]), axis=1)
     neg_values = (extractor.extract(pool.negatives) if len(pool.negatives)
                   else np.zeros((len(feature_pool), 0), dtype=pos_values.dtype))
     target_negatives = neg_values.shape[1]
@@ -445,11 +443,9 @@ def train_cascade(
         stage += 1
         started = time.perf_counter()
         values = np.hstack([pos_values, neg_values])
-        labels = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(neg_values.shape[1], dtype=int)])
-        validation_mask = np.zeros(values.shape[1], dtype=bool)
-        validation_mask[val_idx] = True
+        labels = np.concatenate([np.ones(pos_values.shape[1], dtype=int), -np.ones(neg_values.shape[1], dtype=int)])
         node = train_node(values, labels, goal, method, scatter_cfg=scatter_cfg,
-                          boost_cfg=boost_cfg, validation_mask=validation_mask, area=area)
+                          boost_cfg=boost_cfg, validation=validation, area=area)
         model.nodes.append(node)
         d_cum *= node.detection_rate
         f_cum *= node.false_positive_rate

@@ -2,9 +2,11 @@
 
 Commands: train, detect, eval, toy, synth.  Exit codes: 0 success, 1 usage
 (an unknown flag, or a setting out of range from a flag or --config, such as
-train --dmin 2 or toy --trials 0: checked before any input file is read, and
-reported on one "error: ..." line), 2 data error (also detect or eval with a
-model that has no nodes), 3 training finished with a stage goal not met.
+train --dmin 2, toy --trials 0 or --dual-pass with a method other than gslda:
+checked before any input file is read, and reported on one "error: ..."
+line), 2 data error (also detect or eval with a model that has no nodes, and
+an output file that cannot be written, such as --out, --log or --points in a
+missing directory), 3 training finished with a stage goal not met.
 
 train ends its stage log with a {"stop_reason": ...} record.  When the
 cascade's false-positive rate F stays above --f-target (the reservoir ran out
@@ -217,6 +219,8 @@ def cmd_train(args) -> int:
     with _settings():
         if cfg["method"] not in METHODS:  # --config bypasses the flag's choices
             raise ValueError(f"method must be one of {METHODS}")
+        if args.dual_pass and cfg["method"] != "gslda":
+            raise ValueError(f"--dual-pass applies only to method gslda, not {cfg['method']}")
         goal = NodeGoal(d_min=cfg["dmin"], f_max=cfg["fmax"], max_stumps=cfg["max_stumps"])
         scatter_cfg = ScatterConfig(gamma=cfg["gamma"], ridge=cfg["ridge"], dual_pass=args.dual_pass)
         boost_cfg = BoostingConfig(asym_k=cfg["asym_k"], prune_epsilon=cfg["prune_eps"])
@@ -400,7 +404,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, DataError) as exc:
+    except (UsageError, DataError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 2
     except GoalNotMet as exc:

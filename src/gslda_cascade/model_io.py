@@ -78,10 +78,15 @@ def _expect(cond: bool, message: str) -> None:
         raise ModelFormatError(message)
 
 
+def _is_int(value) -> bool:
+    """An int, but not a bool (JSON's true and false)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(payload: dict, name: str, kind, where: str):
     _expect(name in payload, f"{where}: missing field {name!r}")
     value = payload[name]
-    _expect(isinstance(value, kind), f"{where}: field {name!r} must be {kind}")
+    _expect(_is_int(value) if kind is int else isinstance(value, kind), f"{where}: field {name!r} must be {kind}")
     return value
 
 
@@ -144,12 +149,12 @@ def model_from_dict(payload: dict) -> CascadeModel:
                 f"{where}.stumps[{j}]: expected [feature_id, threshold, polarity]",
             )
             fid, thr, pol = row
-            _expect(isinstance(fid, int), f"{where}.stumps[{j}]: feature_id must be an integer")
+            _expect(_is_int(fid), f"{where}.stumps[{j}]: feature_id must be an integer")
             if isinstance(thr, str):
                 _expect(thr in _INF_VALUES, f"{where}.stumps[{j}]: threshold string must be 'inf' or '-inf'")
                 thr = _INF_VALUES[thr]
             _expect(_is_number(thr), f"{where}.stumps[{j}]: threshold must be a number")
-            _expect(pol in (-1, 1), f"{where}.stumps[{j}]: polarity must be -1 or +1")
+            _expect(not isinstance(pol, bool) and pol in (-1, 1), f"{where}.stumps[{j}]: polarity must be -1 or +1")
             _expect(0 <= fid < len(feature_pool), f"{where}.stumps[{j}]: feature_id out of range")
             stumps.append(DecisionStump(fid, float(thr), int(pol)))
         _expect(stumps, f"{where}: needs at least one stump")
@@ -205,9 +210,13 @@ def read_ground_truth(path: str) -> list[GroundTruthBox]:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: ground truth needs columns image_id,x,y,w,h")
         for row in reader:
-            boxes.append(
-                GroundTruthBox(row["image_id"], int(row["x"]), int(row["y"]), int(row["w"]), int(row["h"]))
-            )
+            fields = [row[name] for name in ("image_id", "x", "y", "w", "h")]
+            try:
+                if None in fields:  # csv's value for the fields a short row lacks
+                    raise ValueError("row has too few fields")
+                boxes.append(GroundTruthBox(fields[0], *map(int, fields[1:])))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return boxes
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gslda_cascade import cli, scatter, stumps
+from gslda_cascade import cascade, cli, scatter, stumps
 from gslda_cascade.boosting import BoostingConfig, init_weights
 from gslda_cascade.cascade import (
     METHODS,
@@ -169,8 +169,8 @@ class TestTrainNode:
         values, labels = separable_values(rng, n_pos=40, n_neg=40)
         mask = np.zeros(80, dtype=bool)
         mask[:10] = True  # first ten positives held out
-        node = train_node(values, labels, NodeGoal(d_min=0.9, f_max=0.4), "gslda",
-                          validation_mask=mask)
+        node = train_node(values[:, ~mask], labels[~mask], NodeGoal(d_min=0.9, f_max=0.4), "gslda",
+                          validation=values[:, mask])
         assert node.detection_rate >= 0.9
 
     def test_dual_pass_keeps_the_met_node_when_elimination_breaks_the_goal(self, monkeypatch):
@@ -205,7 +205,7 @@ class TestTrainNode:
 
 
 def _pin_case(case):
-    """(values, labels, goal, validation_mask, fixed_rounds) of a pinned case."""
+    """(values, labels, goal, validation, fixed_rounds) of a pinned case."""
     if case == "toy-fixed4":
         points, labels = generate_toy(ToyDatasetSpec(n_pos=40, n_neg=400, seed=0))
         return axis_stump_pool(points)[0], labels, NodeGoal(d_min=0.99, f_max=0.5), None, 4
@@ -213,16 +213,16 @@ def _pin_case(case):
     n = 120
     labels = np.where(rng.random(n) < 0.4, 1, -1)
     values = rng.normal(size=(16, n)) + 0.4 * labels * rng.normal(size=(16, 1))
-    mask = (labels > 0) & (rng.random(n) < 0.25)
-    return values, labels, NodeGoal(d_min=0.95, f_max=0.2, max_stumps=12), mask, None
+    mask = (labels > 0) & (rng.random(n) < 0.25)  # positives held out for validation
+    return values[:, ~mask], labels[~mask], NodeGoal(d_min=0.95, f_max=0.2, max_stumps=12), values[:, mask], None
 
 
 @pytest.mark.parametrize("case,variant", list(PINNED))
 def test_node_layer_is_pinned(case, variant):
-    values, labels, goal, mask, rounds = _pin_case(case)
+    values, labels, goal, validation, rounds = _pin_case(case)
     node = train_node(values, labels, goal, variant.split("-")[0],
                       scatter_cfg=ScatterConfig(dual_pass=variant.endswith("-dual")),
-                      validation_mask=mask, fixed_rounds=rounds)
+                      validation=validation, fixed_rounds=rounds)
     stumps_, coefficients, threshold, d, f, goal_met = PINNED[case, variant]
     assert [(s.feature_id, s.threshold, s.polarity) for s in node.stumps] == stumps_
     assert node.coefficients.tolist() == pytest.approx(coefficients, rel=1e-12)
@@ -293,15 +293,21 @@ class TestCascade:
 def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, method):
     # The stump sort's fast path needs integer sums in contiguous rows; a
     # float upcast on the way (an hstack with a float64 empty table, say)
-    # would only make training slower, which no byte test sees.
-    seen = []
+    # would only make training slower, which no byte test sees.  Nor would a
+    # copy of the stage table between train_node and the trainer.
+    seen, handed = [], []
 
     class Spy(StumpTrainer):
         def __init__(self, values, labels, area=None):
-            seen.append((values.dtype.kind, values.flags.c_contiguous, area))
+            seen.append((values, area))
             super().__init__(values, labels, area)
 
+    def spy_node(values, *args, **kwargs):
+        handed.append(values)
+        return train_node(values, *args, **kwargs)
+
     monkeypatch.setattr(stumps, "StumpTrainer", Spy)
+    monkeypatch.setattr(cascade, "train_node", spy_node)
     corpus = tmp_path / "corpus"
     assert cli.main(["synth", "--out", str(corpus), "--n-pos", "100", "--n-neg", "200",
                      "--reservoir", "2", "--scenes", "1", "--seed", "0"]) == 0
@@ -309,10 +315,11 @@ def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, meth
     assert cli.main(["train", "--data", str(corpus / "manifest.json"), "--out", str(model), "--method", method,
                      "--subsample", "16", "--max-stumps", "20", "--f-target", "0.001"]) == 0
     stages = sum("stage" in json.loads(line) for line in open(f"{model}.log.jsonl"))
-    assert len(seen) == stages >= 2  # bootstrapped stages too
+    assert len(seen) == len(handed) == stages >= 2  # bootstrapped stages too
     area = FeatureExtractor(load_model(str(model)).feature_pool).area
-    for kind, contiguous, stage_area in seen:
-        assert kind == "i" and contiguous
+    for (values, stage_area), table in zip(seen, handed):
+        assert values is table
+        assert values.dtype.kind == "i" and values.flags.c_contiguous
         assert np.array_equal(stage_area, area)
 
 

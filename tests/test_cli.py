@@ -153,6 +153,36 @@ def test_eval_missing_image_is_data_error(corpus, model, tmp_path, capsys):
     assert "nowhere.pgm" in capsys.readouterr().err
 
 
+def test_eval_short_truth_row_is_data_error(corpus, model, tmp_path, capsys):
+    assert eval_with_truth(corpus, model, tmp_path, "image_id,x,y,w,h\ns000.pgm,1,2\n") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "line 2" in err
+
+
+# Each command's output flags, pointed into a missing directory.
+UNWRITABLE = {
+    "train-out": ["train", "--data", "{manifest}", "--out", "{missing}/m.json", *TRAIN],
+    "train-log": ["train", "--data", "{manifest}", "--out", "{tmp}/m.json", "--log", "{missing}/log.jsonl", *TRAIN],
+    "detect-out": ["detect", "{model}", "{scenes}", "--out", "{missing}/d.csv"],
+    "eval-out": ["eval", "{model}", "{manifest}", "--out", "{missing}/roc.csv"],
+    "toy-out": ["toy", "--n-pos", "20", "--n-neg", "200", "--out", "{missing}/toy.json"],
+    "toy-points": ["toy", "--n-pos", "20", "--n-neg", "200", "--out", "{tmp}/toy.json",
+                   "--points", "{missing}/points.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_unwritable_output_is_data_error(corpus, model, tmp_path, capsys, case):
+    paths = {"manifest": corpus / "corpus" / "manifest.json", "scenes": corpus / "corpus" / "scenes",
+             "model": model, "tmp": tmp_path, "missing": tmp_path / "missing"}
+    capsys.readouterr()
+    assert cli.main([arg.format(**paths) for arg in UNWRITABLE[case]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(tmp_path / "missing") in err
+
+
 @pytest.mark.parametrize("command,scale_factor,step", [
     pytest.param("detect", "1e308", None, id="detect-1e308"),
     pytest.param("detect", "inf", None, id="detect-inf"),
@@ -265,6 +295,9 @@ BAD_SETTINGS = {
     "train-subsample": ["train", "--data", "{tmp}/none.json", "--subsample", "0"],
     "train-config": ["train", "--data", "{tmp}/none.json", "--config", "{tmp}/config.json"],
     "train-config-method": ["train", "--data", "{tmp}/none.json", "--config", "{tmp}/method.json"],
+    "train-dual-pass-adaboost": ["train", "--data", "{tmp}/none.json", "--method", "adaboost", "--dual-pass"],
+    "train-config-method-dual-pass": ["train", "--data", "{tmp}/none.json", "--config", "{tmp}/boost.json",
+                                      "--dual-pass"],
     "toy-trials": ["toy", "--trials", "0", "--out", "{tmp}/toy.json"],
     "toy-n-neg-below-n-pos": ["toy", "--n-pos", "20", "--n-neg", "10", "--out", "{tmp}/toy.json"],
     "toy-rounds": ["toy", "--rounds", "0", "--out", "{tmp}/toy.json"],
@@ -293,7 +326,7 @@ BAD_SETTINGS = {
 @pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
 def test_bad_setting_exits_1(case, tmp_path, capsys):
     configs = {"config.json": {"dmin": 2}, "method.json": {"method": "floatboost"},
-               "neighbors.json": {"min_neighbors": 0}}
+               "boost.json": {"method": "asymboost"}, "neighbors.json": {"min_neighbors": 0}}
     for name, config in configs.items():
         (tmp_path / name).write_text(json.dumps(config))
     assert cli.main([arg.format(tmp=tmp_path) for arg in BAD_SETTINGS[case]]) == 1

@@ -112,6 +112,12 @@ MALFORMED = {
                                                              "min_size": 2, "subsample": 0})],
     "enumerated pool on another window": [(("feature_pool",), {"type": "enumerated", "base_window": 6, "stride": 2,
                                                                 "min_size": 2, "subsample": 1})],
+    # JSON true where an integer belongs; each would load as 1.
+    "format_version true": [(("format_version",), True)],
+    "base_window true": [(("base_window",), True), (("feature_pool", "base_window"), True)],
+    "pool stride true": [(("feature_pool", "stride"), True)],
+    "feature_id true": [(("nodes", 1, "stumps", 0, 0), True)],
+    "polarity true": [(("nodes", 1, "stumps", 0, 2), True)],
 }
 
 
