@@ -96,7 +96,7 @@ def prune_stumps(table: StumpTable, w, cfg: BoostingConfig):
     if len(table) == 0:
         raise ValueError("empty stump table")
     w = np.asarray(w, dtype=np.float64)
-    edges = table.responses.astype(np.float64) @ (w * table.labels)
+    edges = np.einsum("mn,n->m", table.responses, w * table.labels)  # no float copy of the table
     best = int(np.argmax(edges))
     beta_k = float(edges[best])
     e_k = 0.5 - 0.5 * beta_k

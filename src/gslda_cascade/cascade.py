@@ -77,6 +77,14 @@ class NodeClassifier:
             raise ValueError("need one coefficient per stump, at least one stump")
 
 
+def _stump_sum(coefficients, rows, shape) -> np.ndarray:
+    """sum_t coefficients[t] * rows[t] from zero in stump order: every node score's one sum."""
+    acc = np.zeros(shape)
+    for c, row in zip(coefficients, rows):
+        acc = acc + c * row
+    return acc
+
+
 def node_margin(node: NodeClassifier, responses) -> np.ndarray | float:
     """sum_t w_t h_t + threshold, accumulated in fixed stump order.
 
@@ -87,10 +95,7 @@ def node_margin(node: NodeClassifier, responses) -> np.ndarray | float:
     responses = np.asarray(responses, dtype=np.float64)
     if responses.shape[0] != len(node.stumps):
         raise ValueError("responses are not aligned with the node's stumps")
-    acc = np.zeros(responses.shape[1:])
-    for t in range(responses.shape[0]):
-        acc = acc + node.coefficients[t] * responses[t]
-    acc = acc + node.node_threshold
+    acc = _stump_sum(node.coefficients, responses, responses.shape[1:]) + node.node_threshold
     return float(acc) if acc.ndim == 0 else acc
 
 
@@ -131,18 +136,15 @@ class _NodeFit:
 
     def add(self, stump: stumps.DecisionStump, train_row: np.ndarray) -> None:
         self.chosen.append(stump)
-        self.train_rows.append(train_row)
+        self.train_rows.append(train_row.copy())  # a view would keep its whole table alive
         j = stump.feature_id
         self.val_rows.append(stump.responses(self.val_table[j, self.val_cols] / self.area[j]))
 
     def retune(self, coefficients) -> None:
         """Recompute threshold (validation d_min quantile) and the rates."""
         self.coefficients = np.asarray(coefficients, dtype=np.float64)
-        val_scores = np.zeros(len(self.val_cols))
-        neg_scores = np.zeros(len(self.neg_cols))
-        for t, c in enumerate(self.coefficients):
-            val_scores = val_scores + c * self.val_rows[t]
-            neg_scores = neg_scores + c * self.train_rows[t][self.neg_cols]
+        val_scores = _stump_sum(self.coefficients, self.val_rows, len(self.val_cols))
+        neg_scores = _stump_sum(self.coefficients, (r[self.neg_cols] for r in self.train_rows), len(self.neg_cols))
         self.threshold = _threshold_for_scores(val_scores, self.goal.d_min)
         self.d = float(np.mean(val_scores + self.threshold >= 0))
         self.f = float(np.mean(neg_scores + self.threshold >= 0))
@@ -226,7 +228,9 @@ def train_node(
 def _bgslda_pick(fit, table, weights, scfg, boost_cfg):
     """BGSLDA's pick: the most separating stump among the pruned candidates
     not yet chosen, after doubling the slack once and then falling back to
-    the least-error unchosen stump.  Returns (table index or None, selector)."""
+    the least-error unchosen stump.  The selector holds the chosen rows, then
+    the candidates' in ascending order, so ties go to the lowest table index.
+    Returns (table index or None, selector)."""
     chosen_ids = {s.feature_id for s in fit.chosen}
     widened = dataclasses.replace(boost_cfg, prune_epsilon=2.0 * boost_cfg.prune_epsilon)
     for cfg in (boost_cfg, widened):
@@ -239,10 +243,10 @@ def _bgslda_pick(fit, table, weights, scfg, boost_cfg):
     if not allowed:
         return None, None
     k = len(fit.chosen)
-    stacked = np.vstack(fit.train_rows + [table.responses]) if k else table.responses
-    sel = scatter.GreedySelector(stacked, fit.labels, scfg, weights, selected=range(k))
-    picked = sel.step(allowed=[k + j for j in allowed])
-    return (None if picked is None else picked - k), sel
+    rows = np.vstack(fit.train_rows + [table.responses[allowed]])
+    sel = scatter.GreedySelector(rows, fit.labels, scfg, weights, selected=range(k))
+    picked = sel.step()
+    return (None if picked is None else allowed[picked - k]), sel
 
 
 def _eliminate(fit, sel, fixed_rounds):

@@ -6,9 +6,10 @@ eigenvalue of a subset l is the closed form b_l' (S_w^l)^{-1} b_l and forward
 selection only needs a rank-one block update of the restricted inverse per
 added feature.  Columns of the within-class scatter are produced on demand;
 the full M x M matrix is never materialized.  GreedySelector is the whole
-layer: it reads the (M, N) stump table as StumpTrainer returns it, holds the
-weighted class moments, and implements candidate scoring, the rank-one
-update, the discriminant direction and the backward elimination pass.
+layer: it holds the (M, N) +/-1 stump table as StumpTrainer returns it, read
+in place by np.einsum with no float copy and with a closed-form diagonal,
+holds the weighted class moments, and implements candidate scoring, the
+rank-one update, the discriminant direction and the backward elimination pass.
 """
 
 from __future__ import annotations
@@ -77,12 +78,16 @@ class GreedySelector:
 
     responses[j, i] is the +/-1 output of stump j on sample i, as
     StumpTrainer.train_all returns it; labels holds the +/-1 class of each
-    sample.  Boosting weights (which sum to 1) are rescaled by N so that a
-    uniform distribution reproduces the plain unweighted scatter exactly.
-    The selector starts from the subset `selected`, whose restricted inverse
-    comes from a direct solve.  Single steps use the rank-one block update of
-    the restricted inverse, which is refreshed from a direct solve every
-    _REFRESH_EVERY features.
+    sample.  The table is held as given.  Every read of it is an np.einsum
+    with a class weight vector over all N samples (zero on the other class),
+    which casts it in buffered chunks and so makes no float copy, and the
+    scatter diagonal is W - W * mu**2 per class, as x * x = 1 for +/-1
+    entries.  Boosting weights (which sum to 1) are rescaled by N so that a
+    uniform distribution reproduces the plain scatter; with weights=None
+    every sum is an exact integer.  The selector starts from the subset
+    `selected`, whose restricted inverse comes from a direct solve.  Single
+    steps use the rank-one block update of the restricted inverse, which is
+    refreshed from a direct solve every _REFRESH_EVERY features.
     """
 
     def __init__(self, responses, labels, cfg: ScatterConfig, weights=None, selected=()):
@@ -95,36 +100,30 @@ class GreedySelector:
         if not np.all(np.abs(labels) == 1):
             raise ValueError("labels must be -1 or +1")
         pos = labels > 0
-        neg = ~pos
         n_pos = int(pos.sum())
-        n_neg = int(neg.sum())
+        n_neg = len(labels) - n_pos
         if n_pos < 1 or n_neg < 1:
             raise DegenerateClassError("degenerate class distribution")
-        if weights is None:
-            wp = np.ones(n_pos)
-            wn = np.ones(n_neg)
-        else:
-            w = np.asarray(weights, dtype=np.float64) * labels.shape[0]
-            if np.any(w < 0):
-                raise ValueError("sample weights must be nonnegative")
-            wp = w[pos]
-            wn = w[neg]
+        w = np.ones(len(labels)) if weights is None else np.asarray(weights, dtype=np.float64) * len(labels)
+        if w.shape != labels.shape:
+            raise ValueError("weights must hold one entry per sample")
+        if np.any(w < 0):
+            raise ValueError("sample weights must be nonnegative")
         self.cfg = cfg
-        self.Xp = np.ascontiguousarray(responses[:, pos], dtype=np.float64)  # (M, Np)
-        self.Xn = np.ascontiguousarray(responses[:, neg], dtype=np.float64)  # (M, Nn)
-        self.wp = wp
-        self.wn = wn
-        self.Wp = float(wp.sum())
-        self.Wn = float(wn.sum())
+        self.responses = responses
+        self.wp = np.where(pos, w, 0.0)
+        self.wn = np.where(pos, 0.0, w)
+        self.Wp = float(self.wp.sum())
+        self.Wn = float(self.wn.sum())
         if self.Wp <= 0 or self.Wn <= 0:
             raise DegenerateClassError("degenerate class distribution")
-        self.mu_p = (self.Xp @ wp) / self.Wp
-        self.mu_n = (self.Xn @ wn) / self.Wn
+        self.mu_p = np.einsum("mn,n->m", responses, self.wp) / self.Wp
+        self.mu_n = np.einsum("mn,n->m", responses, self.wn) / self.Wn
         # Rank-one factor b of S_b: sqrt(Np*Nn/N) times the class-mean gap.
         self.b = np.sqrt(n_pos * n_neg / (n_pos + n_neg)) * (self.mu_p - self.mu_n)
-        # Diagonal of the within-class scatter, ridge included.
-        sp = (self.Xp * self.Xp) @ self.wp - self.Wp * self.mu_p**2
-        sn = (self.Xn * self.Xn) @ self.wn - self.Wn * self.mu_n**2
+        # Diagonal of the within-class scatter, ridge included: x * x = 1.
+        sp = self.Wp - self.Wp * self.mu_p**2
+        sn = self.Wn - self.Wn * self.mu_n**2
         self.diag = sp + cfg.gamma * sn + cfg.ridge
         self.selected: list[int] = list(selected)
         self.inv = np.zeros((0, 0))
@@ -139,8 +138,9 @@ class GreedySelector:
         """Rows of the within-class scatter: S_w[rows, :], ridge on S[r, rows[r]]."""
         rows = np.asarray(rows, dtype=np.intp)
         g = self.cfg.gamma
-        ap = (self.Xp[rows] * self.wp) @ self.Xp.T
-        an = (self.Xn[rows] * self.wn) @ self.Xn.T
+        x = self.responses[rows]
+        ap = np.einsum("kn,mn->km", x * self.wp, self.responses)
+        an = np.einsum("kn,mn->km", x * self.wn, self.responses)
         out = (
             ap
             - self.Wp * np.outer(self.mu_p[rows], self.mu_p)
@@ -149,12 +149,11 @@ class GreedySelector:
         out[np.arange(len(rows)), rows] += self.cfg.ridge
         return out
 
-    def candidate_scores(self, allowed=None) -> np.ndarray:
+    def candidate_scores(self) -> np.ndarray:
         """Eigenvalue of selected + {i} for every candidate i.
 
-        Selected, disallowed and singular candidates score -inf.
+        Selected and singular candidates score -inf.
         """
-        m = self.b.shape[0]
         if self.selected:
             u = self.inv @ self._rows  # (k, M)
             denom = self.diag - np.einsum("km,km->m", self._rows, u)
@@ -162,24 +161,20 @@ class GreedySelector:
         else:
             denom = self.diag.copy()
             num = self.b**2
-        scores = np.full(m, REJECTED)
+        scores = np.full(len(self.b), REJECTED)
         ok = denom > _SINGULAR_TOL
         scores[ok] = self.eig + num[ok] / denom[ok]
         if self.selected:
             scores[self.selected] = REJECTED
-        if allowed is not None:
-            mask = np.zeros(m, dtype=bool)
-            mask[np.asarray(list(allowed), dtype=np.intp)] = True
-            scores[~mask] = REJECTED
         return scores
 
-    def step(self, allowed=None) -> int | None:
+    def step(self) -> int | None:
         """Augment with the best admissible candidate; None when there is none.
 
         Ties break toward the lowest feature index (np.argmax keeps the first
         maximum).
         """
-        scores = self.candidate_scores(allowed)
+        scores = self.candidate_scores()
         best = int(np.argmax(scores))
         if scores[best] == REJECTED:
             return None

@@ -123,6 +123,34 @@ def exhaustive_best_subset(rm, cfg, k) -> float:
     return best
 
 
+def bgslda_pick(rm: ResponseTable, w, errors, chosen, chosen_rows, cfg, eps):
+    """BGSLDA's pick by its definition, over the stump table rm.
+
+    The candidates are the unchosen stumps whose weighted error on rm (the
+    weight of the samples they misclassify, w summing to 1) is within eps of
+    the least such error, else within 2 eps, else the one unchosen stump of
+    least errors[j] (the lowest index on ties).  Candidate j scores the
+    eigenvalue of chosen_rows plus row j by a dense solve; the greatest
+    score wins, the lowest index on ties.  Returns the table index, or None
+    when every stump is chosen.
+    """
+    w = np.asarray(w, dtype=float)
+    err = [math.fsum(w[row != rm.labels]) for row in rm.responses]
+    for slack in (eps, 2 * eps):
+        allowed = [j for j, e in enumerate(err) if e <= min(err) + slack and j not in chosen]
+        if allowed:
+            break
+    else:
+        allowed = sorted((j for j in range(len(errors)) if j not in chosen), key=lambda j: (errors[j], j))[:1]
+    best, best_val = None, -np.inf
+    for j in allowed:
+        rows = ResponseTable(np.vstack(list(chosen_rows) + [rm.responses[j]]), rm.labels)
+        val = subset_eigenvalue(rows, cfg, range(len(rows.responses)), w)
+        if val > best_val:
+            best, best_val = j, val
+    return best
+
+
 def exhaustive_stump(values, labels, weights):
     """Minimum weighted error over all threshold slots x both polarities.
 

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gslda_cascade import cli
-from gslda_cascade.cascade import CascadeModel, NodeClassifier
+from gslda_cascade import boosting, cli
+from gslda_cascade.boosting import EdgeStats
+from gslda_cascade.cascade import CascadeModel, NodeClassifier, NodeGoal, train_node
 from gslda_cascade.detect import DetectionWindow
 from gslda_cascade.features import PoolParams, build_pool
 from gslda_cascade.model_io import save_model
@@ -73,3 +74,27 @@ def test_detect_hook_arguments(monkeypatch, tmp_path, capsys):
             assert seen["merge"] == [] and raw == rows
         else:  # one call per image
             assert len(seen["merge"]) == 2 and sum(seen["merge"]) == raw > rows
+
+
+def test_prune_hook_arguments(monkeypatch):
+    """layers.py reports boosting.prune_kept_frac as the len() of
+    prune_stumps' result[0] over the len() of its first argument: the table
+    it is called with must be as long as the pool, and the result must be
+    (kept stump indices, EdgeStats)."""
+    rng = np.random.default_rng(0)
+    labels = np.where(rng.random(60) < 0.5, 1, -1)
+    values = rng.normal(size=(9, 60)) + 0.5 * labels
+    seen, prune = [], boosting.prune_stumps
+
+    def spy(table, *args, **kwargs):
+        seen.append((len(table), prune(table, *args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(boosting, "prune_stumps", spy)
+    train_node(values, labels, NodeGoal(), "bgslda1", fixed_rounds=3)
+    assert len(seen) >= 3  # one prune per round, through the module attribute the bench wraps
+    for pool, (kept, stats) in seen:
+        assert pool == len(values)
+        assert isinstance(stats, EdgeStats)
+        assert kept.ndim == 1 and kept.dtype.kind == "i" and 1 <= len(kept) <= pool
+        assert np.all(np.diff(kept) > 0) and 0 <= kept[0] and kept[-1] < pool

@@ -1,4 +1,7 @@
 import json
+import tracemalloc
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gslda_cascade import cascade, cli, scatter, stumps
-from gslda_cascade.boosting import BoostingConfig, init_weights
+from gslda_cascade.boosting import BoostingConfig, init_weights, prune_stumps
 from gslda_cascade.cascade import (
     METHODS,
     BootstrapExhaustedError,
@@ -24,10 +27,18 @@ from gslda_cascade.cascade import (
 from gslda_cascade.features import FeatureExtractor, PoolParams, build_integral, build_pool
 from gslda_cascade.model_io import load_model
 from gslda_cascade.scatter import GreedySelector, ScatterConfig
-from gslda_cascade.stumps import DecisionStump, StumpTrainer
+from gslda_cascade.stumps import DecisionStump, StumpTable, StumpTrainer
 from gslda_cascade.synth import ToyDatasetSpec, axis_stump_pool, generate_toy
 from oracles import bootstrap_negatives as scalar_bootstrap_negatives
-from oracles import ResponseTable, decide_window, forward_select, integral_image, pyramid_windows
+from oracles import (
+    ResponseTable,
+    bgslda_pick,
+    decide_window,
+    forward_select,
+    integral_image,
+    pyramid_windows,
+    random_rm,
+)
 from pinned_nodes import PINNED
 
 
@@ -197,11 +208,66 @@ class TestTrainNode:
         assert np.array_equal(dual.coefficients, forward.coefficients)
         assert (dual.node_threshold, dual.false_positive_rate) == (forward.node_threshold, forward.false_positive_rate)
 
+    def test_a_chosen_row_keeps_no_table_alive(self):
+        # Boosted methods retrain the whole stump table every round; a view
+        # of the chosen stump's row would hold each round's table.
+        values, labels = separable_values(np.random.default_rng(10))
+        fit = cascade._NodeFit(values, np.ones(len(values)), labels, None, NodeGoal(), "adaboost")
+        table = StumpTrainer(values, labels).train_all(init_weights(labels))
+        fit.add(table.stump(2), table.responses[2])
+        responses = weakref.ref(table.responses)
+        del table
+        assert responses() is None
+
     def test_unknown_method_rejected(self):
         rng = np.random.default_rng(9)
         values, labels = separable_values(rng)
         with pytest.raises(ValueError):
             train_node(values, labels, NodeGoal(), "floatboost")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.02, 0.1]), st.sampled_from(["random", "eps", "2eps"]))
+def test_bgslda_pick_matches_oracle(seed, eps, chosen_from):
+    # Continuous weights keep the candidates' scores apart, as in
+    # TestForwardSelect, so that no ulp-level tie decides the pick.  Choosing
+    # every survivor of a prune sends the pick to its fallbacks.
+    rng = np.random.default_rng(seed)
+    n, m = 40, 12
+    rm = random_rm(rng, n, m)
+    w = rng.random(n)
+    w /= w.sum()
+    table = StumpTable(np.zeros(m), np.ones(m, dtype=np.int8), rm.responses, rng.random(m), rm.labels)
+    cfg = BoostingConfig(prune_epsilon=eps)
+    if chosen_from == "random":
+        chosen = rng.permutation(m)[: rng.integers(0, 4)].tolist()
+    else:
+        slack = eps if chosen_from == "eps" else 2 * eps
+        chosen = prune_stumps(table, w, BoostingConfig(prune_epsilon=slack))[0].tolist()
+    rows = [rng.choice(np.array([-1, 1], dtype=np.int8), size=n) for _ in chosen]
+    fit = SimpleNamespace(chosen=[DecisionStump(j, 0.0, 1) for j in chosen], train_rows=rows, labels=rm.labels)
+    picked, _ = cascade._bgslda_pick(fit, table, w, ScatterConfig(), cfg)
+    assert picked == bgslda_pick(rm, w, table.errors, chosen, rows, ScatterConfig(), eps)
+
+
+@pytest.mark.parametrize("method", ["gslda", "bgslda1"])
+def test_selection_memory_stays_near_adaboost(method):
+    # Selection reads the int8 stump table in place.  A float64 copy of the
+    # 3,000 x 800 table alone (18 MiB) would break the bound.
+    rng = np.random.default_rng(0)
+    labels = np.where(rng.random(800) < 0.5, 1, -1)
+    values = rng.normal(size=(3000, 800))
+
+    def peak(m):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            train_node(values, labels, NodeGoal(), m, fixed_rounds=4)
+            return tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+
+    assert peak(method) <= 1.25 * peak("adaboost")
 
 
 def _pin_case(case):

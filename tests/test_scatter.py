@@ -87,6 +87,12 @@ class TestBetweenClassVector:
         with pytest.raises(DegenerateClassError, match="degenerate class distribution"):
             GreedySelector(*samples(np.ones((3, 2), dtype=int), [1, 1, 1]), ScatterConfig())
 
+    @pytest.mark.parametrize("w", [0.5, [1.0], np.full(7, 1 / 7), np.full((6, 1), 1 / 6)])
+    def test_weights_need_one_entry_per_sample(self, w):
+        rm = random_rm(np.random.default_rng(2), 6, 3)
+        with pytest.raises(ValueError, match="one entry per sample"):
+            between(rm, w)
+
     def test_all_weight_on_one_class_rejected(self):
         rm = samples(np.ones((4, 2), dtype=int), [1, 1, -1, -1])
         w = np.array([0.5, 0.5, 0.0, 0.0])
