@@ -426,11 +426,15 @@ def train_cascade(
     pos_values = extractor.extract(pool.positives)
     order = rng.permutation(len(pool.positives))
     n_val = int(pool.validation_split * len(order))
+    n_pos = len(order) - n_val
     validation = np.take(pos_values, np.sort(order[:n_val]), axis=1) if n_val else None
     pos_values = np.take(pos_values, np.sort(order[n_val:]), axis=1)
-    neg_values = (extractor.extract(pool.negatives) if len(pool.negatives)
-                  else np.zeros((len(feature_pool), 0), dtype=pos_values.dtype))
-    target_negatives = neg_values.shape[1]
+    # The stage table, training positives then negatives, is the only copy:
+    # the negatives are its columns n_pos and up.
+    values = np.hstack([pos_values, extractor.extract(pool.negatives) if len(pool.negatives)
+                        else np.zeros((len(feature_pool), 0), dtype=pos_values.dtype)])
+    del pos_values
+    target_negatives = values.shape[1] - n_pos
 
     model = CascadeModel(
         nodes=[], stage_rates=[], cumulative=[], feature_pool=feature_pool,
@@ -441,13 +445,12 @@ def train_cascade(
     stage = 0
     stop_reason = None
     while f_target < f_cum and stage < MAX_STAGES:
-        if neg_values.shape[1] == 0:
+        if values.shape[1] == n_pos:
             stop_reason = "negatives_empty"
             break
         stage += 1
         started = time.perf_counter()
-        values = np.hstack([pos_values, neg_values])
-        labels = np.concatenate([np.ones(pos_values.shape[1], dtype=int), -np.ones(neg_values.shape[1], dtype=int)])
+        labels = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(values.shape[1] - n_pos, dtype=int)])
         node = train_node(values, labels, goal, method, scatter_cfg=scatter_cfg,
                           boost_cfg=boost_cfg, validation=validation, area=area)
         model.nodes.append(node)
@@ -471,11 +474,10 @@ def train_cascade(
         if f_cum <= f_target:
             break
         # Keep only the negatives the new node still accepts (false positives).
-        neg_resp = np.vstack([s.responses(neg_values[s.feature_id] / area[s.feature_id]) for s in node.stumps])
-        margins = node_margin(node, neg_resp)
-        keep = margins >= 0
-        neg_values = neg_values[:, keep]
-        needed = target_negatives - neg_values.shape[1]
+        neg_resp = np.vstack([s.responses(values[s.feature_id, n_pos:] / area[s.feature_id]) for s in node.stumps])
+        keep = np.concatenate([np.ones(n_pos, dtype=bool), node_margin(node, neg_resp) >= 0])
+        values = np.compress(keep, values, axis=1)  # C-ordered rows; values[:, keep] is not
+        needed = target_negatives - (values.shape[1] - n_pos)
         if needed > 0:
             try:
                 fresh = bootstrap_negatives(model, pool.negative_reservoir, needed,
@@ -483,7 +485,7 @@ def train_cascade(
             except (BootstrapExhaustedError, ValueError):
                 stop_reason = "bootstrap_exhausted"
                 break
-            neg_values = np.hstack([neg_values, extractor.extract(fresh)])
+            values = np.hstack([values, extractor.extract(fresh)])
     if stop_reason is None:
         stop_reason = "f_target_met" if f_cum <= f_target else "max_stages"
     model.stage_log.append({"stop_reason": stop_reason})

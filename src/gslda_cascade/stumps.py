@@ -4,9 +4,20 @@ A stump thresholds one feature and outputs +/-1; training minimizes weighted
 0/1 error with a single sorted sweep, so re-training the whole candidate pool
 under fresh boosting weights is one vectorized pass over a pre-sorted table.
 The (M, N) table is sorted and trained a block of rows at a time, each block
-about _BLOCK_BYTES of float64, so the memory beyond the table, its int32
-sort order and the interior-slot mask stays bounded however many features the
-pool holds.
+about _BLOCK_BYTES (8-byte entries in the sort, 16-byte complex128 ones in
+train_all), so the memory beyond the table, its int32 sort order and the
+interior-slot mask stays bounded however many features the pool holds.
+
+train_all sweeps both classes at once: each sample's weight is one
+complex128, its real part the weight of a positive and its imaginary part
+that of a negative (the other part 0.0), set through .real and .imag.  One
+gather through the sort order and one cumsum give both classes' cumulative
+weights, bit for bit the two float64 cumsums of a per-class sweep, because
+complex addition adds the real and imaginary parts separately and the sums
+keep their order.  Slots inside a run of tied values are ruled out by adding
++inf, from one integer multiply of the tie mask by the bits of +inf; the
+other slots get 0.0, which changes no error (no error is -0.0: every
+class's column holds the other class's +0.0 entries).
 
 The sort order is the stable one (equal values keep their sample order),
 computed by one integer sort of each row block's keys rank << bits | index,
@@ -29,8 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Byte budget of one row block of StumpTrainer: rows of N + 1 float64 each.
+# Byte budget of one row block of StumpTrainer: rows of N + 1 entries, of
+# 8 bytes in the sort and 16 (one complex128) in train_all.
 _BLOCK_BYTES = 1 << 20
+# The bit pattern of +inf as an int64: an integer 0/1 mask times it is 0.0/+inf.
+_INF_BITS = np.array(np.inf).view(np.int64).item()
 
 
 def _sort_keys(block: np.ndarray, bits: int) -> np.ndarray:
@@ -123,12 +137,18 @@ class StumpTrainer:
     ValueError.
 
     Both the sort and train_all walk the table in blocks of rows sized by
-    _BLOCK_BYTES, so their temporaries stay near that budget whatever M is.
+    _BLOCK_BYTES, so their temporaries stay near that budget whatever M is:
+    about 2.2 budgets in train_all, first the complex gather and cumsum
+    blocks, then the cumsum block beside err_plus and the 0/+inf tie array.
     Between calls the trainer holds the table, its per-row sort order as
     int32 and a bool mask of the interior threshold slots: 9/8 of the bytes
     of the table in float64 for an int32 table, 13/8 for a float64 one.
-    train_all gathers each class's weights through the order straight into
-    its cumulative sums.
+    train_all gathers both classes' weights, packed in one complex128
+    (module docstring), through the order into one cumulative sum; err_plus
+    is one contiguous array and err_minus is written over the cumsum block.
+    For any finite weights of shape (N,) its outputs are bit for bit those
+    of two float64 cumsums, one per class; area must hold M positive finite
+    numbers.
     """
 
     def __init__(self, feature_values: np.ndarray, labels: np.ndarray, area=None):
@@ -143,7 +163,9 @@ class StumpTrainer:
         m, n = values.shape
         self.values = values
         self.labels = labels
-        self.area = np.ones(m) if area is None else np.asarray(area)
+        self.area = np.ones(m) if area is None else np.asarray(area, dtype=np.float64)
+        if self.area.shape != (m,) or not np.all(np.isfinite(self.area) & (self.area > 0)):
+            raise ValueError(f"area must hold {m} positive finite numbers, one per table row")
         self.order = np.empty((m, n), dtype=np.int32)
         # Interior threshold slot t is usable only between distinct values.
         self._interior_ok = np.empty((m, n - 1), dtype=bool)
@@ -157,43 +179,50 @@ class StumpTrainer:
             keys &= (1 << bits) - 1
             self.order[rows] = keys
 
-    def _blocks(self) -> list[slice]:
-        """Row slices of at most _BLOCK_BYTES of (N + 1)-wide float64 rows."""
+    def _blocks(self, entry_bytes: int = 8) -> list[slice]:
+        """Row slices of at most _BLOCK_BYTES of (N + 1)-wide rows of
+        entry_bytes per entry."""
         m, n = self.values.shape
-        step = max(1, _BLOCK_BYTES // (8 * (n + 1)))
+        step = max(1, _BLOCK_BYTES // (entry_bytes * (n + 1)))
         return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
     def train_all(self, weights: np.ndarray) -> StumpTable:
         m, n = self.values.shape
         weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (n,):
+            raise ValueError(f"weights must have shape ({n},), got {weights.shape}")
         thresholds = np.empty(m)
         polarity = np.empty(m, dtype=np.int8)
         errors = np.empty(m)
         responses = np.empty((m, n), dtype=np.int8)
-        pos_w = np.where(self.labels > 0, weights, 0.0)
-        neg_w = np.where(self.labels < 0, weights, 0.0)
-        for rows in self._blocks():
+        # Both classes' weights in one complex: positives real, negatives imaginary.
+        class_w = np.empty(n, dtype=np.complex128)
+        class_w.real = np.where(self.labels > 0, weights, 0.0)
+        class_w.imag = np.where(self.labels < 0, weights, 0.0)
+        for rows in self._blocks(16):
             order = self.order[rows]
             b = order.shape[0]
             # Cumulative class weights in sorted order: slot t sums positions < t.
             # Each temporary is freed once used: the block's peak bounds train_all.
-            sorted_w = np.empty((b, n))
-            cp = np.zeros((b, n + 1))
-            cn = np.zeros((b, n + 1))
-            for acc, class_w in ((cp, pos_w), (cn, neg_w)):
-                np.take(class_w, order, out=sorted_w, mode="clip")  # in range; clip takes no buffer
-                np.cumsum(sorted_w, axis=1, out=acc[:, 1:])
+            sorted_w = np.empty((b, n), dtype=np.complex128)
+            np.take(class_w, order, out=sorted_w, mode="clip")  # in range; clip takes no buffer
+            c = np.empty((b, n + 1), dtype=np.complex128)
+            c[:, 0] = 0.0
+            np.cumsum(sorted_w, axis=1, out=c[:, 1:])
             del sorted_w
+            cp, cn = c.real, c.imag
             total = cp[:, -1] + cn[:, -1]
             # Slot t: sorted positions < t predict -polarity, >= t predict +polarity.
-            err_plus = cp + (cn[:, -1:] - cn)
-            del cp, cn
-            err_minus = total[:, None] - err_plus
-            invalid = np.ones((b, n + 1), dtype=bool)
-            invalid[:, 0] = invalid[:, -1] = False
-            invalid[:, 1:n] = ~self._interior_ok[rows]
-            np.putmask(err_plus, invalid, np.inf)
-            np.putmask(err_minus, invalid, np.inf)
+            err_plus = cn[:, -1:] - cn
+            err_plus += cp
+            # c is not read again, so err_minus takes the first half of its bytes.
+            err_minus = np.subtract(total[:, None], err_plus, out=c.view(np.float64)[:, : n + 1])
+            del cp, cn, c
+            # Interior slots inside a run of ties get +inf, the others 0.0.
+            tie_inf = np.multiply(~self._interior_ok[rows], _INF_BITS, dtype=np.int64).view(np.float64)
+            err_plus[:, 1:n] += tie_inf
+            err_minus[:, 1:n] += tie_inf
+            del tie_inf
 
             bp = np.argmin(err_plus, axis=1)
             bm = np.argmin(err_minus, axis=1)

@@ -389,6 +389,36 @@ def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, meth
         assert np.array_equal(stage_area, area)
 
 
+def test_each_stage_table_is_held_once(monkeypatch, tmp_path):
+    # While a node trains, train_cascade holds its stage table and the
+    # held-out positives; a separate copy of the training positives or of the
+    # negatives beside the table would show as traced bytes of its order.
+    held = []
+
+    def traced_cascade(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return train_cascade(*args, **kwargs)
+        finally:
+            tracemalloc.stop()
+
+    def spy_node(values, *args, validation=None, **kwargs):
+        extra = tracemalloc.get_traced_memory()[0] - values.nbytes - validation.nbytes
+        held.append(extra / values.nbytes)
+        return train_node(values, *args, validation=validation, **kwargs)
+
+    monkeypatch.setattr(cli, "train_cascade", traced_cascade)
+    monkeypatch.setattr(cascade, "train_node", spy_node)
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--out", str(corpus), "--n-pos", "100", "--n-neg", "400",
+                     "--reservoir", "2", "--scenes", "1", "--seed", "0"]) == 0
+    model = tmp_path / "model.json"
+    assert cli.main(["train", "--data", str(corpus / "manifest.json"), "--out", str(model), "--method", "adaboost",
+                     "--subsample", "16", "--max-stumps", "20", "--f-target", "0.001"]) == 0
+    assert len(held) >= 2  # a bootstrapped stage too
+    assert max(held) < 0.5, held
+
+
 class TestBootstrap:
     def make_model(self, feats, nodes=None):
         return CascadeModel(nodes=nodes or [], stage_rates=[], cumulative=[],

@@ -173,13 +173,32 @@ class TestBuildTable:
         assert np.allclose(again.errors, fresh.errors)
 
 
+def draw_weights(rng, n, kind):
+    """Weights for the oracle tests; all but "uniform" make float sums depend
+    on their order, so only the oracle's own summation order matches."""
+    if kind == "binades":  # powers of two over ~1,000 binades, subnormals included
+        return np.ldexp(1.0, rng.integers(-1074, -50, size=n))
+    if kind == "zeros":  # exact zeros, sometimes a whole class's
+        w = rng.random(n)
+        w[rng.random(n) < 0.5] = 0.0
+        return w
+    if kind == "dyadic":  # all equal: sums are exact, so errors tie exactly
+        return np.full(n, 2.0 ** -int(rng.integers(0, 8)))
+    if kind == "wide":  # magnitudes from 1e-20 to 1e20
+        return 10.0 ** rng.uniform(-20, 20, size=n)
+    w = rng.random(n)
+    return w / w.sum()
+
+
 class TestBlockedTable:
     """StumpTrainer walks the table in row blocks; across block boundaries it
-    must give the whole-table oracle's outputs bit for bit."""
+    must give the whole-table oracle's outputs bit for bit, whose two float64
+    cumulative sums it must reproduce exactly under any weights."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 7))
-    def test_matches_whole_table_oracle(self, seed, block_rows):
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 7),
+           st.sampled_from(["uniform", "binades", "zeros", "dyadic", "wide"]))
+    def test_matches_whole_table_oracle(self, seed, block_rows, kind):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 61))
         m = int(rng.integers(1, 41))
@@ -189,11 +208,11 @@ class TestBlockedTable:
         values[rng.random(m) < 0.1] = 0.5  # and some constant rows
         labels = np.where(rng.random(n) < 0.4, 1, -1)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stumps, "_BLOCK_BYTES", 8 * (n + 1) * block_rows)
+            # train_all's blocks of block_rows rows of N + 1 complex128 entries
+            mp.setattr(stumps, "_BLOCK_BYTES", 16 * (n + 1) * block_rows)
             trainer = StumpTrainer(values, labels)
             for _ in range(2):  # the second weight vector reuses the trainer
-                w = rng.random(n)
-                w /= w.sum()
+                w = draw_weights(rng, n, kind)
                 table = trainer.train_all(w)
                 thresholds, polarity, errors, responses = stump_table(values, labels, w)
                 assert [table.stump(j).feature_id for j in range(len(table))] == list(range(m))
@@ -355,7 +374,31 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         excess = peak - table.responses.nbytes - table.errors.nbytes
-        assert excess < 16 * stumps._BLOCK_BYTES
+        assert excess < 3 * stumps._BLOCK_BYTES  # 2.16x for the int32 table here
+
+
+class TestInputChecks:
+    def test_area_must_be_positive(self):
+        # area [0, 1] once trained to the threshold inf with a RuntimeWarning.
+        values, labels = np.array([[1, 2, 3], [4, 5, 6]]), np.array([1, -1, 1])
+        for area in ([0, 1], [1, -2], [1, np.nan], [1, np.inf]):
+            with pytest.raises(ValueError, match="area"):
+                StumpTrainer(values, labels, area)
+
+    def test_area_needs_one_entry_per_row(self):
+        # A short area once raised a bare IndexError from inside train_all.
+        values, labels = np.array([[1, 2, 3], [4, 5, 6]]), np.array([1, -1, 1])
+        for area in ([1], [1, 2, 3], [[1, 2]], 4):
+            with pytest.raises(ValueError, match="area"):
+                StumpTrainer(values, labels, area)
+        assert StumpTrainer(values, labels, [2, 3]).area.tolist() == [2.0, 3.0]
+
+    def test_weights_need_shape_n(self):
+        # A scalar weight once broadcast and trained without an error.
+        trainer = StumpTrainer(np.array([[1.0, 2.0, 3.0, 4.0]]), np.array([1, -1, 1, -1]))
+        for weights in (0.25, np.full(3, 0.25), np.full((1, 4), 0.25), np.full(5, 0.2)):
+            with pytest.raises(ValueError, match="weights"):
+                trainer.train_all(weights)
 
 
 class TestWeightedError:
