@@ -14,9 +14,10 @@ rule (boosting.reweight), asymmetric for asymboost and bgslda2.
 evaluate_windows is the package's one cascade evaluator: early rejection
 over the integral table, vectorized over a lattice of windows (two ranges of
 top-left corners).  The first node sees every window and reads the table in
-2-D slices; later nodes gather on its survivors only, and every array past
-the first node is survivor-sized.  Bootstrapping, the pyramid scan and the
-operating curves all go through it.
+2-D slices; later nodes gather on its survivors only.  It returns the windows
+that passed a requested number of nodes and their score at every depth, NaN
+past a window's rejecting node.  Bootstrapping (every node), the pyramid scan
+and the operating curves all go through it.
 """
 
 from __future__ import annotations
@@ -311,46 +312,45 @@ def _node_margins(model: CascadeModel, node: NodeClassifier, table, px, py, scal
     return acc
 
 
-def evaluate_windows(model: CascadeModel, table: np.ndarray, xs: range, ys: range, scale: float = 1.0):
+def evaluate_windows(model: CascadeModel, table: np.ndarray, xs: range, ys: range, reached: int,
+                     scale: float = 1.0):
     """Run the cascade with early rejection on the lattice of windows whose
     top-left corners are (x, y) for y in ys and x in xs, at the given scale;
     windows are numbered flat in that (y, x) order.
 
     The first node sees every window and reads the integral table through
     2-D slices over the lattice; later nodes gather on the windows still
-    alive, placed by lattice_corners.  Returns (passed, stages, margins,
-    evals):
-    - passed, the ascending flat indices of the windows the first node
-      accepted (every window when there are no nodes);
-    - stages[i], the number of nodes window passed[i] passed before its
-      first rejection, so it is accepted iff stages[i] equals the node count;
-    - margins[0], node 0's margin of every window; margins[k] for k >= 1,
-      node k's margin of the windows passed[stages >= k], in that order.
-      There is one entry per node some window reached;
+    alive, placed by lattice_corners.  Returns (kept, scores, evals):
+    - kept, the ascending flat indices of the windows that passed at least
+      `reached` nodes (every window for 0);
+    - scores[d, i], the depth-d score of window kept[i]: 0 for d = 0, else
+      node d-1's margin, accumulated in node_margin's stump order, and NaN
+      where the window did not reach node d-1;
     - evals, the number of Haar evaluations.
-    Each margin is accumulated in node_margin's stump order.
+    Raises ValueError unless 0 <= reached <= len(model.nodes).
     """
+    if not 0 <= reached <= len(model.nodes):
+        raise ValueError(f"reached must be in 0..{len(model.nodes)}, got {reached}")
     n = len(xs) * len(ys)
-    if not model.nodes or n == 0:
-        return np.arange(n), np.zeros(n, dtype=int), [], 0
+    if not model.nodes:
+        return np.arange(n), np.zeros((1, n)), 0
     first = _node_margins(model, model.nodes[0], table, xs, ys, scale, n)
-    passed = np.flatnonzero(first >= 0)
-    stages = np.ones(passed.size, dtype=int)
-    margins = [first]
     evals = n * len(model.nodes[0].stumps)
-    px, py = lattice_corners(xs, ys, passed)
-    alive = np.arange(passed.size)
-    for node in model.nodes[1:]:
-        if alive.size == 0:
-            break
-        # No copy while every survivor of the first node is alive.
-        gx, gy = (px, py) if alive.size == passed.size else (px[alive], py[alive])
-        acc = _node_margins(model, node, table, gx, gy, scale, alive.size)
+    alive = np.flatnonzero(first >= 0)
+    # rows[k]: node k's margins of the kept windows.
+    kept, rows = (alive, [first[alive]]) if reached else (np.arange(n), [first])
+    for k, node in enumerate(model.nodes[1:], 1):
+        acc = _node_margins(model, node, table, *lattice_corners(xs, ys, alive), scale, alive.size)
         evals += alive.size * len(node.stumps)
-        margins.append(acc)
-        alive = alive[acc >= 0]
-        stages[alive] += 1
-    return passed, stages, margins, evals
+        survive = np.flatnonzero(acc >= 0)
+        if k < reached:  # kept narrows to the windows that pass this node
+            rows = [row[survive] for row in rows + [acc]]
+            kept = alive = alive[survive]
+        else:  # the kept windows rejected earlier did not reach this node
+            rows.append(np.full(kept.size, np.nan))
+            rows[-1][np.searchsorted(kept, alive)] = acc
+            alive = alive[survive]
+    return kept, np.vstack([np.zeros(kept.size)] + rows), evals
 
 
 def bootstrap_negatives(model: CascadeModel, reservoir, count: int, seed: int = 0,
@@ -371,8 +371,7 @@ def bootstrap_negatives(model: CascadeModel, reservoir, count: int, seed: int = 
         h, w = np.asarray(image).shape
         xs, ys = range(0, w - bw + 1, stride), range(0, h - bw + 1, stride)
         if len(xs) and len(ys):
-            passed, stages, _, _ = evaluate_windows(model, build_integral(image), xs, ys)
-            accepted.append(total + passed[stages == len(model.nodes)])
+            accepted.append(total + evaluate_windows(model, build_integral(image), xs, ys, len(model.nodes))[0])
         lattices.append((xs, ys))
         starts.append(total)
         total += len(xs) * len(ys)

@@ -327,10 +327,9 @@ def roc_curve(model: CascadeModel, images, truths: list[GroundTruthBox], mode: s
 def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
     """Scan the pyramid with the cascade evaluator, one lattice per scale.
     Returns (px, py, side, scores) of the windows that passed at least
-    `reached` nodes, scale by scale in scan order.  scores[d] scores the
-    prefix of depth d: 0 for depth 0, else node d-1's margin, NaN for a
-    window that did not reach it.  Past the first node the bookkeeping
-    covers its survivors only, unless `reached` is 0 and every window stays."""
+    `reached` nodes, scale by scale in scan order: each scale's kept windows
+    and depth-prefix scores as evaluate_windows gives them (scores[d]: 0 for
+    depth 0, else node d-1's margin, NaN for a window that did not reach it)."""
     if scale_factor <= 1.0:
         raise ValueError("scale_factor must exceed 1")
     image = np.asarray(image)
@@ -352,22 +351,10 @@ def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
         # there keeps a huge step from rounding to a giant or infinite int.
         shift = max(1, _round_half_up(min(step * scale, max(h, w))))
         xs, ys = range(0, w - side + 1, shift), range(0, h - side + 1, shift)
-        passed, stages, margins, evals = evaluate_windows(model, table, xs, ys, scale)
-        n = len(xs) * len(ys)
+        kept, scores, evals = evaluate_windows(model, table, xs, ys, reached, scale)
         if profile is not None:
-            profile.windows_scanned += n
+            profile.windows_scanned += len(xs) * len(ys)
             profile.feature_evals += evals
-        keep = stages >= reached  # over the first node's survivors
-        if reached:
-            kept, depth = passed[keep], stages[keep]
-        else:  # every window, the ones the first node rejected at depth 0
-            kept, depth = np.arange(n), np.zeros(n, dtype=int)
-            depth[passed] = stages
-        scores = np.full((len(model.nodes) + 1, kept.size), np.nan)
-        scores[0] = 0.0
-        for k, acc in enumerate(margins):  # acc covers the windows passed[stages >= k], all for k = 0
-            scores[k + 1, depth >= k] = acc[kept] if k == 0 else acc[keep[stages >= k]]
-        px, py = lattice_corners(xs, ys, kept)
-        parts.append((px, py, np.full(kept.size, side), scores))
+        parts.append((*lattice_corners(xs, ys, kept), np.full(kept.size, side), scores))
         s += 1
     return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))

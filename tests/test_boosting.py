@@ -3,7 +3,6 @@ import pytest
 
 from gslda_cascade.boosting import (
     BoostingConfig,
-    EdgeStats,
     alpha,
     init_weights,
     prune_stumps,

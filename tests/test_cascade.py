@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 import weakref
@@ -56,15 +57,6 @@ def mini_corpus(rng, n_pos=50, n_neg=120, size=8):
     neg = rng.integers(0, 256, size=(n_neg, size, size))
     reservoir = [rng.integers(0, 256, size=(32, 32)) for _ in range(8)]
     return pos, neg, reservoir
-
-
-def lattice_stages(passed, stages, n):
-    """Nodes passed by each of the n lattice windows, from evaluate_windows'
-    survivors of the first node and their stage counts."""
-    assert np.all(np.diff(passed) > 0)
-    full = np.zeros(n, dtype=int)
-    full[passed] = stages
-    return full
 
 
 class TestNodeDecide:
@@ -350,9 +342,8 @@ class TestCascade:
             if model.nodes:
                 accepted, _, _, _ = decide_window(model, integral_image(patch))
                 assert isinstance(accepted, bool)
-                passed, stages, _, _ = evaluate_windows(model, build_integral(patch), range(1), range(1))
-                stages = lattice_stages(passed, stages, 1)
-                assert accepted == (stages[0] == len(model.nodes))
+                kept, _, _ = evaluate_windows(model, build_integral(patch), range(1), range(1), len(model.nodes))
+                assert accepted == (kept.size == 1)
 
 
 @pytest.mark.parametrize("method", ["gslda", "bgslda1"])
@@ -502,8 +493,11 @@ class TestEvaluateWindows:
     def test_matches_scalar_decide_window(self, data):
         draw = data.draw
         nodes = [_hand_node(draw, len(self.FEATURES)) for _ in range(draw(st.integers(0, 3)))]
+        reached = draw(st.integers(0, len(nodes)))
         model = CascadeModel(nodes=nodes, stage_rates=[], cumulative=[],
                              feature_pool=self.FEATURES, f_target=0.1, base_window=8)
+        # prefixes[d] ends at node d-1: its scalar score is node d-1's margin.
+        prefixes = [dataclasses.replace(model, nodes=nodes[:d]) for d in range(len(nodes) + 1)]
         h, w = draw(st.integers(8, 20)), draw(st.integers(8, 20))
         image = np.random.default_rng(draw(st.integers(0, 2**16))).integers(0, 256, size=(h, w))
         ii = integral_image(image)
@@ -517,21 +511,29 @@ class TestEvaluateWindows:
             side, shift = (max(1, int(np.floor(v * scale + 0.5))) for v in (8, step))
             xs, ys = range(0, w - side + 1, shift), range(0, h - side + 1, shift)
             assert windows == [(x, y) for y in ys for x in xs]
-            passed, stages, margins, evals = evaluate_windows(model, ii.table, xs, ys, scale)
-            stages = lattice_stages(passed, stages, len(windows))
-            assert passed.tolist() == np.flatnonzero(stages >= min(1, len(nodes))).tolist()
-            # margins[k] holds exactly the windows with stages >= k, in window
-            # order: none past a window's rejecting node.
-            assert len(margins) == min(len(nodes), stages.max() + 1)
-            assert [len(m) for m in margins] == [np.count_nonzero(stages >= k) for k in range(len(margins))]
-            expected_evals = 0
-            for i, (x, y) in enumerate(windows):
-                accepted, n_passed, score, n_evals = decide_window(model, ii, x, y, scale)
-                expected_evals += n_evals
-                assert stages[i] == n_passed
-                assert accepted == (stages[i] == len(nodes))
-                if nodes:
-                    k = min(stages[i], len(nodes) - 1)
-                    last = margins[k][np.count_nonzero(stages[:i] >= k)]
-                    assert np.float64(last).tobytes() == np.float64(score).tobytes()
-            assert evals == expected_evals
+            kept, scores, evals = evaluate_windows(model, ii.table, xs, ys, reached, scale)
+            oracle = [decide_window(model, ii, x, y, scale) for x, y in windows]
+            stages = np.array([n_passed for _, n_passed, _, _ in oracle], dtype=int)
+            assert kept.tolist() == np.flatnonzero(stages >= reached).tolist()
+            assert scores.shape == (len(nodes) + 1, kept.size)
+            for col, i in enumerate(kept.tolist()):
+                accepted, n_passed, score, _ = oracle[i]
+                assert scores[0, col] == 0.0
+                # A window reaches node d-1 iff it passed d-1 nodes: NaN
+                # exactly past its rejecting node.
+                assert np.isnan(scores[1:, col]).tolist() == [n_passed < d - 1 for d in range(1, len(nodes) + 1)]
+                for d in range(1, min(n_passed + 1, len(nodes)) + 1):
+                    margin = decide_window(prefixes[d], ii, *windows[i], scale)[2]
+                    assert scores[d, col].tobytes() == np.float64(margin).tobytes()
+                if nodes:  # the last margin the scalar cascade evaluated
+                    assert scores[min(n_passed + 1, len(nodes)), col].tobytes() == np.float64(score).tobytes()
+                assert accepted == (scores[-1, col] >= 0)
+            assert evals == sum(n_evals for *_, n_evals in oracle)
+
+    @pytest.mark.parametrize("reached", [-1, 2])
+    def test_reached_outside_the_cascade_raises(self, reached):
+        node = NodeClassifier([DecisionStump(0, 0.0, 1)], [1.0], 0.0, "gslda")
+        model = CascadeModel(nodes=[node], stage_rates=[], cumulative=[],
+                             feature_pool=self.FEATURES, f_target=0.1, base_window=8)
+        with pytest.raises(ValueError, match="reached"):
+            evaluate_windows(model, build_integral(np.zeros((8, 8))), range(1), range(1), reached)

@@ -8,7 +8,6 @@ from gslda_cascade.detect import (
     DetectionWindow,
     Detections,
     GroundTruthBox,
-    MatchResult,
     ScanProfile,
     avg_features_per_window,
     match_detections,
