@@ -14,10 +14,10 @@ rule (boosting.reweight), asymmetric for asymboost and bgslda2.
 evaluate_windows is the package's one cascade evaluator: early rejection
 over the integral table, vectorized over a lattice of windows (two ranges of
 top-left corners).  The first node sees every window and reads the table in
-2-D slices; later nodes gather on its survivors only.  It returns the windows
-that passed a requested number of nodes and their score at every depth, NaN
-past a window's rejecting node.  Bootstrapping (every node), the pyramid scan
-and the operating curves all go through it.
+2-D slices; later nodes gather on its survivors only.  Stumps test integer sums
+against integer bounds; margins are looked up by pass bits.  It returns the
+windows that passed a requested number of nodes and their score at every depth,
+NaN past a rejecting node.  Bootstrapping, the scan and the curves all use it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boosting, scatter, stumps
-from .features import FeatureExtractor, FeaturePool, build_integral, haar_values
+from .features import FeatureExtractor, FeaturePool, build_integral, haar_sums
 
 METHODS = ("adaboost", "asymboost", "gslda", "bgslda1", "bgslda2")
 
@@ -302,14 +302,39 @@ def lattice_corners(xs: range, ys: range, index) -> tuple[np.ndarray, np.ndarray
     return xs.start + col * xs.step, ys.start + row * ys.step
 
 
+def _sum_bound(threshold: float, area: int, dtype) -> int:
+    """The least s in dtype's range with s / area >= threshold in float64,
+    else its max, which a table's sums never reach (build_integral).  The
+    quotient never falls as s grows, so s passes exactly when s >= bound."""
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    if not float(hi) / area >= threshold:  # +inf and NaN too
+        return hi
+    s = min(int(np.ceil(max(threshold * area, lo))), hi)  # within a few steps of the bound
+    while s > lo and float(s - 1) / area >= threshold:
+        s -= 1
+    while float(s) / area < threshold:
+        s += 1
+    return s
+
+
 def _node_margins(model: CascadeModel, node: NodeClassifier, table, px, py, scale, n: int) -> np.ndarray:
-    """node_margin of the n windows haar_values places by px, py."""
-    acc = np.zeros(n)
-    for c, stump in zip(node.coefficients, node.stumps):
-        values = haar_values(model.feature_pool, stump.feature_id, table, px, py, scale)
-        acc += np.where(values >= stump.threshold, c * stump.polarity, -c * stump.polarity)
-    acc += node.node_threshold
-    return acc
+    """node_margin of the n windows haar_sums places by px, py, bit for bit.
+    A stump passes a sum of at least _sum_bound.  The first 8 stumps' pass bits
+    are a uint8 code into lut, their +/-c*polarity votes summed from 0 in stump
+    order; further votes, then the node threshold, add on as in node_margin."""
+    lut = np.zeros(1 << min(len(node.stumps), 8))
+    code = np.zeros(n, dtype=np.uint8)
+    acc = None
+    for t, (c, stump) in enumerate(zip(node.coefficients, node.stumps)):
+        sums, area = haar_sums(model.feature_pool, stump.feature_id, table, px, py, scale)
+        passed = sums >= _sum_bound(stump.threshold, area, sums.dtype)
+        vote = c * stump.polarity
+        if t < 8:
+            code |= passed.view(np.uint8) << t
+            lut += np.where(np.arange(lut.size) >> t & 1, vote, -vote)
+        else:
+            acc = (lut[code] if acc is None else acc) + np.where(passed, vote, -vote)
+    return (lut + node.node_threshold)[code] if acc is None else acc + node.node_threshold
 
 
 def evaluate_windows(model: CascadeModel, table: np.ndarray, xs: range, ys: range, reached: int,

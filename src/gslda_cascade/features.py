@@ -4,12 +4,14 @@ The pool is a set of integer arrays, one row per feature: its kind, its
 footprint box and its weighted sub-rectangles, enumerated once by numpy.
 Features are defined on a square base window and evaluated at arbitrary
 offset/scale through an integral table, so a single trained model scans all
-window sizes.  Rectangle weights balance to zero per feature, and values are
-divided by the (scaled) footprint area to keep responses comparable across
-scales.  A placed feature reads each distinct corner of its sub-rectangles
-once: adjacent rectangles share corners, so at scales of 1 and above the
-weights fold into 6, 8 or 9 integer weights on corners of the integral table
-for two-, three- and four-rectangle features.  Over a lattice of windows (two
+window sizes.  Rectangle weights balance to zero per feature; a value is a
+feature's integer sum over its (scaled) footprint area, comparable across
+scales, and the scan compares sums (haar_sums), never values.  A placed
+feature reads each distinct corner of its sub-rectangles once: adjacent
+rectangles share corners, so at scales of 1 and above the weights fold into
+6, 8 or 9 integer weights, of summed |weight| at most 16, on corners of the
+integral table for two-, three- and four-rectangle features.  The table is
+int32 when every such read is exact in int32.  Over a lattice of windows (two
 ranges of top-left corners) each corner is one 2-D strided slice of the
 table; for scattered windows it is one gather on the flattened table.  A
 window whose footprint leaves the table raises IndexError before any read.
@@ -21,9 +23,8 @@ float64 copy of the N patches' tables.  Weights and table entries are
 integers, and while the largest |table entry| times a feature's summed
 |weights| stays below 2**53 every product and partial sum is an exact
 float64 integer, so the product equals the exact integer sums in any
-summation order.  Extraction returns those sums as integers, undivided;
-a sum over the feature's footprint area is the value haar_values gives.
-Larger tables raise ValueError rather than round.
+summation order.  Extraction returns those sums as integers, undivided,
+haar_sums' at scale 1.  Larger tables raise ValueError rather than round.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ _BLOCK_BYTES = 1 << 18
 
 
 def build_integral(image) -> np.ndarray:
-    """Exact cumulative-sum table, (height+1, width+1) int64:
+    """Exact cumulative-sum table, (height+1, width+1), int32 when 16 *
+    max|table| < 2**31 (exact corner reads) and int64 otherwise:
     table[y, x] = sum over pixels [0,y) x [0,x)."""
     image = np.asarray(image)
     if image.ndim != 2 or image.size == 0:
@@ -69,7 +71,7 @@ def build_integral(image) -> np.ndarray:
     h, w = image.shape
     table = np.zeros((h + 1, w + 1), dtype=np.int64)
     np.cumsum(np.cumsum(image, axis=0, dtype=np.int64), axis=1, out=table[1:, 1:])
-    return table
+    return table.astype(np.int32) if 16 * max(-int(table.min()), int(table.max())) < 2**31 else table
 
 
 @dataclass(frozen=True)
@@ -133,27 +135,26 @@ def _round_px(v):
     return np.floor(v + 0.5).astype(np.int64)
 
 
-def haar_values(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: float = 1.0) -> np.ndarray:
-    """Area-normalized weighted rectangle differences of pool feature j,
-    placed at scale in windows of the integral table; exact integer sums,
-    one float division each.
+def haar_sums(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: float = 1.0):
+    """(sums, area): the exact weighted rectangle differences of pool feature
+    j, placed at scale in windows of the integral table, in the table's
+    dtype, and the scaled footprint area; sums / area are the values.
 
     px and py are either two ranges, the lattice of every window (x, y) for
-    y in py and x in px, whose values come flat in that (y, x) order; or
+    y in py and x in px, whose sums come flat in that (y, x) order; or
     equal-length arrays, window i having its top-left corner at (px[i], py[i]).
 
     Every corner of the sub-rectangles and of the footprint is scaled and
-    rounded half up on its own; the scaled footprint's area normalizes.  The
-    sub-rectangles fold once into one integer weight per distinct corner
-    (x, y) (corners whose weights cancel are dropped), read in one of two
-    ways.  A lattice reads each corner as a 2-D basic slice of the table,
-    rows y + py[0] to y + py[-1] by py.step and columns alike: a strided view,
-    no index array.  Arrays gather each corner at offset y * (width+1) + x of
-    the flattened table from every window's base py * (width+1) + px.  A
-    window's top-left corner may lie outside the table while its scaled
-    footprint stays inside.  Raises IndexError, before any read, when a
-    window's scaled footprint leaves the table on any side, and ValueError
-    for a lattice range that descends.
+    rounded half up on its own.  The sub-rectangles fold once into one
+    integer weight per distinct corner (x, y) (corners whose weights cancel
+    are dropped), read in one of two ways.  A lattice reads each corner as a
+    2-D basic slice of the table, rows y + py[0] to y + py[-1] by py.step and
+    columns alike: a strided view, no index array.  Arrays gather each corner
+    at offset y * (width+1) + x of the flattened table from every window's
+    base py * (width+1) + px.  A window's top-left corner may lie outside the
+    table while its scaled footprint stays inside.  Raises IndexError, before
+    any read, when a window's scaled footprint leaves the table on any side,
+    and ValueError for a lattice range that descends.
     """
     fx0, fy0, fx1, fy1 = _round_px(scale * pool.box[j]).tolist()
     area = (fx1 - fx0) * (fy1 - fy0)
@@ -169,7 +170,7 @@ def haar_values(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: flo
         py = np.asarray(py)
         n = px.size
     if n == 0:
-        return np.zeros(0)
+        return np.zeros(0, dtype=table.dtype), area
     x_lo, x_hi, y_lo, y_hi = (px[0], px[-1], py[0], py[-1]) if lattice else (px.min(), px.max(), py.min(), py.max())
     rows, cols = table.shape
     if x_lo + fx0 < 0 or y_lo + fy0 < 0 or x_hi + fx1 >= cols or y_hi + fy1 >= rows:
@@ -187,7 +188,7 @@ def haar_values(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: flo
         for (x, y), wgt in weights.items():
             view = table[y + y_lo : y + y_hi + 1 : py.step, x + x_lo : x + x_hi + 1 : px.step]
             if acc is None:
-                acc = np.multiply(view, wgt, dtype=np.int64)
+                acc = np.multiply(view, wgt, dtype=table.dtype)
             elif wgt == 1:
                 acc += view
             elif wgt == -1:
@@ -197,9 +198,8 @@ def haar_values(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: flo
                     scratch = np.empty_like(acc)
                 acc += np.multiply(view, wgt, out=scratch)
         if acc is None:  # every weight cancelled
-            acc = np.zeros((len(py), len(px)), dtype=np.int64)
-        del scratch  # not held through the division: it would raise the peak
-        return (acc / area).ravel()
+            acc = np.zeros((len(py), len(px)), dtype=table.dtype)
+        return acc.ravel(), area
     flat = table.ravel()
     offsets = {y * cols + x: wgt for (x, y), wgt in weights.items()}
     # Based at the lowest corner, every index is in the table even for a
@@ -207,20 +207,20 @@ def haar_values(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: flo
     # view, so the gather needs no index sum.
     low = min(offsets, default=0)
     base = py * cols + px + low
-    acc = np.zeros(n, dtype=np.int64)
+    acc = np.zeros(n, dtype=table.dtype)
     for offset, wgt in offsets.items():
         acc += wgt * flat[offset - low :][base]
-    return acc / area
+    return acc, area
 
 
 class FeatureExtractor:
     """Batch evaluation of a feature pool on same-size patches at scale 1.
 
     Each feature's sub-rectangles fold once, at construction, into integer
-    weights on the distinct corners (x, y) of its rectangles, as haar_values
+    weights on the distinct corners (x, y) of its rectangles, as haar_sums
     folds them; corners whose weights cancel are dropped.  area[j] is
     feature j's footprint area (int64), the divisor that turns its sums
-    into haar_values' values.
+    into values.
     """
 
     def __init__(self, pool: FeaturePool):
@@ -254,7 +254,7 @@ class FeatureExtractor:
         an integer of magnitude at most max|table| * sum|weights|; below
         2**53 that is exact in float64 whatever order BLAS sums in, so each
         block holds the exact integer sums.  They are returned undivided:
-        sums[j] / area[j] is bit for bit haar_values' value of feature j.
+        sums[j] equals haar_sums' sums of feature j at scale 1.
         The dtype is int32 while that bound stays below 2**31 (8-bit patches
         stay far below it) and int64 past it.  Raises ValueError when the
         bound could reach 2**53 and IndexError when a footprint leaves the

@@ -16,7 +16,7 @@ import numpy as np
 
 from gslda_cascade.cascade import BootstrapExhaustedError, node_margin
 from gslda_cascade.detect import DetectionWindow, ROCPoint, match_detections, overlap_ratio
-from gslda_cascade.features import KINDS, build_integral
+from gslda_cascade.features import KINDS
 from gslda_cascade.scatter import GreedySelector, ScatterConfig
 
 
@@ -275,18 +275,24 @@ class IntegralImage:
 
     width: int
     height: int
-    table: np.ndarray  # (height+1, width+1); table[y][x] = sum over pixels [0,y) x [0,x)
+    table: list[list[int]]  # (height+1) rows of width+1; table[y][x] = sum over pixels [0,y) x [0,x)
 
     def rect_sum(self, x0: int, y0: int, x1: int, y1: int) -> int:
         """Pixel sum over [x0,x1) x [y0,y1) with 4 lookups."""
         t = self.table
-        return int(t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0])
+        return t[y1][x1] - t[y0][x1] - t[y1][x0] + t[y0][x0]
 
 
 def integral_image(image) -> IntegralImage:
-    """The package's integral table of image, for scalar lookups."""
-    h, w = np.asarray(image).shape
-    return IntegralImage(w, h, build_integral(image))
+    """The integral table of image in Python integers, for scalar lookups:
+    each row adds the running sums of its pixels to the row above."""
+    pixels = np.asarray(image).tolist()
+    h, w = len(pixels), len(pixels[0])
+    table = [[0] * (w + 1)]
+    for row in pixels:
+        above = table[-1]
+        table.append([0] + [a + r for a, r in zip(above[1:], itertools.accumulate(row))])
+    return IntegralImage(w, h, table)
 
 
 # (width unit, height unit): the footprint must subdivide exactly per kind.

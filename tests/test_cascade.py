@@ -35,8 +35,10 @@ from oracles import (
     ResponseTable,
     bgslda_pick,
     decide_window,
+    eval_haar,
     forward_select,
     integral_image,
+    pool_features,
     pyramid_windows,
     random_rm,
 )
@@ -474,15 +476,84 @@ class TestBootstrap:
             assert np.array_equal(got, expected)
 
 
-def _hand_node(draw, n_features):
-    t = draw(st.integers(1, 3))
-    stumps_ = [
-        DecisionStump(draw(st.integers(0, n_features - 1)), draw(st.integers(-40, 40)) / 4,
-                      draw(st.sampled_from([-1, 1])))
-        for _ in range(t)
-    ]
-    coefficients = [draw(st.floats(-1, 1, allow_nan=False)) for _ in range(t)]
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sum_bound_splits_the_sums_as_the_division_does(data):
+    # The float quotient the scan compared before it compared sums: numpy's
+    # division of the integer sums by the area.
+    dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+    area = data.draw(st.integers(1, 2**18))
+    kind = data.draw(st.sampled_from(["quotient", "below", "above", "inf", "beyond int32"]))
+    if kind == "inf":
+        threshold = data.draw(st.sampled_from([-np.inf, np.inf]))
+    elif kind == "beyond int32":
+        threshold = data.draw(st.sampled_from([-1, 1])) * (2**31 + data.draw(st.integers(-2, 2**20))) / area
+    else:
+        threshold = data.draw(st.one_of(st.integers(-1000, 1000), st.integers(-(2**40), 2**40))) / area
+        if kind != "quotient":
+            threshold = float(np.nextafter(threshold, -np.inf if kind == "below" else np.inf))
+    bound = cascade._sum_bound(threshold, area, dtype)
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    assert lo <= bound <= hi
+    # Every s around the bound, in the dtype's range short of its max, which
+    # no table sum reaches.
+    s = np.arange(max(bound - 3, lo), min(bound + 4, hi), dtype=dtype)
+    assert np.array_equal(s >= bound, s / area >= threshold)
+
+
+def _hand_node(draw, features):
+    """1 to 10 stumps, so that a node can pass the 8 stumps of one uint8 pass
+    code.  Thresholds lie on a quarter grid, at exact quotients k / area of
+    the feature's base-scale area or at +/-inf; coefficients may be +/-0.0."""
+    area = FeatureExtractor(features).area
+    t = draw(st.integers(1, 10))
+    stumps_ = []
+    for _ in range(t):
+        j = draw(st.integers(0, len(features) - 1))
+        a = int(area[j])
+        threshold = draw(st.one_of(st.integers(-40, 40).map(lambda k: k / 4),
+                                   st.integers(-16 * a, 16 * a).map(lambda k: k / a),
+                                   st.sampled_from([-np.inf, np.inf])))
+        stumps_.append(DecisionStump(j, threshold, draw(st.sampled_from([-1, 1]))))
+    coefficient = st.one_of(st.floats(-1, 1, allow_nan=False), st.sampled_from([0.0, -0.0]))
+    coefficients = [draw(coefficient) for _ in range(t)]
     return NodeClassifier(stumps_, coefficients, draw(st.floats(-1, 1, allow_nan=False)), "gslda")
+
+
+def _assert_scan_matches_oracle(model, image, factor, step, reached):
+    """evaluate_windows on build_integral(image) against oracles.decide_window
+    on the oracle's own integral table, window by window at every scale."""
+    nodes = model.nodes
+    # prefixes[d] ends at node d-1: its scalar score is node d-1's margin.
+    prefixes = [dataclasses.replace(model, nodes=nodes[:d]) for d in range(len(nodes) + 1)]
+    h, w = image.shape
+    table, ii = build_integral(image), integral_image(image)
+    by_scale = {}
+    for x, y, _, scale in pyramid_windows(h, w, model.base_window, factor, step):
+        by_scale.setdefault(scale, []).append((x, y))
+    for scale, windows in by_scale.items():
+        # Each scale's windows are one lattice, x varying fastest.
+        side, shift = (max(1, int(np.floor(v * scale + 0.5))) for v in (model.base_window, step))
+        xs, ys = range(0, w - side + 1, shift), range(0, h - side + 1, shift)
+        assert windows == [(x, y) for y in ys for x in xs]
+        kept, scores, evals = evaluate_windows(model, table, xs, ys, reached, scale)
+        oracle = [decide_window(model, ii, x, y, scale) for x, y in windows]
+        stages = np.array([n_passed for _, n_passed, _, _ in oracle], dtype=int)
+        assert kept.tolist() == np.flatnonzero(stages >= reached).tolist()
+        assert scores.shape == (len(nodes) + 1, kept.size)
+        for col, i in enumerate(kept.tolist()):
+            accepted, n_passed, score, _ = oracle[i]
+            assert scores[0, col] == 0.0
+            # A window reaches node d-1 iff it passed d-1 nodes: NaN
+            # exactly past its rejecting node.
+            assert np.isnan(scores[1:, col]).tolist() == [n_passed < d - 1 for d in range(1, len(nodes) + 1)]
+            for d in range(1, min(n_passed + 1, len(nodes)) + 1):
+                margin = decide_window(prefixes[d], ii, *windows[i], scale)[2]
+                assert scores[d, col].tobytes() == np.float64(margin).tobytes()
+            if nodes:  # the last margin the scalar cascade evaluated
+                assert scores[min(n_passed + 1, len(nodes)), col].tobytes() == np.float64(score).tobytes()
+            assert accepted == (scores[-1, col] >= 0)
+        assert evals == sum(n_evals for *_, n_evals in oracle)
 
 
 class TestEvaluateWindows:
@@ -492,43 +563,39 @@ class TestEvaluateWindows:
     @given(data=st.data())
     def test_matches_scalar_decide_window(self, data):
         draw = data.draw
-        nodes = [_hand_node(draw, len(self.FEATURES)) for _ in range(draw(st.integers(0, 3)))]
+        nodes = [_hand_node(draw, self.FEATURES) for _ in range(draw(st.integers(0, 3)))]
         reached = draw(st.integers(0, len(nodes)))
         model = CascadeModel(nodes=nodes, stage_rates=[], cumulative=[],
                              feature_pool=self.FEATURES, f_target=0.1, base_window=8)
-        # prefixes[d] ends at node d-1: its scalar score is node d-1's margin.
-        prefixes = [dataclasses.replace(model, nodes=nodes[:d]) for d in range(len(nodes) + 1)]
         h, w = draw(st.integers(8, 20)), draw(st.integers(8, 20))
         image = np.random.default_rng(draw(st.integers(0, 2**16))).integers(0, 256, size=(h, w))
-        ii = integral_image(image)
         factor = draw(st.sampled_from([1.1, 1.2, 1.25, 1.5]))
         step = draw(st.sampled_from([1.0, 2.0]))
-        by_scale = {}
-        for x, y, _, scale in pyramid_windows(h, w, 8, factor, step):
-            by_scale.setdefault(scale, []).append((x, y))
-        for scale, windows in by_scale.items():
-            # Each scale's windows are one lattice, x varying fastest.
-            side, shift = (max(1, int(np.floor(v * scale + 0.5))) for v in (8, step))
-            xs, ys = range(0, w - side + 1, shift), range(0, h - side + 1, shift)
-            assert windows == [(x, y) for y in ys for x in xs]
-            kept, scores, evals = evaluate_windows(model, ii.table, xs, ys, reached, scale)
-            oracle = [decide_window(model, ii, x, y, scale) for x, y in windows]
-            stages = np.array([n_passed for _, n_passed, _, _ in oracle], dtype=int)
-            assert kept.tolist() == np.flatnonzero(stages >= reached).tolist()
-            assert scores.shape == (len(nodes) + 1, kept.size)
-            for col, i in enumerate(kept.tolist()):
-                accepted, n_passed, score, _ = oracle[i]
-                assert scores[0, col] == 0.0
-                # A window reaches node d-1 iff it passed d-1 nodes: NaN
-                # exactly past its rejecting node.
-                assert np.isnan(scores[1:, col]).tolist() == [n_passed < d - 1 for d in range(1, len(nodes) + 1)]
-                for d in range(1, min(n_passed + 1, len(nodes)) + 1):
-                    margin = decide_window(prefixes[d], ii, *windows[i], scale)[2]
-                    assert scores[d, col].tobytes() == np.float64(margin).tobytes()
-                if nodes:  # the last margin the scalar cascade evaluated
-                    assert scores[min(n_passed + 1, len(nodes)), col].tobytes() == np.float64(score).tobytes()
-                assert accepted == (scores[-1, col] >= 0)
-            assert evals == sum(n_evals for *_, n_evals in oracle)
+        _assert_scan_matches_oracle(model, image, factor, step, reached)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("total, dtype", [(2**27 - 1, np.int32), (2**27, np.int64), (2**30, np.int64)])
+    def test_int32_and_int64_tables_match_the_oracle(self, total, dtype, sign):
+        # The largest |table entry| of a one-signed image is its |total|, and
+        # 16 * 2**27 = 2**31.  2**30 is the total of an 8 x 8 image of 2**24.
+        rng = np.random.default_rng(total % 7)
+        image = np.full((16, 20), total // 320) + rng.integers(-1, 2, size=(16, 20)) * (total // 1280)
+        image[0, 0] += total - image.sum()
+        image *= sign
+        assert build_integral(image).dtype == dtype
+        ii = integral_image(image)
+        features = pool_features(self.FEATURES)
+        nodes = []
+        for t, size in enumerate([1, 3, 9]):
+            # Thresholds at the values of some windows: exact ties with their sums.
+            js = rng.integers(0, len(features), size=size).tolist()
+            stumps_ = [DecisionStump(j, eval_haar(features[j], ii, *rng.integers(0, 3, size=2).tolist()),
+                                     int(rng.choice([-1, 1]))) for j in js]
+            nodes.append(NodeClassifier(stumps_, rng.uniform(-1, 1, size=size), 0.1 * t, "gslda"))
+        model = CascadeModel(nodes=nodes, stage_rates=[], cumulative=[],
+                             feature_pool=self.FEATURES, f_target=0.1, base_window=8)
+        for reached in range(len(nodes) + 1):
+            _assert_scan_matches_oracle(model, image, 1.2, 1.0, reached)
 
     @pytest.mark.parametrize("reached", [-1, 2])
     def test_reached_outside_the_cascade_raises(self, reached):

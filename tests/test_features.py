@@ -12,7 +12,7 @@ from gslda_cascade.features import (
     PoolParams,
     build_integral,
     build_pool,
-    haar_values,
+    haar_sums,
 )
 from oracles import HaarFeature, enumerate_haar, eval_haar, extract, integral_image
 
@@ -42,9 +42,10 @@ def feature_index(pool, kind, x, y, w, h):
 
 
 def haar_at(pool, j, image, offset_x=0, offset_y=0, scale=1.0):
-    """The package's vectorized evaluation at a single placement."""
-    table = build_integral(image)
-    return float(haar_values(pool, j, table, np.array([offset_x]), np.array([offset_y]), scale)[0])
+    """The package's vectorized evaluation at a single placement: its sum
+    over the area."""
+    sums, area = haar_sums(pool, j, build_integral(image), np.array([offset_x]), np.array([offset_y]), scale)
+    return float(sums[0] / area)
 
 
 def feature_at(feature, image, offset_x=0, offset_y=0, scale=1.0):
@@ -73,6 +74,7 @@ class TestIntegralImage:
         rng = np.random.default_rng(1)
         image = rng.integers(0, 256, size=(8, 8))
         ii = integral_image(image)
+        assert np.array_equal(build_integral(image), ii.table)
         for y0 in range(9):
             for y1 in range(y0, 9):
                 for x0 in range(9):
@@ -84,6 +86,16 @@ class TestIntegralImage:
     def test_empty_image_rejected(self):
         with pytest.raises(ValueError):
             build_integral(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int32_while_sixteen_times_the_largest_entry_stays_below_2_to_the_31(self, sign):
+        # An 8 x 8 image of one value v has max|table| = 64|v|: 16 * 64 * 2**21 = 2**31.
+        for pixel, dtype in ((2**21 - 1, np.int32), (2**21, np.int64), (2**24, np.int64)):
+            image = np.full((8, 8), sign * pixel)
+            table = build_integral(image)
+            assert table.dtype == dtype
+            assert np.array_equal(table, integral_image(image).table)
+        assert build_integral(np.full((480, 480), 255, dtype=np.uint8)).dtype == np.int32
 
 
 class TestEnumerateHaar:
@@ -228,10 +240,10 @@ class TestEvalHaar:
         assert pool.box[0].tolist() == [0, 0, 2, 1]
         table = build_integral(np.ones((10, 10), dtype=int))
         edge_x, edge_y = 10 - round(2 * scale), 10 - round(scale)  # the last fitting offsets
-        fitting = haar_values(pool, 0, table, np.array([0, edge_x]), np.array([edge_y, 0]), scale)
-        assert fitting.tolist() == [0.0, 0.0]
+        fitting, _ = haar_sums(pool, 0, table, np.array([0, edge_x]), np.array([edge_y, 0]), scale)
+        assert fitting.tolist() == [0, 0]
         with pytest.raises(IndexError):
-            haar_values(pool, 0, table, np.array([0, x, edge_x]), np.array([edge_y, y, 0]), scale)
+            haar_sums(pool, 0, table, np.array([0, x, edge_x]), np.array([edge_y, y, 0]), scale)
 
     @pytest.mark.parametrize("x, y, scale", [
         (-1, 0, 1.0), (0, -1, 1.0), (9, 0, 1.0), (0, 10, 1.0), (7, 0, 2.0), (0, 9, 2.0),
@@ -246,16 +258,16 @@ class TestEvalHaar:
         def span(lo, hi):  # the two-point lattice lo, hi
             return range(lo, hi + 1, hi - lo)
 
-        fitting = haar_values(pool, 0, table, span(0, edge_x), span(0, edge_y), scale)
-        assert fitting.tolist() == [0.0] * 4
+        fitting, _ = haar_sums(pool, 0, table, span(0, edge_x), span(0, edge_y), scale)
+        assert fitting.tolist() == [0] * 4
         with pytest.raises(IndexError):
-            haar_values(pool, 0, table, span(min(0, x), max(edge_x, x)), span(min(0, y), max(edge_y, y)), scale)
+            haar_sums(pool, 0, table, span(min(0, x), max(edge_x, x)), span(min(0, y), max(edge_y, y)), scale)
 
     def test_descending_lattice_rejected(self):
         pool = build_pool(PoolParams(base_window=4))
         table = build_integral(np.ones((10, 10), dtype=int))
         with pytest.raises(ValueError, match="ascend"):
-            haar_values(pool, 0, table, range(4, -1, -2), range(3), 1.0)
+            haar_sums(pool, 0, table, range(4, -1, -2), range(3), 1.0)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -271,6 +283,7 @@ class TestEvalHaar:
         h, w = (side + data.draw(st.integers(0, 7)) for _ in range(2))
         image = np.random.default_rng(data.draw(st.integers(0, 2**16))).integers(0, 256, size=(h, w))
         ii = integral_image(image)
+        table = build_integral(image)
         j = data.draw(st.integers(0, len(pool) - 1))
         fx0, fy0, fx1, fy1 = (int(np.floor(v * scale + 0.5)) for v in pool.box[j])
 
@@ -283,11 +296,13 @@ class TestEvalHaar:
             return range(last - (count - 1) * shift, last + 1, shift)
 
         xs, ys = axis(w, fx0, fx1), axis(h, fy0, fy1)
-        values = haar_values(pool, j, ii.table, xs, ys, scale)
+        sums, area = haar_sums(pool, j, table, xs, ys, scale)
         px, py = (a.ravel() for a in np.meshgrid(np.array(xs), np.array(ys)))
-        assert values.shape == (len(xs) * len(ys),)
-        assert values.tobytes() == haar_values(pool, j, ii.table, px, py, scale).tobytes()
-        for x, y, value in zip(px.tolist(), py.tolist(), values.tolist()):
+        assert sums.shape == (len(xs) * len(ys),)
+        gathered, gathered_area = haar_sums(pool, j, table, px, py, scale)
+        assert sums.dtype == gathered.dtype == table.dtype
+        assert np.array_equal(sums, gathered) and area == gathered_area
+        for x, y, value in zip(px.tolist(), py.tolist(), (sums / area).tolist()):
             expected = eval_haar(features[j], ii, x, y, scale)
             assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
@@ -316,6 +331,7 @@ class TestEvalHaar:
         image = np.random.default_rng(data.draw(st.integers(0, 2**16))).integers(
             0, 256, size=(side + extra[0], side + extra[1]))
         ii = integral_image(image)
+        table = build_integral(image)
         px, py = (a.ravel() for a in np.meshgrid(np.arange(image.shape[1] - side + 1),
                                                  np.arange(image.shape[0] - side + 1)))
         if data.draw(st.booleans()):
@@ -323,8 +339,8 @@ class TestEvalHaar:
             subset = data.draw(st.lists(st.integers(0, px.size - 1), min_size=1, max_size=2 * px.size))
             px, py = px[subset], py[subset]
         for j in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5)):
-            values = haar_values(pool, j, ii.table, px, py, scale)
-            for x, y, value in zip(px.tolist(), py.tolist(), values.tolist()):
+            sums, area = haar_sums(pool, j, table, px, py, scale)
+            for x, y, value in zip(px.tolist(), py.tolist(), (sums / area).tolist()):
                 expected = eval_haar(features[j], ii, x, y, scale)
                 assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
@@ -374,6 +390,14 @@ class TestFeatureExtractor:
         for j, feature in enumerate(features):
             for i, ii in enumerate(tables):
                 assert np.float64(values[j, i]).tobytes() == np.float64(eval_haar(feature, ii)).tobytes()
+        # The scan's reader gives the same integer sums and areas.
+        extractor = FeatureExtractor(pool)
+        sums = extractor.extract(patches)
+        for i, patch in enumerate(patches):
+            table = build_integral(patch)
+            for j in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5)):
+                read, area = haar_sums(pool, j, table, range(1), range(1))
+                assert read.tolist() == [sums[j, i]] and area == extractor.area[j]
 
     @staticmethod
     def reach_per_unit(h, w):

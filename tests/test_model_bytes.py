@@ -11,7 +11,7 @@ the +/-1 stump table is an exact integer, so only the bgslda digests, whose
 sums are weighted, depend on the order in which numpy adds them.  A different
 BLAS build may still round the small products of the restricted inverse
 differently and move the last bits of any LDA coefficient.  The scan path
-(haar_values, evaluate_windows, the pyramid scan, merge and the writers) is
+(haar_sums, evaluate_windows, the pyramid scan, merge and the writers) is
 rewritten for speed under the same rule.
 """
 
