@@ -1,30 +1,39 @@
 """Integral images and the Haar-like rectangle feature pool.
 
 The pool is a set of integer arrays, one row per feature: its kind, its
-footprint box and its weighted sub-rectangles, enumerated once by numpy.
-Features are defined on a square base window and evaluated at arbitrary
-offset/scale through an integral table, so a single trained model scans all
-window sizes.  Rectangle weights balance to zero per feature; a value is a
-feature's integer sum over its (scaled) footprint area, comparable across
-scales, and the scan compares sums (haar_sums), never values.  A placed
-feature reads each distinct corner of its sub-rectangles once: adjacent
-rectangles share corners, so at scales of 1 and above the weights fold into
-6, 8 or 9 integer weights, of summed |weight| at most 16, on corners of the
-integral table for two-, three- and four-rectangle features.  The table is
-int32 when every such read is exact in int32.  Over a lattice of windows (two
-ranges of top-left corners) each corner is one 2-D strided slice of the
-table; for scattered windows it is one gather on the flattened table.  A
-window whose footprint leaves the table raises IndexError before any read.
+footprint box and its folded corners, enumerated once by numpy.  Features
+are defined on a square base window and evaluated at arbitrary offset/scale
+through an integral table, so a single trained model scans all window sizes.
+Rectangle weights balance to zero per feature; a value is a feature's
+integer sum over its (scaled) footprint area, comparable across scales, and
+the scan compares sums (haar_sums), never values.
+
+The fold.  A feature's sub-rectangles are read through the integral table
+at their four corners each, and adjacent rectangles share corners, so the
+rectangles fold into one integer weight per distinct corner.  The fold is
+done once, at import, per kind in cell units (_CORNERS, from _CELLS): 6, 8
+or 9 corners, of summed |weight| 8, 16 and 16, for two-, three- and
+four-rectangle kinds.  build_pool scales each kind's cells to every
+feature's footprint, so FeaturePool.corners holds each feature's (weight,
+x, y) rows in base window coordinates, and nothing else folds.  At another
+scale each corner is rounded half up on its own, as the oracle rounds each
+rectangle's corners; two corners may then round to the same pixel, and each
+is still read with its own weight, which sums to the same exact integer.
+The table is int32 when every such read is exact in int32 (16 * max|table|
+< 2**31).  Over a lattice of windows (two ranges of top-left corners) each
+corner is one 2-D strided slice of the table; for scattered windows it is
+one gather on the flattened table.  A window whose footprint leaves the
+table raises IndexError before any read.
 
 Training extracts every feature of the pool from every patch at scale 1 with
-the same folded weights, as a matrix product: a block of features' corner
-weights, dense over the flattened (H+1)(W+1) integral table, times the
-float64 copy of the N patches' tables.  Weights and table entries are
-integers, and while the largest |table entry| times a feature's summed
-|weights| stays below 2**53 every product and partial sum is an exact
-float64 integer, so the product equals the exact integer sums in any
-summation order.  Extraction returns those sums as integers, undivided,
-haar_sums' at scale 1.  Larger tables raise ValueError rather than round.
+the same corners, as a matrix product: a block of features' corner weights,
+dense over the flattened (H+1)(W+1) integral table, times the float64 copy
+of the N patches' tables.  Weights and table entries are integers, and while
+the largest |table entry| times a feature's summed |weights| stays below
+2**53 every product and partial sum is an exact float64 integer, so the
+product equals the exact integer sums in any summation order.  Extraction
+returns those sums as integers, undivided, haar_sums' at scale 1.  Larger
+tables raise ValueError rather than round.
 """
 
 from __future__ import annotations
@@ -53,7 +62,23 @@ _CELLS = np.array([
     [(1, 0, 0, 1, 1), (-2, 0, 1, 1, 2), (1, 0, 2, 1, 3), _PAD],
     [(1, 0, 0, 1, 1), (-1, 1, 0, 2, 1), (-1, 0, 1, 1, 2), (1, 1, 1, 2, 2)],
 ])
-_N_RECTS = (_CELLS[:, :, 0] != 0).sum(axis=1)  # the rows after these are padding
+
+
+def _fold(cells) -> np.ndarray:
+    """One kind's sub-rectangles as (weight, x, y) rows on their distinct
+    cell corners, ordered by (y, x), cancelled corners dropped, padded with
+    zero rows to nine."""
+    folded: dict[tuple[int, int], int] = {}
+    for wgt, x0, y0, x1, y1 in cells:
+        for x, y, sign in ((x0, y0, 1), (x1, y0, -1), (x0, y1, -1), (x1, y1, 1)):
+            folded[y, x] = folded.get((y, x), 0) + sign * wgt
+    rows = np.zeros((9, 3), dtype=np.int64)
+    kept = [(wgt, x, y) for (y, x), wgt in sorted(folded.items()) if wgt]
+    rows[: len(kept)] = kept
+    return rows
+
+
+_CORNERS = np.stack([_fold(cells) for cells in _CELLS.tolist()])
 
 # Byte budget of the dense corner-weight block FeatureExtractor.extract
 # multiplies at a time.  BLAS packs a copy of the block into pages that stay
@@ -89,14 +114,15 @@ class FeaturePool:
     """Haar features as integer arrays, feature j in row j.
 
     kind[j] indexes KINDS, box[j] is the footprint (x0, y0, x1, y1) and
-    rects[j, r] the r-th sub-rectangle (weight, x0, y0, x1, y1), all in base
-    window coordinates; a kind with fewer than four pads with zero rows.
+    corners[j, c] the c-th folded corner (weight, x, y) of its
+    sub-rectangles, ordered by (y, x), all in base window coordinates; a
+    kind with fewer than nine corners pads with zero rows.
     """
 
     params: PoolParams
     kind: np.ndarray  # (M,)
     box: np.ndarray  # (M, 4)
-    rects: np.ndarray  # (M, 4, 5)
+    corners: np.ndarray  # (M, 9, 3)
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -123,11 +149,12 @@ def build_pool(params: PoolParams) -> FeaturePool:
         parts.append(np.stack([np.full(fits.sum(), k), x[fits], y[fits], w[fits], h[fits]], axis=1))
     kind, x, y, w, h = np.concatenate(parts)[:: params.subsample].T
     cw, ch = w // _UNITS[kind, 0], h // _UNITS[kind, 1]
-    cells = _CELLS[kind]
-    origin = np.stack([np.zeros_like(x), x, y, x, y], axis=1)[:, None]
-    cell_size = np.stack([np.ones_like(x), cw, ch, cw, ch], axis=1)[:, None]
-    rects = (origin + cells * cell_size) * (cells[:, :, :1] != 0)
-    return FeaturePool(params, kind, np.stack([x, y, x + w, y + h], axis=1), rects)
+    # On (M, 9) arrays: numpy's loops over a last axis of 3 are slow.
+    wgt, cx, cy = _CORNERS.transpose(2, 0, 1)[:, kind]
+    on = wgt != 0  # zero rows pad
+    corners = np.stack([wgt, (x[:, None] + cx * cw[:, None]) * on, (y[:, None] + cy * ch[:, None]) * on],
+                       axis=2)
+    return FeaturePool(params, kind, np.stack([x, y, x + w, y + h], axis=1), corners)
 
 
 def _round_px(v):
@@ -144,17 +171,17 @@ def haar_sums(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: float
     y in py and x in px, whose sums come flat in that (y, x) order; or
     equal-length arrays, window i having its top-left corner at (px[i], py[i]).
 
-    Every corner of the sub-rectangles and of the footprint is scaled and
-    rounded half up on its own.  The sub-rectangles fold once into one
-    integer weight per distinct corner (x, y) (corners whose weights cancel
-    are dropped), read in one of two ways.  A lattice reads each corner as a
-    2-D basic slice of the table, rows y + py[0] to y + py[-1] by py.step and
-    columns alike: a strided view, no index array.  Arrays gather each corner
-    at offset y * (width+1) + x of the flattened table from every window's
-    base py * (width+1) + px.  A window's top-left corner may lie outside the
-    table while its scaled footprint stays inside.  Raises IndexError, before
-    any read, when a window's scaled footprint leaves the table on any side,
-    and ValueError for a lattice range that descends.
+    Each of pool.corners[j] (the fold: see the module docstring) and each
+    corner of the footprint is scaled and rounded half up on its own, and
+    every corner is read with its weight, in one of two ways.  A lattice
+    reads each corner as a 2-D basic slice of the table, rows y + py[0] to
+    y + py[-1] by py.step and columns alike: a strided view, no index array.
+    Arrays gather each corner at offset y * (width+1) + x of the flattened
+    table from every window's base py * (width+1) + px.  A window's top-left
+    corner may lie outside the table while its scaled footprint stays
+    inside.  Raises IndexError, before any read, when a window's scaled
+    footprint leaves the table on any side, and ValueError for a lattice
+    range that descends.
     """
     fx0, fy0, fx1, fy1 = _round_px(scale * pool.box[j]).tolist()
     area = (fx1 - fx0) * (fy1 - fy0)
@@ -175,17 +202,14 @@ def haar_sums(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: float
     rows, cols = table.shape
     if x_lo + fx0 < 0 or y_lo + fy0 < 0 or x_hi + fx1 >= cols or y_hi + fy1 >= rows:
         raise IndexError("scaled footprint leaves the integral table")
-    weights: dict[tuple[int, int], int] = {}
-    rects = pool.rects[j, : _N_RECTS[pool.kind[j]]]
-    for wgt, (x0, y0, x1, y1) in zip(rects[:, 0].tolist(), _round_px(scale * rects[:, 1:]).tolist()):
-        for corner, sign in (((x1, y1), 1), ((x1, y0), -1), ((x0, y1), -1), ((x0, y0), 1)):
-            weights[corner] = weights.get(corner, 0) + sign * wgt
-    weights = {corner: wgt for corner, wgt in weights.items() if wgt}
+    # Zero rows pad kinds with fewer than nine corners.
+    xs, ys = _round_px(scale * pool.corners[j, :, 1:]).T.tolist()
+    reads = [read for read in zip(pool.corners[j, :, 0].tolist(), xs, ys) if read[0]]
     if lattice:
         # The first corner starts the accumulator; the rest add in place,
         # through one scratch buffer for weights other than +/-1.
         acc = scratch = None
-        for (x, y), wgt in weights.items():
+        for wgt, x, y in reads:
             view = table[y + y_lo : y + y_hi + 1 : py.step, x + x_lo : x + x_hi + 1 : px.step]
             if acc is None:
                 acc = np.multiply(view, wgt, dtype=table.dtype)
@@ -197,51 +221,28 @@ def haar_sums(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: float
                 if scratch is None:
                     scratch = np.empty_like(acc)
                 acc += np.multiply(view, wgt, out=scratch)
-        if acc is None:  # every weight cancelled
-            acc = np.zeros((len(py), len(px)), dtype=table.dtype)
         return acc.ravel(), area
+    # Based at the footprint's top-left corner, every index is in the table
+    # even for a window whose top-left corner lies outside it; flat[offset:]
+    # is a view, so the gather needs no index sum.
     flat = table.ravel()
-    offsets = {y * cols + x: wgt for (x, y), wgt in weights.items()}
-    # Based at the lowest corner, every index is in the table even for a
-    # window whose top-left corner lies outside it; flat[offset - low:] is a
-    # view, so the gather needs no index sum.
-    low = min(offsets, default=0)
-    base = py * cols + px + low
+    base = (py + fy0) * cols + px + fx0
     acc = np.zeros(n, dtype=table.dtype)
-    for offset, wgt in offsets.items():
-        acc += wgt * flat[offset - low :][base]
+    for wgt, x, y in reads:
+        acc += wgt * flat[(y - fy0) * cols + x - fx0 :][base]
     return acc, area
 
 
 class FeatureExtractor:
     """Batch evaluation of a feature pool on same-size patches at scale 1.
 
-    Each feature's sub-rectangles fold once, at construction, into integer
-    weights on the distinct corners (x, y) of its rectangles, as haar_sums
-    folds them; corners whose weights cancel are dropped.  area[j] is
-    feature j's footprint area (int64), the divisor that turns its sums
-    into values.
+    It reads the pool's folded corners (see the module docstring) as they
+    are.  area[j] is feature j's footprint area (int64), the divisor that
+    turns its sums into values.
     """
 
     def __init__(self, pool: FeaturePool):
         self.pool = pool
-        m = len(pool)
-        rects = pool.rects  # padding rows carry weight 0 and fold away
-        xs = rects[:, :, [3, 3, 1, 1]].reshape(m, 16)
-        ys = rects[:, :, [4, 2, 4, 2]].reshape(m, 16)
-        weights = (rects[:, :, :1] * np.array([1, -1, -1, 1])).reshape(m, 16)
-        side = pool.params.base_window + 1  # corner coordinates run 0..base_window
-        keys = (np.arange(m)[:, None] * side + ys) * side + xs
-        corners, slot = np.unique(keys, return_inverse=True)
-        folded = np.zeros(len(corners), dtype=np.int64)
-        np.add.at(folded, slot.ravel(), weights.ravel())
-        kept = folded != 0
-        # Sorted by feature first, so a row block owns a contiguous run.
-        rest, self._x = np.divmod(corners[kept], side)
-        self._feature, self._y = np.divmod(rest, side)
-        self._weight = folded[kept]
-        l1 = np.bincount(self._feature, weights=np.abs(self._weight), minlength=m)
-        self._max_l1 = int(l1.max()) if m else 0
         x0, y0, x1, y1 = pool.box.T
         self.area = ((x1 - x0) * (y1 - y0)).astype(np.int64)
 
@@ -269,7 +270,9 @@ class FeatureExtractor:
         m = len(self.pool)
         if m and (self.pool.box[:, 2].max() > w or self.pool.box[:, 3].max() > h):
             raise IndexError("feature footprint leaves the patches")
-        reach = max(-int(tables.min()), int(tables.max())) * self._max_l1 if m and n else 0
+        corners = self.pool.corners
+        l1 = np.abs(corners[:, :, 0]).sum(axis=1)  # summed |weight| per feature
+        reach = max(-int(tables.min()), int(tables.max())) * int(l1.max()) if m and n else 0
         if reach >= 2**53:
             raise ValueError("integral sums could reach 2**53, past exact float64")
         out = np.empty((m, n), dtype=np.int32 if reach < 2**31 else np.int64)
@@ -279,14 +282,14 @@ class FeatureExtractor:
         size = (h + 1) * cols
         flat = tables.reshape(n, size).astype(np.float64)
         del tables
-        offsets = self._y * cols + self._x
         step = max(1, _BLOCK_BYTES // (8 * size))
         product = np.empty((min(step, m), n))
-        bounds = np.searchsorted(self._feature, np.arange(0, m + step, step))
-        for lo, a, b in zip(range(0, m, step), bounds[:-1], bounds[1:]):
+        rows = np.arange(min(step, m))[:, None] * size
+        for lo in range(0, m, step):
             hi = min(lo + step, m)
-            block = np.bincount((self._feature[a:b] - lo) * size + offsets[a:b],
-                                weights=self._weight[a:b], minlength=(hi - lo) * size)
+            wgt, x, y = corners[lo:hi].transpose(2, 0, 1)  # zero rows pad: weight 0 adds nothing
+            block = np.bincount((rows[: hi - lo] + y * cols + x).ravel(), weights=wgt.ravel(),
+                                minlength=(hi - lo) * size)
             np.matmul(block.reshape(hi - lo, size), flat.T, out=product[: hi - lo])
             out[lo:hi] = product[: hi - lo]  # exact integers: the cast is exact
         return out

@@ -24,7 +24,8 @@ computed by one integer sort of each row block's keys rank << bits | index,
 bits = bits(N - 1): the index is the low bits, so equal ranks keep their
 sample order, and numpy's SIMD sort of integers needs no stable variant.
 The keys are int32 when they fit and int64 otherwise.  An integer table
-(the exact Haar sums of FeatureExtractor.extract) ranks a value by its
+(the exact Haar sums FeatureExtractor.extract reads from the pool's
+folded corners, see the features module docstring) ranks a value by its
 difference from the row minimum.  A float table, or an integer one too wide
 for int64 keys, ranks it by its run number: numpy's SIMD argsort orders the
 row and the runs of equal values in it are numbered.  Runs sit in the same
@@ -124,10 +125,11 @@ class StumpTrainer:
     """Pre-sorted stump training over a fixed (M, N) feature table.
 
     The table holds either values or, as FeatureExtractor.extract returns
-    them, integer sums whose row j divided by area[j] gives feature j's
-    values; area defaults to ones.  Training works on those values: a row's
-    area is fixed and positive, so its sums sort like its values, and only
-    the thresholds divide.  An integer stump's responses compare sums with
+    them from the pool's folded corners (see features), integer sums whose
+    row j divided by area[j] gives feature j's values; area defaults to
+    ones.  Training works on those values: a row's area is fixed and
+    positive, so its sums sort like its values, and only the thresholds
+    divide.  An integer stump's responses compare sums with
     the sum just above its threshold, equal to comparing the values while
     |sums| < 2**50 keeps distinct sums' values and midpoints apart (8-bit
     patches stay below 2**31).  Candidate thresholds sit at midpoints of

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +12,15 @@ from gslda_cascade.features import (
     build_pool,
     haar_sums,
 )
-from oracles import HaarFeature, enumerate_haar, eval_haar, extract, integral_image
+from oracles import (
+    HaarFeature,
+    enumerate_haar,
+    eval_haar,
+    extract,
+    fold_corners,
+    integral_image,
+    pool_features,
+)
 
 
 def direct_rect_sum(image, x0, y0, x1, y1):
@@ -123,7 +129,7 @@ class TestEnumerateHaar:
     def test_deterministic_and_injective(self):
         a = build_pool(PoolParams(base_window=8, stride=2, min_size=2))
         b = build_pool(PoolParams(base_window=8, stride=2, min_size=2))
-        for name in ("kind", "box", "rects"):
+        for name in ("kind", "box", "corners"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         keys = [(k, *box) for k, box in zip(a.kind.tolist(), a.box.tolist())]
         assert len(set(keys)) == len(keys)
@@ -141,7 +147,7 @@ class TestEnumerateHaar:
     def test_pool_subsampling(self):
         full = build_pool(PoolParams(base_window=6))
         thinned = build_pool(PoolParams(base_window=6, subsample=7))
-        for name in ("kind", "box", "rects"):
+        for name in ("kind", "box", "corners"):
             assert np.array_equal(getattr(thinned, name), getattr(full, name)[::7])
 
     @pytest.mark.parametrize("params", [
@@ -168,9 +174,19 @@ class TestEnumerateHaar:
         for j, f in enumerate(features):
             assert KINDS[pool.kind[j]] == f.kind
             assert pool.box[j].tolist() == [f.x, f.y, f.x + f.w, f.y + f.h]
-            rects = f.rects()
-            assert pool.rects[j, : len(rects)].tolist() == [list(r) for r in rects]
-            assert not pool.rects[j, len(rects):].any()  # zero padding
+            corners = fold_corners(f)
+            assert pool.corners[j, : len(corners)].tolist() == [list(c) for c in corners]
+            assert not pool.corners[j, len(corners):].any()  # zero padding
+
+    def test_corner_counts_and_weights_bound_the_int32_reads(self):
+        # build_integral picks int32 when 16 * max|table| < 2**31: that
+        # needs every feature's summed |corner weight| to be at most 16.
+        pool = build_pool(PoolParams(base_window=12))
+        weights = pool.corners[:, :, 0]
+        assert np.abs(weights).sum(axis=1).max() <= 16
+        counts = dict(zip(KINDS, (6, 6, 8, 8, 9)))
+        for k, kind in enumerate(KINDS):
+            assert np.all((weights[pool.kind == k] != 0).sum(axis=1) == counts[kind])
 
     @pytest.mark.parametrize("feature", [
         ("triangle", 0, 0, 2, 2),
@@ -306,6 +322,34 @@ class TestEvalHaar:
             expected = eval_haar(features[j], ii, x, y, scale)
             assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_below_scale_one(self, data):
+        # Below scale 1 two corners of a feature can round to one pixel;
+        # each must still be read with its own weight.
+        base_window = data.draw(st.integers(2, 16))
+        pool = build_pool(PoolParams(base_window))
+        scale = data.draw(st.floats(0.05, 1.0, exclude_max=True))
+        fx0, fy0, fx1, fy1 = np.floor(scale * pool.box.T + 0.5)
+        placeable = np.flatnonzero((fx1 > fx0) & (fy1 > fy0))  # degenerate footprints raise
+        assume(placeable.size)
+        side = int(np.floor(base_window * scale + 0.5))
+        h, w = (side + data.draw(st.integers(0, 5)) for _ in range(2))
+        image = np.random.default_rng(data.draw(st.integers(0, 2**16))).integers(0, 256, size=(h, w))
+        ii = integral_image(image)
+        table = build_integral(image)
+        shift = data.draw(st.integers(1, 2))
+        xs, ys = range(0, w - side + 1, shift), range(0, h - side + 1, shift)
+        px, py = (a.ravel() for a in np.meshgrid(np.array(xs), np.array(ys)))
+        features = pool_features(pool)
+        for j in data.draw(st.lists(st.sampled_from(placeable.tolist()), min_size=1, max_size=5)):
+            sums, area = haar_sums(pool, j, table, xs, ys, scale)
+            gathered, gathered_area = haar_sums(pool, j, table, px, py, scale)
+            assert np.array_equal(sums, gathered) and area == gathered_area
+            for x, y, value in zip(px.tolist(), py.tolist(), (sums / area).tolist()):
+                expected = eval_haar(features[j], ii, x, y, scale)
+                assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
     def test_offset_shifts_window(self):
         rng = np.random.default_rng(4)
         image = rng.integers(0, 256, size=(20, 20))
@@ -404,11 +448,7 @@ class TestFeatureExtractor:
         """The base-window-6 pool's bound max|table| * summed |weights| per
         unit of pixel value, on h x w patches whose first is all ones."""
         def folded_l1(feature):  # summed |weight| of a feature's distinct corners
-            weights = Counter()
-            for wgt, x0, y0, x1, y1 in feature.rects():
-                for corner, s in (((x1, y1), 1), ((x1, y0), -1), ((x0, y1), -1), ((x0, y0), 1)):
-                    weights[corner] += s * wgt
-            return sum(abs(v) for v in weights.values())
+            return sum(abs(wgt) for wgt, _, _ in fold_corners(feature))
 
         return max(folded_l1(f) for f in enumerate_haar(6)) * h * w
 
@@ -444,7 +484,7 @@ class TestFeatureExtractor:
 
     def test_empty_pool(self):
         pool = build_pool(PoolParams(base_window=2))
-        empty = FeaturePool(pool.params, pool.kind[:0], pool.box[:0], pool.rects[:0])
+        empty = FeaturePool(pool.params, pool.kind[:0], pool.box[:0], pool.corners[:0])
         assert FeatureExtractor(empty).extract(np.zeros((3, 2, 2), dtype=np.uint8)).shape == (0, 3)
 
     def test_patches_smaller_than_the_pool_rejected(self):
