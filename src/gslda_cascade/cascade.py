@@ -36,6 +36,8 @@ METHODS = ("adaboost", "asymboost", "gslda", "bgslda1", "bgslda2")
 
 #: train_cascade stops after this many stages (stop reason "max_stages").
 MAX_STAGES = 64
+# Byte budget of the row blocks in which a stage table's kept columns are copied.
+_COPY_BYTES = 1 << 20
 
 
 class BootstrapExhaustedError(RuntimeError):
@@ -302,11 +304,15 @@ def lattice_corners(xs: range, ys: range, index) -> tuple[np.ndarray, np.ndarray
     return xs.start + col * xs.step, ys.start + row * ys.step
 
 
+# (min, max) of each integer dtype an integral table's sums come in.
+_LIMITS = {np.dtype(t): (int(np.iinfo(t).min), int(np.iinfo(t).max)) for t in (np.int32, np.int64)}
+
+
 def _sum_bound(threshold: float, area: int, dtype) -> int:
     """The least s in dtype's range with s / area >= threshold in float64,
     else its max, which a table's sums never reach (build_integral).  The
     quotient never falls as s grows, so s passes exactly when s >= bound."""
-    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    lo, hi = _LIMITS[np.dtype(dtype)]
     if not float(hi) / area >= threshold:  # +inf and NaN too
         return hi
     s = min(int(np.ceil(max(threshold * area, lo))), hi)  # within a few steps of the bound
@@ -415,6 +421,23 @@ def bootstrap_negatives(model: CascadeModel, reservoir, count: int, seed: int = 
     return np.stack(found)
 
 
+def _stage_table(extractor: FeatureExtractor, patches, table=None, cols=None) -> np.ndarray:
+    """One new stage table, (M, K + N): first the K columns cols (ascending)
+    of an earlier table, copied in row blocks of about _COPY_BYTES (none
+    without a table), then the sums of the N patches, extracted into the
+    columns after them.  Its dtype holds both parts'."""
+    k, dtype = 0, extractor.sum_dtype(patches)
+    if table is not None:
+        k, dtype = len(cols), np.result_type(table.dtype, dtype)
+    out = np.empty((len(extractor.pool), k + len(patches)), dtype=dtype)
+    if k:
+        step = max(1, _COPY_BYTES // (table.itemsize * table.shape[1]))
+        for lo in range(0, len(out), step):
+            out[lo : lo + step, :k] = np.take(table[lo : lo + step], cols, axis=1)
+    extractor.extract(patches, out=out[:, k:])
+    return out
+
+
 def train_cascade(
     pool: TrainingPool,
     goal: NodeGoal,
@@ -427,15 +450,18 @@ def train_cascade(
 ) -> CascadeModel:
     """Stack nodes until the cumulative false-positive rate reaches f_target.
 
-    A validation_split share of the positives is held out once, before the
-    first stage, to tune node thresholds.  Each stage's table is the other
-    positives then the current negatives, in sample order, built once and
-    handed to train_node and the stump trainer as it is.  After each stage
-    the correctly rejected negatives leave the pool and the reservoir is
-    scanned for fresh false positives; training also stops when a node misses
-    its goal or the reservoir runs dry.  The last stage_log record is
-    {"stop_reason": ...}: f_target_met, goal_missed, bootstrap_exhausted,
-    negatives_empty or max_stages.
+    A validation_split share of the positive patches is held out once,
+    before any extraction, to tune node thresholds.  Each stage's table is
+    the other positives then the current negatives, in sample order: one
+    allocation at its final width, into whose column ranges the patches are
+    extracted, handed to train_node and the stump trainer as it is.  After
+    each stage the correctly rejected negatives leave the pool and the
+    reservoir is scanned for fresh false positives; the next stage's table is
+    again one new array, the kept columns copied over in row blocks and the
+    fresh negatives extracted into the columns after them.  Training also
+    stops when a node misses its goal or the reservoir runs dry.  The last
+    stage_log record is {"stop_reason": ...}: f_target_met, goal_missed,
+    bootstrap_exhausted, negatives_empty or max_stages.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -447,17 +473,15 @@ def train_cascade(
 
     # Exact integer sums; a chosen row is divided by its area where needed.
     area = extractor.area
-    pos_values = extractor.extract(pool.positives)
     order = rng.permutation(len(pool.positives))
     n_val = int(pool.validation_split * len(order))
     n_pos = len(order) - n_val
-    validation = np.take(pos_values, np.sort(order[:n_val]), axis=1) if n_val else None
-    pos_values = np.take(pos_values, np.sort(order[n_val:]), axis=1)
+    validation = extractor.extract(pool.positives[np.sort(order[:n_val])]) if n_val else None
     # The stage table, training positives then negatives, is the only copy:
     # the negatives are its columns n_pos and up.
-    values = np.hstack([pos_values, extractor.extract(pool.negatives) if len(pool.negatives)
-                        else np.zeros((len(feature_pool), 0), dtype=pos_values.dtype)])
-    del pos_values
+    train_pos = pool.positives[np.sort(order[n_val:])]
+    values = _stage_table(extractor, np.concatenate([train_pos, pool.negatives]) if len(pool.negatives)
+                          else train_pos)
     target_negatives = values.shape[1] - n_pos
 
     model = CascadeModel(
@@ -499,9 +523,9 @@ def train_cascade(
             break
         # Keep only the negatives the new node still accepts (false positives).
         neg_resp = np.vstack([s.responses(values[s.feature_id, n_pos:] / area[s.feature_id]) for s in node.stumps])
-        keep = np.concatenate([np.ones(n_pos, dtype=bool), node_margin(node, neg_resp) >= 0])
-        values = np.compress(keep, values, axis=1)  # C-ordered rows; values[:, keep] is not
-        needed = target_negatives - (values.shape[1] - n_pos)
+        kept = np.concatenate([np.arange(n_pos), n_pos + np.flatnonzero(node_margin(node, neg_resp) >= 0)])
+        needed = target_negatives - (len(kept) - n_pos)
+        fresh = np.zeros((0, base_window, base_window), dtype=np.uint8)
         if needed > 0:
             try:
                 fresh = bootstrap_negatives(model, pool.negative_reservoir, needed,
@@ -509,7 +533,7 @@ def train_cascade(
             except (BootstrapExhaustedError, ValueError):
                 stop_reason = "bootstrap_exhausted"
                 break
-            values = np.hstack([values, extractor.extract(fresh)])
+        values = _stage_table(extractor, fresh, values, kept)
     if stop_reason is None:
         stop_reason = "f_target_met" if f_cum <= f_target else "max_stages"
     model.stage_log.append({"stop_reason": stop_reason})

@@ -26,14 +26,16 @@ one gather on the flattened table.  A window whose footprint leaves the
 table raises IndexError before any read.
 
 Training extracts every feature of the pool from every patch at scale 1 with
-the same corners, as a matrix product: a block of features' corner weights,
-dense over the flattened (H+1)(W+1) integral table, times the float64 copy
-of the N patches' tables.  Weights and table entries are integers, and while
-the largest |table entry| times a feature's summed |weights| stays below
-2**53 every product and partial sum is an exact float64 integer, so the
-product equals the exact integer sums in any summation order.  Extraction
-returns those sums as integers, undivided, haar_sums' at scale 1.  Larger
-tables raise ValueError rather than round.
+the same corners, by integer gathers.  The N patches' integral tables are
+built transposed, one row per table entry over all N patches, so that each
+folded corner of a block of features is one gather of rows, added in with
+its weight.  Sums are exact integers in the tables' dtype: int32 while the
+largest |table entry| times a feature's summed |weights| stays below 2**31
+(8-bit patches stay far below it), int64 past it.  From 2**53 on, where a
+sum could stop converting exactly to the float64 value a stump thresholds,
+extraction raises ValueError.  Extraction returns the sums undivided,
+haar_sums' at scale 1, into a new table or a column range of one the caller
+allocated.
 """
 
 from __future__ import annotations
@@ -80,10 +82,31 @@ def _fold(cells) -> np.ndarray:
 
 _CORNERS = np.stack([_fold(cells) for cells in _CELLS.tolist()])
 
-# Byte budget of the dense corner-weight block FeatureExtractor.extract
-# multiplies at a time.  BLAS packs a copy of the block into pages that stay
-# resident, so the budget also bounds what extraction adds to peak RSS.
+# Byte budget of one block of gathered rows in FeatureExtractor.extract.
 _BLOCK_BYTES = 1 << 18
+
+
+def _integral(pixels: np.ndarray, weight: int) -> tuple[np.ndarray, int]:
+    """(table, reach): the exact integral table of pixels over their first
+    two axes, (height+1, width+1, ...) with table[y, x] = sum over pixels
+    [0,y) x [0,x), and reach = weight * max|table|.  The table is int32 when
+    reach < 2**31, so that reads of summed |weight| up to weight are exact
+    in int32, and int64 otherwise.  Unsigned pixels are summed in place in
+    the table: their largest entry is the largest total, known before the
+    sums, so there is no int64 pass, min/max scan or cast copy."""
+    shape = (pixels.shape[0] + 1, pixels.shape[1] + 1) + pixels.shape[2:]
+    if pixels.dtype.kind in "bu":
+        reach = weight * int(np.max(pixels.sum(axis=(0, 1), dtype=np.uint64), initial=0))
+        table = np.zeros(shape, dtype=np.int32 if reach < 2**31 else np.int64)
+        body = table[1:, 1:]
+        body[...] = pixels  # a cast into the table; cumsum's own cast would copy
+        np.cumsum(body, axis=0, out=body)
+        np.cumsum(body, axis=1, out=body)
+        return table, reach
+    table = np.zeros(shape, dtype=np.int64)
+    np.cumsum(np.cumsum(pixels, axis=0, dtype=np.int64), axis=1, out=table[1:, 1:])
+    reach = weight * max(-int(table.min()), int(table.max())) if table.size else 0
+    return (table.astype(np.int32) if reach < 2**31 else table), reach
 
 
 def build_integral(image) -> np.ndarray:
@@ -93,10 +116,7 @@ def build_integral(image) -> np.ndarray:
     image = np.asarray(image)
     if image.ndim != 2 or image.size == 0:
         raise ValueError("image must be a nonempty 2-d pixel grid")
-    h, w = image.shape
-    table = np.zeros((h + 1, w + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(image, axis=0, dtype=np.int64), axis=1, out=table[1:, 1:])
-    return table.astype(np.int32) if 16 * max(-int(table.min()), int(table.max())) < 2**31 else table
+    return _integral(image, 16)[0]
 
 
 @dataclass(frozen=True)
@@ -245,51 +265,75 @@ class FeatureExtractor:
         self.pool = pool
         x0, y0, x1, y1 = pool.box.T
         self.area = ((x1 - x0) * (y1 - y0)).astype(np.int64)
+        self._l1 = int(np.abs(pool.corners[:, :, 0]).sum(axis=1).max(initial=0))  # summed |weight|
 
-    def extract(self, patches) -> np.ndarray:
-        """(M, N) matrix of the exact integer sums of M features on N patches.
-
-        One matrix product per block of features: a dense block of folded
-        corner weights on the flattened (H+1)(W+1) integral tables, times
-        the float64 copy of the N tables.  Every product and partial sum is
-        an integer of magnitude at most max|table| * sum|weights|; below
-        2**53 that is exact in float64 whatever order BLAS sums in, so each
-        block holds the exact integer sums.  They are returned undivided:
-        sums[j] equals haar_sums' sums of feature j at scale 1.
-        The dtype is int32 while that bound stays below 2**31 (8-bit patches
-        stay far below it) and int64 past it.  Raises ValueError when the
-        bound could reach 2**53 and IndexError when a footprint leaves the
-        patches.
-        """
+    def _tables(self, patches) -> np.ndarray:
+        """The N patches' integral tables, transposed and flattened to
+        ((H+1)(W+1), N): row y * (W+1) + x holds entry (y, x) of every
+        patch.  Raises as extract does."""
         patches = np.asarray(patches)
         if patches.ndim != 3:
             raise ValueError("patches must be a (N, H, W) stack")
         n, h, w = patches.shape
-        tables = np.zeros((n, h + 1, w + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(patches, axis=1, dtype=np.int64), axis=2, out=tables[:, 1:, 1:])
-        m = len(self.pool)
-        if m and (self.pool.box[:, 2].max() > w or self.pool.box[:, 3].max() > h):
+        if len(self.pool) and (self.pool.box[:, 2].max() > w or self.pool.box[:, 3].max() > h):
             raise IndexError("feature footprint leaves the patches")
-        corners = self.pool.corners
-        l1 = np.abs(corners[:, :, 0]).sum(axis=1)  # summed |weight| per feature
-        reach = max(-int(tables.min()), int(tables.max())) * int(l1.max()) if m and n else 0
+        table, reach = _integral(np.moveaxis(patches, 0, -1), self._l1)
         if reach >= 2**53:
             raise ValueError("integral sums could reach 2**53, past exact float64")
-        out = np.empty((m, n), dtype=np.int32 if reach < 2**31 else np.int64)
+        return table.reshape((h + 1) * (w + 1), n)
+
+    def sum_dtype(self, patches) -> np.dtype:
+        """The dtype of extract's sums on these patches."""
+        return self._tables(patches).dtype
+
+    def extract(self, patches, out=None) -> np.ndarray:
+        """(M, N) matrix of the exact integer sums of M features on N patches.
+
+        Per block of features, each folded corner is one gather of rows from
+        the transposed integral tables (_tables), multiplied by the corner's
+        weight and added into the block.  Every partial sum is an integer of
+        magnitude at most max|table| * sum|weights|, so the int32 or int64
+        arithmetic of the tables is exact.  The sums are returned undivided:
+        sums[j] equals haar_sums' sums of feature j at scale 1.  Their dtype
+        is int32 while that bound stays below 2**31 (8-bit patches stay far
+        below it) and int64 past it.  out, when given, is an (M, N) array,
+        for example a column range of a larger table, whose dtype holds that
+        dtype; the sums are written into it and it is returned.  Raises
+        ValueError when the bound could reach 2**53 or out does not fit, and
+        IndexError when a footprint leaves the patches.
+        """
+        flat = self._tables(patches)
+        m, n = len(self.pool), flat.shape[1]
+        if out is None:
+            out = np.empty((m, n), dtype=flat.dtype)
+        elif out.shape != (m, n) or np.result_type(flat.dtype, out.dtype) != out.dtype:
+            raise ValueError(f"out must be an ({m}, {n}) array that holds {flat.dtype}")
         if m == 0 or n == 0:
             return out
-        cols = w + 1
-        size = (h + 1) * cols
-        flat = tables.reshape(n, size).astype(np.float64)
-        del tables
-        step = max(1, _BLOCK_BYTES // (8 * size))
-        product = np.empty((min(step, m), n))
-        rows = np.arange(min(step, m))[:, None] * size
+        corners = self.pool.corners
+        wgt = corners[:, :, 0].astype(flat.dtype)  # zero rows pad: weight 0 adds nothing
+        rows = corners[:, :, 2] * (np.shape(patches)[2] + 1) + corners[:, :, 1]
+        step = max(1, _BLOCK_BYTES // (flat.itemsize * n))
+        acc = np.empty((min(step, m), n), dtype=flat.dtype)
+        gathered = np.empty_like(acc)
         for lo in range(0, m, step):
             hi = min(lo + step, m)
-            wgt, x, y = corners[lo:hi].transpose(2, 0, 1)  # zero rows pad: weight 0 adds nothing
-            block = np.bincount((rows[: hi - lo] + y * cols + x).ravel(), weights=wgt.ravel(),
-                                minlength=(hi - lo) * size)
-            np.matmul(block.reshape(hi - lo, size), flat.T, out=product[: hi - lo])
-            out[lo:hi] = product[: hi - lo]  # exact integers: the cast is exact
+            a, g = acc[: hi - lo], gathered[: hi - lo]
+            np.take(flat, rows[lo:hi, 0], axis=0, out=a, mode="clip")  # in range; clip takes no buffer
+            if (wgt[lo:hi, 0] != 1).any():  # each kind's first corner, (0, 0), weighs +1
+                a *= wgt[lo:hi, 0, None]
+            for c in range(1, corners.shape[1]):
+                w = wgt[lo:hi, c]
+                low, high = int(w.min()), int(w.max())
+                if low == high == 0:  # every feature of the block has fewer corners
+                    continue
+                np.take(flat, rows[lo:hi, c], axis=0, out=g, mode="clip")
+                if low == high == 1:
+                    a += g
+                elif low == high == -1:
+                    a -= g
+                else:
+                    g *= w[:, None]
+                    a += g
+            out[lo:hi] = a
         return out

@@ -5,8 +5,8 @@ A stump thresholds one feature and outputs +/-1; training minimizes weighted
 under fresh boosting weights is one vectorized pass over a pre-sorted table.
 The (M, N) table is sorted and trained a block of rows at a time, each block
 about _BLOCK_BYTES (8-byte entries in the sort, 16-byte complex128 ones in
-train_all), so the memory beyond the table, its int32 sort order and the
-interior-slot mask stays bounded however many features the pool holds.
+train_all), so the memory beyond the table, its sort order and the packed
+tie bits stays bounded however many features the pool holds.
 
 train_all sweeps both classes at once: each sample's weight is one
 complex128, its real part the weight of a positive and its imaginary part
@@ -15,9 +15,9 @@ gather through the sort order and one cumsum give both classes' cumulative
 weights, bit for bit the two float64 cumsums of a per-class sweep, because
 complex addition adds the real and imaginary parts separately and the sums
 keep their order.  Slots inside a run of tied values are ruled out by adding
-+inf, from one integer multiply of the tie mask by the bits of +inf; the
-other slots get 0.0, which changes no error (no error is -0.0: every
-class's column holds the other class's +0.0 entries).
++inf, from one integer multiply of the block's unpacked tie bits by the bits
+of +inf; the other slots get 0.0, which changes no error (no error is -0.0:
+every class's column holds the other class's +0.0 entries).
 
 The sort order is the stable one (equal values keep their sample order),
 computed by one integer sort of each row block's keys rank << bits | index,
@@ -31,8 +31,8 @@ for int64 keys, ranks it by its run number: numpy's SIMD argsort orders the
 row and the runs of equal values in it are numbered.  Runs sit in the same
 positions in every sorted order, so either way the result is exactly
 argsort(kind="stable") for any integers or finite floats, +/-0.0 and +/-inf
-included, and the interior slots are where the rank changes.  NaN has no
-place in a sorted order and is rejected.
+included, and the ties are where the rank does not change.  NaN has no place
+in a sorted order and is rejected.
 """
 
 from __future__ import annotations
@@ -140,11 +140,15 @@ class StumpTrainer:
 
     Both the sort and train_all walk the table in blocks of rows sized by
     _BLOCK_BYTES, so their temporaries stay near that budget whatever M is:
-    about 2.2 budgets in train_all, first the complex gather and cumsum
-    blocks, then the cumsum block beside err_plus and the 0/+inf tie array.
-    Between calls the trainer holds the table, its per-row sort order as
-    int32 and a bool mask of the interior threshold slots: 9/8 of the bytes
-    of the table in float64 for an int32 table, 13/8 for a float64 one.
+    about 2.5 budgets in train_all: its two complex blocks, the gather and
+    the cumsum, allocated once per call (they then also hold err_plus and
+    the 0/+inf tie array, and err_minus), and np.take's intp copy of each
+    block of the order.
+    Between calls the trainer holds the table, its per-row sort order
+    (uint16 while N <= 65,536, which covers every paper-sized stage table,
+    else int32) and one tie bit per interior threshold slot, packed 8 to a
+    byte: 2 1/8 bytes per entry beside the table's own, 6 1/8 in all for an
+    int32 table with a uint16 order.
     train_all gathers both classes' weights, packed in one complex128
     (module docstring), through the order into one cumulative sum; err_plus
     is one contiguous array and err_minus is written over the cumsum block.
@@ -168,15 +172,16 @@ class StumpTrainer:
         self.area = np.ones(m) if area is None else np.asarray(area, dtype=np.float64)
         if self.area.shape != (m,) or not np.all(np.isfinite(self.area) & (self.area > 0)):
             raise ValueError(f"area must hold {m} positive finite numbers, one per table row")
-        self.order = np.empty((m, n), dtype=np.int32)
-        # Interior threshold slot t is usable only between distinct values.
-        self._interior_ok = np.empty((m, n - 1), dtype=bool)
+        self.order = np.empty((m, n), dtype=np.uint16 if n <= 1 << 16 else np.int32)
+        # Bit t - 1 of a row is set when interior threshold slot t lies
+        # inside a run of equal values, where no threshold can split them.
+        self._ties = np.empty((m, -(-(n - 1) // 8)), dtype=np.uint8)
         bits = (n - 1).bit_length()
         for rows in self._blocks():
             keys = _sort_keys(values[rows], bits)
             keys.sort(axis=1)
             rank = keys >> bits
-            np.not_equal(rank[:, 1:], rank[:, :-1], out=self._interior_ok[rows])
+            self._ties[rows] = np.packbits(rank[:, 1:] == rank[:, :-1], axis=1)
             del rank
             keys &= (1 << bits) - 1
             self.order[rows] = keys
@@ -201,30 +206,37 @@ class StumpTrainer:
         class_w = np.empty(n, dtype=np.complex128)
         class_w.real = np.where(self.labels > 0, weights, 0.0)
         class_w.imag = np.where(self.labels < 0, weights, 0.0)
-        for rows in self._blocks(16):
+        # Two block buffers, allocated once per call and reused by every
+        # block: fresh blocks would fault their pages in again each time.
+        blocks = self._blocks(16)
+        step = blocks[0].stop - blocks[0].start
+        spare = np.empty(step * n, dtype=np.complex128)
+        floats = spare.view(np.float64)
+        sums = np.empty((step, n + 1), dtype=np.complex128)
+        for rows in blocks:
             order = self.order[rows]
             b = order.shape[0]
             # Cumulative class weights in sorted order: slot t sums positions < t.
-            # Each temporary is freed once used: the block's peak bounds train_all.
-            sorted_w = np.empty((b, n), dtype=np.complex128)
+            sorted_w = spare[: b * n].reshape(b, n)
             np.take(class_w, order, out=sorted_w, mode="clip")  # in range; clip takes no buffer
-            c = np.empty((b, n + 1), dtype=np.complex128)
+            c = sums[:b]
             c[:, 0] = 0.0
             np.cumsum(sorted_w, axis=1, out=c[:, 1:])
-            del sorted_w
             cp, cn = c.real, c.imag
             total = cp[:, -1] + cn[:, -1]
             # Slot t: sorted positions < t predict -polarity, >= t predict +polarity.
-            err_plus = cn[:, -1:] - cn
+            # sorted_w is not read again: its 2bn floats hold err_plus, then tie_inf.
+            err_plus = np.subtract(cn[:, -1:], cn, out=floats[: b * (n + 1)].reshape(b, n + 1))
             err_plus += cp
             # c is not read again, so err_minus takes the first half of its bytes.
             err_minus = np.subtract(total[:, None], err_plus, out=c.view(np.float64)[:, : n + 1])
             del cp, cn, c
             # Interior slots inside a run of ties get +inf, the others 0.0.
-            tie_inf = np.multiply(~self._interior_ok[rows], _INF_BITS, dtype=np.int64).view(np.float64)
+            ties = np.unpackbits(self._ties[rows], axis=1, count=n - 1)  # 0/1 per interior slot
+            tie_bits = floats[b * (n + 1) : 2 * b * n].view(np.int64).reshape(b, n - 1)
+            tie_inf = np.multiply(ties, _INF_BITS, out=tie_bits, dtype=np.int64).view(np.float64)
             err_plus[:, 1:n] += tie_inf
             err_minus[:, 1:n] += tie_inf
-            del tie_inf
 
             bp = np.argmin(err_plus, axis=1)
             bm = np.argmin(err_minus, axis=1)

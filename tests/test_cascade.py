@@ -27,9 +27,10 @@ from gslda_cascade.cascade import (
 )
 from gslda_cascade.features import FeatureExtractor, PoolParams, build_integral, build_pool
 from gslda_cascade.model_io import load_model
+from gslda_cascade.pgm import read_pgm
 from gslda_cascade.scatter import GreedySelector, ScatterConfig
 from gslda_cascade.stumps import DecisionStump, StumpTable, StumpTrainer
-from gslda_cascade.synth import ToyDatasetSpec, axis_stump_pool, generate_toy
+from gslda_cascade.synth import ToyDatasetSpec, axis_stump_pool, generate_toy, load_manifest
 from oracles import bootstrap_negatives as scalar_bootstrap_negatives
 from oracles import (
     ResponseTable,
@@ -410,6 +411,51 @@ def test_each_stage_table_is_held_once(monkeypatch, tmp_path):
                      "--subsample", "16", "--max-stumps", "20", "--f-target", "0.001"]) == 0
     assert len(held) >= 2  # a bootstrapped stage too
     assert max(held) < 0.5, held
+
+
+def test_training_peak_stays_near_the_stage_table():
+    # The whole 16 x 16 pool (32,384 features) on 480 training samples: a
+    # 62 MB int32 stage table.  While the node trains, train_cascade holds the
+    # table and the held-out positives' sums, and the stump trainer its uint16
+    # order (1/2 of the table's bytes), packed tie bits (1/32), int8 responses
+    # (1/4) and train_all's block temporaries: about 1.88 x the table.  An
+    # int32 order (2.38 x) or a table built by np.hstack of the positives'
+    # and negatives' sums (2.05 x) breaks the bound.
+    rng = np.random.default_rng(0)
+    pos, neg, _ = mini_corpus(rng, n_pos=100, n_neg=400, size=16)
+    pool = TrainingPool(pos.astype(np.uint8), neg.astype(np.uint8), [], validation_split=0.2)
+    feats = build_pool(PoolParams(16))
+    assert len(feats) == 32_384
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        model = train_cascade(pool, NodeGoal(f_max=0.5), 0.5, "gslda", feats)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert len(model.nodes) == 1 and model.stage_log[-1] == {"stop_reason": "f_target_met"}
+    table = len(feats) * (80 + 400) * 4  # int32 sums of 80 training positives and 400 negatives
+    assert peak <= 1.95 * table, peak / table
+
+
+def test_stage_one_f_is_the_scan_acceptance(tmp_path):
+    # Training decides a stump on a sum by its value (sums / area), the scan
+    # by _sum_bound on the sum: the logged stage-1 f must be the share of the
+    # initial negatives that evaluate_windows accepts at scale 1.
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--out", str(corpus), "--n-pos", "100", "--n-neg", "200",
+                     "--reservoir", "2", "--scenes", "0", "--seed", "0"]) == 0
+    manifest = load_manifest(str(corpus / "manifest.json"))
+    negatives = [build_integral(read_pgm(manifest.path(rel))) for rel in manifest.negatives]
+    for method in ("gslda", "bgslda1", "adaboost"):
+        out = tmp_path / f"{method}.json"
+        assert cli.main(["train", "--data", str(corpus / "manifest.json"), "--out", str(out), "--method", method,
+                         "--subsample", "16", "--max-stumps", "20", "--f-target", "0.001"]) == 0
+        model = load_model(str(out))
+        f = json.loads((tmp_path / f"{method}.json.log.jsonl").read_text().splitlines()[0])["f"]
+        accepted = sum(evaluate_windows(model, table, range(1), range(1), 1)[0].size for table in negatives)
+        assert 0 < f < 1
+        assert f == accepted / len(negatives)
 
 
 class TestBootstrap:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -102,6 +104,27 @@ class TestIntegralImage:
             assert table.dtype == dtype
             assert np.array_equal(table, integral_image(image).table)
         assert build_integral(np.full((480, 480), 255, dtype=np.uint8)).dtype == np.int32
+
+
+    def test_unsigned_images_sum_straight_into_their_final_dtype(self):
+        # An unsigned image's largest entry is its total, known before the
+        # sums: 16 * 64 * (2**21 - 1) < 2**31 <= 16 * 64 * 2**21.
+        for pixel, dtype in ((2**21 - 1, np.int32), (2**21, np.int64)):
+            image = np.full((8, 8), pixel, dtype=np.uint32)
+            table = build_integral(image)
+            assert table.dtype == dtype
+            assert np.array_equal(table, integral_image(image).table)
+        image = np.random.default_rng(2).integers(0, 256, size=(480, 480), dtype=np.uint8)
+        assert np.array_equal(build_integral(image.astype(bool)), integral_image(image.astype(bool)).table)
+        tracemalloc.start()
+        try:
+            table = build_integral(image)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # No int64 pass or int32 copy beside the int32 table.
+        assert table.dtype == np.int32 and peak < 1.2 * table.nbytes
+        assert np.array_equal(table, integral_image(image).table)
 
 
 class TestEnumerateHaar:
@@ -486,6 +509,34 @@ class TestFeatureExtractor:
         pool = build_pool(PoolParams(base_window=2))
         empty = FeaturePool(pool.params, pool.kind[:0], pool.box[:0], pool.corners[:0])
         assert FeatureExtractor(empty).extract(np.zeros((3, 2, 2), dtype=np.uint8)).shape == (0, 3)
+
+    def test_writes_into_a_column_range(self):
+        # A stage table is allocated once and each patch stack is extracted
+        # into its own columns; out must hold the sums' dtype.
+        pool = build_pool(PoolParams(base_window=6, subsample=7))
+        extractor = FeatureExtractor(pool)
+        rng = np.random.default_rng(3)
+        small = rng.integers(0, 256, size=(4, 6, 6), dtype=np.uint8)
+        large = small.astype(np.int64) << 24  # sums past int32
+        assert extractor.sum_dtype(small) == extractor.extract(small).dtype == np.int32
+        assert extractor.sum_dtype(large) == extractor.extract(large).dtype == np.int64
+        table = np.full((len(pool), 9), -7, dtype=np.int64)
+        assert np.shares_memory(extractor.extract(small, out=table[:, 1:5]), table)
+        extractor.extract(large, out=table[:, 5:])
+        assert (table[:, 0] == -7).all()
+        assert np.array_equal(table[:, 1:5], extractor.extract(small))
+        assert np.array_equal(table[:, 5:], extractor.extract(large))
+        for out in (np.empty((len(pool), 4), dtype=np.int32), np.empty((len(pool), 3), dtype=np.int64)):
+            with pytest.raises(ValueError, match="out"):
+                extractor.extract(large, out=out)
+
+    def test_no_patches(self):
+        pool = build_pool(PoolParams(base_window=6, subsample=67))
+        extractor = FeatureExtractor(pool)
+        assert extractor.extract(np.zeros((0, 6, 6), dtype=np.uint8)).shape == (10, 0)
+        table = np.full((10, 3), -1, dtype=np.int64)
+        assert extractor.extract(np.zeros((0, 6, 6), dtype=np.uint8), out=table[:, 3:]).shape == (10, 0)
+        assert (table == -1).all()
 
     def test_patches_smaller_than_the_pool_rejected(self):
         pool = build_pool(PoolParams(base_window=6))

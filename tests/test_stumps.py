@@ -247,7 +247,7 @@ class TestStableOrder:
             mp.setattr(stumps, "_BLOCK_BYTES", 8 * (n + 1) * block_rows)
             trainer = StumpTrainer(values, labels)
             table = trainer.train_all(w)
-        assert trainer.order.dtype == np.int32
+        assert trainer.order.dtype == np.uint16  # N <= 65,536
         assert np.array_equal(trainer.order, np.argsort(values, axis=1, kind="stable"))
         thresholds, polarity, errors, responses = stump_table(values, labels, w)
         assert table.thresholds.tobytes() == thresholds.tobytes()
@@ -258,7 +258,7 @@ class TestStableOrder:
 
 class TestIntegerKeys:
     """An integer table sorts by one key sort of rank << bits | index; its
-    order and interior mask must be the stable argsort's at every key width,
+    order and tie bits must be the stable argsort's at every key width,
     and its training must equal the oracle's on the values sums / area."""
 
     @settings(max_examples=80, deadline=None)
@@ -287,10 +287,11 @@ class TestIntegerKeys:
             trainer = StumpTrainer(table, labels, area)
             trained = trainer.train_all(w)
         stable = np.argsort(table, axis=1, kind="stable")
-        assert trainer.order.dtype == np.int32
+        assert trainer.order.dtype == np.uint16  # N <= 65,536
         assert np.array_equal(trainer.order, stable)
         ordered = np.take_along_axis(table, stable, axis=1)
-        assert np.array_equal(trainer._interior_ok, ordered[:, 1:] != ordered[:, :-1])
+        ties = np.unpackbits(trainer._ties, axis=1, count=n - 1).astype(bool)
+        assert np.array_equal(ties, ordered[:, 1:] == ordered[:, :-1])
         if reach < 2**50:  # where distinct sums keep distinct values and midpoints
             thresholds, polarity, errors, responses = stump_table(table / area[:, None], labels, w)
             assert trained.thresholds.tobytes() == thresholds.tobytes()
@@ -348,6 +349,20 @@ class TestNaN:
                 StumpTrainer(values, np.array([1, -1, 1, -1, 1]))
 
 
+@pytest.mark.parametrize("n,dtype", [(65_536, np.uint16), (65_537, np.int32)])
+def test_order_dtype_at_the_uint16_boundary(n, dtype):
+    # Sample indices up to 65,535 fit uint16; one more sample needs int32.
+    rng = np.random.default_rng(n)
+    table = rng.integers(0, 50, size=(3, n), dtype=np.int32)  # heavy ties
+    trainer = StumpTrainer(table, np.where(rng.random(n) < 0.5, 1, -1))
+    stable = np.argsort(table, axis=1, kind="stable")
+    assert trainer.order.dtype == dtype
+    assert np.array_equal(trainer.order, stable)
+    ordered = np.take_along_axis(table, stable, axis=1)
+    ties = np.unpackbits(trainer._ties, axis=1, count=n - 1).astype(bool)
+    assert np.array_equal(ties, ordered[:, 1:] == ordered[:, :-1])
+
+
 class TestMemoryBound:
     def test_blocked_training_memory(self):
         rng = np.random.default_rng(7)
@@ -359,12 +374,13 @@ class TestMemoryBound:
         trainer = StumpTrainer(values, labels)
         held = sum(v.nbytes for v in vars(trainer).values() if isinstance(v, np.ndarray))
         assert held <= 1.75 * values.nbytes
-        # Integer sums, as extraction gives them: 4 bytes of table, 4 of
-        # order and 1 of mask per entry, against 8 for the same table in float64.
+        # Integer sums, as extraction gives them: 4 bytes of table, 2 of
+        # uint16 order and 1/8 of packed tie bits per entry, against 8 for the
+        # same table in float64.  An int32 order or a bool tie mask would not fit.
         sums = rng.integers(-(2**20), 2**20, size=(m, n), dtype=np.int32)
         trainer = StumpTrainer(sums, labels, np.full(m, 24))
         held = sum(v.nbytes for v in vars(trainer).values() if isinstance(v, np.ndarray))
-        assert held <= 1.2 * sums.astype(np.float64).nbytes
+        assert held <= 1.02 * (4 + 2 + 1 / 8) / 8 * sums.astype(np.float64).nbytes
 
         tracemalloc.start()
         try:
@@ -374,7 +390,7 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         excess = peak - table.responses.nbytes - table.errors.nbytes
-        assert excess < 3 * stumps._BLOCK_BYTES  # 2.16x for the int32 table here
+        assert excess < 3 * stumps._BLOCK_BYTES  # 2.53x for the int32 table here
 
 
 class TestInputChecks:
