@@ -40,8 +40,11 @@ from .model_io import (
 )
 from .pgm import read_pgm
 from .scatter import ScatterConfig
-from .synth import ToyDatasetSpec, generate_synthetic_faces, generate_toy, load_manifest
-from .toy import METHODS as TOY_METHODS, run_toy_experiment
+
+# synth and toy are imported inside the commands that use them: each CLI
+# process compiles what it imports, and detect uses neither.  Every other
+# module stays imported here, because bench/tracer.py wraps only the package
+# modules loaded before it installs.
 
 
 class UsageError(Exception):
@@ -228,6 +231,8 @@ def cmd_train(args) -> int:
             raise ValueError("f_target must be in [0, 1] and validation_split in [0, 1)")
         if min(cfg["stride"], cfg["min_size"], cfg["subsample"]) < 1:
             raise ValueError("stride, min_size and subsample must be at least 1")
+    from .synth import load_manifest
+
     try:
         manifest = load_manifest(args.data)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -326,6 +331,8 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _merge_config(args, {"scale_factor": 1.2, "step": 1.0, "min_neighbors": 2})
     _check_scan(cfg)
+    from .synth import load_manifest
+
     try:
         model = load_model(args.model)
         manifest = load_manifest(args.data)
@@ -355,6 +362,9 @@ def cmd_eval(args) -> int:
 def cmd_toy(args) -> int:
     cfg = _merge_config(args, {"n_pos": 100, "n_neg": 2000, "rounds": 4, "trials": 1,
                                "dmin": 0.99, "seed": 0})
+    from .synth import ToyDatasetSpec, generate_toy
+    from .toy import METHODS as TOY_METHODS, run_toy_experiment
+
     with _settings():  # the toy reads no input, so any ValueError is a bad setting
         spec = ToyDatasetSpec(n_pos=cfg["n_pos"], n_neg=cfg["n_neg"], seed=cfg["seed"])
         report = run_toy_experiment(spec, rounds=cfg["rounds"], trials=cfg["trials"], d_min=cfg["dmin"])
@@ -386,6 +396,8 @@ def cmd_synth(args) -> int:
             raise ValueError("size must be at least 8")
         if min(cfg["n_pos"], cfg["n_neg"], cfg["reservoir"], cfg["scenes"]) < 0:
             raise ValueError("n_pos, n_neg, reservoir and scenes must be at least 0")
+    from .synth import generate_synthetic_faces
+
     try:
         manifest = generate_synthetic_faces(
             args.out, seed=cfg["seed"], n_pos=cfg["n_pos"], n_neg=cfg["n_neg"],

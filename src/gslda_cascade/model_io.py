@@ -11,10 +11,13 @@ only pool type, and rebuilt by features.build_pool on load.
 
 The detections CSV is written from a detect.DetectionTable, image by image
 from each Detections' arrays: the header image_id,x,y,side,score, then one
-row per window, every row ending in \r\n.  Scores are written with repr, so
-they read back exactly; each distinct score of an image is formatted once.
-An image id is quoted as the csv module quotes it (a comma, quote or line
-break puts it in quotes, a quote doubles).
+row per window, every row ending in \r\n.  Integers are written with str and
+scores with repr, so they read back exactly.  Per image, each distinct x, y
+and side is formatted once, and each distinct score once (told apart by its
+bits, so 0.0 and -0.0 stay apart); the rows are then assembled as bytes,
+with no Python per row.  An image id is quoted as the csv module quotes it
+(a comma, quote or line break puts it in quotes, a quote doubles) and encoded
+as the file's text mode encodes it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import json
 import numpy as np
 
 from .cascade import CascadeModel, NodeClassifier
-from .detect import DetectionTable, GroundTruthBox, ROCPoint
+from .detect import DetectionTable, Detections, GroundTruthBox, ROCPoint
 from .features import PoolParams, build_pool
 from .stumps import DecisionStump
 
@@ -220,18 +223,51 @@ def read_ground_truth(path: str) -> list[GroundTruthBox]:
     return boxes
 
 
+def _text_table(texts: list[str]) -> np.ndarray:
+    """ASCII texts as the rows of a uint8 table, each padded with NULs to
+    the longest."""
+    table = np.array(texts, dtype=np.bytes_)
+    return table.view(np.uint8).reshape(len(texts), table.itemsize)
+
+
+def _image_rows(head: bytes, dets: Detections) -> bytes:
+    """One image's CSV rows: head (its quoted id and a comma), then x, y,
+    side and score.  Each distinct value is formatted once, with the comma or
+    line end after it; the rows gather these texts into one NUL-padded byte
+    buffer, whose padding is then dropped."""
+    fields = []
+    for values in (dets.x, dets.y, dets.side):
+        distinct, which = np.unique(values, return_inverse=True)
+        fields.append((_text_table([f"{v}," for v in distinct.tolist()]), which))
+    # Scores keyed by their bits, so that 0.0 and -0.0 stay apart.
+    bits, which = np.unique(dets.score.view(np.int64), return_inverse=True)
+    fields.append((_text_table([f"{s!r}\r\n" for s in bits.view(np.float64).tolist()]), which))
+    rows = np.empty((len(dets), len(head) + sum(table.shape[1] for table, _ in fields)), dtype=np.uint8)
+    rows[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
+    at = len(head)
+    for table, which in fields:
+        # Each row's cell as one void item, so that numpy copies it as one block.
+        cell = np.dtype((np.void, table.shape[1]))
+        np.take(table.view(cell)[:, 0], which, out=rows[:, at:at + table.shape[1]].view(cell)[:, 0])
+        at += table.shape[1]
+    keep = rows != 0
+    keep[:, :len(head)] = True  # an id may hold a NUL; the formatted values never do
+    return rows[keep].tobytes()
+
+
 def write_detections_csv(rows: DetectionTable, path: str) -> None:
+    """Write the detections CSV (see the module docstring), one byte write
+    per image with windows: each value is formatted once per image and the
+    rows are assembled as bytes by _image_rows."""
     with open(path, "w", newline="") as fh:
-        fh.write("image_id,x,y,side,score\r\n")
+        out = fh.buffer  # the rows are bytes; their ids are encoded as the text mode would
+        out.write(b"image_id,x,y,side,score\r\n")
         for image_id, dets in rows.images:
+            if not len(dets):  # no rows, so its id is never encoded
+                continue
             head = io.StringIO()
             csv.writer(head).writerow([image_id, ""])  # two fields: an empty id stays unquoted
-            head = head.getvalue()[:-2]  # the quoted id and its comma
-            # One repr per distinct score, keyed by its bits so that 0.0 and -0.0 stay apart.
-            bits, which = np.unique(dets.score.view(np.int64), return_inverse=True)
-            reprs = [repr(score) for score in bits.view(np.float64).tolist()]
-            fh.write("".join(f"{head}{x},{y},{side},{reprs[k]}\r\n" for x, y, side, k in zip(
-                dets.x.tolist(), dets.y.tolist(), dets.side.tolist(), which.tolist())))
+            out.write(_image_rows(head.getvalue()[:-2].encode(fh.encoding, fh.errors), dets))
 
 
 def write_roc_csv(points: list[ROCPoint], path: str) -> None:

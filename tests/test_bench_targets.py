@@ -4,10 +4,14 @@ target is only reported missing.  These tests make such a rename fail, and
 check that the arguments its hooks count still mean what the hooks assume."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import gslda_cascade
 from gslda_cascade import boosting, cli
 from gslda_cascade.boosting import EdgeStats
 from gslda_cascade.cascade import CascadeModel, NodeClassifier, NodeGoal, train_node
@@ -38,6 +42,22 @@ def test_every_traced_target_resolves(monkeypatch):
     layers = importlib.import_module("layers")
     missing = [f"{t.module}.{t.attr}" for t in layers.TARGETS if not callable(resolve(t.module, t.attr))]
     assert missing == KNOWN_MISSING
+
+
+def test_cli_import_loads_every_traced_module(monkeypatch):
+    """bench/tracer.py wraps only the package modules loaded when it
+    installs, which is after importing cli: a module that cli imports later,
+    inside a command, would have its targets never wrapped and its layer
+    read 0."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    modules = importlib.import_module("layers").MODULES
+    src = str(Path(gslda_cascade.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, gslda_cascade.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split()
+    assert [m for m in modules if f"gslda_cascade.{m}" not in loaded] == []
 
 
 def test_detect_hook_arguments(monkeypatch, tmp_path, capsys):

@@ -227,10 +227,34 @@ def detection_tables(draw):
 _REPEATS = np.array([0.0, -0.0, 2.5, 0.0, -0.0, 2.5, 1e-7])
 
 
+def _dets(x, y, side, score):
+    x, y, side = (np.asarray(v, dtype=np.int64) for v in (x, y, side))
+    return Detections(x, y, side, np.asarray(score, dtype=np.float64), np.ones(len(x), dtype=np.int64))
+
+
+# Every digit width up to the int64 extremes, and the minus sign, in each
+# integer column.
+_WIDTHS = np.array([-2**63, 2**63 - 1, -1, 0, 9, 10, 99, 100])
+# An id mixing non-ASCII characters with the ones csv quotes, and a NUL.
+_ODD_ID = 'é,"中"\x00\U0001f600'
+# About 5,000 windows as a scan keeps them: ordered by side, then y, then x,
+# on a 480-pixel image, with the few distinct scores of a shallow cascade.
+_rng = np.random.default_rng(0)
+_side = _rng.choice([16, 19, 23, 27, 33, 39], 5000)
+_y, _x = (_rng.integers(0, 481 - _side) for _ in range(2))
+_order = np.lexsort((_x, _y, _side))
+_SCAN = _dets(_x[_order], _y[_order], _side[_order], _rng.choice([-0.25, 0.5, 1.0000000000000002, 1.75], 5000))
+
+
 @settings(max_examples=200, deadline=None)
 @given(table=detection_tables())
 @example(table=DetectionTable([("a", Detections(*np.arange(21).reshape(3, 7), _REPEATS, np.ones(7, int))),
                                ("b", Detections(*np.zeros((3, 2), int), _REPEATS[[1, 0]], np.ones(2, int)))]))
+@example(table=DetectionTable([("w", _dets(_WIDTHS, _WIDTHS[::-1], np.roll(_WIDTHS, 3), _REPEATS[[0, 1] * 4]))]))
+@example(table=DetectionTable([("a", _dets([1], [2], [16], [0.5])), ("empty", _dets([], [], [], [])),
+                               ("b", _dets([3, 3], [4, 4], [19, 19], [-0.0, 0.0]))]))
+@example(table=DetectionTable([(_ODD_ID, _dets([5, 6], [7, 8], [16, 16], [1.5, 2.5]))]))
+@example(table=DetectionTable([("m00.pgm", _SCAN)]))
 def test_detections_csv_bytes_match_row_writer(table, tmp_path_factory):
     out = tmp_path_factory.mktemp("csv")
     write_detections_csv(table, str(out / "new.csv"))
