@@ -14,10 +14,11 @@ rule (boosting.reweight), asymmetric for asymboost and bgslda2.
 evaluate_windows is the package's one cascade evaluator: early rejection
 over the integral table, vectorized over a lattice of windows (two ranges of
 top-left corners).  The first node sees every window and reads the table in
-2-D slices; later nodes gather on its survivors only.  Stumps test integer sums
-against integer bounds; margins are looked up by pass bits.  It returns the
-windows that passed a requested number of nodes and their score at every depth,
-NaN past a rejecting node.  Bootstrapping, the scan and the curves all use it.
+2-D slices; later nodes gather on its survivors only.  Stumps decide integer
+sums by DecisionStump.passes, as training does; margins are looked up by pass
+bits.  It returns the windows that passed a requested number of nodes and
+their score at every depth, NaN past a rejecting node.  Bootstrapping, the
+scan and the curves all use it.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class _NodeFit:
         self.chosen.append(stump)
         self.train_rows.append(train_row.copy())  # a view would keep its whole table alive
         j = stump.feature_id
-        self.val_rows.append(stump.responses(self.val_table[j, self.val_cols] / self.area[j]))
+        self.val_rows.append(stump.responses(self.val_table[j, self.val_cols], self.area[j]))
 
     def retune(self, coefficients) -> None:
         """Recompute threshold (validation d_min quantile) and the rates."""
@@ -179,8 +180,8 @@ def train_node(
 
     values is the (M, N) training table of the node's pool, labels the +/-1
     sample classes; it goes to StumpTrainer as it is.  The table holds
-    values, or integer sums whose row j divided by area[j] gives feature j's
-    values (area defaults to ones), as for StumpTrainer.  validation is the
+    integer sums whose row j divided by area[j] gives feature j's values
+    (area defaults to ones), as for StumpTrainer.  validation is the
     (M, V) table of held-out positives, in the same form, used only for
     threshold tuning; when it is None the training positives double as
     validation.  fixed_rounds trains exactly that many stumps regardless of
@@ -304,36 +305,16 @@ def lattice_corners(xs: range, ys: range, index) -> tuple[np.ndarray, np.ndarray
     return xs.start + col * xs.step, ys.start + row * ys.step
 
 
-# (min, max) of each integer dtype an integral table's sums come in.
-_LIMITS = {np.dtype(t): (int(np.iinfo(t).min), int(np.iinfo(t).max)) for t in (np.int32, np.int64)}
-
-
-def _sum_bound(threshold: float, area: int, dtype) -> int:
-    """The least s in dtype's range with s / area >= threshold in float64,
-    else its max, which a table's sums never reach (build_integral).  The
-    quotient never falls as s grows, so s passes exactly when s >= bound."""
-    lo, hi = _LIMITS[np.dtype(dtype)]
-    if not float(hi) / area >= threshold:  # +inf and NaN too
-        return hi
-    s = min(int(np.ceil(max(threshold * area, lo))), hi)  # within a few steps of the bound
-    while s > lo and float(s - 1) / area >= threshold:
-        s -= 1
-    while float(s) / area < threshold:
-        s += 1
-    return s
-
-
 def _node_margins(model: CascadeModel, node: NodeClassifier, table, px, py, scale, n: int) -> np.ndarray:
     """node_margin of the n windows haar_sums places by px, py, bit for bit.
-    A stump passes a sum of at least _sum_bound.  The first 8 stumps' pass bits
+    A stump passes a sum by DecisionStump.passes.  The first 8 stumps' pass bits
     are a uint8 code into lut, their +/-c*polarity votes summed from 0 in stump
     order; further votes, then the node threshold, add on as in node_margin."""
     lut = np.zeros(1 << min(len(node.stumps), 8))
     code = np.zeros(n, dtype=np.uint8)
     acc = None
     for t, (c, stump) in enumerate(zip(node.coefficients, node.stumps)):
-        sums, area = haar_sums(model.feature_pool, stump.feature_id, table, px, py, scale)
-        passed = sums >= _sum_bound(stump.threshold, area, sums.dtype)
+        passed = stump.passes(*haar_sums(model.feature_pool, stump.feature_id, table, px, py, scale))
         vote = c * stump.polarity
         if t < 8:
             code |= passed.view(np.uint8) << t
@@ -471,8 +452,6 @@ def train_cascade(
     extractor = FeatureExtractor(feature_pool)
     rng = np.random.default_rng(seed)
 
-    # Exact integer sums; a chosen row is divided by its area where needed.
-    area = extractor.area
     order = rng.permutation(len(pool.positives))
     n_val = int(pool.validation_split * len(order))
     n_pos = len(order) - n_val
@@ -500,7 +479,7 @@ def train_cascade(
         started = time.perf_counter()
         labels = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(values.shape[1] - n_pos, dtype=int)])
         node = train_node(values, labels, goal, method, scatter_cfg=scatter_cfg,
-                          boost_cfg=boost_cfg, validation=validation, area=area)
+                          boost_cfg=boost_cfg, validation=validation, area=extractor.area)
         model.nodes.append(node)
         d_cum *= node.detection_rate
         f_cum *= node.false_positive_rate
@@ -522,7 +501,8 @@ def train_cascade(
         if f_cum <= f_target:
             break
         # Keep only the negatives the new node still accepts (false positives).
-        neg_resp = np.vstack([s.responses(values[s.feature_id, n_pos:] / area[s.feature_id]) for s in node.stumps])
+        neg_resp = np.vstack([s.responses(values[s.feature_id, n_pos:], extractor.area[s.feature_id])
+                              for s in node.stumps])
         kept = np.concatenate([np.arange(n_pos), n_pos + np.flatnonzero(node_margin(node, neg_resp) >= 0)])
         needed = target_negatives - (len(kept) - n_pos)
         fresh = np.zeros((0, base_window, base_window), dtype=np.uint8)

@@ -86,17 +86,23 @@ _CORNERS = np.stack([_fold(cells) for cells in _CELLS.tolist()])
 _BLOCK_BYTES = 1 << 18
 
 
+def _unsigned_reach(pixels: np.ndarray, weight: int) -> int:
+    """weight * the largest total of unsigned pixels over their first two
+    axes: the largest entry of their integral table, known before any sum."""
+    return weight * int(np.max(pixels.sum(axis=(0, 1), dtype=np.uint64), initial=0))
+
+
 def _integral(pixels: np.ndarray, weight: int) -> tuple[np.ndarray, int]:
     """(table, reach): the exact integral table of pixels over their first
     two axes, (height+1, width+1, ...) with table[y, x] = sum over pixels
     [0,y) x [0,x), and reach = weight * max|table|.  The table is int32 when
     reach < 2**31, so that reads of summed |weight| up to weight are exact
     in int32, and int64 otherwise.  Unsigned pixels are summed in place in
-    the table: their largest entry is the largest total, known before the
-    sums, so there is no int64 pass, min/max scan or cast copy."""
+    the table: their reach is known before the sums (_unsigned_reach), so
+    there is no int64 pass, min/max scan or cast copy."""
     shape = (pixels.shape[0] + 1, pixels.shape[1] + 1) + pixels.shape[2:]
     if pixels.dtype.kind in "bu":
-        reach = weight * int(np.max(pixels.sum(axis=(0, 1), dtype=np.uint64), initial=0))
+        reach = _unsigned_reach(pixels, weight)
         table = np.zeros(shape, dtype=np.int32 if reach < 2**31 else np.int64)
         body = table[1:, 1:]
         body[...] = pixels  # a cast into the table; cumsum's own cast would copy
@@ -283,7 +289,10 @@ class FeatureExtractor:
         return table.reshape((h + 1) * (w + 1), n)
 
     def sum_dtype(self, patches) -> np.dtype:
-        """The dtype of extract's sums on these patches."""
+        """The dtype of extract's sums on these patches, by the reach alone for unsigned ones."""
+        patches = np.asarray(patches)
+        if patches.dtype.kind in "bu":
+            return np.dtype(np.int32 if _unsigned_reach(np.moveaxis(patches, 0, -1), self._l1) < 2**31 else np.int64)
         return self._tables(patches).dtype
 
     def extract(self, patches, out=None) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Decision stumps on scalar feature responses.
+"""Decision stumps on integer feature sums.
 
-A stump thresholds one feature and outputs +/-1; training minimizes weighted
-0/1 error with a single sorted sweep, so re-training the whole candidate pool
-under fresh boosting weights is one vectorized pass over a pre-sorted table.
-The (M, N) table is sorted and trained a block of rows at a time, each block
-about _BLOCK_BYTES (8-byte entries in the sort, 16-byte complex128 ones in
+A stump thresholds one feature's value, its integer sum divided by its
+footprint area, and outputs +/-1.  The scan and node training decide sums by
+one rule, DecisionStump.passes, which divides none (train_all reads the same
+decisions off its sorted table).  Training minimizes weighted 0/1 error with
+a single sorted sweep, so re-training the whole candidate pool under fresh
+boosting weights is one vectorized pass over a pre-sorted table.  The (M, N)
+table is sorted and trained a block of rows at a time, each block about
+_BLOCK_BYTES (8-byte entries in the sort, 16-byte complex128 ones in
 train_all), so the memory beyond the table, its sort order and the packed
 tie bits stays bounded however many features the pool holds.
 
@@ -14,25 +17,21 @@ that of a negative (the other part 0.0), set through .real and .imag.  One
 gather through the sort order and one cumsum give both classes' cumulative
 weights, bit for bit the two float64 cumsums of a per-class sweep, because
 complex addition adds the real and imaginary parts separately and the sums
-keep their order.  Slots inside a run of tied values are ruled out by adding
+keep their order.  Slots inside a run of tied sums are ruled out by adding
 +inf, from one integer multiply of the block's unpacked tie bits by the bits
 of +inf; the other slots get 0.0, which changes no error (no error is -0.0:
 every class's column holds the other class's +0.0 entries).
 
-The sort order is the stable one (equal values keep their sample order),
+The sort order is the stable one (equal sums keep their sample order),
 computed by one integer sort of each row block's keys rank << bits | index,
 bits = bits(N - 1): the index is the low bits, so equal ranks keep their
 sample order, and numpy's SIMD sort of integers needs no stable variant.
-The keys are int32 when they fit and int64 otherwise.  An integer table
-(the exact Haar sums FeatureExtractor.extract reads from the pool's
-folded corners, see the features module docstring) ranks a value by its
-difference from the row minimum.  A float table, or an integer one too wide
-for int64 keys, ranks it by its run number: numpy's SIMD argsort orders the
-row and the runs of equal values in it are numbered.  Runs sit in the same
-positions in every sorted order, so either way the result is exactly
-argsort(kind="stable") for any integers or finite floats, +/-0.0 and +/-inf
-included, and the ties are where the rank does not change.  NaN has no place
-in a sorted order and is rejected.
+The keys are int32 when they fit and int64 otherwise.  A sum's rank is its
+difference from the row minimum; in a row too wide for int64 keys it is its
+run number instead: numpy's SIMD argsort orders the row and the runs of
+equal sums in it are numbered.  Runs sit in the same positions in every
+sorted order, so either way the result is exactly argsort(kind="stable"),
+and the ties are where the rank does not change.
 """
 
 from __future__ import annotations
@@ -46,29 +45,28 @@ import numpy as np
 _BLOCK_BYTES = 1 << 20
 # The bit pattern of +inf as an int64: an integer 0/1 mask times it is 0.0/+inf.
 _INF_BITS = np.array(np.inf).view(np.int64).item()
+# (min, max) of each dtype a stump decides sums in: the signed integers.
+_LIMITS = {np.dtype(t): (int(np.iinfo(t).min), int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32, np.int64)}
 
 
 def _sort_keys(block: np.ndarray, bits: int) -> np.ndarray:
     """The block's keys rank << bits | index of the module docstring, whose
-    row-wise sort is the stable order; keys sit in sample order for an
-    integer rank and in argsort order for run numbers."""
+    row-wise sort is the stable order; keys sit in sample order for ranks by
+    difference and in argsort order for run numbers."""
     b, n = block.shape
-    if block.dtype.kind == "i":
-        low = block.min(axis=1)
-        # Row spans in uint64 wrap to the exact span of any int64 row.
-        high = block.max(axis=1).astype(np.int64).view(np.uint64)
-        span = int((high - low.astype(np.int64).view(np.uint64)).max())
-        top = (span + 1) << bits
-        if top <= 2**63:
-            keys = block.astype(np.int32 if top <= 2**31 else np.int64)
-            keys -= low[:, None].astype(keys.dtype)  # wraps only where the true rank fits
-            keys <<= bits
-            keys |= np.arange(n, dtype=keys.dtype)
-            return keys
+    low = block.min(axis=1)
+    # Row spans in uint64 wrap to the exact span of any int64 row.
+    high = block.max(axis=1).astype(np.int64).view(np.uint64)
+    span = int((high - low.astype(np.int64).view(np.uint64)).max())
+    top = (span + 1) << bits
+    if top <= 2**63:
+        keys = block.astype(np.int32 if top <= 2**31 else np.int64)
+        keys -= low[:, None].astype(keys.dtype)  # wraps only where the true rank fits
+        keys <<= bits
+        keys |= np.arange(n, dtype=keys.dtype)
+        return keys
     order = np.argsort(block, axis=1)
     ordered = np.take_along_axis(block, order, axis=1)
-    if np.isnan(ordered[:, -1]).any():  # sorting puts NaN last
-        raise ValueError("feature_values must not hold NaN")
     run = np.zeros((b, n), dtype=np.int32 if n << bits <= 2**31 else np.int64)
     np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=run[:, 1:])
     del ordered
@@ -77,9 +75,24 @@ def _sort_keys(block: np.ndarray, bits: int) -> np.ndarray:
     return run
 
 
+def _sum_bound(threshold: float, area, dtype) -> int | None:
+    """The least s in dtype's range with s / area >= threshold in float64,
+    or None when no s in the range has it (a +inf or NaN threshold, say).
+    The quotient never falls as s grows, so s passes exactly when s >= bound."""
+    lo, hi = _LIMITS[np.dtype(dtype)]
+    if not float(hi) / area >= threshold:
+        return None
+    s = min(int(np.ceil(max(threshold * area, lo))), hi)  # a few steps off while |s| < 2**53
+    while s > lo and float(s - 1) / area >= threshold:
+        s -= 1
+    while float(s) / area < threshold:
+        s += 1
+    return s
+
+
 @dataclass
 class DecisionStump:
-    """Thresholded single-feature classifier: polarity * sign(v - threshold).
+    """Thresholded single-feature classifier: polarity * sign(sum / area - threshold).
 
     sign(0) is +1, so values equal to the threshold land on the polarity side.
     """
@@ -92,9 +105,16 @@ class DecisionStump:
         if self.polarity not in (-1, 1):
             raise ValueError("polarity must be -1 or +1")
 
-    def responses(self, values: np.ndarray) -> np.ndarray:
-        out = np.where(np.asarray(values) >= self.threshold, 1, -1).astype(np.int8)
-        return out * np.int8(self.polarity)
+    def passes(self, sums: np.ndarray, area) -> np.ndarray:
+        """sums / area >= threshold as numpy's float64 division decides it,
+        without dividing: sums >= _sum_bound.  No sum passes +inf and every
+        sum passes -inf, the dtype's extremes included."""
+        bound = _sum_bound(self.threshold, area, sums.dtype)
+        return np.zeros(sums.shape, dtype=bool) if bound is None else sums >= bound
+
+    def responses(self, sums: np.ndarray, area) -> np.ndarray:
+        """The stump's int8 +/-1 outputs on integer sums of the given area."""
+        return np.where(self.passes(sums, area), self.polarity, -self.polarity).astype(np.int8)
 
 
 @dataclass
@@ -124,19 +144,15 @@ class StumpTable:
 class StumpTrainer:
     """Pre-sorted stump training over a fixed (M, N) feature table.
 
-    The table holds either values or, as FeatureExtractor.extract returns
-    them from the pool's folded corners (see features), integer sums whose
-    row j divided by area[j] gives feature j's values; area defaults to
-    ones.  Training works on those values: a row's area is fixed and
-    positive, so its sums sort like its values, and only the thresholds
-    divide.  An integer stump's responses compare sums with
-    the sum just above its threshold, equal to comparing the values while
-    |sums| < 2**50 keeps distinct sums' values and midpoints apart (8-bit
-    patches stay below 2**31).  Candidate thresholds sit at midpoints of
-    consecutive distinct values plus -inf/+inf sentinels; ties break toward
-    the smaller threshold, then polarity +1.  The sort is stable, through
-    the integer key sort of the module docstring; values holding NaN raise
-    ValueError.
+    The table holds signed integer sums (any other dtype raises ValueError),
+    as FeatureExtractor.extract returns them: row j divided by area[j] gives
+    feature j's values, and area defaults to ones.  A row's area is fixed
+    and positive, so its sums sort like its values; only thresholds divide.
+    Candidate thresholds sit at midpoints of consecutive distinct values
+    plus -inf/+inf sentinels; ties break toward the smaller threshold, then
+    polarity +1.  Responses compare sums with the sum just above the
+    threshold: DecisionStump.passes while |sums| < 2**50 keeps distinct
+    sums' values and midpoints apart (8-bit patches stay below 2**31).
 
     Both the sort and train_all walk the table in blocks of rows sized by
     _BLOCK_BYTES, so their temporaries stay near that budget whatever M is:
@@ -160,7 +176,7 @@ class StumpTrainer:
     def __init__(self, feature_values: np.ndarray, labels: np.ndarray, area=None):
         values = np.atleast_2d(np.asarray(feature_values))
         if values.dtype.kind != "i":
-            values = values.astype(np.float64, copy=False)
+            raise ValueError(f"feature_values must be a table of signed integer sums, got {values.dtype}")
         labels = np.asarray(labels)
         if values.shape[1] != labels.shape[0]:
             raise ValueError("feature_values columns must match labels length")
@@ -257,14 +273,12 @@ class StumpTrainer:
             rm, ms, area = r[mid], slot[mid], self.area[rows][mid]
             thr[mid] = 0.5 * (values[rm, order[rm, ms - 1]] / area + values[rm, order[rm, ms]] / area)
 
-            # 2 * (values >= thr) - 1 is +/-1; times the polarity in place.
-            # Sums compare with the sum at the slot instead: thr lies strictly
-            # between the values on either side (|sums| < 2**50 keeps it so).
-            bound = thr if values.dtype.kind == "f" else values[r, order[r, np.minimum(slot, n - 1)]]
+            # 2 * passes - 1 is +/-1, times the polarity in place; a sum passes
+            # when it reaches the sum at the slot (class docstring).
+            bound = values[r, order[r, np.minimum(slot, n - 1)]]
             out = responses[rows]
             np.greater_equal(values, bound[:, None], out=out.view(bool))
-            if values.dtype.kind != "f":
-                out[slot == n] = 0  # thresholded at +inf
+            out[slot == n] = 0  # thresholded at +inf
             out *= 2
             out -= 1
             out *= polarity[rows, None]

@@ -226,21 +226,17 @@ THRESHOLDS_PER_AXIS = 128
 def axis_stump_pool(points: np.ndarray):
     """Candidate decision-stump pool on the two coordinates.
 
-    Returns (pool responses as a (M, N) float matrix of +/-1 values sign(x_axis
+    Returns (pool responses as a (M, N) int8 matrix of +/-1 values sign(x_axis
     - threshold), descriptors [(axis, threshold), ...]).  Node training treats
-    each candidate's output as a scalar feature, so reweighted rounds may flip
-    its polarity or fall back to a constant vote.
+    each candidate's output as an integer feature sum of area 1, so reweighted
+    rounds may flip its polarity or fall back to a constant vote.
     """
-    n = len(points)
-    rows = []
-    descriptors = []
+    rows, descriptors = [], []
     for axis in (0, 1):
-        values = np.sort(np.unique(points[:, axis]))
+        values = np.unique(points[:, axis])  # sorted
         mids = 0.5 * (values[:-1] + values[1:])
         if len(mids) > THRESHOLDS_PER_AXIS:
-            idx = np.linspace(0, len(mids) - 1, THRESHOLDS_PER_AXIS).astype(int)
-            mids = mids[idx]
-        for thr in mids:
-            rows.append(np.where(points[:, axis] >= thr, 1.0, -1.0))
-            descriptors.append((axis, float(thr)))
+            mids = mids[np.linspace(0, len(mids) - 1, THRESHOLDS_PER_AXIS).astype(int)]
+        rows.append(np.where(points[:, axis] >= mids[:, None], np.int8(1), np.int8(-1)))
+        descriptors += [(axis, float(thr)) for thr in mids]
     return np.vstack(rows), descriptors

@@ -56,7 +56,7 @@ def run_toy_experiment(
         row = {"seed": tspec.seed}
         for method in METHODS:
             node = train_node(values, labels, goal, method, fixed_rounds=rounds)
-            responses = np.vstack([s.responses(values[s.feature_id]) for s in node.stumps])
+            responses = np.vstack([s.responses(values[s.feature_id], 1) for s in node.stumps])
             margins = node_margin(node, responses)
             accepted = margins >= 0
             row[method] = {

@@ -103,7 +103,7 @@ def test_prune_hook_arguments(monkeypatch):
     (kept stump indices, EdgeStats)."""
     rng = np.random.default_rng(0)
     labels = np.where(rng.random(60) < 0.5, 1, -1)
-    values = rng.normal(size=(9, 60)) + 0.5 * labels
+    values = np.round((rng.normal(size=(9, 60)) + 0.5 * labels) * 2**16).astype(np.int32)  # integer sums
     seen, prune = [], boosting.prune_stumps
 
     def spy(table, *args, **kwargs):

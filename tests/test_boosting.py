@@ -89,7 +89,7 @@ class TestReweightAdaboost:
         rng = np.random.default_rng(1)
         for _ in range(20):
             n = 200
-            values = rng.normal(size=n)
+            values = np.round(rng.normal(size=n) * 2**16).astype(np.int32)  # integer sums
             labels = np.where(rng.random(n) < 0.3, 1, -1)
             w = rng.random(n)
             w /= w.sum()
@@ -98,8 +98,8 @@ class TestReweightAdaboost:
             if err < 1e-6:
                 continue
             a = alpha(err)
-            new_w = reweight(w, stump.responses(values), labels, a)
-            assert weighted_error(stump.responses(values), labels, new_w) == pytest.approx(
+            new_w = reweight(w, stump.responses(values, 1), labels, a)
+            assert weighted_error(stump.responses(values, 1), labels, new_w) == pytest.approx(
                 0.5, abs=1e-10
             )
             assert new_w.sum() == pytest.approx(1.0, abs=1e-12)
@@ -184,7 +184,7 @@ class TestPruneStumps:
         rng = np.random.default_rng(4)
         n = 16
         labels = np.where(rng.random(n) < 0.5, 1, -1)
-        values = rng.normal(size=(6, n))
+        values = np.round(rng.normal(size=(6, n)) * 2**16).astype(np.int32)  # integer sums
         table = StumpTrainer(values, labels).train_all(np.full(n, 1.0 / 16))
         w = np.full(n, 1.0 / 16)
         edges = table.responses.astype(float) @ (w * labels)
@@ -209,7 +209,7 @@ def test_adaboost_converges_on_separable_toy():
         [rng.uniform(-0.4, 0.4, 50), rng.uniform(-2, -0.7, 35), rng.uniform(0.7, 2, 35)]
     )
     labels = np.array([1] * 50 + [-1] * 70)
-    x = np.vstack([x0, rng.normal(size=n)])
+    x = np.round(np.vstack([x0, rng.normal(size=n)]) * 2**16).astype(np.int32)  # integer sums
     w = init_weights(labels)
     margins = np.zeros(n)
     for _ in range(20):

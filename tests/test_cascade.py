@@ -46,11 +46,15 @@ from oracles import (
 from pinned_nodes import PINNED
 
 
+def sums_of(values):
+    """Continuous values as an int32 table of sums: 2**16 times them, rounded."""
+    return np.round(values * 2**16).astype(np.int32)
+
+
 def separable_values(rng, n_pos=30, n_neg=50, extra=4):
     labels = np.array([1] * n_pos + [-1] * n_neg)
-    perfect = labels.astype(float)
-    noise = rng.normal(size=(extra, n_pos + n_neg))
-    return np.vstack([perfect, noise]), labels
+    noise = sums_of(rng.normal(size=(extra, n_pos + n_neg)))
+    return np.vstack([labels.astype(np.int32), noise]), labels
 
 
 def mini_corpus(rng, n_pos=50, n_neg=120, size=8):
@@ -134,7 +138,7 @@ class TestTrainNode:
         rng = np.random.default_rng(4)
         n = 90
         labels = np.where(rng.random(n) < 0.4, 1, -1)
-        values = rng.normal(size=(12, n)) + 0.35 * labels * rng.normal(size=(12, 1))
+        values = sums_of(rng.normal(size=(12, n)) + 0.35 * labels * rng.normal(size=(12, 1)))
         rounds = 5
         node = train_node(
             values, labels, NodeGoal(d_min=0.99, f_max=0.5), "gslda", fixed_rounds=rounds
@@ -154,7 +158,7 @@ class TestTrainNode:
         rng = np.random.default_rng(6)
         n = 80
         labels = np.where(rng.random(n) < 0.5, 1, -1)
-        values = rng.normal(size=(10, n)) + 0.3 * labels * rng.normal(size=(10, 1))
+        values = sums_of(rng.normal(size=(10, n)) + 0.3 * labels * rng.normal(size=(10, 1)))
         node = train_node(values, labels, NodeGoal(), "bgslda1", fixed_rounds=6)
         fids = [s.feature_id for s in node.stumps]
         assert len(set(fids)) == len(fids)
@@ -163,7 +167,7 @@ class TestTrainNode:
         rng = np.random.default_rng(7)
         n = 60
         labels = np.where(rng.random(n) < 0.5, 1, -1)
-        values = rng.normal(size=(3, n))  # uninformative features
+        values = sums_of(rng.normal(size=(3, n)))  # uninformative features
         goal = NodeGoal(d_min=0.99, f_max=0.01, max_stumps=3)
         node = train_node(values, labels, goal, "adaboost")
         assert not node.goal_met
@@ -183,7 +187,7 @@ class TestTrainNode:
         rng = np.random.default_rng(0)
         n = 80
         labels = np.where(rng.random(n) < 0.4, 1, -1)
-        values = rng.normal(size=(20, n)) + 0.3 * labels * rng.normal(size=(20, 1))
+        values = sums_of(rng.normal(size=(20, n)) + 0.3 * labels * rng.normal(size=(20, 1)))
         goal = NodeGoal(d_min=0.99, f_max=0.3)
         original, removed = GreedySelector.eliminate, []
 
@@ -251,7 +255,7 @@ def test_selection_memory_stays_near_adaboost(method):
     # 3,000 x 800 table alone (18 MiB) would break the bound.
     rng = np.random.default_rng(0)
     labels = np.where(rng.random(800) < 0.5, 1, -1)
-    values = rng.normal(size=(3000, 800))
+    values = sums_of(rng.normal(size=(3000, 800)))
 
     def peak(m):
         tracemalloc.start()
@@ -266,24 +270,25 @@ def test_selection_memory_stays_near_adaboost(method):
 
 
 def _pin_case(case):
-    """(values, labels, goal, validation, fixed_rounds) of a pinned case."""
+    """(values, labels, goal, validation, fixed_rounds, area) of a pinned case."""
     if case == "toy-fixed4":
         points, labels = generate_toy(ToyDatasetSpec(n_pos=40, n_neg=400, seed=0))
-        return axis_stump_pool(points)[0], labels, NodeGoal(d_min=0.99, f_max=0.5), None, 4
+        return axis_stump_pool(points)[0], labels, NodeGoal(d_min=0.99, f_max=0.5), None, 4, None
     rng = np.random.default_rng(15)  # goal-driven; the dual pass drops three of ten stumps
     n = 120
     labels = np.where(rng.random(n) < 0.4, 1, -1)
-    values = rng.normal(size=(16, n)) + 0.4 * labels * rng.normal(size=(16, 1))
+    values = sums_of(rng.normal(size=(16, n)) + 0.4 * labels * rng.normal(size=(16, 1)))
     mask = (labels > 0) & (rng.random(n) < 0.25)  # positives held out for validation
-    return values[:, ~mask], labels[~mask], NodeGoal(d_min=0.95, f_max=0.2, max_stumps=12), values[:, mask], None
+    goal = NodeGoal(d_min=0.95, f_max=0.2, max_stumps=12)
+    return values[:, ~mask], labels[~mask], goal, values[:, mask], None, np.full(16, 2**16)
 
 
 @pytest.mark.parametrize("case,variant", list(PINNED))
 def test_node_layer_is_pinned(case, variant):
-    values, labels, goal, validation, rounds = _pin_case(case)
+    values, labels, goal, validation, rounds, area = _pin_case(case)
     node = train_node(values, labels, goal, variant.split("-")[0],
                       scatter_cfg=ScatterConfig(dual_pass=variant.endswith("-dual")),
-                      validation=validation, fixed_rounds=rounds)
+                      validation=validation, fixed_rounds=rounds, area=area)
     stumps_, coefficients, threshold, d, f, goal_met = PINNED[case, variant]
     assert [(s.feature_id, s.threshold, s.polarity) for s in node.stumps] == stumps_
     assert node.coefficients.tolist() == pytest.approx(coefficients, rel=1e-12)
@@ -439,23 +444,29 @@ def test_training_peak_stays_near_the_stage_table():
 
 
 def test_stage_one_f_is_the_scan_acceptance(tmp_path):
-    # Training decides a stump on a sum by its value (sums / area), the scan
-    # by _sum_bound on the sum: the logged stage-1 f must be the share of the
-    # initial negatives that evaluate_windows accepts at scale 1.
+    # Training decides its validation and negative rows by DecisionStump.passes
+    # on the integer sums, as the scan does: the logged stage-1 f must be the
+    # share of the initial negatives that evaluate_windows accepts at scale 1,
+    # and the logged d the share of the held-out positives (train_cascade's
+    # draw with the default seed 0 and validation split 0.2).
     corpus = tmp_path / "corpus"
     assert cli.main(["synth", "--out", str(corpus), "--n-pos", "100", "--n-neg", "200",
                      "--reservoir", "2", "--scenes", "0", "--seed", "0"]) == 0
     manifest = load_manifest(str(corpus / "manifest.json"))
     negatives = [build_integral(read_pgm(manifest.path(rel))) for rel in manifest.negatives]
+    held_out = np.sort(np.random.default_rng(0).permutation(len(manifest.positives))[: int(0.2 * 100)])
+    positives = [build_integral(read_pgm(manifest.path(manifest.positives[i]))) for i in held_out]
     for method in ("gslda", "bgslda1", "adaboost"):
         out = tmp_path / f"{method}.json"
         assert cli.main(["train", "--data", str(corpus / "manifest.json"), "--out", str(out), "--method", method,
                          "--subsample", "16", "--max-stumps", "20", "--f-target", "0.001"]) == 0
         model = load_model(str(out))
-        f = json.loads((tmp_path / f"{method}.json.log.jsonl").read_text().splitlines()[0])["f"]
-        accepted = sum(evaluate_windows(model, table, range(1), range(1), 1)[0].size for table in negatives)
-        assert 0 < f < 1
-        assert f == accepted / len(negatives)
+        stage = json.loads((tmp_path / f"{method}.json.log.jsonl").read_text().splitlines()[0])
+        accepted = [sum(evaluate_windows(model, table, range(1), range(1), 1)[0].size for table in tables)
+                    for tables in (positives, negatives)]
+        assert 0 < stage["f"] < 1 and len(positives) == 20
+        assert stage["d"] == accepted[0] / len(positives)
+        assert stage["f"] == accepted[1] / len(negatives)
 
 
 class TestBootstrap:
@@ -520,31 +531,6 @@ class TestBootstrap:
             got = bootstrap_negatives(model, reservoir, count, seed=seed, stride=stride)
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_sum_bound_splits_the_sums_as_the_division_does(data):
-    # The float quotient the scan compared before it compared sums: numpy's
-    # division of the integer sums by the area.
-    dtype = data.draw(st.sampled_from([np.int32, np.int64]))
-    area = data.draw(st.integers(1, 2**18))
-    kind = data.draw(st.sampled_from(["quotient", "below", "above", "inf", "beyond int32"]))
-    if kind == "inf":
-        threshold = data.draw(st.sampled_from([-np.inf, np.inf]))
-    elif kind == "beyond int32":
-        threshold = data.draw(st.sampled_from([-1, 1])) * (2**31 + data.draw(st.integers(-2, 2**20))) / area
-    else:
-        threshold = data.draw(st.one_of(st.integers(-1000, 1000), st.integers(-(2**40), 2**40))) / area
-        if kind != "quotient":
-            threshold = float(np.nextafter(threshold, -np.inf if kind == "below" else np.inf))
-    bound = cascade._sum_bound(threshold, area, dtype)
-    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
-    assert lo <= bound <= hi
-    # Every s around the bound, in the dtype's range short of its max, which
-    # no table sum reaches.
-    s = np.arange(max(bound - 3, lo), min(bound + 4, hi), dtype=dtype)
-    assert np.array_equal(s >= bound, s / area >= threshold)
 
 
 def _hand_node(draw, features):

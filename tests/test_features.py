@@ -520,6 +520,8 @@ class TestFeatureExtractor:
         large = small.astype(np.int64) << 24  # sums past int32
         assert extractor.sum_dtype(small) == extractor.extract(small).dtype == np.int32
         assert extractor.sum_dtype(large) == extractor.extract(large).dtype == np.int64
+        unsigned = large.astype(np.uint32)  # the reach alone gives its dtype
+        assert extractor.sum_dtype(unsigned) == extractor.extract(unsigned).dtype == np.int64
         table = np.full((len(pool), 9), -7, dtype=np.int64)
         assert np.shares_memory(extractor.extract(small, out=table[:, 1:5]), table)
         extractor.extract(large, out=table[:, 5:])

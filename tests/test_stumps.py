@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gslda_cascade import stumps
-from gslda_cascade.stumps import DecisionStump, StumpTrainer
+from gslda_cascade.stumps import _LIMITS, DecisionStump, StumpTrainer
 
 from oracles import exhaustive_stump, stump_table, stump_response, weighted_error
 
 
 def uniform(n):
     return np.full(n, 1.0 / n)
+
+
+def sums_of(values):
+    """Continuous values as an int32 table of sums: 2**16 times them, rounded."""
+    return np.round(values * 2**16).astype(np.int32)
 
 
 def train_one(values, labels, weights):
@@ -27,13 +32,13 @@ class TestDecisionStump:
         assert stump_response(stump, 3.0) == 1
         assert stump_response(stump, 2.999) == -1
         assert stump_response(DecisionStump(0, 3.0, -1), 3.0) == -1
-        assert list(stump.responses(np.array([3.0, 2.999]))) == [1, -1]
-        assert list(DecisionStump(0, 3.0, -1).responses(np.array([3.0]))) == [-1]
+        assert list(stump.responses(np.array([3000, 2999]), 1000)) == [1, -1]  # the values 3.0 and 2.999
+        assert list(DecisionStump(0, 3.0, -1).responses(np.array([3]), 1)) == [-1]
 
     def test_vector_responses_match_scalar(self):
         stump = DecisionStump(0, 0.5, -1)
-        values = np.array([-1.0, 0.5, 2.0])
-        assert list(stump.responses(values)) == [stump_response(stump, v) for v in values]
+        sums = np.array([-2, 1, 4])  # the values -1.0, 0.5 and 2.0
+        assert list(stump.responses(sums, 2)) == [stump_response(stump, v) for v in sums / 2]
 
     def test_bad_polarity_rejected(self):
         with pytest.raises(ValueError):
@@ -42,21 +47,19 @@ class TestDecisionStump:
 
 class TestTrainStump:
     def test_separable_hand_case(self):
-        stump, err = train_one(
-            np.array([1.0, 2.0, 3.0, 4.0]), np.array([-1, -1, 1, 1]), uniform(4)
-        )
+        stump, err = train_one(np.array([1, 2, 3, 4]), np.array([-1, -1, 1, 1]), uniform(4))
         assert err == 0.0
         assert stump.threshold == 2.5
         assert stump.polarity == 1
 
     def test_all_positive_labels_constant_stump(self):
-        stump, err = train_one(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]), uniform(3))
+        stump, err = train_one(np.array([1, 2, 3]), np.array([1, 1, 1]), uniform(3))
         assert err == 0.0
         assert stump.threshold == -np.inf
         assert stump.polarity == 1
 
     def test_identical_values_pick_better_constant(self):
-        values = np.full(5, 7.0)
+        values = np.full(5, 7)
         labels = np.array([1, 1, 1, -1, -1])
         stump, err = train_one(values, labels, uniform(5))
         assert np.isinf(stump.threshold)
@@ -68,7 +71,7 @@ class TestTrainStump:
         rng = np.random.default_rng(0)
         for _ in range(30):
             n = 200
-            values = rng.normal(size=n)
+            values = sums_of(rng.normal(size=n))
             labels = np.where(rng.random(n) < 0.5, 1, -1)
             weights = rng.random(n)
             weights /= weights.sum()
@@ -78,7 +81,7 @@ class TestTrainStump:
 
     def test_threshold_tiebreak_prefers_smaller(self):
         # err 0.25 at theta=1.5 (pol -1) and theta=3.5 (pol -1); smaller wins.
-        values = np.array([1.0, 2.0, 3.0, 4.0])
+        values = np.array([1, 2, 3, 4])
         labels = np.array([1, -1, 1, -1])
         stump, err = train_one(values, labels, uniform(4))
         assert err == pytest.approx(0.25)
@@ -86,14 +89,14 @@ class TestTrainStump:
         assert stump.polarity == -1
 
     def test_polarity_tiebreak_prefers_plus(self):
-        stump, err = train_one(np.array([5.0, 5.0]), np.array([1, -1]), uniform(2))
+        stump, err = train_one(np.array([5, 5]), np.array([1, -1]), uniform(2))
         assert err == pytest.approx(0.5)
         assert stump.polarity == 1
         assert stump.threshold == -np.inf
 
     def test_weight_scaling_leaves_choice_unchanged(self):
         rng = np.random.default_rng(1)
-        values = rng.normal(size=50)
+        values = sums_of(rng.normal(size=50))
         labels = np.where(rng.random(50) < 0.5, 1, -1)
         weights = rng.random(50)
         s1, _ = train_one(values, labels, weights / weights.sum())
@@ -105,7 +108,7 @@ class TestTrainStump:
     def test_optimality_and_half_bound(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 60))
-        values = np.round(rng.normal(size=n), 2)  # rounded values force duplicates
+        values = np.round(100 * rng.normal(size=n)).astype(np.int32)  # rounded sums force duplicates
         labels = np.where(rng.random(n) < 0.5, 1, -1)
         weights = rng.random(n)
         weights /= weights.sum()
@@ -113,16 +116,16 @@ class TestTrainStump:
         best_err, _, _ = exhaustive_stump(values, labels, weights)
         assert err <= best_err + 1e-12
         assert err <= 0.5 + 1e-12
-        assert err == pytest.approx(weighted_error(stump.responses(values), labels, weights), abs=1e-12)
+        assert err == pytest.approx(weighted_error(stump.responses(values, 1), labels, weights), abs=1e-12)
 
 
 class TestBuildTable:
     def test_single_row_reduces_to_train_stump(self):
         rng = np.random.default_rng(2)
-        values = rng.normal(size=30)
+        values = sums_of(rng.normal(size=30))
         labels = np.where(rng.random(30) < 0.5, 1, -1)
         w = uniform(30)
-        table = StumpTrainer(np.vstack([values, rng.normal(size=30)]), labels).train_all(w)
+        table = StumpTrainer(np.vstack([values, sums_of(rng.normal(size=30))]), labels).train_all(w)
         stump, err = train_one(values, labels, w)
         assert table.thresholds[0] == stump.threshold
         assert table.polarity[0] == stump.polarity
@@ -130,7 +133,7 @@ class TestBuildTable:
 
     def test_row_permutation_permutes_table(self):
         rng = np.random.default_rng(3)
-        values = rng.normal(size=(6, 40))
+        values = sums_of(rng.normal(size=(6, 40)))
         labels = np.where(rng.random(40) < 0.5, 1, -1)
         w = uniform(40)
         perm = rng.permutation(6)
@@ -143,7 +146,7 @@ class TestBuildTable:
 
     def test_errors_match_per_row_training(self):
         rng = np.random.default_rng(4)
-        values = rng.normal(size=(8, 25))
+        values = sums_of(rng.normal(size=(8, 25)))
         labels = np.where(rng.random(25) < 0.4, 1, -1)
         w = rng.random(25)
         w /= w.sum()
@@ -152,17 +155,25 @@ class TestBuildTable:
             _, err = train_one(values[j], labels, w)
             assert table.errors[j] == pytest.approx(err, abs=1e-15)
 
-    def test_responses_consistent_with_stumps(self):
-        rng = np.random.default_rng(5)
-        values = rng.normal(size=(5, 20))
-        labels = np.where(rng.random(20) < 0.5, 1, -1)
-        table = StumpTrainer(values, labels).train_all(uniform(20))
-        for j in range(len(table)):
-            assert np.array_equal(table.responses[j], table.stump(j).responses(values[j]))
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 7), st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+           st.sampled_from([2**4, 2**20, 2**31, 2**40, 2**63]),
+           st.sampled_from(["uniform", "binades", "zeros", "dyadic", "wide"]))
+    def test_responses_consistent_with_stumps(self, seed, block_rows, dtype, reach, kind):
+        # Training decides a sum by the sum at its slot, the scan and node
+        # retuning by DecisionStump.passes: they must agree on every sum, the
+        # dtype's extremes and the +/-inf thresholds of constant rows too.
+        rng = np.random.default_rng(seed)
+        table, area, labels = integer_table(rng, block_rows, dtype, reach)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stumps, "_BLOCK_BYTES", 16 * (table.shape[1] + 1) * block_rows)
+            trained = StumpTrainer(table, labels, area).train_all(draw_weights(rng, table.shape[1], kind))
+        for j in range(len(trained)):
+            assert np.array_equal(trained.responses[j], trained.stump(j).responses(table[j], area[j]))
 
     def test_trainer_reuse_under_new_weights(self):
         rng = np.random.default_rng(6)
-        values = rng.normal(size=(4, 30))
+        values = sums_of(rng.normal(size=(4, 30)))
         labels = np.where(rng.random(30) < 0.5, 1, -1)
         trainer = StumpTrainer(values, labels)
         w2 = rng.random(30)
@@ -204,8 +215,8 @@ class TestBlockedTable:
         m = int(rng.integers(1, 41))
         if m % block_rows == 0 and block_rows > 1:
             m -= 1  # leave a short last block
-        values = np.round(rng.normal(size=(m, n)), 1)  # ties within rows
-        values[rng.random(m) < 0.1] = 0.5  # and some constant rows
+        values = np.round(10 * rng.normal(size=(m, n))).astype(np.int32)  # ties within rows
+        values[rng.random(m) < 0.1] = 5  # and some constant rows
         labels = np.where(rng.random(n) < 0.4, 1, -1)
         with pytest.MonkeyPatch.context() as mp:
             # train_all's blocks of block_rows rows of N + 1 complex128 entries
@@ -224,8 +235,9 @@ class TestBlockedTable:
 
 
 class TestStableOrder:
-    """A float table sorts with numpy's unstable SIMD argsort, then one key
-    sort of run numbers; its order must be the stable argsort exactly."""
+    """A table too wide for int64 keys sorts with numpy's unstable SIMD
+    argsort, then one key sort of run numbers; its order must be the stable
+    argsort exactly."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 7))
@@ -233,12 +245,13 @@ class TestStableOrder:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 300))
         m = int(rng.integers(1, 30))
-        # Few distinct values, so ties are heavy; 0.0 and -0.0 compare equal.
-        palette = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, np.inf])
+        # Few distinct sums, so ties are heavy; a row holding -2**63 and a
+        # sum >= 0 spans 2**63 or more, past int64 keys.
+        palette = np.array([-(2**63), -(2**62), -1, 0, 1, 2**40, 2**63 - 1])
         values = rng.choice(palette[: int(rng.integers(1, len(palette) + 1))], size=(m, n))
         noisy = rng.random(m) < 0.3
         values[noisy] = np.where(rng.random((noisy.sum(), n)) < 0.5, values[noisy],
-                                 np.round(rng.normal(size=(noisy.sum(), n)), 1))
+                                 rng.integers(-5, 6, size=(noisy.sum(), n)))
         values[rng.random(m) < 0.15] = rng.choice(palette)  # constant rows
         labels = np.where(rng.random(n) < 0.4, 1, -1)
         w = rng.random(n)
@@ -256,6 +269,25 @@ class TestStableOrder:
         assert table.responses.tobytes() == responses.tobytes()
 
 
+def integer_table(rng, block_rows, dtype, reach):
+    """(table, area, labels): an (M, N) table of dtype within +/-reach, with
+    few distinct sums, so ties are heavy, the extremes of the span, noisy
+    rows and constant rows, M leaving a short last block of block_rows."""
+    n = int(rng.integers(2, 300))
+    m = int(rng.integers(1, 30))
+    if m % block_rows == 0 and block_rows > 1:
+        m -= 1  # leave a short last block
+    info = np.iinfo(dtype)
+    low, high = max(-reach, info.min), min(reach, info.max)
+    palette = np.concatenate([[low, high, 0], rng.integers(low, high, size=8, endpoint=True)])
+    table = rng.choice(palette[: int(rng.integers(1, len(palette) + 1))], size=(m, n)).astype(dtype)
+    noisy = rng.random(m) < 0.3
+    table[noisy] = rng.integers(low, high, size=(noisy.sum(), n), endpoint=True)
+    table[rng.random(m) < 0.15] = rng.choice(palette)  # constant rows
+    area = rng.integers(1, 600, size=m)
+    return table, area, np.where(rng.random(n) < 0.4, 1, -1)
+
+
 class TestIntegerKeys:
     """An integer table sorts by one key sort of rank << bits | index; its
     order and tie bits must be the stable argsort's at every key width,
@@ -266,20 +298,8 @@ class TestIntegerKeys:
            st.sampled_from([2**4, 2**20, 2**24, 2**31, 2**40, 2**60]))
     def test_key_order_is_the_stable_argsort(self, seed, block_rows, dtype, reach):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 300))
-        m = int(rng.integers(1, 30))
-        if m % block_rows == 0 and block_rows > 1:
-            m -= 1  # leave a short last block
-        info = np.iinfo(dtype)
-        low, high = max(-reach, info.min), min(reach, info.max)
-        # Few distinct sums, so ties are heavy, with the extremes of the span.
-        palette = np.concatenate([[low, high, 0], rng.integers(low, high, size=8, endpoint=True)])
-        table = rng.choice(palette[: int(rng.integers(1, len(palette) + 1))], size=(m, n)).astype(dtype)
-        noisy = rng.random(m) < 0.3
-        table[noisy] = rng.integers(low, high, size=(noisy.sum(), n), endpoint=True)
-        table[rng.random(m) < 0.15] = rng.choice(palette)  # constant rows
-        area = rng.integers(1, 600, size=m)
-        labels = np.where(rng.random(n) < 0.4, 1, -1)
+        table, area, labels = integer_table(rng, block_rows, dtype, reach)
+        n = table.shape[1]
         w = rng.random(n)
         w /= w.sum()
         with pytest.MonkeyPatch.context() as mp:
@@ -306,11 +326,15 @@ class TestIntegerKeys:
         (np.int32, -(2**31), 2**31 - 1, np.int64, True),
         (np.int64, -(2**40), 2**40, np.int64, True),
         (np.int64, -(2**62), 2**62, np.int32, False),
-        (np.float64, -5, 5, np.int32, False),
+        (np.float64, -5, 5, None, False),  # once sorted by run numbers; now rejected
     ], ids=["int32-keys", "widest-int32-keys", "narrowest-int64-keys", "int32-table-int64-keys", "int64-keys",
             "too-wide-run-numbers", "float-run-numbers"])
     def test_key_width_follows_the_span(self, dtype, low, high, key_dtype, ranked):
         table = np.array([[high, low, high, 0], [1, 1, 1, 1]], dtype=dtype)
+        if key_dtype is None:  # no float table reaches the key sort
+            with pytest.raises(ValueError, match="signed integer"):
+                StumpTrainer(table, np.array([1, -1, 1, -1]))
+            return
         bits = (table.shape[1] - 1).bit_length()
         keys = stumps._sort_keys(table, bits)
         assert keys.dtype == key_dtype
@@ -318,35 +342,52 @@ class TestIntegerKeys:
         # Ranks are the distances from the row minimum, or run numbers.
         assert (keys[0] >> bits).tolist() == ([0, -low, high - low, high - low] if ranked else [0, 1, 2, 2])
         assert (keys & ((1 << bits) - 1)).tolist() == [[1, 3, 0, 2], [0, 1, 2, 3]]
+
     def test_stump_thresholded_at_inf(self):
         # (P + N) - N rounds above P here, so the least error is "all -1" by
-        # polarity +1 at slot N, the threshold +inf: no sum reaches it.
-        sums, labels, area = np.array([[5, 5, 5]]), np.array([1, -1, -1]), np.array([3])
-        w = np.array([0.75 * 2**-52, 0.5, 0.5])
-        trained = StumpTrainer(sums, labels, area).train_all(w)
-        thresholds, polarity, errors, responses = stump_table(sums / area[:, None], labels, w)
-        assert trained.thresholds.tolist() == thresholds.tolist() == [np.inf]
-        assert trained.polarity.tolist() == polarity.tolist() == [1]
-        assert trained.errors.tobytes() == errors.tobytes()
-        assert trained.responses.tolist() == responses.tolist() == [[-1, -1, -1]]
+        # polarity +1 at slot N, the threshold +inf: no sum reaches it, not
+        # even the largest sum of the table's dtype.
+        labels, w = np.array([1, -1, -1]), np.array([0.75 * 2**-52, 0.5, 0.5])
+        tables = [(np.array([[5, 5, 5]]), np.array([3]))]
+        tables += [(np.full((1, 3), np.iinfo(t).max, dtype=t), np.array([a])) for t in _LIMITS for a in (1, 3)]
+        for sums, area in tables:
+            trained = StumpTrainer(sums, labels, area).train_all(w)
+            thresholds, polarity, errors, responses = stump_table(sums / area[:, None], labels, w)
+            assert trained.thresholds.tolist() == thresholds.tolist() == [np.inf]
+            assert trained.polarity.tolist() == polarity.tolist() == [1]
+            assert trained.errors.tobytes() == errors.tobytes()
+            assert trained.responses.tolist() == responses.tolist() == [[-1, -1, -1]]
+            assert trained.stump(0).responses(sums[0], area[0]).tolist() == [-1, -1, -1]
 
 
-
-class TestNaN:
-    def test_nan_row_rejected(self):
-        # Trained silently once: threshold nan, and an error of 1/6 that its
-        # all-+1 responses did not make.
-        values = np.array([[0.0, 1.0, np.nan, 2.0, 3.0, np.nan]])
-        with pytest.raises(ValueError, match="NaN"):
-            StumpTrainer(values, np.array([1, 1, -1, -1, 1, -1]))
-
-    def test_nan_in_a_later_block_rejected(self):
-        values = np.arange(40.0).reshape(8, 5)
-        values[6, 2] = np.nan
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stumps, "_BLOCK_BYTES", 8 * 6 * 3)  # blocks of three rows
-            with pytest.raises(ValueError, match="NaN"):
-                StumpTrainer(values, np.array([1, -1, 1, -1, 1]))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sum_bound_splits_the_sums_as_the_division_does(data):
+    # The float quotient the one rule replaces: numpy's division of the
+    # integer sums by the area, in every dtype the rule serves (int8 for the
+    # toy's +/-1 pool, int32 and int64 for extraction and the integral tables).
+    dtype = data.draw(st.sampled_from(list(_LIMITS)))
+    lo, hi = _LIMITS[dtype]
+    area = data.draw(st.integers(1, 2**18))
+    kind = data.draw(st.sampled_from(["quotient", "below", "above", "inf", "beyond int32"]))
+    if kind == "inf":
+        threshold = data.draw(st.sampled_from([-np.inf, np.inf]))
+    elif kind == "beyond int32":
+        threshold = data.draw(st.sampled_from([-1, 1])) * (2**31 + data.draw(st.integers(-2, 2**20))) / area
+    else:
+        threshold = data.draw(st.one_of(st.integers(-1000, 1000), st.integers(-(2**40), 2**40),
+                                        st.integers(lo, hi), st.sampled_from([lo, hi]))) / area
+        if kind != "quotient":
+            threshold = float(np.nextafter(threshold, -np.inf if kind == "below" else np.inf))
+    bound = stumps._sum_bound(threshold, area, dtype)
+    assert bound is None or lo <= bound <= hi
+    # Every s around the bound, or below the max when no s passes, and the
+    # dtype's extremes.
+    at = hi if bound is None else bound
+    s = np.array(sorted({lo, hi, *range(max(at - 3, lo), min(at + 4, hi + 1))}), dtype=dtype)
+    quotient = s / area >= threshold
+    assert np.array_equal(quotient, np.zeros(s.size, dtype=bool) if bound is None else s >= bound)
+    assert np.array_equal(DecisionStump(0, threshold, 1).passes(s, area), quotient)
 
 
 @pytest.mark.parametrize("n,dtype", [(65_536, np.uint16), (65_537, np.int32)])
@@ -367,7 +408,7 @@ class TestMemoryBound:
     def test_blocked_training_memory(self):
         rng = np.random.default_rng(7)
         m, n = 1500, 700
-        values = np.round(rng.normal(size=(m, n)), 2)
+        values = np.round(100 * rng.normal(size=(m, n))).astype(np.int64)  # 8 bytes an entry, as float64
         labels = np.where(rng.random(n) < 0.3, 1, -1)
         w = rng.random(n)
         w /= w.sum()
@@ -394,6 +435,16 @@ class TestMemoryBound:
 
 
 class TestInputChecks:
+    def test_table_must_hold_signed_integers(self):
+        # Stage tables hold signed integer sums.  A float table once took a
+        # path of its own, which had to reject NaN.
+        labels = np.array([1, -1, 1, -1])
+        for dtype in (np.float64, np.float32, bool, np.uint8, np.uint64):
+            with pytest.raises(ValueError, match="signed integer"):
+                StumpTrainer(np.array([[0, 1, 1, 0]], dtype=dtype), labels)
+        with pytest.raises(ValueError, match="signed integer"):
+            StumpTrainer(np.array([[0.0, 1.0, np.nan, 2.0]]), labels)
+
     def test_area_must_be_positive(self):
         # area [0, 1] once trained to the threshold inf with a RuntimeWarning.
         values, labels = np.array([[1, 2, 3], [4, 5, 6]]), np.array([1, -1, 1])
@@ -411,10 +462,21 @@ class TestInputChecks:
 
     def test_weights_need_shape_n(self):
         # A scalar weight once broadcast and trained without an error.
-        trainer = StumpTrainer(np.array([[1.0, 2.0, 3.0, 4.0]]), np.array([1, -1, 1, -1]))
+        trainer = StumpTrainer(np.array([[1, 2, 3, 4]]), np.array([1, -1, 1, -1]))
         for weights in (0.25, np.full(3, 0.25), np.full((1, 4), 0.25), np.full(5, 0.2)):
             with pytest.raises(ValueError, match="weights"):
                 trainer.train_all(weights)
+
+
+class TestNaN:
+    def test_nan_row_rejected(self):
+        # Trained silently once: threshold nan, and an error of 1/6 that its
+        # all-+1 responses did not make.  A NaN needs a float table, which
+        # the trainer now rejects by its dtype.
+        values = np.array([[0.0, 1.0, np.nan, 2.0, 3.0, np.nan]])
+        with pytest.raises(ValueError, match="signed integer"):
+            StumpTrainer(values, np.array([1, 1, -1, -1, 1, -1]))
+
 
 
 class TestWeightedError:
