@@ -13,12 +13,15 @@ rule (boosting.reweight), asymmetric for asymboost and bgslda2.
 
 evaluate_windows is the package's one cascade evaluator: early rejection
 over the integral table, vectorized over a lattice of windows (two ranges of
-top-left corners).  The first node sees every window and reads the table in
-2-D slices; later nodes gather on its survivors only.  Stumps decide integer
-sums by DecisionStump.passes, as training does; margins are looked up by pass
-bits.  It returns the windows that passed a requested number of nodes and
-their score at every depth, NaN past a rejecting node.  Bootstrapping, the
-scan and the curves all use it.
+top-left corners).  The first node sees every window, reads the table in
+slices over the lattice (1-D ones at step 1) and decides on pass bits; later
+nodes gather on its survivors only.  Stumps decide integer sums by
+DecisionStump.passes's rule, as training does, and margins are looked up by
+pass bits, for the windows that need them only.  It returns the windows that
+passed a requested number of nodes and their score at every depth, NaN past
+a rejecting node.  Bootstrapping, the scan and the curves all use it; the
+pyramid scan places every stump and builds every vote table once per image
+(_plan) and calls the evaluator's body (_evaluate) once per scale.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ import bisect
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import boosting, scatter, stumps
-from .features import FeatureExtractor, FeaturePool, build_integral, haar_sums
+from .features import Buffers, FeatureExtractor, FeaturePool, build_integral, haar_sums, place
 
 METHODS = ("adaboost", "asymboost", "gslda", "bgslda1", "bgslda2")
 
@@ -301,27 +305,110 @@ class CascadeModel:
 def lattice_corners(xs: range, ys: range, index) -> tuple[np.ndarray, np.ndarray]:
     """Top-left corners (x, y) of the windows at flat indices `index` of the
     lattice xs by ys, numbered in (y, x) order."""
-    row, col = np.divmod(index, len(xs))
-    return xs.start + col * xs.step, ys.start + row * ys.step
+    row = index // len(xs)  # with a multiply-subtract, several times faster than np.divmod
+    return xs.start + (index - row * len(xs)) * xs.step, ys.start + row * ys.step
 
 
-def _node_margins(model: CascadeModel, node: NodeClassifier, table, px, py, scale, n: int) -> np.ndarray:
-    """node_margin of the n windows haar_sums places by px, py, bit for bit.
-    A stump passes a sum by DecisionStump.passes.  The first 8 stumps' pass bits
-    are a uint8 code into lut, their +/-c*polarity votes summed from 0 in stump
-    order; further votes, then the node threshold, add on as in node_margin."""
-    lut = np.zeros(1 << min(len(node.stumps), 8))
-    code = np.zeros(n, dtype=np.uint8)
-    acc = None
-    for t, (c, stump) in enumerate(zip(node.coefficients, node.stumps)):
-        passed = stump.passes(*haar_sums(model.feature_pool, stump.feature_id, table, px, py, scale))
-        vote = c * stump.polarity
-        if t < 8:
-            code |= passed.view(np.uint8) << t
+class _Stage(NamedTuple):
+    """A node set up for one scale of a scan (_plan).  placements[t] is its
+    stump t's feature placed at the scale (features.place), bounds[t] the
+    least sum that passes the stump in the table's dtype (stumps._sum_bound;
+    None when none does).  Bit t of a window's pass code is set when stump t
+    passes it, for the first 8 stumps: lut[code] is their +/-c*polarity
+    votes summed from 0 in stump order, margin = lut + the node threshold
+    and keep = margin >= 0, node_margin bit for bit and the node's decision
+    for a node of up to 8 stumps.  late holds the votes of further stumps,
+    which add on to lut[code] in stump order before the threshold."""
+
+    placements: list
+    bounds: list
+    lut: np.ndarray
+    margin: np.ndarray
+    keep: np.ndarray
+    late: np.ndarray
+    threshold: float
+
+
+def _plan(model: CascadeModel, scales, dtype) -> list[list[_Stage]]:
+    """stages[s][k], node k at scales[s] on integral tables of dtype: every
+    stump's placement and sum bound for every scale in one vectorized step
+    each, and each node's vote tables once."""
+    chosen = [stump for node in model.nodes for stump in node.stumps]
+    placed = place(model.feature_pool, [stump.feature_id for stump in chosen], scales)
+    # A degenerate footprint raises when it is read; its bound is area 1's.
+    area = np.maximum(np.array([[p.area for p in row] for row in placed], dtype=np.int64), 1)
+    bounds = stumps._sum_bound(np.array([stump.threshold for stump in chosen]), area, dtype)
+    nodes, start = [], 0  # per node: its stumps' span in chosen, then its vote tables
+    for node in model.nodes:
+        votes = node.coefficients * np.array([stump.polarity for stump in node.stumps])
+        lut = np.zeros(1 << min(len(votes), 8))
+        for t, vote in enumerate(votes[:8]):
             lut += np.where(np.arange(lut.size) >> t & 1, vote, -vote)
+        margin = lut + node.node_threshold
+        nodes.append((start, start + len(votes), lut, margin, margin >= 0, votes[8:], node.node_threshold))
+        start += len(votes)
+    return [[_Stage(row[a:b], bound_row[a:b], *tables) for a, b, *tables in nodes]
+            for row, bound_row in zip(placed, bounds)]
+
+
+def _decide(stage: _Stage, table, px, py, n: int, buffers: Buffers, every: bool):
+    """(passing, margins): the indices of the n windows (haar_sums' px, py)
+    that the node passes, ascending, and the node margins of every window
+    (every) or of the passing ones.  A stump passes a sum by
+    DecisionStump.passes's rule, sum >= its bound; the pass code's keep
+    table decides, or a one-stump node's pass bit itself, and margins are
+    looked up for the windows asked for only.  A node of more than 8 stumps
+    adds its late votes over all n windows and decides on the margins."""
+    code = buffers("code", n, np.uint8)
+    acc = None
+    for t, (sums, bound) in enumerate(zip(haar_sums(stage.placements, table, px, py, buffers), stage.bounds)):
+        bits = code if t == 0 else buffers("bits", n, np.uint8)
+        if bound is None:
+            bits.fill(0)
         else:
-            acc = (lut[code] if acc is None else acc) + np.where(passed, vote, -vote)
-    return (lut + node.node_threshold)[code] if acc is None else acc + node.node_threshold
+            np.greater_equal(sums, bound, out=bits.view(bool).reshape(sums.shape))
+        if 0 < t < 8:
+            bits <<= t
+            code |= bits
+        elif t >= 8:
+            vote = stage.late[t - 8]
+            acc = (stage.lut[code] if acc is None else acc) + np.where(bits.view(bool), vote, -vote)
+    if acc is not None:
+        margins = acc + stage.threshold
+        passing = np.flatnonzero(margins >= 0)
+        return passing, margins if every else margins[passing]
+    keep = stage.keep
+    if keep.size == 2 and keep[0] != keep[1]:
+        passing = np.flatnonzero(code.view(bool) if keep[1] else code == 0)
+    else:
+        passing = np.flatnonzero(keep[code])
+    return passing, stage.margin[code if every else code[passing]]
+
+
+def _evaluate(stages: list[_Stage], table, xs: range, ys: range, reached: int, buffers: Buffers):
+    """evaluate_windows with its set-up done: the model's stages at the
+    lattice's scale (_plan) and the buffers of the image."""
+    n = len(xs) * len(ys)
+    if not stages:
+        return np.arange(n), np.zeros((1, n)), 0
+    alive, first = _decide(stages[0], table, xs, ys, n, buffers, not reached)
+    evals = n * len(stages[0].placements)
+    # rows[k]: node k's margins of the kept windows.
+    kept, rows = (alive, [first]) if reached else (np.arange(n), [first])
+    for k, stage in enumerate(stages[1:], 1):
+        if not alive.size:  # no window reaches this node, nor any after it
+            rows += [np.full(kept.size, np.nan) for _ in stages[k:]]
+            break
+        survive, acc = _decide(stage, table, *lattice_corners(xs, ys, alive), alive.size, buffers, k >= reached)
+        evals += alive.size * len(stage.placements)
+        if k < reached:  # kept narrows to the windows that pass this node
+            rows = [row[survive] for row in rows] + [acc]
+            kept = alive = alive[survive]
+        else:  # the kept windows rejected earlier did not reach this node
+            rows.append(np.full(kept.size, np.nan))
+            rows[-1][np.searchsorted(kept, alive)] = acc
+            alive = alive[survive]
+    return kept, np.vstack([np.zeros(kept.size)] + rows), evals
 
 
 def evaluate_windows(model: CascadeModel, table: np.ndarray, xs: range, ys: range, reached: int,
@@ -331,8 +418,12 @@ def evaluate_windows(model: CascadeModel, table: np.ndarray, xs: range, ys: rang
     windows are numbered flat in that (y, x) order.
 
     The first node sees every window and reads the integral table through
-    2-D slices over the lattice; later nodes gather on the windows still
-    alive, placed by lattice_corners.  Returns (kept, scores, evals):
+    slices over the lattice (haar_sums), deciding on its pass bits; later
+    nodes gather on the windows still alive, placed by lattice_corners.
+    Every stump is placed at the scale and its sum bound found once per
+    call; the pyramid scan does that once per image for all its scales and
+    calls the same evaluator (_plan, _evaluate).  Returns (kept, scores,
+    evals):
     - kept, the ascending flat indices of the windows that passed at least
       `reached` nodes (every window for 0);
     - scores[d, i], the depth-d score of window kept[i]: 0 for d = 0, else
@@ -343,26 +434,7 @@ def evaluate_windows(model: CascadeModel, table: np.ndarray, xs: range, ys: rang
     """
     if not 0 <= reached <= len(model.nodes):
         raise ValueError(f"reached must be in 0..{len(model.nodes)}, got {reached}")
-    n = len(xs) * len(ys)
-    if not model.nodes:
-        return np.arange(n), np.zeros((1, n)), 0
-    first = _node_margins(model, model.nodes[0], table, xs, ys, scale, n)
-    evals = n * len(model.nodes[0].stumps)
-    alive = np.flatnonzero(first >= 0)
-    # rows[k]: node k's margins of the kept windows.
-    kept, rows = (alive, [first[alive]]) if reached else (np.arange(n), [first])
-    for k, node in enumerate(model.nodes[1:], 1):
-        acc = _node_margins(model, node, table, *lattice_corners(xs, ys, alive), scale, alive.size)
-        evals += alive.size * len(node.stumps)
-        survive = np.flatnonzero(acc >= 0)
-        if k < reached:  # kept narrows to the windows that pass this node
-            rows = [row[survive] for row in rows + [acc]]
-            kept = alive = alive[survive]
-        else:  # the kept windows rejected earlier did not reach this node
-            rows.append(np.full(kept.size, np.nan))
-            rows[-1][np.searchsorted(kept, alive)] = acc
-            alive = alive[survive]
-    return kept, np.vstack([np.zeros(kept.size)] + rows), evals
+    return _evaluate(_plan(model, [scale], table.dtype)[0], table, xs, ys, reached, Buffers())
 
 
 def bootstrap_negatives(model: CascadeModel, reservoir, count: int, seed: int = 0,

@@ -1,8 +1,10 @@
 """Sliding-window detection and evaluation.
 
-Scanning runs the cascade evaluator (cascade.evaluate_windows) once per scale
-of a geometric pyramid, on that scale's lattice of windows; window corners
-are computed only for the windows the scan keeps.  An image's accepted
+Scanning runs the cascade evaluator (cascade.evaluate_windows' body) once per
+scale of a geometric pyramid, on that scale's lattice of windows, after one
+set-up per image: every stump placed and its sum bound found at every scale,
+the vote tables built, and one set of lattice-sized buffers for all scales.
+Window corners are computed only for the windows the scan keeps.  An image's accepted
 windows travel as one Detections, parallel numpy arrays (x, y, side, score,
 stages), through merging to the detections CSV; a DetectionTable holds
 several images' own.
@@ -18,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import CascadeModel, evaluate_windows, lattice_corners
-from .features import build_integral
+from .cascade import CascadeModel, _evaluate, _plan, lattice_corners
+from .features import Buffers, build_integral
 
 
 @dataclass
@@ -337,24 +339,26 @@ def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
     base = model.base_window
     empty = np.zeros(0, dtype=np.int64)
     parts = [(empty, empty, empty, np.zeros((len(model.nodes) + 1, 0)))]
-    table = build_integral(image) if min(h, w) >= base else None
-    s = 0
+    sizes = []  # (scale, side, shift) per scale
     while True:
-        scale = scale_factor**s
+        scale = scale_factor ** len(sizes)
         # side > min(h, w) for the rounded side, tested before rounding so an
         # overflowing scale (inf) stops the pyramid instead of int(inf); an
         # image below the base window stops at the first scale.
         if base * scale + 0.5 >= min(h, w) + 1:
             break
-        side = _round_half_up(base * scale)
         # A shift of max(h, w) already leaves one window per axis; capping
         # there keeps a huge step from rounding to a giant or infinite int.
         shift = max(1, _round_half_up(min(step * scale, max(h, w))))
+        sizes.append((scale, _round_half_up(base * scale), shift))
+    table = build_integral(image) if sizes else None
+    plan = _plan(model, [scale for scale, _, _ in sizes], table.dtype) if sizes else []
+    buffers = Buffers()  # the lattice-sized arrays of every scale
+    for (_, side, shift), stages in zip(sizes, plan):
         xs, ys = range(0, w - side + 1, shift), range(0, h - side + 1, shift)
-        kept, scores, evals = evaluate_windows(model, table, xs, ys, reached, scale)
+        kept, scores, evals = _evaluate(stages, table, xs, ys, reached, buffers)
         if profile is not None:
             profile.windows_scanned += len(xs) * len(ys)
             profile.feature_evals += evals
         parts.append((*lattice_corners(xs, ys, kept), np.full(kept.size, side), scores))
-        s += 1
     return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))

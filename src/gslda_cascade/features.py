@@ -19,9 +19,12 @@ x, y) rows in base window coordinates, and nothing else folds.  At another
 scale each corner is rounded half up on its own, as the oracle rounds each
 rectangle's corners; two corners may then round to the same pixel, and each
 is still read with its own weight, which sums to the same exact integer.
+place rounds the corners, footprints and areas of many features at many
+scales in one vectorized step, and haar_sums reads placed features.
 The table is int32 when every such read is exact in int32 (16 * max|table|
 < 2**31).  Over a lattice of windows (two ranges of top-left corners) each
-corner is one 2-D strided slice of the table; for scattered windows it is
+corner is one 1-D slice of the flattened table for a lattice of step 1, or
+one 2-D strided slice of the table otherwise; for scattered windows it is
 one gather on the flattened table.  A window whose footprint leaves the
 table raises IndexError before any read.
 
@@ -31,9 +34,12 @@ built transposed, one row per table entry over all N patches, so that each
 folded corner of a block of features is one gather of rows, added in with
 its weight.  Sums are exact integers in the tables' dtype: int32 while the
 largest |table entry| times a feature's summed |weights| stays below 2**31
-(8-bit patches stay far below it), int64 past it.  From 2**53 on, where a
-sum could stop converting exactly to the float64 value a stump thresholds,
-extraction raises ValueError.  Extraction returns the sums undivided,
+(8-bit patches stay far below it), int64 past it.  From 2**50 on
+extraction raises ValueError: a stump trained on the table decides a sum by
+comparing it with the sum at its threshold slot, which equals
+DecisionStump.passes, the scan's rule, only while distinct sums' values and
+their midpoints stay apart in float64 (stumps.StumpTrainer); near 2**53
+they meet.  Extraction returns the sums undivided,
 haar_sums' at scale 1, into a new table or a column range of one the caller
 allocated.
 """
@@ -41,6 +47,8 @@ allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,75 +196,156 @@ def _round_px(v):
     return np.floor(v + 0.5).astype(np.int64)
 
 
-def haar_sums(pool: FeaturePool, j: int, table: np.ndarray, px, py, scale: float = 1.0):
-    """(sums, area): the exact weighted rectangle differences of pool feature
-    j, placed at scale in windows of the integral table, in the table's
-    dtype, and the scaled footprint area; sums / area are the values.
+class Placement(NamedTuple):
+    """A pool feature at one scale, rounded to whole pixels in window
+    coordinates: reads, the (weight, x, y) of its folded corners with a
+    nonzero weight, by descending |weight|; box, its footprint (x0, y0, x1,
+    y1); and area, the footprint's area, the divisor that turns its sums
+    into values."""
+
+    reads: tuple
+    box: tuple
+    area: int
+
+
+def place(pool: FeaturePool, ids, scales) -> list[list[Placement]]:
+    """placements[s][t], pool feature ids[t] at scales[s].  Each of its
+    folded corners (the module docstring) and each corner of its footprint
+    is scaled and rounded half up on its own, for every feature and scale in
+    one vectorized step."""
+    ids = np.asarray(ids, dtype=np.intp)
+    scale = np.asarray(scales, dtype=np.float64)[:, None, None]
+    boxes = _round_px(scale * pool.box[ids])
+    areas = (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
+    weights = pool.corners[ids, :, 0]
+    order = np.argsort(-np.abs(weights), axis=1, kind="stable")  # zero weights last
+    corners = np.take_along_axis(pool.corners[ids], order[:, :, None], axis=1)
+    xy = _round_px(scale[..., None] * corners[:, :, 1:].transpose(0, 2, 1)).tolist()  # x and y rows
+    return [[Placement(tuple(compress(zip(w, x, y), w)), tuple(box), area)
+             for w, (x, y), box, area in zip(corners[:, :, 0].tolist(), row, box_row, area_row)]
+            for row, box_row, area_row in zip(xy, boxes.tolist(), areas.tolist())]
+
+
+class Buffers:
+    """Work arrays kept from call to call.  buffers(name, size, dtype) is the
+    first size entries of the 1-D array kept under name, replaced by a new
+    one when that is shorter or of another dtype; what is written there
+    stays until the next call with the name.  The scan keeps one per image,
+    so that its lattice-sized arrays are allocated, and their pages touched,
+    once per image and not once per read."""
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, size: int, dtype) -> np.ndarray:
+        array = self._arrays.get(name)
+        if array is None or array.size < size or array.dtype != dtype:
+            array = self._arrays[name] = np.empty(size, dtype=dtype)
+        return array[:size]
+
+
+def _weigh(reads, terms, acc) -> None:
+    """acc = the sum of weight * term over reads and terms in order, by
+    Horner's rule on the weights' magnitudes, which come in descending order
+    and each divide the one before (1 and 2, 1 and 3, or 1, 2 and 4 for the
+    five kinds): acc is scaled up by their ratio before a smaller magnitude's
+    terms add in, and by the last magnitude at the end.  Every term adds or
+    subtracts in place, so no array beside acc is needed, and every partial
+    sum stays within summed |weight| * max|table|."""
+    last = None
+    for (wgt, _, _), term in zip(reads, terms):
+        if last is None:
+            np.multiply(term, 1 if wgt > 0 else -1, out=acc)
+        else:
+            if abs(wgt) != last:
+                acc *= last // abs(wgt)
+            if wgt > 0:
+                acc += term
+            else:
+                acc -= term
+        last = abs(wgt)
+    if last != 1:
+        acc *= last
+
+
+def haar_sums(placements, table: np.ndarray, px, py, buffers: Buffers | None = None):
+    """Yields, for each placed feature (place) in turn, its exact weighted
+    rectangle differences in windows of the integral table, in the table's
+    dtype; divided by the placement's area they are the feature's values.
 
     px and py are either two ranges, the lattice of every window (x, y) for
-    y in py and x in px, whose sums come flat in that (y, x) order; or
-    equal-length arrays, window i having its top-left corner at (px[i], py[i]).
+    y in py and x in px, whose sums come as a (len(py), len(px)) array; or
+    equal-length arrays, window i having its top-left corner at (px[i],
+    py[i]), whose sums come as an array of that length.
 
-    Each of pool.corners[j] (the fold: see the module docstring) and each
-    corner of the footprint is scaled and rounded half up on its own, and
-    every corner is read with its weight, in one of two ways.  A lattice
-    reads each corner as a 2-D basic slice of the table, rows y + py[0] to
-    y + py[-1] by py.step and columns alike: a strided view, no index array.
-    Arrays gather each corner at offset y * (width+1) + x of the flattened
-    table from every window's base py * (width+1) + px.  A window's top-left
-    corner may lie outside the table while its scaled footprint stays
-    inside.  Raises IndexError, before any read, when a window's scaled
-    footprint leaves the table on any side, and ValueError for a lattice
-    range that descends.
+    Every corner is read with its weight, in one of three ways.  A lattice
+    of step 1 on both axes reads each corner as one 1-D slice of the
+    flattened table, the (len(py) - 1) * (width+1) + len(px) entries from its
+    first window's on, and its sums are that run viewed as rows of the
+    table's row stride, cut to len(px).  A lattice of another step reads each
+    corner as a 2-D basic slice of the table, rows y + py[0] to y + py[-1] by
+    py.step and columns alike, since a 1-D slice there would add up step
+    times too many entries.  Arrays gather each corner at offset
+    y * (width+1) + x of the flattened table from every window's base
+    py * (width+1) + px, found once for all the features.  A window's
+    top-left corner may lie outside the table while its footprints stay
+    inside.  Each feature's sums are written into an array of buffers (a new
+    Buffers when None) and stay valid until the next are yielded.  Raises,
+    before any read, ValueError for a degenerate footprint or a lattice range
+    that descends, and IndexError when a window's footprint leaves the table
+    on any side.
     """
-    fx0, fy0, fx1, fy1 = _round_px(scale * pool.box[j]).tolist()
-    area = (fx1 - fx0) * (fy1 - fy0)
-    if area <= 0:
-        raise ValueError("degenerate scaled footprint")
     lattice = isinstance(px, range)
     if lattice:
         if px.step < 0 or py.step < 0:
             raise ValueError("lattice ranges must ascend")
-        n = len(px) * len(py)
+        shape = (len(py), len(px))
+        n = shape[0] * shape[1]
     else:
         px = np.asarray(px)
         py = np.asarray(py)
         n = px.size
-    if n == 0:
-        return np.zeros(0, dtype=table.dtype), area
-    x_lo, x_hi, y_lo, y_hi = (px[0], px[-1], py[0], py[-1]) if lattice else (px.min(), px.max(), py.min(), py.max())
+        shape = (n,)
+    if any(placement.area <= 0 for placement in placements):
+        raise ValueError("degenerate scaled footprint")
     rows, cols = table.shape
-    if x_lo + fx0 < 0 or y_lo + fy0 < 0 or x_hi + fx1 >= cols or y_hi + fy1 >= rows:
-        raise IndexError("scaled footprint leaves the integral table")
-    # Zero rows pad kinds with fewer than nine corners.
-    xs, ys = _round_px(scale * pool.corners[j, :, 1:]).T.tolist()
-    reads = [read for read in zip(pool.corners[j, :, 0].tolist(), xs, ys) if read[0]]
-    if lattice:
-        # The first corner starts the accumulator; the rest add in place,
-        # through one scratch buffer for weights other than +/-1.
-        acc = scratch = None
-        for wgt, x, y in reads:
-            view = table[y + y_lo : y + y_hi + 1 : py.step, x + x_lo : x + x_hi + 1 : px.step]
-            if acc is None:
-                acc = np.multiply(view, wgt, dtype=table.dtype)
-            elif wgt == 1:
-                acc += view
-            elif wgt == -1:
-                acc -= view
+    if n:
+        x_lo, x_hi, y_lo, y_hi = (px[0], px[-1], py[0], py[-1]) if lattice else (px.min(), px.max(), py.min(), py.max())
+        for fx0, fy0, fx1, fy1 in (placement.box for placement in placements):
+            if x_lo + fx0 < 0 or y_lo + fy0 < 0 or x_hi + fx1 >= cols or y_hi + fy1 >= rows:
+                raise IndexError("scaled footprint leaves the integral table")
+    buffers = buffers or Buffers()
+    flat, dtype = table.ravel(), table.dtype
+    if not lattice:
+        windows = py * cols + px  # a window's base: negative while its top-left corner is outside
+        gathered = buffers("gathered", n, dtype)
+    for placement in placements:
+        reads = placement.reads
+        if n == 0:
+            yield np.zeros(shape, dtype=dtype)
+        elif lattice and px.step == py.step == 1:
+            # Entry k of each run is window (k // (width+1), k % (width+1)) of
+            # a lattice as wide as the table; the columns past len(px) wrap
+            # into the next row, stay inside the table and are cut off.
+            length = (shape[0] - 1) * cols + shape[1]
+            starts = ((y + y_lo) * cols + x + x_lo for _, x, y in reads)
+            sums = buffers("sums", shape[0] * cols, dtype)
+            _weigh(reads, (flat[a : a + length] for a in starts), sums[:length])
+            yield sums.reshape(shape[0], cols)[:, : shape[1]]
+        else:
+            sums = buffers("sums", n, dtype).reshape(shape)
+            if lattice:
+                terms = (table[y + y_lo : y + y_hi + 1 : py.step, x + x_lo : x + x_hi + 1 : px.step]
+                         for _, x, y in reads)
             else:
-                if scratch is None:
-                    scratch = np.empty_like(acc)
-                acc += np.multiply(view, wgt, out=scratch)
-        return acc.ravel(), area
-    # Based at the footprint's top-left corner, every index is in the table
-    # even for a window whose top-left corner lies outside it; flat[offset:]
-    # is a view, so the gather needs no index sum.
-    flat = table.ravel()
-    base = (py + fy0) * cols + px + fx0
-    acc = np.zeros(n, dtype=table.dtype)
-    for wgt, x, y in reads:
-        acc += wgt * flat[(y - fy0) * cols + x - fx0 :][base]
-    return acc, area
+                # Based at the footprint's top-left corner every index is in
+                # the table; flat[offset:] is a view, so the gather needs no
+                # index sum.
+                fx0, fy0 = placement.box[:2]
+                base = windows + (fy0 * cols + fx0)
+                terms = (flat[(y - fy0) * cols + x - fx0 :].take(base, out=gathered, mode="clip") for _, x, y in reads)
+            _weigh(reads, terms, sums)
+            yield sums
 
 
 class FeatureExtractor:
@@ -284,8 +373,9 @@ class FeatureExtractor:
         if len(self.pool) and (self.pool.box[:, 2].max() > w or self.pool.box[:, 3].max() > h):
             raise IndexError("feature footprint leaves the patches")
         table, reach = _integral(np.moveaxis(patches, 0, -1), self._l1)
-        if reach >= 2**53:
-            raise ValueError("integral sums could reach 2**53, past exact float64")
+        if reach >= 2**50:
+            raise ValueError("integral sums could reach 2**50, where training could decide a sum otherwise "
+                             "than the scan")
         return table.reshape((h + 1) * (w + 1), n)
 
     def sum_dtype(self, patches) -> np.dtype:
@@ -308,7 +398,7 @@ class FeatureExtractor:
         below it) and int64 past it.  out, when given, is an (M, N) array,
         for example a column range of a larger table, whose dtype holds that
         dtype; the sums are written into it and it is returned.  Raises
-        ValueError when the bound could reach 2**53 or out does not fit, and
+        ValueError when the bound could reach 2**50 (module docstring) or out does not fit, and
         IndexError when a footprint leaves the patches.
         """
         flat = self._tables(patches)

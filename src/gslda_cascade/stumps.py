@@ -2,10 +2,12 @@
 
 A stump thresholds one feature's value, its integer sum divided by its
 footprint area, and outputs +/-1.  The scan and node training decide sums by
-one rule, DecisionStump.passes, which divides none (train_all reads the same
-decisions off its sorted table).  Training minimizes weighted 0/1 error with
-a single sorted sweep, so re-training the whole candidate pool under fresh
-boosting weights is one vectorized pass over a pre-sorted table.  The (M, N)
+one rule, which divides none: a sum passes when it is at least _sum_bound's
+(DecisionStump.passes; the scan finds the bounds of every stump at every
+scale at once, and train_all reads the same decisions off its sorted table).
+Training minimizes weighted 0/1 error with a single sorted sweep, so
+re-training the whole candidate pool under fresh boosting weights is one
+vectorized pass over a pre-sorted table.  The (M, N)
 table is sorted and trained a block of rows at a time, each block about
 _BLOCK_BYTES (8-byte entries in the sort, 16-byte complex128 ones in
 train_all), so the memory beyond the table, its sort order and the packed
@@ -75,19 +77,24 @@ def _sort_keys(block: np.ndarray, bits: int) -> np.ndarray:
     return run
 
 
-def _sum_bound(threshold: float, area, dtype) -> int | None:
+def _sum_bound(threshold, area, dtype):
     """The least s in dtype's range with s / area >= threshold in float64,
     or None when no s in the range has it (a +inf or NaN threshold, say).
-    The quotient never falls as s grows, so s passes exactly when s >= bound."""
+    The quotient never falls as s grows, so s passes exactly when s >= bound.
+    Elementwise over threshold and area broadcast together: an int or None
+    for scalars, nested lists of them for arrays, so that the scan finds an
+    image's bounds for every stump at every scale at once."""
     lo, hi = _LIMITS[np.dtype(dtype)]
-    if not float(hi) / area >= threshold:
-        return None
-    s = min(int(np.ceil(max(threshold * area, lo))), hi)  # a few steps off while |s| < 2**53
-    while s > lo and float(s - 1) / area >= threshold:
-        s -= 1
-    while float(s) / area < threshold:
-        s += 1
-    return s
+    threshold, area = np.asarray(threshold, dtype=np.float64), np.asarray(area, dtype=np.float64)
+    reach = float(hi) / area >= threshold
+    guess = np.ceil(np.maximum(threshold * area, lo))  # a few steps off while |s| < 2**53
+    s = np.where(reach & (guess < float(hi)), guess, 0).astype(np.int64)
+    s[reach & (guess >= float(hi))] = hi
+    while (down := reach & (s > lo) & ((s - 1) / area >= threshold)).any():
+        s -= down
+    while (up := reach & (s / area < threshold)).any():
+        s += up
+    return np.where(reach, s, None).tolist()
 
 
 @dataclass
@@ -152,7 +159,8 @@ class StumpTrainer:
     plus -inf/+inf sentinels; ties break toward the smaller threshold, then
     polarity +1.  Responses compare sums with the sum just above the
     threshold: DecisionStump.passes while |sums| < 2**50 keeps distinct
-    sums' values and midpoints apart (8-bit patches stay below 2**31).
+    sums' values and midpoints apart (8-bit patches stay below 2**31, and
+    FeatureExtractor raises from 2**50).
 
     Both the sort and train_all walk the table in blocks of rows sized by
     _BLOCK_BYTES, so their temporaries stay near that budget whatever M is:

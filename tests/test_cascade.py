@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gslda_cascade import cascade, cli, scatter, stumps
+from gslda_cascade import cascade, cli, detect, scatter, stumps
 from gslda_cascade.boosting import BoostingConfig, init_weights, prune_stumps
 from gslda_cascade.cascade import (
     METHODS,
@@ -21,13 +21,14 @@ from gslda_cascade.cascade import (
     _threshold_for_scores,
     bootstrap_negatives,
     evaluate_windows,
+    lattice_corners,
     node_margin,
     train_cascade,
     train_node,
 )
 from gslda_cascade.features import FeatureExtractor, PoolParams, build_integral, build_pool
 from gslda_cascade.model_io import load_model
-from gslda_cascade.pgm import read_pgm
+from gslda_cascade.pgm import read_pgm, write_pgm
 from gslda_cascade.scatter import GreedySelector, ScatterConfig
 from gslda_cascade.stumps import DecisionStump, StumpTable, StumpTrainer
 from gslda_cascade.synth import ToyDatasetSpec, axis_stump_pool, generate_toy, load_manifest
@@ -467,6 +468,46 @@ def test_stage_one_f_is_the_scan_acceptance(tmp_path):
         assert 0 < stage["f"] < 1 and len(positives) == 20
         assert stage["d"] == accepted[0] / len(positives)
         assert stage["f"] == accepted[1] / len(negatives)
+    # The d above is 1.0: the first node gives the held-out positives few
+    # distinct scores, and a validation row decided otherwise moves none of
+    # them across the d_min quantile.  So the held-out patches are rewritten
+    # to put the gslda model's first stump's sum at its bound (passing), one
+    # below it, or a tenth of the bound beyond either, 6, 4, 4 and 6 of them,
+    # and gslda trains again on the same training patches with --dmin 0.05:
+    # the threshold is then minus the highest validation score, and d the
+    # share of held-out positives on the stump's better side, 10 of 20.  An
+    # area off by one or by 1% in the validation rows moves the 4 at or
+    # below the bound across it and changes the logged d, not the scan's.
+    model = load_model(str(tmp_path / "gslda.json"))
+    first, pool = model.nodes[0].stumps[0], model.feature_pool
+    extractor = FeatureExtractor(pool)
+    area = int(extractor.area[first.feature_id])
+    bound = stumps._sum_bound(first.threshold, area, np.int32)
+    assert abs(bound) >= 200 and area >= 20  # 1% and one pixel of area move the bound by 2 or more
+    beyond = abs(bound) // 10
+    wgt, x0, y0, x1, y1 = pool_features(pool)[first.feature_id].rects()[0]
+    assert wgt == 1  # a pixel of this sub-rectangle adds to the sum as it is
+    targets = [bound + beyond] * 6 + [bound] * 4 + [bound - 1] * 4 + [bound - 1 - beyond] * 6
+    for i, target in zip(held_out.tolist(), targets):
+        patch = read_pgm(manifest.path(manifest.positives[i])).astype(np.int64)
+        need = target - int(extractor.extract(patch[None])[first.feature_id, 0])
+        block = patch[y0:y1, x0:x1].ravel()
+        for k in range(block.size):
+            moved = min(max(block[k] + need, 0), 255) - block[k]
+            block[k] += moved
+            need -= moved
+        patch[y0:y1, x0:x1] = block.reshape(y1 - y0, x1 - x0)
+        assert extractor.extract(patch[None])[first.feature_id, 0] == target
+        write_pgm(manifest.path(manifest.positives[i]), patch)
+    out = tmp_path / "held-out-at-the-bound.json"
+    assert cli.main(["train", "--data", str(corpus / "manifest.json"), "--out", str(out), "--method", "gslda",
+                     "--subsample", "16", "--max-stumps", "20", "--f-target", "0.001", "--dmin", "0.05"]) == 0
+    model = load_model(str(out))
+    stage = json.loads((tmp_path / "held-out-at-the-bound.json.log.jsonl").read_text().splitlines()[0])
+    assert model.nodes[0].stumps == [first] and model.nodes[0].coefficients[0] != 0
+    positives = [build_integral(read_pgm(manifest.path(manifest.positives[i]))) for i in held_out]
+    accepted = sum(evaluate_windows(model, table, range(1), range(1), 1)[0].size for table in positives)
+    assert stage["d"] == accepted / len(positives) == 0.5
 
 
 class TestBootstrap:
@@ -533,15 +574,17 @@ class TestBootstrap:
             assert np.array_equal(got, expected)
 
 
-def _hand_node(draw, features):
-    """1 to 10 stumps, so that a node can pass the 8 stumps of one uint8 pass
-    code.  Thresholds lie on a quarter grid, at exact quotients k / area of
-    the feature's base-scale area or at +/-inf; coefficients may be +/-0.0."""
+def _hand_node(draw, features, size=st.integers(1, 10), ids=None):
+    """1 to 10 stumps (size), so that a node can pass the 8 stumps of one
+    uint8 pass code, on features drawn by ids (any of the pool's by
+    default).  Thresholds lie on a quarter grid, at exact quotients k / area
+    of the feature's base-scale area or at +/-inf; coefficients may be
+    +/-0.0."""
     area = FeatureExtractor(features).area
-    t = draw(st.integers(1, 10))
+    t = draw(size)
     stumps_ = []
     for _ in range(t):
-        j = draw(st.integers(0, len(features) - 1))
+        j = draw(st.integers(0, len(features) - 1) if ids is None else ids)
         a = int(area[j])
         threshold = draw(st.one_of(st.integers(-40, 40).map(lambda k: k / 4),
                                    st.integers(-16 * a, 16 * a).map(lambda k: k / a),
@@ -554,7 +597,8 @@ def _hand_node(draw, features):
 
 def _assert_scan_matches_oracle(model, image, factor, step, reached):
     """evaluate_windows on build_integral(image) against oracles.decide_window
-    on the oracle's own integral table, window by window at every scale."""
+    on the oracle's own integral table, window by window at every scale; and
+    the pyramid scan against evaluate_windows, scale by scale."""
     nodes = model.nodes
     # prefixes[d] ends at node d-1: its scalar score is node d-1's margin.
     prefixes = [dataclasses.replace(model, nodes=nodes[:d]) for d in range(len(nodes) + 1)]
@@ -563,12 +607,14 @@ def _assert_scan_matches_oracle(model, image, factor, step, reached):
     by_scale = {}
     for x, y, _, scale in pyramid_windows(h, w, model.base_window, factor, step):
         by_scale.setdefault(scale, []).append((x, y))
+    scanned = []  # per scale: the pyramid's columns as evaluate_windows gives them
     for scale, windows in by_scale.items():
         # Each scale's windows are one lattice, x varying fastest.
         side, shift = (max(1, int(np.floor(v * scale + 0.5))) for v in (model.base_window, step))
         xs, ys = range(0, w - side + 1, shift), range(0, h - side + 1, shift)
         assert windows == [(x, y) for y in ys for x in xs]
         kept, scores, evals = evaluate_windows(model, table, xs, ys, reached, scale)
+        scanned.append((*lattice_corners(xs, ys, kept), np.full(kept.size, side), scores))
         oracle = [decide_window(model, ii, x, y, scale) for x, y in windows]
         stages = np.array([n_passed for _, n_passed, _, _ in oracle], dtype=int)
         assert kept.tolist() == np.flatnonzero(stages >= reached).tolist()
@@ -586,6 +632,12 @@ def _assert_scan_matches_oracle(model, image, factor, step, reached):
                 assert scores[min(n_passed + 1, len(nodes)), col].tobytes() == np.float64(score).tobytes()
             assert accepted == (scores[-1, col] >= 0)
         assert evals == sum(n_evals for *_, n_evals in oracle)
+    pyramid = detect._scan_pyramid(model, image, factor, step, reached)
+    if scanned:
+        for got, expected in zip(pyramid, (np.concatenate(column, axis=-1) for column in zip(*scanned))):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    else:
+        assert [column.size for column in pyramid] == [0] * 4
 
 
 class TestEvaluateWindows:
@@ -601,6 +653,33 @@ class TestEvaluateWindows:
                              feature_pool=self.FEATURES, f_target=0.1, base_window=8)
         h, w = draw(st.integers(8, 20)), draw(st.integers(8, 20))
         image = np.random.default_rng(draw(st.integers(0, 2**16))).integers(0, 256, size=(h, w))
+        factor = draw(st.sampled_from([1.1, 1.2, 1.25, 1.5]))
+        step = draw(st.sampled_from([1.0, 2.0]))
+        _assert_scan_matches_oracle(model, image, factor, step, reached)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_pyramid_matches_scalar_oracle(self, data):
+        # The scan's paths against the scalar cascade: a first node of one
+        # stump (its pass bit decides), two (a pass-code table) or more than
+        # 8 (late votes over the whole lattice); stumps at +/-inf; int32 and
+        # int64 tables; step 1 (1-D slices) and 2 (2-D views) at the first
+        # scales; and footprints that reach the window's bottom-right corner,
+        # which the last window of a scale reads at the table's last entry,
+        # the final entry of a 1-D slice.
+        draw = data.draw
+        corner = np.flatnonzero((self.FEATURES.box[:, 2:] == 8).all(axis=1)).tolist()
+        ids = st.one_of(st.sampled_from(corner), st.integers(0, len(self.FEATURES) - 1))
+        first = _hand_node(draw, self.FEATURES, size=st.sampled_from([1, 2, 9, 10]), ids=ids)
+        nodes = [first] + [_hand_node(draw, self.FEATURES, ids=ids) for _ in range(draw(st.integers(0, 2)))]
+        reached = draw(st.integers(0, len(nodes)))
+        model = CascadeModel(nodes=nodes, stage_rates=[], cumulative=[],
+                             feature_pool=self.FEATURES, f_target=0.1, base_window=8)
+        h, w = draw(st.integers(8, 16)), draw(st.integers(8, 16))
+        dtype = draw(st.sampled_from([np.int32, np.int64]))
+        pixels = 256 if dtype == np.int32 else 2**24  # 8 x 8 pixels near 2**24 pass 2**31 / 16
+        image = np.random.default_rng(draw(st.integers(0, 2**16))).integers(pixels // 2, pixels, size=(h, w))
+        assert build_integral(image).dtype == dtype
         factor = draw(st.sampled_from([1.1, 1.2, 1.25, 1.5]))
         step = draw(st.sampled_from([1.0, 2.0]))
         _assert_scan_matches_oracle(model, image, factor, step, reached)

@@ -192,10 +192,11 @@ def test_unwritable_output_is_data_error(corpus, model, tmp_path, capsys, case):
 ])
 def test_oversized_scale_factor_scans_only_the_base_scale(corpus, model, tmp_path, monkeypatch, capsys,
                                                          command, scale_factor, step):
+    # The pyramid plans each image's scales once, then evaluates one lattice per scale.
     scales, windows = [], []
-    evaluate_windows = detect.evaluate_windows
-    monkeypatch.setattr(detect, "evaluate_windows", lambda *a: scales.append(a[-1])
-                        or windows.append(len(a[2]) * len(a[3])) or evaluate_windows(*a))
+    plan, evaluate = detect._plan, detect._evaluate
+    monkeypatch.setattr(detect, "_plan", lambda model, s, dtype: scales.extend(s) or plan(model, s, dtype))
+    monkeypatch.setattr(detect, "_evaluate", lambda *a: windows.append(len(a[2]) * len(a[3])) or evaluate(*a))
     out = tmp_path / "out.csv"
     inputs = {"detect": [str(corpus / "corpus" / "scenes"), "--no-merge"],
               "eval": [str(corpus / "corpus" / "manifest.json")]}[command]

@@ -13,6 +13,7 @@ from gslda_cascade.features import (
     build_integral,
     build_pool,
     haar_sums,
+    place,
 )
 from oracles import (
     HaarFeature,
@@ -49,10 +50,17 @@ def feature_index(pool, kind, x, y, w, h):
     return int(j)
 
 
+def sums_at(pool, j, table, px, py, scale=1.0):
+    """haar_sums of pool feature j placed at scale, and the placed area."""
+    ((placement,),) = place(pool, [j], [scale])
+    (sums,) = haar_sums([placement], table, px, py)
+    return sums, placement.area
+
+
 def haar_at(pool, j, image, offset_x=0, offset_y=0, scale=1.0):
     """The package's vectorized evaluation at a single placement: its sum
     over the area."""
-    sums, area = haar_sums(pool, j, build_integral(image), np.array([offset_x]), np.array([offset_y]), scale)
+    sums, area = sums_at(pool, j, build_integral(image), np.array([offset_x]), np.array([offset_y]), scale)
     return float(sums[0] / area)
 
 
@@ -279,10 +287,10 @@ class TestEvalHaar:
         assert pool.box[0].tolist() == [0, 0, 2, 1]
         table = build_integral(np.ones((10, 10), dtype=int))
         edge_x, edge_y = 10 - round(2 * scale), 10 - round(scale)  # the last fitting offsets
-        fitting, _ = haar_sums(pool, 0, table, np.array([0, edge_x]), np.array([edge_y, 0]), scale)
+        fitting, _ = sums_at(pool, 0, table, np.array([0, edge_x]), np.array([edge_y, 0]), scale)
         assert fitting.tolist() == [0, 0]
         with pytest.raises(IndexError):
-            haar_sums(pool, 0, table, np.array([0, x, edge_x]), np.array([edge_y, y, 0]), scale)
+            sums_at(pool, 0, table, np.array([0, x, edge_x]), np.array([edge_y, y, 0]), scale)
 
     @pytest.mark.parametrize("x, y, scale", [
         (-1, 0, 1.0), (0, -1, 1.0), (9, 0, 1.0), (0, 10, 1.0), (7, 0, 2.0), (0, 9, 2.0),
@@ -297,16 +305,16 @@ class TestEvalHaar:
         def span(lo, hi):  # the two-point lattice lo, hi
             return range(lo, hi + 1, hi - lo)
 
-        fitting, _ = haar_sums(pool, 0, table, span(0, edge_x), span(0, edge_y), scale)
-        assert fitting.tolist() == [0] * 4
+        fitting, _ = sums_at(pool, 0, table, span(0, edge_x), span(0, edge_y), scale)
+        assert fitting.ravel().tolist() == [0] * 4
         with pytest.raises(IndexError):
-            haar_sums(pool, 0, table, span(min(0, x), max(edge_x, x)), span(min(0, y), max(edge_y, y)), scale)
+            sums_at(pool, 0, table, span(min(0, x), max(edge_x, x)), span(min(0, y), max(edge_y, y)), scale)
 
     def test_descending_lattice_rejected(self):
         pool = build_pool(PoolParams(base_window=4))
         table = build_integral(np.ones((10, 10), dtype=int))
         with pytest.raises(ValueError, match="ascend"):
-            haar_sums(pool, 0, table, range(4, -1, -2), range(3), 1.0)
+            sums_at(pool, 0, table, range(4, -1, -2), range(3), 1.0)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -335,13 +343,13 @@ class TestEvalHaar:
             return range(last - (count - 1) * shift, last + 1, shift)
 
         xs, ys = axis(w, fx0, fx1), axis(h, fy0, fy1)
-        sums, area = haar_sums(pool, j, table, xs, ys, scale)
+        sums, area = sums_at(pool, j, table, xs, ys, scale)
         px, py = (a.ravel() for a in np.meshgrid(np.array(xs), np.array(ys)))
-        assert sums.shape == (len(xs) * len(ys),)
-        gathered, gathered_area = haar_sums(pool, j, table, px, py, scale)
+        assert sums.shape == (len(ys), len(xs))
+        gathered, gathered_area = sums_at(pool, j, table, px, py, scale)
         assert sums.dtype == gathered.dtype == table.dtype
-        assert np.array_equal(sums, gathered) and area == gathered_area
-        for x, y, value in zip(px.tolist(), py.tolist(), (sums / area).tolist()):
+        assert np.array_equal(sums.ravel(), gathered) and area == gathered_area
+        for x, y, value in zip(px.tolist(), py.tolist(), (sums.ravel() / area).tolist()):
             expected = eval_haar(features[j], ii, x, y, scale)
             assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
@@ -366,10 +374,10 @@ class TestEvalHaar:
         px, py = (a.ravel() for a in np.meshgrid(np.array(xs), np.array(ys)))
         features = pool_features(pool)
         for j in data.draw(st.lists(st.sampled_from(placeable.tolist()), min_size=1, max_size=5)):
-            sums, area = haar_sums(pool, j, table, xs, ys, scale)
-            gathered, gathered_area = haar_sums(pool, j, table, px, py, scale)
-            assert np.array_equal(sums, gathered) and area == gathered_area
-            for x, y, value in zip(px.tolist(), py.tolist(), (sums / area).tolist()):
+            sums, area = sums_at(pool, j, table, xs, ys, scale)
+            gathered, gathered_area = sums_at(pool, j, table, px, py, scale)
+            assert np.array_equal(sums.ravel(), gathered) and area == gathered_area
+            for x, y, value in zip(px.tolist(), py.tolist(), (sums.ravel() / area).tolist()):
                 expected = eval_haar(features[j], ii, x, y, scale)
                 assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
@@ -406,7 +414,7 @@ class TestEvalHaar:
             subset = data.draw(st.lists(st.integers(0, px.size - 1), min_size=1, max_size=2 * px.size))
             px, py = px[subset], py[subset]
         for j in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5)):
-            sums, area = haar_sums(pool, j, table, px, py, scale)
+            sums, area = sums_at(pool, j, table, px, py, scale)
             for x, y, value in zip(px.tolist(), py.tolist(), (sums / area).tolist()):
                 expected = eval_haar(features[j], ii, x, y, scale)
                 assert np.float64(value).tobytes() == np.float64(expected).tobytes()
@@ -463,8 +471,8 @@ class TestFeatureExtractor:
         for i, patch in enumerate(patches):
             table = build_integral(patch)
             for j in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5)):
-                read, area = haar_sums(pool, j, table, range(1), range(1))
-                assert read.tolist() == [sums[j, i]] and area == extractor.area[j]
+                read, area = sums_at(pool, j, table, range(1), range(1))
+                assert read.ravel().tolist() == [sums[j, i]] and area == extractor.area[j]
 
     @staticmethod
     def reach_per_unit(h, w):
@@ -480,14 +488,16 @@ class TestFeatureExtractor:
         pool = build_pool(PoolParams(base_window=6))
         h, w = 7, 8
         reach = self.reach_per_unit(h, w)
-        limit = -(-(2**53) // reach)  # the least pixel value whose sums could reach 2**53
+        # The least pixel value whose sums could reach 2**50, from where a
+        # trained stump could decide a sum otherwise than DecisionStump.passes.
+        limit = -(-(2**50) // reach)
         bits = np.random.default_rng(0).integers(0, 2, size=(4, h, w))
         bits[0] = 1  # all ones: its table holds the largest entry, pixel value * h * w
         below = sign * (limit - 1) * bits
         extractor = FeatureExtractor(pool)
         assert extractor.extract(below).dtype == np.int64
         assert values_of(extractor, below).tobytes() == extract(pool, below).tobytes()
-        with pytest.raises(ValueError, match="2\\*\\*53"):
+        with pytest.raises(ValueError, match="2\\*\\*50"):
             FeatureExtractor(pool).extract(sign * limit * bits)
 
     @pytest.mark.parametrize("sign", [1, -1])
