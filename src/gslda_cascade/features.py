@@ -1,7 +1,10 @@
 """Integral images and the Haar-like rectangle feature pool.
 
-The pool is a set of integer arrays, one row per feature: its kind, its
-footprint box and its folded corners, enumerated once by numpy.  Features
+The pool is an enumeration in closed form: per kind, the count of extents
+that fit at each start offset, O(base_window) integers, from which the
+kind and footprint box of any feature id are decoded by two searches and
+two divisions (FeaturePool.rows).  A detector decodes only the features
+its model names; training decodes its whole (subsampled) pool.  Features
 are defined on a square base window and evaluated at arbitrary offset/scale
 through an integral table, so a single trained model scans all window sizes.
 Rectangle weights balance to zero per feature; a value is a feature's
@@ -13,20 +16,19 @@ at their four corners each, and adjacent rectangles share corners, so the
 rectangles fold into one integer weight per distinct corner.  The fold is
 done once, at import, per kind in cell units (_CORNERS, from _CELLS): 6, 8
 or 9 corners, of summed |weight| 8, 16 and 16, for two-, three- and
-four-rectangle kinds.  build_pool scales each kind's cells to every
-feature's footprint, so FeaturePool.corners holds each feature's (weight,
-x, y) rows in base window coordinates, and nothing else folds.  At another
-scale each corner is rounded half up on its own, as the oracle rounds each
-rectangle's corners; two corners may then round to the same pixel, and each
-is still read with its own weight, which sums to the same exact integer.
-place rounds the corners, footprints and areas of many features at many
-scales in one vectorized step, and haar_sums reads placed features.
-The table is int32 when every such read is exact in int32 (16 * max|table|
-< 2**31).  Over a lattice of windows (two ranges of top-left corners) each
-corner is one 1-D slice of the flattened table for a lattice of step 1, or
-one 2-D strided slice of the table otherwise; for scattered windows it is
-one gather on the flattened table.  A window whose footprint leaves the
-table raises IndexError before any read.
+four-rectangle kinds.  _corners_of scales each kind's cells to a feature's
+footprint, giving its (weight, x, y) rows in base window coordinates, and
+nothing else folds.  At another scale each corner is rounded half up on its
+own, as the oracle rounds each rectangle's corners; two corners may then
+round to the same pixel, and each is still read with its own weight, which
+sums to the same exact integer.  place rounds the corners, footprints and
+areas of many features at many scales in one vectorized step, and haar_sums
+reads placed features.  The table is int32 when every such read is exact in
+int32 (16 * max|table| < 2**31).  Over a lattice of windows (two ranges of
+top-left corners) each corner is one 1-D slice of the flattened table for a
+lattice of step 1, or one 2-D strided slice of the table otherwise; for
+scattered windows it is one gather on the flattened table.  A window whose
+footprint leaves the table raises IndexError before any read.
 
 Training extracts every feature of the pool from every patch at scale 1 with
 the same corners, by integer gathers.  The N patches' integral tables are
@@ -46,7 +48,8 @@ allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
@@ -89,6 +92,8 @@ def _fold(cells) -> np.ndarray:
 
 
 _CORNERS = np.stack([_fold(cells) for cells in _CELLS.tolist()])
+# The same rows by descending |weight|, stably, zero rows last: place's order.
+_BY_WEIGHT = np.take_along_axis(_CORNERS, np.argsort(-np.abs(_CORNERS[:, :, :1]), axis=1, kind="stable"), axis=1)
 
 # Byte budget of one block of gathered rows in FeatureExtractor.extract.
 _BLOCK_BYTES = 1 << 18
@@ -143,52 +148,111 @@ class PoolParams:
     subsample: int = 1
 
 
+class _Counts(NamedTuple):
+    """A pool's enumeration in closed form: arrays over (kind, start) pairs,
+    kind-major, with offset the start's coordinate (the same on x and y).
+    At each pair, heights extents of the kind fit below row offset and widths
+    right of column offset.  The features of block (kind, y) run from full
+    index runs, heights times the kind's summed widths of them.  columns
+    counts the widths of every earlier pair, so that one search over it
+    finds each feature's x whatever its kind, and before is columns at the
+    kind's first pair.  least is each kind's smallest (width, height) in
+    units, and total the count of every admissible feature."""
+
+    offset: np.ndarray
+    kind: np.ndarray
+    heights: np.ndarray
+    widths: np.ndarray
+    runs: np.ndarray
+    columns: np.ndarray
+    before: np.ndarray
+    least: np.ndarray  # (5, 2)
+    total: int
+
+
+def _counts(base_window: int, stride: int, min_size: int) -> _Counts:
+    starts = np.arange(0, base_window, min(stride, base_window))  # a longer stride also places at 0 only
+    # Extents run by the unit from its smallest multiple that is at least
+    # min_size up to the room left at the window's edge.
+    least = -(-min_size // _UNITS)
+    fits = np.maximum((base_window - starts) // _UNITS[:, :, None] - least[:, :, None] + 1, 0)  # (5, 2, S)
+    widths, heights = fits[:, 0].ravel(), fits[:, 1].ravel()
+    kind = np.repeat(np.arange(len(KINDS)), len(starts))
+    sizes = heights * fits[:, 0].sum(axis=1)[kind]
+    columns = np.cumsum(widths) - widths
+    return _Counts(np.tile(starts, len(KINDS)), kind, heights, widths, np.cumsum(sizes) - sizes, columns,
+                   columns[kind * len(starts)], least, int(sizes.sum()))
+
+
+def _corners_of(kind, box, cells=_CORNERS) -> np.ndarray:
+    """(M, 9, 3): the folded corners (weight, x, y) of features of these
+    kinds and footprints, each kind's cell corners scaled to the footprint,
+    in the order of cells: by (y, x) for _CORNERS.  A kind with fewer than
+    nine corners pads with zero rows."""
+    x, y = box[:, 0], box[:, 1]
+    corners = cells[kind]
+    on = corners[:, :, 0] != 0  # zero rows pad
+    for coord, size, origin in ((corners[:, :, 1], (box[:, 2] - x) // _UNITS[kind, 0], x),
+                                (corners[:, :, 2], (box[:, 3] - y) // _UNITS[kind, 1], y)):
+        coord *= size[:, None]  # the footprint's extent in cells
+        np.add(coord, origin[:, None], out=coord, where=on)
+    return corners
+
+
 @dataclass(frozen=True, eq=False)
 class FeaturePool:
-    """Haar features as integer arrays, feature j in row j.
+    """Haar features by their enumeration, feature j in row j.
 
-    kind[j] indexes KINDS, box[j] is the footprint (x0, y0, x1, y1) and
-    corners[j, c] the c-th folded corner (weight, x, y) of its
-    sub-rectangles, ordered by (y, x), all in base window coordinates; a
-    kind with fewer than nine corners pads with zero rows.
+    Every admissible feature is ordered by (kind, y, x, h, w), and the pool
+    keeps every subsample-th of them: feature j is full index j * subsample.
+    rows(ids) decodes the named features only.  kind (M,) and box (M, 4)
+    are rows' arrays for the whole pool, decoded on first access and kept.
     """
 
     params: PoolParams
-    kind: np.ndarray  # (M,)
-    box: np.ndarray  # (M, 4)
-    corners: np.ndarray  # (M, 9, 3)
+    _counts: _Counts = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.kind)
+        return -(-self._counts.total // self.params.subsample)
+
+    def rows(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """(kind, box) of the features ids (each in 0..len(self)): kind
+        indexes KINDS and box is the footprint (x0, y0, x1, y1) in base
+        window coordinates.  They are decoded from the counts by two
+        searches and two divisions each."""
+        ids = np.asarray(ids, dtype=np.int64)
+        c = self._counts
+        full = ids * self.params.subsample
+        block = np.searchsorted(c.runs, full, "right") - 1  # the last (kind, y) block starting at or before
+        kind, heights, before = c.kind[block], c.heights[block], c.before[block]
+        rest = full - c.runs[block]  # (x, h, w) in the block, w fastest
+        column = np.searchsorted(c.columns, rest // heights + before, "right") - 1
+        rest -= heights * (c.columns[column] - before)
+        ih, iw = np.divmod(rest, c.widths[column])
+        box = np.empty((len(full), 4), dtype=np.int64)
+        box[:, 0], box[:, 1] = c.offset[column], c.offset[block]
+        box[:, 2] = (c.least[kind, 0] + iw) * _UNITS[kind, 0]
+        box[:, 3] = (c.least[kind, 1] + ih) * _UNITS[kind, 1]
+        box[:, 2:] += box[:, :2]
+        return kind, box
+
+    @cached_property
+    def _every(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.rows(np.arange(len(self)))
+
+    kind = property(lambda self: self._every[0])
+    box = property(lambda self: self._every[1])
 
 
 def build_pool(params: PoolParams) -> FeaturePool:
-    """Every admissible feature ordered by (kind, y, x, h, w), then every
-    subsample-th of them; deterministic."""
-    bw, stride, min_size = params.base_window, params.stride, params.min_size
-    if not bw >= min_size >= 1:
+    """The pool of params, validated; no feature is decoded yet."""
+    if not params.base_window >= params.min_size >= 1:
         raise ValueError("need base_window >= min_size >= 1")
-    if stride < 1:
+    if params.stride < 1:
         raise ValueError("stride must be at least 1")
     if params.subsample < 1:
         raise ValueError("subsample must be at least 1")
-    starts = np.arange(0, bw, min(stride, bw))  # a longer stride also places at 0 only
-    parts = []
-    for k, (uw, uh) in enumerate(_UNITS.tolist()):
-        # Extents run from the smallest multiple of the unit that is at least min_size.
-        hs = np.arange(-(-min_size // uh) * uh, bw + 1, uh)
-        ws = np.arange(-(-min_size // uw) * uw, bw + 1, uw)
-        y, x, h, w = (a.ravel() for a in np.meshgrid(starts, starts, hs, ws, indexing="ij"))
-        fits = (y + h <= bw) & (x + w <= bw)
-        parts.append(np.stack([np.full(fits.sum(), k), x[fits], y[fits], w[fits], h[fits]], axis=1))
-    kind, x, y, w, h = np.concatenate(parts)[:: params.subsample].T
-    cw, ch = w // _UNITS[kind, 0], h // _UNITS[kind, 1]
-    # On (M, 9) arrays: numpy's loops over a last axis of 3 are slow.
-    wgt, cx, cy = _CORNERS.transpose(2, 0, 1)[:, kind]
-    on = wgt != 0  # zero rows pad
-    corners = np.stack([wgt, (x[:, None] + cx * cw[:, None]) * on, (y[:, None] + cy * ch[:, None]) * on],
-                       axis=2)
-    return FeaturePool(params, kind, np.stack([x, y, x + w, y + h], axis=1), corners)
+    return FeaturePool(params, _counts(params.base_window, params.stride, params.min_size))
 
 
 def _round_px(v):
@@ -209,17 +273,15 @@ class Placement(NamedTuple):
 
 
 def place(pool: FeaturePool, ids, scales) -> list[list[Placement]]:
-    """placements[s][t], pool feature ids[t] at scales[s].  Each of its
-    folded corners (the module docstring) and each corner of its footprint
-    is scaled and rounded half up on its own, for every feature and scale in
-    one vectorized step."""
-    ids = np.asarray(ids, dtype=np.intp)
+    """placements[s][t], pool feature ids[t] at scales[s]; only those
+    features are decoded (FeaturePool.rows).  Each of its folded corners (the
+    module docstring) and each corner of its footprint is scaled and rounded
+    half up on its own, for every feature and scale in one vectorized step."""
+    kind, box = pool.rows(ids)
     scale = np.asarray(scales, dtype=np.float64)[:, None, None]
-    boxes = _round_px(scale * pool.box[ids])
+    boxes = _round_px(scale * box)
     areas = (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
-    weights = pool.corners[ids, :, 0]
-    order = np.argsort(-np.abs(weights), axis=1, kind="stable")  # zero weights last
-    corners = np.take_along_axis(pool.corners[ids], order[:, :, None], axis=1)
+    corners = _corners_of(kind, box, _BY_WEIGHT)
     xy = _round_px(scale[..., None] * corners[:, :, 1:].transpose(0, 2, 1)).tolist()  # x and y rows
     return [[Placement(tuple(compress(zip(w, x, y), w)), tuple(box), area)
              for w, (x, y), box, area in zip(corners[:, :, 0].tolist(), row, box_row, area_row)]
@@ -351,16 +413,17 @@ def haar_sums(placements, table: np.ndarray, px, py, buffers: Buffers | None = N
 class FeatureExtractor:
     """Batch evaluation of a feature pool on same-size patches at scale 1.
 
-    It reads the pool's folded corners (see the module docstring) as they
-    are.  area[j] is feature j's footprint area (int64), the divisor that
-    turns its sums into values.
+    It reads the folded corners (see the module docstring) of the pool's
+    kinds and footprints, built anew by each extract and dropped after it.
+    area[j] is feature j's footprint area (int64), the divisor that turns
+    its sums into values.
     """
 
     def __init__(self, pool: FeaturePool):
         self.pool = pool
         x0, y0, x1, y1 = pool.box.T
         self.area = ((x1 - x0) * (y1 - y0)).astype(np.int64)
-        self._l1 = int(np.abs(pool.corners[:, :, 0]).sum(axis=1).max(initial=0))  # summed |weight|
+        self._l1 = int(np.abs(_CORNERS[:, :, 0]).sum(axis=1)[pool.kind].max(initial=0))  # summed |weight|
 
     def _tables(self, patches) -> np.ndarray:
         """The N patches' integral tables, transposed and flattened to
@@ -409,7 +472,7 @@ class FeatureExtractor:
             raise ValueError(f"out must be an ({m}, {n}) array that holds {flat.dtype}")
         if m == 0 or n == 0:
             return out
-        corners = self.pool.corners
+        corners = _corners_of(self.pool.kind, self.pool.box)
         wgt = corners[:, :, 0].astype(flat.dtype)  # zero rows pad: weight 0 adds nothing
         rows = corners[:, :, 2] * (np.shape(patches)[2] + 1) + corners[:, :, 1]
         step = max(1, _BLOCK_BYTES // (flat.itemsize * n))

@@ -7,7 +7,9 @@ sentinel thresholds of stumps are written as the strings "inf" and "-inf"
 (older files with the bare tokens Infinity / -Infinity still load).  The
 feature pool is stored by its enumeration parameters, as
 {"type": "enumerated", "base_window", "stride", "min_size", "subsample"}, the
-only pool type, and rebuilt by features.build_pool on load.
+only pool type.  On load features.build_pool checks the parameters and
+counts the pool in closed form; no feature is decoded until the scan places
+the ones the model names.
 
 The detections CSV is written from a detect.DetectionTable, image by image
 from each Detections' arrays: the header image_id,x,y,side,score, then one

@@ -337,6 +337,15 @@ def test_bad_setting_exits_1(case, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(configs)  # nothing written
 
 
+def test_train_min_size_beyond_the_patches_exits_1(corpus, tmp_path, capsys):
+    # The corpus's patches are 8 pixels wide: no feature of min_size 9 fits.
+    out = tmp_path / "model.json"
+    argv = ["train", "--data", str(corpus / "corpus" / "manifest.json"), "--out", str(out), "--min-size", "9"]
+    assert cli.main([*argv, *TRAIN]) == 1
+    assert capsys.readouterr().err == "error: need base_window >= min_size >= 1\n"
+    assert not any(tmp_path.iterdir())  # nothing trained, nothing written
+
+
 # --config values whose type differs from their setting's builtin default.
 BAD_CONFIG_TYPES = {
     "train-string-for-number": ("train", {"dmin": "0.9"}),

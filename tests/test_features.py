@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from gslda_cascade.features import (
     KINDS,
     FeatureExtractor,
-    FeaturePool,
     PoolParams,
+    _corners_of,
     build_integral,
     build_pool,
     haar_sums,
@@ -160,8 +160,9 @@ class TestEnumerateHaar:
     def test_deterministic_and_injective(self):
         a = build_pool(PoolParams(base_window=8, stride=2, min_size=2))
         b = build_pool(PoolParams(base_window=8, stride=2, min_size=2))
-        for name in ("kind", "box", "corners"):
+        for name in ("kind", "box"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(_corners_of(a.kind, a.box), _corners_of(b.kind, b.box))
         keys = [(k, *box) for k, box in zip(a.kind.tolist(), a.box.tolist())]
         assert len(set(keys)) == len(keys)
 
@@ -178,8 +179,10 @@ class TestEnumerateHaar:
     def test_pool_subsampling(self):
         full = build_pool(PoolParams(base_window=6))
         thinned = build_pool(PoolParams(base_window=6, subsample=7))
-        for name in ("kind", "box", "corners"):
+        for name in ("kind", "box"):
             assert np.array_equal(getattr(thinned, name), getattr(full, name)[::7])
+        assert np.array_equal(_corners_of(thinned.kind, thinned.box),
+                              _corners_of(full.kind, full.box)[::7])
 
     @pytest.mark.parametrize("params", [
         PoolParams(base_window=4, min_size=5),
@@ -192,28 +195,38 @@ class TestEnumerateHaar:
         with pytest.raises(ValueError):
             build_pool(params)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_matches_oracle_enumeration(self, data):
+        # Any stride, and subsamples past the count.  A fresh pool decodes
+        # the ids it is asked for, in any order, and nothing else.
         base_window = data.draw(st.integers(1, 12))
-        stride = data.draw(st.integers(1, 4))
+        stride = data.draw(st.integers(1, 16))
         min_size = data.draw(st.integers(1, base_window))
-        subsample = data.draw(st.integers(1, 9))
+        everything = enumerate_haar(base_window, stride, min_size)
+        subsample = data.draw(st.integers(1, 9) | st.integers(max(len(everything), 1), len(everything) + 9))
         pool = build_pool(PoolParams(base_window, stride, min_size, subsample))
-        features = enumerate_haar(base_window, stride, min_size)[::subsample]
-        assert len(pool) == len(features)
-        for j, f in enumerate(features):
+        expected = everything[::subsample]
+        assert len(pool) == len(expected)
+        ids = [0, len(expected) - 1] if expected else []
+        ids += data.draw(st.lists(st.integers(0, len(expected) - 1), max_size=20)) if expected else []
+        kind, box = pool.rows(ids)
+        assert [(KINDS[k], *b) for k, b in zip(kind.tolist(), box.tolist())] == [
+            (f.kind, f.x, f.y, f.x + f.w, f.y + f.h) for f in (expected[j] for j in ids)]
+        assert "_every" not in vars(pool)
+        corners = _corners_of(pool.kind, pool.box)
+        for j, f in enumerate(expected):
             assert KINDS[pool.kind[j]] == f.kind
             assert pool.box[j].tolist() == [f.x, f.y, f.x + f.w, f.y + f.h]
-            corners = fold_corners(f)
-            assert pool.corners[j, : len(corners)].tolist() == [list(c) for c in corners]
-            assert not pool.corners[j, len(corners):].any()  # zero padding
+            folded = fold_corners(f)
+            assert corners[j, : len(folded)].tolist() == [list(c) for c in folded]
+            assert not corners[j, len(folded):].any()  # zero padding
 
     def test_corner_counts_and_weights_bound_the_int32_reads(self):
         # build_integral picks int32 when 16 * max|table| < 2**31: that
         # needs every feature's summed |corner weight| to be at most 16.
         pool = build_pool(PoolParams(base_window=12))
-        weights = pool.corners[:, :, 0]
+        weights = _corners_of(pool.kind, pool.box)[:, :, 0]
         assert np.abs(weights).sum(axis=1).max() <= 16
         counts = dict(zip(KINDS, (6, 6, 8, 8, 9)))
         for k, kind in enumerate(KINDS):
@@ -516,8 +529,7 @@ class TestFeatureExtractor:
         assert extractor.extract(np.full((2, 24, 24), 255, dtype=np.uint8)[:, :h, :w]).dtype == np.int32
 
     def test_empty_pool(self):
-        pool = build_pool(PoolParams(base_window=2))
-        empty = FeaturePool(pool.params, pool.kind[:0], pool.box[:0], pool.corners[:0])
+        empty = build_pool(PoolParams(base_window=1))  # no kind fits a 1x1 window
         assert FeatureExtractor(empty).extract(np.zeros((3, 2, 2), dtype=np.uint8)).shape == (0, 3)
 
     def test_writes_into_a_column_range(self):

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gslda_cascade.cascade import CascadeModel, NodeClassifier
-from gslda_cascade.detect import DetectionTable, Detections
+from gslda_cascade.detect import DetectionTable, Detections, scan_image
 from gslda_cascade.features import PoolParams, build_pool
 from gslda_cascade.model_io import (
     ModelFormatError,
@@ -128,6 +129,42 @@ def test_malformed_model_raises_format_error(case):
         set_path(p, path, value)
     with pytest.raises(ModelFormatError):
         model_from_dict(p)
+
+
+def test_feature_ids_are_bounded_by_the_subsampled_count():
+    # The pool of the payload holds 580 features; every 7th of them is 83,
+    # the last of which is full index 574.
+    p = payload()
+    p["feature_pool"]["subsample"] = 7
+    size = len(build_pool(PoolParams(base_window=8, stride=2, min_size=2, subsample=7)))
+    assert size == 83
+    set_path(p, ("nodes", 1, "stumps", 0, 0), size - 1)
+    assert model_from_dict(copy.deepcopy(p)).nodes[1].stumps[0].feature_id == size - 1
+    set_path(p, ("nodes", 1, "stumps", 0, 0), size)
+    with pytest.raises(ModelFormatError, match="feature_id out of range"):
+        model_from_dict(p)
+
+
+def test_load_and_scan_decode_only_the_named_features():
+    # A model on the whole 24x24 pool, 162,336 features: loading it and
+    # scanning an image decode its stumps' features alone.  The whole pool's
+    # kinds and boxes would take 6.5 MB.
+    p = payload()
+    p["base_window"] = 24
+    p["feature_pool"].update(base_window=24, stride=1, min_size=1, subsample=1)
+    for (i, j), fid in zip([(0, 0), (0, 1), (1, 0)], [162_335, 81_000, 4_321]):
+        set_path(p, ("nodes", i, "stumps", j, 0), fid)
+    image = np.random.default_rng(0).integers(0, 256, size=(40, 40), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        model = model_from_dict(p)
+        scan_image(model, image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model.feature_pool) == 162_336
+    assert "_every" not in vars(model.feature_pool)
+    assert peak < 2_000_000, peak
 
 
 # Every number model_from_dict reads, as a path into the payload.
