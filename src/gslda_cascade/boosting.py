@@ -8,6 +8,7 @@ case and AsymBoost adds the class-asymmetry factor of k > 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,14 +90,38 @@ def reweight(w, responses, labels, a: float, k: float = 1.0, rounds: int = 1) ->
 def prune_stumps(table: StumpTable, w, cfg: BoostingConfig):
     """Keep stumps whose weighted error is within epsilon of the best bound.
 
-    Computes beta_k as the best edge over the pool, e_k = (1 - beta_k)/2, and
-    returns (indices with error <= e_k + epsilon, EdgeStats).  The stump
-    attaining beta_k always survives.
+    A stump's edge is sum_i w_i y_i h_j(x_i), summed by np.einsum over its
+    outputs; beta_k is the best edge and e_k = (1 - beta_k) / 2.  Returns
+    (indices with edge >= beta_k - 2 epsilon, which is error <= e_k +
+    epsilon, and EdgeStats); the stump attaining beta_k (the first, on ties)
+    always survives.
+
+    Edges are summed for the candidates of a filter only.  The filter reads
+    the errors the table was trained with, under the same nonnegative w:
+    a_j = W - 2 err_j, W = sum(w), is the edge up to rounding, and the
+    candidates are the rows with a_j >= max(a) - 2 epsilon - tau, where
+    tau = 2**-47 (N + 2) W.
+    The bound: with u = 2**-53 and g_k = k u / (1 - k u), the exact edge
+    W - 2 err_j is within g_N W of the summed edge e_j (N terms of
+    magnitude w_i, in any order) and within 13 g_(N+2) W of a_j (the
+    trainer's cumulative sums, its subtraction and addition, err_minus's
+    total, then W's sum and a_j's subtraction).  So |a_j - e_j| <= tau / 2,
+    with room left for the rounding of the filter's own bound.
+    No survivor is dropped: for m the row of max(a), beta_k >= e_m >=
+    max(a) - tau / 2, so a row with e_j >= beta_k - 2 epsilon (the row
+    attaining beta_k among them) has a_j >= e_j - tau / 2 >= max(a) -
+    2 epsilon - tau.  np.einsum sums each row alike whatever rows it comes
+    with (tests/test_boosting.py checks it), so beta_k, its first index and
+    the survivors are those of summing every row.
     """
     if len(table) == 0:
         raise ValueError("empty stump table")
     w = np.asarray(w, dtype=np.float64)
-    edges = np.einsum("mn,n->m", table.responses, w * table.labels)  # no float copy of the table
+    total = float(w.sum())
+    approx = total - 2.0 * table.errors
+    slack = math.ldexp((len(w) + 2) * total, -47)
+    candidates = np.flatnonzero(approx >= approx.max() - 2.0 * cfg.prune_epsilon - slack)
+    edges = np.einsum("mn,n->m", table.responses(candidates), w * table.labels)  # no float copy
     best = int(np.argmax(edges))
     beta_k = float(edges[best])
     e_k = 0.5 - 0.5 * beta_k
@@ -104,4 +129,4 @@ def prune_stumps(table: StumpTable, w, cfg: BoostingConfig):
     # edges vector keeps exact ties (eps = 0) stable against rounding.
     keep = edges >= beta_k - 2.0 * cfg.prune_epsilon
     keep[best] = True
-    return np.flatnonzero(keep), EdgeStats(beta_k, e_k)
+    return candidates[keep], EdgeStats(beta_k, e_k)

@@ -9,7 +9,11 @@ and vote by their alphas.  GSLDA takes the greatest class separation on a
 table trained once, so it neither reweights nor retrains.  BGSLDA prunes weak
 candidates and takes the greatest class separation among the survivors.
 GSLDA and BGSLDA vote by the discriminant direction.  Reweighting is one
-rule (boosting.reweight), asymmetric for asymboost and bgslda2.
+rule (boosting.reweight), asymmetric for asymboost and bgslda2.  A round
+builds stump outputs (StumpTable.responses) only for the rows it reads:
+GSLDA every row once, after its one training; AdaBoost and AsymBoost the
+chosen row; BGSLDA the prune's candidates and its survivors, the latter
+straight into the selector's table.
 
 evaluate_windows is the package's one cascade evaluator: early rejection
 over the integral table, vectorized over a lattice of windows (two ranges of
@@ -207,8 +211,8 @@ def train_node(
     trainer = stumps.StumpTrainer(values, labels, area)
     weights = boosting.init_weights(labels)
     table = trainer.train_all(weights)
-    if method == "gslda":  # one selector walks the table trained once
-        sel = scatter.GreedySelector(table.responses, labels, scfg)
+    if method == "gslda":  # one selector walks the table trained once, its outputs built once
+        sel = scatter.GreedySelector(table.responses(np.arange(len(table))), labels, scfg)
     alphas: list[float] = []
     while True:
         if method == "gslda":
@@ -219,7 +223,8 @@ def train_node(
             j, sel = _bgslda_pick(fit, table, weights, scfg, boost_cfg)
         if j is None:  # no candidate left that adds class separation
             return fit.build(goal_met=fit.f <= goal.f_max)
-        fit.add(table.stump(j), table.responses[j])
+        row = table.responses([j])[0]  # the chosen stump's outputs, for the fit and the reweight
+        fit.add(table.stump(j), row)
         alphas.append(boosting.alpha(float(table.errors[j])))
         fit.retune(np.array(alphas) if method in ("adaboost", "asymboost") else sel.direction())
         if (len(fit.chosen) >= fixed_rounds) if fixed_rounds is not None else (fit.f <= goal.f_max):
@@ -229,7 +234,8 @@ def train_node(
         if len(fit.chosen) >= cap:
             return fit.build(goal_met=fit.f <= goal.f_max)
         if method != "gslda":
-            weights = boosting.reweight(weights, table.responses[j], labels, alphas[-1], k, rounds=cap)
+            weights = boosting.reweight(weights, row, labels, alphas[-1], k, rounds=cap)
+            sel = None  # BGSLDA builds its next selector from the next round's survivors
             table = trainer.train_all(weights)
 
 
@@ -237,7 +243,8 @@ def _bgslda_pick(fit, table, weights, scfg, boost_cfg):
     """BGSLDA's pick: the most separating stump among the pruned candidates
     not yet chosen, after doubling the slack once and then falling back to
     the least-error unchosen stump.  The selector holds the chosen rows, then
-    the candidates' in ascending order, so ties go to the lowest table index.
+    the candidates' in ascending order, so ties go to the lowest table index;
+    the candidates' outputs are built straight into its one table.
     Returns (table index or None, selector)."""
     chosen_ids = {s.feature_id for s in fit.chosen}
     widened = dataclasses.replace(boost_cfg, prune_epsilon=2.0 * boost_cfg.prune_epsilon)
@@ -251,7 +258,10 @@ def _bgslda_pick(fit, table, weights, scfg, boost_cfg):
     if not allowed:
         return None, None
     k = len(fit.chosen)
-    rows = np.vstack(fit.train_rows + [table.responses[allowed]])
+    rows = np.empty((k + len(allowed), len(fit.labels)), dtype=np.int8)
+    for t, row in enumerate(fit.train_rows):
+        rows[t] = row
+    table.responses(allowed, out=rows[k:])
     sel = scatter.GreedySelector(rows, fit.labels, scfg, weights, selected=range(k))
     picked = sel.step()
     return (None if picked is None else allowed[picked - k]), sel

@@ -31,6 +31,7 @@ from .detect import DetectionTable, ScanProfile, avg_features_per_window, merge_
 from .features import PoolParams, build_pool
 from .model_io import (
     ModelFormatError,
+    load_manifest,
     load_model,
     read_ground_truth,
     save_model,
@@ -42,7 +43,8 @@ from .pgm import read_pgm
 from .scatter import ScatterConfig
 
 # synth and toy are imported inside the commands that use them: each CLI
-# process compiles what it imports, and detect uses neither.  Every other
+# process compiles what it imports, and train, detect and eval use neither
+# (the dataset manifest is a file format, in model_io).  Every other
 # module stays imported here, because bench/tracer.py wraps only the package
 # modules loaded before it installs.
 
@@ -231,8 +233,6 @@ def cmd_train(args) -> int:
             raise ValueError("f_target must be in [0, 1] and validation_split in [0, 1)")
         if min(cfg["stride"], cfg["min_size"], cfg["subsample"]) < 1:
             raise ValueError("stride, min_size and subsample must be at least 1")
-    from .synth import load_manifest
-
     try:
         manifest = load_manifest(args.data)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -331,8 +331,6 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _merge_config(args, {"scale_factor": 1.2, "step": 1.0, "min_neighbors": 2})
     _check_scan(cfg)
-    from .synth import load_manifest
-
     try:
         model = load_model(args.model)
         manifest = load_manifest(args.data)

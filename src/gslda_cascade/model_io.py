@@ -1,4 +1,5 @@
-"""File formats: model JSON, ground-truth and detection CSVs, ROC CSV.
+"""File formats: model JSON, dataset manifest, ground-truth and detection
+CSVs, ROC CSV.
 
 Model files are schema-checked on load and written deterministically (sorted
 keys, fixed separators); floats round-trip exactly through Python's
@@ -28,6 +29,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 
 import numpy as np
 
@@ -45,6 +47,55 @@ _INF_VALUES = {name: value for value, name in _INF_NAMES.items()}
 
 class ModelFormatError(ValueError):
     """The model file violates the schema."""
+
+
+@dataclasses.dataclass
+class DatasetManifest:
+    """File-level description of a training/eval corpus."""
+
+    root: str
+    positives: list[str]
+    negatives: list[str]
+    negative_reservoir: list[str] = dataclasses.field(default_factory=list)
+    ground_truth: str | None = None
+
+    def path(self, rel: str) -> str:
+        return os.path.join(self.root, rel)
+
+
+def save_manifest(manifest: DatasetManifest, path: str) -> None:
+    payload = {
+        "positives": manifest.positives,
+        "negatives": manifest.negatives,
+        "negative_reservoir": manifest.negative_reservoir,
+        "ground_truth": manifest.ground_truth,
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def load_manifest(path: str) -> DatasetManifest:
+    """Read a manifest; ValueError unless it is an object whose three path
+    lists hold only strings and whose ground_truth is a string or null."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    root = os.path.dirname(os.path.abspath(path))
+    if not isinstance(payload, dict):
+        raise ValueError(f"manifest {path}: must be a JSON object")
+    payload = {"negative_reservoir": [], "ground_truth": None, **payload}
+    for key in ("positives", "negatives", "negative_reservoir"):
+        if not isinstance(payload.get(key), list) or not all(isinstance(p, str) for p in payload[key]):
+            raise ValueError(f"manifest {path}: missing or invalid field {key!r}")
+    if not isinstance(payload["ground_truth"], (str, type(None))):
+        raise ValueError(f"manifest {path}: invalid field 'ground_truth'")
+    return DatasetManifest(
+        root=root,
+        positives=payload["positives"],
+        negatives=payload["negatives"],
+        negative_reservoir=payload["negative_reservoir"],
+        ground_truth=payload["ground_truth"],
+    )
 
 
 def model_to_dict(model: CascadeModel) -> dict:

@@ -6,10 +6,11 @@ eigenvalue of a subset l is the closed form b_l' (S_w^l)^{-1} b_l and forward
 selection only needs a rank-one block update of the restricted inverse per
 added feature.  Columns of the within-class scatter are produced on demand;
 the full M x M matrix is never materialized.  GreedySelector is the whole
-layer: it holds the (M, N) +/-1 stump table as StumpTrainer returns it, read
-in place by np.einsum with no float copy and with a closed-form diagonal,
-holds the weighted class moments, and implements candidate scoring, the
-rank-one update, the discriminant direction and the backward elimination pass.
+layer: it holds the (M, N) +/-1 stump table as StumpTable.responses builds
+it, read in place by np.einsum with no float copy and with a closed-form
+diagonal, holds the weighted class moments, and implements candidate
+scoring, the rank-one update, the discriminant direction and the backward
+elimination pass.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class GreedySelector:
     """Stepwise forward selection over an (M, N) stump table.
 
     responses[j, i] is the +/-1 output of stump j on sample i, as
-    StumpTrainer.train_all returns it; labels holds the +/-1 class of each
+    StumpTable.responses builds it; labels holds the +/-1 class of each
     sample.  The table is held as given.  Every read of it is an np.einsum
     with a class weight vector over all N samples (zero on the other class),
     which casts it in buffered chunks and so makes no float copy, and the

@@ -11,7 +11,10 @@ vectorized pass over a pre-sorted table.  The (M, N)
 table is sorted and trained a block of rows at a time, each block about
 _BLOCK_BYTES (8-byte entries in the sort, 16-byte complex128 ones in
 train_all), so the memory beyond the table, its sort order and the packed
-tie bits stays bounded however many features the pool holds.
+tie bits stays bounded however many features the pool holds.  train_all
+writes no (M, N) outputs: the StumpTable it returns keeps each row's least
+passing sum, and StumpTable.responses builds the +/-1 outputs of the rows a
+caller reads, a block of rows at a time, from the trainer's table.
 
 train_all sweeps both classes at once: each sample's weight is one
 complex128, its real part the weight of a positive and its imaginary part
@@ -126,19 +129,23 @@ class DecisionStump:
 
 @dataclass
 class StumpTable:
-    """One trained stump per candidate feature, as arrays, plus cached outputs.
+    """One trained stump per candidate feature, as arrays.
 
-    Stump j thresholds feature j at thresholds[j] with polarity[j];
-    responses[j, i] is its output on sample i and errors[j] its weighted
-    error under the weights the table was built with.  labels are kept so the
-    table is self-contained for edge/pruning computations.
+    Stump j thresholds feature j at thresholds[j] with polarity[j], and
+    errors[j] is its weighted error under the weights the table was trained
+    with.  sums is the trainer's (M, N) table of integer sums, held, not
+    copied, and bound[j] the least sum of row j that passes (the sum at the
+    chosen slot, in sums' dtype): responses builds any rows' outputs from
+    them on demand.  labels are kept so the table is self-contained for
+    edge/pruning computations.
     """
 
     thresholds: np.ndarray  # (M,) float64
     polarity: np.ndarray  # (M,) int8 in {-1, +1}
-    responses: np.ndarray  # (M, N) int8 in {-1, +1}
     errors: np.ndarray  # (M,)
     labels: np.ndarray  # (N,) in {-1, +1}
+    sums: np.ndarray  # (M, N) signed integers, the trainer's table
+    bound: np.ndarray  # (M,) in sums' dtype
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -146,6 +153,28 @@ class StumpTable:
     def stump(self, j: int) -> DecisionStump:
         """Stump j as the classifier a cascade node keeps."""
         return DecisionStump(int(j), float(self.thresholds[j]), int(self.polarity[j]))
+
+    def responses(self, rows, out=None) -> np.ndarray:
+        """The int8 +/-1 outputs of stumps rows (any order, repeats allowed)
+        on the table's N samples, as a (len(rows), N) array, written into
+        out when it is given.  A sum passes when it is at least its row's
+        bound, and a +inf threshold passes none.  The rows are built a block
+        of about _BLOCK_BYTES of sums at a time, so the only temporary is one
+        block of the table."""
+        rows = np.asarray(rows, dtype=np.intp)
+        n = self.sums.shape[1]
+        if out is None:
+            out = np.empty((len(rows), n), dtype=np.int8)
+        step = max(1, _BLOCK_BYTES // (self.sums.itemsize * n))
+        for lo in range(0, len(rows), step):
+            block, o = rows[lo : lo + step], out[lo : lo + step]
+            # 2 * passes - 1 is +/-1, times the polarity in place.
+            np.greater_equal(self.sums[block], self.bound[block, None], out=o.view(bool))
+            o[self.thresholds[block] == np.inf] = 0
+            o *= 2
+            o -= 1
+            o *= self.polarity[block, None]
+        return out
 
 
 class StumpTrainer:
@@ -157,10 +186,10 @@ class StumpTrainer:
     and positive, so its sums sort like its values; only thresholds divide.
     Candidate thresholds sit at midpoints of consecutive distinct values
     plus -inf/+inf sentinels; ties break toward the smaller threshold, then
-    polarity +1.  Responses compare sums with the sum just above the
-    threshold: DecisionStump.passes while |sums| < 2**50 keeps distinct
-    sums' values and midpoints apart (8-bit patches stay below 2**31, and
-    FeatureExtractor raises from 2**50).
+    polarity +1.  Outputs compare sums with the sum just above the
+    threshold, StumpTable.bound: DecisionStump.passes while |sums| < 2**50
+    keeps distinct sums' values and midpoints apart (8-bit patches stay
+    below 2**31, and FeatureExtractor raises from 2**50).
 
     Both the sort and train_all walk the table in blocks of rows sized by
     _BLOCK_BYTES, so their temporaries stay near that budget whatever M is:
@@ -225,7 +254,7 @@ class StumpTrainer:
         thresholds = np.empty(m)
         polarity = np.empty(m, dtype=np.int8)
         errors = np.empty(m)
-        responses = np.empty((m, n), dtype=np.int8)
+        bound = np.empty(m, dtype=self.values.dtype)
         # Both classes' weights in one complex: positives real, negatives imaginary.
         class_w = np.empty(n, dtype=np.complex128)
         class_w.real = np.where(self.labels > 0, weights, 0.0)
@@ -281,14 +310,7 @@ class StumpTrainer:
             rm, ms, area = r[mid], slot[mid], self.area[rows][mid]
             thr[mid] = 0.5 * (values[rm, order[rm, ms - 1]] / area + values[rm, order[rm, ms]] / area)
 
-            # 2 * passes - 1 is +/-1, times the polarity in place; a sum passes
-            # when it reaches the sum at the slot (class docstring).
-            bound = values[r, order[r, np.minimum(slot, n - 1)]]
-            out = responses[rows]
-            np.greater_equal(values, bound[:, None], out=out.view(bool))
-            out[slot == n] = 0  # thresholded at +inf
-            out *= 2
-            out -= 1
-            out *= polarity[rows, None]
+            # A sum passes when it reaches the sum at the slot (class docstring).
+            bound[rows] = values[r, order[r, np.minimum(slot, n - 1)]]
 
-        return StumpTable(thresholds, polarity, responses, errors, self.labels)
+        return StumpTable(thresholds, polarity, errors, self.labels, self.values, bound)

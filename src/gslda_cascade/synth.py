@@ -8,62 +8,13 @@ byte-identical across runs.
 from __future__ import annotations
 
 import csv
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .model_io import DatasetManifest, save_manifest
 from .pgm import write_pgm
-
-
-@dataclass
-class DatasetManifest:
-    """File-level description of a training/eval corpus."""
-
-    root: str
-    positives: list[str]
-    negatives: list[str]
-    negative_reservoir: list[str] = field(default_factory=list)
-    ground_truth: str | None = None
-
-    def path(self, rel: str) -> str:
-        return os.path.join(self.root, rel)
-
-
-def save_manifest(manifest: DatasetManifest, path: str) -> None:
-    payload = {
-        "positives": manifest.positives,
-        "negatives": manifest.negatives,
-        "negative_reservoir": manifest.negative_reservoir,
-        "ground_truth": manifest.ground_truth,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_manifest(path: str) -> DatasetManifest:
-    """Read a manifest; ValueError unless it is an object whose three path
-    lists hold only strings and whose ground_truth is a string or null."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    root = os.path.dirname(os.path.abspath(path))
-    if not isinstance(payload, dict):
-        raise ValueError(f"manifest {path}: must be a JSON object")
-    payload = {"negative_reservoir": [], "ground_truth": None, **payload}
-    for key in ("positives", "negatives", "negative_reservoir"):
-        if not isinstance(payload.get(key), list) or not all(isinstance(p, str) for p in payload[key]):
-            raise ValueError(f"manifest {path}: missing or invalid field {key!r}")
-    if not isinstance(payload["ground_truth"], (str, type(None))):
-        raise ValueError(f"manifest {path}: invalid field 'ground_truth'")
-    return DatasetManifest(
-        root=root,
-        positives=payload["positives"],
-        negatives=payload["negatives"],
-        negative_reservoir=payload["negative_reservoir"],
-        ground_truth=payload["ground_truth"],
-    )
 
 
 def _face_patch(rng, size: int) -> np.ndarray:

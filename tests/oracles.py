@@ -14,10 +14,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from gslda_cascade.boosting import EdgeStats
 from gslda_cascade.cascade import BootstrapExhaustedError, node_margin
 from gslda_cascade.detect import DetectionWindow, ROCPoint, match_detections, overlap_ratio
 from gslda_cascade.features import KINDS
 from gslda_cascade.scatter import GreedySelector, ScatterConfig
+from gslda_cascade.stumps import StumpTable
 
 
 class ResponseTable(NamedTuple):
@@ -225,6 +227,31 @@ def stump_table(values, labels, weights):
     responses = np.where(values >= thresholds[:, None], 1, -1).astype(np.int8)
     responses *= polarity[:, None].astype(np.int8)
     return thresholds, polarity, errors, responses
+
+
+def table_of(responses, errors, labels) -> StumpTable:
+    """A StumpTable whose outputs are the given +/-1 rows: each row is its
+    own int8 sums, passed at 1 by a +1 polarity."""
+    responses = np.asarray(responses, dtype=np.int8)
+    m = len(responses)
+    return StumpTable(np.zeros(m), np.ones(m, dtype=np.int8), np.asarray(errors, dtype=np.float64),
+                      np.asarray(labels), responses, np.ones(m, dtype=np.int8))
+
+
+def prune_stumps(table, w, cfg):
+    """The whole-table prune: every row's edge sum_i w_i y_i h_j(x_i) by one
+    np.einsum over the table's outputs, the best edge beta_k, and the rows
+    whose edge is within 2 epsilon of it.  Returns (indices, EdgeStats)."""
+    if len(table) == 0:
+        raise ValueError("empty stump table")
+    w = np.asarray(w, dtype=np.float64)
+    edges = np.einsum("mn,n->m", table.responses(np.arange(len(table))), w * table.labels)
+    best = int(np.argmax(edges))
+    beta_k = float(edges[best])
+    e_k = 0.5 - 0.5 * beta_k
+    keep = edges >= beta_k - 2.0 * cfg.prune_epsilon
+    keep[best] = True
+    return np.flatnonzero(keep), EdgeStats(beta_k, e_k)
 
 
 def random_rm(rng, n, m, skew=0.5) -> ResponseTable:

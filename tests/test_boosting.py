@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gslda_cascade.boosting import (
     BoostingConfig,
@@ -10,7 +12,8 @@ from gslda_cascade.boosting import (
 )
 from gslda_cascade.stumps import StumpTable, StumpTrainer
 
-from oracles import reweight_adaboost, weighted_error
+import oracles
+from oracles import reweight_adaboost, table_of, weighted_error
 
 
 def make_table(error_fractions, n=100):
@@ -27,8 +30,7 @@ def make_table(error_fractions, n=100):
     responses = np.vstack(rows)
     w = np.full(n, 1.0 / n)
     errors = np.array([weighted_error(r, labels, w) for r in responses])
-    m = len(rows)
-    return StumpTable(np.zeros(m), np.ones(m, dtype=np.int8), responses, errors, labels), w
+    return table_of(responses, errors, labels), w
 
 
 class TestInitWeights:
@@ -173,8 +175,8 @@ class TestPruneStumps:
         assert stats.e_k == pytest.approx((1 - stats.beta_k) / 2)
 
     def test_empty_table_rejected(self):
-        table = StumpTable(np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros((0, 4), dtype=np.int8), np.zeros(0),
-                           np.ones(4, dtype=np.int8))
+        table = StumpTable(np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros(0), np.ones(4, dtype=np.int8),
+                           np.zeros((0, 4), dtype=np.int8), np.zeros(0, dtype=np.int8))
         with pytest.raises(ValueError):
             prune_stumps(table, np.full(4, 0.25), BoostingConfig())
 
@@ -187,9 +189,81 @@ class TestPruneStumps:
         values = np.round(rng.normal(size=(6, n)) * 2**16).astype(np.int32)  # integer sums
         table = StumpTrainer(values, labels).train_all(np.full(n, 1.0 / 16))
         w = np.full(n, 1.0 / 16)
-        edges = table.responses.astype(float) @ (w * labels)
+        edges = table.responses(range(6)).astype(float) @ (w * labels)
         for j in range(6):
             assert edges[j] == 1.0 - 2.0 * table.errors[j]
+
+
+def _same_prune(got, want):
+    """Equal survivors and a bit-identical EdgeStats."""
+    assert got[0].tolist() == want[0].tolist()
+    assert np.array([got[1].beta_k, got[1].e_k]).tobytes() == np.array([want[1].beta_k, want[1].e_k]).tobytes()
+
+
+class TestPruneMatchesOracle:
+    """prune_stumps filters the rows by their trained errors and sums edges
+    for the candidates only; it must give the whole-table oracle's
+    survivors and EdgeStats bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([0.0, 0.1, 0.2, 0.125, 0.25, 1.0]),
+           st.sampled_from(["random", "dyadic", "binades", "zeros", "wide"]))
+    def test_matches_the_whole_table_oracle(self, seed, eps, kind):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 200)), int(rng.integers(1, 60))
+        labels = np.where(rng.random(n) < 0.4, 1, -1)
+        # Coarse sums tie often; rows leaning on the labels make strong stumps.
+        lean = rng.choice([0.0, 0.5, 2.0], size=(m, 1))
+        values = np.round(4 * rng.normal(size=(m, n)) + lean * labels).astype(np.int32)
+        if kind == "random":
+            w = rng.random(n)
+        elif kind == "dyadic":  # small multiples of 2**-p: every sum is exact, edges tie exactly
+            w = rng.integers(0, 4, size=n) * 2.0 ** -int(rng.integers(0, 8))
+            w[0] += 1.0
+        elif kind == "binades":
+            w = np.ldexp(1.0, rng.integers(-60, 0, size=n))
+        elif kind == "zeros":
+            w = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+            w[0] = 1.0
+        else:  # unnormalized, magnitudes from 1e-20 to 1e20
+            w = 10.0 ** rng.uniform(-20, 20, size=n)
+        if kind not in ("dyadic", "wide"):
+            w /= w.sum()
+        table = StumpTrainer(values, labels).train_all(w)
+        cfg = BoostingConfig(prune_epsilon=eps)
+        got = prune_stumps(table, w, cfg)
+        _same_prune(got, oracles.prune_stumps(table, w, cfg))
+        if eps == 1.0 and kind != "wide" and w.sum() == 1.0:  # edges lie in [-1, 1]: every row survives
+            assert got[0].tolist() == list(range(m))
+
+    @pytest.mark.parametrize("eps, counts, kept", [
+        (0.125, [4, 12, 13, 30], [0, 1]),  # row 1's edge is 0.625 = beta_k - 2 eps exactly
+        (0.125, [30, 14, 14, 22, 23], [1, 2, 3]),  # rows 1 and 2 tie at beta_k; row 3 sits on the band
+        (0.0, [9, 5, 5, 6], [1, 2]),
+    ])
+    def test_edge_exactly_on_the_band(self, eps, counts, kept):
+        # 64 samples of weight 1/64: every edge is exact, so an edge equal
+        # to beta_k - 2 eps survives, as the whole-table oracle keeps it.
+        table, w = make_table([c / 64 for c in counts], n=64)
+        cfg = BoostingConfig(prune_epsilon=eps)
+        got = prune_stumps(table, w, cfg)
+        _same_prune(got, oracles.prune_stumps(table, w, cfg))
+        assert got[0].tolist() == kept
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([2, 17, 1000, 4097, 8191, 8193, 20_000]))
+    def test_subset_edges_are_the_whole_table_edges(self, seed, n):
+        # The prune sums edges for its candidates only: np.einsum must give
+        # each row the same bits alone, among any rows, or in the whole table.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 40))
+        responses = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, n))
+        signed = rng.random(n) * 10.0 ** rng.uniform(-5, 5, size=n) * np.where(rng.random(n) < 0.5, 1, -1)
+        whole = np.einsum("mn,n->m", responses, signed)
+        rows = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+        assert np.einsum("mn,n->m", responses[rows], signed).tobytes() == whole[rows].tobytes()
+        for j in rows[:3]:
+            assert np.einsum("mn,n->m", responses[j : j + 1], signed).tobytes() == whole[j : j + 1].tobytes()
 
 
 class TestBoostingConfig:
@@ -216,7 +290,8 @@ def test_adaboost_converges_on_separable_toy():
         table = StumpTrainer(x, labels).train_all(w)
         j = int(np.argmin(table.errors))
         a = alpha(table.errors[j])
-        margins += a * table.responses[j]
-        w = reweight(w, table.responses[j], labels, a)
+        row = table.responses([j])[0]
+        margins += a * row
+        w = reweight(w, row, labels, a)
     train_err = np.mean(np.where(margins >= 0, 1, -1) != labels)
     assert train_err == 0.0

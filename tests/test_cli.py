@@ -391,6 +391,20 @@ def test_bad_setting_process_exit_code(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_leave_the_generators_unimported(corpus, model, tmp_path, command):
+    # Each process compiles what it imports; the dataset manifest is read by
+    # model_io, so neither command needs the corpus generators.
+    manifest = str(corpus / "corpus" / "manifest.json")
+    argv = {"train": ["train", "--data", manifest, "--out", str(tmp_path / "m.json"), "--f-target", "0.01", *TRAIN],
+            "eval": ["eval", model, manifest, "--out", str(tmp_path / "roc.csv")]}[command]
+    script = ("import sys\nfrom gslda_cascade import cli\n"
+              "print(cli.main(sys.argv[1:]), 'gslda_cascade.synth' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
 @pytest.mark.parametrize("command", ["detect", "eval"])
 def test_ignored_flags_are_not_parsed(corpus, model, tmp_path, capsys, command):
     target = str(corpus / "corpus" / ("scenes" if command == "detect" else "manifest.json"))

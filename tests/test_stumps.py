@@ -20,6 +20,11 @@ def sums_of(values):
     return np.round(values * 2**16).astype(np.int32)
 
 
+def every_row(table):
+    """The table's outputs on its samples, every row in order."""
+    return table.responses(np.arange(len(table)))
+
+
 def train_one(values, labels, weights):
     """The trainer on a single feature: (its stump, weighted error)."""
     table = StumpTrainer(np.asarray(values)[None, :], labels).train_all(weights)
@@ -142,7 +147,7 @@ class TestBuildTable:
         for out_row, in_row in enumerate(perm):
             assert t2.thresholds[out_row] == t1.thresholds[in_row]
             assert t2.errors[out_row] == t1.errors[in_row]
-            assert np.array_equal(t2.responses[out_row], t1.responses[in_row])
+            assert np.array_equal(t2.responses([out_row])[0], t1.responses([in_row])[0])
 
     def test_errors_match_per_row_training(self):
         rng = np.random.default_rng(4)
@@ -169,7 +174,7 @@ class TestBuildTable:
             mp.setattr(stumps, "_BLOCK_BYTES", 16 * (table.shape[1] + 1) * block_rows)
             trained = StumpTrainer(table, labels, area).train_all(draw_weights(rng, table.shape[1], kind))
         for j in range(len(trained)):
-            assert np.array_equal(trained.responses[j], trained.stump(j).responses(table[j], area[j]))
+            assert np.array_equal(trained.responses([j])[0], trained.stump(j).responses(table[j], area[j]))
 
     def test_trainer_reuse_under_new_weights(self):
         rng = np.random.default_rng(6)
@@ -180,7 +185,7 @@ class TestBuildTable:
         w2 /= w2.sum()
         again = trainer.train_all(w2)
         fresh = StumpTrainer(values, labels).train_all(w2)
-        assert np.array_equal(again.responses, fresh.responses)
+        assert np.array_equal(every_row(again), every_row(fresh))
         assert np.allclose(again.errors, fresh.errors)
 
 
@@ -230,8 +235,8 @@ class TestBlockedTable:
                 assert table.polarity.tolist() == polarity.tolist()
                 assert table.thresholds.tobytes() == thresholds.tobytes()
                 assert table.errors.tobytes() == errors.tobytes()
-                assert table.responses.dtype == responses.dtype
-                assert table.responses.tobytes() == responses.tobytes()
+                assert every_row(table).dtype == responses.dtype
+                assert every_row(table).tobytes() == responses.tobytes()
 
 
 class TestStableOrder:
@@ -266,7 +271,7 @@ class TestStableOrder:
         assert table.thresholds.tobytes() == thresholds.tobytes()
         assert table.polarity.tolist() == polarity.tolist()
         assert table.errors.tobytes() == errors.tobytes()
-        assert table.responses.tobytes() == responses.tobytes()
+        assert every_row(table).tobytes() == responses.tobytes()
 
 
 def integer_table(rng, block_rows, dtype, reach):
@@ -286,6 +291,50 @@ def integer_table(rng, block_rows, dtype, reach):
     table[rng.random(m) < 0.15] = rng.choice(palette)  # constant rows
     area = rng.integers(1, 600, size=m)
     return table, area, np.where(rng.random(n) < 0.4, 1, -1)
+
+
+class TestResponses:
+    """StumpTable.responses builds the outputs of the rows asked for from the
+    trainer's table, a block of rows at a time: they must be the whole-table
+    oracle's rows, in the order asked, repeats and no rows included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 7), st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+           st.sampled_from(["uniform", "binades", "zeros", "dyadic", "wide"]))
+    def test_rows_match_the_oracle(self, seed, block_rows, dtype, kind):
+        rng = np.random.default_rng(seed)
+        table, area, labels = integer_table(rng, block_rows, dtype, 2**40)
+        m, n = table.shape
+        w = draw_weights(rng, n, kind)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stumps, "_BLOCK_BYTES", table.itemsize * n * block_rows)
+            trained = StumpTrainer(table, labels, area).train_all(w)
+            expected = stump_table(table / area[:, None], labels, w)[3]
+            drawn = rng.integers(0, m, size=int(rng.integers(1, 3 * m + 2))).tolist()
+            for rows in ([], drawn, list(range(m))[::-1], [m - 1, 0, m - 1]):
+                got = trained.responses(rows)
+                assert got.shape == (len(rows), n) and got.dtype == np.int8
+                assert got.tobytes() == expected[rows].tobytes()
+                into = np.zeros((len(rows) + 2, n), dtype=np.int8)
+                inner = into[1:-1]
+                assert trained.responses(rows, out=inner) is inner
+                assert inner.tobytes() == expected[rows].tobytes()
+                assert not into[0].any() and not into[-1].any()
+
+    def test_infinite_thresholds(self):
+        # A +inf threshold passes no sum, the dtype's largest included; a
+        # -inf one passes every sum, the smallest included.
+        sums = np.array([[5, 5, 5], [1, 2, 3], [3, 1, 2], [-(2**31), 2**31 - 1, 0]], dtype=np.int32)
+        seen = set()
+        for labels, w in ((np.array([1, -1, -1]), np.array([0.75 * 2**-52, 0.5, 0.5])),
+                          (np.array([1, 1, 1]), np.full(3, 1 / 3)),
+                          (np.array([-1, 1, -1]), np.array([0.5, 0.25, 0.25]))):
+            trained = StumpTrainer(sums, labels).train_all(w)
+            expected = stump_table(sums, labels, w)[3]
+            seen.update(trained.thresholds[np.isinf(trained.thresholds)].tolist())
+            rows = [3, 0, 0, 2, 1]
+            assert trained.responses(rows).tobytes() == expected[rows].tobytes()
+        assert seen == {-np.inf, np.inf}
 
 
 class TestIntegerKeys:
@@ -317,7 +366,7 @@ class TestIntegerKeys:
             assert trained.thresholds.tobytes() == thresholds.tobytes()
             assert trained.polarity.tolist() == polarity.tolist()
             assert trained.errors.tobytes() == errors.tobytes()
-            assert trained.responses.tobytes() == responses.tobytes()
+            assert every_row(trained).tobytes() == responses.tobytes()
 
     @pytest.mark.parametrize("dtype, low, high, key_dtype, ranked", [
         (np.int32, -5, 5, np.int32, True),
@@ -356,7 +405,7 @@ class TestIntegerKeys:
             assert trained.thresholds.tolist() == thresholds.tolist() == [np.inf]
             assert trained.polarity.tolist() == polarity.tolist() == [1]
             assert trained.errors.tobytes() == errors.tobytes()
-            assert trained.responses.tolist() == responses.tolist() == [[-1, -1, -1]]
+            assert every_row(trained).tolist() == responses.tolist() == [[-1, -1, -1]]
             assert trained.stump(0).responses(sums[0], area[0]).tolist() == [-1, -1, -1]
 
 
@@ -430,7 +479,7 @@ class TestMemoryBound:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        excess = peak - table.responses.nbytes - table.errors.nbytes
+        excess = peak - table.errors.nbytes
         assert excess < 3 * stumps._BLOCK_BYTES  # 2.53x for the int32 table here
 
 

@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from gslda_cascade.model_io import read_ground_truth
+from gslda_cascade.model_io import DatasetManifest, load_manifest, read_ground_truth, save_manifest
 from gslda_cascade.pgm import read_pgm
-from gslda_cascade.synth import (
-    DatasetManifest,
-    ToyDatasetSpec,
-    axis_stump_pool,
-    generate_synthetic_faces,
-    generate_toy,
-    load_manifest,
-    save_manifest,
-)
+from gslda_cascade.synth import ToyDatasetSpec, axis_stump_pool, generate_synthetic_faces, generate_toy
 
 
 def tree_bytes(root):
