@@ -137,7 +137,6 @@ class _NodeFit:
         # Without held-out positives the training positives double as validation.
         self.val_table = values if validation is None else np.asarray(validation)
         self.val_cols = np.flatnonzero(labels > 0) if validation is None else np.arange(self.val_table.shape[1])
-        self.neg_cols = np.flatnonzero(labels < 0)
         self.chosen: list[stumps.DecisionStump] = []
         self.train_rows: list[np.ndarray] = []  # stump outputs on the train split
         self.val_rows: list[np.ndarray] = []  # stump outputs on validation positives
@@ -145,6 +144,7 @@ class _NodeFit:
         self.threshold = 0.0
         self.d = 1.0
         self.f = 1.0
+        self.accepted = np.ones(len(labels), dtype=bool)  # the decisions on the training columns
 
     def add(self, stump: stumps.DecisionStump, train_row: np.ndarray) -> None:
         self.chosen.append(stump)
@@ -153,15 +153,15 @@ class _NodeFit:
         self.val_rows.append(stump.responses(self.val_table[j, self.val_cols], self.area[j]))
 
     def retune(self, coefficients) -> None:
-        """Recompute threshold (validation d_min quantile) and the rates."""
+        """Recompute threshold (validation d_min quantile), decisions and rates."""
         self.coefficients = np.asarray(coefficients, dtype=np.float64)
         val_scores = _stump_sum(self.coefficients, self.val_rows, len(self.val_cols))
-        neg_scores = _stump_sum(self.coefficients, (r[self.neg_cols] for r in self.train_rows), len(self.neg_cols))
         self.threshold = _threshold_for_scores(val_scores, self.goal.d_min)
+        self.accepted = _stump_sum(self.coefficients, self.train_rows, len(self.labels)) + self.threshold >= 0
         self.d = float(np.mean(val_scores + self.threshold >= 0))
-        self.f = float(np.mean(neg_scores + self.threshold >= 0))
+        self.f = float(np.mean(self.accepted[self.labels < 0]))
 
-    def build(self, goal_met: bool) -> NodeClassifier:
+    def build(self, goal_met: bool) -> tuple[NodeClassifier, np.ndarray]:
         return NodeClassifier(
             stumps=list(self.chosen),
             coefficients=self.coefficients.copy(),
@@ -170,7 +170,7 @@ class _NodeFit:
             goal_met=goal_met,
             detection_rate=self.d,
             false_positive_rate=self.f,
-        )
+        ), self.accepted
 
 
 def train_node(
@@ -183,7 +183,7 @@ def train_node(
     validation=None,
     fixed_rounds: int | None = None,
     area=None,
-) -> NodeClassifier:
+) -> tuple[NodeClassifier, np.ndarray]:
     """Grow one node until its false-positive goal is met.
 
     values is the (M, N) training table of the node's pool, labels the +/-1
@@ -195,7 +195,8 @@ def train_node(
     validation.  fixed_rounds trains exactly that many stumps regardless of
     the rate goals (predefined-size mode); otherwise the node stops at
     goal.max_stumps.  The stump cap also sets the span over which AsymBoost
-    amortizes its asymmetric multiplier.
+    amortizes its asymmetric multiplier.  Returns (node, accepted), accepted
+    the node's decision on each column of values: node_margin >= 0.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -300,16 +301,28 @@ class TrainingPool:
 
 @dataclass
 class CascadeModel:
-    """Ordered node list with per-stage rate bookkeeping."""
+    """Ordered node list over a feature pool.  Its rates and window side are
+    derived, not stored: cumulative from the nodes', base_window the pool's."""
 
     nodes: list[NodeClassifier]
-    stage_rates: list[tuple[float, float]]
-    cumulative: list[tuple[float, float]]
     feature_pool: FeaturePool
     f_target: float
-    base_window: int = 24
     metadata: dict = field(default_factory=dict)
     stage_log: list = field(default_factory=list)
+
+    @property
+    def base_window(self) -> int:
+        return self.feature_pool.params.base_window
+
+    @property
+    def cumulative(self) -> list[tuple[float, float]]:
+        """(D, F) after each node: running products of the nodes' rates from 1.0."""
+        out, d, f = [], 1.0, 1.0
+        for node in self.nodes:
+            d *= node.detection_rate
+            f *= node.false_positive_rate
+            out.append((d, f))
+        return out
 
 
 def lattice_corners(xs: range, ys: range, index) -> tuple[np.ndarray, np.ndarray]:
@@ -524,13 +537,17 @@ def train_cascade(
     fresh negatives extracted into the columns after them.  Training also
     stops when a node misses its goal or the reservoir runs dry.  The last
     stage_log record is {"stop_reason": ...}: f_target_met, goal_missed,
-    bootstrap_exhausted, negatives_empty or max_stages.
+    bootstrap_exhausted, negatives_empty or max_stages.  The metadata holds
+    every training setting.  Raises ValueError unless feature_pool's
+    base_window is the patches' side (such a model would not load).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if not 0 <= f_target <= 1:
         raise ValueError("f_target must be in [0, 1]")
     base_window = pool.positives.shape[1]
+    if feature_pool.params.base_window != base_window:
+        raise ValueError(f"feature pool base_window {feature_pool.params.base_window} != patch side {base_window}")
     extractor = FeatureExtractor(feature_pool)
     rng = np.random.default_rng(seed)
 
@@ -545,30 +562,27 @@ def train_cascade(
                           else train_pos)
     target_negatives = values.shape[1] - n_pos
 
-    model = CascadeModel(
-        nodes=[], stage_rates=[], cumulative=[], feature_pool=feature_pool,
-        f_target=f_target, base_window=base_window,
-        metadata={"method": method, "seed": seed, "d_min": goal.d_min, "f_max": goal.f_max},
-    )
-    d_cum, f_cum = 1.0, 1.0
-    stage = 0
+    scatter_cfg = scatter_cfg or scatter.ScatterConfig()
+    boost_cfg = boost_cfg or boosting.BoostingConfig()
+    model = CascadeModel(nodes=[], feature_pool=feature_pool, f_target=f_target, metadata={
+        "method": method, "seed": seed, "d_min": goal.d_min, "f_max": goal.f_max, "f_target": f_target,
+        "gamma": scatter_cfg.gamma, "asym_k": boost_cfg.asym_k, "prune_epsilon": boost_cfg.prune_epsilon,
+        "dual_pass": scatter_cfg.dual_pass, "validation_split": pool.validation_split,
+    })
+    f_cum = 1.0
     stop_reason = None
-    while f_target < f_cum and stage < MAX_STAGES:
+    while f_target < f_cum and len(model.nodes) < MAX_STAGES:
         if values.shape[1] == n_pos:
             stop_reason = "negatives_empty"
             break
-        stage += 1
         started = time.perf_counter()
         labels = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(values.shape[1] - n_pos, dtype=int)])
-        node = train_node(values, labels, goal, method, scatter_cfg=scatter_cfg,
-                          boost_cfg=boost_cfg, validation=validation, area=extractor.area)
+        node, accepted = train_node(values, labels, goal, method, scatter_cfg=scatter_cfg,
+                                    boost_cfg=boost_cfg, validation=validation, area=extractor.area)
         model.nodes.append(node)
-        d_cum *= node.detection_rate
-        f_cum *= node.false_positive_rate
-        model.stage_rates.append((node.detection_rate, node.false_positive_rate))
-        model.cumulative.append((d_cum, f_cum))
+        d_cum, f_cum = model.cumulative[-1]
         model.stage_log.append({
-            "stage": stage,
+            "stage": len(model.nodes),
             "n_stumps": len(node.stumps),
             "d": node.detection_rate,
             "f": node.false_positive_rate,
@@ -582,10 +596,8 @@ def train_cascade(
             break
         if f_cum <= f_target:
             break
-        # Keep only the negatives the new node still accepts (false positives).
-        neg_resp = np.vstack([s.responses(values[s.feature_id, n_pos:], extractor.area[s.feature_id])
-                              for s in node.stumps])
-        kept = np.concatenate([np.arange(n_pos), n_pos + np.flatnonzero(node_margin(node, neg_resp) >= 0)])
+        # Keep only the negatives the new node accepted in training (false positives).
+        kept = np.concatenate([np.arange(n_pos), n_pos + np.flatnonzero(accepted[n_pos:])])
         needed = target_negatives - (len(kept) - n_pos)
         fresh = np.zeros((0, base_window, base_window), dtype=np.uint8)
         if needed > 0:

@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Commands: train, detect, eval, toy, synth.  Exit codes: 0 success, 1 usage
-(an unknown flag, or a setting out of range from a flag or --config, such as
-train --dmin 2, toy --trials 0 or --dual-pass with a method other than gslda:
-checked before any input file is read, and reported on one "error: ..."
-line), 2 data error (also detect or eval with a model that has no nodes, and
-an output file that cannot be written, such as --out, --log or --points in a
-missing directory), 3 training finished with a stage goal not met.
+(an unknown flag or --config key, or a setting out of range from a flag or
+--config, such as train --dmin 2, toy --trials 0 or --dual-pass with a method
+other than gslda: checked before any input file is read, and reported on one
+"error: ..." line), 2 data error (also detect or eval with a model that has
+no nodes, and an output file that cannot be written, such as --out, --log or
+--points in a missing directory), 3 training finished with a stage goal not
+met.
 
 train ends its stage log with a {"stop_reason": ...} record.  When the
 cascade's false-positive rate F stays above --f-target (the reservoir ran out
@@ -180,7 +181,8 @@ def _fits_default(value, default) -> bool:
 
 def _merge_config(args, defaults: dict) -> dict:
     """Fill unset flags from --config JSON, then builtin defaults; a config
-    value of another type than its default is a UsageError."""
+    key that names no setting of the command, or a value of another type
+    than its default, is a UsageError."""
     values = dict(defaults)
     if getattr(args, "config", None):
         try:
@@ -191,11 +193,12 @@ def _merge_config(args, defaults: dict) -> dict:
         if not isinstance(loaded, dict):
             raise DataError(f"config {args.config}: must be a JSON object")
         for key, value in loaded.items():
-            if key in values:
-                if not _fits_default(value, values[key]):
-                    raise UsageError(f"config {args.config}: {key} must have the type of "
-                                     f"its default {values[key]!r}, got {value!r}")
-                values[key] = value
+            if key not in values:
+                raise UsageError(f"config {args.config}: unknown setting {key!r}")
+            if not _fits_default(value, values[key]):
+                raise UsageError(f"config {args.config}: {key} must have the type of "
+                                 f"its default {values[key]!r}, got {value!r}")
+            values[key] = value
     for key in values:
         arg = getattr(args, key, None)
         if arg is not None:
@@ -259,11 +262,6 @@ def cmd_train(args) -> int:
         pool, goal, cfg["f_target"], cfg["method"], feature_pool,
         scatter_cfg=scatter_cfg, boost_cfg=boost_cfg, seed=cfg["seed"],
     )
-    model.metadata.update({
-        "f_target": cfg["f_target"], "gamma": cfg["gamma"], "asym_k": cfg["asym_k"],
-        "prune_epsilon": cfg["prune_eps"], "dual_pass": bool(args.dual_pass),
-        "validation_split": cfg["validation_split"],
-    })
     save_model(model, args.out)
     log_path = args.log or args.out + ".log.jsonl"
     write_stage_log(model.stage_log, log_path)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cascade import CascadeModel, _evaluate, _plan, lattice_corners
-from .features import Buffers, build_integral
+from .features import Buffers, _round_px, build_integral
 
 
 @dataclass
@@ -108,10 +108,6 @@ def avg_features_per_window(profile: ScanProfile) -> float:
     return profile.feature_evals / profile.windows_scanned
 
 
-def _round_half_up(v) -> int:
-    return int(np.floor(v + 0.5))
-
-
 def scan_image(model: CascadeModel, image, scale_factor: float = 1.2, step: float = 1.0,
                profile: ScanProfile | None = None) -> Detections:
     """All windows the cascade accepts, over a scale pyramid, in scan order
@@ -182,7 +178,7 @@ def merge_detections(windows: Detections | list[DetectionWindow], min_neighbors:
     count = count[big]
 
     def mean(v):
-        return np.floor(np.add.reduceat(v[order], starts)[big] / count + 0.5).astype(np.int64)
+        return _round_px(np.add.reduceat(v[order], starts)[big] / count)
 
     def top(v):
         return np.maximum.reduceat(v[order], starts)[big]
@@ -349,8 +345,8 @@ def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
             break
         # A shift of max(h, w) already leaves one window per axis; capping
         # there keeps a huge step from rounding to a giant or infinite int.
-        shift = max(1, _round_half_up(min(step * scale, max(h, w))))
-        sizes.append((scale, _round_half_up(base * scale), shift))
+        shift = max(1, _round_px(min(step * scale, max(h, w))))
+        sizes.append((scale, _round_px(base * scale), shift))
     table = build_integral(image) if sizes else None
     plan = _plan(model, [scale for scale, _, _ in sizes], table.dtype) if sizes else []
     buffers = Buffers()  # the lattice-sized arrays of every scale

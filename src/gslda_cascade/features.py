@@ -256,7 +256,7 @@ def build_pool(params: PoolParams) -> FeaturePool:
 
 
 def _round_px(v):
-    # Half-up rounding of scaled coordinates to whole pixels.
+    # Half-up rounding to whole pixels, of scaled coordinates and merged corners.
     return np.floor(v + 0.5).astype(np.int64)
 
 
@@ -481,9 +481,8 @@ class FeatureExtractor:
         for lo in range(0, m, step):
             hi = min(lo + step, m)
             a, g = acc[: hi - lo], gathered[: hi - lo]
-            np.take(flat, rows[lo:hi, 0], axis=0, out=a, mode="clip")  # in range; clip takes no buffer
-            if (wgt[lo:hi, 0] != 1).any():  # each kind's first corner, (0, 0), weighs +1
-                a *= wgt[lo:hi, 0, None]
+            # Every kind's first corner weighs +1 (_CORNERS); in range, so clip takes no buffer.
+            np.take(flat, rows[lo:hi, 0], axis=0, out=a, mode="clip")
             for c in range(1, corners.shape[1]):
                 w = wgt[lo:hi, c]
                 low, high = int(w.min()), int(w.max())

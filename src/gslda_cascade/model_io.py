@@ -10,7 +10,9 @@ feature pool is stored by its enumeration parameters, as
 {"type": "enumerated", "base_window", "stride", "min_size", "subsample"}, the
 only pool type.  On load features.build_pool checks the parameters and
 counts the pool in closed form; no feature is decoded until the scan places
-the ones the model names.
+the ones the model names.  The file's base_window, stage_rates (each node's
+[d, f]) and cumulative (their running products) are checked copies of what
+the pool and the nodes give: a file whose copy differs is rejected.
 
 The detections CSV is written from a detect.DetectionTable, image by image
 from each Detections' arrays: the header image_id,x,y,side,score, then one
@@ -117,7 +119,7 @@ def model_to_dict(model: CascadeModel) -> dict:
             }
             for n in model.nodes
         ],
-        "stage_rates": [[d, f] for d, f in model.stage_rates],
+        "stage_rates": [[n.detection_rate, n.false_positive_rate] for n in model.nodes],
         "cumulative": [[d, f] for d, f in model.cumulative],
         "metadata": model.metadata,
     }
@@ -164,13 +166,14 @@ def _number(payload: dict, name: str, where: str) -> float:
     return float(payload[name])
 
 
-def _rate_pairs(payload: dict, name: str, n_nodes: int) -> list[tuple[float, float]]:
+def _rate_pairs(payload: dict, name: str, expected: list[tuple[float, float]]) -> None:
+    """Check the file's list `name`: one number pair [d, f] per node, equal to expected's."""
     rows = _field(payload, name, list, "model file")
-    _expect(len(rows) == n_nodes, f"model file: {name} needs one [d, f] pair per node")
+    _expect(len(rows) == len(expected), f"model file: {name} needs one [d, f] pair per node")
     for i, row in enumerate(rows):
         _expect(isinstance(row, list) and len(row) == 2 and all(_is_number(v) for v in row),
                 f"{name}[{i}]: expected [d, f]")
-    return [tuple(row) for row in rows]
+        _expect(tuple(row) == expected[i], f"{name}[{i}]: differs from the nodes' rates")
 
 
 def model_from_dict(payload: dict) -> CascadeModel:
@@ -228,18 +231,10 @@ def model_from_dict(payload: dict) -> CascadeModel:
                 false_positive_rate=_number(np_, "false_positive_rate", where),
             )
         )
-    stage_rates = _rate_pairs(payload, "stage_rates", len(nodes))
-    cumulative = _rate_pairs(payload, "cumulative", len(nodes))
-    metadata = _field(payload, "metadata", dict, "model file")
-    return CascadeModel(
-        nodes=nodes,
-        stage_rates=stage_rates,
-        cumulative=cumulative,
-        feature_pool=feature_pool,
-        f_target=f_target,
-        base_window=base_window,
-        metadata=metadata,
-    )
+    model = CascadeModel(nodes, feature_pool, f_target, _field(payload, "metadata", dict, "model file"))
+    _rate_pairs(payload, "stage_rates", [(n.detection_rate, n.false_positive_rate) for n in nodes])
+    _rate_pairs(payload, "cumulative", model.cumulative)
+    return model
 
 
 def load_model(path: str) -> CascadeModel:

@@ -4,6 +4,7 @@ target is only reported missing.  These tests make such a rename fail, and
 check that the arguments its hooks count still mean what the hooks assume."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from gslda_cascade.boosting import EdgeStats
 from gslda_cascade.cascade import CascadeModel, NodeClassifier, NodeGoal, train_node
 from gslda_cascade.detect import DetectionWindow
 from gslda_cascade.features import PoolParams, build_pool
-from gslda_cascade.model_io import save_model
+from gslda_cascade.model_io import load_model, save_model
 from gslda_cascade.pgm import write_pgm
 from gslda_cascade.stumps import DecisionStump
 
@@ -67,8 +68,7 @@ def test_detect_hook_arguments(monkeypatch, tmp_path, capsys):
     DetectionWindow in its self-test."""
     assert len(cli.merge_detections([DetectionWindow(0, 0, 16, 1.0, 1)] * 3, 2)) == 1
     features = build_pool(PoolParams(8, stride=2, min_size=2))
-    model = CascadeModel([NodeClassifier([DecisionStump(5, 0.0, 1)], [1.0], 0.5, "adaboost")], [(1.0, 0.5)],
-                         [(1.0, 0.5)], features, 0.5, base_window=8)
+    model = CascadeModel([NodeClassifier([DecisionStump(5, 0.0, 1)], [1.0], 0.5, "adaboost")], features, 0.5)
     save_model(model, str(tmp_path / "model.json"))
     (tmp_path / "images").mkdir()
     rng = np.random.default_rng(0)
@@ -118,3 +118,21 @@ def test_prune_hook_arguments(monkeypatch):
         assert isinstance(stats, EdgeStats)
         assert kept.ndim == 1 and kept.dtype.kind == "i" and 1 <= len(kept) <= pool
         assert np.all(np.diff(kept) > 0) and 0 <= kept[0] and kept[-1] < pool
+
+
+def test_trained_model_exposes_what_quality_reads(tmp_path):
+    """bench/run.py's quality reads a trained model file, loaded back, by
+    len(model.nodes), model.f_target and model.cumulative[-1] (its final_dr
+    and final_fpr): a rename fails here instead of moving those metrics.
+    cumulative[-1] must be the stage log's last (D, F)."""
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--out", str(corpus), "--n-pos", "100", "--n-neg", "200",
+                     "--reservoir", "2", "--scenes", "0", "--seed", "0"]) == 0
+    out = tmp_path / "model.json"
+    assert cli.main(["train", "--data", str(corpus / "manifest.json"), "--out", str(out), "--method", "gslda",
+                     "--subsample", "16", "--max-stumps", "20", "--f-target", "0.001", "--threads", "1"]) == 0
+    model = load_model(str(out))
+    stages = [json.loads(line) for line in (tmp_path / "model.json.log.jsonl").read_text().splitlines()][:-1]
+    assert len(model.nodes) == len(stages) >= 2 and model.f_target == 0.001
+    final_dr, final_fpr = model.cumulative[-1]
+    assert (final_dr, final_fpr) == (stages[-1]["D"], stages[-1]["F"])

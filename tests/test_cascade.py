@@ -130,7 +130,7 @@ class TestTrainNode:
         rng = np.random.default_rng(3)
         values, labels = separable_values(rng)
         goal = NodeGoal(d_min=0.99, f_max=0.3)
-        node = train_node(values, labels, goal, method)
+        node, _ = train_node(values, labels, goal, method)
         assert len(node.stumps) == 1
         assert node.stumps[0].feature_id == 0
         assert node.false_positive_rate == 0.0
@@ -143,7 +143,7 @@ class TestTrainNode:
         labels = np.where(rng.random(n) < 0.4, 1, -1)
         values = sums_of(rng.normal(size=(12, n)) + 0.35 * labels * rng.normal(size=(12, 1)))
         rounds = 5
-        node = train_node(
+        node, _ = train_node(
             values, labels, NodeGoal(d_min=0.99, f_max=0.5), "gslda", fixed_rounds=rounds
         )
         table = StumpTrainer(values, labels).train_all(init_weights(labels))
@@ -154,7 +154,7 @@ class TestTrainNode:
         rng = np.random.default_rng(5)
         values, labels = separable_values(rng)
         for method in METHODS:
-            node = train_node(values, labels, NodeGoal(), method, fixed_rounds=4)
+            node, _ = train_node(values, labels, NodeGoal(), method, fixed_rounds=4)
             assert len(node.stumps) == 4, method
 
     def test_bgslda_never_reuses_a_feature(self):
@@ -162,7 +162,7 @@ class TestTrainNode:
         n = 80
         labels = np.where(rng.random(n) < 0.5, 1, -1)
         values = sums_of(rng.normal(size=(10, n)) + 0.3 * labels * rng.normal(size=(10, 1)))
-        node = train_node(values, labels, NodeGoal(), "bgslda1", fixed_rounds=6)
+        node, _ = train_node(values, labels, NodeGoal(), "bgslda1", fixed_rounds=6)
         fids = [s.feature_id for s in node.stumps]
         assert len(set(fids)) == len(fids)
 
@@ -172,7 +172,7 @@ class TestTrainNode:
         labels = np.where(rng.random(n) < 0.5, 1, -1)
         values = sums_of(rng.normal(size=(3, n)))  # uninformative features
         goal = NodeGoal(d_min=0.99, f_max=0.01, max_stumps=3)
-        node = train_node(values, labels, goal, "adaboost")
+        node, _ = train_node(values, labels, goal, "adaboost")
         assert not node.goal_met
         assert len(node.stumps) == 3
         assert node.false_positive_rate > goal.f_max
@@ -182,8 +182,8 @@ class TestTrainNode:
         values, labels = separable_values(rng, n_pos=40, n_neg=40)
         mask = np.zeros(80, dtype=bool)
         mask[:10] = True  # first ten positives held out
-        node = train_node(values[:, ~mask], labels[~mask], NodeGoal(d_min=0.9, f_max=0.4), "gslda",
-                          validation=values[:, mask])
+        node, _ = train_node(values[:, ~mask], labels[~mask], NodeGoal(d_min=0.9, f_max=0.4), "gslda",
+                             validation=values[:, mask])
         assert node.detection_rate >= 0.9
 
     def test_dual_pass_keeps_the_met_node_when_elimination_breaks_the_goal(self, monkeypatch):
@@ -200,11 +200,12 @@ class TestTrainNode:
 
         monkeypatch.setattr(GreedySelector, "eliminate", eliminate)
         monkeypatch.setattr(scatter, "_ELIM_FRACTION", 0.5)
-        forward, dual = [
+        (forward, forward_accepted), (dual, dual_accepted) = [
             train_node(values, labels, goal, "gslda", scatter_cfg=ScatterConfig(dual_pass=dual_pass))
             for dual_pass in (False, True)
         ]
         assert removed == [removed[0]] and removed[0]  # one backward pass dropped stumps; the goal check undid it
+        assert np.array_equal(dual_accepted, forward_accepted)  # the decisions the kept node was built with
         assert forward.goal_met and dual.goal_met
         assert [s.feature_id for s in dual.stumps] == [s.feature_id for s in forward.stumps]
         assert np.array_equal(dual.coefficients, forward.coefficients)
@@ -317,9 +318,15 @@ def _pin_case(case):
 @pytest.mark.parametrize("case,variant", list(PINNED))
 def test_node_layer_is_pinned(case, variant):
     values, labels, goal, validation, rounds, area = _pin_case(case)
-    node = train_node(values, labels, goal, variant.split("-")[0],
-                      scatter_cfg=ScatterConfig(dual_pass=variant.endswith("-dual")),
-                      validation=validation, fixed_rounds=rounds, area=area)
+    node, accepted = train_node(values, labels, goal, variant.split("-")[0],
+                                scatter_cfg=ScatterConfig(dual_pass=variant.endswith("-dual")),
+                                validation=validation, fixed_rounds=rounds, area=area)
+    # accepted is the node's own decision on every training column, with or
+    # without held-out positives and after the dual pass drops stumps.
+    area = np.ones(len(values)) if area is None else area
+    margins = node_margin(node, [s.responses(values[s.feature_id], area[s.feature_id]) for s in node.stumps])
+    assert accepted.dtype == bool and np.array_equal(accepted, margins >= 0)
+    assert node.false_positive_rate == np.mean(accepted[labels < 0])
     stumps_, coefficients, threshold, d, f, goal_met = PINNED[case, variant]
     assert [(s.feature_id, s.threshold, s.polarity) for s in node.stumps] == stumps_
     assert node.coefficients.tolist() == pytest.approx(coefficients, rel=1e-12)
@@ -343,7 +350,8 @@ class TestCascade:
                               feature_pool=feats, seed=7)
         assert len(model.nodes) >= 1
         d_run, f_run = 1.0, 1.0
-        for (d, f), (dc, fc) in zip(model.stage_rates, model.cumulative):
+        for (d, f), (dc, fc) in zip([(n.detection_rate, n.false_positive_rate) for n in model.nodes],
+                                    model.cumulative):
             d_run *= d
             f_run *= f
             assert abs(dc - d_run) < 1e-12
@@ -351,6 +359,14 @@ class TestCascade:
         for node in model.nodes:
             assert node.detection_rate >= goal.d_min or not node.goal_met
             assert node.false_positive_rate <= goal.f_max or not node.goal_met
+
+    def test_pool_on_another_window_raises(self):
+        # Such a model would be saved, and then refused on load.
+        rng = np.random.default_rng(16)
+        pos, neg, reservoir = mini_corpus(rng, n_pos=20, n_neg=40, size=16)
+        with pytest.raises(ValueError, match="base_window"):
+            train_cascade(TrainingPool(pos, neg, reservoir), NodeGoal(), f_target=0.5, method="adaboost",
+                          feature_pool=build_pool(PoolParams(8)))
 
     def test_f_target_one_trains_nothing(self):
         rng = np.random.default_rng(11)
@@ -542,8 +558,7 @@ def test_stage_one_f_is_the_scan_acceptance(tmp_path):
 
 class TestBootstrap:
     def make_model(self, feats, nodes=None):
-        return CascadeModel(nodes=nodes or [], stage_rates=[], cumulative=[],
-                            feature_pool=feats, f_target=0.1, base_window=8)
+        return CascadeModel(nodes=nodes or [], feature_pool=feats, f_target=0.1)
 
     def test_empty_model_returns_first_windows(self):
         rng = np.random.default_rng(13)
@@ -679,8 +694,7 @@ class TestEvaluateWindows:
         draw = data.draw
         nodes = [_hand_node(draw, self.FEATURES) for _ in range(draw(st.integers(0, 3)))]
         reached = draw(st.integers(0, len(nodes)))
-        model = CascadeModel(nodes=nodes, stage_rates=[], cumulative=[],
-                             feature_pool=self.FEATURES, f_target=0.1, base_window=8)
+        model = CascadeModel(nodes=nodes, feature_pool=self.FEATURES, f_target=0.1)
         h, w = draw(st.integers(8, 20)), draw(st.integers(8, 20))
         image = np.random.default_rng(draw(st.integers(0, 2**16))).integers(0, 256, size=(h, w))
         factor = draw(st.sampled_from([1.1, 1.2, 1.25, 1.5]))
@@ -703,8 +717,7 @@ class TestEvaluateWindows:
         first = _hand_node(draw, self.FEATURES, size=st.sampled_from([1, 2, 9, 10]), ids=ids)
         nodes = [first] + [_hand_node(draw, self.FEATURES, ids=ids) for _ in range(draw(st.integers(0, 2)))]
         reached = draw(st.integers(0, len(nodes)))
-        model = CascadeModel(nodes=nodes, stage_rates=[], cumulative=[],
-                             feature_pool=self.FEATURES, f_target=0.1, base_window=8)
+        model = CascadeModel(nodes=nodes, feature_pool=self.FEATURES, f_target=0.1)
         h, w = draw(st.integers(8, 16)), draw(st.integers(8, 16))
         dtype = draw(st.sampled_from([np.int32, np.int64]))
         pixels = 256 if dtype == np.int32 else 2**24  # 8 x 8 pixels near 2**24 pass 2**31 / 16
@@ -733,15 +746,13 @@ class TestEvaluateWindows:
             stumps_ = [DecisionStump(j, eval_haar(features[j], ii, *rng.integers(0, 3, size=2).tolist()),
                                      int(rng.choice([-1, 1]))) for j in js]
             nodes.append(NodeClassifier(stumps_, rng.uniform(-1, 1, size=size), 0.1 * t, "gslda"))
-        model = CascadeModel(nodes=nodes, stage_rates=[], cumulative=[],
-                             feature_pool=self.FEATURES, f_target=0.1, base_window=8)
+        model = CascadeModel(nodes=nodes, feature_pool=self.FEATURES, f_target=0.1)
         for reached in range(len(nodes) + 1):
             _assert_scan_matches_oracle(model, image, 1.2, 1.0, reached)
 
     @pytest.mark.parametrize("reached", [-1, 2])
     def test_reached_outside_the_cascade_raises(self, reached):
         node = NodeClassifier([DecisionStump(0, 0.0, 1)], [1.0], 0.0, "gslda")
-        model = CascadeModel(nodes=[node], stage_rates=[], cumulative=[],
-                             feature_pool=self.FEATURES, f_target=0.1, base_window=8)
+        model = CascadeModel(nodes=[node], feature_pool=self.FEATURES, f_target=0.1)
         with pytest.raises(ValueError, match="reached"):
             evaluate_windows(model, build_integral(np.zeros((8, 8))), range(1), range(1), reached)

@@ -318,6 +318,8 @@ BAD_SETTINGS = {
                                     "--out", "{tmp}/roc.csv"],
     "detect-config-min-neighbors": ["detect", "{tmp}/none.json", "{tmp}", "--config", "{tmp}/neighbors.json",
                                     "--out", "{tmp}/d.csv"],
+    "detect-config-unknown-key": ["detect", "{tmp}/none.json", "{tmp}", "--config", "{tmp}/typo.json",
+                                  "--out", "{tmp}/d.csv"],
     "synth-size": ["synth", "--out", "{tmp}/corpus", "--size", "7"],
     "synth-n-neg-negative": ["synth", "--out", "{tmp}/corpus", "--n-neg", "-1"],
     "synth-scenes-negative": ["synth", "--out", "{tmp}/corpus", "--scenes", "-2"],
@@ -327,7 +329,8 @@ BAD_SETTINGS = {
 @pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
 def test_bad_setting_exits_1(case, tmp_path, capsys):
     configs = {"config.json": {"dmin": 2}, "method.json": {"method": "floatboost"},
-               "boost.json": {"method": "asymboost"}, "neighbors.json": {"min_neighbors": 0}}
+               "boost.json": {"method": "asymboost"}, "neighbors.json": {"min_neighbors": 0},
+               "typo.json": {"scale_factr": 2}}
     for name, config in configs.items():
         (tmp_path / name).write_text(json.dumps(config))
     assert cli.main([arg.format(tmp=tmp_path) for arg in BAD_SETTINGS[case]]) == 1
@@ -377,7 +380,7 @@ def test_config_of_wrong_type_exits_1(case, tmp_path, capsys):
 
 def test_config_integer_for_float_setting_is_accepted(corpus, model, tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"step": 2, "scale_factor": 2}))
+    config.write_text(json.dumps({"step": 2, "scale_factor": 2, "threads": 1}))  # threads: a key with no effect
     assert cli.main(["detect", model, str(corpus / "corpus" / "scenes"), "--out", str(tmp_path / "d.csv"),
                      "--config", str(config)]) == 0
 

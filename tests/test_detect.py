@@ -25,8 +25,7 @@ from oracles import roc_curve as rescan_roc_curve
 
 def empty_model(base=8):
     feats = build_pool(PoolParams(base, stride=2, min_size=2))
-    return CascadeModel(nodes=[], stage_rates=[], cumulative=[], feature_pool=feats,
-                        f_target=0.5, base_window=base)
+    return CascadeModel(nodes=[], feature_pool=feats, f_target=0.5)
 
 
 def hand_model(base=8, thresholds=(0.0,), node_thresholds=None):
@@ -36,8 +35,7 @@ def hand_model(base=8, thresholds=(0.0,), node_thresholds=None):
     node_thresholds = node_thresholds or [0.5] * len(thresholds)
     for t, nt in zip(thresholds, node_thresholds):
         nodes.append(NodeClassifier([DecisionStump(5, t, 1)], [1.0], nt, "adaboost"))
-    return CascadeModel(nodes=nodes, stage_rates=[], cumulative=[], feature_pool=feats,
-                        f_target=0.5, base_window=base)
+    return CascadeModel(nodes=nodes, feature_pool=feats, f_target=0.5)
 
 
 class TestScanImage:
@@ -101,8 +99,7 @@ class TestScanImage:
         feats = build_pool(PoolParams(8, stride=2, min_size=2))
         stumps_ = [DecisionStump(i, 0.0, 1) for i in (1, 4, 9)]
         reject = NodeClassifier(stumps_, [1.0, 1.0, 1.0], -1e18, "adaboost")
-        model = CascadeModel(nodes=[reject], stage_rates=[], cumulative=[],
-                             feature_pool=feats, f_target=0.5, base_window=8)
+        model = CascadeModel(nodes=[reject], feature_pool=feats, f_target=0.5)
         profile = ScanProfile()
         wins = scan_image(model, image, profile=profile)
         assert len(wins) == 0

@@ -226,8 +226,12 @@ class TestEnumerateHaar:
         # build_integral picks int32 when 16 * max|table| < 2**31: that
         # needs every feature's summed |corner weight| to be at most 16.
         pool = build_pool(PoolParams(base_window=12))
-        weights = _corners_of(pool.kind, pool.box)[:, :, 0]
+        corners = _corners_of(pool.kind, pool.box)
+        weights = corners[:, :, 0]
         assert np.abs(weights).sum(axis=1).max() <= 16
+        # Every first corner is the footprint's top-left, of weight +1:
+        # extract takes its rows without a multiply.
+        assert np.all(weights[:, 0] == 1) and np.array_equal(corners[:, 0, 1:], pool.box[:, :2])
         counts = dict(zip(KINDS, (6, 6, 8, 8, 9)))
         for k, kind in enumerate(KINDS):
             assert np.all((weights[pool.kind == k] != 0).sum(axis=1) == counts[kind])

@@ -28,10 +28,10 @@ def payload():
     nodes = [
         NodeClassifier([DecisionStump(0, 1.5, 1), DecisionStump(2, -3.0, -1)], [0.5, 0.25], -0.1, "gslda",
                        detection_rate=0.99, false_positive_rate=0.4),
-        NodeClassifier([DecisionStump(1, 0.0, 1)], [1.0], 0.0, "adaboost", goal_met=False),
+        NodeClassifier([DecisionStump(1, 0.0, 1)], [1.0], 0.0, "adaboost", goal_met=False,
+                       false_positive_rate=0.5),
     ]
-    model = CascadeModel(nodes, [(0.99, 0.4), (1.0, 0.5)], [(0.99, 0.4), (0.99, 0.2)], features, 0.01,
-                         base_window=8, metadata={"method": "gslda"})
+    model = CascadeModel(nodes, features, 0.01, metadata={"method": "gslda"})
     return json.loads(json.dumps(model_to_dict(model)))
 
 
@@ -91,6 +91,9 @@ MALFORMED = {
     "stage rates short": [(("stage_rates",), [[0.99, 0.4]])],
     "cumulative long": [(("cumulative",), [[1, 1], [1, 1], [1, 1]])],
     "cumulative pair of strings": [(("cumulative", 1), ["a", "b"])],
+    # The rate lists are copies of the nodes' rates and their running products.
+    "stage rate one ulp off the node's": [(("stage_rates", 1, 1), float(np.nextafter(0.5, 1)))],
+    "cumulative one ulp off the products": [(("cumulative", 1, 1), float(np.nextafter(0.2, 0)))],
     # The pool's enumeration parameters, rejected as the oracle's enumerate_haar rejects them.
     "feature outside base window": [(("feature_pool", "min_size"), 9)],
     "feature without extent": [(("feature_pool", "min_size"), 0)],
