@@ -192,11 +192,14 @@ def train_node(
     (area defaults to ones), as for StumpTrainer.  validation is the
     (M, V) table of held-out positives, in the same form, used only for
     threshold tuning; when it is None the training positives double as
-    validation.  fixed_rounds trains exactly that many stumps regardless of
-    the rate goals (predefined-size mode); otherwise the node stops at
-    goal.max_stumps.  The stump cap also sets the span over which AsymBoost
-    amortizes its asymmetric multiplier.  Returns (node, accepted), accepted
-    the node's decision on each column of values: node_margin >= 0.
+    validation.  fixed_rounds trains that many stumps regardless of the rate
+    goals (predefined-size mode); otherwise the node stops at its goal or at
+    goal.max_stumps.  Either way a sparse-LDA node ends early, with the
+    stumps it has, when its pick is None: its selector rejects every
+    candidate, or for BGSLDA no stump is left unchosen.  The stump cap also
+    sets the span over which AsymBoost amortizes its asymmetric multiplier.
+    Returns (node, accepted), accepted the node's decision on each column of
+    values: node_margin >= 0.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -602,9 +605,11 @@ def train_cascade(
         fresh = np.zeros((0, base_window, base_window), dtype=np.uint8)
         if needed > 0:
             try:
+                if len(pool.negative_reservoir) == 0:
+                    raise BootstrapExhaustedError("empty negative reservoir")
                 fresh = bootstrap_negatives(model, pool.negative_reservoir, needed,
                                             seed=int(rng.integers(2**31)))
-            except (BootstrapExhaustedError, ValueError):
+            except BootstrapExhaustedError:
                 stop_reason = "bootstrap_exhausted"
                 break
         values = _stage_table(extractor, fresh, values, kept)

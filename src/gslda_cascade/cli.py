@@ -5,9 +5,9 @@ Commands: train, detect, eval, toy, synth.  Exit codes: 0 success, 1 usage
 --config, such as train --dmin 2, toy --trials 0 or --dual-pass with a method
 other than gslda: checked before any input file is read, and reported on one
 "error: ..." line), 2 data error (also detect or eval with a model that has
-no nodes, and an output file that cannot be written, such as --out, --log or
---points in a missing directory), 3 training finished with a stage goal not
-met.
+no nodes, train --method gslda on classes that no stump separates, and an
+output file that cannot be written, such as --out, --log or --points in a
+missing directory), 3 training finished with a stage goal not met.
 
 train ends its stage log with a {"stop_reason": ...} record.  When the
 cascade's false-positive rate F stays above --f-target (the reservoir ran out
@@ -258,10 +258,13 @@ def cmd_train(args) -> int:
                                              min_size=cfg["min_size"], subsample=cfg["subsample"]))
     pool = TrainingPool(np.stack(positives), np.stack(negatives) if negatives else np.zeros((0, *shape), dtype=np.uint8),
                         reservoir, validation_split=cfg["validation_split"])
-    model = train_cascade(
-        pool, goal, cfg["f_target"], cfg["method"], feature_pool,
-        scatter_cfg=scatter_cfg, boost_cfg=boost_cfg, seed=cfg["seed"],
-    )
+    try:  # such as classes that no stump separates
+        model = train_cascade(
+            pool, goal, cfg["f_target"], cfg["method"], feature_pool,
+            scatter_cfg=scatter_cfg, boost_cfg=boost_cfg, seed=cfg["seed"],
+        )
+    except ValueError as exc:
+        raise DataError(f"cannot train on {args.data}: {exc}")
     save_model(model, args.out)
     log_path = args.log or args.out + ".log.jsonl"
     write_stage_log(model.stage_log, log_path)

@@ -150,36 +150,37 @@ class GreedySelector:
         out[np.arange(len(rows)), rows] += self.cfg.ridge
         return out
 
+    def _scored(self):
+        """(candidate_scores, u, c): u = inv @ S_w[selected, :] and c every
+        column's Schur complement, the one expression that both scores and
+        admits a candidate."""
+        u = self.inv @ self._rows
+        c = self.diag - np.einsum("km,km->m", self._rows, u)
+        num = (self.b[self.selected] @ u - self.b) ** 2
+        scores = np.full(len(self.b), REJECTED)
+        ok = c > _SINGULAR_TOL
+        scores[ok] = self.eig + num[ok] / c[ok]
+        scores[self.selected] = REJECTED
+        return scores, u, c
+
     def candidate_scores(self) -> np.ndarray:
         """Eigenvalue of selected + {i} for every candidate i.
 
         Selected and singular candidates score -inf.
         """
-        if self.selected:
-            u = self.inv @ self._rows  # (k, M)
-            denom = self.diag - np.einsum("km,km->m", self._rows, u)
-            num = (self.b[self.selected] @ u - self.b) ** 2
-        else:
-            denom = self.diag.copy()
-            num = self.b**2
-        scores = np.full(len(self.b), REJECTED)
-        ok = denom > _SINGULAR_TOL
-        scores[ok] = self.eig + num[ok] / denom[ok]
-        if self.selected:
-            scores[self.selected] = REJECTED
-        return scores
+        return self._scored()[0]
 
     def step(self) -> int | None:
         """Augment with the best admissible candidate; None when there is none.
 
         Ties break toward the lowest feature index (np.argmax keeps the first
-        maximum).
+        maximum).  The pick's u and complement, as scored, make the update.
         """
-        scores = self.candidate_scores()
+        scores, u, c = self._scored()
         best = int(np.argmax(scores))
         if scores[best] == REJECTED:
             return None
-        self.augment(best)
+        self._add(best, u[:, best], c[best])
         return best
 
     def augment(self, i: int) -> None:
@@ -190,19 +191,15 @@ class GreedySelector:
         """
         if i in self.selected:
             raise ValueError(f"feature {i} already selected")
-        row_i = self.cross([i])[0]
-        if self.selected:
-            s_li = self._rows[:, i]
-            u = self.inv @ s_li
-            denom = row_i[i] - float(s_li @ u)
-        else:
-            u = np.zeros(0)
-            denom = row_i[i]
-        if denom <= _SINGULAR_TOL:
+        _, u, c = self._scored()  # a one-column product would round otherwise
+        self._add(i, u[:, i], c[i])
+
+    def _add(self, i, u, c):
+        if c <= _SINGULAR_TOL:
             raise SingularAugmentationError("singular augmentation")
-        self.inv = _augmented_inverse(self.inv, u, 1.0 / denom)
+        self.inv = _augmented_inverse(self.inv, u, 1.0 / c)
         self.selected.append(i)
-        self._rows = np.vstack([self._rows, row_i[None, :]])
+        self._rows = np.vstack([self._rows, self.cross([i])])
         if len(self.selected) % _REFRESH_EVERY == 0:
             self._refresh()
         self._recompute_eig()

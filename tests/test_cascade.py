@@ -376,6 +376,32 @@ class TestCascade:
                               feature_pool=feats, seed=0)
         assert model.nodes == []
 
+    def train_to_bootstrap(self, reservoir):
+        """gslda on noise patches whose positives have a darker center: the
+        first node meets f_max = 0.5 at f = 1/3, so its false positives are
+        kept and the reservoir is scanned for more."""
+        rng = np.random.default_rng(10)
+        pos = rng.integers(0, 256, size=(50, 8, 8))
+        pos[:, 2:6, 2:6] = rng.integers(0, 160, size=(50, 4, 4))
+        neg = rng.integers(0, 256, size=(120, 8, 8))
+        return train_cascade(TrainingPool(pos, neg, reservoir), NodeGoal(f_max=0.5), f_target=0.001,
+                             method="gslda", feature_pool=build_pool(PoolParams(8, stride=2, min_size=2)))
+
+    def test_empty_reservoir_stops_as_bootstrap_exhausted(self):
+        model = self.train_to_bootstrap([])
+        assert len(model.nodes) == 1 and 0 < model.nodes[0].false_positive_rate <= 0.5
+        assert model.stage_log[-1] == {"stop_reason": "bootstrap_exhausted"}
+
+    def test_other_bootstrap_errors_propagate(self, monkeypatch):
+        # Only an exhausted reservoir ends training quietly; a fault in the
+        # bootstrap scan is not logged as one.
+        def broken(*args, **kwargs):
+            raise ValueError("broken scan")
+
+        monkeypatch.setattr(cascade, "evaluate_windows", broken)
+        with pytest.raises(ValueError, match="broken scan"):
+            self.train_to_bootstrap([np.zeros((32, 32), dtype=np.uint8)])
+
     def test_product_arithmetic_three_halving_stages(self):
         # Stage rates measured at exactly 0.5 must multiply to 0.125.
         rates = [0.5, 0.5, 0.5]

@@ -7,11 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gslda_cascade import cli, detect
 from gslda_cascade.model_io import load_model
-from gslda_cascade.pgm import read_pgm
+from gslda_cascade.pgm import read_pgm, write_pgm
 import oracles
 
 TRAIN = ["--subsample", "4", "--max-stumps", "8"]
@@ -430,3 +431,27 @@ def test_goal_not_met_exits_3_and_keeps_model(corpus, tmp_path, capsys):
                      "--subsample", "4", "--max-stumps", "1", "--fmax", "0.05"]) == 3
     assert "goal not met" in capsys.readouterr().err
     assert any(not node["goal_met"] for node in json.load(open(out))["nodes"])
+
+
+@pytest.fixture(scope="module")
+def blank_corpus(tmp_path_factory):
+    """Positive and negative patches that are all the same 16 x 16 gray."""
+    root = tmp_path_factory.mktemp("blank")
+    patch = np.full((16, 16), 128, dtype=np.uint8)
+    names = {"positives": [f"p{i}.pgm" for i in range(10)], "negatives": [f"n{i}.pgm" for i in range(20)]}
+    for name in names["positives"] + names["negatives"]:
+        write_pgm(str(root / name), patch)
+    (root / "manifest.json").write_text(json.dumps(names))
+    return root
+
+
+@pytest.mark.parametrize("method, code", [("gslda", 2), ("gslda --dual-pass", 2), ("adaboost", 3), ("bgslda1", 3)])
+def test_train_on_inseparable_classes(blank_corpus, tmp_path, capsys, method, code):
+    # GSLDA finds no between-class direction on such classes and reports it as
+    # a data error; the boosted methods train a node that misses its goal.
+    manifest = str(blank_corpus / "manifest.json")
+    argv = ["train", "--data", manifest, "--out", str(tmp_path / "m.json"), "--method", *method.split(),
+            "--subsample", "16", "--max-stumps", "2"]
+    assert cli.main(argv) == code
+    if code == 2:
+        assert f"error: cannot train on {manifest}: zero between-class direction" in capsys.readouterr().err

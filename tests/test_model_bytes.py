@@ -8,9 +8,13 @@ rule that the models stay byte-identical; this test keeps that rule standing.
 A change that moves a digest changes what training produces, and says so
 where it re-pins.  With unit weights every sum the GSLDA scatter takes over
 the +/-1 stump table is an exact integer, so only the bgslda digests, whose
-sums are weighted, depend on the order in which numpy adds them.  A different
-BLAS build may still round the small products of the restricted inverse
-differently and move the last bits of any LDA coefficient.  The scan path
+sums are weighted, depend on the order in which numpy adds them.  They also
+depend on which expression computes a candidate's Schur complement: the
+selector scores and admits a candidate by one, and another one rounds the
+weighted sums differently and moves the last bits of the LDA coefficients
+and node thresholds.  A different BLAS build may still round the small
+products of the restricted inverse differently and move the last bits of
+any LDA coefficient.  The scan path
 (haar_sums, evaluate_windows, the pyramid scan, merge and the writers) is
 rewritten for speed under the same rule.
 """
@@ -27,8 +31,8 @@ TRAIN = ["--subsample", "16", "--max-stumps", "20", "--f-target", "0.001"]
 DIGESTS = {
     "gslda": "400a80ea4c1b8f41aae9acc22f4abf1aac7671fd5654b02176be3f1b916d62f4",
     "gslda --dual-pass": "ab966b3341acf2847fc1a654c705291e3a45c8fcf893b706fef23604e0d5beca",
-    "bgslda1": "24b7486f67716c9f1520a931b1c8f7cc5cb289f19ec3e829e1d601766c642fd8",
-    "bgslda2": "a77f7f98ba2250d51ff6996c5fcc06951848cbee60426e4f064d5cd1172ad0cc",
+    "bgslda1": "8b3b4d7bef8b398fdf13a44c180c0615831ac5e7db96f1e16cf0bc746507d712",
+    "bgslda2": "afc2057c4d7d7ffb274bbae1b22697dc889a1f675b0f41bc346fbb0567409b3d",
     "adaboost": "4e93fd31303ba56ec5d9243143c9fd9184d0e523234e443ca49f30f56825a381",
     "asymboost": "a0fc7f180535021a29f73ddf7c5b18f9e44324937882967437a43e75e07724ed",
 }

@@ -473,3 +473,86 @@ class TestLdaWeights:
         sel = augmented(rm, ScatterConfig(), [0])
         with pytest.raises(ValueError, match="zero between-class direction"):
             sel.direction()
+
+
+# Round 9 of train_node(values, labels, NodeGoal(), "bgslda1", fixed_rounds=10)
+# on the whole 24x24 pool (PoolParams(24)) of `synth --size 24 --n-pos 300
+# --n-neg 600 --reservoir 6 --scenes 0 --seed 0`: the 8 chosen stumps' outputs
+# and those of the candidate that scoring admitted, over the 900 samples, with
+# the round's weights.  The sample columns take 9 distinct values, each with
+# its own label and weight; ROUND_9_RUNS spells them out in sample order,
+# which the weighted sums depend on.
+ROUND_9_COLUMNS = [  # (the 9 rows' outputs, label, weight)
+    ("+++++++++", 1, 6.847626612613988e-06),
+    ("+++++++-+", 1, 0.2499999999999999),
+    ("+++++-+++", 1, 0.0655797200690232),
+    ("---------", -1, 3.423813306306994e-06),
+    ("---+-----", -1, 0.008200032868605284),
+    ("--+-----+", -1, 0.008203456681912701),
+    ("----+----", -1, 0.016396641923913047),
+    ("-+----+--", -1, 0.1666480572194109),
+    ("+-----+-+", -1, 0.08335879040720191),
+]
+ROUND_9_RUNS = [
+    (0, 14), (1, 1), (0, 14), (2, 1), (0, 6), (1, 1), (0, 101), (2, 1), (0, 161), (3, 8), (4, 1),
+    (3, 16), (4, 1), (3, 94), (5, 1), (3, 66), (6, 1), (3, 28), (5, 1), (3, 21), (6, 1), (3, 49),
+    (6, 1), (3, 34), (7, 1), (3, 29), (8, 1), (3, 67), (4, 1), (3, 2), (4, 1), (3, 91), (6, 1),
+    (3, 83),
+]
+
+
+def round_9_state():
+    """(rows, labels, weights) of the captured round: 9 int8 rows over 900
+    samples, in C order like the table the selector was handed (einsum's
+    sums follow the layout)."""
+    ids, counts = zip(*ROUND_9_RUNS)
+    cols = np.repeat(ids, counts)
+    outputs, labels, weights = zip(*ROUND_9_COLUMNS)
+    signs = np.array([[1 if ch == "+" else -1 for ch in s] for s in outputs], dtype=np.int8)
+    return np.ascontiguousarray(signs[cols].T), np.array(labels)[cols], np.array(weights)[cols]
+
+
+def ridge_limited_table(rng, n_pos=100, n_neg=200, m=20, n_patterns=4):
+    """A weighted +/-1 table on which some rows together separate the classes.
+
+    On each class every row is one of a few shared patterns, or a constant,
+    times a sign, so rows that share their patterns differ by a vector that
+    is constant within each class.  The restricted scatter of such rows rests
+    on the ridge, and the weights span eight decades as boosting's do."""
+
+    def half(n):
+        patterns = np.vstack([rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_patterns, n)),
+                              np.ones((1, n), dtype=np.int8)])
+        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, 1))
+        return patterns[rng.integers(0, n_patterns + 1, size=m)] * signs
+
+    labels = np.r_[np.ones(n_pos, dtype=int), -np.ones(n_neg, dtype=int)]
+    w = np.exp(rng.uniform(np.log(1e-8), 0.0, size=len(labels)))
+    return ResponseTable(np.hstack([half(n_pos), half(n_neg)]), labels), w / w.sum()
+
+
+class TestRidgeLimitedSelection:
+    def test_round_9_candidate_is_picked_as_scored(self):
+        # Its complement is rounding noise: +4.05e-7 as the whole table's
+        # products give it against a diagonal of 261.5, -2.27e-6 from the
+        # candidate's own column.  Scoring and augmenting read the former.
+        rows, labels, w = round_9_state()
+        sel = GreedySelector(rows, labels, ScatterConfig(), w, selected=range(8))
+        assert sel.candidate_scores()[8] != REJECTED
+        assert sel.step() == 8
+        assert sel.selected == list(range(9))
+        again = GreedySelector(rows, labels, ScatterConfig(), w, selected=range(8))
+        again.augment(8)
+        assert np.array_equal(again.inv, sel.inv)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_step_stops_or_augments_on_separable_tables(self, seed):
+        rm, w = ridge_limited_table(np.random.default_rng(seed))
+        sel = GreedySelector(*rm, ScatterConfig(), w)
+        while True:
+            before = list(sel.selected)
+            j = sel.step()
+            if j is None:
+                break
+            assert sel.selected == before + [j]
