@@ -14,6 +14,9 @@ cascade's false-positive rate F stays above --f-target (the reservoir ran out
 of false positives, a node missed its goal, the negatives ran out or the
 stage cap was hit), train prints "warning: training stopped (<reason>) at
 F=..., above f_target ..." on stderr; the exit code is unchanged.
+
+eval scans only the images its ground-truth CSV names: an image without boxes
+is never scanned, so its false positives are not counted.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .boosting import BoostingConfig
 from .cascade import METHODS, NodeGoal, TrainingPool, train_cascade
-from .detect import DetectionTable, ScanProfile, avg_features_per_window, merge_detections, roc_curve, scan_image
+from .detect import DetectionTable, merge_detections, roc_curve, scan_image
 from .features import PoolParams, build_pool
 from .model_io import (
     ModelFormatError,
@@ -116,7 +119,8 @@ def build_parser() -> _Parser:
     _add_shared(d, threads=True)
     d.set_defaults(func=cmd_detect)
 
-    e = sub.add_parser("eval", help="score a model against ground truth")
+    e = sub.add_parser("eval", help="score a model on the images its ground truth names "
+                                    "(an image without boxes is not scanned, so its false positives are not counted)")
     e.add_argument("model")
     e.add_argument("data", help="dataset manifest with ground_truth")
     e.add_argument("--mode", choices=("depth", "threshold"), default="depth")
@@ -282,16 +286,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _image_list(path) -> list[str]:
+def _image_list(path) -> list[tuple[str, str]]:
+    """(image id, path) of each PGM image in a directory, named by its file
+    name, or of one image file, named by its path as given."""
     if os.path.isdir(path):
-        return [os.path.join(path, name) for name in sorted(os.listdir(path))
+        return [(name, os.path.join(path, name)) for name in sorted(os.listdir(path))
                 if name.lower().endswith(".pgm")]
-    return [path]
+    return [(path, path)]
 
 
 def cmd_detect(args) -> int:
-    # "threads" has no effect; it stays a type-checked --config key.
-    cfg = _merge_config(args, {"scale_factor": 1.2, "step": 1.0, "min_neighbors": 2, "threads": 1})
+    cfg = _merge_config(args, {"scale_factor": 1.2, "step": 1.0, "min_neighbors": 2})
     _check_scan(cfg)
     try:
         model = load_model(args.model)
@@ -304,28 +309,28 @@ def cmd_detect(args) -> int:
         raise DataError(f"no PGM images under {args.images}")
 
     rows = DetectionTable()
-    total = ScanProfile()
-    failures = 0
-    for path in paths:
+    scanned = evals = raw = failures = 0
+    for image_id, path in paths:
         try:
-            wins = scan_image(model, read_pgm(path), cfg["scale_factor"], cfg["step"], profile=total)
+            wins, n_scanned, n_evals = scan_image(model, read_pgm(path), cfg["scale_factor"], cfg["step"])
         except (OSError, ValueError) as exc:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             failures += 1
             continue
+        scanned += n_scanned
+        evals += n_evals
+        raw += len(wins)
         if not args.no_merge:
             wins = merge_detections(wins, cfg["min_neighbors"])
-        image_id = os.path.basename(path) if len(paths) > 1 else path
         rows.images.append((image_id, wins))
     if failures == len(paths):
         raise DataError("no readable images")
     write_detections_csv(rows, args.out)
     print(f"{len(rows)} detections written to {args.out}")
     if args.profile:
-        avg = avg_features_per_window(total) if total.windows_scanned else float("nan")
-        print(f"profile: windows_scanned={total.windows_scanned} "
-              f"feature_evals={total.feature_evals} avg_features_per_window={avg:.6g} "
-              f"raw_windows={total.raw_windows} detections={len(rows)}")
+        avg = evals / scanned if scanned else float("nan")
+        print(f"profile: windows_scanned={scanned} feature_evals={evals} avg_features_per_window={avg:.6g} "
+              f"raw_windows={raw} detections={len(rows)}")
     return 0
 
 
@@ -390,20 +395,13 @@ def cmd_toy(args) -> int:
 def cmd_synth(args) -> int:
     cfg = _merge_config(args, {"n_pos": 1000, "n_neg": 1000, "size": 16,
                                "reservoir": 10, "scenes": 6, "seed": 0})
-    with _settings():
-        if cfg["size"] < 8:
-            raise ValueError("size must be at least 8")
-        if min(cfg["n_pos"], cfg["n_neg"], cfg["reservoir"], cfg["scenes"]) < 0:
-            raise ValueError("n_pos, n_neg, reservoir and scenes must be at least 0")
     from .synth import generate_synthetic_faces
 
-    try:
+    with _settings():  # the generator checks its settings before it writes a file
         manifest = generate_synthetic_faces(
             args.out, seed=cfg["seed"], n_pos=cfg["n_pos"], n_neg=cfg["n_neg"],
             size=cfg["size"], n_reservoir=cfg["reservoir"], n_scenes=cfg["scenes"],
         )
-    except (OSError, ValueError) as exc:
-        raise DataError(str(exc))
     print(f"corpus written under {manifest.root} "
           f"({len(manifest.positives)} positives, {len(manifest.negatives)} negatives)")
     print(f"manifest: {os.path.join(manifest.root, 'manifest.json')}")

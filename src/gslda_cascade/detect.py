@@ -92,36 +92,18 @@ class ROCPoint:
     detection_rate: float
 
 
-@dataclass
-class ScanProfile:
-    """Aggregable counters: total windows scanned, Haar evaluations and
-    windows accepted (raw, before merging)."""
-
-    windows_scanned: int = 0
-    feature_evals: int = 0
-    raw_windows: int = 0
-
-
-def avg_features_per_window(profile: ScanProfile) -> float:
-    if profile.windows_scanned == 0:
-        raise ValueError("profile covers no scanned windows")
-    return profile.feature_evals / profile.windows_scanned
-
-
-def scan_image(model: CascadeModel, image, scale_factor: float = 1.2, step: float = 1.0,
-               profile: ScanProfile | None = None) -> Detections:
+def scan_image(model: CascadeModel, image, scale_factor: float = 1.2,
+               step: float = 1.0) -> tuple[Detections, int, int]:
     """All windows the cascade accepts, over a scale pyramid, in scan order
-    (scale by scale), scored by the last node's margin (0 without nodes).
+    (scale by scale), scored by the last node's margin (0 without nodes);
+    with the windows scanned and the Haar evaluations made.
 
     Window sides are base * scale_factor**s while they fit; the shift grows
-    with the scale so scan density is scale-uniform.  Window, Haar evaluation
-    and accepted-window counts accumulate into `profile` when given.
+    with the scale so scan density is scale-uniform.
     """
     depth = len(model.nodes)
-    windows = _passing(_scan_pyramid(model, image, scale_factor, step, depth, profile), depth)
-    if profile is not None:
-        profile.raw_windows += len(windows)
-    return windows
+    scan, scanned, evals = _scan_pyramid(model, image, scale_factor, step, depth)
+    return _passing(scan, depth), scanned, evals
 
 
 def _passing(scan, depth: int, tau: float = 0.0) -> Detections:
@@ -298,7 +280,7 @@ def roc_curve(model: CascadeModel, images, truths: list[GroundTruthBox], mode: s
     # Depth mode needs the windows past the first node, threshold mode those
     # that reached the last one.
     reached = 1 if mode == "depth" else full_depth - 1
-    scans = [(image_id, _scan_pyramid(model, image, scale_factor, step, reached)) for image_id, image in images]
+    scans = [(image_id, _scan_pyramid(model, image, scale_factor, step, reached)[0]) for image_id, image in images]
 
     def match(depth, tau=0.0):
         """Match the merged windows of every image whose depth-prefix score is at least tau."""
@@ -322,12 +304,14 @@ def roc_curve(model: CascadeModel, images, truths: list[GroundTruthBox], mode: s
     return points, full
 
 
-def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
+def _scan_pyramid(model, image, scale_factor, step, reached):
     """Scan the pyramid with the cascade evaluator, one lattice per scale.
-    Returns (px, py, side, scores) of the windows that passed at least
-    `reached` nodes, scale by scale in scan order: each scale's kept windows
-    and depth-prefix scores as evaluate_windows gives them (scores[d]: 0 for
-    depth 0, else node d-1's margin, NaN for a window that did not reach it)."""
+    Returns ((px, py, side, scores), scanned, evals): the windows that passed
+    at least `reached` nodes, scale by scale in scan order, with each scale's
+    kept windows and depth-prefix scores as evaluate_windows gives them
+    (scores[d]: 0 for depth 0, else node d-1's margin, NaN for a window that
+    did not reach it); and the windows scanned and Haar evaluations made,
+    summed over the scales."""
     if scale_factor <= 1.0:
         raise ValueError("scale_factor must exceed 1")
     image = np.asarray(image)
@@ -350,11 +334,11 @@ def _scan_pyramid(model, image, scale_factor, step, reached, profile=None):
     table = build_integral(image) if sizes else None
     plan = _plan(model, [scale for scale, _, _ in sizes], table.dtype) if sizes else []
     buffers = Buffers()  # the lattice-sized arrays of every scale
+    scanned = evals = 0
     for (_, side, shift), stages in zip(sizes, plan):
         xs, ys = range(0, w - side + 1, shift), range(0, h - side + 1, shift)
-        kept, scores, evals = _evaluate(stages, table, xs, ys, reached, buffers)
-        if profile is not None:
-            profile.windows_scanned += len(xs) * len(ys)
-            profile.feature_evals += evals
+        kept, scores, made = _evaluate(stages, table, xs, ys, reached, buffers)
+        scanned += len(xs) * len(ys)
+        evals += made
         parts.append((*lattice_corners(xs, ys, kept), np.full(kept.size, side), scores))
-    return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))
+    return tuple(np.concatenate(column, axis=-1) for column in zip(*parts)), scanned, evals

@@ -308,12 +308,12 @@ class Buffers:
 
 def _weigh(reads, terms, acc) -> None:
     """acc = the sum of weight * term over reads and terms in order, by
-    Horner's rule on the weights' magnitudes, which come in descending order
-    and each divide the one before (1 and 2, 1 and 3, or 1, 2 and 4 for the
-    five kinds): acc is scaled up by their ratio before a smaller magnitude's
-    terms add in, and by the last magnitude at the end.  Every term adds or
-    subtracts in place, so no array beside acc is needed, and every partial
-    sum stays within summed |weight| * max|table|."""
+    Horner's rule on the weights' magnitudes, which come in descending order,
+    each divide the one before and end at 1 (2 and 1, 3 and 1, or 4, 2 and 1
+    for the five kinds): acc is scaled up by their ratio before a smaller
+    magnitude's terms add in.  Every term adds or subtracts in place, so no
+    array beside acc is needed, and every partial sum stays within summed
+    |weight| * max|table|."""
     last = None
     for (wgt, _, _), term in zip(reads, terms):
         if last is None:
@@ -326,8 +326,6 @@ def _weigh(reads, terms, acc) -> None:
             else:
                 acc -= term
         last = abs(wgt)
-    if last != 1:
-        acc *= last
 
 
 def haar_sums(placements, table: np.ndarray, px, py, buffers: Buffers | None = None):

@@ -669,7 +669,8 @@ def _hand_node(draw, features, size=st.integers(1, 10), ids=None):
 def _assert_scan_matches_oracle(model, image, factor, step, reached):
     """evaluate_windows on build_integral(image) against oracles.decide_window
     on the oracle's own integral table, window by window at every scale; and
-    the pyramid scan against evaluate_windows, scale by scale."""
+    the pyramid scan, its windows scanned and its Haar evaluations against
+    evaluate_windows, scale by scale."""
     nodes = model.nodes
     # prefixes[d] ends at node d-1: its scalar score is node d-1's margin.
     prefixes = [dataclasses.replace(model, nodes=nodes[:d]) for d in range(len(nodes) + 1)]
@@ -679,12 +680,15 @@ def _assert_scan_matches_oracle(model, image, factor, step, reached):
     for x, y, _, scale in pyramid_windows(h, w, model.base_window, factor, step):
         by_scale.setdefault(scale, []).append((x, y))
     scanned = []  # per scale: the pyramid's columns as evaluate_windows gives them
+    windows_total = evals_total = 0  # summed over the scales' lattices and evaluations
     for scale, windows in by_scale.items():
         # Each scale's windows are one lattice, x varying fastest.
         side, shift = (max(1, int(np.floor(v * scale + 0.5))) for v in (model.base_window, step))
         xs, ys = range(0, w - side + 1, shift), range(0, h - side + 1, shift)
         assert windows == [(x, y) for y in ys for x in xs]
         kept, scores, evals = evaluate_windows(model, table, xs, ys, reached, scale)
+        windows_total += len(xs) * len(ys)
+        evals_total += evals
         scanned.append((*lattice_corners(xs, ys, kept), np.full(kept.size, side), scores))
         oracle = [decide_window(model, ii, x, y, scale) for x, y in windows]
         stages = np.array([n_passed for _, n_passed, _, _ in oracle], dtype=int)
@@ -703,7 +707,8 @@ def _assert_scan_matches_oracle(model, image, factor, step, reached):
                 assert scores[min(n_passed + 1, len(nodes)), col].tobytes() == np.float64(score).tobytes()
             assert accepted == (scores[-1, col] >= 0)
         assert evals == sum(n_evals for *_, n_evals in oracle)
-    pyramid = detect._scan_pyramid(model, image, factor, step, reached)
+    pyramid, pyramid_scanned, pyramid_evals = detect._scan_pyramid(model, image, factor, step, reached)
+    assert (pyramid_scanned, pyramid_evals) == (windows_total, evals_total)
     if scanned:
         for got, expected in zip(pyramid, (np.concatenate(column, axis=-1) for column in zip(*scanned))):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()

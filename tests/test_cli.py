@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,36 @@ def test_detect(corpus, model, tmp_path, capsys):
     raw, merged = counts[False]
     assert counts[True] == (raw, raw)  # --no-merge writes every raw window
     assert raw > merged
+
+
+def test_detect_profile_sums_the_images_scans(corpus, model, tmp_path, capsys):
+    scenes = corpus / "corpus" / "scenes"
+    images = [read_pgm(str(path)) for path in sorted(scenes.glob("*.pgm"))]
+    assert len(images) == 2
+    loaded = load_model(model)
+    scans = [detect.scan_image(loaded, image) for image in images]
+    assert cli.main(["detect", model, str(scenes), "--out", str(tmp_path / "d.csv"), "--profile"]) == 0
+    profile = profile_line(capsys.readouterr().out)
+    scanned = sum(len(oracles.pyramid_windows(*image.shape, loaded.base_window, 1.2, 1.0)) for image in images)
+    evals = sum(image_evals for _, _, image_evals in scans)
+    assert int(profile["windows_scanned"]) == scanned
+    assert int(profile["feature_evals"]) == evals
+    assert profile["avg_features_per_window"] == f"{evals / scanned:.6g}"
+    assert int(profile["raw_windows"]) == sum(len(wins) for wins, _, _ in scans)
+
+
+def test_detect_names_a_directory_s_rows_by_file_name(corpus, model, tmp_path):
+    """A directory's rows carry the image's file name however many images
+    it holds; a single image file's rows carry its path as given."""
+    one = tmp_path / "one"
+    one.mkdir()
+    shutil.copy(corpus / "corpus" / "scenes" / "s000.pgm", one)
+    rows = {}
+    for images in (corpus / "corpus" / "scenes", one):
+        out = tmp_path / "d.csv"
+        assert cli.main(["detect", model, str(images), "--out", str(out)]) == 0
+        rows[images] = [row for row in csv.reader(open(out, newline=""))][1:]
+    assert rows[one] and rows[one] == [row for row in rows[corpus / "corpus" / "scenes"] if row[0] == "s000.pgm"]
 
 
 def test_detect_rows_match_scalar_oracles(corpus, model, tmp_path):
@@ -276,6 +307,15 @@ def test_synth_is_deterministic(tmp_path):
     assert any(path.name == "manifest.json" for path in trees[0])
 
 
+def test_synth_unwritable_out_is_data_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")  # a file where the corpus directory's parent should be
+    assert cli.main(["synth", "--out", str(blocker / "corpus"), "--n-pos", "1", "--n-neg", "1", "--size", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(blocker) in err
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--no-such-flag"],
     ["train", "--out", "model.json"],
@@ -321,6 +361,8 @@ BAD_SETTINGS = {
                                     "--out", "{tmp}/d.csv"],
     "detect-config-unknown-key": ["detect", "{tmp}/none.json", "{tmp}", "--config", "{tmp}/typo.json",
                                   "--out", "{tmp}/d.csv"],
+    "detect-config-threads": ["detect", "{tmp}/none.json", "{tmp}", "--config", "{tmp}/threads.json",
+                              "--out", "{tmp}/d.csv"],
     "synth-size": ["synth", "--out", "{tmp}/corpus", "--size", "7"],
     "synth-n-neg-negative": ["synth", "--out", "{tmp}/corpus", "--n-neg", "-1"],
     "synth-scenes-negative": ["synth", "--out", "{tmp}/corpus", "--scenes", "-2"],
@@ -331,7 +373,7 @@ BAD_SETTINGS = {
 def test_bad_setting_exits_1(case, tmp_path, capsys):
     configs = {"config.json": {"dmin": 2}, "method.json": {"method": "floatboost"},
                "boost.json": {"method": "asymboost"}, "neighbors.json": {"min_neighbors": 0},
-               "typo.json": {"scale_factr": 2}}
+               "typo.json": {"scale_factr": 2}, "threads.json": {"threads": 1}}
     for name, config in configs.items():
         (tmp_path / name).write_text(json.dumps(config))
     assert cli.main([arg.format(tmp=tmp_path) for arg in BAD_SETTINGS[case]]) == 1
@@ -381,7 +423,7 @@ def test_config_of_wrong_type_exits_1(case, tmp_path, capsys):
 
 def test_config_integer_for_float_setting_is_accepted(corpus, model, tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"step": 2, "scale_factor": 2, "threads": 1}))  # threads: a key with no effect
+    config.write_text(json.dumps({"step": 2, "scale_factor": 2}))
     assert cli.main(["detect", model, str(corpus / "corpus" / "scenes"), "--out", str(tmp_path / "d.csv"),
                      "--config", str(config)]) == 0
 

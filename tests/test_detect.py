@@ -8,8 +8,6 @@ from gslda_cascade.detect import (
     DetectionWindow,
     Detections,
     GroundTruthBox,
-    ScanProfile,
-    avg_features_per_window,
     match_detections,
     merge_detections,
     overlap_ratio,
@@ -42,7 +40,7 @@ class TestScanImage:
     def test_exact_base_window_single_scan(self):
         model = empty_model(base=8)
         rng = np.random.default_rng(0)
-        wins = scan_image(model, rng.integers(0, 256, size=(8, 8))).windows()
+        wins = scan_image(model, rng.integers(0, 256, size=(8, 8)))[0].windows()
         assert len(wins) == 1
         assert (wins[0].x, wins[0].y, wins[0].side) == (0, 0, 8)
 
@@ -50,22 +48,22 @@ class TestScanImage:
         model = empty_model(base=24)
         rng = np.random.default_rng(1)
         image = rng.integers(0, 256, size=(100, 100))
-        profile = ScanProfile()
-        wins = scan_image(model, image, scale_factor=1.2, step=1.0, profile=profile).windows()
+        wins, scanned, _ = scan_image(model, image, scale_factor=1.2, step=1.0)
+        wins = wins.windows()
         oracle = pyramid_windows(100, 100, 24, 1.2, 1.0)
         assert len(wins) == len(oracle)
-        assert profile.windows_scanned == len(oracle)
+        assert scanned == len(oracle)
         got = {(w.x, w.y, w.side) for w in wins}
         assert got == {(x, y, side) for x, y, side, _ in oracle}
 
     def test_small_image_empty_result(self):
         model = empty_model(base=24)
-        assert len(scan_image(model, np.zeros((10, 10), dtype=int))) == 0
+        assert len(scan_image(model, np.zeros((10, 10), dtype=int))[0]) == 0
 
     def test_empty_model_accepts_everything(self):
         model = empty_model(base=8)
         rng = np.random.default_rng(2)
-        wins = scan_image(model, rng.integers(0, 256, size=(20, 20))).windows()
+        wins = scan_image(model, rng.integers(0, 256, size=(20, 20)))[0].windows()
         assert len(wins) == len(pyramid_windows(20, 20, 8, 1.2, 1.0))
         assert all(w.stages_passed == 0 for w in wins)
 
@@ -73,7 +71,7 @@ class TestScanImage:
         rng = np.random.default_rng(3)
         image = rng.integers(0, 256, size=(30, 30))
         model = hand_model(base=8, thresholds=(2.0, -3.0), node_thresholds=[0.5, 0.5])
-        accepted = {(w.x, w.y, w.side) for w in scan_image(model, image).windows()}
+        accepted = {(w.x, w.y, w.side) for w in scan_image(model, image)[0].windows()}
         ii = integral_image(image)
         for x, y, side, scale in pyramid_windows(30, 30, 8, 1.2, 1.0):
             ok, _, _, _ = decide_window(model, ii, x, y, scale)
@@ -83,7 +81,7 @@ class TestScanImage:
         rng = np.random.default_rng(4)
         image = rng.integers(0, 256, size=(40, 40))
         model = hand_model(base=8, thresholds=(1.0, -1.0, 4.0), node_thresholds=[0.5] * 3)
-        fast = scan_image(model, image).windows()
+        fast = scan_image(model, image)[0].windows()
         ii = integral_image(image)
         slow = []  # (x, y, side, stages) of the windows accepted without early exit
         for x, y, side, scale in pyramid_windows(40, 40, 8, 1.2, 1.0):
@@ -100,14 +98,10 @@ class TestScanImage:
         stumps_ = [DecisionStump(i, 0.0, 1) for i in (1, 4, 9)]
         reject = NodeClassifier(stumps_, [1.0, 1.0, 1.0], -1e18, "adaboost")
         model = CascadeModel(nodes=[reject], feature_pool=feats, f_target=0.5)
-        profile = ScanProfile()
-        wins = scan_image(model, image, profile=profile)
+        wins, scanned, evals = scan_image(model, image)
         assert len(wins) == 0
-        assert profile.windows_scanned == 1
-        assert profile.feature_evals == 3
-        assert avg_features_per_window(profile) == 3.0
-        with pytest.raises(ValueError):
-            avg_features_per_window(ScanProfile())
+        assert scanned == 1
+        assert evals == 3
 
 
 class TestOverlapRatio:
@@ -189,7 +183,7 @@ class TestMergeDetections:
         rng = np.random.default_rng(12)
         image = rng.integers(0, 256, size=(40, 40))
         model = hand_model(base=8, thresholds=(2.0,), node_thresholds=[0.5])
-        wins = scan_image(model, image)
+        wins = scan_image(model, image)[0]
         assert len(wins) >= 1000
         for min_neighbors in (1, 2):
             got = merge_detections(wins, min_neighbors).windows()
