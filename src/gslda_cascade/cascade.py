@@ -6,8 +6,9 @@ round (train_node): pick a stump, add it, retune the threshold, stop on the
 goal or the stump cap, else reweight the samples and retrain the stumps.
 Only the pick differs.  AdaBoost and AsymBoost take the least weighted error
 and vote by their alphas.  GSLDA takes the greatest class separation on a
-table trained once, so it neither reweights nor retrains.  BGSLDA prunes weak
-candidates and takes the greatest class separation among the survivors.
+table trained once, so it neither reweights nor retrains, and its trainer
+keeps no sort order.  BGSLDA prunes weak candidates and takes the greatest
+class separation among the survivors.
 GSLDA and BGSLDA vote by the discriminant direction.  Reweighting is one
 rule (boosting.reweight), asymmetric for asymboost and bgslda2.  A round
 builds stump outputs (StumpTable.responses) only for the rows it reads:
@@ -45,8 +46,6 @@ METHODS = ("adaboost", "asymboost", "gslda", "bgslda1", "bgslda2")
 
 #: train_cascade stops after this many stages (stop reason "max_stages").
 MAX_STAGES = 64
-# Byte budget of the row blocks in which a stage table's kept columns are copied.
-_COPY_BYTES = 1 << 20
 
 
 class BootstrapExhaustedError(RuntimeError):
@@ -212,7 +211,8 @@ def train_node(
     cap = fixed_rounds or goal.max_stumps
     k = boost_cfg.asym_k if method in ("asymboost", "bgslda2") else 1.0
 
-    trainer = stumps.StumpTrainer(values, labels, area)
+    # GSLDA trains its table once: the trainer keeps no sort order for a second call.
+    trainer = stumps.StumpTrainer(values, labels, area, keep_order=method != "gslda")
     weights = boosting.init_weights(labels)
     table = trainer.train_all(weights)
     if method == "gslda":  # one selector walks the table trained once, its outputs built once
@@ -500,19 +500,16 @@ def bootstrap_negatives(model: CascadeModel, reservoir, count: int, seed: int = 
     return np.stack(found)
 
 
-def _stage_table(extractor: FeatureExtractor, patches, table=None, cols=None) -> np.ndarray:
-    """One new stage table, (M, K + N): first the K columns cols (ascending)
-    of an earlier table, copied in row blocks of about _COPY_BYTES (none
-    without a table), then the sums of the N patches, extracted into the
-    columns after them.  Its dtype holds both parts'."""
+def _stage_table(extractor: FeatureExtractor, patches, kept=None) -> np.ndarray:
+    """One new stage table, (M, K + N): first the (M, K) sums kept (none
+    when None), then the sums of the N patches, extracted into the columns
+    after them.  Its dtype holds both parts'."""
     k, dtype = 0, extractor.sum_dtype(patches)
-    if table is not None:
-        k, dtype = len(cols), np.result_type(table.dtype, dtype)
+    if kept is not None:
+        k, dtype = kept.shape[1], np.result_type(kept.dtype, dtype)
     out = np.empty((len(extractor.pool), k + len(patches)), dtype=dtype)
     if k:
-        step = max(1, _COPY_BYTES // (table.itemsize * table.shape[1]))
-        for lo in range(0, len(out), step):
-            out[lo : lo + step, :k] = np.take(table[lo : lo + step], cols, axis=1)
+        out[:, :k] = kept
     extractor.extract(patches, out=out[:, k:])
     return out
 
@@ -535,9 +532,12 @@ def train_cascade(
     allocation at its final width, into whose column ranges the patches are
     extracted, handed to train_node and the stump trainer as it is.  After
     each stage the correctly rejected negatives leave the pool and the
-    reservoir is scanned for fresh false positives; the next stage's table is
-    again one new array, the kept columns copied over in row blocks and the
-    fresh negatives extracted into the columns after them.  Training also
+    reservoir is scanned for fresh false positives.  The kept columns are
+    then copied out, into an array of their own, and the stage table is
+    dropped before the next one is allocated, so a hand-off never holds two
+    stage tables: the next table is again one new array at its final width,
+    the kept columns copied in and the fresh negatives extracted into the
+    columns after them.  Training also
     stops when a node misses its goal or the reservoir runs dry.  The last
     stage_log record is {"stop_reason": ...}: f_target_met, goal_missed,
     bootstrap_exhausted, negatives_empty or max_stages.  The metadata holds
@@ -600,8 +600,8 @@ def train_cascade(
         if f_cum <= f_target:
             break
         # Keep only the negatives the new node accepted in training (false positives).
-        kept = np.concatenate([np.arange(n_pos), n_pos + np.flatnonzero(accepted[n_pos:])])
-        needed = target_negatives - (len(kept) - n_pos)
+        cols = np.concatenate([np.arange(n_pos), n_pos + np.flatnonzero(accepted[n_pos:])])
+        needed = target_negatives - (len(cols) - n_pos)
         fresh = np.zeros((0, base_window, base_window), dtype=np.uint8)
         if needed > 0:
             try:
@@ -612,7 +612,12 @@ def train_cascade(
             except BootstrapExhaustedError:
                 stop_reason = "bootstrap_exhausted"
                 break
-        values = _stage_table(extractor, fresh, values, kept)
+        # The kept columns are copied out and the stage table dropped before
+        # the next is allocated, so no two stage tables are held at once.
+        kept = np.take(values, cols, axis=1)
+        del values
+        values = _stage_table(extractor, fresh, kept)
+        del kept
     if stop_reason is None:
         stop_reason = "f_target_met" if f_cum <= f_target else "max_stages"
     model.stage_log.append({"stop_reason": stop_reason})

@@ -412,7 +412,8 @@ class FeatureExtractor:
     """Batch evaluation of a feature pool on same-size patches at scale 1.
 
     It reads the folded corners (see the module docstring) of the pool's
-    kinds and footprints, built anew by each extract and dropped after it.
+    kinds and footprints, built by extract for one block of features at a
+    time, so its temporaries do not grow with the pool.
     area[j] is feature j's footprint area (int64), the divisor that turns
     its sums into values.
     """
@@ -449,9 +450,10 @@ class FeatureExtractor:
     def extract(self, patches, out=None) -> np.ndarray:
         """(M, N) matrix of the exact integer sums of M features on N patches.
 
-        Per block of features, each folded corner is one gather of rows from
-        the transposed integral tables (_tables), multiplied by the corner's
-        weight and added into the block.  Every partial sum is an integer of
+        Per block of features, its folded corners are built and each is one
+        gather of rows from the transposed integral tables (_tables),
+        multiplied by the corner's weight and added into the block; no array
+        but the output grows with the pool.  Every partial sum is an integer of
         magnitude at most max|table| * sum|weights|, so the int32 or int64
         arithmetic of the tables is exact.  The sums are returned undivided:
         sums[j] equals haar_sums' sums of feature j at scale 1.  Their dtype
@@ -470,23 +472,25 @@ class FeatureExtractor:
             raise ValueError(f"out must be an ({m}, {n}) array that holds {flat.dtype}")
         if m == 0 or n == 0:
             return out
-        corners = _corners_of(self.pool.kind, self.pool.box)
-        wgt = corners[:, :, 0].astype(flat.dtype)  # zero rows pad: weight 0 adds nothing
-        rows = corners[:, :, 2] * (np.shape(patches)[2] + 1) + corners[:, :, 1]
+        kind, box, width = self.pool.kind, self.pool.box, np.shape(patches)[2] + 1
         step = max(1, _BLOCK_BYTES // (flat.itemsize * n))
         acc = np.empty((min(step, m), n), dtype=flat.dtype)
         gathered = np.empty_like(acc)
         for lo in range(0, m, step):
             hi = min(lo + step, m)
             a, g = acc[: hi - lo], gathered[: hi - lo]
+            # The block's folded corners alone, so no array grows with the pool.
+            corners = _corners_of(kind[lo:hi], box[lo:hi])
+            wgt = corners[:, :, 0].astype(flat.dtype)  # zero rows pad: weight 0 adds nothing
+            rows = corners[:, :, 2] * width + corners[:, :, 1]
             # Every kind's first corner weighs +1 (_CORNERS); in range, so clip takes no buffer.
-            np.take(flat, rows[lo:hi, 0], axis=0, out=a, mode="clip")
+            np.take(flat, rows[:, 0], axis=0, out=a, mode="clip")
             for c in range(1, corners.shape[1]):
-                w = wgt[lo:hi, c]
+                w = wgt[:, c]
                 low, high = int(w.min()), int(w.max())
                 if low == high == 0:  # every feature of the block has fewer corners
                     continue
-                np.take(flat, rows[lo:hi, c], axis=0, out=g, mode="clip")
+                np.take(flat, rows[:, c], axis=0, out=g, mode="clip")
                 if low == high == 1:
                     a += g
                 elif low == high == -1:

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
+
+# The header after the magic: width, height and maxval, each a run of
+# non-whitespace bytes after any whitespace and '#' comments (to the end of
+# their line).  Every part may be empty, so it matches any file that starts
+# with P5; an empty or non-numeric token fails int().
+_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*)*(\S*)" * 3)
 
 
 def write_pgm(path, image) -> None:
@@ -22,22 +30,9 @@ def read_pgm(path) -> np.ndarray:
         data = fh.read()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM (P5) file")
-    # header: magic, width, height, maxval; '#' comments allowed between tokens
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(t) for t in tokens)
+    header = _HEADER.match(data)
+    pos = header.end() + 1  # single whitespace after maxval
+    w, h, maxval = (int(t) for t in header.groups())
     if w < 1 or h < 1:
         raise ValueError(f"{path}: bad image size {w}x{h}")
     if maxval != 255:

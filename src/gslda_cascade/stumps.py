@@ -11,7 +11,11 @@ vectorized pass over a pre-sorted table.  The (M, N)
 table is sorted and trained a block of rows at a time, each block about
 _BLOCK_BYTES (8-byte entries in the sort, 16-byte complex128 ones in
 train_all), so the memory beyond the table, its sort order and the packed
-tie bits stays bounded however many features the pool holds.  train_all
+tie bits stays bounded however many features the pool holds.  Only a
+trainer that retrains keeps the order and tie bits (keep_order, the boosted
+methods' rounds); a table trained once, as GSLDA's, is sorted inside
+train_all's own block loop, each block's order dropped with the block, so
+nothing of (M, N) size but the table outlives the call.  train_all
 writes no (M, N) outputs: the StumpTable it returns keeps each row's least
 passing sum, and StumpTable.responses builds the +/-1 outputs of the rows a
 caller reads, a block of rows at a time, from the trainer's table.
@@ -78,6 +82,23 @@ def _sort_keys(block: np.ndarray, bits: int) -> np.ndarray:
     run <<= bits
     run |= order
     return run
+
+
+def _sorted_block(block: np.ndarray, scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(order, ties) of a block of rows of N sums: each row's stable sort
+    order, in its keys' integer dtype, and ties[:, t - 1] set when interior
+    threshold slot t lies inside a run of equal sums, where no threshold can
+    split them.  scratch, when given, is a buffer of at least 8 bytes per
+    entry of the block that the ranks are written into."""
+    bits = (block.shape[1] - 1).bit_length()
+    keys = _sort_keys(block, bits)
+    keys.sort(axis=1)
+    rank = np.right_shift(keys, bits, out=None if scratch is None else
+                          scratch.view(keys.dtype)[: keys.size].reshape(keys.shape))
+    ties = rank[:, 1:] == rank[:, :-1]
+    del rank
+    keys &= (1 << bits) - 1
+    return keys, ties
 
 
 def _sum_bound(threshold, area, dtype):
@@ -197,11 +218,18 @@ class StumpTrainer:
     the cumsum, allocated once per call (they then also hold err_plus and
     the 0/+inf tie array, and err_minus), and np.take's intp copy of each
     block of the order.
-    Between calls the trainer holds the table, its per-row sort order
-    (uint16 while N <= 65,536, which covers every paper-sized stage table,
-    else int32) and one tie bit per interior threshold slot, packed 8 to a
-    byte: 2 1/8 bytes per entry beside the table's own, 6 1/8 in all for an
-    int32 table with a uint16 order.
+    With keep_order (the default, for callers that retrain: AdaBoost,
+    AsymBoost and BGSLDA) the trainer sorts in __init__ and holds between
+    calls the table, its per-row sort order (uint16 while N <= 65,536, which
+    covers every paper-sized stage table, else int32) and one tie bit per
+    interior threshold slot, packed 8 to a byte: 2 1/8 bytes per entry
+    beside the table's own, 6 1/8 in all for an int32 table with a uint16
+    order.  Without it (GSLDA, which trains once) the trainer holds the
+    table alone, and each train_all call sorts every one of its blocks
+    before training it, by the same sort and training kernels: 4 bytes per
+    entry for an int32 table, and about 3 budgets of temporaries (the
+    block's keys stand in for its order, and its ranks use the gather's
+    buffer before the gather).  Both give the same StumpTable bit for bit.
     train_all gathers both classes' weights, packed in one complex128
     (module docstring), through the order into one cumulative sum; err_plus
     is one contiguous array and err_minus is written over the cumsum block.
@@ -210,7 +238,7 @@ class StumpTrainer:
     numbers.
     """
 
-    def __init__(self, feature_values: np.ndarray, labels: np.ndarray, area=None):
+    def __init__(self, feature_values: np.ndarray, labels: np.ndarray, area=None, keep_order: bool = True):
         values = np.atleast_2d(np.asarray(feature_values))
         if values.dtype.kind != "i":
             raise ValueError(f"feature_values must be a table of signed integer sums, got {values.dtype}")
@@ -225,19 +253,17 @@ class StumpTrainer:
         self.area = np.ones(m) if area is None else np.asarray(area, dtype=np.float64)
         if self.area.shape != (m,) or not np.all(np.isfinite(self.area) & (self.area > 0)):
             raise ValueError(f"area must hold {m} positive finite numbers, one per table row")
+        self.order = self._ties = None
+        if not keep_order:  # train_all sorts each of its blocks itself
+            return
         self.order = np.empty((m, n), dtype=np.uint16 if n <= 1 << 16 else np.int32)
         # Bit t - 1 of a row is set when interior threshold slot t lies
         # inside a run of equal values, where no threshold can split them.
         self._ties = np.empty((m, -(-(n - 1) // 8)), dtype=np.uint8)
-        bits = (n - 1).bit_length()
         for rows in self._blocks():
-            keys = _sort_keys(values[rows], bits)
-            keys.sort(axis=1)
-            rank = keys >> bits
-            self._ties[rows] = np.packbits(rank[:, 1:] == rank[:, :-1], axis=1)
-            del rank
-            keys &= (1 << bits) - 1
-            self.order[rows] = keys
+            order, ties = _sorted_block(values[rows])
+            self.order[rows] = order
+            self._ties[rows] = np.packbits(ties, axis=1)
 
     def _blocks(self, entry_bytes: int = 8) -> list[slice]:
         """Row slices of at most _BLOCK_BYTES of (N + 1)-wide rows of
@@ -267,7 +293,11 @@ class StumpTrainer:
         floats = spare.view(np.float64)
         sums = np.empty((step, n + 1), dtype=np.complex128)
         for rows in blocks:
-            order = self.order[rows]
+            if self.order is None:  # sorted for this call alone
+                order, ties = _sorted_block(self.values[rows], spare)  # spare is free until the gather
+            else:
+                order = self.order[rows]
+                ties = np.unpackbits(self._ties[rows], axis=1, count=n - 1)  # 0/1 per interior slot
             b = order.shape[0]
             # Cumulative class weights in sorted order: slot t sums positions < t.
             sorted_w = spare[: b * n].reshape(b, n)
@@ -285,9 +315,9 @@ class StumpTrainer:
             err_minus = np.subtract(total[:, None], err_plus, out=c.view(np.float64)[:, : n + 1])
             del cp, cn, c
             # Interior slots inside a run of ties get +inf, the others 0.0.
-            ties = np.unpackbits(self._ties[rows], axis=1, count=n - 1)  # 0/1 per interior slot
             tie_bits = floats[b * (n + 1) : 2 * b * n].view(np.int64).reshape(b, n - 1)
             tie_inf = np.multiply(ties, _INF_BITS, out=tie_bits, dtype=np.int64).view(np.float64)
+            del ties
             err_plus[:, 1:n] += tie_inf
             err_minus[:, 1:n] += tie_inf
 
@@ -312,5 +342,6 @@ class StumpTrainer:
 
             # A sum passes when it reaches the sum at the slot (class docstring).
             bound[rows] = values[r, order[r, np.minimum(slot, n - 1)]]
+            del order  # a sorted block's order is dropped before the next block is sorted
 
         return StumpTable(thresholds, polarity, errors, self.labels, self.values, bound)

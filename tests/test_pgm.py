@@ -42,6 +42,66 @@ def test_header_comments(tmp_path):
     assert np.array_equal(got, np.array([[0, 9, 32], [128, 200, 255]], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("header", [
+    b"P5\t3\t2\t255\n",  # tabs
+    b"P5\r\n3\r\n2\r\n255\n",  # CRLF between the tokens
+    b"P5\x0b3\x0c2 \n\t 255 ",  # vertical tab, form feed, runs of mixed whitespace
+    b"P5#magic\n3\n# between width and height\r\n2 #x\n255\n",  # comments between tokens, CRLF-ended too
+    b"P5\n#\n#\n3 2 255\r",  # empty comments; a CR as the one byte after maxval
+], ids=["tabs", "crlf", "vt-ff-runs", "comments", "empty-comments"])
+def test_header_whitespace_and_comment_forms(tmp_path, header):
+    path = tmp_path / "im.pgm"
+    pixels = bytes([0, 9, 32, 128, 200, 255])
+    path.write_bytes(header + pixels)
+    assert header_shape(header + pixels) == (2, 3)
+    assert np.array_equal(read_pgm(path), np.array([[0, 9, 32], [128, 200, 255]], dtype=np.uint8))
+
+
+def test_one_byte_after_maxval(tmp_path):
+    # Exactly one whitespace byte ends the header: after "255\r\n" the LF
+    # is the first pixel, and a comment after maxval is pixel data too.
+    path = tmp_path / "im.pgm"
+    path.write_bytes(b"P5 2 1 255\r\n\x07")
+    assert read_pgm(path).tolist() == [[10, 7]]
+    path.write_bytes(b"P5 2 1 255\n#x")
+    assert read_pgm(path).tolist() == [[ord("#"), ord("x")]]
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"P5 3 2\n# no maxval", "invalid literal"),
+    (b"P5", "invalid literal"),
+    (b"P6 3 2 255\n", "not a binary PGM"),
+    (b"P5 3 2 65535\n", "unsupported maxval"),
+    (b"P5 3 2 255\n", "pixel data shorter"),
+], ids=["no-maxval", "magic-only", "not-p5", "maxval", "short"])
+def test_bad_headers_raise_value_error(tmp_path, header, message):
+    path = tmp_path / "im.pgm"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match=message):
+        read_pgm(path)
+
+
+_SPACE = [b" ", b"\t", b"\n", b"\r\n", b"\x0b", b"\x0c"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_SPACE),
+                          st.lists(st.sampled_from(_SPACE + [b"#c\n", b"# x\r\n", b"#\n"]), max_size=4)),
+                min_size=3, max_size=3),
+       st.integers(1, 5), st.integers(1, 5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_any_separators_read_the_declared_image(tmp_path_factory, separators, h, w, data):
+    # Runs of whitespace and comments before each token, each run led by a
+    # whitespace byte, so that no comment touches the token before it.
+    pixels = bytes(data.draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w)))
+    raw = b"P5" + b"".join(lead + b"".join(rest) + token
+                           for (lead, rest), token in zip(separators, (b"%d" % w, b"%d" % h, b"255")))
+    raw += data.draw(st.sampled_from([b" ", b"\n", b"\r", b"\t"])) + pixels
+    path = tmp_path_factory.mktemp("pgm") / "im.pgm"
+    path.write_bytes(raw)
+    assert header_shape(raw) == (h, w)
+    assert read_pgm(path).tobytes() == pixels and read_pgm(path).shape == (h, w)
+
+
 @pytest.mark.parametrize("header", [b"P5\n-1 1\n255\n", b"P5\n0 4\n255\n", b"P5\n3 -2\n255\n"],
                          ids=["negative-width", "zero-width", "negative-height"])
 def test_size_below_one_rejected(tmp_path, header):

@@ -293,6 +293,36 @@ def integer_table(rng, block_rows, dtype, reach):
     return table, area, np.where(rng.random(n) < 0.4, 1, -1)
 
 
+class TestTrainOnce:
+    """A trainer without keep_order, as GSLDA's, sorts each of train_all's
+    row blocks in its loop and keeps no order: its table must be the
+    stored-order trainer's bit for bit, across block boundaries, on tied
+    sums, non-unit areas, zero weights and every key width (run numbers
+    included), on every call."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 7), st.sampled_from([np.int32, np.int64]),
+           st.sampled_from([2**4, 2**20, 2**31, 2**40, 2**62]),
+           st.sampled_from(["uniform", "binades", "zeros", "dyadic", "wide"]))
+    def test_matches_the_stored_order(self, seed, block_rows, dtype, reach, kind):
+        rng = np.random.default_rng(seed)
+        table, area, labels = integer_table(rng, block_rows, dtype, reach)
+        n = table.shape[1]
+        with pytest.MonkeyPatch.context() as mp:
+            # train_all's blocks of block_rows rows; the stored order is sorted in blocks twice as tall
+            mp.setattr(stumps, "_BLOCK_BYTES", 16 * (n + 1) * block_rows)
+            once = StumpTrainer(table, labels, area, keep_order=False)
+            assert once.order is None and once._ties is None
+            for _ in range(2):
+                w = draw_weights(rng, n, kind)
+                got = once.train_all(w)
+                expected = StumpTrainer(table, labels, area).train_all(w)
+                for name in ("thresholds", "polarity", "errors", "bound"):
+                    a, b = getattr(got, name), getattr(expected, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                assert got.sums is table and np.array_equal(got.labels, expected.labels)
+
+
 class TestResponses:
     """StumpTable.responses builds the outputs of the rows asked for from the
     trainer's table, a block of rows at a time: they must be the whole-table
@@ -481,6 +511,30 @@ class TestMemoryBound:
             tracemalloc.stop()
         excess = peak - table.errors.nbytes
         assert excess < 3 * stumps._BLOCK_BYTES  # 2.53x for the int32 table here
+
+    def test_training_once_holds_the_table_alone(self):
+        # Without keep_order the trainer holds no order or tie bits, and
+        # train_all's temporaries stay near its blocks' whatever M is: the
+        # block's keys stand in for its order and its ranks use the gather's
+        # buffer.  An (M, N) uint16 order (2 budgets here) would break it.
+        rng = np.random.default_rng(8)
+        m, n = 1500, 700
+        labels = np.where(rng.random(n) < 0.3, 1, -1)
+        w = rng.random(n)
+        w /= w.sum()
+        for high in (2**20, 2**40):  # int32 keys, then int64 keys
+            sums = rng.integers(-high, high, size=(m, n), dtype=np.int32 if high < 2**31 else np.int64)
+            trainer = StumpTrainer(sums, labels, np.full(m, 24), keep_order=False)
+            held = sum(v.nbytes for v in vars(trainer).values() if isinstance(v, np.ndarray))
+            assert held == sums.nbytes + trainer.area.nbytes + trainer.labels.nbytes
+            tracemalloc.start()
+            try:
+                table = trainer.train_all(w)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            excess = peak - table.errors.nbytes
+            assert excess < 3.25 * stumps._BLOCK_BYTES, excess / stumps._BLOCK_BYTES
 
 
 class TestInputChecks:
