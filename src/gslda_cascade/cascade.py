@@ -5,16 +5,23 @@ target only if every node accepts it.  All five training methods run one
 round (train_node): pick a stump, add it, retune the threshold, stop on the
 goal or the stump cap, else reweight the samples and retrain the stumps.
 Only the pick differs.  AdaBoost and AsymBoost take the least weighted error
-and vote by their alphas.  GSLDA takes the greatest class separation on a
-table trained once, so it neither reweights nor retrains, and its trainer
+and vote by their alphas.  GSLDA takes the greatest class separation on
+stumps trained once, so it neither reweights nor retrains, and its trainer
 keeps no sort order.  BGSLDA prunes weak candidates and takes the greatest
 class separation among the survivors.
 GSLDA and BGSLDA vote by the discriminant direction.  Reweighting is one
 rule (boosting.reweight), asymmetric for asymboost and bgslda2.  A round
-builds stump outputs (StumpTable.responses) only for the rows it reads:
-GSLDA every row once, after its one training; AdaBoost and AsymBoost the
-chosen row; BGSLDA the prune's candidates and its survivors, the latter
-straight into the selector's table.
+builds stump outputs only for the rows it reads: GSLDA every row once,
+within its one training; AdaBoost and AsymBoost the chosen row; BGSLDA the
+prune's candidates and its survivors, the latter straight into the
+selector's table (StumpTable.responses).
+
+A stage reaches train_node as its patches' sums, a features.PatchSums view
+that holds their integral tables and extracts rows on demand.  GSLDA trains
+from the view in one pass, each block of rows extracted, sorted, trained
+and turned into the selector's int8 outputs once, so its node holds no
+sums; the methods that retrain extract the stage's table once.  The
+held-out positives are a view too, read one row per chosen stump.
 
 evaluate_windows is the package's one cascade evaluator: early rejection
 over the integral table, vectorized over a lattice of windows (two ranges of
@@ -40,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import boosting, scatter, stumps
-from .features import Buffers, FeatureExtractor, FeaturePool, build_integral, haar_sums, place
+from .features import Buffers, FeatureExtractor, FeaturePool, PatchSums, build_integral, haar_sums, place
 
 METHODS = ("adaboost", "asymboost", "gslda", "bgslda1", "bgslda2")
 
@@ -134,7 +141,7 @@ class _NodeFit:
         if not (labels > 0).any() or not (labels < 0).any():
             raise ValueError("training split needs both classes")
         # Without held-out positives the training positives double as validation.
-        self.val_table = values if validation is None else np.asarray(validation)
+        self.val_table = values if validation is None else _table_or_view(validation)
         self.val_cols = np.flatnonzero(labels > 0) if validation is None else np.arange(self.val_table.shape[1])
         self.chosen: list[stumps.DecisionStump] = []
         self.train_rows: list[np.ndarray] = []  # stump outputs on the train split
@@ -148,8 +155,8 @@ class _NodeFit:
     def add(self, stump: stumps.DecisionStump, train_row: np.ndarray) -> None:
         self.chosen.append(stump)
         self.train_rows.append(train_row.copy())  # a view would keep its whole table alive
-        j = stump.feature_id
-        self.val_rows.append(stump.responses(self.val_table[j, self.val_cols], self.area[j]))
+        j = stump.feature_id  # a view extracts this one row
+        self.val_rows.append(stump.responses(self.val_table[j][self.val_cols], self.area[j]))
 
     def retune(self, coefficients) -> None:
         """Recompute threshold (validation d_min quantile), decisions and rates."""
@@ -185,24 +192,29 @@ def train_node(
 ) -> tuple[NodeClassifier, np.ndarray]:
     """Grow one node until its false-positive goal is met.
 
-    values is the (M, N) training table of the node's pool, labels the +/-1
-    sample classes; it goes to StumpTrainer as it is.  The table holds
+    values is the (M, N) training table of the node's pool, or its
+    features.PatchSums view, labels the +/-1 sample classes.  It holds
     integer sums whose row j divided by area[j] gives feature j's values
-    (area defaults to ones), as for StumpTrainer.  validation is the
-    (M, V) table of held-out positives, in the same form, used only for
-    threshold tuning; when it is None the training positives double as
-    validation.  fixed_rounds trains that many stumps regardless of the rate
-    goals (predefined-size mode); otherwise the node stops at its goal or at
-    goal.max_stumps.  Either way a sparse-LDA node ends early, with the
-    stumps it has, when its pick is None: its selector rejects every
-    candidate, or for BGSLDA no stump is left unchosen.  The stump cap also
-    sets the span over which AsymBoost amortizes its asymmetric multiplier.
+    (area defaults to ones), as for StumpTrainer.  GSLDA's one-pass trainer
+    takes it as it is, reading each block of a view once and writing the
+    selector's int8 outputs as it goes; the other methods retrain, and
+    extract a view's table once (np.asarray) for their stored-order trainer.
+    validation is the (M, V) table of held-out positives or its view, used
+    only for threshold tuning, one row per chosen stump; when it is None the
+    training positives double as validation.  fixed_rounds trains that many
+    stumps regardless of the rate goals (predefined-size mode); otherwise
+    the node stops at its goal or at goal.max_stumps.  Either way a
+    sparse-LDA node ends early, with the stumps it has, when its pick is
+    None: its selector rejects every candidate, or for BGSLDA no stump is
+    left unchosen.  The stump cap also sets the span over which AsymBoost
+    amortizes its asymmetric multiplier.
     Returns (node, accepted), accepted the node's decision on each column of
     values: node_margin >= 0.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    values = np.asarray(values)
+    # GSLDA reads each block of a view once; a method that retrains extracts its table once.
+    values = _table_or_view(values) if method == "gslda" else np.asarray(values)
     area = np.ones(len(values)) if area is None else np.asarray(area)
     labels = np.asarray(labels)
     fit = _NodeFit(values, area, labels, validation, goal, method)
@@ -214,9 +226,12 @@ def train_node(
     # GSLDA trains its table once: the trainer keeps no sort order for a second call.
     trainer = stumps.StumpTrainer(values, labels, area, keep_order=method != "gslda")
     weights = boosting.init_weights(labels)
-    table = trainer.train_all(weights)
-    if method == "gslda":  # one selector walks the table trained once, its outputs built once
-        sel = scatter.GreedySelector(table.responses(np.arange(len(table))), labels, scfg)
+    if method == "gslda":  # one selector walks the outputs built as each block is trained
+        outputs = np.empty((len(values), len(labels)), dtype=np.int8)
+        table = trainer.train_all(weights, outputs)
+        sel = scatter.GreedySelector(outputs, labels, scfg)
+    else:
+        table = trainer.train_all(weights)
     alphas: list[float] = []
     while True:
         if method == "gslda":
@@ -227,7 +242,8 @@ def train_node(
             j, sel = _bgslda_pick(fit, table, weights, scfg, boost_cfg)
         if j is None:  # no candidate left that adds class separation
             return fit.build(goal_met=fit.f <= goal.f_max)
-        row = table.responses([j])[0]  # the chosen stump's outputs, for the fit and the reweight
+        # The chosen stump's outputs, for the fit and the reweight.
+        row = sel.responses[j] if method == "gslda" else table.responses([j])[0]
         fit.add(table.stump(j), row)
         alphas.append(boosting.alpha(float(table.errors[j])))
         fit.retune(np.array(alphas) if method in ("adaboost", "asymboost") else sel.direction())
@@ -241,6 +257,11 @@ def train_node(
             weights = boosting.reweight(weights, row, labels, alphas[-1], k, rounds=cap)
             sel = None  # BGSLDA builds its next selector from the next round's survivors
             table = trainer.train_all(weights)
+
+
+def _table_or_view(values):
+    """values as an array, unless it is a PatchSums view, which stays one."""
+    return values if isinstance(values, PatchSums) else np.asarray(values)
 
 
 def _bgslda_pick(fit, table, weights, scfg, boost_cfg):
@@ -500,20 +521,6 @@ def bootstrap_negatives(model: CascadeModel, reservoir, count: int, seed: int = 
     return np.stack(found)
 
 
-def _stage_table(extractor: FeatureExtractor, patches, kept=None) -> np.ndarray:
-    """One new stage table, (M, K + N): first the (M, K) sums kept (none
-    when None), then the sums of the N patches, extracted into the columns
-    after them.  Its dtype holds both parts'."""
-    k, dtype = 0, extractor.sum_dtype(patches)
-    if kept is not None:
-        k, dtype = kept.shape[1], np.result_type(kept.dtype, dtype)
-    out = np.empty((len(extractor.pool), k + len(patches)), dtype=dtype)
-    if k:
-        out[:, :k] = kept
-    extractor.extract(patches, out=out[:, k:])
-    return out
-
-
 def train_cascade(
     pool: TrainingPool,
     goal: NodeGoal,
@@ -526,23 +533,20 @@ def train_cascade(
 ) -> CascadeModel:
     """Stack nodes until the cumulative false-positive rate reaches f_target.
 
-    A validation_split share of the positive patches is held out once,
-    before any extraction, to tune node thresholds.  Each stage's table is
-    the other positives then the current negatives, in sample order: one
-    allocation at its final width, into whose column ranges the patches are
-    extracted, handed to train_node and the stump trainer as it is.  After
+    A validation_split share of the positive patches is held out once, to
+    tune node thresholds, and handed to every node as the PatchSums view of
+    their sums.  Each stage is its patches, the other positives then the
+    current negatives, in sample order, handed to train_node as their view:
+    no table of sums is built here, and GSLDA builds none at all.  After
     each stage the correctly rejected negatives leave the pool and the
-    reservoir is scanned for fresh false positives.  The kept columns are
-    then copied out, into an array of their own, and the stage table is
-    dropped before the next one is allocated, so a hand-off never holds two
-    stage tables: the next table is again one new array at its final width,
-    the kept columns copied in and the fresh negatives extracted into the
-    columns after them.  Training also
-    stops when a node misses its goal or the reservoir runs dry.  The last
-    stage_log record is {"stop_reason": ...}: f_target_met, goal_missed,
-    bootstrap_exhausted, negatives_empty or max_stages.  The metadata holds
-    every training setting.  Raises ValueError unless feature_pool's
-    base_window is the patches' side (such a model would not load).
+    reservoir is scanned for fresh false positives; the next stage's patches
+    are the kept ones then the fresh ones, so a hand-off holds patches and
+    never sums.  Training also stops when a node misses its goal or the
+    reservoir runs dry.  The last stage_log record is {"stop_reason": ...}:
+    f_target_met, goal_missed, bootstrap_exhausted, negatives_empty or
+    max_stages.  The metadata holds every training setting.  Raises
+    ValueError unless feature_pool's base_window is the patches' side (such
+    a model would not load).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -557,13 +561,13 @@ def train_cascade(
     order = rng.permutation(len(pool.positives))
     n_val = int(pool.validation_split * len(order))
     n_pos = len(order) - n_val
-    validation = extractor.extract(pool.positives[np.sort(order[:n_val])]) if n_val else None
-    # The stage table, training positives then negatives, is the only copy:
-    # the negatives are its columns n_pos and up.
-    train_pos = pool.positives[np.sort(order[n_val:])]
-    values = _stage_table(extractor, np.concatenate([train_pos, pool.negatives]) if len(pool.negatives)
-                          else train_pos)
-    target_negatives = values.shape[1] - n_pos
+    validation = extractor.sums(pool.positives[np.sort(order[:n_val])]) if n_val else None
+    # The stage's patches, training positives then negatives, are the only
+    # copy of either: the negatives are its patches n_pos and up.
+    patches = pool.positives[np.sort(order[n_val:])]
+    if len(pool.negatives):
+        patches = np.concatenate([patches, pool.negatives])
+    target_negatives = len(patches) - n_pos
 
     scatter_cfg = scatter_cfg or scatter.ScatterConfig()
     boost_cfg = boost_cfg or boosting.BoostingConfig()
@@ -575,12 +579,12 @@ def train_cascade(
     f_cum = 1.0
     stop_reason = None
     while f_target < f_cum and len(model.nodes) < MAX_STAGES:
-        if values.shape[1] == n_pos:
+        if len(patches) == n_pos:
             stop_reason = "negatives_empty"
             break
         started = time.perf_counter()
-        labels = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(values.shape[1] - n_pos, dtype=int)])
-        node, accepted = train_node(values, labels, goal, method, scatter_cfg=scatter_cfg,
+        labels = np.concatenate([np.ones(n_pos, dtype=int), -np.ones(len(patches) - n_pos, dtype=int)])
+        node, accepted = train_node(extractor.sums(patches), labels, goal, method, scatter_cfg=scatter_cfg,
                                     boost_cfg=boost_cfg, validation=validation, area=extractor.area)
         model.nodes.append(node)
         d_cum, f_cum = model.cumulative[-1]
@@ -602,7 +606,7 @@ def train_cascade(
         # Keep only the negatives the new node accepted in training (false positives).
         cols = np.concatenate([np.arange(n_pos), n_pos + np.flatnonzero(accepted[n_pos:])])
         needed = target_negatives - (len(cols) - n_pos)
-        fresh = np.zeros((0, base_window, base_window), dtype=np.uint8)
+        fresh = patches[:0]
         if needed > 0:
             try:
                 if len(pool.negative_reservoir) == 0:
@@ -612,12 +616,7 @@ def train_cascade(
             except BootstrapExhaustedError:
                 stop_reason = "bootstrap_exhausted"
                 break
-        # The kept columns are copied out and the stage table dropped before
-        # the next is allocated, so no two stage tables are held at once.
-        kept = np.take(values, cols, axis=1)
-        del values
-        values = _stage_table(extractor, fresh, kept)
-        del kept
+        patches = np.concatenate([patches[cols], fresh])
     if stop_reason is None:
         stop_reason = "f_target_met" if f_cum <= f_target else "max_stages"
     model.stage_log.append({"stop_reason": stop_reason})

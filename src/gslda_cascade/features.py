@@ -34,16 +34,19 @@ Training extracts every feature of the pool from every patch at scale 1 with
 the same corners, by integer gathers.  The N patches' integral tables are
 built transposed, one row per table entry over all N patches, so that each
 folded corner of a block of features is one gather of rows, added in with
-its weight.  Sums are exact integers in the tables' dtype: int32 while the
-largest |table entry| times a feature's summed |weights| stays below 2**31
-(8-bit patches stay far below it), int64 past it.  From 2**50 on
-extraction raises ValueError: a stump trained on the table decides a sum by
-comparing it with the sum at its threshold slot, which equals
-DecisionStump.passes, the scan's rule, only while distinct sums' values and
-their midpoints stay apart in float64 (stumps.StumpTrainer); near 2**53
-they meet.  Extraction returns the sums undivided,
-haar_sums' at scale 1, into a new table or a column range of one the caller
-allocated.
+its weight (_sum_rows, the one extraction kernel).  Sums are exact integers
+in the tables' dtype: int32 while the largest |table entry| times a
+feature's summed |weights| stays below 2**31 (8-bit patches stay far below
+it), int64 past it.  From 2**50 on extraction raises ValueError: a stump
+trained on the table decides a sum by comparing it with the sum at its
+threshold slot, which equals DecisionStump.passes, the scan's rule, only
+while distinct sums' values and their midpoints stay apart in float64
+(stumps.StumpTrainer); near 2**53 they meet.  The sums are undivided,
+haar_sums' at scale 1.  A stack of patches is read through its PatchSums
+view, which holds the integral tables and no sums: each read extracts the
+rows it names, a block at a time, so training from the view holds (M, N)
+sums only where a caller keeps what it read.  FeatureExtractor.extract is
+the view read whole, the (M, N) table.
 """
 
 from __future__ import annotations
@@ -408,14 +411,84 @@ def haar_sums(placements, table: np.ndarray, px, py, buffers: Buffers | None = N
             yield sums
 
 
+def _sum_rows(tables: np.ndarray, width: int, kind, box, out: np.ndarray, gathered: np.ndarray) -> None:
+    """The extraction kernel: out = the exact sums of one block of features,
+    of these kinds and footprints, on the patches whose transposed integral
+    tables (FeatureExtractor._tables) tables holds, width being the patches'
+    W + 1.  Each of the block's folded corners is one gather of rows,
+    multiplied by the corner's weight and added in; gathered is a scratch
+    array of out's shape, and both are contiguous and of the tables' dtype.
+    Every partial sum is an integer of magnitude at most max|table| *
+    sum|weights|, so the tables' integer arithmetic is exact."""
+    corners = _corners_of(kind, box)  # the block's alone, so no array grows with the pool
+    wgt = corners[:, :, 0].astype(tables.dtype)  # zero rows pad: weight 0 adds nothing
+    rows = corners[:, :, 2] * width + corners[:, :, 1]
+    # Every kind's first corner weighs +1 (_CORNERS); in range, so clip takes no buffer.
+    np.take(tables, rows[:, 0], axis=0, out=out, mode="clip")
+    for c in range(1, corners.shape[1]):
+        w = wgt[:, c]
+        low, high = int(w.min()), int(w.max())
+        if low == high == 0:  # every feature of the block has fewer corners
+            continue
+        np.take(tables, rows[:, c], axis=0, out=gathered, mode="clip")
+        if low == high == 1:
+            out += gathered
+        elif low == high == -1:
+            out -= gathered
+        else:
+            gathered *= w[:, None]
+            out += gathered
+
+
+class PatchSums:
+    """The (M, N) sums of a pool's M features on N patches, as a read-only
+    view that holds the patches' transposed integral tables and never the
+    sums: indexing it extracts the rows asked for, a block of about
+    _BLOCK_BYTES at a time, by the one extraction kernel (_sum_rows).  view[j]
+    is row j, and view[rows], for a slice or an array of row indices, the
+    (len(rows), N) array of those rows in that order; np.asarray(view) is
+    FeatureExtractor.extract's whole table.  shape and dtype are the sums'
+    (the tables' dtype, by the bound of the module docstring).  Built by
+    FeatureExtractor.sums.
+    """
+
+    def __init__(self, extractor: FeatureExtractor, patches):
+        self.extractor = extractor
+        self.tables = extractor._tables(patches)
+        self.width = np.shape(patches)[2] + 1
+        self.shape = (len(extractor.pool), self.tables.shape[1])
+        self.dtype = self.tables.dtype
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows) -> np.ndarray:
+        if isinstance(rows, (int, np.integer)):
+            return self[[rows]][0]
+        pool = self.extractor.pool
+        kind, box = pool.kind[rows], pool.box[rows]
+        m, n = len(kind), self.shape[1]
+        out = np.empty((m, n), dtype=self.dtype)
+        step = max(1, _BLOCK_BYTES // (self.dtype.itemsize * max(n, 1)))
+        gathered = np.empty((min(step, m), n), dtype=self.dtype)
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            _sum_rows(self.tables, self.width, kind[lo:hi], box[lo:hi], out[lo:hi], gathered[: hi - lo])
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        sums = self.extractor.extract(self)
+        return sums if dtype is None else sums.astype(dtype, copy=False)
+
+
 class FeatureExtractor:
     """Batch evaluation of a feature pool on same-size patches at scale 1.
 
-    It reads the folded corners (see the module docstring) of the pool's
-    kinds and footprints, built by extract for one block of features at a
-    time, so its temporaries do not grow with the pool.
-    area[j] is feature j's footprint area (int64), the divisor that turns
-    its sums into values.
+    sums(patches) is the patches' PatchSums view, which extracts any rows on
+    demand, and extract the whole (M, N) table; both read the folded corners
+    (see the module docstring) of one block of features at a time, so their
+    temporaries do not grow with the pool.  area[j] is feature j's footprint
+    area (int64), the divisor that turns its sums into values.
     """
 
     def __init__(self, pool: FeaturePool):
@@ -440,63 +513,21 @@ class FeatureExtractor:
                              "than the scan")
         return table.reshape((h + 1) * (w + 1), n)
 
-    def sum_dtype(self, patches) -> np.dtype:
-        """The dtype of extract's sums on these patches, by the reach alone for unsigned ones."""
-        patches = np.asarray(patches)
-        if patches.dtype.kind in "bu":
-            return np.dtype(np.int32 if _unsigned_reach(np.moveaxis(patches, 0, -1), self._l1) < 2**31 else np.int64)
-        return self._tables(patches).dtype
+    def sums(self, patches) -> PatchSums:
+        """The sums of the pool's features on a (N, H, W) stack of patches,
+        as a view that extracts rows when they are read.  Raises as extract
+        does."""
+        return PatchSums(self, patches)
 
-    def extract(self, patches, out=None) -> np.ndarray:
-        """(M, N) matrix of the exact integer sums of M features on N patches.
+    def extract(self, patches) -> np.ndarray:
+        """(M, N) matrix of the exact integer sums of M features on N patches,
+        a (N, H, W) stack or its PatchSums view: every row of the view.
 
-        Per block of features, its folded corners are built and each is one
-        gather of rows from the transposed integral tables (_tables),
-        multiplied by the corner's weight and added into the block; no array
-        but the output grows with the pool.  Every partial sum is an integer of
-        magnitude at most max|table| * sum|weights|, so the int32 or int64
-        arithmetic of the tables is exact.  The sums are returned undivided:
-        sums[j] equals haar_sums' sums of feature j at scale 1.  Their dtype
-        is int32 while that bound stays below 2**31 (8-bit patches stay far
-        below it) and int64 past it.  out, when given, is an (M, N) array,
-        for example a column range of a larger table, whose dtype holds that
-        dtype; the sums are written into it and it is returned.  Raises
-        ValueError when the bound could reach 2**50 (module docstring) or out does not fit, and
-        IndexError when a footprint leaves the patches.
+        The sums are returned undivided: sums[j] equals haar_sums' sums of
+        feature j at scale 1.  Their dtype is int32 while max|table| *
+        sum|weights| stays below 2**31 (8-bit patches stay far below it) and
+        int64 past it.  Raises ValueError when that bound could reach 2**50
+        (module docstring), and IndexError when a footprint leaves the
+        patches.
         """
-        flat = self._tables(patches)
-        m, n = len(self.pool), flat.shape[1]
-        if out is None:
-            out = np.empty((m, n), dtype=flat.dtype)
-        elif out.shape != (m, n) or np.result_type(flat.dtype, out.dtype) != out.dtype:
-            raise ValueError(f"out must be an ({m}, {n}) array that holds {flat.dtype}")
-        if m == 0 or n == 0:
-            return out
-        kind, box, width = self.pool.kind, self.pool.box, np.shape(patches)[2] + 1
-        step = max(1, _BLOCK_BYTES // (flat.itemsize * n))
-        acc = np.empty((min(step, m), n), dtype=flat.dtype)
-        gathered = np.empty_like(acc)
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            a, g = acc[: hi - lo], gathered[: hi - lo]
-            # The block's folded corners alone, so no array grows with the pool.
-            corners = _corners_of(kind[lo:hi], box[lo:hi])
-            wgt = corners[:, :, 0].astype(flat.dtype)  # zero rows pad: weight 0 adds nothing
-            rows = corners[:, :, 2] * width + corners[:, :, 1]
-            # Every kind's first corner weighs +1 (_CORNERS); in range, so clip takes no buffer.
-            np.take(flat, rows[:, 0], axis=0, out=a, mode="clip")
-            for c in range(1, corners.shape[1]):
-                w = wgt[:, c]
-                low, high = int(w.min()), int(w.max())
-                if low == high == 0:  # every feature of the block has fewer corners
-                    continue
-                np.take(flat, rows[:, c], axis=0, out=g, mode="clip")
-                if low == high == 1:
-                    a += g
-                elif low == high == -1:
-                    a -= g
-                else:
-                    g *= w[:, None]
-                    a += g
-            out[lo:hi] = a
-        return out
+        return (patches if isinstance(patches, PatchSums) else self.sums(patches))[:]

@@ -8,9 +8,12 @@ import numpy as np
 
 # The header after the magic: width, height and maxval, each a run of
 # non-whitespace bytes after any whitespace and '#' comments (to the end of
-# their line).  Every part may be empty, so it matches any file that starts
-# with P5; an empty or non-numeric token fails int().
-_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*)*(\S*)" * 3)
+# their line).  A '#' ends the width and height tokens, as Netpbm starts a
+# comment wherever a '#' stands before the raster; it stays in maxval, whose
+# next byte is the one that ends the header.  Every part may be empty, so it
+# matches any file that starts with P5; an empty or non-numeric token fails
+# int().
+_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*)*([^\s#]*)" * 2 + rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def write_pgm(path, image) -> None:

@@ -15,10 +15,15 @@ tie bits stays bounded however many features the pool holds.  Only a
 trainer that retrains keeps the order and tie bits (keep_order, the boosted
 methods' rounds); a table trained once, as GSLDA's, is sorted inside
 train_all's own block loop, each block's order dropped with the block, so
-nothing of (M, N) size but the table outlives the call.  train_all
-writes no (M, N) outputs: the StumpTable it returns keeps each row's least
-passing sum, and StumpTable.responses builds the +/-1 outputs of the rows a
-caller reads, a block of rows at a time, from the trainer's table.
+nothing of (M, N) size but the table outlives the call.  Such a trainer
+also takes the sums as a features.PatchSums view of the stage's patches,
+which it never holds whole: train_all extracts each row block from the
+view, sorts it, trains it and, when asked, writes its int8 +/-1 outputs
+while the block is at hand, one pass over the pool, so GSLDA's node holds
+its outputs and no sums.  train_all writes no (M, N) outputs otherwise: the
+StumpTable it returns keeps each row's least passing sum, and
+StumpTable.responses builds the +/-1 outputs of the rows a caller reads, a
+block of rows at a time, from the trainer's table or view.
 
 train_all sweeps both classes at once: each sample's weight is one
 complex128, its real part the weight of a positive and its imaginary part
@@ -48,6 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .features import PatchSums
 
 # Byte budget of one row block of StumpTrainer: rows of N + 1 entries, of
 # 8 bytes in the sort and 16 (one complex128) in train_all.
@@ -148,24 +155,36 @@ class DecisionStump:
         return np.where(self.passes(sums, area), self.polarity, -self.polarity).astype(np.int8)
 
 
+def _outputs(sums, bound, thresholds, polarity, out) -> None:
+    """out = the int8 +/-1 outputs of a block of stumps on their rows of
+    sums: a sum passes when it is at least its row's bound, and a +inf
+    threshold passes none."""
+    # 2 * passes - 1 is +/-1, times the polarity in place.
+    np.greater_equal(sums, bound[:, None], out=out.view(bool))
+    out[thresholds == np.inf] = 0
+    out *= 2
+    out -= 1
+    out *= polarity[:, None]
+
+
 @dataclass
 class StumpTable:
     """One trained stump per candidate feature, as arrays.
 
     Stump j thresholds feature j at thresholds[j] with polarity[j], and
     errors[j] is its weighted error under the weights the table was trained
-    with.  sums is the trainer's (M, N) table of integer sums, held, not
-    copied, and bound[j] the least sum of row j that passes (the sum at the
-    chosen slot, in sums' dtype): responses builds any rows' outputs from
-    them on demand.  labels are kept so the table is self-contained for
-    edge/pruning computations.
+    with.  sums is the trainer's (M, N) table of integer sums, or its
+    PatchSums view, held, not copied, and bound[j] the least sum of row j
+    that passes (the sum at the chosen slot, in sums' dtype): responses
+    builds any rows' outputs from them on demand.  labels are kept so the
+    table is self-contained for edge/pruning computations.
     """
 
     thresholds: np.ndarray  # (M,) float64
     polarity: np.ndarray  # (M,) int8 in {-1, +1}
     errors: np.ndarray  # (M,)
     labels: np.ndarray  # (N,) in {-1, +1}
-    sums: np.ndarray  # (M, N) signed integers, the trainer's table
+    sums: np.ndarray | PatchSums  # (M, N) signed integers, the trainer's table or view
     bound: np.ndarray  # (M,) in sums' dtype
 
     def __len__(self) -> int:
@@ -186,15 +205,11 @@ class StumpTable:
         n = self.sums.shape[1]
         if out is None:
             out = np.empty((len(rows), n), dtype=np.int8)
-        step = max(1, _BLOCK_BYTES // (self.sums.itemsize * n))
+        step = max(1, _BLOCK_BYTES // (self.sums.dtype.itemsize * n))
         for lo in range(0, len(rows), step):
-            block, o = rows[lo : lo + step], out[lo : lo + step]
-            # 2 * passes - 1 is +/-1, times the polarity in place.
-            np.greater_equal(self.sums[block], self.bound[block, None], out=o.view(bool))
-            o[self.thresholds[block] == np.inf] = 0
-            o *= 2
-            o -= 1
-            o *= self.polarity[block, None]
+            block = rows[lo : lo + step]
+            _outputs(self.sums[block], self.bound[block], self.thresholds[block], self.polarity[block],
+                     out[lo : lo + step])
         return out
 
 
@@ -202,9 +217,11 @@ class StumpTrainer:
     """Pre-sorted stump training over a fixed (M, N) feature table.
 
     The table holds signed integer sums (any other dtype raises ValueError),
-    as FeatureExtractor.extract returns them: row j divided by area[j] gives
-    feature j's values, and area defaults to ones.  A row's area is fixed
-    and positive, so its sums sort like its values; only thresholds divide.
+    as FeatureExtractor.extract returns them, or is their PatchSums view,
+    whose rows are extracted as each block is read: row j divided by
+    area[j] gives feature j's values, and area defaults to ones.  A row's
+    area is fixed and positive, so its sums sort like its values; only
+    thresholds divide.
     Candidate thresholds sit at midpoints of consecutive distinct values
     plus -inf/+inf sentinels; ties break toward the smaller threshold, then
     polarity +1.  Outputs compare sums with the sum just above the
@@ -216,8 +233,8 @@ class StumpTrainer:
     _BLOCK_BYTES, so their temporaries stay near that budget whatever M is:
     about 2.5 budgets in train_all: its two complex blocks, the gather and
     the cumsum, allocated once per call (they then also hold err_plus and
-    the 0/+inf tie array, and err_minus), and np.take's intp copy of each
-    block of the order.
+    the 0/+inf tie array, and err_minus, contiguous, so that argmin reads
+    it in place), and np.take's intp copy of each block of the order.
     With keep_order (the default, for callers that retrain: AdaBoost,
     AsymBoost and BGSLDA) the trainer sorts in __init__ and holds between
     calls the table, its per-row sort order (uint16 while N <= 65,536, which
@@ -225,11 +242,15 @@ class StumpTrainer:
     interior threshold slot, packed 8 to a byte: 2 1/8 bytes per entry
     beside the table's own, 6 1/8 in all for an int32 table with a uint16
     order.  Without it (GSLDA, which trains once) the trainer holds the
-    table alone, and each train_all call sorts every one of its blocks
-    before training it, by the same sort and training kernels: 4 bytes per
-    entry for an int32 table, and about 3 budgets of temporaries (the
-    block's keys stand in for its order, and its ranks use the gather's
-    buffer before the gather).  Both give the same StumpTable bit for bit.
+    table alone, or the view and no sums, and each train_all call reads and
+    sorts every one of its blocks before training it, by the same sort and
+    training kernels: 4 bytes per entry for an int32 table, none for a view,
+    and about 3 budgets of temporaries (the block's keys stand in for its
+    order, and its ranks use the gather's buffer before the gather), plus
+    the block's extracted sums for a view.  Both give the same StumpTable
+    bit for bit.  train_all(weights, outputs) also writes every stump's
+    int8 +/-1 outputs (StumpTable.responses's rule) into the (M, N) array
+    outputs, a block at a time as the block is trained.
     train_all gathers both classes' weights, packed in one complex128
     (module docstring), through the order into one cumulative sum; err_plus
     is one contiguous array and err_minus is written over the cumsum block.
@@ -238,8 +259,10 @@ class StumpTrainer:
     numbers.
     """
 
-    def __init__(self, feature_values: np.ndarray, labels: np.ndarray, area=None, keep_order: bool = True):
-        values = np.atleast_2d(np.asarray(feature_values))
+    def __init__(self, feature_values, labels: np.ndarray, area=None, keep_order: bool = True):
+        values = feature_values
+        if not isinstance(values, PatchSums):  # a view stays one, read a block of rows at a time
+            values = np.atleast_2d(np.asarray(values))
         if values.dtype.kind != "i":
             raise ValueError(f"feature_values must be a table of signed integer sums, got {values.dtype}")
         labels = np.asarray(labels)
@@ -272,7 +295,7 @@ class StumpTrainer:
         step = max(1, _BLOCK_BYTES // (entry_bytes * (n + 1)))
         return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
-    def train_all(self, weights: np.ndarray) -> StumpTable:
+    def train_all(self, weights: np.ndarray, outputs: np.ndarray | None = None) -> StumpTable:
         m, n = self.values.shape
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n,):
@@ -293,8 +316,9 @@ class StumpTrainer:
         floats = spare.view(np.float64)
         sums = np.empty((step, n + 1), dtype=np.complex128)
         for rows in blocks:
+            values = self.values[rows]  # a view's rows are extracted here, once a call
             if self.order is None:  # sorted for this call alone
-                order, ties = _sorted_block(self.values[rows], spare)  # spare is free until the gather
+                order, ties = _sorted_block(values, spare)  # spare is free until the gather
             else:
                 order = self.order[rows]
                 ties = np.unpackbits(self._ties[rows], axis=1, count=n - 1)  # 0/1 per interior slot
@@ -311,8 +335,9 @@ class StumpTrainer:
             # sorted_w is not read again: its 2bn floats hold err_plus, then tie_inf.
             err_plus = np.subtract(cn[:, -1:], cn, out=floats[: b * (n + 1)].reshape(b, n + 1))
             err_plus += cp
-            # c is not read again, so err_minus takes the first half of its bytes.
-            err_minus = np.subtract(total[:, None], err_plus, out=c.view(np.float64)[:, : n + 1])
+            # c is not read again, so err_minus takes its first b(n+1) floats, contiguous for argmin.
+            err_minus = np.subtract(total[:, None], err_plus,
+                                    out=sums.view(np.float64).reshape(-1)[: b * (n + 1)].reshape(b, n + 1))
             del cp, cn, c
             # Interior slots inside a run of ties get +inf, the others 0.0.
             tie_bits = floats[b * (n + 1) : 2 * b * n].view(np.int64).reshape(b, n - 1)
@@ -332,7 +357,6 @@ class StumpTrainer:
             polarity[rows] = np.where(use_minus, -1, 1)
             errors[rows] = np.where(use_minus, em, ep)
 
-            values = self.values[rows]
             thr = thresholds[rows]
             thr[slot == 0] = -np.inf
             thr[slot == n] = np.inf
@@ -343,5 +367,8 @@ class StumpTrainer:
             # A sum passes when it reaches the sum at the slot (class docstring).
             bound[rows] = values[r, order[r, np.minimum(slot, n - 1)]]
             del order  # a sorted block's order is dropped before the next block is sorted
+            if outputs is not None:
+                _outputs(values, bound[rows], thr, polarity[rows], outputs[rows])
+            del values
 
         return StumpTable(thresholds, polarity, errors, self.labels, self.values, bound)

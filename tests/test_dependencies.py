@@ -1,7 +1,10 @@
 """numpy is the package's only runtime dependency: every import in
-src/gslda_cascade is the standard library, numpy or the package itself."""
+src/gslda_cascade is the standard library, numpy or the package itself, and
+the detect and eval commands load no part of numpy they do not use."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +38,36 @@ def test_imports_only_stdlib_and_numpy(path):
 def test_guard_catches_a_foreign_import():
     tree = ast.parse("import os\nfrom scipy import linalg\nfrom . import features\nimport numpy.linalg\n")
     assert sorted(set(imported_roots(tree)) - ALLOWED) == ["scipy"]
+
+
+def _fresh_run(tmp_path, argv, prelude=""):
+    """(exit code, whether numpy.random was imported) of one CLI command run
+    in a fresh interpreter, after the prelude statement."""
+    src = str(Path(gslda_cascade.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (f"{prelude}\nimport sys\nfrom gslda_cascade import cli\n"
+            f"print(cli.main({argv!r}), 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout.split()
+    return int(out[-2]), out[-1] == "True"
+
+
+def test_detect_and_eval_never_import_numpy_random(tmp_path):
+    # numpy loads numpy.random on first use only, and importing it raises a
+    # fresh process's peak RSS by several MB; the scan needs no random
+    # numbers, so a stray import would raise the detect workloads' floor.
+    from gslda_cascade import cli
+    from gslda_cascade.cascade import CascadeModel, NodeClassifier
+    from gslda_cascade.features import PoolParams, build_pool
+    from gslda_cascade.model_io import save_model
+    from gslda_cascade.stumps import DecisionStump
+
+    assert cli.main(["synth", "--out", str(tmp_path / "corpus"), "--n-pos", "0", "--n-neg", "0",
+                     "--reservoir", "0", "--scenes", "2", "--seed", "0"]) == 0
+    node = NodeClassifier([DecisionStump(5, 0.0, 1)], [1.0], 0.5, "adaboost")
+    save_model(CascadeModel([node], build_pool(PoolParams(24)), 0.5), str(tmp_path / "model.json"))
+    detect = ["detect", "model.json", "corpus/scenes", "--out", "detections.csv"]
+    evaluate = ["eval", "model.json", "corpus/manifest.json", "--out", "roc.csv"]
+    assert _fresh_run(tmp_path, detect) == (0, False)
+    assert _fresh_run(tmp_path, evaluate) == (0, False)
+    assert _fresh_run(tmp_path, detect, "import numpy.random") == (0, True)  # the probe sees an import

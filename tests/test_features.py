@@ -537,53 +537,51 @@ class TestFeatureExtractor:
         empty = build_pool(PoolParams(base_window=1))  # no kind fits a 1x1 window
         assert FeatureExtractor(empty).extract(np.zeros((3, 2, 2), dtype=np.uint8)).shape == (0, 3)
 
-    def test_writes_into_a_column_range(self):
-        # A stage table is allocated once and each patch stack is extracted
-        # into its own columns; out must hold the sums' dtype.
+    def test_view_reads_the_extracted_rows(self):
+        # A stage is handed over as the PatchSums view of its patches: any
+        # rows read from it, by index, slice or index array, in any order and
+        # with repeats, are the extracted table's rows in the table's dtype,
+        # and np.asarray of it is the table.
         pool = build_pool(PoolParams(base_window=6, subsample=7))
         extractor = FeatureExtractor(pool)
         rng = np.random.default_rng(3)
         small = rng.integers(0, 256, size=(4, 6, 6), dtype=np.uint8)
         large = small.astype(np.int64) << 24  # sums past int32
-        assert extractor.sum_dtype(small) == extractor.extract(small).dtype == np.int32
-        assert extractor.sum_dtype(large) == extractor.extract(large).dtype == np.int64
         unsigned = large.astype(np.uint32)  # the reach alone gives its dtype
-        assert extractor.sum_dtype(unsigned) == extractor.extract(unsigned).dtype == np.int64
-        table = np.full((len(pool), 9), -7, dtype=np.int64)
-        assert np.shares_memory(extractor.extract(small, out=table[:, 1:5]), table)
-        extractor.extract(large, out=table[:, 5:])
-        assert (table[:, 0] == -7).all()
-        assert np.array_equal(table[:, 1:5], extractor.extract(small))
-        assert np.array_equal(table[:, 5:], extractor.extract(large))
-        for out in (np.empty((len(pool), 4), dtype=np.int32), np.empty((len(pool), 3), dtype=np.int64)):
-            with pytest.raises(ValueError, match="out"):
-                extractor.extract(large, out=out)
+        for patches, dtype in ((small, np.int32), (large, np.int64), (unsigned, np.int64)):
+            table, view = extractor.extract(patches), extractor.sums(patches)
+            assert table.dtype == view.dtype == dtype and view.shape == table.shape == (len(pool), 4)
+            assert len(view) == len(pool)
+            rows = rng.integers(0, len(pool), size=9)
+            assert view[rows].dtype == dtype and np.array_equal(view[rows], table[rows])
+            assert np.array_equal(view[3:11], table[3:11]) and np.array_equal(view[-4], table[-4])
+            assert view[[]].shape == (0, 4)
+            assert np.asarray(view).tobytes() == table.tobytes() and extractor.extract(view).dtype == dtype
 
     def test_no_patches(self):
         pool = build_pool(PoolParams(base_window=6, subsample=67))
         extractor = FeatureExtractor(pool)
         assert extractor.extract(np.zeros((0, 6, 6), dtype=np.uint8)).shape == (10, 0)
-        table = np.full((10, 3), -1, dtype=np.int64)
-        assert extractor.extract(np.zeros((0, 6, 6), dtype=np.uint8), out=table[:, 3:]).shape == (10, 0)
-        assert (table == -1).all()
+        view = extractor.sums(np.zeros((0, 6, 6), dtype=np.uint8))
+        assert view.shape == (10, 0) and view[3:].shape == (7, 0) and view[2].shape == (0,)
 
     def test_transient_memory_does_not_grow_with_the_pool(self):
         # Extraction builds the folded corners, gather rows and weights of one
         # block of features at a time, so beside its output it holds the
-        # patches' integral tables, two blocks of gathered rows and one
+        # patches' integral tables, one block of gathered rows and one
         # block's corners, whatever the pool's size.  Corners built for the
         # whole 24 x 24 pool (162,336 features) up front took 53.4 MB here.
         patches = np.random.default_rng(4).integers(0, 256, size=(100, 24, 24), dtype=np.uint8)
         for params in (PoolParams(base_window=12), PoolParams(base_window=24)):
             extractor = FeatureExtractor(build_pool(params))  # decodes and keeps the pool's kinds and boxes
-            out = np.empty((len(extractor.pool), len(patches)), dtype=np.int32)
             tracemalloc.start()
             try:
-                extractor.extract(patches, out=out)
+                out = extractor.extract(patches)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 6 * _BLOCK_BYTES, (len(extractor.pool), peak)
+            assert out.dtype == np.int32
+            assert peak - out.nbytes < 6 * _BLOCK_BYTES, (len(extractor.pool), peak - out.nbytes)
             if params.base_window == 12:  # 655 features a block: the oracle across block boundaries
                 assert (out / extractor.area[:, None]).tobytes() == extract(extractor.pool, patches).tobytes()
 

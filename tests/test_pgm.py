@@ -57,6 +57,16 @@ def test_header_whitespace_and_comment_forms(tmp_path, header):
     assert np.array_equal(read_pgm(path), np.array([[0, 9, 32], [128, 200, 255]], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("header", [b"P5 3#c\n2 255\n", b"P5 3 2#c\n255\n"], ids=["after-width", "after-height"])
+def test_comment_glued_to_a_size_token(tmp_path, header):
+    # A '#' that touches the width or height starts a comment, to the line's end.
+    path = tmp_path / "im.pgm"
+    pixels = bytes([0, 9, 32, 128, 200, 255])
+    path.write_bytes(header + pixels)
+    assert header_shape(header + pixels) == (2, 3)
+    assert np.array_equal(read_pgm(path), np.array([[0, 9, 32], [128, 200, 255]], dtype=np.uint8))
+
+
 def test_one_byte_after_maxval(tmp_path):
     # Exactly one whitespace byte ends the header: after "255\r\n" the LF
     # is the first pixel, and a comment after maxval is pixel data too.
