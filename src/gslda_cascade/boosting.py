@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stumps
 from .stumps import StumpTable
 
 #: alpha clamps weighted errors to [ERROR_FLOOR, 1 - ERROR_FLOOR].
@@ -87,14 +88,42 @@ def reweight(w, responses, labels, a: float, k: float = 1.0, rounds: int = 1) ->
     return _renormalize(w * np.exp(-0.5 * a * yh) * asym)
 
 
-def prune_stumps(table: StumpTable, w, cfg: BoostingConfig):
+def prune_candidates(table: StumpTable, w, cfg: BoostingConfig) -> np.ndarray:
+    """The ascending rows whose edges prune_stumps sums: those whose trained
+    errors put them within reach of its band (prune_stumps' filter)."""
+    w = np.asarray(w, dtype=np.float64)
+    total = float(w.sum())
+    approx = total - 2.0 * table.errors
+    slack = math.ldexp((len(w) + 2) * total, -47)
+    return np.flatnonzero(approx >= approx.max() - 2.0 * cfg.prune_epsilon - slack)
+
+
+def compact_rows(rows: np.ndarray, keep) -> int:
+    """Moves the rows where keep is set to the front of rows, in their order,
+    in place, and returns their count.  Rows move a block of about
+    _BLOCK_BYTES at a time, each block through one copy, and a block already
+    in place does not move."""
+    kept = np.flatnonzero(keep)
+    step = max(1, stumps._BLOCK_BYTES // max(rows.shape[1] * rows.itemsize, 1))
+    for lo in range(0, len(kept), step):
+        block = kept[lo : lo + step]
+        if block[0] != lo or block[-1] != lo + len(block) - 1:  # a later row moves up
+            rows[lo : lo + len(block)] = rows[block]  # a copy first: every source lies at or past lo
+    return len(kept)
+
+
+def prune_stumps(table: StumpTable, w, cfg: BoostingConfig, out: np.ndarray | None = None):
     """Keep stumps whose weighted error is within epsilon of the best bound.
 
     A stump's edge is sum_i w_i y_i h_j(x_i), summed by np.einsum over its
     outputs; beta_k is the best edge and e_k = (1 - beta_k) / 2.  Returns
     (indices with edge >= beta_k - 2 epsilon, which is error <= e_k +
     epsilon, and EdgeStats); the stump attaining beta_k (the first, on ties)
-    always survives.
+    always survives.  out, when given, is an int8 array of one row per
+    candidate (prune_candidates) that the candidates' outputs are built in,
+    once; the survivors' rows are then moved to its front, in order, in
+    place (compact_rows), so that BGSLDA's selector reads them where they
+    were built.
 
     Edges are summed for the candidates of a filter only.  The filter reads
     the errors the table was trained with, under the same nonnegative w:
@@ -117,11 +146,9 @@ def prune_stumps(table: StumpTable, w, cfg: BoostingConfig):
     if len(table) == 0:
         raise ValueError("empty stump table")
     w = np.asarray(w, dtype=np.float64)
-    total = float(w.sum())
-    approx = total - 2.0 * table.errors
-    slack = math.ldexp((len(w) + 2) * total, -47)
-    candidates = np.flatnonzero(approx >= approx.max() - 2.0 * cfg.prune_epsilon - slack)
-    edges = np.einsum("mn,n->m", table.responses(candidates), w * table.labels)  # no float copy
+    candidates = prune_candidates(table, w, cfg)
+    outputs = table.responses(candidates, out=out)
+    edges = np.einsum("mn,n->m", outputs, w * table.labels)  # no float copy
     best = int(np.argmax(edges))
     beta_k = float(edges[best])
     e_k = 0.5 - 0.5 * beta_k
@@ -129,4 +156,6 @@ def prune_stumps(table: StumpTable, w, cfg: BoostingConfig):
     # edges vector keeps exact ties (eps = 0) stable against rounding.
     keep = edges >= beta_k - 2.0 * cfg.prune_epsilon
     keep[best] = True
+    if out is not None:
+        compact_rows(out, keep)
     return candidates[keep], EdgeStats(beta_k, e_k)

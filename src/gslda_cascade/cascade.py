@@ -11,16 +11,20 @@ keeps no sort order.  BGSLDA prunes weak candidates and takes the greatest
 class separation among the survivors.
 GSLDA and BGSLDA vote by the discriminant direction.  Reweighting is one
 rule (boosting.reweight), asymmetric for asymboost and bgslda2.  A round
-builds stump outputs only for the rows it reads: GSLDA every row once,
-within its one training; AdaBoost and AsymBoost the chosen row; BGSLDA the
-prune's candidates and its survivors, the latter straight into the
-selector's table (StumpTable.responses).
+builds stump outputs only for the rows it reads (StumpTable.responses), and
+each of them once: GSLDA every row, within its one training; AdaBoost and
+AsymBoost the chosen row; BGSLDA the prune's candidates, straight into the
+selector's table after the chosen rows, where the prune sums their edges
+and compacts them to the survivors.
 
 A stage reaches train_node as its patches' sums, a features.PatchSums view
-that holds their integral tables and extracts rows on demand.  GSLDA trains
-from the view in one pass, each block of rows extracted, sorted, trained
-and turned into the selector's int8 outputs once, so its node holds no
-sums; the methods that retrain extract the stage's table once.  The
+that holds their integral tables and extracts rows on demand, and no
+method builds the stage's table.  GSLDA trains from the view in one pass,
+each block of rows extracted, sorted, trained and turned into the
+selector's int8 outputs once.  The methods that retrain extract each block
+once for the stored-order trainer's sort, which keeps the order and tie
+bits alone; each round then reads two sums a row, at the chosen slots, and
+extracts the rows it builds.  So no node holds the stage's sums.  The
 held-out positives are a view too, read one row per chosen stump.
 
 evaluate_windows is the package's one cascade evaluator: early rejection
@@ -195,10 +199,11 @@ def train_node(
     values is the (M, N) training table of the node's pool, or its
     features.PatchSums view, labels the +/-1 sample classes.  It holds
     integer sums whose row j divided by area[j] gives feature j's values
-    (area defaults to ones), as for StumpTrainer.  GSLDA's one-pass trainer
-    takes it as it is, reading each block of a view once and writing the
-    selector's int8 outputs as it goes; the other methods retrain, and
-    extract a view's table once (np.asarray) for their stored-order trainer.
+    (area defaults to ones), as for StumpTrainer.  Every method's trainer
+    takes it as it is.  GSLDA's one-pass trainer reads each block of a view
+    once and writes the selector's int8 outputs as it goes; the other
+    methods retrain, and their stored-order trainer reads each block of a
+    view once for its sort, then two sums a row per round.
     validation is the (M, V) table of held-out positives or its view, used
     only for threshold tuning, one row per chosen stump; when it is None the
     training positives double as validation.  fixed_rounds trains that many
@@ -213,8 +218,7 @@ def train_node(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    # GSLDA reads each block of a view once; a method that retrains extracts its table once.
-    values = _table_or_view(values) if method == "gslda" else np.asarray(values)
+    values = _table_or_view(values)
     area = np.ones(len(values)) if area is None else np.asarray(area)
     labels = np.asarray(labels)
     fit = _NodeFit(values, area, labels, validation, goal, method)
@@ -268,28 +272,41 @@ def _bgslda_pick(fit, table, weights, scfg, boost_cfg):
     """BGSLDA's pick: the most separating stump among the pruned candidates
     not yet chosen, after doubling the slack once and then falling back to
     the least-error unchosen stump.  The selector holds the chosen rows, then
-    the candidates' in ascending order, so ties go to the lowest table index;
-    the candidates' outputs are built straight into its one table.
+    the candidates' in ascending order, so ties go to the lowest table index.
+    Its one table is built once: the chosen rows, then the prune's candidate
+    outputs, which the prune sums its edges on and compacts to its
+    survivors, and the chosen survivors are compacted out in place.
     Returns (table index or None, selector)."""
-    chosen_ids = {s.feature_id for s in fit.chosen}
+    chosen = [s.feature_id for s in fit.chosen]
+    k, n = len(chosen), len(fit.labels)
     widened = dataclasses.replace(boost_cfg, prune_epsilon=2.0 * boost_cfg.prune_epsilon)
     for cfg in (boost_cfg, widened):
-        survivors, _ = boosting.prune_stumps(table, weights, cfg)
-        allowed = [int(j) for j in survivors if int(j) not in chosen_ids]
-        if allowed:
+        rows = _after(fit.train_rows, len(boosting.prune_candidates(table, weights, cfg)), n)
+        survivors, _ = boosting.prune_stumps(table, weights, cfg, out=rows[k:])
+        if not np.isin(survivors, chosen).all():
             break
+        del rows  # before the next prune builds its own
     else:
-        allowed = [int(j) for j in np.argsort(table.errors, kind="stable") if int(j) not in chosen_ids][:1]
-    if not allowed:
-        return None, None
-    k = len(fit.chosen)
-    rows = np.empty((k + len(allowed), len(fit.labels)), dtype=np.int8)
-    for t, row in enumerate(fit.train_rows):
-        rows[t] = row
-    table.responses(allowed, out=rows[k:])
+        survivors = np.argsort(table.errors, kind="stable")
+        survivors = survivors[~np.isin(survivors, chosen)][:1]
+        if not survivors.size:
+            return None, None
+        rows = _after(fit.train_rows, 1, n)
+        table.responses(survivors, out=rows[k:])
+    fresh = ~np.isin(survivors, chosen)
+    allowed = survivors[fresh]
+    rows = rows[: k + boosting.compact_rows(rows[k:], fresh)]
     sel = scatter.GreedySelector(rows, fit.labels, scfg, weights, selected=range(k))
     picked = sel.step()
-    return (None if picked is None else allowed[picked - k]), sel
+    return (None if picked is None else int(allowed[picked - k])), sel
+
+
+def _after(head, count, n):
+    """An int8 table of N columns: head's rows, then count rows to be filled."""
+    rows = np.empty((len(head) + count, n), dtype=np.int8)
+    for t, row in enumerate(head):
+        rows[t] = row
+    return rows
 
 
 def _eliminate(fit, sel, fixed_rounds):
@@ -537,12 +554,12 @@ def train_cascade(
     tune node thresholds, and handed to every node as the PatchSums view of
     their sums.  Each stage is its patches, the other positives then the
     current negatives, in sample order, handed to train_node as their view:
-    no table of sums is built here, and GSLDA builds none at all.  After
-    each stage the correctly rejected negatives leave the pool and the
-    reservoir is scanned for fresh false positives; the next stage's patches
-    are the kept ones then the fresh ones, so a hand-off holds patches and
-    never sums.  Training also stops when a node misses its goal or the
-    reservoir runs dry.  The last stage_log record is {"stop_reason": ...}:
+    no table of sums is built here, nor by any method.  After each stage
+    the correctly rejected negatives leave the pool and the reservoir is
+    scanned for fresh false positives; the next stage's patches are the kept
+    ones then the fresh ones, so a hand-off holds patches and never sums.
+    Training also stops when a node misses its goal or the reservoir runs
+    dry.  The last stage_log record is {"stop_reason": ...}:
     f_target_met, goal_missed, bootstrap_exhausted, negatives_empty or
     max_stages.  The metadata holds every training setting.  Raises
     ValueError unless feature_pool's base_window is the patches' side (such

@@ -129,24 +129,35 @@ class GreedySelector:
         self.selected: list[int] = list(selected)
         self.inv = np.zeros((0, 0))
         self.eig = 0.0
-        self._rows = np.zeros((0, responses.shape[0]))  # S_w[selected, :]
+        # S_w[selected, :] is the prefix _rows of a buffer that grows by half
+        # when full, so that a step appends its row in place.
+        self._buf = np.empty((len(self.selected) + 1, responses.shape[0]))
         if self.selected:
-            self._rows = self.cross(self.selected)
+            self._buf[: len(self.selected)] = self.cross(self.selected)
             self._refresh()
             self._recompute_eig()
+
+    @property
+    def _rows(self) -> np.ndarray:
+        return self._buf[: len(self.selected)]  # C-ordered, as np.einsum's sums depend on the layout
 
     def cross(self, rows) -> np.ndarray:
         """Rows of the within-class scatter: S_w[rows, :], ridge on S[r, rows[r]]."""
         rows = np.asarray(rows, dtype=np.intp)
-        g = self.cfg.gamma
         x = self.responses[rows]
-        ap = np.einsum("kn,mn->km", x * self.wp, self.responses)
+        out = np.einsum("kn,mn->km", x * self.wp, self.responses)
         an = np.einsum("kn,mn->km", x * self.wn, self.responses)
-        out = (
-            ap
-            - self.Wp * np.outer(self.mu_p[rows], self.mu_p)
-            + g * (an - self.Wn * np.outer(self.mu_n[rows], self.mu_n))
-        )
+        # out - Wp mu_p mu_p' + gamma (an - Wn mu_n mu_n'), one operation at a
+        # time in place, so that three (k, M) arrays are all it holds.
+        outer = np.outer(self.mu_p[rows], self.mu_p)
+        outer *= self.Wp
+        out -= outer
+        np.outer(self.mu_n[rows], self.mu_n, out=outer)
+        outer *= self.Wn
+        an -= outer
+        del outer
+        an *= self.cfg.gamma
+        out += an
         out[np.arange(len(rows)), rows] += self.cfg.ridge
         return out
 
@@ -198,8 +209,13 @@ class GreedySelector:
         if c <= _SINGULAR_TOL:
             raise SingularAugmentationError("singular augmentation")
         self.inv = _augmented_inverse(self.inv, u, 1.0 / c)
+        k = len(self.selected)
+        if k == len(self._buf):
+            grown = np.empty((k + k // 2 + 1, self._buf.shape[1]))
+            grown[:k] = self._buf
+            self._buf = grown
+        self._buf[k] = self.cross([i])[0]
         self.selected.append(i)
-        self._rows = np.vstack([self._rows, self.cross([i])])
         if len(self.selected) % _REFRESH_EVERY == 0:
             self._refresh()
         self._recompute_eig()
@@ -240,8 +256,8 @@ class GreedySelector:
             if drops[j] >= _ELIM_FRACTION * self.eig:
                 break
             removed.append(self.selected[j])
+            self._buf[j : len(self.selected) - 1] = self._buf[j + 1 : len(self.selected)]
             del self.selected[j]
-            self._rows = np.delete(self._rows, j, axis=0)
             self._refresh()
             self._recompute_eig()
         return removed

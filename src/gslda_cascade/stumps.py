@@ -7,20 +7,22 @@ one rule, which divides none: a sum passes when it is at least _sum_bound's
 scale at once, and train_all reads the same decisions off its sorted table).
 Training minimizes weighted 0/1 error with a single sorted sweep, so
 re-training the whole candidate pool under fresh boosting weights is one
-vectorized pass over a pre-sorted table.  The (M, N)
-table is sorted and trained a block of rows at a time, each block about
-_BLOCK_BYTES (8-byte entries in the sort, 16-byte complex128 ones in
-train_all), so the memory beyond the table, its sort order and the packed
-tie bits stays bounded however many features the pool holds.  Only a
-trainer that retrains keeps the order and tie bits (keep_order, the boosted
-methods' rounds); a table trained once, as GSLDA's, is sorted inside
-train_all's own block loop, each block's order dropped with the block, so
-nothing of (M, N) size but the table outlives the call.  Such a trainer
-also takes the sums as a features.PatchSums view of the stage's patches,
-which it never holds whole: train_all extracts each row block from the
-view, sorts it, trains it and, when asked, writes its int8 +/-1 outputs
-while the block is at hand, one pass over the pool, so GSLDA's node holds
-its outputs and no sums.  train_all writes no (M, N) outputs otherwise: the
+vectorized pass over a pre-sorted order.  The (M, N) sums are sorted and
+trained a block of rows at a time, each block about _BLOCK_BYTES (8-byte
+entries in the sort, 16-byte complex128 ones in train_all), so the memory
+beyond the sort order and the packed tie bits stays bounded however many
+features the pool holds.  The trainer takes the sums as a (M, N) table or
+as a features.PatchSums view of a stage's patches, which it never holds
+whole: every read extracts only what it names, by the same kernel.  A
+trainer that retrains (keep_order, the boosted methods' rounds) extracts
+each row block once, sorts it and keeps its order and tie bits alone; its
+train_all then reads no sums but each row's two at its chosen slot, for
+the threshold and the bound, in one pointwise read after its block loop
+(values[rows, cols], fancy indexing of a table or of a view alike).  A
+trainer that trains once, as GSLDA's, keeps no order: train_all extracts,
+sorts and trains each block in its own loop and, when asked, writes its
+int8 +/-1 outputs while the block is at hand, so GSLDA's node holds its
+outputs and no sums.  train_all writes no (M, N) outputs otherwise: the
 StumpTable it returns keeps each row's least passing sum, and
 StumpTable.responses builds the +/-1 outputs of the rows a caller reads, a
 block of rows at a time, from the trainer's table or view.
@@ -155,13 +157,13 @@ class DecisionStump:
         return np.where(self.passes(sums, area), self.polarity, -self.polarity).astype(np.int8)
 
 
-def _outputs(sums, bound, thresholds, polarity, out) -> None:
+def _outputs(sums, bound, none, polarity, out) -> None:
     """out = the int8 +/-1 outputs of a block of stumps on their rows of
-    sums: a sum passes when it is at least its row's bound, and a +inf
-    threshold passes none."""
+    sums: a sum passes when it is at least its row's bound, and none of a
+    row where none is set (a +inf threshold) passes."""
     # 2 * passes - 1 is +/-1, times the polarity in place.
     np.greater_equal(sums, bound[:, None], out=out.view(bool))
-    out[thresholds == np.inf] = 0
+    out[none] = 0
     out *= 2
     out -= 1
     out *= polarity[:, None]
@@ -176,8 +178,9 @@ class StumpTable:
     with.  sums is the trainer's (M, N) table of integer sums, or its
     PatchSums view, held, not copied, and bound[j] the least sum of row j
     that passes (the sum at the chosen slot, in sums' dtype): responses
-    builds any rows' outputs from them on demand.  labels are kept so the
-    table is self-contained for edge/pruning computations.
+    builds any rows' outputs from them on demand, extracting a view's rows
+    as it builds them.  labels are kept so the table is self-contained for
+    edge/pruning computations.
     """
 
     thresholds: np.ndarray  # (M,) float64
@@ -208,7 +211,7 @@ class StumpTable:
         step = max(1, _BLOCK_BYTES // (self.sums.dtype.itemsize * n))
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
-            _outputs(self.sums[block], self.bound[block], self.thresholds[block], self.polarity[block],
+            _outputs(self.sums[block], self.bound[block], self.thresholds[block] == np.inf, self.polarity[block],
                      out[lo : lo + step])
         return out
 
@@ -229,20 +232,27 @@ class StumpTrainer:
     keeps distinct sums' values and midpoints apart (8-bit patches stay
     below 2**31, and FeatureExtractor raises from 2**50).
 
-    Both the sort and train_all walk the table in blocks of rows sized by
+    Both the sort and train_all walk the sums in blocks of rows sized by
     _BLOCK_BYTES, so their temporaries stay near that budget whatever M is:
     about 2.5 budgets in train_all: its two complex blocks, the gather and
     the cumsum, allocated once per call (they then also hold err_plus and
     the 0/+inf tie array, and err_minus, contiguous, so that argmin reads
     it in place), and np.take's intp copy of each block of the order.
+    A row's two sums at either side of its chosen slot give its threshold,
+    their midpoint, and its bound, the upper one.  They are read off the
+    block when it is at hand; otherwise train_all notes their samples and
+    reads them for every row at once after its loop, in one pointwise read
+    of the table or view.
     With keep_order (the default, for callers that retrain: AdaBoost,
-    AsymBoost and BGSLDA) the trainer sorts in __init__ and holds between
-    calls the table, its per-row sort order (uint16 while N <= 65,536, which
-    covers every paper-sized stage table, else int32) and one tie bit per
-    interior threshold slot, packed 8 to a byte: 2 1/8 bytes per entry
-    beside the table's own, 6 1/8 in all for an int32 table with a uint16
-    order.  Without it (GSLDA, which trains once) the trainer holds the
-    table alone, or the view and no sums, and each train_all call reads and
+    AsymBoost and BGSLDA) the trainer sorts in __init__, each block of a
+    view extracted once for it, and holds between calls its per-row sort
+    order (uint16 while N <= 65,536, which covers every paper-sized stage
+    table, else int32) and one tie bit per interior threshold slot, packed
+    8 to a byte: 2 1/8 bytes per entry for a view, and the table's own
+    beside them when given a table (6 1/8 in all for an int32 one).  Its
+    train_all reads no block of sums, only the slot sums.  Without
+    keep_order (GSLDA, which trains once) the trainer holds the table
+    alone, or the view and no sums, and each train_all call reads and
     sorts every one of its blocks before training it, by the same sort and
     training kernels: 4 bytes per entry for an int32 table, none for a view,
     and about 3 budgets of temporaries (the block's keys stand in for its
@@ -250,7 +260,8 @@ class StumpTrainer:
     the block's extracted sums for a view.  Both give the same StumpTable
     bit for bit.  train_all(weights, outputs) also writes every stump's
     int8 +/-1 outputs (StumpTable.responses's rule) into the (M, N) array
-    outputs, a block at a time as the block is trained.
+    outputs, a block at a time as the block is trained, reading each
+    block's sums for it.
     train_all gathers both classes' weights, packed in one complex128
     (module docstring), through the order into one cumulative sum; err_plus
     is one contiguous array and err_minus is written over the cumsum block.
@@ -300,10 +311,15 @@ class StumpTrainer:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n,):
             raise ValueError(f"weights must have shape ({n},), got {weights.shape}")
-        thresholds = np.empty(m)
         polarity = np.empty(m, dtype=np.int8)
         errors = np.empty(m)
-        bound = np.empty(m, dtype=self.values.dtype)
+        slots = np.empty(m, dtype=np.intp)
+        # Each row's sums at sorted positions slot - 1 and slot, clipped into
+        # the row: read off its block when the block is at hand, else noted
+        # by sample and read for every row at once after the loop.
+        read_blocks = self.order is None or outputs is not None
+        slot_sums = np.empty((m, 2), dtype=self.values.dtype) if read_blocks else None
+        cols = None if read_blocks else np.empty((m, 2), dtype=np.intp)
         # Both classes' weights in one complex: positives real, negatives imaginary.
         class_w = np.empty(n, dtype=np.complex128)
         class_w.real = np.where(self.labels > 0, weights, 0.0)
@@ -316,7 +332,8 @@ class StumpTrainer:
         floats = spare.view(np.float64)
         sums = np.empty((step, n + 1), dtype=np.complex128)
         for rows in blocks:
-            values = self.values[rows]  # a view's rows are extracted here, once a call
+            # A block's sums are read only to sort it or to write its outputs.
+            values = self.values[rows] if read_blocks else None
             if self.order is None:  # sorted for this call alone
                 order, ties = _sorted_block(values, spare)  # spare is free until the gather
             else:
@@ -356,19 +373,23 @@ class StumpTrainer:
             slot = np.where(use_minus, bm, bp)
             polarity[rows] = np.where(use_minus, -1, 1)
             errors[rows] = np.where(use_minus, em, ep)
-
-            thr = thresholds[rows]
-            thr[slot == 0] = -np.inf
-            thr[slot == n] = np.inf
-            mid = (slot > 0) & (slot < n)
-            rm, ms, area = r[mid], slot[mid], self.area[rows][mid]
-            thr[mid] = 0.5 * (values[rm, order[rm, ms - 1]] / area + values[rm, order[rm, ms]] / area)
-
-            # A sum passes when it reaches the sum at the slot (class docstring).
-            bound[rows] = values[r, order[r, np.minimum(slot, n - 1)]]
+            slots[rows] = slot
+            at = np.stack([order[r, np.maximum(slot - 1, 0)], order[r, np.minimum(slot, n - 1)]], axis=1)
             del order  # a sorted block's order is dropped before the next block is sorted
-            if outputs is not None:
-                _outputs(values, bound[rows], thr, polarity[rows], outputs[rows])
+            if values is None:
+                cols[rows] = at
+            else:
+                slot_sums[rows] = values[r[:, None], at]
+                if outputs is not None:  # a sum passes when it reaches the sum at the slot
+                    _outputs(values, slot_sums[rows, 1], slot == n, polarity[rows], outputs[rows])
             del values
 
-        return StumpTable(thresholds, polarity, errors, self.labels, self.values, bound)
+        if not read_blocks:  # one pointwise read of the table or view
+            slot_sums = self.values[np.arange(m)[:, None], cols]
+        below, at = slot_sums.T
+        thresholds = np.where(slots == 0, -np.inf, np.inf)
+        mid = (slots > 0) & (slots < n)
+        area = self.area[mid]
+        thresholds[mid] = 0.5 * (below[mid] / area + at[mid] / area)
+        # A sum passes when it reaches the sum at the slot (class docstring).
+        return StumpTable(thresholds, polarity, errors, self.labels, self.values, np.ascontiguousarray(at))

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gslda_cascade.boosting import EdgeStats
+from gslda_cascade.boosting import BoostingConfig, EdgeStats
 from gslda_cascade.cascade import BootstrapExhaustedError, node_margin
 from gslda_cascade.detect import DetectionWindow, ROCPoint, match_detections, overlap_ratio
 from gslda_cascade.features import KINDS
@@ -252,6 +252,24 @@ def prune_stumps(table, w, cfg):
     keep = edges >= beta_k - 2.0 * cfg.prune_epsilon
     keep[best] = True
     return np.flatnonzero(keep), EdgeStats(beta_k, e_k)
+
+
+def bgslda_table(table, w, cfg, chosen, chosen_rows):
+    """BGSLDA's selector table from the whole response table: chosen_rows,
+    then the outputs of the unchosen survivors of the whole-table prune
+    (prune_stumps above) in ascending order, after doubling the slack once,
+    else of the least-error unchosen stump (the lowest index on ties).
+    Returns (those stumps' indices, the (k + len, N) int8 table)."""
+    full = table.responses(np.arange(len(table)))
+    for eps in (cfg.prune_epsilon, 2 * cfg.prune_epsilon):
+        kept = prune_stumps(table, w, BoostingConfig(cfg.asym_k, eps))[0]
+        allowed = [j for j in kept.tolist() if j not in chosen]
+        if allowed:
+            break
+    else:
+        allowed = sorted((j for j in range(len(table)) if j not in chosen), key=lambda j: (table.errors[j], j))[:1]
+    head = np.asarray(chosen_rows, dtype=np.int8).reshape(len(chosen_rows), full.shape[1])
+    return allowed, np.concatenate([head, full[allowed]])
 
 
 def random_rm(rng, n, m, skew=0.5) -> ResponseTable:

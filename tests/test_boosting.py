@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gslda_cascade import stumps
 from gslda_cascade.boosting import (
     BoostingConfig,
     alpha,
+    compact_rows,
     init_weights,
+    prune_candidates,
     prune_stumps,
     reweight,
 )
@@ -249,6 +252,51 @@ class TestPruneMatchesOracle:
         got = prune_stumps(table, w, cfg)
         _same_prune(got, oracles.prune_stumps(table, w, cfg))
         assert got[0].tolist() == kept
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([0.0, 0.02, 0.1, 0.25, 1.0]), st.integers(0, 3),
+           st.integers(1, 5))
+    def test_single_build_matches_the_full_table(self, seed, eps, k, block_rows):
+        # BGSLDA builds the candidates' outputs once, after its k chosen rows
+        # in the selector's table, sums the edges on them there and compacts
+        # the survivors in place: the survivors, their order and EdgeStats
+        # must be the whole-table oracle's, the compacted rows those of the
+        # whole response table, and the chosen rows untouched.  k shifts the
+        # candidates' rows off the buffer's start, across compaction blocks
+        # of block_rows rows.
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 120)), int(rng.integers(1, 50))
+        labels = np.where(rng.random(n) < 0.4, 1, -1)
+        lean = rng.choice([0.0, 0.5, 2.0], size=(m, 1))
+        values = np.round(4 * rng.normal(size=(m, n)) + lean * labels).astype(np.int32)
+        w = rng.random(n)
+        w /= w.sum()
+        table = StumpTrainer(values, labels).train_all(w)
+        cfg = BoostingConfig(prune_epsilon=eps)
+        head = rng.choice(np.array([-1, 1], dtype=np.int8), size=(k, n))
+        rows = np.empty((k + len(prune_candidates(table, w, cfg)), n), dtype=np.int8)
+        rows[:k] = head
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stumps, "_BLOCK_BYTES", n * block_rows)
+            got = prune_stumps(table, w, cfg, out=rows[k:])
+        want = oracles.prune_stumps(table, w, cfg)
+        _same_prune(got, want)
+        kept = len(want[0])
+        assert rows[:k].tobytes() == head.tobytes()
+        assert rows[k : k + kept].tobytes() == table.responses(np.arange(m))[want[0]].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 5))
+    def test_compact_rows_keeps_the_order(self, seed, block_rows):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(0, 40)), int(rng.integers(1, 9))
+        rows = rng.integers(-128, 128, size=(m, n)).astype(np.int8)
+        keep = rng.random(m) < rng.choice([0.0, 0.3, 0.9, 1.0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stumps, "_BLOCK_BYTES", n * block_rows)
+            kept = rows[keep]
+            assert compact_rows(rows, keep) == len(kept)
+        assert rows[: len(kept)].tobytes() == kept.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from([2, 17, 1000, 4097, 8191, 8193, 20_000]))

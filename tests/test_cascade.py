@@ -36,6 +36,7 @@ from oracles import bootstrap_negatives as scalar_bootstrap_negatives
 from oracles import (
     ResponseTable,
     bgslda_pick,
+    bgslda_table,
     decide_window,
     eval_haar,
     forward_select,
@@ -250,8 +251,15 @@ def test_bgslda_pick_matches_oracle(seed, eps, chosen_from):
         chosen = prune_stumps(table, w, BoostingConfig(prune_epsilon=slack))[0].tolist()
     rows = [rng.choice(np.array([-1, 1], dtype=np.int8), size=n) for _ in chosen]
     fit = SimpleNamespace(chosen=[DecisionStump(j, 0.0, 1) for j in chosen], train_rows=rows, labels=rm.labels)
-    picked, _ = cascade._bgslda_pick(fit, table, w, ScatterConfig(), cfg)
+    picked, sel = cascade._bgslda_pick(fit, table, w, ScatterConfig(), cfg)
     assert picked == bgslda_pick(rm, w, table.errors, chosen, rows, ScatterConfig(), eps)
+    # The selector reads its table where it was built once: the chosen rows,
+    # then the unchosen survivors' outputs, C-ordered, as the whole table has them.
+    allowed, expected = bgslda_table(table, w, cfg, chosen, rows)
+    if allowed:
+        assert sel.responses.flags.c_contiguous and sel.responses.tobytes() == expected.tobytes()
+    else:
+        assert picked is None and sel is None
 
 
 def _node_peak(values, labels, method, rounds):
@@ -427,23 +435,31 @@ class TestCascade:
                 assert accepted == (kept.size == 1)
 
 
-@pytest.mark.parametrize("method", ["gslda", "bgslda1"])
+@pytest.mark.parametrize("method", ["gslda", "bgslda1", "adaboost"])
 def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, method):
     # The stump sort's fast path needs integer sums in contiguous rows; a
     # float upcast on the way would only make training slower, which no byte
-    # test sees.  Nor would a copy of a stage's sums between their extraction
-    # and the trainer, or a second extraction.  Each stage reaches train_node
-    # as the PatchSums view of its patches.  GSLDA's trainer reads the view
-    # itself, each block of rows once, inside its one train_all, keeping no
-    # order; BGSLDA's trainer gets the table of the stage's one extraction.
+    # test sees.  Nor would a table of a stage's sums, or a second
+    # extraction of its rows.  Each stage reaches train_node as the PatchSums
+    # view of its patches, and every trainer gets the view: GSLDA's extracts
+    # each block of rows once inside its one train_all, keeping no order;
+    # the stored-order trainer of the other methods extracts each block once
+    # for its sort, and each train_all then reads the rows' slot sums in one
+    # pointwise read (GSLDA reads them off its blocks).  No method extracts a
+    # whole table.
     seen, handed, extracted, blocks = [], [], [], []
-    read = {}  # rows read from each view
+    reads = {}  # per view: its reads, ("block", rows), ("rows", rows) or ("points", pairs)
+    calls = {}  # per view: train_all calls
 
     class Spy(StumpTrainer):
         def __init__(self, values, labels, area=None, keep_order=True):
             seen.append((values, area))
             assert keep_order == (method != "gslda")
             super().__init__(values, labels, area, keep_order)
+
+        def train_all(self, *args):
+            calls[id(self.values)] = calls.get(id(self.values), 0) + 1
+            return super().train_all(*args)
 
     def spy_node(values, *args, **kwargs):
         handed.append(values)
@@ -453,9 +469,10 @@ def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, meth
         extracted.append(extract(self, patches))
         return extracted[-1]
 
-    def spy_read(self, rows):
-        out = view_rows(self, rows)
-        read[id(self)] = read.get(id(self), 0) + (1 if out.ndim == 1 else len(out))
+    def spy_read(self, key):
+        out = view_rows(self, key)
+        kind = "points" if isinstance(key, tuple) else "block" if isinstance(key, slice) else "rows"
+        reads.setdefault(id(self), []).append((kind, out.size if kind == "points" else len(np.atleast_2d(out))))
         return out
 
     def spy_sort(block, *args):
@@ -476,15 +493,17 @@ def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, meth
                      "--subsample", "16", "--max-stumps", "20", "--f-target", "0.001"]) == 0
     stages = sum("stage" in json.loads(line) for line in open(f"{model}.log.jsonl"))
     assert len(seen) == len(handed) == stages >= 2  # bootstrapped stages too
-    assert len(extracted) == (0 if method == "gslda" else stages)
+    assert extracted == []
     assert blocks and all(block == ("i", True) for block in blocks)
     area = FeatureExtractor(load_model(str(model)).feature_pool).area
-    for t, ((values, stage_area), view) in enumerate(zip(seen, handed)):
+    for (values, stage_area), view in zip(seen, handed):
         assert isinstance(view, PatchSums) and view.dtype.kind == "i"
-        assert read[id(view)] == len(area)  # every row once, by train_all or by the one extraction
-        assert values is (view if method == "gslda" else extracted[t])
-        if method != "gslda":
-            assert values.dtype.kind == "i" and values.flags.c_contiguous
+        assert values is view
+        # Every row extracted once in blocks, by the sort or the one pass;
+        # each round then reads two sums a row and builds only the rows it reads.
+        assert sum(n for kind, n in reads[id(view)] if kind == "block") == len(area)
+        points = [n for kind, n in reads[id(view)] if kind == "points"]
+        assert calls[id(view)] >= 1 and points == ([] if method == "gslda" else [2 * len(area)] * calls[id(view)])
         assert np.array_equal(stage_area, area)
 
 
@@ -549,6 +568,35 @@ def test_training_peak_stays_near_the_stage_table():
     assert peak <= 0.45 * table, peak / table
 
 
+@pytest.mark.parametrize("method", ["adaboost", "bgslda1"])
+def test_retraining_node_peak_stays_below_the_stage_table(method):
+    # The whole 16 x 16 pool on the same 480 training samples and 20 held-out
+    # positives, as views.  A method that retrains builds no stage table
+    # either: its trainer extracts each block of rows once, for the sort, and
+    # holds the uint16 order (1/2 of the int32 table's bytes) and the packed
+    # tie bits (1/32); each round reads two sums a row and builds the rows
+    # it reads.  With the views' integral tables and one block's temporaries
+    # the node peaks at about 0.62 x the table; holding the table (1.60 x)
+    # breaks the bound.
+    rng = np.random.default_rng(0)
+    pos, neg, _ = mini_corpus(rng, n_pos=100, n_neg=400, size=16)
+    extractor = FeatureExtractor(build_pool(PoolParams(16)))
+    labels = np.array([1] * 80 + [-1] * 400)
+    view = extractor.sums(np.concatenate([pos[:80], neg]).astype(np.uint8))
+    validation = extractor.sums(pos[80:].astype(np.uint8))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        node, _ = train_node(view, labels, NodeGoal(), method, validation=validation, fixed_rounds=3,
+                             area=extractor.area)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert len(node.stumps) == 3
+    table = len(extractor.area) * 480 * 4
+    assert peak <= 0.7 * table, peak / table
+
+
 def test_stage_hand_off_never_holds_two_stage_tables(monkeypatch):
     # Between two nodes train_cascade keeps the positive patches and the
     # negative ones the node accepted, mines the reservoir for fresh false
@@ -589,10 +637,13 @@ def test_stage_hand_off_never_holds_two_stage_tables(monkeypatch):
 
 class TestPatchView:
     """train_cascade hands each stage to train_node as the PatchSums view of
-    its patches, and GSLDA trains from the view a block of rows at a time:
-    every node and cascade must equal the same training on the extracted
-    tables bit for bit, on 8-bit patches (int32 sums) and wide-pixel ones
-    (int64 sums), with a ragged last block and without held-out positives."""
+    its patches, and every method trains from the view: GSLDA's one pass
+    extracts each block of rows once, and the stored-order trainer extracts
+    each block once for its sort, then reads two slot sums a row per round,
+    and the rows a round builds.  Every node and cascade must equal the same
+    training on the extracted tables bit for bit, on 8-bit patches (int32
+    sums) and wide-pixel ones (int64 sums), with a ragged last block and
+    without held-out positives."""
 
     @staticmethod
     def corpus(rng, pixels, n_pos, n_neg, size=8):
@@ -623,11 +674,11 @@ class TestPatchView:
             assert (a.detection_rate, a.false_positive_rate, a.goal_met) == \
                 (b.detection_rate, b.false_positive_rate, b.goal_met)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10_000), st.sampled_from(["8-bit", "wide"]), st.integers(1, 7), st.integers(1, 3),
-           st.booleans(), st.booleans())
-    def test_gslda_node_equals_the_extracted_table(self, seed, pixels, block_rows, extract_rows, held_out,
-                                                   dual_pass):
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(["8-bit", "wide"]), st.sampled_from(METHODS), st.integers(1, 7),
+           st.integers(1, 3), st.booleans(), st.booleans())
+    def test_node_equals_the_extracted_table(self, seed, pixels, method, block_rows, extract_rows, held_out,
+                                             dual_pass):
         rng = np.random.default_rng(seed)
         pool = build_pool(PoolParams(8, stride=2, min_size=2, subsample=int(rng.integers(1, 4))))
         extractor = FeatureExtractor(pool)
@@ -640,17 +691,17 @@ class TestPatchView:
             self.ragged_blocks(mp, len(pool), len(labels), block_rows, extract_rows)
             view = extractor.sums(patches)
             assert view.dtype == (np.int32 if pixels == "8-bit" else np.int64)
-            got, accepted = train_node(view, labels, goal, "gslda", cfg, validation=extractor.sums(held)
+            got, accepted = train_node(view, labels, goal, method, cfg, validation=extractor.sums(held)
                                        if held_out else None, area=extractor.area)
-            expected, want = train_node(extractor.extract(patches), labels, goal, "gslda", cfg,
+            expected, want = train_node(extractor.extract(patches), labels, goal, method, cfg,
                                         validation=extractor.extract(held) if held_out else None,
                                         area=extractor.area)
         self.assert_same_nodes([got], [expected])
         assert accepted.tobytes() == want.tobytes()
 
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 10_000), st.sampled_from(["8-bit", "wide"]), st.sampled_from(["gslda", "bgslda1",
-           "adaboost"]), st.integers(1, 7), st.integers(1, 3), st.sampled_from([0.0, 0.2]))
+    @given(st.integers(0, 10_000), st.sampled_from(["8-bit", "wide"]), st.sampled_from(METHODS), st.integers(1, 7),
+           st.integers(1, 3), st.sampled_from([0.0, 0.2]))
     def test_cascade_equals_the_extracted_tables(self, seed, pixels, method, block_rows, extract_rows, split):
         rng = np.random.default_rng(seed)
         pool = build_pool(PoolParams(8, stride=2, min_size=2))

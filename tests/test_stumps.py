@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gslda_cascade import stumps
+from gslda_cascade.features import FeatureExtractor, PatchSums, PoolParams, build_pool
 from gslda_cascade.stumps import _LIMITS, DecisionStump, StumpTrainer
 
 from oracles import exhaustive_stump, stump_table, stump_response, weighted_error
@@ -321,6 +322,60 @@ class TestTrainOnce:
                     a, b = getattr(got, name), getattr(expected, name)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
                 assert got.sums is table and np.array_equal(got.labels, expected.labels)
+
+
+class TestView:
+    """A trainer handed the features.PatchSums view of a stage's patches
+    holds no sums.  The stored-order trainer extracts each row block once,
+    for its sort in __init__, and train_all then reads only each row's two
+    slot sums, in one pointwise read; the one-pass trainer extracts each
+    block in train_all and reads them off the block.  Both must give the extracted table's StumpTable
+    bit for bit, on int32 and int64 (wide-pixel) sums and across blocks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(["8-bit", "wide"]), st.integers(1, 7), st.booleans(),
+           st.sampled_from(["uniform", "binades", "zeros", "dyadic", "wide"]))
+    def test_matches_the_extracted_table(self, seed, pixels, block_rows, keep_order, kind):
+        rng = np.random.default_rng(seed)
+        extractor = FeatureExtractor(build_pool(PoolParams(8, stride=2, subsample=int(rng.integers(1, 4)))))
+        n = int(rng.integers(2, 60))
+        patches = rng.integers(0, 256 if pixels == "8-bit" else 2**26, size=(n, 8, 8))
+        patches = patches.astype(np.uint8) if pixels == "8-bit" else patches
+        labels = np.where(rng.random(n) < 0.4, 1, -1)
+        table, area = extractor.extract(patches), extractor.area
+        reads = []  # per read of the view: a pointwise read or the rows extracted
+        view_read = PatchSums.__getitem__
+
+        def spy(view, key):
+            out = view_read(view, key)
+            reads.append("points" if isinstance(key, tuple) else len(np.atleast_2d(out)))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stumps, "_BLOCK_BYTES", 16 * (n + 1) * block_rows)
+            mp.setattr(PatchSums, "__getitem__", spy)
+            view = extractor.sums(patches)
+            trainer = StumpTrainer(view, labels, area, keep_order)
+            assert "points" not in reads and sum(reads) == (len(area) if keep_order else 0)  # the sort's
+            for outputs in (None, np.empty(table.shape, dtype=np.int8)):
+                reads.clear()
+                w = draw_weights(rng, n, kind)
+                got = trainer.train_all(w, outputs)
+                # The stored order reads the slot sums alone, in one pointwise
+                # read, unless asked for every output; one pass extracts every
+                # row once more and reads the slot sums off its blocks.
+                alone = keep_order and outputs is None
+                assert reads.count("points") == alone
+                assert sum(r for r in reads if r != "points") == (0 if alone else len(area))
+                expected = StumpTrainer(table, labels, area).train_all(w)
+                if outputs is not None:
+                    assert outputs.tobytes() == expected.responses(np.arange(len(area))).tobytes()
+                for name in ("thresholds", "polarity", "errors", "bound"):
+                    a, b = getattr(got, name), getattr(expected, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                assert got.sums is view
+                rows = rng.integers(0, len(area), size=5)
+                assert got.responses(rows).tobytes() == expected.responses(rows).tobytes()
 
 
 class TestResponses:
