@@ -107,20 +107,6 @@ def _stump_sum(coefficients, rows, shape) -> np.ndarray:
     return acc
 
 
-def node_margin(node: NodeClassifier, responses) -> np.ndarray | float:
-    """sum_t w_t h_t + threshold, accumulated in fixed stump order.
-
-    responses is the per-stump +/-1 output, either a vector (one sample) or a
-    (T, n) matrix.  The fixed left-to-right accumulation makes scalar and
-    batched evaluation bit-identical.
-    """
-    responses = np.asarray(responses, dtype=np.float64)
-    if responses.shape[0] != len(node.stumps):
-        raise ValueError("responses are not aligned with the node's stumps")
-    acc = _stump_sum(node.coefficients, responses, responses.shape[1:]) + node.node_threshold
-    return float(acc) if acc.ndim == 0 else acc
-
-
 def _threshold_for_scores(scores: np.ndarray, d_min: float) -> float:
     """Smallest additive threshold keeping at least d_min of the scores
     nonnegative: minus the d_min quantile of the score distribution."""
@@ -214,7 +200,8 @@ def train_node(
     left unchosen.  The stump cap also sets the span over which AsymBoost
     amortizes its asymmetric multiplier.
     Returns (node, accepted), accepted the node's decision on each column of
-    values: node_margin >= 0.
+    values: its stump votes summed in stump order (_stump_sum), plus the
+    threshold, >= 0.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -380,9 +367,10 @@ class _Stage(NamedTuple):
     None when none does).  Bit t of a window's pass code is set when stump t
     passes it, for the first 8 stumps: lut[code] is their +/-c*polarity
     votes summed from 0 in stump order, margin = lut + the node threshold
-    and keep = margin >= 0, node_margin bit for bit and the node's decision
-    for a node of up to 8 stumps.  late holds the votes of further stumps,
-    which add on to lut[code] in stump order before the threshold."""
+    and keep = margin >= 0: bit for bit _stump_sum's sum in the same stump
+    order plus the threshold, and the node's decision, for a node of up to 8
+    stumps.  late holds the votes of further stumps, which add on to
+    lut[code] in stump order before the threshold."""
 
     placements: list
     bounds: list
@@ -491,7 +479,7 @@ def evaluate_windows(model: CascadeModel, table: np.ndarray, xs: range, ys: rang
     - kept, the ascending flat indices of the windows that passed at least
       `reached` nodes (every window for 0);
     - scores[d, i], the depth-d score of window kept[i]: 0 for d = 0, else
-      node d-1's margin, accumulated in node_margin's stump order, and NaN
+      node d-1's margin, accumulated in _stump_sum's stump order, and NaN
       where the window did not reach node d-1;
     - evals, the number of Haar evaluations.
     Raises ValueError unless 0 <= reached <= len(model.nodes).
@@ -563,7 +551,7 @@ def train_cascade(
     f_target_met, goal_missed, bootstrap_exhausted, negatives_empty or
     max_stages.  The metadata holds every training setting.  Raises
     ValueError unless feature_pool's base_window is the patches' side (such
-    a model would not load).
+    a model would not load), and when it holds no features.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -572,6 +560,8 @@ def train_cascade(
     base_window = pool.positives.shape[1]
     if feature_pool.params.base_window != base_window:
         raise ValueError(f"feature pool base_window {feature_pool.params.base_window} != patch side {base_window}")
+    if len(feature_pool) == 0:
+        raise ValueError("the feature pool holds no features")
     extractor = FeatureExtractor(feature_pool)
     rng = np.random.default_rng(seed)
 

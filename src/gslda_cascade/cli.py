@@ -5,9 +5,10 @@ Commands: train, detect, eval, toy, synth.  Exit codes: 0 success, 1 usage
 --config, such as train --dmin 2, toy --trials 0 or --dual-pass with a method
 other than gslda: checked before any input file is read, and reported on one
 "error: ..." line), 2 data error (also detect or eval with a model that has
-no nodes, train --method gslda on classes that no stump separates, and an
-output file that cannot be written, such as --out, --log or --points in a
-missing directory), 3 training finished with a stage goal not met.
+no nodes, train --method gslda on classes that no stump separates, train on
+patches too small to hold any feature of the pool, and an output file that
+cannot be written, such as --out, --log or --points in a missing directory),
+3 training finished with a stage goal not met.
 
 train ends its stage log with a {"stop_reason": ...} record.  When the
 cascade's false-positive rate F stays above --f-target (the reservoir ran out

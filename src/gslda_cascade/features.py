@@ -7,9 +7,11 @@ two divisions (FeaturePool.rows).  A detector decodes only the features
 its model names; training decodes its whole (subsampled) pool.  Features
 are defined on a square base window and evaluated at arbitrary offset/scale
 through an integral table, so a single trained model scans all window sizes.
-Rectangle weights balance to zero per feature; a value is a feature's
-integer sum over its (scaled) footprint area, comparable across scales, and
-the scan compares sums (haar_sums), never values.
+Rectangle weights balance to zero per feature at scale 1 only: at another
+scale each corner rounds on its own (below), so the sub-rectangles may
+differ in area and the feature need not read 0 on a flat patch.  A value is
+a feature's integer sum over its (scaled) footprint area, comparable across
+scales, and the scan compares sums (haar_sums), never values.
 
 The fold.  A feature's sub-rectangles are read through the integral table
 at their four corners each, and adjacent rectangles share corners, so the
@@ -34,20 +36,21 @@ Training extracts every feature of the pool from every patch at scale 1 with
 the same corners, by integer gathers.  The N patches' integral tables are
 built transposed, one row per table entry over all N patches, so that each
 folded corner of a block of features is one gather of rows, added in with
-its weight (_sum_rows, the one extraction kernel).  Sums are exact integers
-in the tables' dtype: int32 while the largest |table entry| times a
-feature's summed |weights| stays below 2**31 (8-bit patches stay far below
-it), int64 past it.  From 2**50 on extraction raises ValueError: a stump
-trained on the table decides a sum by comparing it with the sum at its
-threshold slot, which equals DecisionStump.passes, the scan's rule, only
-while distinct sums' values and their midpoints stay apart in float64
-(stumps.StumpTrainer); near 2**53 they meet.  The sums are undivided,
-haar_sums' at scale 1.  A stack of patches is read through its PatchSums
-view, which holds the integral tables and no sums: each read extracts the
-rows it names, a block at a time, or the single (row, column) sums it
-names, so training from the view holds (M, N) sums only where a caller
-keeps what it read.  FeatureExtractor.extract is the view read whole, the
-(M, N) table.
+its weight (_sum_rows, the block kernel); single (row, column) sums gather
+their corners' entries pointwise from the same tables and the same folded
+corners (_sum_points).  Sums are exact integers in the tables' dtype: int32
+while the largest |table entry| times a feature's summed |weights| stays
+below 2**31 (8-bit patches stay far below it), int64 past it.  From 2**50 on
+extraction raises ValueError: a stump trained on the table decides a sum by
+comparing it with the sum at its threshold slot, which equals
+DecisionStump.passes, the scan's rule, only while distinct sums' values and
+their midpoints stay apart in float64 (stumps.StumpTrainer); near 2**53 they
+meet.  The sums are undivided, haar_sums' at scale 1.  A stack of patches is
+read through its PatchSums view, which holds the integral tables and no
+sums: each read extracts the rows it names, a block at a time, or the single
+(row, column) sums it names, so training from the view holds (M, N) sums
+only where a caller keeps what it read.  FeatureExtractor.extract is the
+view read whole, the (M, N) table.
 """
 
 from __future__ import annotations
@@ -116,7 +119,10 @@ def _integral(pixels: np.ndarray, weight: int) -> tuple[np.ndarray, int]:
     reach < 2**31, so that reads of summed |weight| up to weight are exact
     in int32, and int64 otherwise.  Unsigned pixels are summed in place in
     the table: their reach is known before the sums (_unsigned_reach), so
-    there is no int64 pass, min/max scan or cast copy."""
+    there is no int64 pass, min/max scan or cast copy.  Raises ValueError
+    for pixels that are not bool or integer, whose sums would not be exact."""
+    if pixels.dtype.kind not in "biu":
+        raise ValueError(f"pixels must be bool or integer, not {pixels.dtype}")
     shape = (pixels.shape[0] + 1, pixels.shape[1] + 1) + pixels.shape[2:]
     if pixels.dtype.kind in "bu":
         reach = _unsigned_reach(pixels, weight)
@@ -460,8 +466,8 @@ class PatchSums:
     """The (M, N) sums of a pool's M features on N patches, as a read-only
     view that holds the patches' transposed integral tables and never the
     sums: indexing it extracts the rows asked for, a block of about
-    _BLOCK_BYTES at a time, by the one extraction kernel (_sum_rows).  view[j]
-    is row j, and view[rows], for a slice or an array of row indices, the
+    _BLOCK_BYTES at a time, by the block kernel (_sum_rows).  view[j] is
+    row j, and view[rows], for a slice or an array of row indices, the
     (len(rows), N) array of those rows in that order; np.asarray(view) is
     FeatureExtractor.extract's whole table.  The kernel's scratch block is
     kept from read to read (Buffers), so that a trainer's block-by-block

@@ -38,10 +38,6 @@ class DegenerateClassError(ValueError):
     """A class has no samples (or no weight mass)."""
 
 
-class SingularAugmentationError(ValueError):
-    """Adding the candidate makes the restricted within-class scatter singular."""
-
-
 @dataclass
 class ScatterConfig:
     """Knobs of the sparse-LDA selection.
@@ -162,9 +158,10 @@ class GreedySelector:
         return out
 
     def _scored(self):
-        """(candidate_scores, u, c): u = inv @ S_w[selected, :] and c every
-        column's Schur complement, the one expression that both scores and
-        admits a candidate."""
+        """(scores, u, c): scores[i] the eigenvalue of selected + {i}, -inf
+        for selected and singular candidates; u = inv @ S_w[selected, :] and c
+        every column's Schur complement, the one expression that both scores
+        and admits a candidate."""
         u = self.inv @ self._rows
         c = self.diag - np.einsum("km,km->m", self._rows, u)
         num = (self.b[self.selected] @ u - self.b) ** 2
@@ -173,13 +170,6 @@ class GreedySelector:
         scores[ok] = self.eig + num[ok] / c[ok]
         scores[self.selected] = REJECTED
         return scores, u, c
-
-    def candidate_scores(self) -> np.ndarray:
-        """Eigenvalue of selected + {i} for every candidate i.
-
-        Selected and singular candidates score -inf.
-        """
-        return self._scored()[0]
 
     def step(self) -> int | None:
         """Augment with the best admissible candidate; None when there is none.
@@ -194,20 +184,9 @@ class GreedySelector:
         self._add(best, u[:, best], c[best])
         return best
 
-    def augment(self, i: int) -> None:
-        """Add feature i by the rank-one block update of the restricted inverse.
-
-        Raises SingularAugmentationError when the Schur complement of the new
-        diagonal entry is not safely positive.
-        """
-        if i in self.selected:
-            raise ValueError(f"feature {i} already selected")
-        _, u, c = self._scored()  # a one-column product would round otherwise
-        self._add(i, u[:, i], c[i])
-
     def _add(self, i, u, c):
-        if c <= _SINGULAR_TOL:
-            raise SingularAugmentationError("singular augmentation")
+        """Add feature i, of u and Schur complement c > _SINGULAR_TOL as
+        _scored gives them, by the rank-one block update of the inverse."""
         self.inv = _augmented_inverse(self.inv, u, 1.0 / c)
         k = len(self.selected)
         if k == len(self._buf):

@@ -15,10 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from gslda_cascade.boosting import BoostingConfig, EdgeStats
-from gslda_cascade.cascade import BootstrapExhaustedError, node_margin
+from gslda_cascade.cascade import BootstrapExhaustedError
 from gslda_cascade.detect import DetectionWindow, ROCPoint, match_detections, overlap_ratio
 from gslda_cascade.features import KINDS
-from gslda_cascade.scatter import GreedySelector, ScatterConfig
+from gslda_cascade.scatter import _SINGULAR_TOL, GreedySelector, ScatterConfig
 from gslda_cascade.stumps import StumpTable
 
 
@@ -294,6 +294,43 @@ def forward_select(rm: ResponseTable, cfg: ScatterConfig, k: int, w=None) -> Gre
     if cfg.dual_pass:
         sel.eliminate()
     return sel
+
+
+def candidate_scores(sel: GreedySelector) -> np.ndarray:
+    """Eigenvalue of sel's subset plus {i} for every candidate i, as step
+    scores them: selected and singular candidates score -inf."""
+    return sel._scored()[0]
+
+
+def augment(sel: GreedySelector, i: int) -> None:
+    """Add feature i to sel by the rank-one update that step makes, whatever
+    i's score.  Raises ValueError when i is already selected or its Schur
+    complement is not safely positive (at or below the selector's
+    tolerance), the cases step never hands to the update."""
+    if i in sel.selected:
+        raise ValueError(f"feature {i} already selected")
+    _, u, c = sel._scored()  # a one-column product would round otherwise
+    if c[i] <= _SINGULAR_TOL:
+        raise ValueError("singular augmentation")
+    sel._add(i, u[:, i], c[i])
+
+
+def node_margin(node, responses) -> np.ndarray | float:
+    """sum_t w_t h_t + threshold: from 0, each stump's vote c * h added in
+    stump order, then the threshold, the order in which the package sums a
+    node's score, so that the scan's margins equal it bit for bit.
+
+    responses is the per-stump +/-1 output, either a vector (one sample) or a
+    (T, n) matrix.
+    """
+    responses = np.asarray(responses, dtype=np.float64)
+    if responses.shape[0] != len(node.stumps):
+        raise ValueError("responses are not aligned with the node's stumps")
+    acc = np.zeros(responses.shape[1:])
+    for c, h in zip(node.coefficients, responses):
+        acc = acc + c * h
+    acc = acc + node.node_threshold
+    return float(acc) if acc.ndim == 0 else acc
 
 
 def stump_response(stump, value) -> int:

@@ -22,7 +22,6 @@ from gslda_cascade.cascade import (
     bootstrap_negatives,
     evaluate_windows,
     lattice_corners,
-    node_margin,
     train_cascade,
     train_node,
 )
@@ -41,6 +40,7 @@ from oracles import (
     eval_haar,
     forward_select,
     integral_image,
+    node_margin,
     pool_features,
     pyramid_windows,
     random_rm,
@@ -993,4 +993,4 @@ class TestEvaluateWindows:
         node = NodeClassifier([DecisionStump(0, 0.0, 1)], [1.0], 0.0, "gslda")
         model = CascadeModel(nodes=[node], feature_pool=self.FEATURES, f_target=0.1)
         with pytest.raises(ValueError, match="reached"):
-            evaluate_windows(model, build_integral(np.zeros((8, 8))), range(1), range(1), reached)
+            evaluate_windows(model, build_integral(np.zeros((8, 8), dtype=np.uint8)), range(1), range(1), reached)

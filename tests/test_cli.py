@@ -497,3 +497,16 @@ def test_train_on_inseparable_classes(blank_corpus, tmp_path, capsys, method, co
     assert cli.main(argv) == code
     if code == 2:
         assert f"error: cannot train on {manifest}: zero between-class direction" in capsys.readouterr().err
+
+
+def test_train_on_patches_that_hold_no_feature_exits_2(tmp_path, capsys):
+    # No Haar kind fits a 1 x 1 patch, so the pool is empty.
+    names = {"positives": [f"p{i}.pgm" for i in range(4)], "negatives": [f"n{i}.pgm" for i in range(6)]}
+    for i, name in enumerate(names["positives"] + names["negatives"]):
+        write_pgm(str(tmp_path / name), np.full((1, 1), 20 * i, dtype=np.uint8))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(names))
+    out = tmp_path / "m.json"
+    assert cli.main(["train", "--data", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot train on {manifest}: the feature pool holds no features\n"
+    assert not out.exists()  # nothing trained, nothing written

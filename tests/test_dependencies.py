@@ -1,8 +1,12 @@
 """numpy is the package's only runtime dependency: every import in
 src/gslda_cascade is the standard library, numpy or the package itself, and
-the detect and eval commands load no part of numpy they do not use."""
+the detect and eval commands load no part of numpy they do not use.  No
+package name is there for the tests alone: every name a test imports from
+the package is used by the package or the bench."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -13,6 +17,7 @@ import pytest
 import gslda_cascade
 
 SOURCES = sorted(Path(gslda_cascade.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "gslda_cascade"}
 
 
@@ -38,6 +43,47 @@ def test_imports_only_stdlib_and_numpy(path):
 def test_guard_catches_a_foreign_import():
     tree = ast.parse("import os\nfrom scipy import linalg\nfrom . import features\nimport numpy.linalg\n")
     assert sorted(set(imported_roots(tree)) - ALLOWED) == ["scipy"]
+
+
+def referenced(paths) -> set[str]:
+    """Every name that the modules at paths read or call, as a Name or an
+    Attribute."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def imports_for_tests_alone(tree, used) -> list[tuple[str, str]]:
+    """(module, name) of each name the module imports from a package module
+    that used does not hold; an imported module is exempt."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "gslda_cascade":
+            module = importlib.import_module(node.module)
+            out += [(node.module, alias.name) for alias in node.names
+                    if alias.name not in used and not inspect.ismodule(getattr(module, alias.name))]
+    return out
+
+
+def test_every_package_name_the_tests_import_is_used_outside_them():
+    """A package name that only tests reach belongs in tests/oracles.py.  The
+    guard sees module-level names only: a method that only tests call,
+    reached through an instance, passes it."""
+    used = referenced([*SOURCES, *sorted((ROOT / "bench").glob("*.py"))])
+    found = [(path.name, *pair) for path in sorted((ROOT / "tests").glob("*.py"))
+             for pair in imports_for_tests_alone(ast.parse(path.read_text()), used)]
+    assert found == []
+
+
+def test_test_only_guard_flags_names_and_exempts_modules():
+    tree = ast.parse("from gslda_cascade import cascade, features\nfrom gslda_cascade.cascade import "
+                     "train_node, METHODS\nimport gslda_cascade.scatter\nfrom numpy import zeros\n")
+    assert imports_for_tests_alone(tree, {"METHODS"}) == [("gslda_cascade.cascade", "train_node")]
 
 
 def _fresh_run(tmp_path, argv, prelude=""):

@@ -106,6 +106,15 @@ class TestIntegralImage:
         with pytest.raises(ValueError):
             build_integral(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, object])
+    def test_non_integer_pixels_rejected(self, dtype):
+        # Summed as int64, 0.6 would truncate to an all-zero table.
+        image = np.full((3, 3), 0.6, dtype=dtype)
+        with pytest.raises(ValueError, match="pixels must be bool or integer"):
+            build_integral(image)
+        with pytest.raises(ValueError, match="pixels must be bool or integer"):
+            FeatureExtractor(build_pool(PoolParams(3))).sums(np.stack([image, image]))
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_int32_while_sixteen_times_the_largest_entry_stays_below_2_to_the_31(self, sign):
         # An 8 x 8 image of one value v has max|table| = 64|v|: 16 * 64 * 2**21 = 2**31.
