@@ -23,9 +23,10 @@ method builds the stage's table.  GSLDA trains from the view in one pass,
 each block of rows extracted, sorted, trained and turned into the
 selector's int8 outputs once.  The methods that retrain extract each block
 once for the stored-order trainer's sort, which keeps the order and tie
-bits alone; each round then reads two sums a row, at the chosen slots, and
-extracts the rows it builds.  So no node holds the stage's sums.  The
-held-out positives are a view too, read one row per chosen stump.
+bits alone; each round then trains from the order alone and extracts only
+the rows it builds and the chosen stump's row, for its threshold.  So no
+node holds the stage's sums.  The held-out positives are a view too, read
+one row per chosen stump.
 
 evaluate_windows is the package's one cascade evaluator: early rejection
 over the integral table, vectorized over a lattice of windows (two ranges of

@@ -36,21 +36,19 @@ Training extracts every feature of the pool from every patch at scale 1 with
 the same corners, by integer gathers.  The N patches' integral tables are
 built transposed, one row per table entry over all N patches, so that each
 folded corner of a block of features is one gather of rows, added in with
-its weight (_sum_rows, the block kernel); single (row, column) sums gather
-their corners' entries pointwise from the same tables and the same folded
-corners (_sum_points).  Sums are exact integers in the tables' dtype: int32
-while the largest |table entry| times a feature's summed |weights| stays
-below 2**31 (8-bit patches stay far below it), int64 past it.  From 2**50 on
-extraction raises ValueError: a stump trained on the table decides a sum by
-comparing it with the sum at its threshold slot, which equals
-DecisionStump.passes, the scan's rule, only while distinct sums' values and
-their midpoints stay apart in float64 (stumps.StumpTrainer); near 2**53 they
-meet.  The sums are undivided, haar_sums' at scale 1.  A stack of patches is
-read through its PatchSums view, which holds the integral tables and no
-sums: each read extracts the rows it names, a block at a time, or the single
-(row, column) sums it names, so training from the view holds (M, N) sums
-only where a caller keeps what it read.  FeatureExtractor.extract is the
-view read whole, the (M, N) table.
+its weight (_sum_rows, the extraction kernel).  Sums are exact integers in
+the tables' dtype: int32 while the largest |table entry| times a feature's
+summed |weights| stays below 2**31 (8-bit patches stay far below it), int64
+past it.  From 2**50 on extraction raises ValueError: a stump trained on the
+table decides a sum by comparing it with the sum at its threshold slot,
+which equals DecisionStump.passes, the scan's rule, only while distinct
+sums' values and their midpoints stay apart in float64
+(stumps.StumpTrainer); near 2**53 they meet.  The sums are undivided,
+haar_sums' at scale 1.  A stack of patches is read through its PatchSums
+view, which holds the integral tables and no sums: each read extracts the
+rows it names, a block at a time, so training from the view holds (M, N)
+sums only where a caller keeps what it read.  FeatureExtractor.extract is
+the view read whole, the (M, N) table.
 """
 
 from __future__ import annotations
@@ -447,21 +445,6 @@ def _sum_rows(tables: np.ndarray, width: int, kind, box, out: np.ndarray, gather
             out += gathered
 
 
-def _sum_points(tables: np.ndarray, width: int, kind, box, cols) -> np.ndarray:
-    """The pointwise read: the exact sum of each feature, of these kinds and
-    footprints (kind's shape, box with a trailing axis of 4), on patches
-    cols, broadcast against them, from the same folded corners as _sum_rows.
-    Each feature's corners are decoded once; every (feature, patch) pair
-    then gathers its corners' single entries, weighs and adds them.  Every
-    partial sum is bounded as in _sum_rows, so each sum is the extracted
-    table's entry exactly."""
-    corners = _corners_of(kind.ravel(), box.reshape(-1, 4)).reshape(kind.shape + (9, 3))
-    at = (corners[..., 2] * width + corners[..., 1]) * tables.shape[1] + cols[..., None]
-    terms = tables.ravel().take(at)
-    terms *= corners[..., 0].astype(tables.dtype)  # zero rows pad the kinds with fewer corners
-    return terms.sum(axis=-1, dtype=tables.dtype)
-
-
 class PatchSums:
     """The (M, N) sums of a pool's M features on N patches, as a read-only
     view that holds the patches' transposed integral tables and never the
@@ -471,10 +454,7 @@ class PatchSums:
     (len(rows), N) array of those rows in that order; np.asarray(view) is
     FeatureExtractor.extract's whole table.  The kernel's scratch block is
     kept from read to read (Buffers), so that a trainer's block-by-block
-    reads allocate, and fault in, only the rows they return.  view[rows, cols], for two
-    integer index arrays, reads single sums as numpy's fancy indexing does:
-    the sums of the broadcast (row, col) pairs, in their shape, a block of
-    about _BLOCK_BYTES of folded corners at a time (_sum_points).  shape and
+    reads allocate, and fault in, only the rows they return.  shape and
     dtype are the sums' (the tables' dtype, by the bound of the module
     docstring).  Built by FeatureExtractor.sums.
     """
@@ -491,8 +471,6 @@ class PatchSums:
         return self.shape[0]
 
     def __getitem__(self, rows) -> np.ndarray:
-        if isinstance(rows, tuple):
-            return self._points(*rows)
         if isinstance(rows, (int, np.integer)):
             return self[[rows]][0]
         pool = self.extractor.pool
@@ -505,28 +483,6 @@ class PatchSums:
             hi = min(lo + step, m)
             _sum_rows(self.tables, self.width, kind[lo:hi], box[lo:hi], out[lo:hi], gathered[: hi - lo])
         return out
-
-    def _points(self, rows, cols) -> np.ndarray:
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        shape = np.broadcast_shapes(rows.shape, cols.shape)
-        n = self.shape[1]
-        if cols.size and not -n <= cols.min() <= cols.max() < n:
-            raise IndexError(f"patch index out of range for {n} patches")
-        if cols.size and cols.min() < 0:  # numpy's negative indices
-            cols = np.where(cols < 0, cols + n, cols)
-        # The pairs are read a block of the leading axis at a time; a row
-        # index broadcast along the other axes is decoded once.
-        lead = max(len(shape), 1)
-        rows = rows.reshape((1,) * (lead - rows.ndim) + rows.shape)
-        cols = cols.reshape((1,) * (lead - cols.ndim) + cols.shape)
-        out = np.empty(np.broadcast_shapes(rows.shape, cols.shape), dtype=self.dtype)
-        step = max(1, _BLOCK_BYTES // (_CORNERS[0].nbytes * max(out[:1].size, 1)))
-        pool = self.extractor.pool
-        for lo in range(0, len(out), step):
-            r = rows[lo : lo + step] if len(rows) > 1 else rows
-            c = cols[lo : lo + step] if len(cols) > 1 else cols
-            out[lo : lo + step] = _sum_points(self.tables, self.width, pool.kind[r], pool.box[r], c)
-        return out.reshape(shape)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         sums = self.extractor.extract(self)

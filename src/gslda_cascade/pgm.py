@@ -18,8 +18,10 @@ _HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*)*([^\s#]*)" * 2 + rb"(?:\s|#[^\n]
 
 def write_pgm(path, image) -> None:
     image = np.asarray(image)
-    if image.ndim != 2:
-        raise ValueError("PGM images are 2-d grayscale")
+    if image.ndim != 2 or image.size == 0:
+        raise ValueError("PGM images are nonempty 2-d grayscale")
+    if image.dtype.kind not in "biu":  # a float pixel would be truncated, not written
+        raise ValueError(f"pixels must be bool or integer, not {image.dtype}")
     if image.min() < 0 or image.max() > 255:
         raise ValueError("pixel values must fit 8 bits")
     h, w = image.shape

@@ -75,20 +75,22 @@ class GreedySelector:
 
     responses[j, i] is the +/-1 output of stump j on sample i, as
     StumpTable.responses builds it; labels holds the +/-1 class of each
-    sample.  The table is held as given.  Every read of it is an np.einsum
-    with a class weight vector over all N samples (zero on the other class),
-    which casts it in buffered chunks and so makes no float copy, and the
-    scatter diagonal is W - W * mu**2 per class, as x * x = 1 for +/-1
-    entries.  Boosting weights (which sum to 1) are rescaled by N so that a
-    uniform distribution reproduces the plain scatter; with weights=None
-    every sum is an exact integer.  The selector starts from the subset
-    `selected`, whose restricted inverse comes from a direct solve.  Single
-    steps use the rank-one block update of the restricted inverse, which is
-    refreshed from a direct solve every _REFRESH_EVERY features.
+    sample.  The table is held as given when it is C-ordered, and copied to
+    C order otherwise, so that no sum depends on the caller's layout.  Every
+    read of it is an np.einsum with a class weight vector over all N samples
+    (zero on the other class), which casts it in buffered chunks and so
+    makes no float copy, and the scatter diagonal is W - W * mu**2 per
+    class, as x * x = 1 for +/-1 entries.  Boosting weights (which sum to 1)
+    are rescaled by N so that a uniform distribution reproduces the plain
+    scatter; with weights=None every sum is an exact integer.  The selector
+    starts from the subset `selected`, whose restricted inverse comes from a
+    direct solve.  Single steps use the rank-one block update of the
+    restricted inverse, which is refreshed from a direct solve every
+    _REFRESH_EVERY features.
     """
 
     def __init__(self, responses, labels, cfg: ScatterConfig, weights=None, selected=()):
-        responses = np.asarray(responses)
+        responses = np.ascontiguousarray(responses)  # np.einsum's sums follow the layout
         labels = np.asarray(labels)
         if responses.ndim != 2:
             raise ValueError("responses must be a 2-d (stumps x samples) array")

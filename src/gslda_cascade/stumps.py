@@ -13,19 +13,18 @@ entries in the sort, 16-byte complex128 ones in train_all), so the memory
 beyond the sort order and the packed tie bits stays bounded however many
 features the pool holds.  The trainer takes the sums as a (M, N) table or
 as a features.PatchSums view of a stage's patches, which it never holds
-whole: every read extracts only what it names, by the same kernel.  A
-trainer that retrains (keep_order, the boosted methods' rounds) extracts
-each row block once, sorts it and keeps its order and tie bits alone; its
-train_all then reads no sums but each row's two at its chosen slot, for
-the threshold and the bound, in one pointwise read after its block loop
-(values[rows, cols], fancy indexing of a table or of a view alike).  A
-trainer that trains once, as GSLDA's, keeps no order: train_all extracts,
-sorts and trains each block in its own loop and, when asked, writes its
-int8 +/-1 outputs while the block is at hand, so GSLDA's node holds its
-outputs and no sums.  train_all writes no (M, N) outputs otherwise: the
-StumpTable it returns keeps each row's least passing sum, and
-StumpTable.responses builds the +/-1 outputs of the rows a caller reads, a
-block of rows at a time, from the trainer's table or view.
+whole: every read extracts the rows it names, by one kernel.  A trainer
+that retrains (keep_order, the boosted methods' rounds) extracts each row
+block once, sorts it and keeps its order and tie bits alone; its train_all
+then reads no sums, and records each row's threshold slot and the two
+samples at either side of it.  A trainer that trains once, as GSLDA's,
+keeps no order: train_all extracts, sorts and trains each block in its own
+loop and, when asked, writes its int8 +/-1 outputs while the block is at
+hand, so GSLDA's node holds its outputs and no sums.  train_all writes no
+(M, N) outputs otherwise: StumpTable.stump reads the one row a caller
+picks for its threshold, and StumpTable.responses builds the +/-1 outputs
+of the rows a caller reads, a block of rows at a time, from the trainer's
+table or view.
 
 train_all sweeps both classes at once: each sample's weight is one
 complex128, its real part the weight of a positive and its imaginary part
@@ -110,6 +109,11 @@ def _sorted_block(block: np.ndarray, scratch: np.ndarray | None = None) -> tuple
     return keys, ties
 
 
+def _order_dtype(n: int):
+    """The dtype of sample indices in 0..n - 1: uint16 while n <= 65,536."""
+    return np.uint16 if n <= 1 << 16 else np.int32
+
+
 def _sum_bound(threshold, area, dtype):
     """The least s in dtype's range with s / area >= threshold in float64,
     or None when no s in the range has it (a +inf or NaN threshold, say).
@@ -173,37 +177,45 @@ def _outputs(sums, bound, none, polarity, out) -> None:
 class StumpTable:
     """One trained stump per candidate feature, as arrays.
 
-    Stump j thresholds feature j at thresholds[j] with polarity[j], and
-    errors[j] is its weighted error under the weights the table was trained
-    with.  sums is the trainer's (M, N) table of integer sums, or its
-    PatchSums view, held, not copied, and bound[j] the least sum of row j
-    that passes (the sum at the chosen slot, in sums' dtype): responses
-    builds any rows' outputs from them on demand, extracting a view's rows
-    as it builds them.  labels are kept so the table is self-contained for
+    Stump j thresholds feature j with polarity[j] at threshold slot
+    slots[j] of its sorted sums, and errors[j] is its weighted error under
+    the weights the table was trained with.  cols[j] are the samples at
+    sorted positions slots[j] - 1 and slots[j], clipped into the row: the
+    threshold is the midpoint of their values (sums / area[j]), and the sum
+    at cols[j, 1] is the least that passes.  sums is the trainer's (M, N)
+    table of integer sums, or its PatchSums view, held, not copied: stump
+    and responses read the rows they need from it, extracting a view's rows
+    as they read them.  labels are kept so the table is self-contained for
     edge/pruning computations.
     """
 
-    thresholds: np.ndarray  # (M,) float64
     polarity: np.ndarray  # (M,) int8 in {-1, +1}
     errors: np.ndarray  # (M,)
     labels: np.ndarray  # (N,) in {-1, +1}
     sums: np.ndarray | PatchSums  # (M, N) signed integers, the trainer's table or view
-    bound: np.ndarray  # (M,) in sums' dtype
+    slots: np.ndarray  # (M,) int32 in 0..N
+    cols: np.ndarray  # (M, 2) sample indices, in the sort order's dtype
+    area: np.ndarray  # (M,) float64
 
     def __len__(self) -> int:
         return len(self.errors)
 
     def stump(self, j: int) -> DecisionStump:
-        """Stump j as the classifier a cascade node keeps."""
-        return DecisionStump(int(j), float(self.thresholds[j]), int(self.polarity[j]))
+        """Stump j as the classifier a cascade node keeps: its threshold is
+        -inf at slot 0, +inf at slot N and otherwise the midpoint of the two
+        values at either side of its slot, read off row j."""
+        below, at = self.sums[j][self.cols[j]] / self.area[j]
+        slot, n = self.slots[j], self.sums.shape[1]
+        threshold = -np.inf if slot == 0 else np.inf if slot == n else 0.5 * (below + at)
+        return DecisionStump(int(j), float(threshold), int(self.polarity[j]))
 
     def responses(self, rows, out=None) -> np.ndarray:
         """The int8 +/-1 outputs of stumps rows (any order, repeats allowed)
         on the table's N samples, as a (len(rows), N) array, written into
-        out when it is given.  A sum passes when it is at least its row's
-        bound, and a +inf threshold passes none.  The rows are built a block
-        of about _BLOCK_BYTES of sums at a time, so the only temporary is one
-        block of the table."""
+        out when it is given.  A sum passes when it is at least the sum at
+        its row's slot, and slot N passes none.  The rows are built a block
+        of about _BLOCK_BYTES of sums at a time, each block dropped before
+        the next is read, so the only temporary is one block of the table."""
         rows = np.asarray(rows, dtype=np.intp)
         n = self.sums.shape[1]
         if out is None:
@@ -211,8 +223,10 @@ class StumpTable:
         step = max(1, _BLOCK_BYTES // (self.sums.dtype.itemsize * n))
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
-            _outputs(self.sums[block], self.bound[block], self.thresholds[block] == np.inf, self.polarity[block],
-                     out[lo : lo + step])
+            sums = self.sums[block]
+            bound = sums[np.arange(len(block)), self.cols[block, 1]]
+            _outputs(sums, bound, self.slots[block] == n, self.polarity[block], out[lo : lo + step])
+            del sums
         return out
 
 
@@ -228,9 +242,9 @@ class StumpTrainer:
     Candidate thresholds sit at midpoints of consecutive distinct values
     plus -inf/+inf sentinels; ties break toward the smaller threshold, then
     polarity +1.  Outputs compare sums with the sum just above the
-    threshold, StumpTable.bound: DecisionStump.passes while |sums| < 2**50
-    keeps distinct sums' values and midpoints apart (8-bit patches stay
-    below 2**31, and FeatureExtractor raises from 2**50).
+    threshold, the one at StumpTable.cols[j, 1]: DecisionStump.passes while
+    |sums| < 2**50 keeps distinct sums' values and midpoints apart (8-bit
+    patches stay below 2**31, and FeatureExtractor raises from 2**50).
 
     Both the sort and train_all walk the sums in blocks of rows sized by
     _BLOCK_BYTES, so their temporaries stay near that budget whatever M is:
@@ -238,11 +252,9 @@ class StumpTrainer:
     the cumsum, allocated once per call (they then also hold err_plus and
     the 0/+inf tie array, and err_minus, contiguous, so that argmin reads
     it in place), and np.take's intp copy of each block of the order.
-    A row's two sums at either side of its chosen slot give its threshold,
-    their midpoint, and its bound, the upper one.  They are read off the
-    block when it is at hand; otherwise train_all notes their samples and
-    reads them for every row at once after its loop, in one pointwise read
-    of the table or view.
+    train_all records each row's chosen slot and the samples at either
+    side of it, in the order's dtype, and reads no sums beyond the blocks
+    it sorts or writes outputs for.
     With keep_order (the default, for callers that retrain: AdaBoost,
     AsymBoost and BGSLDA) the trainer sorts in __init__, each block of a
     view extracted once for it, and holds between calls its per-row sort
@@ -250,14 +262,13 @@ class StumpTrainer:
     table, else int32) and one tie bit per interior threshold slot, packed
     8 to a byte: 2 1/8 bytes per entry for a view, and the table's own
     beside them when given a table (6 1/8 in all for an int32 one).  Its
-    train_all reads no block of sums, only the slot sums.  Without
-    keep_order (GSLDA, which trains once) the trainer holds the table
-    alone, or the view and no sums, and each train_all call reads and
-    sorts every one of its blocks before training it, by the same sort and
-    training kernels: 4 bytes per entry for an int32 table, none for a view,
-    and about 3 budgets of temporaries (the block's keys stand in for its
-    order, and its ranks use the gather's buffer before the gather), plus
-    the block's extracted sums for a view.  Both give the same StumpTable
+    train_all reads no sums.  Without keep_order (GSLDA, which trains once)
+    the trainer holds the table alone, or the view and no sums, and each
+    train_all call reads and sorts every one of its blocks before training
+    it, by the same sort and training kernels: 4 bytes per entry for an
+    int32 table, none for a view, and about 3 budgets of temporaries (the
+    block's keys stand in for its order, and its ranks use the gather's
+    buffer before the gather), plus the block's extracted sums for a view.  Both give the same StumpTable
     bit for bit.  train_all(weights, outputs) also writes every stump's
     int8 +/-1 outputs (StumpTable.responses's rule) into the (M, N) array
     outputs, a block at a time as the block is trained, reading each
@@ -290,7 +301,7 @@ class StumpTrainer:
         self.order = self._ties = None
         if not keep_order:  # train_all sorts each of its blocks itself
             return
-        self.order = np.empty((m, n), dtype=np.uint16 if n <= 1 << 16 else np.int32)
+        self.order = np.empty((m, n), dtype=_order_dtype(n))
         # Bit t - 1 of a row is set when interior threshold slot t lies
         # inside a run of equal values, where no threshold can split them.
         self._ties = np.empty((m, -(-(n - 1) // 8)), dtype=np.uint8)
@@ -313,13 +324,9 @@ class StumpTrainer:
             raise ValueError(f"weights must have shape ({n},), got {weights.shape}")
         polarity = np.empty(m, dtype=np.int8)
         errors = np.empty(m)
-        slots = np.empty(m, dtype=np.intp)
-        # Each row's sums at sorted positions slot - 1 and slot, clipped into
-        # the row: read off its block when the block is at hand, else noted
-        # by sample and read for every row at once after the loop.
-        read_blocks = self.order is None or outputs is not None
-        slot_sums = np.empty((m, 2), dtype=self.values.dtype) if read_blocks else None
-        cols = None if read_blocks else np.empty((m, 2), dtype=np.intp)
+        slots = np.empty(m, dtype=np.int32)
+        # Each row's samples at sorted positions slot - 1 and slot, clipped into the row.
+        cols = np.empty((m, 2), dtype=_order_dtype(n))
         # Both classes' weights in one complex: positives real, negatives imaginary.
         class_w = np.empty(n, dtype=np.complex128)
         class_w.real = np.where(self.labels > 0, weights, 0.0)
@@ -333,7 +340,7 @@ class StumpTrainer:
         sums = np.empty((step, n + 1), dtype=np.complex128)
         for rows in blocks:
             # A block's sums are read only to sort it or to write its outputs.
-            values = self.values[rows] if read_blocks else None
+            values = self.values[rows] if self.order is None or outputs is not None else None
             if self.order is None:  # sorted for this call alone
                 order, ties = _sorted_block(values, spare)  # spare is free until the gather
             else:
@@ -374,22 +381,10 @@ class StumpTrainer:
             polarity[rows] = np.where(use_minus, -1, 1)
             errors[rows] = np.where(use_minus, em, ep)
             slots[rows] = slot
-            at = np.stack([order[r, np.maximum(slot - 1, 0)], order[r, np.minimum(slot, n - 1)]], axis=1)
+            cols[rows, 0] = order[r, np.maximum(slot - 1, 0)]
+            cols[rows, 1] = order[r, np.minimum(slot, n - 1)]
             del order  # a sorted block's order is dropped before the next block is sorted
-            if values is None:
-                cols[rows] = at
-            else:
-                slot_sums[rows] = values[r[:, None], at]
-                if outputs is not None:  # a sum passes when it reaches the sum at the slot
-                    _outputs(values, slot_sums[rows, 1], slot == n, polarity[rows], outputs[rows])
+            if outputs is not None:  # a sum passes when it reaches the sum at the slot
+                _outputs(values, values[r, cols[rows, 1]], slot == n, polarity[rows], outputs[rows])
             del values
-
-        if not read_blocks:  # one pointwise read of the table or view
-            slot_sums = self.values[np.arange(m)[:, None], cols]
-        below, at = slot_sums.T
-        thresholds = np.where(slots == 0, -np.inf, np.inf)
-        mid = (slots > 0) & (slots < n)
-        area = self.area[mid]
-        thresholds[mid] = 0.5 * (below[mid] / area + at[mid] / area)
-        # A sum passes when it reaches the sum at the slot (class docstring).
-        return StumpTable(thresholds, polarity, errors, self.labels, self.values, np.ascontiguousarray(at))
+        return StumpTable(polarity, errors, self.labels, self.values, slots, cols, self.area)

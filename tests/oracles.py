@@ -231,11 +231,20 @@ def stump_table(values, labels, weights):
 
 def table_of(responses, errors, labels) -> StumpTable:
     """A StumpTable whose outputs are the given +/-1 rows: each row is its
-    own int8 sums, passed at 1 by a +1 polarity."""
+    own int8 sums, passed at 1 by a +1 polarity.  A row of all +1 sits at
+    slot 0, a row of all -1 at slot N, and any other row at slot 1, between
+    its first -1 and its first +1 sample."""
     responses = np.asarray(responses, dtype=np.int8)
-    m = len(responses)
-    return StumpTable(np.zeros(m), np.ones(m, dtype=np.int8), np.asarray(errors, dtype=np.float64),
-                      np.asarray(labels), responses, np.ones(m, dtype=np.int8))
+    m, n = responses.shape
+    slots = np.where((responses > 0).all(axis=1), 0, np.where((responses < 0).all(axis=1), n, 1)).astype(np.int32)
+    cols = np.stack([np.argmin(responses, axis=1), np.argmax(responses, axis=1)], axis=1).astype(np.uint16)
+    return StumpTable(np.ones(m, dtype=np.int8), np.asarray(errors, dtype=np.float64), np.asarray(labels),
+                      responses, slots, cols, np.ones(m))
+
+
+def thresholds_of(table) -> np.ndarray:
+    """Every row's threshold, as table.stump(j) gives it."""
+    return np.array([table.stump(j).threshold for j in range(len(table))])
 
 
 def prune_stumps(table, w, cfg):

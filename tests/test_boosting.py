@@ -178,8 +178,9 @@ class TestPruneStumps:
         assert stats.e_k == pytest.approx((1 - stats.beta_k) / 2)
 
     def test_empty_table_rejected(self):
-        table = StumpTable(np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros(0), np.ones(4, dtype=np.int8),
-                           np.zeros((0, 4), dtype=np.int8), np.zeros(0, dtype=np.int8))
+        table = StumpTable(np.zeros(0, dtype=np.int8), np.zeros(0), np.ones(4, dtype=np.int8),
+                           np.zeros((0, 4), dtype=np.int8), np.zeros(0, dtype=np.int32),
+                           np.zeros((0, 2), dtype=np.uint16), np.zeros(0))
         with pytest.raises(ValueError):
             prune_stumps(table, np.full(4, 0.25), BoostingConfig())
 

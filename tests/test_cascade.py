@@ -444,12 +444,12 @@ def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, meth
     # view of its patches, and every trainer gets the view: GSLDA's extracts
     # each block of rows once inside its one train_all, keeping no order;
     # the stored-order trainer of the other methods extracts each block once
-    # for its sort, and each train_all then reads the rows' slot sums in one
-    # pointwise read (GSLDA reads them off its blocks).  No method extracts a
-    # whole table.
-    seen, handed, extracted, blocks = [], [], [], []
-    reads = {}  # per view: its reads, ("block", rows), ("rows", rows) or ("points", pairs)
-    calls = {}  # per view: train_all calls
+    # for its sort, and its train_all reads nothing of the view.  A chosen
+    # stump's threshold reads its row alone.  No method extracts a whole
+    # table.
+    seen, handed, extracted, blocks, stump_reads = [], [], [], [], []
+    reads = {}  # per view: its reads, ("block", rows) or ("rows", rows)
+    trained = {}  # per view: the reads of each train_all call
 
     class Spy(StumpTrainer):
         def __init__(self, values, labels, area=None, keep_order=True):
@@ -458,8 +458,10 @@ def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, meth
             super().__init__(values, labels, area, keep_order)
 
         def train_all(self, *args):
-            calls[id(self.values)] = calls.get(id(self.values), 0) + 1
-            return super().train_all(*args)
+            before = len(reads.get(id(self.values), []))
+            table = super().train_all(*args)
+            trained.setdefault(id(self.values), []).append(reads.get(id(self.values), [])[before:])
+            return table
 
     def spy_node(values, *args, **kwargs):
         handed.append(values)
@@ -471,16 +473,26 @@ def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, meth
 
     def spy_read(self, key):
         out = view_rows(self, key)
-        kind = "points" if isinstance(key, tuple) else "block" if isinstance(key, slice) else "rows"
-        reads.setdefault(id(self), []).append((kind, out.size if kind == "points" else len(np.atleast_2d(out))))
+        if not isinstance(key, (int, np.integer)):  # an integer key reads through view[[key]]
+            kind = "block" if isinstance(key, slice) else "rows"
+            reads.setdefault(id(self), []).append((kind, len(out)))
         return out
+
+    def spy_stump(table, j):
+        before = len(reads.get(id(table.sums), []))
+        got = stump(table, j)
+        stump_reads.append(reads.get(id(table.sums), [])[before:])
+        return got
+
+    extract, view_rows, sorted_block = FeatureExtractor.extract, PatchSums.__getitem__, stumps._sorted_block
+    stump = stumps.StumpTable.stump
 
     def spy_sort(block, *args):
         blocks.append((block.dtype.kind, block.flags.c_contiguous))
         return sorted_block(block, *args)
 
-    extract, view_rows, sorted_block = FeatureExtractor.extract, PatchSums.__getitem__, stumps._sorted_block
     monkeypatch.setattr(stumps, "StumpTrainer", Spy)
+    monkeypatch.setattr(stumps.StumpTable, "stump", spy_stump)
     monkeypatch.setattr(cascade, "train_node", spy_node)
     monkeypatch.setattr(FeatureExtractor, "extract", spy_extract)
     monkeypatch.setattr(PatchSums, "__getitem__", spy_read)
@@ -495,15 +507,19 @@ def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, meth
     assert len(seen) == len(handed) == stages >= 2  # bootstrapped stages too
     assert extracted == []
     assert blocks and all(block == ("i", True) for block in blocks)
+    assert stump_reads and all(r == [("rows", 1)] for r in stump_reads)
     area = FeatureExtractor(load_model(str(model)).feature_pool).area
     for (values, stage_area), view in zip(seen, handed):
         assert isinstance(view, PatchSums) and view.dtype.kind == "i"
         assert values is view
         # Every row extracted once in blocks, by the sort or the one pass;
-        # each round then reads two sums a row and builds only the rows it reads.
+        # each round then builds only the rows it reads.
         assert sum(n for kind, n in reads[id(view)] if kind == "block") == len(area)
-        points = [n for kind, n in reads[id(view)] if kind == "points"]
-        assert calls[id(view)] >= 1 and points == ([] if method == "gslda" else [2 * len(area)] * calls[id(view)])
+        calls = trained[id(view)]
+        if method == "gslda":  # the one pass
+            assert [sum(n for _, n in r) for r in calls] == [len(area)]
+        else:
+            assert calls and all(r == [] for r in calls)
         assert np.array_equal(stage_area, area)
 
 
@@ -639,8 +655,8 @@ class TestPatchView:
     """train_cascade hands each stage to train_node as the PatchSums view of
     its patches, and every method trains from the view: GSLDA's one pass
     extracts each block of rows once, and the stored-order trainer extracts
-    each block once for its sort, then reads two slot sums a row per round,
-    and the rows a round builds.  Every node and cascade must equal the same
+    each block once for its sort, then per round the rows the round builds
+    and the chosen stump's row.  Every node and cascade must equal the same
     training on the extracted tables bit for bit, on 8-bit patches (int32
     sums) and wide-pixel ones (int64 sums), with a ragged last block and
     without held-out positives."""

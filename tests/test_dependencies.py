@@ -2,7 +2,8 @@
 src/gslda_cascade is the standard library, numpy or the package itself, and
 the detect and eval commands load no part of numpy they do not use.  No
 package name is there for the tests alone: every name a test imports from
-the package is used by the package or the bench."""
+the package, and every method or property of a package class that a test
+reads, is used by the package or the bench."""
 
 import ast
 import importlib
@@ -70,13 +71,44 @@ def imports_for_tests_alone(tree, used) -> list[tuple[str, str]]:
     return out
 
 
+def class_members(tree) -> set[str]:
+    """The non-dunder methods and properties of the classes a module defines:
+    their def statements and their name = property(...) assignments."""
+    members = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    members.add(node.name)
+                elif isinstance(node, ast.Assign) and getattr(getattr(node.value, "func", None), "id", None) == "property":
+                    members.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return {name for name in members if not (name.startswith("__") and name.endswith("__"))}
+
+
+def members_for_tests_alone(tree, members, used) -> list[str]:
+    """The members a module reads as an Attribute that used does not hold."""
+    return sorted({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & members - used)
+
+
+def used_outside_the_tests() -> set[str]:
+    return referenced([*SOURCES, *sorted((ROOT / "bench").glob("*.py"))])
+
+
 def test_every_package_name_the_tests_import_is_used_outside_them():
-    """A package name that only tests reach belongs in tests/oracles.py.  The
-    guard sees module-level names only: a method that only tests call,
-    reached through an instance, passes it."""
-    used = referenced([*SOURCES, *sorted((ROOT / "bench").glob("*.py"))])
+    """A package name that only tests reach belongs in tests/oracles.py."""
+    used = used_outside_the_tests()
     found = [(path.name, *pair) for path in sorted((ROOT / "tests").glob("*.py"))
              for pair in imports_for_tests_alone(ast.parse(path.read_text()), used)]
+    assert found == []
+
+
+def test_every_class_member_the_tests_read_is_used_outside_them():
+    """A method or property of a package class that only tests read, through
+    an instance, belongs in tests/oracles.py as a function of the instance."""
+    members = set().union(*(class_members(ast.parse(path.read_text())) for path in SOURCES))
+    used = used_outside_the_tests()
+    found = [(path.name, name) for path in sorted((ROOT / "tests").glob("*.py"))
+             for name in members_for_tests_alone(ast.parse(path.read_text()), members, used)]
     assert found == []
 
 
@@ -84,6 +116,16 @@ def test_test_only_guard_flags_names_and_exempts_modules():
     tree = ast.parse("from gslda_cascade import cascade, features\nfrom gslda_cascade.cascade import "
                      "train_node, METHODS\nimport gslda_cascade.scatter\nfrom numpy import zeros\n")
     assert imports_for_tests_alone(tree, {"METHODS"}) == [("gslda_cascade.cascade", "train_node")]
+
+
+def test_test_only_guard_flags_methods_and_properties():
+    package = ast.parse("class Table:\n    def stump(self, j): ...\n    def __len__(self): ...\n"
+                        "    thresholds = property(lambda self: 0)\n    @property\n    def bound(self): ...\n"
+                        "    labels: list\n")
+    members = class_members(package)
+    assert members == {"stump", "thresholds", "bound"}
+    tests = ast.parse("t.stump(0)\nt.thresholds\nt.bound\nt.labels\nlen(t)\nt.__len__()\n")
+    assert members_for_tests_alone(tests, members, {"stump"}) == ["bound", "thresholds"]
 
 
 def _fresh_run(tmp_path, argv, prelude=""):

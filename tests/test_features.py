@@ -5,10 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gslda_cascade import features
 from gslda_cascade.features import (
     _BLOCK_BYTES,
-    _CORNERS,
     KINDS,
     FeatureExtractor,
     PoolParams,
@@ -568,50 +566,6 @@ class TestFeatureExtractor:
             assert np.array_equal(view[3:11], table[3:11]) and np.array_equal(view[-4], table[-4])
             assert view[[]].shape == (0, 4)
             assert np.asarray(view).tobytes() == table.tobytes() and extractor.extract(view).dtype == dtype
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10_000), st.sampled_from(["8-bit", "wide"]), st.integers(1, 5),
-           st.sampled_from(["pairs", "broadcast", "outer", "repeated rows", "scalars"]))
-    def test_pointwise_read_is_fancy_indexing(self, seed, pixels, block_rows, pattern):
-        # A stored-order trainer reads each row's two slot sums from the view
-        # in one pointwise read, view[rows, cols]: it must be numpy's fancy
-        # indexing of the extracted table bit for bit, and the oracle's sums,
-        # for broadcast pairs, repeated rows and negative indices, on int32
-        # and int64 (wide-pixel) sums, across ragged blocks of the leading axis.
-        rng = np.random.default_rng(seed)
-        pool = build_pool(PoolParams(base_window=8, stride=int(rng.integers(1, 3)), subsample=int(rng.integers(1, 6))))
-        extractor = FeatureExtractor(pool)
-        m, n = len(pool), int(rng.integers(1, 9))
-        patches = rng.integers(0, 256 if pixels == "8-bit" else 2**26, size=(n, 8, 8))
-        patches = patches.astype(np.uint8) if pixels == "8-bit" else patches
-        k = int(rng.integers(0, 12))
-        rows, cols = {
-            "pairs": (rng.integers(-m, m, size=k), rng.integers(-n, n, size=k)),
-            "broadcast": (rng.integers(-m, m, size=(k, 1)), rng.integers(-n, n, size=(1, 3))),
-            "outer": (rng.integers(0, m, size=(k, 1, 1)), rng.integers(-n, n, size=(2, 3))),
-            "repeated rows": (np.full(k, rng.integers(0, m)), rng.integers(0, n, size=k)),
-            "scalars": (int(rng.integers(-m, m)), int(rng.integers(-n, n))),
-        }[pattern]
-        shape = np.broadcast_shapes(np.shape(rows), np.shape(cols))
-        table = extractor.extract(patches)
-        with pytest.MonkeyPatch.context() as mp:
-            # block_rows leading-axis rows a block, so most reads end in a ragged block
-            mp.setattr(features, "_BLOCK_BYTES", _CORNERS[0].nbytes * int(np.prod(shape[1:])) * block_rows)
-            view = extractor.sums(patches)
-            got = view[rows, cols]
-        assert view.dtype == table.dtype == (np.int32 if pixels == "8-bit" else np.int64)
-        assert got.shape == shape and got.dtype == table.dtype
-        assert got.tobytes() == table[rows, cols].tobytes()
-        assert (got / extractor.area[rows]).tobytes() == extract(pool, patches)[rows, cols].tobytes()
-
-    def test_pointwise_read_rejects_a_patch_out_of_range(self):
-        extractor = FeatureExtractor(build_pool(PoolParams(base_window=6, subsample=7)))
-        view = extractor.sums(np.zeros((4, 6, 6), dtype=np.uint8))
-        for cols in ([0, 4], [-5], 4):
-            with pytest.raises(IndexError):
-                view[[1, 2], cols]
-        with pytest.raises(IndexError):
-            view[[len(view)], [0]]
 
     def test_no_patches(self):
         pool = build_pool(PoolParams(base_window=6, subsample=67))

@@ -16,7 +16,8 @@ and node thresholds.  A different BLAS build may still round the small
 products of the restricted inverse differently and move the last bits of
 any LDA coefficient.  The scan path
 (haar_sums, evaluate_windows, the pyramid scan, merge and the writers) is
-rewritten for speed under the same rule.
+rewritten for speed under the same rule.  The toy report is pinned too: the
+toy is the one command that trains from an ndarray table, not a view.
 """
 
 import hashlib
@@ -44,6 +45,10 @@ SCAN_DIGESTS = {
     "eval --mode depth": "a50f799ba4a004370f38e01790a815cc171be7d7a8a019d41a729dcdd105c405",
     "eval --mode threshold": "2fbdbb75f4fd613317fc0e9cd12648f5218c63b5b193090e485a247dba7cde0c",
 }
+
+
+TOY = ["toy", "--n-pos", "20", "--n-neg", "200", "--rounds", "4", "--trials", "3"]
+TOY_DIGEST = "1a24188e773cfa150f59f84fb53754c2f9e3e123bbf30803e2bc465619bc5066"
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +83,9 @@ def test_scan_bytes_are_pinned(manifest, gslda_model, command, tmp_path):
     out = tmp_path / "out.csv"
     assert cli.main([name, gslda_model, data, *flags, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_DIGESTS[command]
+
+
+def test_toy_report_bytes_are_pinned(tmp_path):
+    out = tmp_path / "toy.json"
+    assert cli.main([*TOY, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TOY_DIGEST

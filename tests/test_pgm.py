@@ -33,6 +33,18 @@ def test_round_trip_is_bit_exact(tmp_path_factory, h, w, data):
     assert np.array_equal(got, image)
 
 
+@pytest.mark.parametrize("image", [np.array([[1.7]]), np.full((2, 3), 7.0), np.array([[1, 2]], dtype=object),
+                                   np.zeros((0, 3), dtype=np.uint8), np.zeros((2, 0), dtype=np.int64)],
+                         ids=["float", "whole-float", "object", "no-rows", "no-columns"])
+def test_non_integer_or_empty_images_rejected(tmp_path, image):
+    # [[1.7]] was written as 1, which no round trip gives back, and an empty
+    # image failed inside image.min().
+    path = tmp_path / "im.pgm"
+    with pytest.raises(ValueError):
+        write_pgm(path, image)
+    assert not path.exists()
+
+
 def test_header_comments(tmp_path):
     path = tmp_path / "im.pgm"
     pixels = bytes([0, 9, 32, 128, 200, 255])

@@ -530,6 +530,18 @@ class TestRidgeLimitedSelection:
         augment(again, 8)
         assert np.array_equal(again.inv, sel.inv)
 
+    def test_round_9_scores_do_not_depend_on_the_layout(self):
+        # np.einsum sums in another order over a Fortran-ordered table: handed
+        # as is, it scored candidate 8 at -inf; the C-ordered table scores it
+        # 1.144e9.  The selector reads its table in C order.
+        rows, labels, w = round_9_state()
+        c_order = GreedySelector(rows, labels, ScatterConfig(), w, selected=range(8))
+        fortran = GreedySelector(np.asfortranarray(rows), labels, ScatterConfig(), w, selected=range(8))
+        assert fortran.responses.flags.c_contiguous
+        assert candidate_scores(fortran).tobytes() == candidate_scores(c_order).tobytes()
+        assert candidate_scores(fortran)[8] != REJECTED
+        assert GreedySelector(rows, labels, ScatterConfig(), w).responses is rows  # C order is held, not copied
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
     def test_step_stops_or_augments_on_separable_tables(self, seed):

@@ -9,7 +9,7 @@ from gslda_cascade import stumps
 from gslda_cascade.features import FeatureExtractor, PatchSums, PoolParams, build_pool
 from gslda_cascade.stumps import _LIMITS, DecisionStump, StumpTrainer
 
-from oracles import exhaustive_stump, stump_table, stump_response, weighted_error
+from oracles import exhaustive_stump, stump_response, stump_table, thresholds_of, weighted_error
 
 
 def uniform(n):
@@ -133,7 +133,7 @@ class TestBuildTable:
         w = uniform(30)
         table = StumpTrainer(np.vstack([values, sums_of(rng.normal(size=30))]), labels).train_all(w)
         stump, err = train_one(values, labels, w)
-        assert table.thresholds[0] == stump.threshold
+        assert thresholds_of(table)[0] == stump.threshold
         assert table.polarity[0] == stump.polarity
         assert table.errors[0] == pytest.approx(err, abs=1e-15)
 
@@ -146,7 +146,7 @@ class TestBuildTable:
         t1 = StumpTrainer(values, labels).train_all(w)
         t2 = StumpTrainer(values[perm], labels).train_all(w)
         for out_row, in_row in enumerate(perm):
-            assert t2.thresholds[out_row] == t1.thresholds[in_row]
+            assert thresholds_of(t2)[out_row] == thresholds_of(t1)[in_row]
             assert t2.errors[out_row] == t1.errors[in_row]
             assert np.array_equal(t2.responses([out_row])[0], t1.responses([in_row])[0])
 
@@ -234,7 +234,7 @@ class TestBlockedTable:
                 thresholds, polarity, errors, responses = stump_table(values, labels, w)
                 assert [table.stump(j).feature_id for j in range(len(table))] == list(range(m))
                 assert table.polarity.tolist() == polarity.tolist()
-                assert table.thresholds.tobytes() == thresholds.tobytes()
+                assert thresholds_of(table).tobytes() == thresholds.tobytes()
                 assert table.errors.tobytes() == errors.tobytes()
                 assert every_row(table).dtype == responses.dtype
                 assert every_row(table).tobytes() == responses.tobytes()
@@ -269,7 +269,7 @@ class TestStableOrder:
         assert trainer.order.dtype == np.uint16  # N <= 65,536
         assert np.array_equal(trainer.order, np.argsort(values, axis=1, kind="stable"))
         thresholds, polarity, errors, responses = stump_table(values, labels, w)
-        assert table.thresholds.tobytes() == thresholds.tobytes()
+        assert thresholds_of(table).tobytes() == thresholds.tobytes()
         assert table.polarity.tolist() == polarity.tolist()
         assert table.errors.tobytes() == errors.tobytes()
         assert every_row(table).tobytes() == responses.tobytes()
@@ -318,7 +318,8 @@ class TestTrainOnce:
                 w = draw_weights(rng, n, kind)
                 got = once.train_all(w)
                 expected = StumpTrainer(table, labels, area).train_all(w)
-                for name in ("thresholds", "polarity", "errors", "bound"):
+                assert thresholds_of(got).tobytes() == thresholds_of(expected).tobytes()
+                for name in ("polarity", "errors", "slots", "cols"):
                     a, b = getattr(got, name), getattr(expected, name)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
                 assert got.sums is table and np.array_equal(got.labels, expected.labels)
@@ -327,10 +328,10 @@ class TestTrainOnce:
 class TestView:
     """A trainer handed the features.PatchSums view of a stage's patches
     holds no sums.  The stored-order trainer extracts each row block once,
-    for its sort in __init__, and train_all then reads only each row's two
-    slot sums, in one pointwise read; the one-pass trainer extracts each
-    block in train_all and reads them off the block.  Both must give the extracted table's StumpTable
-    bit for bit, on int32 and int64 (wide-pixel) sums and across blocks."""
+    for its sort in __init__, and train_all then reads no sums at all; the
+    one-pass trainer extracts each block in train_all.  Both must give the
+    extracted table's StumpTable bit for bit, on int32 and int64
+    (wide-pixel) sums and across blocks, and stump(j) extracts row j alone."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from(["8-bit", "wide"]), st.integers(1, 7), st.booleans(),
@@ -343,12 +344,13 @@ class TestView:
         patches = patches.astype(np.uint8) if pixels == "8-bit" else patches
         labels = np.where(rng.random(n) < 0.4, 1, -1)
         table, area = extractor.extract(patches), extractor.area
-        reads = []  # per read of the view: a pointwise read or the rows extracted
+        reads = []  # per read of the view: the rows extracted
         view_read = PatchSums.__getitem__
 
         def spy(view, key):
             out = view_read(view, key)
-            reads.append("points" if isinstance(key, tuple) else len(np.atleast_2d(out)))
+            if not isinstance(key, (int, np.integer)):  # an integer key reads through view[[key]]
+                reads.append(len(out))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
@@ -356,21 +358,22 @@ class TestView:
             mp.setattr(PatchSums, "__getitem__", spy)
             view = extractor.sums(patches)
             trainer = StumpTrainer(view, labels, area, keep_order)
-            assert "points" not in reads and sum(reads) == (len(area) if keep_order else 0)  # the sort's
+            assert sum(reads) == (len(area) if keep_order else 0)  # the sort's
             for outputs in (None, np.empty(table.shape, dtype=np.int8)):
                 reads.clear()
                 w = draw_weights(rng, n, kind)
                 got = trainer.train_all(w, outputs)
-                # The stored order reads the slot sums alone, in one pointwise
-                # read, unless asked for every output; one pass extracts every
-                # row once more and reads the slot sums off its blocks.
+                # The stored order reads nothing unless asked for every
+                # output; one pass extracts every row once more.
                 alone = keep_order and outputs is None
-                assert reads.count("points") == alone
-                assert sum(r for r in reads if r != "points") == (0 if alone else len(area))
+                assert (reads == []) if alone else (sum(reads) == len(area))
                 expected = StumpTrainer(table, labels, area).train_all(w)
                 if outputs is not None:
                     assert outputs.tobytes() == expected.responses(np.arange(len(area))).tobytes()
-                for name in ("thresholds", "polarity", "errors", "bound"):
+                reads.clear()
+                assert thresholds_of(got).tobytes() == thresholds_of(expected).tobytes()
+                assert reads == [1] * len(area)  # each stump(j) extracts row j alone
+                for name in ("polarity", "errors", "slots", "cols"):
                     a, b = getattr(got, name), getattr(expected, name)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
                 assert got.sums is view
@@ -416,7 +419,8 @@ class TestResponses:
                           (np.array([-1, 1, -1]), np.array([0.5, 0.25, 0.25]))):
             trained = StumpTrainer(sums, labels).train_all(w)
             expected = stump_table(sums, labels, w)[3]
-            seen.update(trained.thresholds[np.isinf(trained.thresholds)].tolist())
+            thresholds = thresholds_of(trained)
+            seen.update(thresholds[np.isinf(thresholds)].tolist())
             rows = [3, 0, 0, 2, 1]
             assert trained.responses(rows).tobytes() == expected[rows].tobytes()
         assert seen == {-np.inf, np.inf}
@@ -448,7 +452,7 @@ class TestIntegerKeys:
         assert np.array_equal(ties, ordered[:, 1:] == ordered[:, :-1])
         if reach < 2**50:  # where distinct sums keep distinct values and midpoints
             thresholds, polarity, errors, responses = stump_table(table / area[:, None], labels, w)
-            assert trained.thresholds.tobytes() == thresholds.tobytes()
+            assert thresholds_of(trained).tobytes() == thresholds.tobytes()
             assert trained.polarity.tolist() == polarity.tolist()
             assert trained.errors.tobytes() == errors.tobytes()
             assert every_row(trained).tobytes() == responses.tobytes()
@@ -487,7 +491,7 @@ class TestIntegerKeys:
         for sums, area in tables:
             trained = StumpTrainer(sums, labels, area).train_all(w)
             thresholds, polarity, errors, responses = stump_table(sums / area[:, None], labels, w)
-            assert trained.thresholds.tolist() == thresholds.tolist() == [np.inf]
+            assert thresholds_of(trained).tolist() == thresholds.tolist() == [np.inf]
             assert trained.polarity.tolist() == polarity.tolist() == [1]
             assert trained.errors.tobytes() == errors.tobytes()
             assert every_row(trained).tolist() == responses.tolist() == [[-1, -1, -1]]
