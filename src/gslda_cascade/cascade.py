@@ -10,12 +10,12 @@ stumps trained once, so it neither reweights nor retrains, and its trainer
 keeps no sort order.  BGSLDA prunes weak candidates and takes the greatest
 class separation among the survivors.
 GSLDA and BGSLDA vote by the discriminant direction.  Reweighting is one
-rule (boosting.reweight), asymmetric for asymboost and bgslda2.  A round
-builds stump outputs only for the rows it reads (StumpTable.responses), and
-each of them once: GSLDA every row, within its one training; AdaBoost and
-AsymBoost the chosen row; BGSLDA the prune's candidates, straight into the
-selector's table after the chosen rows, where the prune sums their edges
-and compacts them to the survivors.
+rule (boosting.reweight), asymmetric for asymboost and bgslda2.  Every
+method takes the chosen stump and its outputs from one read of its row
+(StumpTable.stump).  Beyond it a round builds only the outputs it reads,
+each once: GSLDA every row's, within its one training; BGSLDA the prune's
+candidates' (StumpTable.responses), straight into the selector's table
+after the chosen rows, where the prune sums their edges and compacts them.
 
 A stage reaches train_node as its patches' sums, a features.PatchSums view
 that holds their integral tables and extracts rows on demand, and no
@@ -24,9 +24,9 @@ each block of rows extracted, sorted, trained and turned into the
 selector's int8 outputs once.  The methods that retrain extract each block
 once for the stored-order trainer's sort, which keeps the order and tie
 bits alone; each round then trains from the order alone and extracts only
-the rows it builds and the chosen stump's row, for its threshold.  So no
-node holds the stage's sums.  The held-out positives are a view too, read
-one row per chosen stump.
+the rows it builds and the chosen stump's row.  So no node holds the
+stage's sums.  The held-out positives are a view too, read one row per
+chosen stump.
 
 evaluate_windows is the package's one cascade evaluator: early rejection
 over the integral table, vectorized over a lattice of windows (two ranges of
@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import boosting, scatter, stumps
-from .features import Buffers, FeatureExtractor, FeaturePool, PatchSums, build_integral, haar_sums, place
+from .features import Buffers, FeatureExtractor, FeaturePool, build_integral, haar_sums, place
 
 METHODS = ("adaboost", "asymboost", "gslda", "bgslda1", "bgslda2")
 
@@ -122,18 +122,16 @@ def _threshold_for_scores(scores: np.ndarray, d_min: float) -> float:
 
 class _NodeFit:
     """Shared bookkeeping while a node grows stump by stump, on train_node's
-    training table, labels and validation table."""
+    labels and validation (None: the training positives double as it)."""
 
-    def __init__(self, values, area, labels, validation, goal, method):
+    def __init__(self, area, labels, validation, goal, method):
         self.area = area
         self.goal = goal
         self.method = method
         self.labels = labels
         if not (labels > 0).any() or not (labels < 0).any():
             raise ValueError("training split needs both classes")
-        # Without held-out positives the training positives double as validation.
-        self.val_table = values if validation is None else _table_or_view(validation)
-        self.val_cols = np.flatnonzero(labels > 0) if validation is None else np.arange(self.val_table.shape[1])
+        self.validation = validation
         self.chosen: list[stumps.DecisionStump] = []
         self.train_rows: list[np.ndarray] = []  # stump outputs on the train split
         self.val_rows: list[np.ndarray] = []  # stump outputs on validation positives
@@ -145,14 +143,16 @@ class _NodeFit:
 
     def add(self, stump: stumps.DecisionStump, train_row: np.ndarray) -> None:
         self.chosen.append(stump)
-        self.train_rows.append(train_row.copy())  # a view would keep its whole table alive
+        self.train_rows.append(train_row)  # StumpTable.stump's own row, no view of a table
         j = stump.feature_id  # a view extracts this one row
-        self.val_rows.append(stump.responses(self.val_table[j][self.val_cols], self.area[j]))
+        # On training sums the slot rule and DecisionStump.passes agree.
+        self.val_rows.append(train_row[self.labels > 0] if self.validation is None
+                             else stump.responses(self.validation[j], self.area[j]))
 
     def retune(self, coefficients) -> None:
         """Recompute threshold (validation d_min quantile), decisions and rates."""
         self.coefficients = np.asarray(coefficients, dtype=np.float64)
-        val_scores = _stump_sum(self.coefficients, self.val_rows, len(self.val_cols))
+        val_scores = _stump_sum(self.coefficients, self.val_rows, len(self.val_rows[0]))
         self.threshold = _threshold_for_scores(val_scores, self.goal.d_min)
         self.accepted = _stump_sum(self.coefficients, self.train_rows, len(self.labels)) + self.threshold >= 0
         self.d = float(np.mean(val_scores + self.threshold >= 0))
@@ -190,7 +190,8 @@ def train_node(
     takes it as it is.  GSLDA's one-pass trainer reads each block of a view
     once and writes the selector's int8 outputs as it goes; the other
     methods retrain, and their stored-order trainer reads each block of a
-    view once for its sort, then two sums a row per round.
+    view once for its sort.  Every method's round then reads the chosen
+    stump's row once, for its threshold and outputs (StumpTable.stump).
     validation is the (M, V) table of held-out positives or its view, used
     only for threshold tuning, one row per chosen stump; when it is None the
     training positives double as validation.  fixed_rounds trains that many
@@ -198,7 +199,9 @@ def train_node(
     the node stops at its goal or at goal.max_stumps.  Either way a
     sparse-LDA node ends early, with the stumps it has, when its pick is
     None: its selector rejects every candidate, or for BGSLDA no stump is
-    left unchosen.  The stump cap also sets the span over which AsymBoost
+    left unchosen.  A fixed-round AdaBoost or AsymBoost node ends early
+    too, after a pick of weighted error 0, which every later round would
+    pick again.  The stump cap also sets the span over which AsymBoost
     amortizes its asymmetric multiplier.
     Returns (node, accepted), accepted the node's decision on each column of
     values: its stump votes summed in stump order (_stump_sum), plus the
@@ -206,10 +209,9 @@ def train_node(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    values = _table_or_view(values)
     area = np.ones(len(values)) if area is None else np.asarray(area)
     labels = np.asarray(labels)
-    fit = _NodeFit(values, area, labels, validation, goal, method)
+    fit = _NodeFit(area, labels, validation, goal, method)
     boost_cfg = boost_cfg or boosting.BoostingConfig()
     scfg = scatter_cfg or scatter.ScatterConfig()
     cap = fixed_rounds or goal.max_stumps
@@ -234,26 +236,21 @@ def train_node(
             j, sel = _bgslda_pick(fit, table, weights, scfg, boost_cfg)
         if j is None:  # no candidate left that adds class separation
             return fit.build(goal_met=fit.f <= goal.f_max)
-        # The chosen stump's outputs, for the fit and the reweight.
-        row = sel.responses[j] if method == "gslda" else table.responses([j])[0]
-        fit.add(table.stump(j), row)
+        stump, row = table.stump(j)  # row: its outputs, for the fit and the reweight
+        fit.add(stump, row)
         alphas.append(boosting.alpha(float(table.errors[j])))
         fit.retune(np.array(alphas) if method in ("adaboost", "asymboost") else sel.direction())
         if (len(fit.chosen) >= fixed_rounds) if fixed_rounds is not None else (fit.f <= goal.f_max):
             if method == "gslda" and scfg.dual_pass:
                 return _eliminate(fit, sel, fixed_rounds)
             return fit.build(goal_met=True)
-        if len(fit.chosen) >= cap:
+        separated = fixed_rounds is not None and method in ("adaboost", "asymboost") and table.errors[j] == 0
+        if len(fit.chosen) >= cap or separated:
             return fit.build(goal_met=fit.f <= goal.f_max)
         if method != "gslda":
             weights = boosting.reweight(weights, row, labels, alphas[-1], k, rounds=cap)
             sel = None  # BGSLDA builds its next selector from the next round's survivors
             table = trainer.train_all(weights)
-
-
-def _table_or_view(values):
-    """values as an array, unless it is a PatchSums view, which stays one."""
-    return values if isinstance(values, PatchSums) else np.asarray(values)
 
 
 def _bgslda_pick(fit, table, weights, scfg, boost_cfg):

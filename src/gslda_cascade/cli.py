@@ -6,9 +6,11 @@ Commands: train, detect, eval, toy, synth.  Exit codes: 0 success, 1 usage
 other than gslda: checked before any input file is read, and reported on one
 "error: ..." line), 2 data error (also detect or eval with a model that has
 no nodes, train --method gslda on classes that no stump separates, train on
-patches too small to hold any feature of the pool, and an output file that
-cannot be written, such as --out, --log or --points in a missing directory),
-3 training finished with a stage goal not met.
+patches too small to hold any feature of the pool, detect on an image whose
+file name the detections CSV cannot encode, checked before any image is
+scanned, and an output file that cannot be written, such as --out, --log or
+--points in a missing directory), 3 training finished with a stage goal not
+met.
 
 train ends its stage log with a {"stop_reason": ...} record.  When the
 cascade's false-positive rate F stays above --f-target (the reservoir ran out
@@ -308,6 +310,14 @@ def cmd_detect(args) -> int:
     paths = _image_list(args.images)
     if not paths:
         raise DataError(f"no PGM images under {args.images}")
+    import locale  # here, as detect alone needs it
+
+    encoding = locale.getpreferredencoding(False)  # open()'s, which the CSV is written in
+    for image_id, path in paths:
+        try:
+            image_id.encode(encoding)
+        except UnicodeEncodeError:
+            raise DataError(f"image {path!r}: the detections CSV cannot encode its name in {encoding}") from None
 
     rows = DetectionTable()
     scanned = evals = raw = failures = 0

@@ -22,9 +22,9 @@ keeps no order: train_all extracts, sorts and trains each block in its own
 loop and, when asked, writes its int8 +/-1 outputs while the block is at
 hand, so GSLDA's node holds its outputs and no sums.  train_all writes no
 (M, N) outputs otherwise: StumpTable.stump reads the one row a caller
-picks for its threshold, and StumpTable.responses builds the +/-1 outputs
-of the rows a caller reads, a block of rows at a time, from the trainer's
-table or view.
+picks and builds both the stump and its +/-1 outputs from that one read,
+and StumpTable.responses builds the outputs of the rows a caller reads, a
+block of rows at a time, from the trainer's table or view.
 
 train_all sweeps both classes at once: each sample's weight is one
 complex128, its real part the weight of a positive and its imaginary part
@@ -200,14 +200,18 @@ class StumpTable:
     def __len__(self) -> int:
         return len(self.errors)
 
-    def stump(self, j: int) -> DecisionStump:
-        """Stump j as the classifier a cascade node keeps: its threshold is
-        -inf at slot 0, +inf at slot N and otherwise the midpoint of the two
-        values at either side of its slot, read off row j."""
-        below, at = self.sums[j][self.cols[j]] / self.area[j]
-        slot, n = self.slots[j], self.sums.shape[1]
+    def stump(self, j: int) -> tuple[DecisionStump, np.ndarray]:
+        """Stump j as a cascade node keeps it and its int8 +/-1 outputs on
+        the N samples (responses'), from one read of row j.  Its threshold is
+        -inf at slot 0, +inf at slot N, else the midpoint of the two values
+        at either side of its slot."""
+        row = self.sums[[j]]  # a view extracts this one row
+        below, at = row[0, self.cols[j]] / self.area[j]
+        slot, n = self.slots[j], row.shape[1]
         threshold = -np.inf if slot == 0 else np.inf if slot == n else 0.5 * (below + at)
-        return DecisionStump(int(j), float(threshold), int(self.polarity[j]))
+        outputs = np.empty(n, dtype=np.int8)
+        _outputs(row, row[:, self.cols[j, 1]], self.slots[j : j + 1] == n, self.polarity[j : j + 1], outputs[None])
+        return DecisionStump(int(j), float(threshold), int(self.polarity[j])), outputs
 
     def responses(self, rows, out=None) -> np.ndarray:
         """The int8 +/-1 outputs of stumps rows (any order, repeats allowed)

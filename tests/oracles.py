@@ -244,7 +244,7 @@ def table_of(responses, errors, labels) -> StumpTable:
 
 def thresholds_of(table) -> np.ndarray:
     """Every row's threshold, as table.stump(j) gives it."""
-    return np.array([table.stump(j).threshold for j in range(len(table))])
+    return np.array([table.stump(j)[0].threshold for j in range(len(table))])
 
 
 def prune_stumps(table, w, cfg):

@@ -99,7 +99,7 @@ class TestReweightAdaboost:
             w = rng.random(n)
             w /= w.sum()
             table = StumpTrainer(values[None, :], labels).train_all(w)
-            stump, err = table.stump(0), float(table.errors[0])
+            (stump, _), err = table.stump(0), float(table.errors[0])
             if err < 1e-6:
                 continue
             a = alpha(err)

@@ -152,11 +152,21 @@ class TestTrainNode:
         assert [s.feature_id for s in node.stumps] == ref.selected
 
     def test_fixed_rounds_contract(self):
+        # At most fixed_rounds stumps, none repeated.  A boosted node ends
+        # early at a stump of weighted error 0, one that separates its
+        # training set: the reweight leaves it the least error, and every
+        # later round would pick it again.  Feature 0 separates here.
         rng = np.random.default_rng(5)
         values, labels = separable_values(rng)
         for method in METHODS:
             node, _ = train_node(values, labels, NodeGoal(), method, fixed_rounds=4)
-            assert len(node.stumps) == 4, method
+            fids = [s.feature_id for s in node.stumps]
+            assert len(fids) <= 4 and len(set(fids)) == len(fids), method
+            if method in ("adaboost", "asymboost"):
+                last = node.stumps[-1]
+                assert len(fids) < 4 and np.array_equal(last.responses(values[last.feature_id], 1), labels)
+            else:
+                assert len(fids) == 4, method
 
     def test_bgslda_never_reuses_a_feature(self):
         rng = np.random.default_rng(6)
@@ -213,16 +223,18 @@ class TestTrainNode:
         assert (dual.node_threshold, dual.false_positive_rate) == (forward.node_threshold, forward.false_positive_rate)
 
     def test_a_chosen_row_keeps_no_table_alive(self):
-        # The chosen stump's row may come in an array of several rows (the
-        # selector's table, say); a view of it would hold that whole array.
+        # The fit keeps the outputs table.stump(j) returns as they are, so
+        # they must be an array of their own: a view into an array of several
+        # rows (a block of outputs, or the table) would hold that whole array.
         values, labels = separable_values(np.random.default_rng(10))
-        fit = cascade._NodeFit(values, np.ones(len(values)), labels, None, NodeGoal(), "adaboost")
+        fit = cascade._NodeFit(np.ones(len(values)), labels, None, NodeGoal(), "adaboost")
         table = StumpTrainer(values, labels).train_all(init_weights(labels))
-        rows = table.responses([1, 2, 3])
-        fit.add(table.stump(2), rows[1])
-        responses = weakref.ref(rows)
-        del rows
-        assert responses() is None
+        stump, row = table.stump(2)
+        fit.add(stump, row)
+        assert fit.train_rows[-1] is row and (row.base is None or row.base.size == row.size)
+        trained = weakref.ref(table)
+        del table
+        assert trained() is None
 
     def test_unknown_method_rejected(self):
         rng = np.random.default_rng(9)
@@ -444,12 +456,17 @@ def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, meth
     # view of its patches, and every trainer gets the view: GSLDA's extracts
     # each block of rows once inside its one train_all, keeping no order;
     # the stored-order trainer of the other methods extracts each block once
-    # for its sort, and its train_all reads nothing of the view.  A chosen
-    # stump's threshold reads its row alone.  No method extracts a whole
-    # table.
-    seen, handed, extracted, blocks, stump_reads = [], [], [], [], []
+    # for its sort, and its train_all reads nothing of the view.  Every
+    # round extracts its chosen stump's row once, for the stump and its
+    # outputs together, and the held-out view's row once.  Beyond them only
+    # BGSLDA's prune reads rows, its candidates'.  No method extracts a
+    # whole table.
+    seen, handed, extracted, blocks, stump_reads, held = [], [], [], [], [], []
     reads = {}  # per view: its reads, ("block", rows) or ("rows", rows)
     trained = {}  # per view: the reads of each train_all call
+    row_reads = {}  # per view: (source, row indices) of each read of listed rows
+    chosen = {}  # per view: the rows of its stump(j) calls
+    source, picking = [], []  # the StumpTable method reading, innermost last; set in BGSLDA's pick
 
     class Spy(StumpTrainer):
         def __init__(self, values, labels, area=None, keep_order=True):
@@ -465,7 +482,22 @@ def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, meth
 
     def spy_node(values, *args, **kwargs):
         handed.append(values)
+        held.append(kwargs["validation"])
         return train_node(values, *args, **kwargs)
+
+    def spy_pick(*args):
+        picking.append(True)
+        try:
+            return bgslda_pick(*args)
+        finally:
+            picking.pop()
+
+    def spy_responses(table, *args, **kwargs):
+        source.append("pick" if picking else "round")
+        try:
+            return responses(table, *args, **kwargs)
+        finally:
+            source.pop()
 
     def spy_extract(self, patches):
         extracted.append(extract(self, patches))
@@ -476,16 +508,23 @@ def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, meth
         if not isinstance(key, (int, np.integer)):  # an integer key reads through view[[key]]
             kind = "block" if isinstance(key, slice) else "rows"
             reads.setdefault(id(self), []).append((kind, len(out)))
+            if kind == "rows":
+                row_reads.setdefault(id(self), []).append((source[-1] if source else None, np.asarray(key).tolist()))
         return out
 
     def spy_stump(table, j):
         before = len(reads.get(id(table.sums), []))
-        got = stump(table, j)
+        source.append("stump")
+        try:
+            got = stump(table, j)
+        finally:
+            source.pop()
         stump_reads.append(reads.get(id(table.sums), [])[before:])
+        chosen.setdefault(id(table.sums), []).append(j)
         return got
 
     extract, view_rows, sorted_block = FeatureExtractor.extract, PatchSums.__getitem__, stumps._sorted_block
-    stump = stumps.StumpTable.stump
+    stump, responses, bgslda_pick = stumps.StumpTable.stump, stumps.StumpTable.responses, cascade._bgslda_pick
 
     def spy_sort(block, *args):
         blocks.append((block.dtype.kind, block.flags.c_contiguous))
@@ -493,6 +532,8 @@ def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, meth
 
     monkeypatch.setattr(stumps, "StumpTrainer", Spy)
     monkeypatch.setattr(stumps.StumpTable, "stump", spy_stump)
+    monkeypatch.setattr(stumps.StumpTable, "responses", spy_responses)
+    monkeypatch.setattr(cascade, "_bgslda_pick", spy_pick)
     monkeypatch.setattr(cascade, "train_node", spy_node)
     monkeypatch.setattr(FeatureExtractor, "extract", spy_extract)
     monkeypatch.setattr(PatchSums, "__getitem__", spy_read)
@@ -521,6 +562,14 @@ def test_stage_tables_reach_the_sort_as_integer_sums(monkeypatch, tmp_path, meth
         else:
             assert calls and all(r == [] for r in calls)
         assert np.array_equal(stage_area, area)
+        # The chosen rows, each read once by its stump(j); beyond them only
+        # BGSLDA's prune reads rows.
+        got = row_reads.get(id(view), [])
+        assert [rows for src, rows in got if src == "stump"] == [[j] for j in chosen[id(view)]]
+        assert {src for src, _ in got} <= ({"stump", "pick"} if method == "bgslda1" else {"stump"})
+    # The held-out positives' view: each chosen stump's row, once.
+    assert len({id(v) for v in held}) == 1
+    assert row_reads[id(held[0])] == [(None, [j]) for view in handed for j in chosen[id(view)]]
 
 
 def test_each_stage_table_is_held_once(monkeypatch, tmp_path):
@@ -590,12 +639,15 @@ def test_retraining_node_peak_stays_below_the_stage_table(method):
     # positives, as views.  A method that retrains builds no stage table
     # either: its trainer extracts each block of rows once, for the sort, and
     # holds the uint16 order (1/2 of the int32 table's bytes) and the packed
-    # tie bits (1/32); each round reads two sums a row and builds the rows
-    # it reads.  With the views' integral tables and one block's temporaries
-    # the node peaks at about 0.62 x the table; holding the table (1.60 x)
-    # breaks the bound.
+    # tie bits (1/32); each round reads the sums of the rows it builds and of
+    # the chosen stump's row alone.  With the views' integral tables and one
+    # block's temporaries the node peaks at about 0.60 x the table; holding
+    # the table (1.60 x) breaks the bound.  Four negatives are copies of
+    # training positives, so that no stump separates the set and the node
+    # runs all three rounds.
     rng = np.random.default_rng(0)
     pos, neg, _ = mini_corpus(rng, n_pos=100, n_neg=400, size=16)
+    neg[:4] = pos[:4]
     extractor = FeatureExtractor(build_pool(PoolParams(16)))
     labels = np.array([1] * 80 + [-1] * 400)
     view = extractor.sums(np.concatenate([pos[:80], neg]).astype(np.uint8))

@@ -108,6 +108,29 @@ def test_detect_names_a_directory_s_rows_by_file_name(corpus, model, tmp_path):
     assert rows[one] and rows[one] == [row for row in rows[corpus / "corpus" / "scenes"] if row[0] == "s000.pgm"]
 
 
+def test_detect_image_name_the_csv_cannot_encode_is_data_error(corpus, model, tmp_path, monkeypatch, capsys):
+    """Byte 0xff of a file name decodes to a lone surrogate, which no CSV
+    encoding takes: detect names the image on one error line before it
+    scans any image, so it writes no CSV."""
+    images = tmp_path / "images"
+    images.mkdir()
+    scene = (corpus / "corpus" / "scenes" / "s000.pgm").read_bytes()
+    (images / "s000.pgm").write_bytes(scene)
+    try:
+        (images / os.fsdecode(b"z\xff.pgm")).write_bytes(scene)
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses the name")
+    scans = []
+    monkeypatch.setattr(cli, "scan_image", lambda *args: scans.append(args))
+    out = tmp_path / "d.csv"
+    capsys.readouterr()
+    assert cli.main(["detect", model, str(images), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "z\\udcff.pgm" in err
+    assert scans == [] and not out.exists()
+
+
 def test_detect_rows_match_scalar_oracles(corpus, model, tmp_path):
     """The rows detect writes for one scene are the scalar scan's accepted
     windows (--no-merge) and the pairwise merge of those (merged)."""

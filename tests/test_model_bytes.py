@@ -36,6 +36,9 @@ DIGESTS = {
     "bgslda2": "afc2057c4d7d7ffb274bbae1b22697dc889a1f675b0f41bc346fbb0567409b3d",
     "adaboost": "4e93fd31303ba56ec5d9243143c9fd9184d0e523234e443ca49f30f56825a381",
     "asymboost": "a0fc7f180535021a29f73ddf7c5b18f9e44324937882967437a43e75e07724ed",
+    # Without held-out positives the training positives double as validation.
+    "adaboost --validation-split 0": "1fda883c1f94cc5b7d3cd690f10b42f23b3f04a3695a4f2ae5c9f26dc6418b8a",
+    "gslda --validation-split 0": "66779d824cfdce1f4e39796a83a5e2e914d0df21e1ab68e91983afc163f70d93",
 }
 
 # The detect rows name the one scene s000.pgm, by its file name in the scenes directory.

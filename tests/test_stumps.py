@@ -29,7 +29,7 @@ def every_row(table):
 def train_one(values, labels, weights):
     """The trainer on a single feature: (its stump, weighted error)."""
     table = StumpTrainer(np.asarray(values)[None, :], labels).train_all(weights)
-    return table.stump(0), float(table.errors[0])
+    return table.stump(0)[0], float(table.errors[0])
 
 
 class TestDecisionStump:
@@ -175,7 +175,9 @@ class TestBuildTable:
             mp.setattr(stumps, "_BLOCK_BYTES", 16 * (table.shape[1] + 1) * block_rows)
             trained = StumpTrainer(table, labels, area).train_all(draw_weights(rng, table.shape[1], kind))
         for j in range(len(trained)):
-            assert np.array_equal(trained.responses([j])[0], trained.stump(j).responses(table[j], area[j]))
+            stump, outputs = trained.stump(j)
+            assert np.array_equal(trained.responses([j])[0], stump.responses(table[j], area[j]))
+            assert outputs.tobytes() == trained.responses([j])[0].tobytes()
 
     def test_trainer_reuse_under_new_weights(self):
         rng = np.random.default_rng(6)
@@ -232,7 +234,9 @@ class TestBlockedTable:
                 w = draw_weights(rng, n, kind)
                 table = trainer.train_all(w)
                 thresholds, polarity, errors, responses = stump_table(values, labels, w)
-                assert [table.stump(j).feature_id for j in range(len(table))] == list(range(m))
+                chosen = [table.stump(j) for j in range(len(table))]
+                assert [stump.feature_id for stump, _ in chosen] == list(range(m))
+                assert np.array([outputs for _, outputs in chosen]).tobytes() == responses.tobytes()
                 assert table.polarity.tolist() == polarity.tolist()
                 assert thresholds_of(table).tobytes() == thresholds.tobytes()
                 assert table.errors.tobytes() == errors.tobytes()
@@ -495,7 +499,8 @@ class TestIntegerKeys:
             assert trained.polarity.tolist() == polarity.tolist() == [1]
             assert trained.errors.tobytes() == errors.tobytes()
             assert every_row(trained).tolist() == responses.tolist() == [[-1, -1, -1]]
-            assert trained.stump(0).responses(sums[0], area[0]).tolist() == [-1, -1, -1]
+            stump, outputs = trained.stump(0)
+            assert stump.responses(sums[0], area[0]).tolist() == outputs.tolist() == [-1, -1, -1]
 
 
 @settings(max_examples=300, deadline=None)
