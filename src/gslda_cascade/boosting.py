@@ -116,14 +116,15 @@ def prune_stumps(table: StumpTable, w, cfg: BoostingConfig, out: np.ndarray | No
     """Keep stumps whose weighted error is within epsilon of the best bound.
 
     A stump's edge is sum_i w_i y_i h_j(x_i), summed by np.einsum over its
-    outputs; beta_k is the best edge and e_k = (1 - beta_k) / 2.  Returns
-    (indices with edge >= beta_k - 2 epsilon, which is error <= e_k +
-    epsilon, and EdgeStats); the stump attaining beta_k (the first, on ties)
-    always survives.  out, when given, is an int8 array of one row per
-    candidate (prune_candidates) that the candidates' outputs are built in,
-    once; the survivors' rows are then moved to its front, in order, in
-    place (compact_rows), so that BGSLDA's selector reads them where they
-    were built.
+    int8 +/-1 outputs, unpacked a block of rows at a time; beta_k is the
+    best edge and e_k = (1 - beta_k) / 2.  Returns (indices with edge >=
+    beta_k - 2 epsilon, which is error <= e_k + epsilon, and EdgeStats);
+    the stump attaining beta_k (the first, on ties) always survives.  out,
+    when given, is a uint64 array of one packed row per candidate
+    (prune_candidates, StumpTable.responses) that the candidates' outputs
+    are built in, once; the survivors' rows are then moved to its front, in
+    order, in place (compact_rows), so that BGSLDA's selector reads them
+    where they were built.
 
     Edges are summed for the candidates of a filter only.  The filter reads
     the errors the table was trained with, under the same nonnegative w:
@@ -141,14 +142,18 @@ def prune_stumps(table: StumpTable, w, cfg: BoostingConfig, out: np.ndarray | No
     attaining beta_k among them) has a_j >= e_j - tau / 2 >= max(a) -
     2 epsilon - tau.  np.einsum sums each row alike whatever rows it comes
     with (tests/test_boosting.py checks it), so beta_k, its first index and
-    the survivors are those of summing every row.
+    the survivors are those of summing every row of the unpacked table.
     """
     if len(table) == 0:
         raise ValueError("empty stump table")
     w = np.asarray(w, dtype=np.float64)
     candidates = prune_candidates(table, w, cfg)
     outputs = table.responses(candidates, out=out)
-    edges = np.einsum("mn,n->m", outputs, w * table.labels)  # no float copy
+    signed, n = w * table.labels, len(w)
+    edges = np.empty(len(candidates))
+    step = max(1, stumps._BLOCK_BYTES // n)
+    for lo in range(0, len(candidates), step):
+        edges[lo : lo + step] = np.einsum("mn,n->m", stumps.unpack(outputs[lo : lo + step], n), signed)
     best = int(np.argmax(edges))
     beta_k = float(edges[best])
     e_k = 0.5 - 0.5 * beta_k

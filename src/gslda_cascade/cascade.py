@@ -11,17 +11,19 @@ keeps no sort order.  BGSLDA prunes weak candidates and takes the greatest
 class separation among the survivors.
 GSLDA and BGSLDA vote by the discriminant direction.  Reweighting is one
 rule (boosting.reweight), asymmetric for asymboost and bgslda2.  Every
-method takes the chosen stump and its outputs from one read of its row
-(StumpTable.stump).  Beyond it a round builds only the outputs it reads,
-each once: GSLDA every row's, within its one training; BGSLDA the prune's
-candidates' (StumpTable.responses), straight into the selector's table
-after the chosen rows, where the prune sums their edges and compacts them.
+method takes the chosen stump and its int8 outputs from one read of its
+row (StumpTable.stump).  Beyond it a round builds only the outputs it
+reads, each once and packed one bit to an output, the one table form the
+selector reads: GSLDA every row's, within its one training; BGSLDA the
+prune's candidates' (StumpTable.responses), straight into the selector's
+table after the chosen rows, where the prune sums their edges and compacts
+them.
 
 A stage reaches train_node as its patches' sums, a features.PatchSums view
 that holds their integral tables and extracts rows on demand, and no
 method builds the stage's table.  GSLDA trains from the view in one pass,
 each block of rows extracted, sorted, trained and turned into the
-selector's int8 outputs once.  The methods that retrain extract each block
+selector's packed outputs once.  The methods that retrain extract each block
 once for the stored-order trainer's sort, which keeps the order and tie
 bits alone; each round then trains from the order alone and extracts only
 the rows it builds and the chosen stump's row.  So no node holds the
@@ -188,7 +190,7 @@ def train_node(
     integer sums whose row j divided by area[j] gives feature j's values
     (area defaults to ones), as for StumpTrainer.  Every method's trainer
     takes it as it is.  GSLDA's one-pass trainer reads each block of a view
-    once and writes the selector's int8 outputs as it goes; the other
+    once and writes the selector's packed outputs as it goes; the other
     methods retrain, and their stored-order trainer reads each block of a
     view once for its sort.  Every method's round then reads the chosen
     stump's row once, for its threshold and outputs (StumpTable.stump).
@@ -221,7 +223,7 @@ def train_node(
     trainer = stumps.StumpTrainer(values, labels, area, keep_order=method != "gslda")
     weights = boosting.init_weights(labels)
     if method == "gslda":  # one selector walks the outputs built as each block is trained
-        outputs = np.empty((len(values), len(labels)), dtype=np.int8)
+        outputs = np.empty((len(values), stumps.words(len(labels))), dtype=np.uint64)
         table = trainer.train_all(weights, outputs)
         sel = scatter.GreedySelector(outputs, labels, scfg)
     else:
@@ -258,9 +260,9 @@ def _bgslda_pick(fit, table, weights, scfg, boost_cfg):
     not yet chosen, after doubling the slack once and then falling back to
     the least-error unchosen stump.  The selector holds the chosen rows, then
     the candidates' in ascending order, so ties go to the lowest table index.
-    Its one table is built once: the chosen rows, then the prune's candidate
-    outputs, which the prune sums its edges on and compacts to its
-    survivors, and the chosen survivors are compacted out in place.
+    Its one packed table is built once: the chosen rows, then the prune's
+    candidate outputs, which the prune sums its edges on and compacts to
+    its survivors, and the chosen survivors are compacted out in place.
     Returns (table index or None, selector)."""
     chosen = [s.feature_id for s in fit.chosen]
     k, n = len(chosen), len(fit.labels)
@@ -287,10 +289,10 @@ def _bgslda_pick(fit, table, weights, scfg, boost_cfg):
 
 
 def _after(head, count, n):
-    """An int8 table of N columns: head's rows, then count rows to be filled."""
-    rows = np.empty((len(head) + count, n), dtype=np.int8)
-    for t, row in enumerate(head):
-        rows[t] = row
+    """A packed table of N samples' outputs: head's int8 rows, then count
+    rows to be filled."""
+    rows = np.empty((len(head) + count, stumps.words(n)), dtype=np.uint64)
+    stumps.pack(np.less(head, 0).reshape(len(head), n), rows[: len(head)])
     return rows
 
 

@@ -19,12 +19,18 @@ block once, sorts it and keeps its order and tie bits alone; its train_all
 then reads no sums, and records each row's threshold slot and the two
 samples at either side of it.  A trainer that trains once, as GSLDA's,
 keeps no order: train_all extracts, sorts and trains each block in its own
-loop and, when asked, writes its int8 +/-1 outputs while the block is at
+loop and, when asked, writes its packed outputs while the block is at
 hand, so GSLDA's node holds its outputs and no sums.  train_all writes no
 (M, N) outputs otherwise: StumpTable.stump reads the one row a caller
-picks and builds both the stump and its +/-1 outputs from that one read,
-and StumpTable.responses builds the outputs of the rows a caller reads, a
-block of rows at a time, from the trainer's table or view.
+picks and builds both the stump and its int8 +/-1 outputs from that one
+read, and StumpTable.responses builds the packed outputs of the rows a
+caller reads, a block of rows at a time, from the trainer's table or view.
+
+Every table of outputs that selection reads is packed: bit i of a row is
+set where the stump outputs -1 on sample i, in little bit order (sample i
+is bit i % 8 of byte i // 8), and each row is padded with zero bits to
+words(N) whole uint64 words.  pack writes such rows and unpack turns them
+back into int8 +/-1 rows, a block at a time.
 
 train_all sweeps both classes at once: each sample's weight is one
 complex128, its real part the weight of a positive and its imaginary part
@@ -161,16 +167,38 @@ class DecisionStump:
         return np.where(self.passes(sums, area), self.polarity, -self.polarity).astype(np.int8)
 
 
-def _outputs(sums, bound, none, polarity, out) -> None:
-    """out = the int8 +/-1 outputs of a block of stumps on their rows of
-    sums: a sum passes when it is at least its row's bound, and none of a
-    row where none is set (a +inf threshold) passes."""
-    # 2 * passes - 1 is +/-1, times the polarity in place.
-    np.greater_equal(sums, bound[:, None], out=out.view(bool))
-    out[none] = 0
-    out *= 2
-    out -= 1
-    out *= polarity[:, None]
+def words(n: int) -> int:
+    """The uint64 words of one packed row of n outputs."""
+    return -(-n // 64)
+
+
+def pack(minus: np.ndarray, out: np.ndarray) -> None:
+    """Writes the bool rows minus, set where a stump outputs -1, into out
+    as packed rows (module docstring): out is a (rows, words(N)) uint64
+    array whose rows are contiguous."""
+    raw = out.view(np.uint8)
+    used = -(-minus.shape[1] // 8)
+    raw[:, :used] = np.packbits(minus, axis=1, bitorder="little")
+    raw[:, used:] = 0
+
+
+def unpack(bits: np.ndarray, n: int) -> np.ndarray:
+    """The int8 +/-1 outputs on n samples of the packed rows bits."""
+    signs = np.unpackbits(bits.view(np.uint8), axis=1, count=n, bitorder="little").view(np.int8)
+    signs *= -2  # a set bit, -1, is -2 + 1
+    signs += 1
+    return signs
+
+
+def _minus(sums, bound, none, polarity) -> np.ndarray:
+    """Where a block of stumps outputs -1 on their rows of sums: a sum
+    passes when it is at least its row's bound, none of a row where none is
+    set (a +inf threshold) passes, and a stump outputs -1 where it passes
+    at polarity -1 or fails at polarity +1."""
+    minus = sums >= bound[:, None]
+    minus[none] = False
+    minus ^= (polarity > 0)[:, None]
+    return minus
 
 
 @dataclass
@@ -202,34 +230,35 @@ class StumpTable:
 
     def stump(self, j: int) -> tuple[DecisionStump, np.ndarray]:
         """Stump j as a cascade node keeps it and its int8 +/-1 outputs on
-        the N samples (responses'), from one read of row j.  Its threshold is
-        -inf at slot 0, +inf at slot N, else the midpoint of the two values
-        at either side of its slot."""
+        the N samples (responses' row, unpacked), from one read of row j.
+        Its threshold is -inf at slot 0, +inf at slot N, else the midpoint
+        of the two values at either side of its slot."""
         row = self.sums[[j]]  # a view extracts this one row
         below, at = row[0, self.cols[j]] / self.area[j]
         slot, n = self.slots[j], row.shape[1]
         threshold = -np.inf if slot == 0 else np.inf if slot == n else 0.5 * (below + at)
-        outputs = np.empty(n, dtype=np.int8)
-        _outputs(row, row[:, self.cols[j, 1]], self.slots[j : j + 1] == n, self.polarity[j : j + 1], outputs[None])
+        minus = _minus(row, row[:, self.cols[j, 1]], self.slots[j : j + 1] == n, self.polarity[j : j + 1])
+        outputs = np.where(minus[0], np.int8(-1), np.int8(1))
         return DecisionStump(int(j), float(threshold), int(self.polarity[j])), outputs
 
     def responses(self, rows, out=None) -> np.ndarray:
-        """The int8 +/-1 outputs of stumps rows (any order, repeats allowed)
-        on the table's N samples, as a (len(rows), N) array, written into
-        out when it is given.  A sum passes when it is at least the sum at
-        its row's slot, and slot N passes none.  The rows are built a block
-        of about _BLOCK_BYTES of sums at a time, each block dropped before
-        the next is read, so the only temporary is one block of the table."""
+        """The packed outputs (module docstring) of stumps rows (any order,
+        repeats allowed) on the table's N samples, as a (len(rows),
+        words(N)) uint64 array, written into out when it is given.  A sum
+        passes when it is at least the sum at its row's slot, and slot N
+        passes none.  The rows are built a block of about _BLOCK_BYTES of
+        sums at a time, each block dropped before the next is read, so the
+        only temporary is one block of the table."""
         rows = np.asarray(rows, dtype=np.intp)
         n = self.sums.shape[1]
         if out is None:
-            out = np.empty((len(rows), n), dtype=np.int8)
+            out = np.empty((len(rows), words(n)), dtype=np.uint64)
         step = max(1, _BLOCK_BYTES // (self.sums.dtype.itemsize * n))
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
             sums = self.sums[block]
             bound = sums[np.arange(len(block)), self.cols[block, 1]]
-            _outputs(sums, bound, self.slots[block] == n, self.polarity[block], out[lo : lo + step])
+            pack(_minus(sums, bound, self.slots[block] == n, self.polarity[block]), out[lo : lo + step])
             del sums
         return out
 
@@ -274,15 +303,15 @@ class StumpTrainer:
     block's keys stand in for its order, and its ranks use the gather's
     buffer before the gather), plus the block's extracted sums for a view.  Both give the same StumpTable
     bit for bit.  train_all(weights, outputs) also writes every stump's
-    int8 +/-1 outputs (StumpTable.responses's rule) into the (M, N) array
-    outputs, a block at a time as the block is trained, reading each
-    block's sums for it.
+    packed outputs (StumpTable.responses's rows) into the (M, words(N))
+    uint64 array outputs, a block at a time as the block is trained,
+    reading each block's sums for it.
     train_all gathers both classes' weights, packed in one complex128
     (module docstring), through the order into one cumulative sum; err_plus
     is one contiguous array and err_minus is written over the cumsum block.
-    For any finite weights of shape (N,) its outputs are bit for bit those
-    of two float64 cumsums, one per class; area must hold M positive finite
-    numbers.
+    For any finite nonnegative weights of shape (N,) (others raise
+    ValueError) its outputs are bit for bit those of two float64 cumsums,
+    one per class; area must hold M positive finite numbers.
     """
 
     def __init__(self, feature_values, labels: np.ndarray, area=None, keep_order: bool = True):
@@ -326,6 +355,8 @@ class StumpTrainer:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n,):
             raise ValueError(f"weights must have shape ({n},), got {weights.shape}")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise ValueError("weights must be finite and nonnegative")
         polarity = np.empty(m, dtype=np.int8)
         errors = np.empty(m)
         slots = np.empty(m, dtype=np.int32)
@@ -389,6 +420,6 @@ class StumpTrainer:
             cols[rows, 1] = order[r, np.minimum(slot, n - 1)]
             del order  # a sorted block's order is dropped before the next block is sorted
             if outputs is not None:  # a sum passes when it reaches the sum at the slot
-                _outputs(values, values[r, cols[rows, 1]], slot == n, polarity[rows], outputs[rows])
+                pack(_minus(values, values[r, cols[rows, 1]], slot == n, polarity[rows]), outputs[rows])
             del values
         return StumpTable(polarity, errors, self.labels, self.values, slots, cols, self.area)

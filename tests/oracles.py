@@ -22,13 +22,80 @@ from gslda_cascade.scatter import _SINGULAR_TOL, GreedySelector, ScatterConfig
 from gslda_cascade.stumps import StumpTable
 
 
+def packed(responses) -> np.ndarray:
+    """The +/-1 rows of responses in the package's packed form, by
+    np.packbits: one bit per output, set where it is -1, in little bit
+    order, each row padded with zero bits to whole uint64 words."""
+    responses = np.asarray(responses)
+    raw = np.packbits(responses < 0, axis=1, bitorder="little")
+    out = np.zeros((len(responses), -(-responses.shape[1] // 64) * 8), dtype=np.uint8)
+    out[:, : raw.shape[1]] = raw
+    return out.view(np.uint64)
+
+
+def unpacked(bits, n) -> np.ndarray:
+    """The int8 +/-1 rows on n samples of the packed rows bits, by np.unpackbits."""
+    ones = np.unpackbits(np.ascontiguousarray(bits).view(np.uint8), axis=1, count=n, bitorder="little")
+    return np.where(ones == 1, -1, 1).astype(np.int8)
+
+
 class ResponseTable(NamedTuple):
     """A +/-1 stump table in the package layout: responses[j, i] is stump j's
-    output on sample i, labels[i] the +/-1 class of sample i.  Unpacks into
+    output on sample i, labels[i] the +/-1 class of sample i.  packed gives
     the first two arguments of GreedySelector."""
 
     responses: np.ndarray  # (M, N)
     labels: np.ndarray  # (N,)
+
+    @property
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        return packed(self.responses), self.labels
+
+
+class UnpackedScatter:
+    """The selector's sums taken over the whole unpacked int8 +/-1 table, as
+    GreedySelector took them before its table was packed: the class means,
+    b, the diagonal and the rows of S_w by np.einsum over all M rows at
+    once, and the candidates' scores from those rows.  Every float must
+    equal the packed selector's bit for bit."""
+
+    def __init__(self, rm: ResponseTable, cfg: ScatterConfig, w=None):
+        self.responses = np.ascontiguousarray(rm.responses, dtype=np.int8)
+        self.cfg = cfg
+        pos = rm.labels > 0
+        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+        ww = effective_weights(rm, w)
+        self.wp, self.wn = np.where(pos, ww, 0.0), np.where(pos, 0.0, ww)
+        self.Wp, self.Wn = float(self.wp.sum()), float(self.wn.sum())
+        self.mu_p = np.einsum("mn,n->m", self.responses, self.wp) / self.Wp
+        self.mu_n = np.einsum("mn,n->m", self.responses, self.wn) / self.Wn
+        self.b = np.sqrt(n_pos * n_neg / (n_pos + n_neg)) * (self.mu_p - self.mu_n)
+        sp = self.Wp - self.Wp * self.mu_p**2
+        sn = self.Wn - self.Wn * self.mu_n**2
+        self.diag = sp + cfg.gamma * sn + cfg.ridge
+
+    def cross(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.intp)
+        x = self.responses[rows]
+        out = np.einsum("kn,mn->km", x * self.wp, self.responses)
+        an = np.einsum("kn,mn->km", x * self.wn, self.responses)
+        out -= self.Wp * np.outer(self.mu_p[rows], self.mu_p)
+        an -= self.Wn * np.outer(self.mu_n[rows], self.mu_n)
+        out += self.cfg.gamma * an
+        out[np.arange(len(rows)), rows] += self.cfg.ridge
+        return out
+
+    def scores(self, rows, selected, inv, eig) -> np.ndarray:
+        """Every candidate's score given S_w[selected, :] as rows, the
+        subset's restricted inverse and eigenvalue."""
+        u = inv @ rows
+        c = self.diag - np.einsum("km,km->m", rows, u)
+        num = (self.b[selected] @ u - self.b) ** 2
+        out = np.full(len(self.b), -np.inf)
+        ok = c > _SINGULAR_TOL
+        out[ok] = eig + num[ok] / c[ok]
+        out[selected] = -np.inf
+        return out
 
 
 def effective_weights(rm: ResponseTable, w):
@@ -254,7 +321,8 @@ def prune_stumps(table, w, cfg):
     if len(table) == 0:
         raise ValueError("empty stump table")
     w = np.asarray(w, dtype=np.float64)
-    edges = np.einsum("mn,n->m", table.responses(np.arange(len(table))), w * table.labels)
+    every = unpacked(table.responses(np.arange(len(table))), len(table.labels))
+    edges = np.einsum("mn,n->m", every, w * table.labels)
     best = int(np.argmax(edges))
     beta_k = float(edges[best])
     e_k = 0.5 - 0.5 * beta_k
@@ -269,7 +337,7 @@ def bgslda_table(table, w, cfg, chosen, chosen_rows):
     (prune_stumps above) in ascending order, after doubling the slack once,
     else of the least-error unchosen stump (the lowest index on ties).
     Returns (those stumps' indices, the (k + len, N) int8 table)."""
-    full = table.responses(np.arange(len(table)))
+    full = unpacked(table.responses(np.arange(len(table))), len(table.labels))
     for eps in (cfg.prune_epsilon, 2 * cfg.prune_epsilon):
         kept = prune_stumps(table, w, BoostingConfig(cfg.asym_k, eps))[0]
         allowed = [j for j in kept.tolist() if j not in chosen]
@@ -295,7 +363,7 @@ def forward_select(rm: ResponseTable, cfg: ScatterConfig, k: int, w=None) -> Gre
     admissible."""
     if k > rm.responses.shape[0]:
         raise ValueError("k exceeds the number of candidate features")
-    sel = GreedySelector(*rm, cfg, w)
+    sel = GreedySelector(*rm.packed, cfg, w)
     while len(sel.selected) < k and sel.step() is not None:
         pass
     if not sel.selected:

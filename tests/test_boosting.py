@@ -16,7 +16,7 @@ from gslda_cascade.boosting import (
 from gslda_cascade.stumps import StumpTable, StumpTrainer
 
 import oracles
-from oracles import reweight_adaboost, table_of, weighted_error
+from oracles import packed, reweight_adaboost, table_of, unpacked, weighted_error
 
 
 def make_table(error_fractions, n=100):
@@ -193,7 +193,7 @@ class TestPruneStumps:
         values = np.round(rng.normal(size=(6, n)) * 2**16).astype(np.int32)  # integer sums
         table = StumpTrainer(values, labels).train_all(np.full(n, 1.0 / 16))
         w = np.full(n, 1.0 / 16)
-        edges = table.responses(range(6)).astype(float) @ (w * labels)
+        edges = unpacked(table.responses(range(6)), n).astype(float) @ (w * labels)
         for j in range(6):
             assert edges[j] == 1.0 - 2.0 * table.errors[j]
 
@@ -274,11 +274,11 @@ class TestPruneMatchesOracle:
         w /= w.sum()
         table = StumpTrainer(values, labels).train_all(w)
         cfg = BoostingConfig(prune_epsilon=eps)
-        head = rng.choice(np.array([-1, 1], dtype=np.int8), size=(k, n))
-        rows = np.empty((k + len(prune_candidates(table, w, cfg)), n), dtype=np.int8)
+        head = packed(rng.choice(np.array([-1, 1], dtype=np.int8), size=(k, n)))
+        rows = np.empty((k + len(prune_candidates(table, w, cfg)), stumps.words(n)), dtype=np.uint64)
         rows[:k] = head
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stumps, "_BLOCK_BYTES", n * block_rows)
+            mp.setattr(stumps, "_BLOCK_BYTES", rows.itemsize * rows.shape[1] * block_rows)
             got = prune_stumps(table, w, cfg, out=rows[k:])
         want = oracles.prune_stumps(table, w, cfg)
         _same_prune(got, want)
@@ -339,7 +339,7 @@ def test_adaboost_converges_on_separable_toy():
         table = StumpTrainer(x, labels).train_all(w)
         j = int(np.argmin(table.errors))
         a = alpha(table.errors[j])
-        row = table.responses([j])[0]
+        row = table.stump(j)[1]
         margins += a * row
         w = reweight(w, row, labels, a)
     train_err = np.mean(np.where(margins >= 0, 1, -1) != labels)

@@ -41,10 +41,12 @@ from oracles import (
     forward_select,
     integral_image,
     node_margin,
+    packed,
     pool_features,
     pyramid_windows,
     random_rm,
     table_of,
+    unpacked,
     weighted_error,
 )
 from pinned_nodes import PINNED
@@ -148,7 +150,8 @@ class TestTrainNode:
             values, labels, NodeGoal(d_min=0.99, f_max=0.5), "gslda", fixed_rounds=rounds
         )
         table = StumpTrainer(values, labels).train_all(init_weights(labels))
-        ref = forward_select(ResponseTable(table.responses(range(len(table))), labels), ScatterConfig(), rounds)
+        ref = forward_select(ResponseTable(unpacked(table.responses(range(len(table))), n), labels), ScatterConfig(),
+                             rounds)
         assert [s.feature_id for s in node.stumps] == ref.selected
 
     def test_fixed_rounds_contract(self):
@@ -266,10 +269,10 @@ def test_bgslda_pick_matches_oracle(seed, eps, chosen_from):
     picked, sel = cascade._bgslda_pick(fit, table, w, ScatterConfig(), cfg)
     assert picked == bgslda_pick(rm, w, table.errors, chosen, rows, ScatterConfig(), eps)
     # The selector reads its table where it was built once: the chosen rows,
-    # then the unchosen survivors' outputs, C-ordered, as the whole table has them.
+    # then the unchosen survivors' outputs, packed, as the whole table has them.
     allowed, expected = bgslda_table(table, w, cfg, chosen, rows)
     if allowed:
-        assert sel.responses.flags.c_contiguous and sel.responses.tobytes() == expected.tobytes()
+        assert sel.bits.flags.c_contiguous and sel.bits.tobytes() == packed(expected).tobytes()
     else:
         assert picked is None and sel is None
 
@@ -293,16 +296,19 @@ def _trainer_bytes(values, labels):
 
 @pytest.mark.parametrize("method", ["gslda", "bgslda1"])
 def test_selection_memory_stays_near_adaboost(method):
-    # Selection reads one int8 stump table in place: the node's peak stays
-    # within the trainer's arrays, that table and two block budgets for the
-    # temporaries, none of which a change of the boosted rounds moves.  Every
-    # row survives bgslda1's prune here.  A float64 copy of the 3,000 x 800
-    # table alone (18 MiB), or a second int8 table held across a retrain,
-    # would break the bound.
+    # Selection reads one packed stump table, a bit per output, unpacking a
+    # block of rows at a time: the node's peak stays within the trainer's
+    # arrays, that table and three block budgets for the temporaries, none
+    # of which a change of the boosted rounds moves.  Every row survives
+    # bgslda1's prune here, and its peak is train_all's temporaries, 2.7
+    # budgets as adaboost's.  A float64 copy of the 3,000 x 800 table
+    # (18 MiB), or an int8 one held across a retrain (2.3 MiB), would break
+    # the bound.
     rng = np.random.default_rng(0)
     labels = np.where(rng.random(800) < 0.5, 1, -1)
     values = sums_of(rng.normal(size=(3000, 800)))
-    bound = _trainer_bytes(values, labels) + values.size + 2 * stumps._BLOCK_BYTES
+    packed_table = len(values) * stumps.words(values.shape[1]) * 8
+    bound = _trainer_bytes(values, labels) + packed_table + 3 * stumps._BLOCK_BYTES
     assert _node_peak(values, labels, method, 4) <= bound
 
 
@@ -611,11 +617,11 @@ def test_training_peak_stays_near_the_stage_table():
     # The whole 16 x 16 pool (32,384 features) on 480 training samples, whose
     # int32 stage table would take 62 MB.  GSLDA builds none: its trainer
     # reads the stage's view one block of rows at a time, extracting, sorting,
-    # training and writing the int8 outputs of each block once, and keeps no
-    # sort order.  The node holds the int8 outputs (1/4 of the table's bytes),
-    # the views' integral tables and one block's temporaries: about 0.35 x
-    # the table.  The stage table itself (1.38 x with it), or a second int8
-    # table, breaks the bound.
+    # training and writing the packed outputs of each block once, and keeps
+    # no sort order.  The node holds the packed outputs (1/30 of the table's
+    # bytes), the views' integral tables and one block's temporaries: about
+    # 0.14 x the table.  The stage table itself, or an int8 table of the
+    # outputs (1/4 of it), breaks the bound.
     rng = np.random.default_rng(0)
     pos, neg, _ = mini_corpus(rng, n_pos=100, n_neg=400, size=16)
     pool = TrainingPool(pos.astype(np.uint8), neg.astype(np.uint8), [], validation_split=0.2)
@@ -630,7 +636,7 @@ def test_training_peak_stays_near_the_stage_table():
         tracemalloc.stop()
     assert len(model.nodes) == 1 and model.stage_log[-1] == {"stop_reason": "f_target_met"}
     table = len(feats) * (80 + 400) * 4  # int32 sums of 80 training positives and 400 negatives
-    assert peak <= 0.45 * table, peak / table
+    assert peak <= 0.2 * table, peak / table
 
 
 @pytest.mark.parametrize("method", ["adaboost", "bgslda1"])

@@ -41,6 +41,14 @@ def test_imports_only_stdlib_and_numpy(path):
     assert sorted(set(imported_roots(tree)) - ALLOWED) == []
 
 
+def test_numpy_floor_has_bitwise_count():
+    # The selector counts packed outputs by np.bitwise_count, new in numpy 2.0.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    floors = [dep.removeprefix("numpy>=") for dep in project["dependencies"] if dep.startswith("numpy>=")]
+    assert len(floors) == 1 and tuple(int(part) for part in floors[0].split(".")[:2]) >= (2, 0), floors
+
+
 def test_guard_catches_a_foreign_import():
     tree = ast.parse("import os\nfrom scipy import linalg\nfrom . import features\nimport numpy.linalg\n")
     assert sorted(set(imported_roots(tree)) - ALLOWED) == ["scipy"]

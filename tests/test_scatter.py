@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gslda_cascade import scatter
+from gslda_cascade import scatter, stumps
 from gslda_cascade.scatter import (
     REJECTED,
     DegenerateClassError,
@@ -14,6 +14,7 @@ from gslda_cascade.scatter import (
 
 from oracles import (
     ResponseTable,
+    UnpackedScatter,
     augment,
     candidate_scores,
     direct_between_vector,
@@ -22,6 +23,7 @@ from oracles import (
     exhaustive_best_subset,
     forward_select,
     from_scratch_greedy,
+    packed,
     random_rm,
     subset_eigenvalue,
 )
@@ -33,16 +35,16 @@ def samples(rows, labels):
 
 
 def between(rm, w=None):
-    return GreedySelector(*rm, ScatterConfig(), w).b
+    return GreedySelector(*rm.packed, ScatterConfig(), w).b
 
 
 def within(rm, cfg, i, j, w=None):
-    return float(GreedySelector(*rm, cfg, w).cross([i])[0, j])
+    return float(GreedySelector(*rm.packed, cfg, w).cross([i])[0, j])
 
 
 def augmented(rm, cfg, order, w=None):
     """Selector grown by rank-one augmentation with the features in order."""
-    sel = GreedySelector(*rm, cfg, w)
+    sel = GreedySelector(*rm.packed, cfg, w)
     for i in order:
         augment(sel, int(i))
     return sel
@@ -50,7 +52,7 @@ def augmented(rm, cfg, order, w=None):
 
 def eliminated(sel, rm, cfg, w=None):
     """Selector after the backward pass, started from sel's subset."""
-    out = GreedySelector(*rm, cfg, w, selected=sel.selected)
+    out = GreedySelector(*rm.packed, cfg, w, selected=sel.selected)
     out.eliminate()
     return out
 
@@ -86,7 +88,7 @@ class TestBetweenClassVector:
 
     def test_degenerate_class_rejected(self):
         with pytest.raises(DegenerateClassError, match="degenerate class distribution"):
-            GreedySelector(*samples(np.ones((3, 2), dtype=int), [1, 1, 1]), ScatterConfig())
+            GreedySelector(*samples(np.ones((3, 2), dtype=int), [1, 1, 1]).packed, ScatterConfig())
 
     @pytest.mark.parametrize("w", [0.5, [1.0], np.full(7, 1 / 7), np.full((6, 1), 1 / 6)])
     def test_weights_need_one_entry_per_sample(self, w):
@@ -179,7 +181,7 @@ class TestRankOneAugment:
     def test_eigenvalue_identity_maintained(self):
         rng = np.random.default_rng(9)
         rm = random_rm(rng, 30, 8)
-        sel = GreedySelector(*rm, ScatterConfig())
+        sel = GreedySelector(*rm.packed, ScatterConfig())
         for i in (4, 1, 6):
             augment(sel, i)
             b_r = sel.b[sel.selected]
@@ -284,7 +286,7 @@ class TestForwardSelect:
     def test_eigenvalue_monotone_along_selection(self):
         rng = np.random.default_rng(17)
         rm = random_rm(rng, 50, 12)
-        sel = GreedySelector(*rm, ScatterConfig())
+        sel = GreedySelector(*rm.packed, ScatterConfig())
         prev = 0.0
         while sel.step() is not None:
             lam = sel.eig
@@ -317,10 +319,10 @@ class TestFromSubset:
         rng = np.random.default_rng(28)
         rm = random_rm(rng, 20, 5)
         cfg = ScatterConfig()
-        sel = GreedySelector(*rm, cfg, selected=[])
+        sel = GreedySelector(*rm.packed, cfg, selected=[])
         assert sel.selected == []
         assert sel.eig == 0.0
-        assert np.array_equal(candidate_scores(sel), candidate_scores(GreedySelector(*rm, cfg)))
+        assert np.array_equal(candidate_scores(sel), candidate_scores(GreedySelector(*rm.packed, cfg)))
 
     def test_matches_direct_inversion(self):
         rng = np.random.default_rng(29)
@@ -332,7 +334,7 @@ class TestFromSubset:
                 w /= w.sum()
             cfg = ScatterConfig(ridge=1e-6)
             subset = [7, 2, 4]
-            sel = GreedySelector(*rm, cfg, w, selected=subset)
+            sel = GreedySelector(*rm.packed, cfg, w, selected=subset)
             sw = direct_within(rm, cfg, w)[np.ix_(subset, subset)]
             assert sel.selected == subset
             assert np.max(np.abs(sel.inv @ sw - np.eye(3))) < 1e-8
@@ -345,10 +347,10 @@ class TestFromSubset:
             w = rng.random(40)
             w /= w.sum()
             cfg = ScatterConfig()
-            grown = GreedySelector(*rm, cfg, w)
+            grown = GreedySelector(*rm.packed, cfg, w)
             for _ in range(3):
                 grown.step()
-            restarted = GreedySelector(*rm, cfg, w, selected=grown.selected)
+            restarted = GreedySelector(*rm.packed, cfg, w, selected=grown.selected)
             assert np.allclose(candidate_scores(restarted), candidate_scores(grown), rtol=1e-8)
             assert restarted.step() == grown.step()
 
@@ -488,8 +490,8 @@ ROUND_9_RUNS = [
 
 def round_9_state():
     """(rows, labels, weights) of the captured round: 9 int8 rows over 900
-    samples, in C order like the table the selector was handed (einsum's
-    sums follow the layout)."""
+    samples, in C order like the table the selector once read in place
+    (einsum's sums follow the layout)."""
     ids, counts = zip(*ROUND_9_RUNS)
     cols = np.repeat(ids, counts)
     outputs, labels, weights = zip(*ROUND_9_COLUMNS)
@@ -522,34 +524,99 @@ class TestRidgeLimitedSelection:
         # products give it against a diagonal of 261.5, -2.27e-6 from the
         # candidate's own column.  Scoring and augmenting read the former.
         rows, labels, w = round_9_state()
-        sel = GreedySelector(rows, labels, ScatterConfig(), w, selected=range(8))
+        sel = GreedySelector(packed(rows), labels, ScatterConfig(), w, selected=range(8))
         assert candidate_scores(sel)[8] != REJECTED
         assert sel.step() == 8
         assert sel.selected == list(range(9))
-        again = GreedySelector(rows, labels, ScatterConfig(), w, selected=range(8))
+        again = GreedySelector(packed(rows), labels, ScatterConfig(), w, selected=range(8))
         augment(again, 8)
         assert np.array_equal(again.inv, sel.inv)
 
     def test_round_9_scores_do_not_depend_on_the_layout(self):
-        # np.einsum sums in another order over a Fortran-ordered table: handed
-        # as is, it scored candidate 8 at -inf; the C-ordered table scores it
-        # 1.144e9.  The selector reads its table in C order.
+        # np.einsum sums in another order over a Fortran-ordered int8 table:
+        # read in place, it scored candidate 8 at -inf; the C-ordered table
+        # scores it 1.144e9.  The selector unpacks C-ordered blocks of its
+        # packed table, whatever the layout handed to it, and scores as the
+        # C-ordered int8 table did.
         rows, labels, w = round_9_state()
-        c_order = GreedySelector(rows, labels, ScatterConfig(), w, selected=range(8))
-        fortran = GreedySelector(np.asfortranarray(rows), labels, ScatterConfig(), w, selected=range(8))
-        assert fortran.responses.flags.c_contiguous
+        bits = packed(rows)
+        c_order = GreedySelector(bits, labels, ScatterConfig(), w, selected=range(8))
+        fortran = GreedySelector(np.asfortranarray(bits), labels, ScatterConfig(), w, selected=range(8))
+        assert fortran.bits.flags.c_contiguous
         assert candidate_scores(fortran).tobytes() == candidate_scores(c_order).tobytes()
         assert candidate_scores(fortran)[8] != REJECTED
-        assert GreedySelector(rows, labels, ScatterConfig(), w).responses is rows  # C order is held, not copied
+        ref = UnpackedScatter(ResponseTable(rows, labels), ScatterConfig(), w)
+        cross = ref.cross(range(8))
+        assert ref.scores(cross, list(range(8)), c_order.inv, c_order.eig).tobytes() == candidate_scores(c_order).tobytes()
+        assert GreedySelector(bits, labels, ScatterConfig(), w).bits is bits  # C order is held, not copied
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
     def test_step_stops_or_augments_on_separable_tables(self, seed):
         rm, w = ridge_limited_table(np.random.default_rng(seed))
-        sel = GreedySelector(*rm, ScatterConfig(), w)
+        sel = GreedySelector(*rm.packed, ScatterConfig(), w)
         while True:
             before = list(sel.selected)
             j = sel.step()
             if j is None:
                 break
             assert sel.selected == before + [j]
+
+
+def edge_table(rng, n, m):
+    """A random +/-1 table of m rows on n samples with both classes present,
+    holding an all +1 row, an all -1 row and duplicate rows among them."""
+    rm = random_rm(rng, n, m)
+    rows = rm.responses.copy()
+    rows[rng.integers(m)] = 1
+    rows[rng.integers(m)] = -1
+    dup = rng.integers(m, size=2)
+    rows[dup[1]] = rows[dup[0]]
+    return ResponseTable(rows, rm.labels)
+
+
+class TestPackedSelector:
+    """The selector reads packed outputs a block of rows at a time: its
+    means, diagonal, S_w rows and scores must be those of the whole
+    unpacked int8 table (oracles.UnpackedScatter) bit for bit, with unit
+    weights (popcounts) and boosting weights (unpacked blocks), for any N
+    and across blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([2, 3, 7, 8, 9, 63, 64, 65, 100, 128, 131, 200]),
+           st.integers(4, 40), st.booleans(), st.integers(1, 9))
+    def test_matches_the_unpacked_table(self, seed, n, m, weighted, block_rows):
+        rng = np.random.default_rng(seed)
+        rm = edge_table(rng, n, m)
+        w = None
+        if weighted:
+            w = rng.random(n) * 10.0 ** rng.uniform(-8, 0, size=n)
+            w /= w.sum()
+        cfg = ScatterConfig(gamma=float(rng.choice([1.0, 1.7])), ridge=1e-6)
+        ref = UnpackedScatter(rm, cfg, w)
+        start = sorted(rng.choice(m, size=int(rng.integers(0, 3)), replace=False).tolist())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stumps, "_BLOCK_BYTES", n * block_rows)
+            sel = GreedySelector(*rm.packed, cfg, w, selected=start)
+            for name in ("mu_p", "mu_n", "b", "diag"):
+                assert getattr(sel, name).tobytes() == getattr(ref, name).tobytes(), name
+            if start:
+                assert sel._rows.tobytes() == ref.cross(start).tobytes()
+            rows = rng.integers(0, m, size=3)
+            assert sel.cross(rows).tobytes() == ref.cross(rows).tobytes()
+            for _ in range(3):
+                want = ref.scores(sel._rows, sel.selected, sel.inv, sel.eig)
+                assert candidate_scores(sel).tobytes() == want.tobytes()
+                if sel.step() is None:
+                    break
+                assert sel._rows[-1].tobytes() == ref.cross([sel.selected[-1]])[0].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+    def test_weights_must_be_finite_and_nonnegative(self, bad):
+        # NaN weights once gave NaN scores and a selector that picked
+        # nothing; a negative weight, a negative class mass.
+        rm = random_rm(np.random.default_rng(31), 12, 4)
+        w = np.full(12, 1 / 12)
+        w[3] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            GreedySelector(*rm.packed, ScatterConfig(), w)

@@ -9,7 +9,7 @@ from gslda_cascade import stumps
 from gslda_cascade.features import FeatureExtractor, PatchSums, PoolParams, build_pool
 from gslda_cascade.stumps import _LIMITS, DecisionStump, StumpTrainer
 
-from oracles import exhaustive_stump, stump_response, stump_table, thresholds_of, weighted_error
+from oracles import exhaustive_stump, packed, stump_response, stump_table, thresholds_of, unpacked, weighted_error
 
 
 def uniform(n):
@@ -22,8 +22,8 @@ def sums_of(values):
 
 
 def every_row(table):
-    """The table's outputs on its samples, every row in order."""
-    return table.responses(np.arange(len(table)))
+    """The table's int8 outputs on its samples, every row in order."""
+    return unpacked(table.responses(np.arange(len(table))), len(table.labels))
 
 
 def train_one(values, labels, weights):
@@ -148,7 +148,7 @@ class TestBuildTable:
         for out_row, in_row in enumerate(perm):
             assert thresholds_of(t2)[out_row] == thresholds_of(t1)[in_row]
             assert t2.errors[out_row] == t1.errors[in_row]
-            assert np.array_equal(t2.responses([out_row])[0], t1.responses([in_row])[0])
+            assert np.array_equal(t2.responses([out_row]), t1.responses([in_row]))
 
     def test_errors_match_per_row_training(self):
         rng = np.random.default_rng(4)
@@ -176,8 +176,9 @@ class TestBuildTable:
             trained = StumpTrainer(table, labels, area).train_all(draw_weights(rng, table.shape[1], kind))
         for j in range(len(trained)):
             stump, outputs = trained.stump(j)
-            assert np.array_equal(trained.responses([j])[0], stump.responses(table[j], area[j]))
-            assert outputs.tobytes() == trained.responses([j])[0].tobytes()
+            row = unpacked(trained.responses([j]), table.shape[1])[0]
+            assert np.array_equal(row, stump.responses(table[j], area[j]))
+            assert outputs.dtype == np.int8 and outputs.tobytes() == row.tobytes()
 
     def test_trainer_reuse_under_new_weights(self):
         rng = np.random.default_rng(6)
@@ -363,7 +364,7 @@ class TestView:
             view = extractor.sums(patches)
             trainer = StumpTrainer(view, labels, area, keep_order)
             assert sum(reads) == (len(area) if keep_order else 0)  # the sort's
-            for outputs in (None, np.empty(table.shape, dtype=np.int8)):
+            for outputs in (None, np.empty((len(area), stumps.words(n)), dtype=np.uint64)):
                 reads.clear()
                 w = draw_weights(rng, n, kind)
                 got = trainer.train_all(w, outputs)
@@ -405,13 +406,41 @@ class TestResponses:
             drawn = rng.integers(0, m, size=int(rng.integers(1, 3 * m + 2))).tolist()
             for rows in ([], drawn, list(range(m))[::-1], [m - 1, 0, m - 1]):
                 got = trained.responses(rows)
-                assert got.shape == (len(rows), n) and got.dtype == np.int8
-                assert got.tobytes() == expected[rows].tobytes()
-                into = np.zeros((len(rows) + 2, n), dtype=np.int8)
+                assert got.shape == (len(rows), stumps.words(n)) and got.dtype == np.uint64
+                assert got.tobytes() == packed(expected[rows]).tobytes()
+                into = np.zeros((len(rows) + 2, stumps.words(n)), dtype=np.uint64)
                 inner = into[1:-1]
                 assert trained.responses(rows, out=inner) is inner
-                assert inner.tobytes() == expected[rows].tobytes()
+                assert inner.tobytes() == packed(expected[rows]).tobytes()
                 assert not into[0].any() and not into[-1].any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([2, 5, 8, 13, 63, 64, 65, 127, 128, 200]), st.integers(1, 5),
+           st.booleans())
+    def test_rows_are_packbits_of_the_outputs(self, seed, n, block_rows, keep_order):
+        # The packed form: np.packbits of outputs < 0 in little bit order,
+        # then zero bytes up to whole uint64 words, from train_all's outputs
+        # and from responses alike.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 12))
+        labels = np.where(rng.random(n) < 0.4, 1, -1)
+        labels[:2] = [1, -1]
+        table = np.round(3 * rng.normal(size=(m, n)) + labels * rng.choice([0.0, 2.0], size=(m, 1))).astype(np.int32)
+        table[0] = 7  # a constant row: all one output
+        w = rng.random(n)
+        w /= w.sum()
+        expected = stump_table(table, labels, w)[3]
+        want = np.packbits(expected < 0, axis=1, bitorder="little")
+        outputs = np.empty((m, stumps.words(n)), dtype=np.uint64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stumps, "_BLOCK_BYTES", 16 * (n + 1) * block_rows)
+            trained = StumpTrainer(table, labels, keep_order=keep_order).train_all(w, outputs)
+            rows = rng.integers(0, m, size=4)
+            for got, ref in ((outputs, want), (trained.responses(rows), want[rows])):
+                raw = got.view(np.uint8)
+                assert raw.shape[1] % 8 == 0 and raw.shape[1] - 8 < ref.shape[1] <= raw.shape[1]
+                assert raw[:, : ref.shape[1]].tobytes() == ref.tobytes()
+                assert not raw[:, ref.shape[1] :].any()
 
     def test_infinite_thresholds(self):
         # A +inf threshold passes no sum, the dtype's largest included; a
@@ -426,7 +455,7 @@ class TestResponses:
             thresholds = thresholds_of(trained)
             seen.update(thresholds[np.isinf(thresholds)].tolist())
             rows = [3, 0, 0, 2, 1]
-            assert trained.responses(rows).tobytes() == expected[rows].tobytes()
+            assert trained.responses(rows).tobytes() == packed(expected[rows]).tobytes()
         assert seen == {-np.inf, np.inf}
 
 
@@ -633,6 +662,22 @@ class TestInputChecks:
         for weights in (0.25, np.full(3, 0.25), np.full((1, 4), 0.25), np.full(5, 0.2)):
             with pytest.raises(ValueError, match="weights"):
                 trainer.train_all(weights)
+
+    @pytest.mark.parametrize("keep_order", [True, False])
+    def test_weights_must_be_finite(self, keep_order):
+        # NaN weights once trained to NaN errors, and an infinite one to NaN
+        # errors through inf - inf.
+        trainer = StumpTrainer(np.array([[1, 2, 3, 4]]), np.array([1, -1, 1, -1]), keep_order=keep_order)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                trainer.train_all(np.array([0.25, bad, 0.25, 0.25]))
+
+    @pytest.mark.parametrize("keep_order", [True, False])
+    def test_weights_must_be_nonnegative(self, keep_order):
+        # A negative weight once trained to a negative weighted error.
+        trainer = StumpTrainer(np.array([[1, 2, 3, 4]]), np.array([1, -1, 1, -1]), keep_order=keep_order)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            trainer.train_all(np.array([0.5, -0.25, 0.5, 0.25]))
 
 
 class TestNaN:
