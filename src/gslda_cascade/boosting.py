@@ -3,7 +3,9 @@
 Weights form a normalized distribution over training samples.  They are plain
 numpy arrays; every operation here returns a fresh normalized array.  One
 update rule, reweight, serves every boosted method: AdaBoost is its k = 1
-case and AsymBoost adds the class-asymmetry factor of k > 1.
+case and AsymBoost adds the class-asymmetry factor of k > 1.  BGSLDA's
+prune sums its edges on the stump outputs by stumps.row_sums: stumps alone
+packs, unpacks and sums outputs.
 """
 
 from __future__ import annotations
@@ -100,31 +102,30 @@ def prune_candidates(table: StumpTable, w, cfg: BoostingConfig) -> np.ndarray:
 
 def compact_rows(rows: np.ndarray, keep) -> int:
     """Moves the rows where keep is set to the front of rows, in their order,
-    in place, and returns their count.  Rows move a block of about
-    _BLOCK_BYTES at a time, each block through one copy, and a block already
-    in place does not move."""
+    in place, and returns their count.  Rows move a block at a time
+    (stumps.blocks), each block through one copy, and a block already in
+    place does not move."""
     kept = np.flatnonzero(keep)
-    step = max(1, stumps._BLOCK_BYTES // max(rows.shape[1] * rows.itemsize, 1))
-    for lo in range(0, len(kept), step):
-        block = kept[lo : lo + step]
-        if block[0] != lo or block[-1] != lo + len(block) - 1:  # a later row moves up
-            rows[lo : lo + len(block)] = rows[block]  # a copy first: every source lies at or past lo
+    for part in stumps.blocks(len(kept), rows.shape[1] * rows.itemsize):
+        block = kept[part]
+        if block[0] != part.start or block[-1] != part.stop - 1:  # a later row moves up
+            rows[part] = rows[block]  # a copy first: every source lies at or past the block's start
     return len(kept)
 
 
 def prune_stumps(table: StumpTable, w, cfg: BoostingConfig, out: np.ndarray | None = None):
     """Keep stumps whose weighted error is within epsilon of the best bound.
 
-    A stump's edge is sum_i w_i y_i h_j(x_i), summed by np.einsum over its
-    int8 +/-1 outputs, unpacked a block of rows at a time; beta_k is the
-    best edge and e_k = (1 - beta_k) / 2.  Returns (indices with edge >=
-    beta_k - 2 epsilon, which is error <= e_k + epsilon, and EdgeStats);
-    the stump attaining beta_k (the first, on ties) always survives.  out,
-    when given, is a uint64 array of one packed row per candidate
-    (prune_candidates, StumpTable.responses) that the candidates' outputs
-    are built in, once; the survivors' rows are then moved to its front, in
-    order, in place (compact_rows), so that BGSLDA's selector reads them
-    where they were built.
+    A stump's edge is sum_i w_i y_i h_j(x_i), its sum against the +1 row
+    under the weights w y (stumps.row_sums, which alone packs, unpacks and
+    sums outputs); beta_k is the best edge and e_k = (1 - beta_k) / 2.
+    Returns (indices with edge >= beta_k - 2 epsilon, which is error <=
+    e_k + epsilon, and EdgeStats); the stump attaining beta_k (the first,
+    on ties) always survives.  out, when given, is a table of one row per
+    candidate (prune_candidates) that StumpTable.responses builds the
+    candidates' outputs in, once; the survivors' rows are then moved to its
+    front, in order, in place (compact_rows), so that BGSLDA's selector
+    reads them where they were built.
 
     Edges are summed for the candidates of a filter only.  The filter reads
     the errors the table was trained with, under the same nonnegative w:
@@ -140,7 +141,7 @@ def prune_stumps(table: StumpTable, w, cfg: BoostingConfig, out: np.ndarray | No
     No survivor is dropped: for m the row of max(a), beta_k >= e_m >=
     max(a) - tau / 2, so a row with e_j >= beta_k - 2 epsilon (the row
     attaining beta_k among them) has a_j >= e_j - tau / 2 >= max(a) -
-    2 epsilon - tau.  np.einsum sums each row alike whatever rows it comes
+    2 epsilon - tau.  row_sums sums each row alike whatever rows it comes
     with (tests/test_boosting.py checks it), so beta_k, its first index and
     the survivors are those of summing every row of the unpacked table.
     """
@@ -149,11 +150,8 @@ def prune_stumps(table: StumpTable, w, cfg: BoostingConfig, out: np.ndarray | No
     w = np.asarray(w, dtype=np.float64)
     candidates = prune_candidates(table, w, cfg)
     outputs = table.responses(candidates, out=out)
-    signed, n = w * table.labels, len(w)
-    edges = np.empty(len(candidates))
-    step = max(1, stumps._BLOCK_BYTES // n)
-    for lo in range(0, len(candidates), step):
-        edges[lo : lo + step] = np.einsum("mn,n->m", stumps.unpack(outputs[lo : lo + step], n), signed)
+    plus = stumps.packed_table(np.ones((1, len(w))), 0, len(w))
+    edges = stumps.row_sums(outputs, plus, [w * table.labels])[0, 0]
     best = int(np.argmax(edges))
     beta_k = float(edges[best])
     e_k = 0.5 - 0.5 * beta_k

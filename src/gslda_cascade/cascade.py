@@ -13,8 +13,9 @@ GSLDA and BGSLDA vote by the discriminant direction.  Reweighting is one
 rule (boosting.reweight), asymmetric for asymboost and bgslda2.  Every
 method takes the chosen stump and its int8 outputs from one read of its
 row (StumpTable.stump).  Beyond it a round builds only the outputs it
-reads, each once and packed one bit to an output, the one table form the
-selector reads: GSLDA every row's, within its one training; BGSLDA the
+reads, each once, in the one table form that the selector and the prune
+read and that stumps alone packs, unpacks and sums (stumps.packed_table,
+stumps.row_sums): GSLDA every row's, within its one training; BGSLDA the
 prune's candidates' (StumpTable.responses), straight into the selector's
 table after the chosen rows, where the prune sums their edges and compacts
 them.
@@ -23,7 +24,7 @@ A stage reaches train_node as its patches' sums, a features.PatchSums view
 that holds their integral tables and extracts rows on demand, and no
 method builds the stage's table.  GSLDA trains from the view in one pass,
 each block of rows extracted, sorted, trained and turned into the
-selector's packed outputs once.  The methods that retrain extract each block
+selector's outputs once.  The methods that retrain extract each block
 once for the stored-order trainer's sort, which keeps the order and tie
 bits alone; each round then trains from the order alone and extracts only
 the rows it builds and the chosen stump's row.  So no node holds the
@@ -190,7 +191,7 @@ def train_node(
     integer sums whose row j divided by area[j] gives feature j's values
     (area defaults to ones), as for StumpTrainer.  Every method's trainer
     takes it as it is.  GSLDA's one-pass trainer reads each block of a view
-    once and writes the selector's packed outputs as it goes; the other
+    once and writes the selector's outputs as it goes; the other
     methods retrain, and their stored-order trainer reads each block of a
     view once for its sort.  Every method's round then reads the chosen
     stump's row once, for its threshold and outputs (StumpTable.stump).
@@ -223,7 +224,7 @@ def train_node(
     trainer = stumps.StumpTrainer(values, labels, area, keep_order=method != "gslda")
     weights = boosting.init_weights(labels)
     if method == "gslda":  # one selector walks the outputs built as each block is trained
-        outputs = np.empty((len(values), stumps.words(len(labels))), dtype=np.uint64)
+        outputs = stumps.packed_table((), len(values), len(labels))
         table = trainer.train_all(weights, outputs)
         sel = scatter.GreedySelector(outputs, labels, scfg)
     else:
@@ -260,15 +261,16 @@ def _bgslda_pick(fit, table, weights, scfg, boost_cfg):
     not yet chosen, after doubling the slack once and then falling back to
     the least-error unchosen stump.  The selector holds the chosen rows, then
     the candidates' in ascending order, so ties go to the lowest table index.
-    Its one packed table is built once: the chosen rows, then the prune's
-    candidate outputs, which the prune sums its edges on and compacts to
-    its survivors, and the chosen survivors are compacted out in place.
+    Its one table of outputs is built once (stumps.packed_table): the chosen
+    rows, then the prune's candidate outputs, which the prune sums its edges
+    on and compacts to its survivors, and the chosen survivors are compacted
+    out in place.
     Returns (table index or None, selector)."""
     chosen = [s.feature_id for s in fit.chosen]
     k, n = len(chosen), len(fit.labels)
     widened = dataclasses.replace(boost_cfg, prune_epsilon=2.0 * boost_cfg.prune_epsilon)
     for cfg in (boost_cfg, widened):
-        rows = _after(fit.train_rows, len(boosting.prune_candidates(table, weights, cfg)), n)
+        rows = stumps.packed_table(fit.train_rows, len(boosting.prune_candidates(table, weights, cfg)), n)
         survivors, _ = boosting.prune_stumps(table, weights, cfg, out=rows[k:])
         if not np.isin(survivors, chosen).all():
             break
@@ -278,7 +280,7 @@ def _bgslda_pick(fit, table, weights, scfg, boost_cfg):
         survivors = survivors[~np.isin(survivors, chosen)][:1]
         if not survivors.size:
             return None, None
-        rows = _after(fit.train_rows, 1, n)
+        rows = stumps.packed_table(fit.train_rows, 1, n)
         table.responses(survivors, out=rows[k:])
     fresh = ~np.isin(survivors, chosen)
     allowed = survivors[fresh]
@@ -286,14 +288,6 @@ def _bgslda_pick(fit, table, weights, scfg, boost_cfg):
     sel = scatter.GreedySelector(rows, fit.labels, scfg, weights, selected=range(k))
     picked = sel.step()
     return (None if picked is None else int(allowed[picked - k])), sel
-
-
-def _after(head, count, n):
-    """A packed table of N samples' outputs: head's int8 rows, then count
-    rows to be filled."""
-    rows = np.empty((len(head) + count, stumps.words(n)), dtype=np.uint64)
-    stumps.pack(np.less(head, 0).reshape(len(head), n), rows[: len(head)])
-    return rows
 
 
 def _eliminate(fit, sel, fixed_rounds):
@@ -549,7 +543,9 @@ def train_cascade(
     Training also stops when a node misses its goal or the reservoir runs
     dry.  The last stage_log record is {"stop_reason": ...}:
     f_target_met, goal_missed, bootstrap_exhausted, negatives_empty or
-    max_stages.  The metadata holds every training setting.  Raises
+    max_stages.  The metadata records method, seed, d_min, f_max, f_target,
+    gamma, asym_k, prune_epsilon, dual_pass and validation_split; it does
+    not record ridge or max_stumps.  Raises
     ValueError unless feature_pool's base_window is the patches' side (such
     a model would not load), and when it holds no features.
     """

@@ -6,9 +6,9 @@ eigenvalue of a subset l is the closed form b_l' (S_w^l)^{-1} b_l and forward
 selection only needs a rank-one block update of the restricted inverse per
 added feature.  Columns of the within-class scatter are produced on demand;
 the full M x M matrix is never materialized.  GreedySelector is the whole
-layer: it holds the stump outputs packed, one bit per output as
-StumpTable.responses builds them (stumps module docstring), read a block of
-rows at a time, with a closed-form diagonal; it holds the weighted class
+layer: it holds the stump outputs as StumpTable.responses builds them, and
+takes every sum of them from stumps.row_sums, which alone packs, unpacks
+and sums outputs; it holds a closed-form diagonal and the weighted class
 moments, and implements candidate scoring, the rank-one update, the
 discriminant direction and the backward elimination pass.
 """
@@ -75,37 +75,29 @@ def _augmented_inverse(inv, u, a):
 class GreedySelector:
     """Stepwise forward selection over an (M, N) table of stump outputs.
 
-    bits holds the outputs packed, row j those of stump j on the N samples
-    as StumpTable.responses builds them (a (M, words(N)) uint64 array; it
-    is held as given when C-ordered, else copied to C order); labels holds
-    the +/-1 class of each sample.  Boosting weights (which sum to 1) are
-    rescaled by N so that a uniform distribution reproduces the plain
-    scatter; the scatter diagonal is W - W * mu**2 per class, as x * x = 1
-    for +/-1 outputs.  Every sum the selector takes is one of each row's
-    class sums against a chosen row (_sums; a row of +1 outputs for the
-    class means), read a block of about stumps._BLOCK_BYTES of unpacked
-    outputs at a time, one of two ways.  With weights=None every sum is an
-    exact integer count, taken from np.bitwise_count of the packed words of
-    the row xor the chosen row, masked by class; these are the float sums
-    of the unpacked table exactly.  With weights, each block is unpacked to
-    int8 +/-1 and summed by np.einsum with the chosen row times a class
-    weight vector over all N samples (zero on the other class), which gives
-    each row's sum bit for bit as over the whole unpacked table, since an
-    einsum row sum does not depend on the rows beside it.  Weights must be
-    finite and nonnegative.  The
-    selector starts from the subset `selected`, whose restricted inverse
-    comes from a direct solve.  Single steps use the rank-one block update
-    of the restricted inverse, which is refreshed from a direct solve every
-    _REFRESH_EVERY features.
+    bits holds the outputs, row j those of stump j on the N samples, as
+    StumpTable.responses builds them (held as given when C-ordered, else
+    copied to C order); labels holds the +/-1 class of each sample.
+    Boosting weights (which sum to 1) are rescaled by N so that a uniform
+    distribution reproduces the plain scatter; the scatter diagonal is
+    W - W * mu**2 per class, as x * x = 1 for +/-1 outputs.  Every sum the
+    selector takes is one of each row's class sums against a chosen row,
+    by stumps.row_sums with the class weight vectors (each zero on the
+    other class): against the +1 row for the class means, against the
+    rows asked for in cross.  With weights=None they are 0/1 masks, whose
+    sums row_sums counts exactly; each sum is bit for bit the one over the
+    whole unpacked table either way.  Weights must be finite and
+    nonnegative.  The selector starts from the subset `selected`, whose
+    restricted inverse comes from a direct solve.  Single steps use the
+    rank-one block update of the restricted inverse, which is refreshed
+    from a direct solve every _REFRESH_EVERY features.
     """
 
     def __init__(self, bits, labels, cfg: ScatterConfig, weights=None, selected=()):
-        bits = np.ascontiguousarray(bits)  # rows are read, and unpacked, as contiguous words
+        bits = np.ascontiguousarray(bits)  # held C-ordered: row_sums needs contiguous rows
         labels = np.asarray(labels)
-        if bits.ndim != 2 or bits.dtype != np.uint64:
-            raise ValueError("bits must be a 2-d (stumps x words) uint64 table of packed outputs")
-        if labels.ndim != 1 or bits.shape[1] != stumps.words(len(labels)):
-            raise ValueError("labels length must match the samples of the packed rows")
+        if labels.ndim != 1:
+            raise ValueError("labels must be one class per sample")
         if not np.all(np.abs(labels) == 1):
             raise ValueError("labels must be -1 or +1")
         pos = labels > 0
@@ -120,19 +112,17 @@ class GreedySelector:
             raise ValueError("sample weights must be finite and nonnegative")
         self.cfg = cfg
         self.bits = bits
-        self._unit = weights is None  # every sum a count, taken by popcounts
         self.wp = np.where(pos, w, 0.0)
         self.wn = np.where(pos, 0.0, w)
         self.Wp = float(self.wp.sum())
         self.Wn = float(self.wn.sum())
         if self.Wp <= 0 or self.Wn <= 0:
             raise DegenerateClassError("degenerate class distribution")
-        self._pos = np.empty((1, bits.shape[1]), dtype=np.uint64)  # the positives' bits
-        stumps.pack(pos[None], self._pos)
-        # The class sums of each row are its sums against a row of +1 outputs, no bit set.
-        sums_p, sums_n = self._sums(np.zeros((1, bits.shape[1]), dtype=np.uint64))
-        self.mu_p = sums_p[0] / self.Wp
-        self.mu_n = sums_n[0] / self.Wn
+        # The class sums of each row are its sums against a row of +1 outputs.
+        plus = stumps.packed_table(np.ones((1, len(labels))), 0, len(labels))
+        sums = stumps.row_sums(bits, plus, [self.wp, self.wn])
+        self.mu_p = sums[0, 0] / self.Wp
+        self.mu_n = sums[1, 0] / self.Wn
         # Rank-one factor b of S_b: sqrt(Np*Nn/N) times the class-mean gap.
         self.b = np.sqrt(n_pos * n_neg / (n_pos + n_neg)) * (self.mu_p - self.mu_n)
         # Diagonal of the within-class scatter, ridge included: x * x = 1.
@@ -150,36 +140,6 @@ class GreedySelector:
             self._refresh()
             self._recompute_eig()
 
-    def _blocks(self) -> list[slice]:
-        """Row slices of at most stumps._BLOCK_BYTES of unpacked outputs."""
-        m, n = len(self.bits), len(self.wp)
-        step = max(1, stumps._BLOCK_BYTES // n)
-        return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
-
-    def _sums(self, chosen) -> tuple[np.ndarray, np.ndarray]:
-        """(sum_i wp_i x_ri x_mi, sum_i wn_i x_ri x_mi) as (k, M) arrays, for
-        the k packed rows chosen (r) and every row of the table (m)."""
-        out = np.empty((len(chosen), len(self.bits)))
-        an = np.empty_like(out)
-        if not self._unit:
-            signs = stumps.unpack(chosen, len(self.wp))
-            xp, xn = signs * self.wp, signs * self.wn
-        for block in self._blocks():
-            if self._unit:  # x_ri x_mi is -1 where the bits differ: each class's W less twice those
-                for t, row in enumerate(chosen):
-                    differ = self.bits[block] ^ row
-                    total = np.bitwise_count(differ).sum(axis=1).astype(np.int64)
-                    differ &= self._pos
-                    pos = np.bitwise_count(differ).sum(axis=1).astype(np.int64)
-                    out[t, block] = self.Wp - 2 * pos
-                    an[t, block] = self.Wn - 2 * (total - pos)
-            else:
-                signs = stumps.unpack(self.bits[block], len(self.wp))
-                out[:, block] = np.einsum("kn,mn->km", xp, signs)
-                an[:, block] = np.einsum("kn,mn->km", xn, signs)
-                del signs  # before the next block is unpacked
-        return out, an
-
     @property
     def _rows(self) -> np.ndarray:
         return self._buf[: len(self.selected)]  # C-ordered, as np.einsum's sums depend on the layout
@@ -187,7 +147,7 @@ class GreedySelector:
     def cross(self, rows) -> np.ndarray:
         """Rows of the within-class scatter: S_w[rows, :], ridge on S[r, rows[r]]."""
         rows = np.asarray(rows, dtype=np.intp)
-        out, an = self._sums(self.bits[rows])
+        out, an = stumps.row_sums(self.bits, self.bits[rows], [self.wp, self.wn])
         # out - Wp mu_p mu_p' + gamma (an - Wn mu_n mu_n'), one operation at a
         # time in place, so that three (k, M) arrays are all it holds.
         outer = np.outer(self.mu_p[rows], self.mu_p)

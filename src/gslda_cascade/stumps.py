@@ -26,11 +26,17 @@ picks and builds both the stump and its int8 +/-1 outputs from that one
 read, and StumpTable.responses builds the packed outputs of the rows a
 caller reads, a block of rows at a time, from the trainer's table or view.
 
-Every table of outputs that selection reads is packed: bit i of a row is
-set where the stump outputs -1 on sample i, in little bit order (sample i
-is bit i % 8 of byte i // 8), and each row is padded with zero bits to
-words(N) whole uint64 words.  pack writes such rows and unpack turns them
-back into int8 +/-1 rows, a block at a time.
+Every table of outputs that selection reads is packed, and this module
+alone packs, unpacks and sums them: bit i of a row is set where the stump
+outputs -1 on sample i, in little bit order (sample i is bit i % 8 of byte
+i // 8), and each row is padded with zero bits to words(N) whole uint64
+words.  packed_table allocates such a table, pack writes its rows and
+unpack turns them back into int8 +/-1 rows.  Every sum that selection takes
+of outputs is one kind, sum_i v_i x_ri x_mi of a weight vector v, a chosen
+row r and each row m of a table, and row_sums takes them all: GSLDA's and
+BGSLDA's class sums (r the +1 row) and scatter rows, and BGSLDA's prune
+edges (r the +1 row, v = w y).  Every pass over a table here, the sort,
+train_all, responses and row_sums, takes its rows in the slices of blocks.
 
 train_all sweeps both classes at once: each sample's weight is one
 complex128, its real part the weight of a positive and its imaginary part
@@ -63,8 +69,9 @@ import numpy as np
 
 from .features import PatchSums
 
-# Byte budget of one row block of StumpTrainer: rows of N + 1 entries, of
-# 8 bytes in the sort and 16 (one complex128) in train_all.
+# Byte budget of one block of rows (blocks): of N + 1 entries of 8 bytes in
+# the sort and of 16 (one complex128) in train_all, of N sums in responses
+# and of N unpacked int8 outputs in row_sums.
 _BLOCK_BYTES = 1 << 20
 # The bit pattern of +inf as an int64: an integer 0/1 mask times it is 0.0/+inf.
 _INF_BITS = np.array(np.inf).view(np.int64).item()
@@ -167,9 +174,24 @@ class DecisionStump:
         return np.where(self.passes(sums, area), self.polarity, -self.polarity).astype(np.int8)
 
 
+def blocks(count: int, row_bytes: int) -> list[slice]:
+    """Slices of rows 0..count - 1, in order, each of as many rows of
+    row_bytes bytes as fit in _BLOCK_BYTES, and one at least."""
+    step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def words(n: int) -> int:
     """The uint64 words of one packed row of n outputs."""
     return -(-n // 64)
+
+
+def packed_table(head, count: int, n: int) -> np.ndarray:
+    """A packed table of N samples' outputs: the int8 +/-1 rows head,
+    packed, then count rows to be filled."""
+    rows = np.empty((len(head) + count, words(n)), dtype=np.uint64)
+    pack(np.less(head, 0).reshape(len(head), n), rows[: len(head)])
+    return rows
 
 
 def pack(minus: np.ndarray, out: np.ndarray) -> None:
@@ -188,6 +210,40 @@ def unpack(bits: np.ndarray, n: int) -> np.ndarray:
     signs *= -2  # a set bit, -1, is -2 + 1
     signs += 1
     return signs
+
+
+def row_sums(bits: np.ndarray, chosen: np.ndarray, weights) -> np.ndarray:
+    """sums[t, r, m] = sum_i weights[t, i] x_ri x_mi as a (T, K, M) float64
+    array, for T weight vectors on N samples and the +/-1 outputs x of the
+    K packed rows chosen (r) and of the M packed rows bits (m), read a
+    block of about _BLOCK_BYTES of unpacked outputs at a time.  When every
+    weight is 0 or 1 the sums are exact counts: x_ri x_mi is -1 where the
+    bits differ, so a sum is the weights' total less twice the popcount of
+    row ^ chosen under the packed mask of the weights set to 1.  Otherwise
+    each block is unpacked to int8 and summed by one np.einsum against the
+    products weights[t] x_r stacked as rows; an einsum row's sum does not
+    depend on the rows beside it.  Either way every sum is bit for bit the
+    float sum over the whole unpacked table."""
+    weights = np.asarray(weights, dtype=np.float64)
+    n = weights.shape[1]
+    for rows in (bits, chosen):
+        if rows.ndim != 2 or rows.dtype != np.uint64 or rows.shape[1] != words(n):
+            raise ValueError(f"need 2-d uint64 tables of packed rows of {n} outputs")
+    out = np.empty((len(weights), len(chosen), len(bits)))
+    if np.all((weights == 0) | (weights == 1)):
+        masks = packed_table(-weights, 0, n)  # a bit set where the weight is 1
+        totals = weights.sum(axis=1)
+        for block in blocks(len(bits), n):
+            for r, row in enumerate(chosen):
+                differ = bits[block] ^ row
+                for t, mask in enumerate(masks):
+                    out[t, r, block] = totals[t] - 2 * np.bitwise_count(differ & mask).sum(axis=1, dtype=np.int64)
+    else:
+        products = (weights[:, None] * unpack(chosen, n)).reshape(-1, n)
+        stacked = out.reshape(len(products), len(bits))  # a view: row t * K + r
+        for block in blocks(len(bits), n):
+            stacked[:, block] = np.einsum("kn,mn->km", products, unpack(bits[block], n))
+    return out
 
 
 def _minus(sums, bound, none, polarity) -> np.ndarray:
@@ -252,13 +308,12 @@ class StumpTable:
         rows = np.asarray(rows, dtype=np.intp)
         n = self.sums.shape[1]
         if out is None:
-            out = np.empty((len(rows), words(n)), dtype=np.uint64)
-        step = max(1, _BLOCK_BYTES // (self.sums.dtype.itemsize * n))
-        for lo in range(0, len(rows), step):
-            block = rows[lo : lo + step]
+            out = packed_table((), len(rows), n)
+        for part in blocks(len(rows), self.sums.dtype.itemsize * n):
+            block = rows[part]
             sums = self.sums[block]
             bound = sums[np.arange(len(block)), self.cols[block, 1]]
-            pack(_minus(sums, bound, self.slots[block] == n, self.polarity[block]), out[lo : lo + step])
+            pack(_minus(sums, bound, self.slots[block] == n, self.polarity[block]), out[part])
             del sums
         return out
 
@@ -303,9 +358,9 @@ class StumpTrainer:
     block's keys stand in for its order, and its ranks use the gather's
     buffer before the gather), plus the block's extracted sums for a view.  Both give the same StumpTable
     bit for bit.  train_all(weights, outputs) also writes every stump's
-    packed outputs (StumpTable.responses's rows) into the (M, words(N))
-    uint64 array outputs, a block at a time as the block is trained,
-    reading each block's sums for it.
+    packed outputs (StumpTable.responses's rows) into outputs, a packed
+    table of M rows (packed_table), a block at a time as the block is
+    trained, reading each block's sums for it.
     train_all gathers both classes' weights, packed in one complex128
     (module docstring), through the order into one cumulative sum; err_plus
     is one contiguous array and err_minus is written over the cumsum block.
@@ -338,17 +393,10 @@ class StumpTrainer:
         # Bit t - 1 of a row is set when interior threshold slot t lies
         # inside a run of equal values, where no threshold can split them.
         self._ties = np.empty((m, -(-(n - 1) // 8)), dtype=np.uint8)
-        for rows in self._blocks():
+        for rows in blocks(m, 8 * (n + 1)):
             order, ties = _sorted_block(values[rows])
             self.order[rows] = order
             self._ties[rows] = np.packbits(ties, axis=1)
-
-    def _blocks(self, entry_bytes: int = 8) -> list[slice]:
-        """Row slices of at most _BLOCK_BYTES of (N + 1)-wide rows of
-        entry_bytes per entry."""
-        m, n = self.values.shape
-        step = max(1, _BLOCK_BYTES // (entry_bytes * (n + 1)))
-        return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
     def train_all(self, weights: np.ndarray, outputs: np.ndarray | None = None) -> StumpTable:
         m, n = self.values.shape
@@ -368,12 +416,12 @@ class StumpTrainer:
         class_w.imag = np.where(self.labels < 0, weights, 0.0)
         # Two block buffers, allocated once per call and reused by every
         # block: fresh blocks would fault their pages in again each time.
-        blocks = self._blocks(16)
-        step = blocks[0].stop - blocks[0].start
+        parts = blocks(m, 16 * (n + 1))
+        step = parts[0].stop - parts[0].start
         spare = np.empty(step * n, dtype=np.complex128)
         floats = spare.view(np.float64)
         sums = np.empty((step, n + 1), dtype=np.complex128)
-        for rows in blocks:
+        for rows in parts:
             # A block's sums are read only to sort it or to write its outputs.
             values = self.values[rows] if self.order is None or outputs is not None else None
             if self.order is None:  # sorted for this call alone

@@ -3,7 +3,9 @@ src/gslda_cascade is the standard library, numpy or the package itself, and
 the detect and eval commands load no part of numpy they do not use.  No
 package name is there for the tests alone: every name a test imports from
 the package, and every method or property of a package class that a test
-reads, is used by the package or the bench."""
+reads, is used by the package or the bench.  The packed form of stump
+outputs is known to stumps.py alone: no other package module names the
+bit-level kernels, dtype or helpers."""
 
 import ast
 import importlib
@@ -42,7 +44,7 @@ def test_imports_only_stdlib_and_numpy(path):
 
 
 def test_numpy_floor_has_bitwise_count():
-    # The selector counts packed outputs by np.bitwise_count, new in numpy 2.0.
+    # stumps.row_sums counts packed outputs by np.bitwise_count, new in numpy 2.0.
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     floors = [dep.removeprefix("numpy>=") for dep in project["dependencies"] if dep.startswith("numpy>=")]
@@ -52,6 +54,41 @@ def test_numpy_floor_has_bitwise_count():
 def test_guard_catches_a_foreign_import():
     tree = ast.parse("import os\nfrom scipy import linalg\nfrom . import features\nimport numpy.linalg\n")
     assert sorted(set(imported_roots(tree)) - ALLOWED) == ["scipy"]
+
+
+BIT_LEVEL = {"bitwise_count", "packbits", "unpackbits", "uint64", "stumps.pack", "stumps.unpack", "stumps.words"}
+# features sums unsigned pixels in a uint64 accumulator; it never meets stump outputs.
+EXEMPT = {"features.py": {"uint64"}}
+
+
+def bit_level_names(tree) -> set[str]:
+    """The BIT_LEVEL names a module reads, calls or imports: as a Name, as an
+    Attribute (stumps.X off the stumps module) or as a name imported from
+    stumps."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id == "stumps":
+                names.add(f"stumps.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "stumps":
+            names.update(f"stumps.{alias.name}" for alias in node.names)
+    return names & BIT_LEVEL
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "stumps.py"], ids=lambda p: p.name)
+def test_only_stumps_holds_bit_level_code(path):
+    found = bit_level_names(ast.parse(path.read_text(), filename=str(path))) - EXEMPT.get(path.name, set())
+    assert sorted(found) == []
+
+
+def test_bit_level_guard_flags_names_attributes_and_imports():
+    tree = ast.parse("import numpy as np\nfrom . import stumps\nfrom .stumps import unpack, blocks\n"
+                     "np.bitwise_count(x)\nx.view(np.uint64)\nstumps.words(3)\nstumps.row_sums(a, b, w)\n"
+                     "stumps.packed_table((), 2, 3)\nnp.packbits(y)\n")
+    assert bit_level_names(tree) == {"bitwise_count", "uint64", "stumps.words", "stumps.unpack", "packbits"}
 
 
 def referenced(paths) -> set[str]:

@@ -459,6 +459,63 @@ class TestResponses:
         assert seen == {-np.inf, np.inf}
 
 
+class TestRowSums:
+    """stumps.row_sums takes every sum of outputs that selection takes, a
+    block of rows at a time: each must be the float sum over the whole
+    unpacked table (oracles.unpacked) bit for bit, by popcounts when every
+    weight is 0 or 1 and by unpacked blocks otherwise."""
+
+    @staticmethod
+    def draw_weights(rng, n, kind):
+        """A (T, N) stack of weight vectors of the given kind."""
+        if kind == "masks":  # the selector's unit class weights
+            pos = rng.random(n) < 0.4
+            return np.stack([pos, ~pos]).astype(np.float64)
+        if kind == "ones":  # a balanced BGSLDA round 1 rescales its weights to these
+            return np.ones((int(rng.integers(1, 3)), n))
+        w = rng.random((2, n)) * 10.0 ** rng.uniform(-8, 0, size=(2, n))  # eight decades
+        if kind == "signed":  # the prune's w y
+            w[0] *= np.where(rng.random(n) < 0.5, 1, -1)
+        return w
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200, 1000]),
+           st.sampled_from(["masks", "ones", "boosting", "signed"]), st.integers(1, 9))
+    def test_matches_the_unpacked_table(self, seed, n, kind, block_rows):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 30))
+        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, n))
+        signs[rng.integers(m)] = 1
+        signs[rng.integers(m)] = -1
+        signs[rng.integers(m)] = signs[rng.integers(m)]  # a duplicate row
+        bits = packed(signs)
+        # Chosen rows drawn with repeats, and the +1 row.
+        picks = rng.integers(0, m, size=int(rng.integers(0, 4)))
+        head = np.vstack([signs[picks], np.ones((1, n), dtype=np.int8)])
+        head = head[rng.permutation(len(head))]
+        chosen = stumps.packed_table(head, 0, n)
+        assert chosen.tobytes() == packed(head).tobytes()
+        weights = self.draw_weights(rng, n, kind)
+        table = unpacked(bits, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stumps, "_BLOCK_BYTES", n * block_rows)  # blocks of block_rows rows, the last ragged
+            if kind in ("masks", "ones"):  # counted, so never unpacked
+                mp.setattr(stumps, "unpack", None)
+            got = stumps.row_sums(bits, chosen, weights)
+        assert got.shape == (len(weights), len(head), m) and got.dtype == np.float64
+        for t, w in enumerate(weights):
+            for r, x in enumerate(unpacked(chosen, n)):
+                want = np.einsum("kn,mn->km", (w * x)[None], table)[0]
+                assert got[t, r].tobytes() == want.tobytes(), (t, r)
+                if kind in ("masks", "ones"):  # exact integers
+                    assert np.array_equal(got[t, r], (w.astype(np.int64) * x * table).sum(axis=1))
+
+    def test_rejects_tables_of_another_width(self):
+        bits = packed(np.ones((3, 65), dtype=np.int8))
+        with pytest.raises(ValueError, match="packed rows of 64 outputs"):
+            stumps.row_sums(bits, bits[:1], np.ones((1, 64)))
+
+
 class TestIntegerKeys:
     """An integer table sorts by one key sort of rank << bits | index; its
     order and tie bits must be the stable argsort's at every key width,
